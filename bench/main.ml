@@ -14,13 +14,13 @@
      E8  Fischer mutual exclusion (the conclusions' future work)
      E9  extension systems: token ring, chained trigger, failure detector
      E10 independent exact engines (zones vs regions) and liveness
-     E11 fast in-place DBM kernel vs reference kernel (differential)
+     E11 packed-int DBM kernel vs reference kernel (differential)
      E12 exact robustness margins (fault-injection subsystem)
      E13 multi-core scaling of the zone engine
      E14 checkpoint overhead and exhaust-and-resume discipline
      E15 LU extrapolation ablation (zone counts with widening on/off)
      E16 serving layer: verdict-cache duplicate suppression, admission
-     E17 zero-copy zone storage: allocation ablation (TM_STORE)
+     E17 zero-copy zone storage: allocation per stored zone
      E18 worker-process pool: throughput and verdict agreement
 
    Run all:        dune exec bench/main.exe
@@ -740,12 +740,12 @@ let e10 () =
   live "failure detector"
     (FD.impl (FD.params_of_ints ~h1:1 ~h2:2 ~g1:2 ~g2:3 ~m:2))
 
-(* E11: fast vs reference zone engine *)
+(* E11: int vs reference zone engine *)
 
 let e11 () =
-  section "E11: fast in-place vs reference vs packed-int DBM kernel";
-  row "%-40s %-10s %-10s %-10s %-8s %s\n" "workload" "fast(ms)" "ref(ms)"
-    "int(ms)" "speedup" "stats";
+  section "E11: packed-int (scaled) vs reference DBM kernel";
+  row "%-40s %-10s %-10s %-8s %s\n" "workload" "int(ms)" "ref(ms)" "speedup"
+    "stats";
   (* adaptive repetition: run each closure for >= 0.2 s and report the
      per-run mean, so sub-millisecond and multi-second workloads both
      get stable numbers *)
@@ -760,31 +760,26 @@ let e11 () =
     done;
     (Tm_obs.Tracing.now_s () -. t0) *. 1000. /. float_of_int reps
   in
-  (* Every workload below has integer bounds, so the packed-int kernel
-     is applicable; speedup is ref/int, the widest gap.  AGREE demands
-     all three kernels produce identical stats (and reachable-set size
-     / outcome) — this is the committed three-way differential gate. *)
-  let line name fast refr intk agree =
-    let tf = time_ms fast and tr = time_ms refr and ti = time_ms intk in
-    row "%-40s %-10.3f %-10.3f %-10.3f %-8.2f %s\n" name tf tr ti (tr /. ti)
+  (* Speedup is ref/int.  AGREE demands both kernels produce identical
+     stats (and reachable-set size / outcome) — this is the committed
+     differential gate.  The int engine scales rational jobs to
+     integers and the reference engine does not, so the fractional
+     rows also check the scaling. *)
+  let line name intk refr agree =
+    let ti = time_ms intk and tr = time_ms refr in
+    row "%-40s %-10.3f %-10.3f %-8.2f %s\n" name ti tr (tr /. ti)
       (if agree then "AGREE" else "DISAGREE")
   in
   let cmp_reach (type s a) name (sys : (s, a) Tm_ioa.Ioa.t) bm =
-    let fast () = Reach.Default.reachable sys bm in
+    let intk () = Reach.Auto.reachable sys bm in
     let refr () = Reach.Ref.reachable sys bm in
-    let intk () = Reach.Int.reachable sys bm in
-    let fst_, fs = fast () and rst, rs = refr () and ist, is_ = intk () in
-    line name fast refr intk
-      (fst_ = rst && fst_ = ist
-      && List.length fs = List.length rs
-      && List.length fs = List.length is_)
+    let ist, is_ = intk () and rst, rs = refr () in
+    line name intk refr (ist = rst && List.length is_ = List.length rs)
   in
   let cmp_cond (type s a) name (sys : (s, a) Tm_ioa.Ioa.t) bm c =
-    let fast () = Reach.Default.check_condition sys bm c in
+    let intk () = Reach.Auto.check_condition sys bm c in
     let refr () = Reach.Ref.check_condition sys bm c in
-    let intk () = Reach.Int.check_condition sys bm c in
-    let f = fast () in
-    line name fast refr intk (f = refr () && f = intk ())
+    line name intk refr (intk () = refr ())
   in
   (let p = SR.params_of_ints ~n:6 ~d1:1 ~d2:2 in
    let u =
@@ -798,8 +793,19 @@ let e11 () =
    cmp_cond "relay n=6: check U(0,6)" (SR.line p) (SR.boundmap p) u);
   (let p = RM.params_of_ints ~k:10 ~c1:2 ~c2:3 ~l:1 in
    cmp_cond "manager k=10: check G1" (RM.system p) (RM.boundmap p) (RM.g1 p));
+  (let q = Rational.make in
+   let p = RM.params ~k:10 ~c1:(q 3 2) ~c2:(q 5 2) ~l:(q 1 3) in
+   cmp_cond "manager k=10 (c=[3/2,5/2], l=1/3): G1" (RM.system p)
+     (RM.boundmap p) (RM.g1 p));
   (let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
    cmp_reach "fischer n=2: reachable" (F.system p) (F.boundmap p));
+  (let q = Rational.make in
+   let p =
+     F.params ~n:2 ~r:(q 5 2) ~t:(q 1 2) ~a:(q 3 4) ~b:(q 3 2) ~b2:(q 5 2)
+       ~e:(q 7 4)
+   in
+   cmp_reach "fischer n=2 (quarter units): reachable" (F.system p)
+     (F.boundmap p));
   (let p = TR.params_of_ints ~n:6 ~d1:1 ~d2:2 in
    cmp_reach "token ring n=6: reachable" (TR.system p) (TR.boundmap p));
   (let p = FD.params_of_ints ~h1:1 ~h2:2 ~g1:2 ~g2:3 ~m:3 in
@@ -833,19 +839,20 @@ let e12 () =
   (let p = FD.params_of_ints ~h1:1 ~h2:2 ~g1:3 ~g2:4 ~m:1 in
    sweep "fd accuracy (h=[1,2], g=[3,4], m=1)" (FD.boundmap p) (fun bm' ->
        Margin.invariant_status
-         (module Reach.Default)
+         (module Reach.Auto)
          (FD.system p) FD.no_false_suspicion bm');
    sweep "fd U(detect)" (FD.boundmap p) (fun bm' ->
        Margin.condition_status
-         (module Reach.Default)
+         (module Reach.Auto)
          (FD.system p) (FD.u_detect p) bm'));
-  (* fischer: mutual exclusion is safe iff a < b, so the margin over
-     widening quantifies the a/b slack *)
+  (* fischer: mutual exclusion is safe iff a < b or b > e; at a=1, b=2,
+     e=2 only a < b holds, so the margin over widening quantifies the
+     a/b slack *)
   let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   sweep "fischer n=2 mutual exclusion (a=1, b=2)" (F.boundmap p)
     (fun bm' ->
       Margin.invariant_status
-        (module Reach.Default)
+        (module Reach.Auto)
         (F.system p) F.mutual_exclusion bm')
 
 (* E13: multi-core scaling of the zone engine *)
@@ -859,12 +866,10 @@ let e13 () =
      the reachable base-state set match the 1-domain run exactly.
      Speedup is relative to the 1-domain row — expect ~1.0 on a
      single-core box and ~N/⌈overhead⌉ on real hardware. *)
-  let scale (type s a) ?(engine = (module Reach.Default : Reach.S)) name
-      (sys : (s, a) Tm_ioa.Ioa.t) bm =
-    let module E = (val engine) in
+  let scale (type s a) name (sys : (s, a) Tm_ioa.Ioa.t) bm =
     let run d =
       let t0 = Tm_obs.Tracing.now_s () in
-      let st, reach = E.reachable ~domains:d sys bm in
+      let st, reach = Reach.reachable ~domains:d sys bm in
       ((Tm_obs.Tracing.now_s () -. t0) *. 1000., st, reach)
     in
     let t1, st1, r1 = run 1 in
@@ -882,25 +887,12 @@ let e13 () =
           (Printf.sprintf "%d/%d" std.Reach.locations std.Reach.zones)
           (t1 /. td)
           (if agree then "AGREE" else "DISAGREE"))
-      [ 1; 2; 4 ];
-    st1
+      [ 1; 2; 4 ]
   in
   (let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
-   ignore (scale "fischer n=3" (F.system p) (F.boundmap p)));
+   scale "fischer n=3" (F.system p) (F.boundmap p));
   let p = F.params_of_ints ~n:4 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
-  let st_fast = scale "fischer n=4" (F.system p) (F.boundmap p) in
-  (* The packed-int leg: same exploration on the int kernel.  The
-     cross-kernel line demands its stats equal the fast kernel's —
-     zones.stored is kernel-independent by construction. *)
-  let st_int =
-    scale
-      ~engine:(module Reach.Int : Reach.S)
-      "fischer n=4 [int]" (F.system p) (F.boundmap p)
-  in
-  row "%-24s %-8s %-10s %-12s %-8s %s\n" "int vs fast stats" "-" "-"
-    (Printf.sprintf "%d/%d" st_int.Reach.locations st_int.Reach.zones)
-    "-"
-    (if st_int = st_fast then "AGREE" else "DISAGREE")
+  scale "fischer n=4" (F.system p) (F.boundmap p)
 
 (* E14: checkpoint overhead and exhaust-and-resume *)
 
@@ -1146,76 +1138,42 @@ let e16 () =
     (if discipline then "AGREE" else "DISAGREE")
 
 (* ------------------------------------------------------------------ *)
-(* E17: zero-copy zone storage — allocation ablation.  TM_STORE picks
-   the storage path in lib/zones/reach.ml: "arena" (the default)
-   probes the successor scratch in place and bump-copies survivors
-   into per-domain arenas, "heap" probes in place but copies survivors
-   to fresh heap arrays, and "seed" is the pre-arena freeze-then-
-   intern path.  Verdicts and zones.stored must be identical in all
-   three modes; only where (and how often) zone matrices are allocated
-   moves.  GC stats are domain-local under OCaml 5, so E17 pins
-   domains=1 (the domains 1/2/4 equivalence lives in the test suite
-   and the CLI determinism checks).  Not part of the committed metrics
-   baseline; CI runs it standalone and gates the arena legs'
-   minor-words-per-stored-zone against BENCH_alloc_baseline.json. *)
+(* E17: zero-copy zone storage — allocation per stored zone.  The
+   engine probes each successor scratch against the zone store in place
+   and bump-copies survivors into per-domain arenas, so a stored zone
+   should cost its record and little else on the minor heap.  GC stats
+   are domain-local under OCaml 5, so E17 pins domains=1 (the domains
+   1/2/4 equivalence lives in the test suite and the CLI determinism
+   checks).  Not part of the committed metrics baseline; CI runs it
+   standalone and gates the rows' minor-words-per-stored-zone against
+   BENCH_alloc_baseline.json.  The [arena] column is the row format that
+   gate parses. *)
 
 let e17 () =
-  section "E17: zero-copy zone storage — allocation ablation (TM_STORE)";
-  let with_store mode f =
-    Unix.putenv "TM_STORE" mode;
-    Fun.protect ~finally:(fun () -> Unix.putenv "TM_STORE" "") f
-  in
-  row "%-16s %-6s %-8s %-12s %-8s %-11s %-12s %s\n" "workload" "mode" "zones"
-    "minorw/zone" "shrink" "alloc(MB)" "majpeak(Mw)" "agreement";
-  let ablate (type s a) name (module E : Reach.S) (sys : (s, a) Tm_ioa.Ioa.t)
-      bm =
+  section "E17: zero-copy zone storage — allocation per stored zone";
+  row "%-16s %-6s %-8s %-12s %-11s %s\n" "workload" "mode" "zones"
+    "minorw/zone" "alloc(MB)" "majpeak(Mw)";
+  let measure (type s a) name (sys : (s, a) Tm_ioa.Ioa.t) bm =
     (* A tiny budgeted warmup so one-time initialization (lazy tables,
-       first-use code paths) is not billed to the first measured leg. *)
-    (try ignore (E.reachable ~limit:1 ~domains:1 sys bm)
+       first-use code paths) is not billed to the measured run. *)
+    (try ignore (Reach.reachable ~limit:1 ~domains:1 sys bm)
      with Reach.Out_of_budget _ -> ());
-    let legs =
-      List.map
-        (fun mode ->
-          let (st, states), minor, bytes, peak =
-            with_gc_stats (fun () ->
-                with_store mode (fun () -> E.reachable ~domains:1 sys bm))
-          in
-          (mode, st, List.length states, minor, bytes, peak))
-        [ "arena"; "heap"; "seed" ]
+    let (st, _), minor, bytes, peak =
+      with_gc_stats (fun () -> Reach.reachable ~domains:1 sys bm)
     in
-    let st0, ns0, minor0 =
-      match legs with
-      | (_, st, ns, minor, _, _) :: _ -> (st, ns, minor)
-      | [] -> assert false
-    in
-    List.iter
-      (fun (mode, st, ns, minor, bytes, peak) ->
-        let agree =
-          st.Reach.zones = st0.Reach.zones
-          && st.Reach.locations = st0.Reach.locations
-          && ns = ns0
-        in
-        row "%-16s %-6s %-8d %-12.1f %-8s %-11.2f %-12.2f %s\n" name mode
-          st.Reach.zones
-          (minor /. float_of_int (max 1 st.Reach.zones))
-          (* zones whose matrices exceed the minor-alloc cutoff live on
-             the major heap in every mode; minor words then measure
-             nothing useful, so show no ratio *)
-          (if minor0 > 0. then Printf.sprintf "%.2f" (minor /. minor0)
-           else "-")
-          (bytes /. 1e6)
-          (float_of_int peak /. 1e6)
-          (if mode = "arena" then "-"
-           else if agree then "AGREE"
-           else "DISAGREE"))
-      legs
+    (* zones whose matrices exceed the minor-alloc cutoff live on the
+       major heap; their minor words then measure nothing useful *)
+    row "%-16s %-6s %-8d %-12.1f %-11.2f %.2f\n" name "arena" st.Reach.zones
+      (minor /. float_of_int (max 1 st.Reach.zones))
+      (bytes /. 1e6)
+      (float_of_int peak /. 1e6)
   in
   (let p = F.params_of_ints ~n:4 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
-   ablate "fischer-n4-int" (module Reach.Int) (F.system p) (F.boundmap p));
+   measure "fischer-n4-int" (F.system p) (F.boundmap p));
   (let p = F.params_of_ints ~n:5 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
-   ablate "fischer-n5-int" (module Reach.Int) (F.system p) (F.boundmap p));
+   measure "fischer-n5-int" (F.system p) (F.boundmap p));
   (let p = SR.params_of_ints ~n:8 ~d1:1 ~d2:2 in
-   ablate "relay-n8" (module Reach.Default) (SR.line p) (SR.boundmap p))
+   measure "relay-n8" (SR.line p) (SR.boundmap p))
 
 (* ------------------------------------------------------------------ *)
 (* E18: worker-process pool — throughput and verdict agreement.  The
@@ -1361,7 +1319,7 @@ let () =
   let report =
     Tm_obs.Report.make
       ~command:("bench " ^ String.concat " " requested)
-      ~version:"bench" ~engine:"fast" ~domains:bench_domains
+      ~version:"bench" ~engine:"auto" ~domains:bench_domains
       ~wall_s:(Tm_obs.Tracing.now_s () -. t0)
       ()
   in

@@ -184,9 +184,9 @@ let generic_check (type s a) (aut : (s, a) TA.t)
     0 results
 
 (* Zone engine selected by --engine on the verify subcommand: the
-   production in-place kernel, or the reference kernel for
-   cross-checking a suspicious verdict. *)
-let engine : (module Reach.S) ref = ref (module Reach.Default : Reach.S)
+   production int engine, or the reference kernel for cross-checking a
+   suspicious verdict. *)
+let engine : (module Reach.S) ref = ref (module Reach.Auto : Reach.S)
 
 (* Kernel name for provenance; "" until a subcommand selects one. *)
 let engine_name = ref ""
@@ -400,9 +400,7 @@ let print_margin_report (r : Margin.report) =
 
 let margin_reports (type s a) name (sys : (s, a) Tm_ioa.Ioa.t) bm
     (props : (s, a) prop list) () =
-  (* Margin probes perturb bounds to non-integer rationals; a forced
-     int kernel must be pinned back onto the rational kernel here. *)
-  let module E = (val Margin.probe_engine ~name:!engine_name !engine) in
+  let module E = (val !engine) in
   List.map
     (fun prop ->
       let subject, check =
@@ -637,8 +635,9 @@ let fischer_instance ~n ~a ~b =
   let impl = F.impl p in
   {
     describe =
-      Printf.sprintf "Fischer mutual exclusion: n=%d a=%d b=%d (safe iff a<b)"
-        n a b;
+      Printf.sprintf
+        "Fischer mutual exclusion: n=%d a=%d b=%d (safe iff a<b or b>e=2)" n a
+        b;
     simulate =
       (fun ~steps ~strategy ~seed () ->
         run_simulation impl [ F.u_enter p ] ~steps ~strategy ~seed
@@ -1215,12 +1214,11 @@ let simple_cmd name ~doc select =
 let engine_arg =
   let engine_conv =
     let parse = function
-      | ("auto" | "int" | "fast" | "ref" | "paranoid") as name -> Ok name
+      | ("auto" | "ref" | "paranoid") as name -> Ok name
       | other ->
           Error
             (`Msg
-              (Printf.sprintf
-                 "unknown engine %S (auto | int | fast | ref | paranoid)"
+              (Printf.sprintf "unknown engine %S (auto | ref | paranoid)"
                  other))
     in
     Arg.conv (parse, Format.pp_print_string)
@@ -1230,21 +1228,17 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "DBM kernel for zone exploration: $(b,auto) (default: the \
-           packed-int kernel when the system's bounds are integral, \
-           the fast rational kernel otherwise), $(b,int) (force the \
-           packed-int kernel; rejects non-integer bounds), $(b,fast) \
-           (in-place rational kernel), $(b,ref) (reference kernel, for \
-           cross-checking a verdict) or $(b,paranoid) (fast kernel \
-           with a sampled in-flight self-check against the reference \
-           and packed-int kernels; a disagreement degrades the run to \
-           the reference kernel). All run the identical exploration \
-           and must agree.")
+           packed-int kernel; rational bounds are scaled to integers by \
+           the LCM of their denominators first), $(b,ref) (exact \
+           rational reference kernel, unscaled, for cross-checking a \
+           verdict) or $(b,paranoid) (the int kernel with a sampled \
+           in-flight self-check against the reference kernel; a \
+           disagreement degrades the run to the reference kernel). All \
+           run the identical exploration and must agree.")
 
 let set_engine name =
   engine_name := name;
   match name with
-  | "int" -> engine := (module Reach.Int : Reach.S)
-  | "fast" -> engine := (module Reach.Default : Reach.S)
   | "ref" -> engine := (module Reach.Ref : Reach.S)
   | "paranoid" ->
       if Tm_recover.Paranoid.every () = 0 then Tm_recover.Paranoid.set_every 64;

@@ -183,13 +183,7 @@ let report ?eps_max ?stable ?max_probes ?(domains = 1) ~subject ~check bm =
   in
   { subject; overall; per_class; critical }
 
-(* Mediant probes produce non-integral boundmaps, which the packed-int
-   kernel rejects (it refuses to truncate).  [Reach.Auto] already
-   re-checks integrality per probe, but a caller who forced the int
-   kernel explicitly must be pinned back onto a rational kernel before
-   a walk starts — same exploration, same verdicts, no truncation. *)
-let probe_engine ~name (e : (module Reach.S)) : (module Reach.S) =
-  if String.equal name "int" then (module Reach.Default) else e
+let probe_engine ~name:_ (e : (module Reach.S)) = e
 
 let condition_status (module E : Reach.S) ?limit ?deadline_s a c bm =
   match E.check_condition ?limit ?deadline_s a bm c with

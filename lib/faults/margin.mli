@@ -82,12 +82,10 @@ val report :
 
 val probe_engine :
   name:string -> (module Tm_zones.Reach.S) -> (module Tm_zones.Reach.S)
-(** The engine margin probes must run on, given the engine the caller
-    selected under [name].  A forced ["int"] engine is replaced by the
-    fast rational engine: mediant probes perturb boundmaps to
-    non-integer rationals, which the packed-int kernel rejects rather
-    than truncates.  Every other engine (including ["auto"], which
-    re-checks integrality per probe on its own) passes through. *)
+(** The identity: every engine runs margin's non-integral mediant
+    probes itself (the int engine scales them to integers), so no
+    engine needs replacing.  Kept only because the perfbench probe
+    (perfbench/probe/probe.ml) still calls it. *)
 
 (** {1 Property checks}
 

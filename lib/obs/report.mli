@@ -5,7 +5,7 @@
     tables so perf PRs can diff instrumented baselines.
 
     Reports carry build/engine provenance — the tool version, which
-    DBM kernel ran (fast/ref/paranoid), and the domain count — so a
+    engine ran (auto/ref/paranoid), and the domain count — so a
     saved artifact is self-describing ([timedmap obs] prints the
     provenance back, and [timedmap bench-diff] can warn when two
     artifacts came from different configurations). *)
@@ -13,7 +13,7 @@
 type t = {
   command : string;
   version : string;  (** tool version, "" when unknown *)
-  engine : string;  (** DBM kernel: "fast", "ref", "paranoid", or "" *)
+  engine : string;  (** engine: "auto", "ref", "paranoid", or "" *)
   domains : int;  (** requested worker-domain count *)
   wall_s : float;
   metrics : Metrics.snapshot;

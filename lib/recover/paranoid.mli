@@ -1,11 +1,11 @@
 (** Configuration for paranoid mode: a sampled in-flight self-check of
-    the fast DBM kernel against the reference kernel.
+    the packed-int DBM kernel against the reference kernel.
 
     When {!set_every} is given [k > 0], the paranoid kernel
     ([Tm_zones.Dbm_paranoid]) re-executes every [k]-th successor-zone
     pipeline on the reference kernel and compares every observable
     result — emptiness, satisfiability probes, and the frozen zone,
-    entry by entry.  A disagreement means the fast kernel (or the
+    entry by entry.  A disagreement means the int kernel (or the
     memory under it) produced a corrupt zone; the kernel records a
     [recover.selfcheck_mismatch] and raises {!Mismatch}, and the
     paranoid engine ([Tm_zones.Reach.Paranoid]) degrades the whole run
@@ -17,7 +17,7 @@
     without a dependency cycle. *)
 
 exception Mismatch of string
-(** The fast and reference kernels disagreed on a checked pipeline.
+(** The int and reference kernels disagreed on a checked pipeline.
     The message says which operation diverged. *)
 
 val set_every : int -> unit
@@ -28,7 +28,7 @@ val every : unit -> int
 
 val set_corrupt : bool -> unit
 (** Test hook: while set, the paranoid kernel deliberately corrupts
-    the fast result of each checked pipeline before comparing, so the
+    the int result of each checked pipeline before comparing, so the
     tests can prove the self-check actually detects corruption.  Never
     set outside tests. *)
 

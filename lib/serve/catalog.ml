@@ -140,27 +140,23 @@ let budget_suffix ~limit ~deadline_s =
 
 type margin_fns = {
   mg_fp :
-    ename:string -> (module Reach.S) -> limit:int option ->
-    deadline_s:float option -> string;
+    (module Reach.S) -> limit:int option -> deadline_s:float option -> string;
   mg_run :
-    ename:string -> (module Reach.S) -> domains:int -> limit:int option ->
+    (module Reach.S) -> domains:int -> limit:int option ->
     deadline_s:float option -> Json.t;
 }
 
 let make_margin (type s a) name (sys : (s, a) Ioa.t) bm
     (props : (s, a) prop list) =
-  let pin ~ename e = Margin.probe_engine ~name:ename e in
   {
     mg_fp =
-      (fun ~ename e ~limit ~deadline_s ->
-        let module E = (val pin ~ename e) in
+      (fun (module E) ~limit ~deadline_s ->
         E.fingerprint_invariant sys bm
         ^ "|serve=margin|props="
         ^ String.concat "," (List.map prop_name props)
         ^ budget_suffix ~limit ~deadline_s);
     mg_run =
-      (fun ~ename e ~domains ~limit ~deadline_s ->
-        let module E = (val pin ~ename e) in
+      (fun (module E) ~domains ~limit ~deadline_s ->
         let reports =
           List.map
             (fun prop ->
@@ -458,17 +454,13 @@ let pack_of system (p : params) paramstr : (pack, string) result =
 (* engines *)
 
 let engine_of = function
-  | "auto" -> Ok ("auto", (module Reach.Auto : Reach.S))
-  | "int" -> Ok ("int", (module Reach.Int : Reach.S))
-  | "fast" -> Ok ("fast", (module Reach.Default : Reach.S))
-  | "ref" -> Ok ("ref", (module Reach.Ref : Reach.S))
+  | "auto" -> Ok (module Reach.Auto : Reach.S)
+  | "ref" -> Ok (module Reach.Ref : Reach.S)
   | "paranoid" ->
       if Tm_recover.Paranoid.every () = 0 then Tm_recover.Paranoid.set_every 64;
-      Ok ("paranoid", (module Reach.Paranoid : Reach.S))
+      Ok (module Reach.Paranoid : Reach.S)
   | other ->
-      Error
-        (Printf.sprintf
-           "unknown engine %S (auto | int | fast | ref | paranoid)" other)
+      Error (Printf.sprintf "unknown engine %S (auto | ref | paranoid)" other)
 
 (* ------------------------------------------------------------------ *)
 (* request parsing *)
@@ -486,7 +478,7 @@ let of_request ?(default_engine = "auto") req =
       let ename = Option.value (str_field "engine" req) ~default:default_engine in
       match engine_of ename with
       | Error m -> Error m
-      | Ok (ename, engine) -> (
+      | Ok engine -> (
           match parse_params ~op (field "params" req) with
           | Error m -> Error m
           | Ok (params, paramstr) -> (
@@ -530,8 +522,7 @@ let of_request ?(default_engine = "auto") req =
                           label = system ^ " margin";
                           op;
                           fingerprint =
-                            pack.pk_margin.mg_fp ~ename engine ~limit
-                              ~deadline_s;
+                            pack.pk_margin.mg_fp engine ~limit ~deadline_s;
                           checkpointable = false;
                           req_limit = limit;
                           req_deadline_s = deadline_s;
@@ -539,8 +530,8 @@ let of_request ?(default_engine = "auto") req =
                             (fun ~limit ~deadline_s ~domains ~checkpoint:_
                                  ~resume:_ ->
                               Ok
-                                (pack.pk_margin.mg_run ~ename engine ~domains
-                                   ~limit ~deadline_s));
+                                (pack.pk_margin.mg_run engine ~domains ~limit
+                                   ~deadline_s));
                         }
                   | "simulate" -> (
                       let steps =

@@ -8,7 +8,7 @@
       "system": "rm"|"im"|"relay"|"fischer"|"rg"|"ring"|"fd"|"two",
       "params": { "n": 3, "a": 1, ... },      // system knobs, all optional
       "item": 0,                               // verify: which check
-      "engine": "auto"|"int"|"fast"|"ref"|"paranoid",
+      "engine": "auto"|"ref"|"paranoid",
       "limit": 50000, "deadline_s": 10.0,      // per-job budgets
       "steps": 60, "strategy": "random", "seed": 42 }   // simulate only
     v}

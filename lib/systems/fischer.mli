@@ -19,9 +19,13 @@
 
     The shared-memory system is modelled as a single closed automaton.
 
-    Mutual exclusion holds exactly when [a < b]; the test suite
-    verifies it by zone reachability for [a < b] and refutes it for
-    [a >= b].  The timing property analyzed with the paper's machinery:
+    Mutual exclusion holds exactly when [a < b] or [b > e]: with
+    [a < b] a process that passed the test has written [x] before any
+    rival's check, and with [b > e] a rival that checks at least [b]
+    after a late write finds [x] reset by the critical section's exit
+    (within [e]).  The test suite pins that rule on a grid of
+    [(a, b)] at [e = 2] and refutes mutual exclusion for [a >= b],
+    [b <= e].  The timing property analyzed with the paper's machinery:
     an *uncontended* [Set i] step (no other process in [Set]) is
     followed by some [Enter] within [[b, b2]] ({!u_enter}). *)
 

@@ -46,10 +46,10 @@ val max_constant : t -> Tm_base.Rational.t
 
 val is_integral : t -> bool
 (** Every finite interval endpoint is an integer.  True for all shipped
-    systems; the zone engine uses it to dispatch to the packed-int DBM
-    kernel.  Margin's mediant probes perturb endpoints to non-integer
-    rationals, which this probe rejects — that is what transparently
-    pins the rational kernel during a margin walk. *)
+    systems; margin's mediant probes perturb endpoints to non-integer
+    rationals.  The zone engine does not need it (it scales any job to
+    integers itself); diagnostics use it to tell integral jobs from
+    scaled ones. *)
 
 val lu_bounds :
   t -> string -> Tm_base.Rational.t option * Tm_base.Rational.t option

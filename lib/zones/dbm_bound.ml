@@ -1,9 +1,8 @@
-(* The bound domain shared by every DBM kernel: an upper bound on a
-   clock difference, strict or weak, or no bound at all.  Split out of
-   {!Dbm} so the fast in-place kernel and the {!Dbm_ref} reference
-   kernel compare and add bounds with the exact same code — a
-   differential test that used two bound arithmetics would prove
-   nothing. *)
+(* The bound domain of the kernel interface: an upper bound on a clock
+   difference, strict or weak, or no bound at all.  {!Dbm_int} packs it
+   into an int and {!Dbm_ref} computes on it directly; both read and
+   write zones through it, so a differential test compares them in one
+   bound arithmetic. *)
 
 module Rational = Tm_base.Rational
 

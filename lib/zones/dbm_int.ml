@@ -1,26 +1,25 @@
-(* Integer-specialized DBM kernel: an unboxed flat [int array] with the
-   strictness packed in the low bit.
+(* Integer DBM kernel — the production kernel: an unboxed flat
+   [int array] with the strictness packed in the low bit.
 
-   Every shipped system (fischer, relay, token ring, resource manager)
-   has an integral boundmap, so all DBM constants are integers and the
-   rational kernel's boxing and GCD normalization are pure overhead.
-   A bound is packed as
+   Every job reaches this kernel with integer constants: {!Reach.Make}
+   multiplies a rational job's boundmap and condition bounds by the LCM
+   of their denominators first (a change of time unit, which preserves
+   verdicts and the zone graph), so margin's mediant probes run here
+   too.  A bound is packed as
 
      Lt c  ->  2c          Le c  ->  2c + 1          Inf  ->  max_int
 
    which makes the tightness order ([Lt c < Le c < Inf]) the native
    integer order, bound addition two adds and a mask, and the whole
-   Scratch pipeline allocation-free.  {!Reach.Auto} selects this kernel
-   whenever the boundmap (and condition bounds) are integral; the
-   rational kernels stay the fallback for Margin's mediant walks.
-   Feeding a non-integer bound to [constrain]/[sat]/[extrapolate] is a
-   dispatch bug, never a truncation: it raises [Invalid_argument] so
-   the differential wall notices immediately.
+   Scratch pipeline allocation-free.  Feeding a non-integer bound to
+   [constrain]/[sat]/[extrapolate] is a scaling bug, never a
+   truncation: it raises [Invalid_argument] so the differential wall
+   notices immediately.  Overflow is excluded up front by {!headroom}.
 
-   Structure mirrors {!Dbm} op for op (same tighten/canonicalize/reset
-   recurrences, same memoized hash and physical-equality fast paths),
-   which is what lets test/test_dbm_diff.ml demand trace equality
-   across int == fast == ref on integral scripts. *)
+   Every operation must land on the zone the exact-rational reference
+   kernel {!Dbm_ref} computes; test/test_dbm_diff.ml checks that after
+   every op of random scripts, run here scaled to integers and divided
+   back. *)
 
 module Rational = Tm_base.Rational
 module Metrics = Tm_obs.Metrics
@@ -38,9 +37,8 @@ let c_sat = op "sat"
 let c_minimize = op "minimize"
 let c_min_subsumes = op "min_subsumes"
 
-(* Packed bounds.  Constants in this repository are tiny (single-digit
-   boundmap endpoints), so overflow of [2c] or packed addition is a
-   logic error, not a case to handle. *)
+(* Packed bounds.  No operation below checks for overflow; {!headroom}
+   bounds the constants so that none can occur. *)
 let inf = max_int
 let le_zero = 1 (* Le 0 *)
 
@@ -72,8 +70,8 @@ let bnd_neg_ok p = p > 0
 (* A non-integer rational has no exact packed form; both extrapolation
    entry points take rationals, so clamp the direction soundly:
    rounding an L/U bound or the max constant UP only makes the
-   abstraction finer, never unsound.  (On integral systems — the only
-   ones dispatched here — this is exact.) *)
+   abstraction finer, never unsound.  (Jobs are scaled to integers
+   before they get here, so this is exact.) *)
 let ceil_int q = Rational.ceil q
 
 (* [off] is the start of this zone's n*n slice inside [m]: arena zones
@@ -82,6 +80,16 @@ let ceil_int q = Rational.ceil q
 type t = { n : int; m : int array; off : int; empty : bool; mutable hmemo : int }
 
 let name = "int"
+
+(* Headroom.  Every finite entry of a stored zone lies in [-c, c] for
+   the job's max constant [c] (guards, invariants, resets to 0 and LU
+   clamps never exceed it), and a canonical entry of a [dim]-clock
+   zone is a shortest path over fewer than [dim] such edges, so its
+   magnitude is below [dim * c].  Closure adds two entries before
+   comparing, and packing doubles: every intermediate value stays
+   within [4 * dim * c + 1].  Requiring [c <= max_int / (4 * dim)]
+   keeps all of it inside the native range, below the [Inf] sentinel. *)
+let headroom = Some (fun dim -> max_int / (4 * max 1 dim))
 let dim z = z.n
 let get z i j = unpack z.m.(z.off + (i * z.n) + j)
 let is_empty z = z.empty
@@ -92,7 +100,7 @@ let dup z =
   else Array.sub z.m z.off (z.n * z.n)
 
 (* ------------------------------------------------------------------ *)
-(* In-place core, mirroring {!Dbm} recurrence for recurrence.          *)
+(* In-place core.                                                     *)
 
 let canonicalize_arr n m =
   Metrics.incr c_canonicalize;
@@ -198,9 +206,11 @@ let extrapolate_arr n m mc neg_mc =
   done;
   !changed
 
-(* LU relaxation on packed entries; the constant-only rules match
-   {!Dbm.extrapolate_lu_arr} exactly, so on integral inputs all three
-   kernels extrapolate to the same zone.  The per-clock thresholds are
+(* LU relaxation on packed entries: entry (i, j) with constant c goes
+   to Inf when c > L_i, else to Lt (-U_j) when c < -U_j; a [None] bound
+   is -inf and wipes unconditionally.  Comparisons are on the constant
+   only (strictness does not matter), exactly as in {!Dbm_ref}, so on
+   integral inputs both kernels extrapolate to the same zone.  The per-clock thresholds are
    hoisted into int rows up front: [lceil.(i) = ceil L_i] (a [None]
    lower bound is -inf, encoded [min_int] so every constant exceeds
    it) and [nuc.(j) = -ceil U_j] ([None] upper encoded [max_int],
@@ -391,7 +401,7 @@ let hash_arr n m off =
   done;
   if !h = min_int then min_int + 1 else !h
 
-(* Memoized structural hash over the packed entries; like {!Dbm} the
+(* Memoized structural hash over the packed entries: the
    cost is once per distinct zone and [min_int] is the "uncomputed"
    sentinel (shifted if the fold lands on it). *)
 let hash z =
@@ -433,10 +443,14 @@ let pp fmt z =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Arena: bump allocation for stored-zone payloads; see {!Dbm.Arena}
-   (chunks >= 512 words go straight to the major heap, [reset] rewinds
-   the current chunk only — per-domain speculative arenas reset at
-   batch boundaries, the main arena never does).                       *)
+(* Arena: bump allocation for stored-zone payloads.  Chunks start at
+   512 words so they land on the major heap directly — freezing a zone
+   into the arena costs no minor-heap words beyond its record.  Growth
+   swaps in a doubled chunk and abandons the old one to the zones
+   already pointing into it; [reset] rewinds only the current chunk,
+   which is exactly right for the per-domain speculative arenas
+   (everything since the last reset is discarded or was copied out by
+   the commit loop); the main arena never resets.                     *)
 
 let arena_chunk_min = 512
 

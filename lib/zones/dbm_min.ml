@@ -24,11 +24,10 @@
    reductions of equal matrices are structurally equal — [equal] is
    exact, no re-closure needed.
 
-   This module is the rational-bound instance shared by {!Dbm} and
-   {!Dbm_ref}; {!Dbm_int} hand-specializes the same algorithm over
-   packed ints to keep its subsumption probe allocation-free.  The
-   QCheck round-trip in test/test_dbm_min.ml pins all three to the
-   dense kernels. *)
+   This module is the rational-bound instance used by {!Dbm_ref};
+   {!Dbm_int} hand-specializes the same algorithm over packed ints to
+   keep its subsumption probe allocation-free.  The QCheck round-trip
+   in test/test_dbm_min.ml pins both to the dense kernels. *)
 
 module Rational = Tm_base.Rational
 

@@ -1,9 +1,9 @@
-(** Self-checking DBM kernel: {!Dbm} arithmetic, with every [k]-th
+(** Self-checking DBM kernel: {!Dbm_int} arithmetic, with every [k]-th
     successor pipeline re-executed on {!Dbm_ref} and compared.
 
-    Persistent operations and representations are exactly {!Dbm}'s
-    ([type t = Dbm.t]), so an exploration on this kernel stores
-    bit-identical zones to the fast engine — the self-check is pure
+    Persistent operations and representations are exactly {!Dbm_int}'s
+    ([type t = Dbm_int.t]), so an exploration on this kernel stores
+    bit-identical zones to the int engine — the self-check is pure
     overhead, never a behaviour change.  The sampling period comes from
     [Tm_recover.Paranoid.every]; each {!Dbm_sig.S.Scratch} arena counts
     its own pipeline loads, so under a pool every domain samples
@@ -13,4 +13,4 @@
     and raises [Tm_recover.Paranoid.Mismatch]; {!Reach.Paranoid}
     catches it and degrades the run to the reference engine. *)
 
-include Dbm_sig.S with type t = Dbm.t
+include Dbm_sig.S with type t = Dbm_int.t

@@ -1,6 +1,9 @@
-(* Reference DBM kernel: the original straightforward implementation,
-   kept verbatim (minus metrics) as the oracle for differential testing
-   of the fast in-place kernel in {!Dbm}.  Every operation copies the
+(* Reference DBM kernel: the original straightforward implementation
+   over exact rationals, kept verbatim (minus metrics) as the oracle for
+   differential testing of the packed-int kernel {!Dbm_int}.  Unlike
+   that kernel it runs every job unscaled, so each int-vs-ref
+   differential also checks the time-unit scaling in {!Reach}.  Every
+   operation copies the
    matrix; [sat] re-runs a full constrain; [zero]/[top]/[intersect]
    re-canonicalize from scratch.  Slow on purpose — do not optimise. *)
 
@@ -16,6 +19,7 @@ let bnd_neg_ok = Dbm_bound.neg_ok
 type t = { n : int; m : bnd array; empty : bool }
 
 let name = "ref"
+let headroom = None
 let dim z = z.n
 let get z i j = z.m.(i * z.n + j)
 let is_empty z = z.empty
@@ -179,8 +183,11 @@ let extrapolate mc z =
     end
   end
 
-(* LU relaxation by the same constant-only rules as the fast kernel —
-   see {!Dbm.extrapolate_lu_arr}.  Straightforward copy-and-reclose. *)
+(* LU relaxation: entry (i, j) with constant c goes to Inf when
+   c > lower.(i), else to Lt (-upper.(j)) when c < -upper.(j); a [None]
+   bound is -inf and wipes unconditionally.  Comparisons are on the
+   constant only (strictness does not matter), exactly as in the int
+   kernel.  Straightforward copy-and-reclose. *)
 let extrapolate_lu ~lower ~upper z =
   if z.empty then z
   else begin
@@ -294,7 +301,7 @@ end
    zone: every "destructive" op pays the full persistent cost, which is
    exactly what the differential benchmark wants to compare against.
    [src] remembers the loaded zone so a pipeline that rebuilt an equal
-   matrix still freezes to the original (matching the fast kernels'
+   matrix still freezes to the original (matching the int kernel's
    short-circuit). *)
 module Scratch = struct
   type scratch = { mutable cur : t; mutable src : t option }

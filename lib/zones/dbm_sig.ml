@@ -1,9 +1,10 @@
-(* Signature shared by the fast in-place kernel ({!Dbm}) and the
-   straightforward reference kernel ({!Dbm_ref}).  {!Reach.Make} is a
-   functor over this signature, so the two engines share one
-   exploration discipline and differ only in DBM arithmetic — which is
-   what makes op-for-op and fixpoint-for-fixpoint differential testing
-   meaningful, and keeps [zones.stored] identical by construction.
+(* Signature shared by the packed-int production kernel ({!Dbm_int})
+   and the straightforward rational reference kernel ({!Dbm_ref}).
+   {!Reach.Make} is a functor over this signature, so the two engines
+   share one exploration discipline and differ only in DBM arithmetic —
+   which is what makes op-for-op and fixpoint-for-fixpoint differential
+   testing meaningful, and keeps [zones.stored] identical by
+   construction.
 
    Clock [0] is the reference clock fixed at 0; entry [(i, j)] bounds
    the difference [x_i - x_j].  All values are canonical (shortest-path
@@ -14,9 +15,17 @@ module type S = sig
   (** A persistent zone: immutable from the caller's point of view. *)
 
   val name : string
-  (** Short stable kernel identifier ("fast", "ref", ...) — part of the
+  (** Short stable kernel identifier ("int", "ref", ...) — part of the
       checkpoint job fingerprint, so a snapshot is only ever resumed on
       the kernel that wrote it. *)
+
+  val headroom : (int -> int) option
+  (** [None] for a kernel with exact rational constants.  [Some h] for
+      a kernel that holds integer constants only: [h dim] is the
+      largest constant magnitude a [dim]-clock zone can carry without
+      overflow.  {!Reach.Make} scales every job's constants to
+      integers before they reach such a kernel, and refuses a job whose
+      scaled max constant exceeds [h dim]. *)
 
   val dim : t -> int
   (** Number of clocks including the reference clock. *)

@@ -15,7 +15,7 @@ module Snapshot = Tm_recover.Snapshot
 module Supervisor = Tm_recover.Supervisor
 
 (* Counter handles are shared by every engine instantiation, so the
-   fast and reference engines report into the same metrics. *)
+   int and reference engines report into the same metrics. *)
 let c_zones_stored = Metrics.counter "zones.stored"
 let c_zones_subsumed = Metrics.counter "zones.subsumed"
 let c_zone_edges = Metrics.counter "zones.edges"
@@ -71,21 +71,46 @@ let lu_disabled () =
   | Some ("1" | "true" | "yes") -> true
   | _ -> false
 
-(* Zone-storage ablation toggle, read per exploration like TM_NO_LU.
-   [arena] (default): scratches are probed in place against the
-   hash-consed store and only copied — into bump arenas — on a genuine
-   miss.  [heap]: probe in place but freeze misses to the minor heap
-   (isolates the probe-in-place win from the arena win).  [seed]: the
-   pre-arena path — freeze a copy first, intern it afterwards.  All
-   three store the same zones in the same order by construction; e17
-   measures the allocation difference and CI pins the agreement. *)
-type store_mode = Store_arena | Store_heap | Store_seed
+(* Time-unit scaling.  Multiplying every boundmap endpoint and every
+   condition bound by the same integer k >= 1 maps timed executions one
+   to one (Defs 2.1/2.2/3.1 do not depend on the unit of time), so
+   verdicts are preserved and so is the zone graph: LU bounds and the
+   max constant scale with it (Alur & Dill, TCS 1994).  An integer-only
+   kernel therefore runs every job scaled by the LCM of the
+   denominators of its finite constants; an integral job has k = 1 and
+   passes through untouched.  Scaling uses checked arithmetic and fails
+   with [Invalid_argument] — there is no fallback kernel. *)
+let time_scale bm cond_bounds =
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let lcm k q =
+    let d = q.Rational.den in
+    let m = k / gcd k d in
+    if m > max_int / d then
+      invalid_arg
+        (Printf.sprintf "Reach: time scale %d * %d overflows (constant %s)" m
+           d (Rational.to_string q));
+    m * d
+  in
+  let of_interval k iv =
+    let k = lcm k (Interval.lo iv) in
+    match Interval.hi iv with Time.Fin q -> lcm k q | Time.Inf -> k
+  in
+  let k =
+    List.fold_left (fun k (_, iv) -> of_interval k iv) 1 (Boundmap.to_list bm)
+  in
+  match cond_bounds with None -> k | Some iv -> of_interval k iv
 
-let store_mode () =
-  match Sys.getenv_opt "TM_STORE" with
-  | Some "heap" -> Store_heap
-  | Some "seed" -> Store_seed
-  | _ -> Store_arena
+let scale_interval k iv =
+  if k = 1 then iv
+  else
+    try Interval.scale k iv
+    with Rational.Overflow ->
+      invalid_arg
+        (Printf.sprintf "Reach: time scale %d overflows the constants of %s" k
+           (Interval.to_string iv))
+
+let scale_boundmap k bm =
+  if k = 1 then bm else Boundmap.map (fun _ iv -> scale_interval k iv) bm
 
 module type S = sig
   val reachable :
@@ -113,7 +138,7 @@ end
 
 (* The exploration discipline — waiting-list policy, subsumption,
    caches, metrics — lives in this functor and is therefore shared by
-   the fast engine and the reference engine; only the DBM arithmetic
+   the int engine and the reference engine; only the DBM arithmetic
    differs.  That makes [zones.stored] identical across kernels by
    construction, which the CI determinism guard and the differential
    harness both rely on. *)
@@ -136,9 +161,17 @@ module Make (K : Dbm_sig.S) : S = struct
     lu : (Rational.t option array * Rational.t option array) option;
         (** per DBM clock LU-extrapolation bounds, [None] when LU is
             disabled (fall back to max-constant widening) *)
+    scale : int;
+        (** time-unit factor every constant above was multiplied by;
+            [1] on a rational kernel *)
   }
 
   let make_enc a bm ~with_observer ~cond_bounds =
+    let scale =
+      match K.headroom with None -> 1 | Some _ -> time_scale bm cond_bounds
+    in
+    let bm = scale_boundmap scale bm in
+    let cond_bounds = Option.map (scale_interval scale) cond_bounds in
     let cenc = Clock_enc.make a bm in
     let max_const =
       match cond_bounds with
@@ -177,6 +210,14 @@ module Make (K : Dbm_sig.S) : S = struct
         cenc.Clock_enc.classes
     in
     let nclocks = nreal + 1 + (if with_observer then 1 else 0) in
+    (match K.headroom with
+    | Some h when Rational.(max_const > of_int (h nclocks)) ->
+        invalid_arg
+          (Format.asprintf
+             "Reach: constant %a at time scale %d exceeds the %s kernel's \
+              headroom %d for %d clocks"
+             Rational.pp max_const scale K.name (h nclocks) nclocks)
+    | Some _ | None -> ());
     let y = if with_observer then Some (nreal + 1) else None in
     let lu =
       if lu_disabled () then None
@@ -213,20 +254,24 @@ module Make (K : Dbm_sig.S) : S = struct
         Some (lower, upper)
       end
     in
-    { cenc; nclocks; y; max_const; guards; uppers; lu }
+    { cenc; nclocks; y; max_const; guards; uppers; lu; scale }
 
   (* The job fingerprint ties a checkpoint to the run shape that wrote
      it: kernel, entry point, and the whole timing side of the encoding
      (class bounds, max constant, alphabet size, DBM dimension).  It
      cannot observe the automaton's transition function — that is
      re-supplied at resume (closures do not marshal) and trusted to be
-     the same program calling again. *)
+     the same program calling again.  It is built from the caller's
+     unscaled [bm] and max constant, so [bm] and [2·bm] never share a
+     fingerprint, and an integral job's fingerprint does not depend on
+     scaling at all. *)
   let fingerprint_of ~kind bm (enc : _ enc) =
     Format.asprintf
       "tmjob1|kernel=%s|widen=%s|kind=%s|nclocks=%d|maxc=%a|alpha=%d|%a"
       K.name
       (match enc.lu with Some _ -> "lu" | None -> "maxc")
-      kind enc.nclocks Rational.pp enc.max_const
+      kind enc.nclocks Rational.pp
+      (Rational.div enc.max_const (Rational.of_int enc.scale))
       (Array.length enc.guards)
       (Format.pp_print_list
          ~pp_sep:(fun f () -> Format.pp_print_char f ',')
@@ -385,9 +430,8 @@ module Make (K : Dbm_sig.S) : S = struct
     (* One shared satisfiability probe over [scr]: building the partial
        application here keeps the per-edge [observe] call closure-free. *)
     let sat_scr i j b = K.Scratch.sat scr i j b in
-    let smode = store_mode () in
-    (* The main arena holds every stored zone's payload (arena mode).
-       It is never reset: everything frozen into it on the sequential
+    (* The main arena holds every stored zone's payload.  It is never
+       reset: everything frozen into it on the sequential
        path, or copied into it by the commit loop, is a stored zone. *)
     let arena = K.Arena.create () in
     (* The one widening applied to every zone before it is stored —
@@ -552,57 +596,35 @@ module Make (K : Dbm_sig.S) : S = struct
         Metrics.set_max g_waiting_max (float_of_int !waiting)
       end
     in
-    (* Sequential path: the surviving successor is still in [scr].
-       Arena/heap modes hash and probe it in place — a hit never copies
-       the matrix at all; a miss freezes exactly once (into the main
-       arena, or the heap).  Seed mode keeps the pre-arena discipline:
-       freeze a copy first, intern it afterwards. *)
+    (* Sequential path: the surviving successor is still in [scr].  It
+       is hashed and probed in place — a hit never copies the matrix at
+       all; a miss freezes exactly once, into the main arena. *)
     let add_scratch s p =
-      match smode with
-      | Store_seed ->
-          let z0 = K.Scratch.freeze scr in
-          let z = Hstore.intern zstore z0 in
-          if z != z0 then Metrics.incr c_zones_interned;
+      let h = K.Scratch.hash scr in
+      match
+        Hstore.intern_scratch zstore ~hash:h
+          ~equal:(K.Scratch.equal_zone scr)
+          ~freeze:(fun () -> K.Scratch.freeze_into ~hash:h arena scr)
+      with
+      | `Hit z ->
+          Metrics.incr c_zones_interned;
           add_interned s p z
-      | Store_heap | Store_arena -> (
-          let h = K.Scratch.hash scr in
-          match
-            Hstore.intern_scratch zstore ~hash:h
-              ~equal:(K.Scratch.equal_zone scr)
-              ~freeze:(fun () ->
-                match smode with
-                | Store_arena -> K.Scratch.freeze_into ~hash:h arena scr
-                | Store_heap | Store_seed -> K.Scratch.freeze scr)
-          with
-          | `Hit z ->
-              Metrics.incr c_zones_interned;
-              add_interned s p z
-          | `Miss z -> add_interned s p z)
+      | `Miss z -> add_interned s p z
     in
-    (* Commit path: the speculated zone was frozen on a worker domain
-       (into its per-domain arena under arena mode).  Probe it against
-       the store; only a genuine miss is copied into the main arena —
-       the worker arenas rewind at the end of the batch. *)
+    (* Commit path: the speculated zone was frozen on a worker domain,
+       into its per-domain arena.  Probe it against the store; only a
+       genuine miss is copied into the main arena — the worker arenas
+       rewind at the end of the batch. *)
     let add_spec s p z =
-      match smode with
-      | Store_seed ->
-          let z0 = z in
-          let z = Hstore.intern zstore z in
-          if z != z0 then Metrics.incr c_zones_interned;
+      match
+        Hstore.intern_scratch zstore ~hash:(K.hash z)
+          ~equal:(fun k -> K.equal k z)
+          ~freeze:(fun () -> K.copy_into arena z)
+      with
+      | `Hit z ->
+          Metrics.incr c_zones_interned;
           add_interned s p z
-      | Store_heap | Store_arena -> (
-          match
-            Hstore.intern_scratch zstore ~hash:(K.hash z)
-              ~equal:(fun k -> K.equal k z)
-              ~freeze:(fun () ->
-                match smode with
-                | Store_arena -> K.copy_into arena z
-                | Store_heap | Store_seed -> z)
-          with
-          | `Hit z ->
-              Metrics.incr c_zones_interned;
-              add_interned s p z
-          | `Miss z -> add_interned s p z)
+      | `Miss z -> add_interned s p z
     in
     (* The unfinished tail of the batch being drained: the entry under
        expansion plus the ones not yet reached.  Only a mid-batch
@@ -874,12 +896,7 @@ module Make (K : Dbm_sig.S) : S = struct
                 widen scr;
                 if K.Scratch.is_empty scr then `Dead
                 else
-                  `Succ
-                    ( s',
-                      p',
-                      match smode with
-                      | Store_arena -> K.Scratch.freeze_into dc.darena scr
-                      | Store_heap | Store_seed -> K.Scratch.freeze scr ))
+                  `Succ (s', p', K.Scratch.freeze_into dc.darena scr))
         (a.Ioa.delta s act)
     in
     (* Sequential-order replay of one speculated edge. *)
@@ -1128,8 +1145,9 @@ module Make (K : Dbm_sig.S) : S = struct
     in
     let fingerprint = fingerprint_of ~kind:(cond_kind c) bm enc in
     let y = match enc.y with Some y -> y | None -> assert false in
-    let bl = Interval.lo c.Condition.bounds in
-    let bu = Interval.hi c.Condition.bounds in
+    let bounds = scale_interval enc.scale c.Condition.bounds in
+    let bl = Interval.lo bounds in
+    let bu = Interval.hi bounds in
     let check_lower = Rational.sign bl > 0 in
     let lt_bl = Dbm_bound.Lt bl in
     let upper_probe =
@@ -1177,64 +1195,16 @@ module Make (K : Dbm_sig.S) : S = struct
     | exception Upper -> Upper_violation { locations = 0; zones = 0; edges = 0 }
 end
 
-module Default = Make (Dbm)
+(* The production engine: the packed-int kernel, every job scaled to
+   integers by [make_enc].  [Ref] runs the same exploration unscaled on
+   exact rationals, so every int-vs-ref differential also checks the
+   scaling. *)
+module Auto = Make (Dbm_int)
 module Ref = Make (Dbm_ref)
-module Int = Make (Dbm_int)
-
-(* Automatic kernel selection, decided per call: the packed-int kernel
-   whenever every constant the exploration will see is an integer —
-   the boundmap's endpoints and, for a condition check, the condition
-   bounds — and the fast rational kernel otherwise.  The check runs on
-   the arguments of each call, so a margin walk whose mediant probe
-   perturbs an integral boundmap into a non-integral one transparently
-   falls back to the rational kernel for exactly that probe.  The
-   fingerprints dispatch identically, so a checkpoint written through
-   [Auto] records which kernel actually ran and resumes on it. *)
-module Auto : S = struct
-  let pick bm : (module S) =
-    if Boundmap.is_integral bm then (module Int) else (module Default)
-
-  let integral_cond (c : _ Condition.t) =
-    Rational.is_integer (Interval.lo c.Condition.bounds)
-    &&
-    match Interval.hi c.Condition.bounds with
-    | Time.Fin q -> Rational.is_integer q
-    | Time.Inf -> true
-
-  let pick_cond bm c : (module S) =
-    if Boundmap.is_integral bm && integral_cond c then (module Int)
-    else (module Default)
-
-  let reachable ?limit ?deadline_s ?domains ?checkpoint ?resume a bm =
-    let (module E : S) = pick bm in
-    E.reachable ?limit ?deadline_s ?domains ?checkpoint ?resume a bm
-
-  let check_state_invariant ?limit ?deadline_s ?domains ?checkpoint ?resume a
-      bm pred =
-    let (module E : S) = pick bm in
-    E.check_state_invariant ?limit ?deadline_s ?domains ?checkpoint ?resume a
-      bm pred
-
-  let check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume a bm c =
-    let (module E : S) = pick_cond bm c in
-    E.check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume a bm c
-
-  let fingerprint_reachable a bm =
-    let (module E : S) = pick bm in
-    E.fingerprint_reachable a bm
-
-  let fingerprint_invariant a bm =
-    let (module E : S) = pick bm in
-    E.fingerprint_invariant a bm
-
-  let fingerprint_condition a bm c =
-    let (module E : S) = pick_cond bm c in
-    E.fingerprint_condition a bm c
-end
 
 (* Paranoid engine: the self-checking kernel, degrading to the
    reference engine when a checked pipeline disagrees.  The degraded
-   rerun starts fresh — a snapshot written by the (suspect) fast
+   rerun starts fresh — a snapshot written by the (suspect) int
    kernel must not seed the trustworthy run — but keeps writing to the
    caller's checkpoint path, so preemption still works after a
    degrade. *)
@@ -1250,7 +1220,7 @@ module Paranoid : S = struct
         Events.emit "recover.degraded"
           [ ("what", Json.String what); ("mismatch", Json.String m) ];
         Log.warn
-          "paranoid %s: fast kernel self-check failed (%s) — degrading to \
+          "paranoid %s: int kernel self-check failed (%s) — degrading to \
            the reference kernel"
           what m;
         fallback ()
@@ -1284,4 +1254,4 @@ module Paranoid : S = struct
   let fingerprint_condition = P.fingerprint_condition
 end
 
-include Default
+include Auto

@@ -43,13 +43,27 @@
     [Unsupported].  Both example systems and all conditions in this
     repository are of the supported shape.
 
-    The engine is a functor over the DBM kernel ({!Dbm_sig.S}): the
-    default engine runs on the fast in-place {!Dbm}, and {!Ref} runs
-    the identical exploration on the reference {!Dbm_ref} kernel.
-    Because the two share every policy decision (subsumption-aware
-    waiting list bucketed by discrete location, largest-zone-first
-    expansion, hash-consed zone store), their [stats] agree exactly —
-    the differential harness in test/ and bench/ checks this.
+    {b Kernels and time-unit scaling.}  The engine is a functor over
+    the DBM kernel ({!Dbm_sig.S}).  The production engine runs on the
+    packed-int {!Dbm_int}; {!Ref} runs the identical exploration on the
+    exact-rational reference {!Dbm_ref}.  Because the two share every
+    policy decision (subsumption-aware waiting list bucketed by
+    discrete location, largest-zone-first expansion, hash-consed zone
+    store), their [stats] agree exactly — the differential harness in
+    test/ and bench/ checks this.
+
+    The int kernel holds integer constants only, so every job it runs
+    is first scaled: all boundmap endpoints and condition bounds are
+    multiplied by [k], the LCM of their denominators.  A common change
+    of time unit maps timed executions one to one, so verdicts,
+    [stats] and every zone counter are unchanged (the zone graph scales
+    with its LU bounds and max constant; Alur & Dill 1994).  An
+    integral job has [k = 1] and runs unscaled.  Scaling uses checked
+    arithmetic, and a job whose scaled max constant exceeds the
+    kernel's headroom ([max_int / (4 * DBM dimension)]) is refused with
+    [Invalid_argument] naming the scale and the constant; there is no
+    fallback kernel.  {!Ref} never scales, so every int-vs-ref
+    comparison also checks the scaling.
 
     {b Checkpointing.}  Every entry point can write a checkpoint — a
     versioned, checksummed, atomically replaced snapshot of the whole
@@ -62,7 +76,9 @@
     domain count.  Resuming requires the same kernel, entry point,
     automaton and bounds — a job fingerprint embedded in the snapshot
     is checked before any state is trusted, and automaton states must
-    be marshalable (no closures). *)
+    be marshalable (no closures).  The fingerprint is built from the
+    caller's unscaled bounds, so a job and its scaled copy never share
+    a checkpoint. *)
 
 type stats = {
   locations : int;  (** distinct (state, observer-phase) pairs *)
@@ -191,35 +207,30 @@ end
 
 module Make (K : Dbm_sig.S) : S
 (** Build an engine from a kernel; both engines below come from this
-    functor, so they share one exploration discipline. *)
-
-module Default : S
-(** The production engine on the fast in-place {!Dbm} kernel. *)
-
-module Ref : S
-(** The same exploration on the {!Dbm_ref} reference kernel — for the
-    differential test/bench harness only. *)
-
-module Int : S
-(** The same exploration on the packed-int {!Dbm_int} kernel.  Only
-    sound on integral inputs (integer boundmap endpoints and condition
-    bounds); a non-integer constant raises [Invalid_argument] instead
-    of being truncated.  Prefer {!Auto}, which performs that check. *)
+    functor, so they share one exploration discipline.  Jobs are
+    scaled to integers exactly when the kernel declares a
+    {!Dbm_sig.S.headroom}. *)
 
 module Auto : S
-(** Per-call kernel selection: {!Int} when the boundmap (and, for
-    condition checks, the condition bounds) are integral, {!Default}
-    otherwise.  This is the CLI's default engine.  Margin's mediant
-    walks perturb boundmaps to non-integral rationals, so their probes
-    transparently land back on the rational kernel. *)
+(** The production engine and the CLI's default: {!Make} over the
+    packed-int {!Dbm_int}, every job scaled to integers first (see
+    {i Kernels and time-unit scaling} above).  Fingerprints read
+    [kernel=int]. *)
+
+module Ref : S
+(** The same exploration, unscaled, on the exact-rational {!Dbm_ref}
+    reference kernel — for the differential test/bench harness and for
+    cross-checking a suspicious verdict. *)
 
 module Paranoid : S
-(** The fast kernel under a sampled in-flight self-check
-    ({!Dbm_paranoid}; period from [Tm_recover.Paranoid.set_every]).
-    Explores exactly like {!Default}; if any checked pipeline disagrees
-    with the reference kernel, the run is restarted from scratch on
-    {!Ref} (counting [recover.degraded]) instead of reporting a
-    possibly corrupt verdict. *)
+(** The int kernel under a sampled in-flight self-check
+    ({!Dbm_paranoid}; period from [Tm_recover.Paranoid.set_every]),
+    behind the same scaling step as {!Auto}.  Explores exactly like
+    {!Auto}; if any checked pipeline disagrees with the reference
+    kernel, the run is restarted from scratch on {!Ref} (counting
+    [recover.degraded]) instead of reporting a possibly corrupt
+    verdict. *)
 
 include S
-(** The default engine's operations, available unqualified. *)
+(** The production engine's ({!Auto}'s) operations, available
+    unqualified. *)

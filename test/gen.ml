@@ -155,37 +155,35 @@ let print_dbm_script s =
   Printf.sprintf "clocks=%d: %s" s.ds_clocks
     (String.concat " | " (List.map print_dbm_op s.ds_ops))
 
-(* Integral script variant: the same op mix with every bound
-   denominator pinned to 1.  These are exactly the inputs the
-   packed-int kernel accepts, so the three-way differential
-   (int == fast == ref) draws from here. *)
-let int_dbm_constraint : dbm_constraint QCheck2.Gen.t =
-  QCheck2.Gen.(
-    map
-      (fun (ci, cj, cnum, cstrict) -> { ci; cj; cnum; cden = 1; cstrict })
-      (quad (int_range 0 4) (int_range 0 4) (int_range (-12) 12) bool))
+(* The same script with every constant multiplied by [k], the LCM of
+   its bound denominators: a change of time unit that leaves only
+   integer constants — what the packed-int kernel runs.  Returns [k]
+   too, so results can be divided back. *)
+let scale_dbm_script s =
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let dens =
+    List.concat_map
+      (function
+        | Constrain c -> [ c.cden ]
+        | Intersect cs -> List.map (fun c -> c.cden) cs
+        | Up | Reset _ | Free _ | Extrapolate _ -> [])
+      s.ds_ops
+  in
+  let k = List.fold_left (fun k d -> k / gcd k d * d) 1 dens in
+  let sc c = { c with cnum = c.cnum * (k / c.cden); cden = 1 } in
+  let op = function
+    | Constrain c -> Constrain (sc c)
+    | Intersect cs -> Intersect (List.map sc cs)
+    | Extrapolate m -> Extrapolate (m * k)
+    | (Up | Reset _ | Free _) as o -> o
+  in
+  (k, { s with ds_ops = List.map op s.ds_ops })
 
-let int_dbm_op : dbm_op QCheck2.Gen.t =
-  QCheck2.Gen.(
-    frequency
-      [
-        (6, map (fun c -> Constrain c) int_dbm_constraint);
-        (2, return Up);
-        (2, map (fun x -> Reset x) (int_range 0 4));
-        (2, map (fun x -> Free x) (int_range 0 4));
-        ( 1,
-          map
-            (fun cs -> Intersect cs)
-            (list_size (int_range 0 3) int_dbm_constraint) );
-        (1, map (fun m -> Extrapolate m) (int_range 0 6));
-      ])
-
-let int_dbm_script : dbm_script QCheck2.Gen.t =
-  QCheck2.Gen.(
-    map2
-      (fun ds_clocks ds_ops -> { ds_clocks; ds_ops })
-      (int_range 2 5)
-      (list_size (int_range 1 25) int_dbm_op))
+(* Fischer n=2 with bounds in quarter units: a fractional system the
+   int engine runs scaled by 4. *)
+let quarter_fischer () =
+  Tm_systems.Fischer.params ~n:2 ~r:(qq 5 2) ~t:(qq 1 2) ~a:(qq 3 4)
+    ~b:(qq 3 2) ~b2:(qq 5 2) ~e:(qq 7 4)
 
 (* ------------------------------------------------------------------ *)
 (* Small random MMT automata (boundmap + closed IOA) for the
@@ -221,34 +219,6 @@ let boundmap_automaton : raut QCheck2.Gen.t =
     array_size (return ns) (array_size (return na) successors)
     >>= fun ra_delta ->
     let bound = pair (int_range 0 8) (int_range 1 2) in
-    let upper =
-      frequency [ (5, map (fun b -> Some b) bound); (1, return None) ]
-    in
-    array_size (return nc) (pair bound upper) >>= fun ra_bounds ->
-    return { ra_states = ns; ra_nclasses = nc; ra_delta; ra_bounds })
-
-(* Integral automaton variant: every bound endpoint is an integer, so
-   [Tm_timed.Boundmap.is_integral] holds for the built map and
-   [Reach.Auto] selects the packed-int kernel — QCheck exercises the
-   auto-dispatch path with these. *)
-let int_boundmap_automaton : raut QCheck2.Gen.t =
-  QCheck2.Gen.(
-    int_range 1 4 >>= fun ns ->
-    int_range 1 3 >>= fun nc ->
-    int_range nc (nc + 2) >>= fun na ->
-    let successors =
-      frequency
-        [
-          (1, return []);
-          (2, map (fun s -> [ s ]) (int_range 0 (ns - 1)));
-          ( 1,
-            map2 (fun s s' -> [ s; s' ]) (int_range 0 (ns - 1))
-              (int_range 0 (ns - 1)) );
-        ]
-    in
-    array_size (return ns) (array_size (return na) successors)
-    >>= fun ra_delta ->
-    let bound = pair (int_range 0 8) (return 1) in
     let upper =
       frequency [ (5, map (fun b -> Some b) bound); (1, return None) ]
     in

@@ -113,7 +113,7 @@ let test_relay_window_matches_int_kernel () =
           (* whole-unit tightenings: the int kernel rejects non-integer
              bounds, and the window is tight at integer granularity *)
           let one = q 1 in
-          let v bounds = Reach.Int.check_condition line rbm (u bounds) in
+          let v bounds = Reach.Auto.check_condition line rbm (u bounds) in
           Alcotest.(check bool) "analysis window verified by int kernel" true
             (match v (Interval.make lo_q hi) with
             | Reach.Verified _ -> true
@@ -131,7 +131,7 @@ let test_relay_window_matches_int_kernel () =
       | _ -> Alcotest.fail "relay window should be finite"));
   let rp = SR.params_of_ints ~n:3 ~d1:1 ~d2:2 in
   let line = SR.line rp and rbm = SR.boundmap rp in
-  let _, zstates = Reach.Int.reachable line rbm in
+  let _, zstates = Reach.Auto.reachable line rbm in
   let _, rstates = Region.reachable line rbm in
   Alcotest.(check bool) "regions agree with the int kernel" true
     (List.sort compare (List.map Array.to_list zstates)

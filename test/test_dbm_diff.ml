@@ -1,25 +1,28 @@
 (* Differential harness for the DBM kernels.
 
    Every random operation script runs through several interpreters —
-   the fast persistent API ({!Tm_zones.Dbm}), the destructive
-   [Scratch] APIs, the reference kernel ({!Tm_zones.Dbm_ref}) and, on
-   integral scripts, the packed-int kernel ({!Tm_zones.Dbm_int}) —
-   and must produce identical canonical matrices, emptiness flags,
-   [sat] verdicts and pairwise inclusion verdicts after every single
-   op.  Random boundmap automata then check the engines fixpoint for
-   fixpoint: {!Tm_zones.Reach} (fast), {!Tm_zones.Reach.Ref}
-   (reference), {!Tm_zones.Reach.Int} and the dispatching
-   {!Tm_zones.Reach.Auto} share one exploration discipline, so their
-   stats and reachable state sets must agree exactly. *)
+   the persistent and destructive [Scratch] APIs of the packed-int
+   kernel ({!Tm_zones.Dbm_int}) and of the exact-rational reference
+   kernel ({!Tm_zones.Dbm_ref}) — and must produce identical canonical
+   matrices, emptiness flags, [sat] verdicts and pairwise inclusion
+   verdicts after every single op.  Scripts have rational constants:
+   the int kernel runs them scaled by the LCM of their denominators,
+   and its matrices are divided back before the comparison.  Random
+   boundmap automata with half-unit bounds then check the engines
+   fixpoint for fixpoint: {!Tm_zones.Reach.Auto} (int kernel, scaled)
+   and {!Tm_zones.Reach.Ref} (reference, unscaled) share one
+   exploration discipline, so their stats and reachable state sets must
+   agree exactly. *)
 
 module Rational = Tm_base.Rational
 module Interval = Tm_base.Interval
 module Bnd = Tm_zones.Dbm_bound
-module Dbm = Tm_zones.Dbm
 module Dbm_ref = Tm_zones.Dbm_ref
 module Dbm_int = Tm_zones.Dbm_int
 module Reach = Tm_zones.Reach
+module Boundmap = Tm_timed.Boundmap
 module Condition = Tm_timed.Condition
+module F = Tm_systems.Fischer
 
 (* Normalize raw generated indices into valid kernel arguments. *)
 let norm_constraint n (c : Gen.dbm_constraint) =
@@ -177,33 +180,40 @@ let traces_equal t1 t2 =
   t1.empties = t2.empties && t1.sats = t2.sats && t1.incl = t2.incl
   && mats_equal t1.mats t2.mats
 
-let script_diff_fast_vs_ref =
-  Gen.check_holds "script: fast kernel == reference kernel" ~count:500
+(* A trace recorded in a time unit [1/k] as fine, read back in the
+   original unit: every matrix entry divided by [k], every boolean
+   verdict unchanged. *)
+let unscale k t =
+  let div q = Rational.div q (Rational.of_int k) in
+  let bnd = function
+    | Bnd.Le q -> Bnd.Le (div q)
+    | Bnd.Lt q -> Bnd.Lt (div q)
+    | Bnd.Inf -> Bnd.Inf
+  in
+  { t with mats = List.map (Option.map (Array.map bnd)) t.mats }
+
+let script_diff_int_vs_ref =
+  Gen.check_holds "script: int kernel (scaled) == ref kernel" ~count:500
     ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
-      traces_equal (run_persistent (module Dbm) s)
+      let k, scaled = Gen.scale_dbm_script s in
+      traces_equal
+        (unscale k (run_persistent (module Dbm_int) scaled))
         (run_persistent (module Dbm_ref) s))
 
-let script_diff_scratch_vs_persistent =
-  Gen.check_holds "script: scratch replay == persistent fast" ~count:300
+let script_diff_ref_scratch =
+  Gen.check_holds "script: ref scratch replay == persistent ref" ~count:300
     ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
-      traces_equal (run_scratch (module Dbm) s) (run_persistent (module Dbm) s))
-
-(* Three-way: on integral scripts the packed-int kernel must agree
-   op-for-op with both rational kernels — the unpacked snapshots and
-   every boolean verdict are compared after every single op. *)
-let script_diff_3way_int =
-  Gen.check_holds "script: int kernel == fast == ref (integral scripts)"
-    ~count:500 ~print:Gen.print_dbm_script Gen.int_dbm_script (fun s ->
-      let ti = run_persistent (module Dbm_int) s in
-      traces_equal ti (run_persistent (module Dbm) s)
-      && traces_equal ti (run_persistent (module Dbm_ref) s))
+      traces_equal
+        (run_scratch (module Dbm_ref) s)
+        (run_persistent (module Dbm_ref) s))
 
 let script_diff_int_scratch =
   Gen.check_holds "script: int scratch replay == persistent int" ~count:300
-    ~print:Gen.print_dbm_script Gen.int_dbm_script (fun s ->
+    ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
+      let _, scaled = Gen.scale_dbm_script s in
       traces_equal
-        (run_scratch (module Dbm_int) s)
-        (run_persistent (module Dbm_int) s))
+        (run_scratch (module Dbm_int) scaled)
+        (run_persistent (module Dbm_int) scaled))
 
 (* ------------------------------------------------------------------ *)
 (* Engine-level differential on random boundmap automata.              *)
@@ -221,27 +231,13 @@ let fixpoint_diff =
   Gen.check_holds "automaton: engines agree on reachable fixpoint"
     ~count:120 ~print:Gen.print_raut Gen.boundmap_automaton (fun r ->
       let aut, bm = Gen.build_boundmap_automaton r in
-      reach_outcome (module Reach.Default) aut bm
+      reach_outcome (module Reach.Auto) aut bm
       = reach_outcome (module Reach.Ref) aut bm)
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
-
-(* On integral automata the dispatching engine must (a) actually pick
-   the int kernel — visible in the checkpoint fingerprint — and
-   (b) agree with both the forced int engine and the reference. *)
-let fixpoint_diff_int_auto =
-  Gen.check_holds
-    "automaton: auto engine selects int kernel and agrees (integral)"
-    ~count:120 ~print:Gen.print_raut Gen.int_boundmap_automaton (fun r ->
-      let aut, bm = Gen.build_boundmap_automaton r in
-      Tm_timed.Boundmap.is_integral bm
-      && contains (Reach.Auto.fingerprint_reachable aut bm) "|kernel=int|"
-      && (let auto = reach_outcome (module Reach.Auto) aut bm in
-          auto = reach_outcome (module Reach.Int) aut bm
-          && auto = reach_outcome (module Reach.Ref) aut bm))
 
 (* Both kernels run the one shared exploration, so running out of the
    zone budget must be deterministic: same reason, same partial stats,
@@ -251,7 +247,7 @@ let budget_diff =
     "automaton: engines agree on budget exhaustion and partial stats"
     ~count:120 ~print:Gen.print_raut Gen.boundmap_automaton (fun r ->
       let aut, bm = Gen.build_boundmap_automaton r in
-      reach_outcome ~limit:8 (module Reach.Default) aut bm
+      reach_outcome ~limit:8 (module Reach.Auto) aut bm
       = reach_outcome ~limit:8 (module Reach.Ref) aut bm)
 
 let cond_outcome (module E : Reach.S) aut bm c =
@@ -273,7 +269,7 @@ let condition_diff =
           ~in_pi:(fun a -> a = 0)
           ()
       in
-      cond_outcome (module Reach.Default) aut bm c
+      cond_outcome (module Reach.Auto) aut bm c
       = cond_outcome (module Reach.Ref) aut bm c)
 
 (* Margin reports are built from many engine verdicts, so any kernel
@@ -297,83 +293,150 @@ let margin_diff =
           ~in_pi:(fun a -> a = 0)
           ()
       in
-      margin_report (module Reach.Default) aut bm c
+      margin_report (module Reach.Auto) aut bm c
       = margin_report (module Reach.Ref) aut bm c)
 
-(* Margin regression for the int kernel: mediant probes perturb an
-   integral boundmap to non-integral rationals, which the packed-int
-   kernel rejects outright.  A caller who forced [--engine int] is
-   pinned back onto the rational engine by [Margin.probe_engine], and
-   the dispatching engine re-checks integrality per probe — both must
-   reproduce the rational report (thresholds, probe counts, critical
-   class) bit for bit, with no truncation and no exception. *)
-let margin_int_pin =
-  let module Margin = Tm_faults.Margin in
-  let margin_report (module E : Reach.S) aut bm c =
-    Margin.report ~eps_max:2 ~stable:5 ~max_probes:24 ~subject:"m"
-      ~check:(fun bm' ->
-        Margin.condition_status (module E) ~limit:2000 aut c bm')
-      bm
+(* ------------------------------------------------------------------ *)
+(* Time-unit scaling.                                                  *)
+
+let double bm = Boundmap.map (fun _ iv -> Interval.scale 2 iv) bm
+
+(* [bm] and [2·bm] are one job in two time units: identical stats and
+   reachable sets on both engines, but never one fingerprint — a cache
+   key or checkpoint of one must not serve the other. *)
+let unit_scaled_jobs () =
+  let p = Gen.quarter_fischer () in
+  let sys = F.system p and bm = F.boundmap p in
+  let base = reach_outcome (module Reach.Ref) sys bm in
+  Alcotest.(check bool) "int engine agrees with ref" true
+    (reach_outcome (module Reach.Auto) sys bm = base);
+  Alcotest.(check bool) "2·bm explores the same graph" true
+    (reach_outcome (module Reach.Auto) sys (double bm) = base);
+  Alcotest.(check bool) "kernel=int on a fractional job" true
+    (contains (Reach.Auto.fingerprint_reachable sys bm) "|kernel=int|");
+  Alcotest.(check bool) "reachable fingerprints differ" false
+    (Reach.Auto.fingerprint_reachable sys bm
+    = Reach.Auto.fingerprint_reachable sys (double bm));
+  Alcotest.(check bool) "invariant fingerprints differ" false
+    (Reach.Auto.fingerprint_invariant sys bm
+    = Reach.Auto.fingerprint_invariant sys (double bm))
+
+(* Integral jobs keep their fingerprints byte for byte, so existing
+   serve caches and int checkpoints stay valid. *)
+let unit_integral_fingerprints_stable () =
+  let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
+  let sys = F.system p and bm = F.boundmap p in
+  let widen =
+    match Sys.getenv_opt "TM_NO_LU" with
+    | Some ("1" | "true" | "yes") -> "maxc"
+    | _ -> "lu"
   in
-  Gen.check_holds
-    "automaton: forced int engine is pinned to rational for margins"
-    ~count:30 ~print:Gen.print_raut Gen.int_boundmap_automaton (fun r ->
-      let aut, bm = Gen.build_boundmap_automaton r in
-      let c =
-        Condition.make ~name:"D"
-          ~t_step:(fun _ a _ -> a = 0)
-          ~bounds:(Interval.make Rational.zero (Tm_base.Time.Fin (Gen.q 3)))
-          ~in_pi:(fun a -> a = 0)
-          ()
-      in
-      let base = margin_report (module Reach.Default) aut bm c in
-      margin_report (Margin.probe_engine ~name:"int" (module Reach.Int)) aut
-        bm c
-      = base
-      && margin_report (module Reach.Auto) aut bm c = base)
+  let fp kind nclocks =
+    Printf.sprintf
+      "tmjob1|kernel=int|widen=%s|kind=%s|nclocks=%d|maxc=3|alpha=21|\
+       CHECK_1:[2, 3],CHECK_2:[2, 3],CHECK_3:[2, 3],CRIT_1:[0, 2],\
+       CRIT_2:[0, 2],CRIT_3:[0, 2],RETRY_1:[0, 2],RETRY_2:[0, 2],\
+       RETRY_3:[0, 2],SET_1:[0, 1],SET_2:[0, 1],SET_3:[0, 1],TEST_1:[0, 1],\
+       TEST_2:[0, 1],TEST_3:[0, 1]"
+      widen kind nclocks
+  in
+  Alcotest.(check string) "reachable" (fp "reachable" 16)
+    (Reach.Auto.fingerprint_reachable sys bm);
+  Alcotest.(check string) "invariant" (fp "invariant" 16)
+    (Reach.Auto.fingerprint_invariant sys bm);
+  Alcotest.(check string) "condition" (fp "condition:U_enter:[2, 3]" 17)
+    (Reach.Auto.fingerprint_condition sys bm (F.u_enter p))
+
+(* Scaling never wraps around: an LCM, a scaled constant or a scaled
+   max constant beyond the packed range is refused with
+   [Invalid_argument], on the production and the paranoid engine. *)
+let unit_overflow_guard () =
+  let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
+  let sys = F.system p in
+  let with_bounds l =
+    Boundmap.map
+      (fun c iv -> Option.value (List.assoc_opt c l) ~default:iv)
+      (F.boundmap p)
+  in
+  let upto q = Interval.make Rational.zero (Tm_base.Time.Fin q) in
+  let raises name bm ~naming =
+    List.iter
+      (fun (ename, (module E : Reach.S)) ->
+        match E.reachable sys bm with
+        | _ -> Alcotest.failf "%s [%s]: accepted" name ename
+        | exception Invalid_argument m ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s [%s]: %S names the scale and %s" name ename
+                 m naming)
+              true
+              (contains m "time scale" && contains m naming))
+      [ ("auto", (module Reach.Auto)); ("paranoid", (module Reach.Paranoid)) ]
+  in
+  raises "denominator LCM"
+    (with_bounds
+       [
+         ("CRIT_1", upto (Rational.make 1 1_000_000_007));
+         ("CRIT_2", upto (Rational.make 1 998_244_353));
+         ("RETRY_1", upto (Rational.make 1 1_000_000_009));
+       ])
+    ~naming:"1/";
+  raises "scaled constant"
+    (with_bounds
+       [
+         ("CRIT_1", upto (Rational.of_int (max_int - 1)));
+         ("CRIT_2", upto (Rational.make 1 2));
+       ])
+    ~naming:(string_of_int (max_int - 1));
+  raises "headroom"
+    (with_bounds [ ("CRIT_1", upto (Rational.of_int (max_int / 8))) ])
+    ~naming:(string_of_int (max_int / 8))
 
 (* A couple of deterministic regressions pinning kernel corner cases
    the random scripts found valuable to keep explicit. *)
 let unit_empty_freeze () =
-  let scr = Dbm.Scratch.create 3 in
-  Dbm.Scratch.load scr (Dbm.zero 3);
+  let scr = Dbm_int.Scratch.create 3 in
+  Dbm_int.Scratch.load scr (Dbm_int.zero 3);
   (* x1 - 0 <= -1 is unsatisfiable at the origin *)
-  Dbm.Scratch.constrain scr 1 0 (Bnd.Le (Gen.q (-1)));
-  Alcotest.(check bool) "scratch empty" true (Dbm.Scratch.is_empty scr);
+  Dbm_int.Scratch.constrain scr 1 0 (Bnd.Le (Gen.q (-1)));
+  Alcotest.(check bool) "scratch empty" true (Dbm_int.Scratch.is_empty scr);
   Alcotest.(check bool) "frozen empty" true
-    (Dbm.is_empty (Dbm.Scratch.freeze scr))
+    (Dbm_int.is_empty (Dbm_int.Scratch.freeze scr))
 
 let unit_sat_is_o1_consistent () =
   (* sat must agree with the constrain-then-check definition on a
-     canonical zone with fractional bounds. *)
-  let z = Dbm.constrain (Dbm.top 3) 1 0 (Bnd.Lt (Gen.qq 7 2)) in
-  let z = Dbm.constrain z 0 2 (Bnd.Le (Gen.qq (-5) 3)) in
+     canonical zone; the constants are the sixths-valued corners
+     7/2, -5/3, -11/2, -31/6, 2, -7/2, 0 scaled by 6. *)
+  let z = Dbm_int.constrain (Dbm_int.top 3) 1 0 (Bnd.Lt (Gen.q 21)) in
+  let z = Dbm_int.constrain z 0 2 (Bnd.Le (Gen.q (-10))) in
   List.iter
     (fun (i, j, b) ->
       Alcotest.(check bool)
         (Printf.sprintf "sat %d %d" i j)
-        (not (Dbm.is_empty (Dbm.constrain z i j b)))
-        (Dbm.sat z i j b))
+        (not (Dbm_int.is_empty (Dbm_int.constrain z i j b)))
+        (Dbm_int.sat z i j b))
     [
-      (2, 1, Bnd.Le (Gen.qq (-11) 2));
-      (2, 1, Bnd.Lt (Gen.qq (-31) 6));
-      (1, 2, Bnd.Le (Gen.q 2));
-      (0, 1, Bnd.Lt (Gen.qq (-7) 2));
+      (2, 1, Bnd.Le (Gen.q (-33)));
+      (2, 1, Bnd.Lt (Gen.q (-31)));
+      (1, 2, Bnd.Le (Gen.q 12));
+      (0, 1, Bnd.Lt (Gen.q (-21)));
       (2, 0, Bnd.Le (Gen.q 0));
     ]
 
 let suite =
   [
-    script_diff_fast_vs_ref;
-    script_diff_scratch_vs_persistent;
-    script_diff_3way_int;
+    script_diff_int_vs_ref;
+    script_diff_ref_scratch;
     script_diff_int_scratch;
     fixpoint_diff;
-    fixpoint_diff_int_auto;
     budget_diff;
     condition_diff;
     margin_diff;
-    margin_int_pin;
+    Alcotest.test_case "scaling: bm and 2·bm agree, fingerprints differ" `Quick
+      unit_scaled_jobs;
+    Alcotest.test_case "scaling: integral fingerprints unchanged" `Quick
+      unit_integral_fingerprints_stable;
+    Alcotest.test_case "scaling: overflow refused loudly" `Quick
+      unit_overflow_guard;
     Alcotest.test_case "scratch: unsat constrain empties and freezes" `Quick
       unit_empty_freeze;
     Alcotest.test_case "sat: O(1) formula matches definition" `Quick

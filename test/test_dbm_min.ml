@@ -2,8 +2,9 @@
 
    The kernels' [Min] modules keep the non-redundant constraint subset
    of each stored zone (Larsen et al., RTSS'97); {!Tm_zones.Reach} uses
-   them for waiting/passed subsumption.  These tests pin all three
-   kernels to the dense semantics: [of_zone |> to_zone] must rebuild
+   them for waiting/passed subsumption.  These tests pin both kernels
+   to the dense semantics (the int kernel on scripts scaled to integer
+   constants): [of_zone |> to_zone] must rebuild
    the identical canonical matrix, [subsumes] must agree with dense
    [includes] on every snapshot pair, and reductions of equal zones
    must be structurally equal (the construction is deterministic).
@@ -12,13 +13,11 @@
    [copy_into]/[freeze_into] round-trip zone payloads through bump
    arenas (across chunk growth), a no-op edge pipeline still freezes
    to the original interned zone, and an engine-level regression holds
-   verdicts fixed across TM_STORE modes and domain counts — a worker
-   arena reset must discard exactly the speculative zones and nothing
-   else. *)
+   verdicts fixed across domain counts — a worker arena reset must
+   discard exactly the speculative zones and nothing else. *)
 
 module Rational = Tm_base.Rational
 module Bnd = Tm_zones.Dbm_bound
-module Dbm = Tm_zones.Dbm
 module Dbm_ref = Tm_zones.Dbm_ref
 module Dbm_int = Tm_zones.Dbm_int
 module Reach = Tm_zones.Reach
@@ -109,11 +108,6 @@ let roundtrip (type z) (module K : Tm_zones.Dbm_sig.S with type t = z) s =
       && K.Min.count m <= finite_offdiag (snapshot (module K) z))
     (zones_of_script (module K) s)
 
-let roundtrip_fast =
-  Gen.check_holds "min: of_zone |> to_zone is identity (fast)" ~count:200
-    ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
-      roundtrip (module Dbm) s)
-
 let roundtrip_ref =
   Gen.check_holds "min: of_zone |> to_zone is identity (ref)" ~count:200
     ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
@@ -121,8 +115,8 @@ let roundtrip_ref =
 
 let roundtrip_int =
   Gen.check_holds "min: of_zone |> to_zone is identity (int)" ~count:200
-    ~print:Gen.print_dbm_script Gen.int_dbm_script (fun s ->
-      roundtrip (module Dbm_int) s)
+    ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
+      roundtrip (module Dbm_int) (snd (Gen.scale_dbm_script s)))
 
 (* The sparse probe must equal the dense verdict on every ordered pair
    of zones a script produces — including empty operands on both
@@ -140,11 +134,6 @@ let subsumes_agrees (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     zs;
   !ok
 
-let subsumes_fast =
-  Gen.check_holds "min: subsumes == dense includes (fast)" ~count:150
-    ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
-      subsumes_agrees (module Dbm) s)
-
 let subsumes_ref =
   Gen.check_holds "min: subsumes == dense includes (ref)" ~count:150
     ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
@@ -152,12 +141,12 @@ let subsumes_ref =
 
 let subsumes_int =
   Gen.check_holds "min: subsumes == dense includes (int)" ~count:150
-    ~print:Gen.print_dbm_script Gen.int_dbm_script (fun s ->
-      subsumes_agrees (module Dbm_int) s)
+    ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
+      subsumes_agrees (module Dbm_int) (snd (Gen.scale_dbm_script s)))
 
 (* ------------------------------------------------------------------ *)
-(* Arena unit tests (fast and int kernels; paranoid delegates to fast,
-   ref ignores the arena by construction).                             *)
+(* Arena unit tests (int and ref kernels; paranoid delegates to int,
+   ref keeps the arena API but allocates every zone on the heap).      *)
 
 let unit_copy_into (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     () =
@@ -211,62 +200,47 @@ let unit_reset_reuse (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
 (* Engine regression: a worker arena reset discards exactly the
    speculative zones.  Any leak of recycled payloads into the shared
    store would perturb the verdict, the zone count or the reachable
-   state set somewhere across store modes and domain counts — all
-   nine combinations must agree bit for bit, on both the rational and
-   the packed-int engine. *)
+   state set somewhere across domain counts. *)
 
-let store_modes_agree (module E : Reach.S) () =
+let domains_agree () =
   let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let sys = F.system p and bm = F.boundmap p in
-  let run mode d =
-    Unix.putenv "TM_STORE" mode;
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "TM_STORE" "")
-      (fun () ->
-        let st, states = E.reachable ~domains:d sys bm in
-        (st, List.sort compare states))
+  let run d =
+    let st, states = Reach.reachable ~domains:d sys bm in
+    (st, List.sort compare states)
   in
-  let base = run "arena" 1 in
+  let base = run 1 in
   List.iter
-    (fun mode ->
-      List.iter
-        (fun d ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s @ domains=%d matches arena @ 1" mode d)
-            true
-            (run mode d = base))
-        [ 1; 2; 4 ])
-    [ "arena"; "heap"; "seed" ]
+    (fun d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "domains=%d matches domains=1" d)
+        true
+        (run d = base))
+    [ 2; 4 ]
 
 let suite =
   [
-    roundtrip_fast;
     roundtrip_ref;
     roundtrip_int;
-    subsumes_fast;
     subsumes_ref;
     subsumes_int;
-    Alcotest.test_case "arena: copy_into round-trips (fast)" `Quick
-      (unit_copy_into (module Dbm));
+    Alcotest.test_case "arena: copy_into round-trips (ref)" `Quick
+      (unit_copy_into (module Dbm_ref));
     Alcotest.test_case "arena: copy_into round-trips (int)" `Quick
       (unit_copy_into (module Dbm_int));
-    Alcotest.test_case "arena: freeze_into matches persistent (fast)" `Quick
-      (unit_freeze_into (module Dbm));
+    Alcotest.test_case "arena: freeze_into matches persistent (ref)" `Quick
+      (unit_freeze_into (module Dbm_ref));
     Alcotest.test_case "arena: freeze_into matches persistent (int)" `Quick
       (unit_freeze_into (module Dbm_int));
-    Alcotest.test_case "arena: no-op freeze returns the original (fast)"
+    Alcotest.test_case "arena: no-op freeze returns the original (ref)"
       `Quick
-      (unit_short_circuit (module Dbm));
+      (unit_short_circuit (module Dbm_ref));
     Alcotest.test_case "arena: no-op freeze returns the original (int)"
       `Quick
       (unit_short_circuit (module Dbm_int));
-    Alcotest.test_case "arena: reset recycles space exactly (fast)" `Quick
-      (unit_reset_reuse (module Dbm));
+    Alcotest.test_case "arena: reset recycles space exactly (ref)" `Quick
+      (unit_reset_reuse (module Dbm_ref));
     Alcotest.test_case "arena: reset recycles space exactly (int)" `Quick
       (unit_reset_reuse (module Dbm_int));
-    Alcotest.test_case "engine: TM_STORE modes x domains agree (rational)"
-      `Quick
-      (store_modes_agree (module Reach.Default));
-    Alcotest.test_case "engine: TM_STORE modes x domains agree (int)" `Quick
-      (store_modes_agree (module Reach.Int));
+    Alcotest.test_case "engine: domains 1/2/4 agree" `Quick domains_agree;
   ]

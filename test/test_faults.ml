@@ -89,7 +89,7 @@ let status aut bm e =
   match Perturb.apply (Perturb.widen e) bm with
   | Error _ -> Margin.Unknown "inapplicable"
   | Ok bm' ->
-      Margin.condition_status (module Reach.Default) ~limit:2000 aut cond0
+      Margin.condition_status (module Reach.Auto) ~limit:2000 aut cond0
         bm'
 
 let widen_monotone =
@@ -120,7 +120,7 @@ let budget_never_verified =
     "budget: a run that could exhaust never reports Verified beyond it"
     ~count:150 ~print:Gen.print_raut Gen.boundmap_automaton (fun r ->
       let aut, bm = Gen.build_boundmap_automaton r in
-      match Reach.Default.check_condition ~limit:6 aut bm cond0 with
+      match Reach.Auto.check_condition ~limit:6 aut bm cond0 with
       | Reach.Verified st -> st.Reach.zones <= 6
       | Reach.Unknown e ->
           (* partial stats must reflect a genuinely exhausted store *)
@@ -143,7 +143,7 @@ let fd_margin_is_g1_minus_h2 () =
   let sys = FD.system p and bm = FD.boundmap p in
   let check bm' =
     Margin.invariant_status
-      (module Reach.Default)
+      (module Reach.Auto)
       sys FD.no_false_suspicion bm'
   in
   match
@@ -166,7 +166,7 @@ let fd_margin_report_names_critical () =
     Margin.report ~subject:"fd accuracy"
       ~check:(fun bm' ->
         Margin.invariant_status
-          (module Reach.Default)
+          (module Reach.Auto)
           sys FD.no_false_suspicion bm')
       bm
   in

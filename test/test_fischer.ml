@@ -137,8 +137,34 @@ let prop_simulated_u_enter =
       in
       Semantics.semi_satisfies (Simulator.project run) (F.u_enter p) = [])
 
+(* The exact safety rule at the CLI's [e = 2]: mutual exclusion holds
+   iff [a < b] (the write lands before any rival's check) or [b > e]
+   (a rival checking [b] after a late write finds [x] reset by the
+   critical section's exit).  Pinned on a grid that has cells of every
+   kind, including [a >= b > e]. *)
+let test_safety_rule_grid () =
+  let e = 2 in
+  for a = 1 to 4 do
+    for b = 1 to 4 do
+      let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a ~b ~b2:(b + 1) ~e in
+      let safe =
+        match
+          Reach.check_state_invariant (F.system p) (F.boundmap p)
+            F.mutual_exclusion
+        with
+        | Ok _ -> true
+        | Error _ -> false
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "a=%d b=%d e=%d: safe iff a<b || b>e" a b e)
+        (a < b || b > e) safe
+    done
+  done
+
 let suite =
   [
+    Alcotest.test_case "mutual exclusion iff a<b || b>e (n=2 grid)" `Quick
+      test_safety_rule_grid;
     Alcotest.test_case "params" `Quick test_params;
     Alcotest.test_case "structure" `Quick test_structure;
     Alcotest.test_case "protocol steps" `Quick test_steps;

@@ -123,7 +123,7 @@ let test_int_kernel_agrees_with_chain () =
      tight at integer granularity *)
   let one = q 1 in
   let hi_q = match Interval.hi iv with Time.Fin q -> q | Time.Inf -> assert false in
-  let v bounds = Reach.Int.check_condition line rbm (u bounds) in
+  let v bounds = Reach.Auto.check_condition line rbm (u bounds) in
   Alcotest.(check bool) "int kernel verifies [n d1, n d2]" true
     (match v iv with Reach.Verified _ -> true | _ -> false);
   Alcotest.(check bool) "upper - 1 refuted" true

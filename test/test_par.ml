@@ -94,7 +94,7 @@ let c_stored = Metrics.counter "zones.stored"
 
 let reach_at aut bm d =
   let stored0 = Metrics.value c_stored in
-  let st, states = Reach.Default.reachable ~domains:d aut bm in
+  let st, states = Reach.Auto.reachable ~domains:d aut bm in
   (st, List.sort compare states, Metrics.value c_stored - stored0)
 
 let cond0 =
@@ -116,9 +116,9 @@ let condition_domain_invariance =
   Gen.check_holds "check_condition: verdict identical at 1/2/4 domains"
     ~count:30 ~print:Gen.print_raut Gen.boundmap_automaton (fun r ->
       let aut, bm = Gen.build_boundmap_automaton r in
-      let base = Reach.Default.check_condition ~domains:1 aut bm cond0 in
+      let base = Reach.Auto.check_condition ~domains:1 aut bm cond0 in
       List.for_all
-        (fun d -> Reach.Default.check_condition ~domains:d aut bm cond0 = base)
+        (fun d -> Reach.Auto.check_condition ~domains:d aut bm cond0 = base)
         [ 2; 4 ])
 
 (* ------------------------------------------------------------------ *)
@@ -133,7 +133,7 @@ let margin_domain_invariance () =
       Margin.report ~domains:d ~subject:"fischer n=2 mutex"
         ~check:(fun bm' ->
           Margin.invariant_status
-            (module Reach.Default)
+            (module Reach.Auto)
             (F.system p) F.mutual_exclusion bm')
         (F.boundmap p)
     in
@@ -173,7 +173,7 @@ let batch_domain_invariance () =
 let budget_discipline_parallel () =
   let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let outcome d =
-    Reach.Default.check_condition ~limit:200 ~domains:d (F.system p)
+    Reach.Auto.check_condition ~limit:200 ~domains:d (F.system p)
       (F.boundmap p) (F.u_enter p)
   in
   let base = outcome 1 in

@@ -190,9 +190,9 @@ let test_lu_metamorphic_verdicts () =
       true
       (zones_of lu <= zones_of off)
   in
-  check (module Reach.Default) "manager G1" sys bm (RM.g1 p);
-  check (module Reach.Default) "manager G2" sys bm (RM.g2 p);
-  check (module Reach.Default) "manager refuted" sys bm
+  check (module Reach.Auto) "manager G1" sys bm (RM.g1 p);
+  check (module Reach.Auto) "manager G2" sys bm (RM.g2 p);
+  check (module Reach.Auto) "manager refuted" sys bm
     (g1_with (q 6) (Time.of_int 9));
   let rp = SR.params_of_ints ~n:5 ~d1:1 ~d2:2 in
   let u lo hi =
@@ -202,18 +202,19 @@ let test_lu_metamorphic_verdicts () =
       ~in_pi:(fun a -> a = SR.Signal rp.SR.n)
       ()
   in
-  check (module Reach.Default) "relay verified" (SR.line rp)
+  check (module Reach.Auto) "relay verified" (SR.line rp)
     (SR.boundmap rp)
     (u (q 5) (Time.of_int 10));
-  check (module Reach.Int) "relay verified [int]" (SR.line rp)
+  check (module Reach.Ref) "relay verified [ref]" (SR.line rp)
     (SR.boundmap rp)
     (u (q 5) (Time.of_int 10));
-  check (module Reach.Int) "relay refuted [int]" (SR.line rp)
+  check (module Reach.Auto) "relay refuted" (SR.line rp)
     (SR.boundmap rp)
     (u (q 5) (Time.of_int 9));
-  (* non-integral bounds exercise the rational kernels' LU path *)
+  (* non-integral bounds exercise the scaled int path and the rational
+     reference kernel's LU path *)
   let pf = RM.params ~k:2 ~c1:(qq 3 2) ~c2:(qq 5 2) ~l:(qq 1 2) in
-  check (module Reach.Default) "fractional manager" (RM.system pf)
+  check (module Reach.Auto) "fractional manager" (RM.system pf)
     (RM.boundmap pf) (RM.g1 pf);
   check (module Reach.Ref) "fractional manager [ref]" (RM.system pf)
     (RM.boundmap pf) (RM.g1 pf)
@@ -226,11 +227,12 @@ let test_lu_metamorphic_reachable () =
     (norm r_lu = norm r_off);
   Alcotest.(check bool) "LU stores no more zones" true
     (st_lu.Reach.zones <= st_off.Reach.zones);
-  (* and the int kernel agrees with the rational one, stat for stat *)
-  let st_int, r_int = Reach.Int.reachable sys bm in
-  Alcotest.(check bool) "int kernel: same stats" true (st_int = st_lu);
-  Alcotest.(check bool) "int kernel: same states" true
-    (norm r_int = norm r_lu)
+  (* and the rational reference kernel agrees with the int one, stat
+     for stat *)
+  let st_ref, r_ref = Reach.Ref.reachable sys bm in
+  Alcotest.(check bool) "ref kernel: same stats" true (st_ref = st_lu);
+  Alcotest.(check bool) "ref kernel: same states" true
+    (norm r_ref = norm r_lu)
 
 let test_lu_domain_invariance () =
   (* LU widening happens per worker domain; the merged result must not

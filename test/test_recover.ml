@@ -364,7 +364,7 @@ let interrupted_resumed (module E : Reach.S) aut bm d ~limit =
       (st, List.sort compare states, Metrics.value c_stored - s0)
 
 let kernels : (string * (module Reach.S)) list =
-  [ ("fast", (module Reach.Default)); ("ref", (module Reach.Ref)) ]
+  [ ("int", (module Reach.Auto)); ("ref", (module Reach.Ref)) ]
 
 let kill_resume_random =
   Gen.check_holds
@@ -396,7 +396,7 @@ let fischer_cond_resume () =
   let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let sys = F.system p and bm = F.boundmap p in
   let cond = F.u_enter p in
-  let base = Reach.Default.check_condition ~domains:1 sys bm cond in
+  let base = Reach.Auto.check_condition ~domains:1 sys bm cond in
   let full_zones =
     match base with
     | Reach.Verified st -> st.Reach.zones
@@ -430,7 +430,7 @@ let fischer_cond_resume () =
 let cooperative_interrupt_resume () =
   let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let sys = F.system p and bm = F.boundmap p in
-  let base = oneshot (module Reach.Default) sys bm 1 in
+  let base = oneshot (module Reach.Auto) sys bm 1 in
   let ck = tmp_ck () in
   Fun.protect
     ~finally:(fun () ->
@@ -438,7 +438,7 @@ let cooperative_interrupt_resume () =
       rm_f ck)
   @@ fun () ->
   Supervisor.request_interrupt ();
-  (match Reach.Default.reachable ~checkpoint:(ck, 0) sys bm with
+  (match Reach.Auto.reachable ~checkpoint:(ck, 0) sys bm with
   | _ -> Alcotest.fail "interrupted run should not complete"
   | exception Reach.Out_of_budget e ->
       Alcotest.(check bool)
@@ -449,7 +449,7 @@ let cooperative_interrupt_resume () =
         "checkpoint written" (Some ck) e.Reach.checkpoint);
   Supervisor.clear_interrupt ();
   let s0 = Metrics.value c_stored in
-  let st, states = Reach.Default.reachable ~resume:ck sys bm in
+  let st, states = Reach.Auto.reachable ~resume:ck sys bm in
   let bst, bstates, bstored = base in
   Alcotest.(check bool) "stats equal" true (st = bst);
   Alcotest.(check bool)
@@ -463,12 +463,41 @@ let completed_run_removes_checkpoint () =
   let ck = tmp_ck () in
   Fun.protect ~finally:(fun () -> rm_f ck) @@ fun () ->
   let w0 = Metrics.value c_written in
-  let _ = Reach.Default.reachable ~checkpoint:(ck, 5) sys bm in
+  let _ = Reach.Auto.reachable ~checkpoint:(ck, 5) sys bm in
   Alcotest.(check bool)
     "periodic snapshots were written" true
     (Metrics.value c_written > w0);
   Alcotest.(check bool)
     "checkpoint removed on completion" false (Sys.file_exists ck)
+
+(* A fractional job runs scaled on the int kernel, but its checkpoint
+   is keyed by the caller's unscaled job: the embedded fingerprint is
+   the public one, the same job in another time unit is refused, and
+   the resumed fixpoint equals the one-shot run. *)
+let fractional_checkpoint_roundtrip () =
+  let p = Gen.quarter_fischer () in
+  let sys = F.system p and bm = F.boundmap p in
+  let doubled = Tm_timed.Boundmap.map (fun _ iv -> Interval.scale 2 iv) bm in
+  let bst, bstates, bstored = oneshot (module Reach.Auto) sys bm 1 in
+  let ck = tmp_ck () in
+  Fun.protect ~finally:(fun () -> rm_f ck) @@ fun () ->
+  (match Reach.Auto.reachable ~limit:5 ~checkpoint:(ck, 0) sys bm with
+  | _ -> Alcotest.fail "budgeted run should exhaust"
+  | exception Reach.Out_of_budget _ -> ());
+  Alcotest.(check string)
+    "checkpoint keyed by the unscaled job"
+    (Reach.Auto.fingerprint_reachable sys bm)
+    (fst (Snapshot.inspect ck));
+  (match Reach.Auto.reachable ~resume:ck sys doubled with
+  | _ -> Alcotest.fail "2·bm resumed the checkpoint of bm"
+  | exception Snapshot.Bad_snapshot _ -> ());
+  let s0 = Metrics.value c_stored in
+  let st, states = Reach.Auto.reachable ~resume:ck sys bm in
+  Alcotest.(check bool) "stats equal" true (st = bst);
+  Alcotest.(check bool)
+    "reachable set equal" true
+    (List.sort compare states = bstates);
+  Alcotest.(check int) "stored equal" bstored (Metrics.value c_stored - s0)
 
 let resume_rejects_wrong_job () =
   let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
@@ -477,7 +506,7 @@ let resume_rejects_wrong_job () =
   Fun.protect ~finally:(fun () -> rm_f ck) @@ fun () ->
   Snapshot.write ~path:ck ~fingerprint:"some-other-job" ~info:"zones=1"
     (Marshal.to_bytes 42 []);
-  match Reach.Default.reachable ~resume:ck sys bm with
+  match Reach.Auto.reachable ~resume:ck sys bm with
   | _ -> Alcotest.fail "foreign snapshot accepted"
   | exception Snapshot.Bad_snapshot m ->
       Alcotest.(check bool)
@@ -500,21 +529,61 @@ let paranoid_clean_agrees () =
   let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let sys = F.system p and bm = F.boundmap p in
   let cond = F.u_enter p in
-  let base = Reach.Default.check_condition sys bm cond in
+  let base = Reach.Auto.check_condition sys bm cond in
   with_paranoid ~every:1 ~corrupt:false @@ fun () ->
   let t0 = Metrics.value c_selfcheck and m0 = Metrics.value c_mismatch in
   let o = Reach.Paranoid.check_condition sys bm cond in
-  Alcotest.(check bool) "verdict equals fast engine" true (o = base);
+  Alcotest.(check bool) "verdict equals int engine" true (o = base);
   Alcotest.(check bool)
     "pipelines were checked" true
     (Metrics.value c_selfcheck > t0);
   Alcotest.(check int) "no mismatches" m0 (Metrics.value c_mismatch)
 
+(* The paranoid engine goes through the same scaling step: on a
+   fractional job both the int kernel and its reference mirror see the
+   scaled constants and must agree entry for entry, and the verdict
+   must equal the unscaled reference engine's. *)
+let paranoid_fractional_agrees () =
+  let p = Gen.quarter_fischer () in
+  let sys = F.system p and bm = F.boundmap p in
+  let cond = F.u_enter p in
+  let base = Reach.Ref.check_condition sys bm cond in
+  with_paranoid ~every:1 ~corrupt:false @@ fun () ->
+  let t0 = Metrics.value c_selfcheck and m0 = Metrics.value c_mismatch in
+  let o = Reach.Paranoid.check_condition sys bm cond in
+  Alcotest.(check bool) "verdict equals ref engine" true (o = base);
+  Alcotest.(check bool)
+    "pipelines were checked" true
+    (Metrics.value c_selfcheck > t0);
+  Alcotest.(check int) "no mismatches" m0 (Metrics.value c_mismatch)
+
+(* Margin walks probe mediant-perturbed, non-integral boundmaps; under
+   a self-check of every pipeline each scaled probe must agree with the
+   reference mirror, and the report must equal the int engine's. *)
+let paranoid_margin_agrees () =
+  let module Margin = Tm_faults.Margin in
+  let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
+  let sys = F.system p and bm = F.boundmap p in
+  let report (module E : Reach.S) =
+    Margin.report ~max_probes:12 ~subject:"fischer mutex"
+      ~check:(fun bm' ->
+        Margin.invariant_status (module E) sys F.mutual_exclusion bm')
+      bm
+  in
+  let base = report (module Reach.Auto) in
+  with_paranoid ~every:1 ~corrupt:false @@ fun () ->
+  let m0 = Metrics.value c_mismatch and d0 = Metrics.value c_degraded in
+  Alcotest.(check bool)
+    "report equals int engine" true
+    (report (module Reach.Paranoid) = base);
+  Alcotest.(check int) "no mismatches" m0 (Metrics.value c_mismatch);
+  Alcotest.(check int) "no degradation" d0 (Metrics.value c_degraded)
+
 let paranoid_detects_corruption () =
   let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let sys = F.system p and bm = F.boundmap p in
   let cond = F.u_enter p in
-  let base = Reach.Default.check_condition sys bm cond in
+  let base = Reach.Auto.check_condition sys bm cond in
   with_paranoid ~every:1 ~corrupt:true @@ fun () ->
   let m0 = Metrics.value c_mismatch and d0 = Metrics.value c_degraded in
   let o = Reach.Paranoid.check_condition sys bm cond in
@@ -563,7 +632,7 @@ let deadline_overshoot_bounded () =
       [ ("k", Interval.make (q 1) (Time.Fin (q 2))) ]
   in
   let t0 = Unix.gettimeofday () in
-  (match Reach.Default.reachable ~deadline_s:0.05 aut bm with
+  (match Reach.Auto.reachable ~deadline_s:0.05 aut bm with
   | _ -> Alcotest.fail "slow run should hit the deadline"
   | exception Reach.Out_of_budget e ->
       Alcotest.(check bool)
@@ -607,10 +676,16 @@ let suite =
       `Quick cooperative_interrupt_resume;
     Alcotest.test_case "checkpoint: removed when the run completes" `Quick
       completed_run_removes_checkpoint;
+    Alcotest.test_case "checkpoint: fractional job round-trips unscaled"
+      `Quick fractional_checkpoint_roundtrip;
     Alcotest.test_case "resume: foreign snapshot rejected" `Quick
       resume_rejects_wrong_job;
-    Alcotest.test_case "paranoid: clean run agrees with fast" `Quick
+    Alcotest.test_case "paranoid: clean run agrees with int" `Quick
       paranoid_clean_agrees;
+    Alcotest.test_case "paranoid: fractional job checked, agrees with ref"
+      `Quick paranoid_fractional_agrees;
+    Alcotest.test_case "paranoid: margin probes checked, report unchanged"
+      `Quick paranoid_margin_agrees;
     Alcotest.test_case "paranoid: injected corruption detected, degraded"
       `Quick paranoid_detects_corruption;
     Alcotest.test_case "deadline: overshoot bounded by one expansion" `Quick
