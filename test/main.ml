@@ -52,4 +52,5 @@ let () =
       ("par", Test_par.suite);
       ("recover", Test_recover.suite);
       ("serve", Test_serve.suite);
+      ("catalog", Test_catalog.suite);
     ]
