@@ -26,25 +26,14 @@ module Time = Tm_base.Time
 module Interval = Tm_base.Interval
 module Prng = Tm_base.Prng
 module Tseq = Tm_timed.Tseq
-module Condition = Tm_timed.Condition
 module Semantics = Tm_timed.Semantics
 module TA = Tm_core.Time_automaton
-module Mapping = Tm_core.Mapping
-module Hierarchy = Tm_core.Hierarchy
 module Completeness = Tm_core.Completeness
-module D = Tm_core.Dummify
 module Reach = Tm_zones.Reach
 module Simulator = Tm_sim.Simulator
 module Strategy = Tm_sim.Strategy
-module Measure = Tm_sim.Measure
-module RM = Tm_systems.Resource_manager
-module IM = Tm_systems.Interrupt_manager
-module SR = Tm_systems.Signal_relay
-module F = Tm_systems.Fischer
-module RG = Tm_systems.Request_grant
-module TR = Tm_systems.Token_ring
-module FD = Tm_systems.Failure_detector
-module TS = Tm_systems.Two_stage
+module Registry = Tm_systems.Registry
+module Catalog = Tm_serve.Catalog
 module Progress = Tm_core.Progress
 module Json = Tm_obs.Json
 module Metrics = Tm_obs.Metrics
@@ -76,21 +65,6 @@ type vitem = {
   vi_run : resume:string option -> limit:int option -> Reach.exhausted option;
 }
 
-(* A system instance packaged with everything the subcommands need,
-   hiding the state/action types. *)
-type instance = {
-  describe : string;
-  simulate :
-    steps:int -> strategy:string -> seed:int -> unit (* prints *) ->
-    Simulator.stop_reason;
-  check : runs:int -> steps:int -> int (* = number of violations *);
-  vitems : unit -> vitem list;
-  margin : unit -> Json.t list (* prints a table, returns the reports *);
-  map : unit -> unit;
-  exact : unit -> unit;
-  progress : unit -> unit;
-}
-
 (* Graceful-degradation budgets, set by --budget-states / --budget-ms
    on the subcommands that explore: zone runs pass them to Reach, the
    exact analysis to Tgraph, the simulator to its watchdog.  A budgeted
@@ -113,10 +87,6 @@ let checkpoint_path : string option ref = ref None
 let checkpoint_every = ref 0
 let ckpt () = Option.map (fun p -> (p, !checkpoint_every)) !checkpoint_path
 
-(* [margin --json] wants a clean JSON document on stdout, so the
-   per-report tables can be switched off. *)
-let margin_table = ref true
-
 let report_unknown what (e : Reach.exhausted) =
   had_unknown := true;
   Format.printf
@@ -127,30 +97,6 @@ let report_unknown what (e : Reach.exhausted) =
     | None -> ""
     | Some p ->
         Printf.sprintf "\n  checkpoint saved — resume with: timedmap run --resume %s" p)
-
-let make_strategy name seed denominator =
-  match name with
-  | "eager" -> Strategy.eager
-  | "lazy" -> Strategy.lazy_ ~cap:(q 1) ()
-  | "random" ->
-      Strategy.random ~prng:(Prng.create seed) ~denominator ~cap:(q 1)
-  | other -> failwith (Printf.sprintf "unknown strategy %S" other)
-
-(* Simulate, print the timed trace and any condition violations, and
-   hand the stop reason back so the [simulate] command can fail loudly
-   on deadlocks. *)
-let run_simulation (type s a) (aut : (s, a) TA.t)
-    (conds : (s, a) Condition.t list) ~steps ~strategy ~seed ~denominator
-    print =
-  let run =
-    Simulator.simulate ?deadline_s:!budget_s ~steps
-      ~strategy:(make_strategy strategy seed denominator)
-      aut
-  in
-  let seq = Simulator.project run in
-  print aut seq (Semantics.semi_satisfies_all seq conds);
-  Log.info "run stopped: %s" (Simulator.describe_stop run.Simulator.reason);
-  run.Simulator.reason
 
 let print_trace (type s a) (aut : (s, a) TA.t) (seq : (s, a) Tseq.t)
     violations =
@@ -166,21 +112,42 @@ let print_trace (type s a) (aut : (s, a) TA.t) (seq : (s, a) Tseq.t)
       (fun v -> Format.printf "VIOLATION: %a@." Semantics.pp_violation v)
       violations
 
-let generic_check (type s a) (aut : (s, a) TA.t)
-    (conds : (s, a) Condition.t list) ~runs ~steps ~denominator =
+(* Simulate, print the timed trace and any condition violations, and
+   hand the stop reason back so the [simulate] command can fail loudly
+   on deadlocks. *)
+let run_simulation (type s a) (s : (s, a) Registry.simulated) ~steps
+    ~strategy ~seed =
+  let strategy =
+    match Catalog.make_strategy strategy with
+    | Ok make -> make ~seed ~denominator:s.Registry.denominator
+    | Error m -> invalid_arg m (* [strategy_arg] admits known names only *)
+  in
+  let run =
+    Simulator.simulate ?deadline_s:!budget_s ~steps ~strategy s.Registry.impl
+  in
+  let seq = Simulator.project run in
+  print_trace s.Registry.impl seq
+    (Semantics.semi_satisfies_all seq s.Registry.conds);
+  Log.info "run stopped: %s" (Simulator.describe_stop run.Simulator.reason);
+  run.Simulator.reason
+
+let generic_check (type s a) (s : (s, a) Registry.simulated) ~runs ~steps =
   (* Seeds dispatch over the pool; run [i] is seeded exactly as the
      historical sequential loop, so the violation count is identical
      at any domain count. *)
   let results =
     Simulator.batch ~domains:!ndomains ~runs ~steps
       ~prng:(fun seed -> Prng.create seed)
-      ~strategy:(fun prng -> Strategy.random ~prng ~denominator ~cap:(q 1))
-      aut
+      ~strategy:(fun prng ->
+        Strategy.random ~prng ~denominator:s.Registry.denominator ~cap:(q 1))
+      s.Registry.impl
   in
   Array.fold_left
     (fun acc run ->
       acc
-      + List.length (Semantics.semi_satisfies_all (Simulator.project run) conds))
+      + List.length
+          (Semantics.semi_satisfies_all (Simulator.project run)
+             s.Registry.conds))
     0 results
 
 (* Zone engine selected by --engine on the verify subcommand: the
@@ -191,68 +158,61 @@ let engine : (module Reach.S) ref = ref (module Reach.Auto : Reach.S)
 (* Kernel name for provenance; "" until a subcommand selects one. *)
 let engine_name = ref ""
 
-let cond_vitem (type s a) name (sys : (s, a) Tm_ioa.Ioa.t) bm
-    (c : (s, a) Condition.t) =
-  {
-    vi_label = Printf.sprintf "%s %s" name c.Condition.cname;
-    vi_fingerprint =
-      (fun () ->
-        let module E = (val !engine) in
-        E.fingerprint_condition sys bm c);
-    vi_run =
-      (fun ~resume ~limit ->
-        let module E = (val !engine) in
-        match
-          E.check_condition ?limit ?deadline_s:!budget_s ~domains:!ndomains
-            ?checkpoint:(ckpt ()) ?resume sys bm c
-        with
-        | Reach.Verified st ->
-            Format.printf "%s %s %s: VERIFIED (%d locations, %d zones)@." name
-              c.Condition.cname
-              (Interval.to_string c.Condition.bounds)
-              st.Reach.locations st.Reach.zones;
-            None
-        | Reach.Lower_violation _ ->
-            Format.printf "%s %s: LOWER BOUND VIOLATED@." name
-              c.Condition.cname;
-            None
-        | Reach.Upper_violation _ ->
-            Format.printf "%s %s: UPPER BOUND VIOLATED@." name
-              c.Condition.cname;
-            None
-        | Reach.Unknown e -> Some e
-        | Reach.Unsupported m ->
-            Format.printf "%s %s: unsupported (%s)@." name c.Condition.cname m;
-            None);
-  }
+(* The text line of a check's verdict, under the model's [label]. *)
+let outcome_line label check (o : Catalog.outcome) =
+  let item = Registry.check_label label check in
+  match (check, o) with
+  | Registry.Note n, Catalog.Upper_violation _ ->
+      n.label ^ ": " ^ n.upper_violated
+  | Registry.Note n, Catalog.Verified _ -> n.label ^ ": " ^ n.verified
+  | Registry.Note n, _ -> n.label ^ ": other"
+  | _, Catalog.Verified { bounds; stats } ->
+      Printf.sprintf "%s %s: VERIFIED (%d locations, %d zones)" item
+        (Interval.to_string bounds) stats.Reach.locations stats.Reach.zones
+  | _, Catalog.Lower_violation _ -> item ^ ": LOWER BOUND VIOLATED"
+  | _, Catalog.Upper_violation _ -> item ^ ": UPPER BOUND VIOLATED"
+  | _, Catalog.Unsupported m -> Printf.sprintf "%s: unsupported (%s)" item m
+  | _, Catalog.Invariant_ok st ->
+      Printf.sprintf "%s: VERIFIED (%d zones)" item st.Reach.zones
+  | _, Catalog.Invariant_violated s ->
+      let phrase =
+        match check with Registry.Inv i -> i.violated | _ -> "VIOLATED"
+      in
+      Printf.sprintf "%s: %s at %s" item phrase s
 
-let cond_vitems name sys bm conds = List.map (cond_vitem name sys bm) conds
-
-(* A state-invariant check as a verification item; [ok]/[bad] print the
-   system-specific verdict lines. *)
-let inv_vitem (type s a) label (sys : (s, a) Tm_ioa.Ioa.t) bm
-    (pred : s -> bool) ~ok ~bad =
-  {
-    vi_label = label;
-    vi_fingerprint =
-      (fun () ->
-        let module E = (val !engine) in
-        E.fingerprint_invariant sys bm);
-    vi_run =
-      (fun ~resume ~limit ->
-        let module E = (val !engine) in
-        match
-          E.check_state_invariant ?limit ?deadline_s:!budget_s
-            ~domains:!ndomains ?checkpoint:(ckpt ()) ?resume sys bm pred
-        with
-        | Ok st ->
-            ok st;
-            None
-        | Error s ->
-            bad s;
-            None
-        | exception Reach.Out_of_budget e -> Some e);
-  }
+(* The model's checks as verification items, in order.  A note is
+   informational: it runs without budgets or checkpoints, so its
+   fingerprint never matches a resume file and it never reports
+   UNKNOWN. *)
+let vitems (model : Registry.model) =
+  let (Registry.Verified v) = model.Registry.verified in
+  List.map
+    (fun check ->
+      let run ~resume ~limit =
+        match check with
+        | Registry.Note _ ->
+            Catalog.run_check !engine ~domains:!ndomains v check
+        | _ ->
+            Catalog.run_check !engine ?limit ?deadline_s:!budget_s
+              ~domains:!ndomains ?checkpoint:(ckpt ()) ?resume v check
+      in
+      {
+        vi_label = Registry.check_label model.Registry.label check;
+        vi_fingerprint =
+          (fun () -> Catalog.check_fingerprint !engine v check);
+        vi_run =
+          (fun ~resume ~limit ->
+            match (run ~resume ~limit, check) with
+            | Ok o, _ ->
+                Format.printf "%s@."
+                  (outcome_line model.Registry.label check o);
+                None
+            | Error _, Registry.Note n ->
+                Format.printf "%s: other@." n.label;
+                None
+            | Error e, _ -> Some e);
+      })
+    v.Registry.checks
 
 (* Plain [verify]: run the items in order with the global budgets.  An
    exhaustion that left a checkpoint behind (or a cooperative
@@ -370,17 +330,8 @@ let supervise_items ~attempts ~backoff_s ~resume items =
         run_supervised ~attempts ~backoff_s it ~resume0)
     items
 
-let show_progress (type s a) (aut : (s, a) TA.t) () =
-  Format.printf "%a@." Progress.pp_report (Progress.analyze aut)
-
 (* ------------------------------------------------------------------ *)
 (* robustness margins *)
-
-(* A property the margin analysis quantifies over: a timing condition
-   checked by the observer construction, or a plain state invariant. *)
-type ('s, 'a) prop =
-  | Pcond of ('s, 'a) Condition.t
-  | Pinv of string * ('s -> bool)
 
 let print_margin_report (r : Margin.report) =
   Format.printf "%s@." r.Margin.subject;
@@ -397,37 +348,6 @@ let print_margin_report (r : Margin.report) =
   match r.Margin.critical with
   | Some c -> Format.printf "  critical class: %s@." c
   | None -> Format.printf "  critical class: none (all margins censored)@."
-
-let margin_reports (type s a) name (sys : (s, a) Tm_ioa.Ioa.t) bm
-    (props : (s, a) prop list) () =
-  let module E = (val !engine) in
-  List.map
-    (fun prop ->
-      let subject, check =
-        match prop with
-        | Pcond (c : (s, a) Condition.t) ->
-            ( Printf.sprintf "%s %s %s" name c.Condition.cname
-                (Interval.to_string c.Condition.bounds),
-              fun bm' ->
-                Margin.condition_status
-                  (module E)
-                  ?limit:!budget_states ?deadline_s:!budget_s sys c bm' )
-        | Pinv (iname, pred) ->
-            ( Printf.sprintf "%s %s (invariant)" name iname,
-              fun bm' ->
-                Margin.invariant_status
-                  (module E)
-                  ?limit:!budget_states ?deadline_s:!budget_s sys pred bm' )
-      in
-      let r = Margin.report ~domains:!ndomains ~subject ~check bm in
-      if !margin_table then print_margin_report r;
-      (match (r.Margin.overall : (Margin.verdict, string) result) with
-      | Error m when not (String.equal m "refuted with no perturbation (e = 0)")
-        ->
-          had_unknown := true
-      | Ok _ | Error _ -> ());
-      Margin.to_json r)
-    props
 
 (* ------------------------------------------------------------------ *)
 (* budget-aware exact analysis *)
@@ -474,447 +394,105 @@ let bounded_analyze ~source ~conds () =
          build: same verdict, just detected later. *)
       raise (Exact_unknown "graph truncated mid-analysis — budget exhausted")
 
-let rm_instance ~k ~c1 ~c2 ~l =
-  let p = RM.params_of_ints ~k ~c1 ~c2 ~l in
-  let impl = RM.impl p in
-  let conds = [ RM.g1 p; RM.g2 p ] in
-  {
-    describe =
-      Printf.sprintf
-        "resource manager (Section 4): k=%d c1=%d c2=%d l=%d; G1=%s G2=%s" k
-        c1 c2 l
-        (Interval.to_string (RM.grant_interval_first p))
-        (Interval.to_string (RM.grant_interval_between p));
-    simulate =
-      (fun ~steps ~strategy ~seed () ->
-        run_simulation impl conds ~steps ~strategy ~seed ~denominator:4
-          print_trace);
-    check =
-      (fun ~runs ~steps -> generic_check impl conds ~runs ~steps ~denominator:4);
-    vitems = (fun () -> cond_vitems "manager" (RM.system p) (RM.boundmap p) conds);
-    margin =
-      margin_reports "manager" (RM.system p) (RM.boundmap p)
-        [ Pcond (RM.g1 p); Pcond (RM.g2 p) ];
-    map =
-      (fun () ->
-        match
-          Mapping.check_exhaustive ~source:impl ~target:(RM.spec p)
-            (RM.mapping p) ()
-        with
-        | Ok st ->
-            Format.printf
-              "Lemma 4.3 mapping: OK (%d product states, %d edges)@."
-              st.Mapping.product_states st.Mapping.product_edges
-        | Error e ->
-            Format.printf "Lemma 4.3 mapping: FAILED@.  %a@."
-              (Mapping.pp_failure impl) e);
-    exact =
-      (fun () ->
-        let a =
-          bounded_analyze ~source:impl ~conds:[| RM.g1 p; RM.g2 p |] ()
-        in
-        let lo, hi = Completeness.start_bounds a ~cond:0 in
-        Format.printf "first GRANT:      exact [%a, %a], paper %s@." Time.pp
-          lo Time.pp hi
-          (Interval.to_string (RM.grant_interval_first p));
-        match
-          Completeness.bounds_after a
-            ~trigger:(fun _ act _ -> act = RM.Grant)
-            ~cond:1
-        with
-        | Some (lo, hi) ->
-            Format.printf "between GRANTs:   exact [%a, %a], paper %s@."
-              Time.pp lo Time.pp hi
-              (Interval.to_string (RM.grant_interval_between p))
-        | None -> Format.printf "no GRANT edges reachable@.");
-    progress = show_progress impl;
-  }
-
-let im_instance ~k ~c1 ~c2 ~l =
-  let p = IM.params_of_ints ~k ~c1 ~c2 ~l in
-  let impl = IM.impl p in
-  let conds = [ IM.g1 p; IM.g2 p ] in
-  {
-    describe =
-      Printf.sprintf
-        "interrupt-driven manager (footnote 7): k=%d c1=%d c2=%d l=%d" k c1
-        c2 l;
-    simulate =
-      (fun ~steps ~strategy ~seed () ->
-        run_simulation impl conds ~steps ~strategy ~seed ~denominator:4
-          print_trace);
-    check =
-      (fun ~runs ~steps -> generic_check impl conds ~runs ~steps ~denominator:4);
-    vitems =
-      (fun () -> cond_vitems "interrupt" (IM.system p) (IM.boundmap p) conds);
-    margin =
-      margin_reports "interrupt" (IM.system p) (IM.boundmap p)
-        [ Pcond (IM.g1 p); Pcond (IM.g2 p) ];
-    map = (fun () -> Format.printf "no paper mapping for this variant@.");
-    exact =
-      (fun () ->
-        let a =
-          bounded_analyze ~source:impl ~conds:[| IM.g1 p; IM.g2 p |] ()
-        in
-        let lo, hi = Completeness.start_bounds a ~cond:0 in
-        Format.printf "first GRANT:    exact [%a, %a], predicted %s@." Time.pp
-          lo Time.pp hi
-          (Interval.to_string (IM.grant_interval_first p));
-        match
-          Completeness.bounds_after a
-            ~trigger:(fun _ act _ -> act = IM.Grant)
-            ~cond:1
-        with
-        | Some (lo, hi) ->
-            Format.printf "between GRANTs: exact [%a, %a], predicted %s@."
-              Time.pp lo Time.pp hi
-              (Interval.to_string (IM.grant_interval_between p))
-        | None -> Format.printf "no GRANT edges reachable@.");
-    progress = show_progress impl;
-  }
-
-let relay_instance ~n ~d1 ~d2 =
-  let p = SR.params_of_ints ~n ~d1 ~d2 in
-  let impl = SR.impl p in
-  let conds = List.init n (fun k -> SR.u_cond p ~k) in
-  let u_line =
-    Condition.make ~name:"U(0,n)"
-      ~t_step:(fun _ a _ -> a = SR.Signal 0)
-      ~bounds:(SR.delay_interval p)
-      ~in_pi:(fun a -> a = SR.Signal n)
-      ()
-  in
-  {
-    describe =
-      Printf.sprintf "signal relay (Section 6): n=%d d1=%d d2=%d; U(0,n)=%s"
-        n d1 d2
-        (Interval.to_string (SR.delay_interval p));
-    simulate =
-      (fun ~steps ~strategy ~seed () ->
-        run_simulation impl conds ~steps ~strategy ~seed ~denominator:2
-          print_trace);
-    check =
-      (fun ~runs ~steps -> generic_check impl conds ~runs ~steps ~denominator:2);
-    vitems =
-      (fun () -> cond_vitems "relay" (SR.line p) (SR.boundmap p) [ u_line ]);
-    margin =
-      margin_reports "relay" (SR.line p) (SR.boundmap p) [ Pcond u_line ];
-    map =
-      (fun () ->
-        match Hierarchy.check_exhaustive ~source:impl ~levels:(SR.chain p) () with
-        | Ok st ->
-            Format.printf
-              "Corollary 6.3 hierarchy (%d levels): OK (%d product states)@."
-              (List.length (SR.chain p))
-              st.Mapping.product_states
-        | Error e ->
-            Format.printf "hierarchy FAILED at level %d (%s)@."
-              e.Hierarchy.level_index e.Hierarchy.level_name);
-    exact =
-      (fun () ->
-        let a =
-          bounded_analyze ~source:impl ~conds:[| SR.u_cond p ~k:0 |] ()
-        in
-        match
-          Completeness.bounds_after a
-            ~trigger:(fun _ act _ -> act = D.Base (SR.Signal 0))
-            ~cond:0
-        with
-        | Some (lo, hi) ->
-            Format.printf "delay: exact [%a, %a], paper %s@." Time.pp lo
-              Time.pp hi
-              (Interval.to_string (SR.delay_interval p))
-        | None -> Format.printf "SIGNAL_0 unreachable@.");
-    progress = show_progress impl;
-  }
-
-let fischer_instance ~n ~a ~b =
-  let p =
-    F.params_of_ints ~n ~r:2 ~t:1 ~a ~b ~b2:(b + 1) ~e:2
-  in
-  let impl = F.impl p in
-  {
-    describe =
-      Printf.sprintf
-        "Fischer mutual exclusion: n=%d a=%d b=%d (safe iff a<b or b>e=2)" n a
-        b;
-    simulate =
-      (fun ~steps ~strategy ~seed () ->
-        run_simulation impl [ F.u_enter p ] ~steps ~strategy ~seed
-          ~denominator:2 print_trace);
-    check =
-      (fun ~runs ~steps ->
-        generic_check impl [ F.u_enter p ] ~runs ~steps ~denominator:2);
-    vitems =
-      (fun () ->
-        inv_vitem "mutual exclusion" (F.system p) (F.boundmap p)
-          F.mutual_exclusion
-          ~ok:(fun st ->
-            Format.printf "mutual exclusion: VERIFIED (%d zones)@."
-              st.Reach.zones)
-          ~bad:(fun s ->
-            Format.printf "mutual exclusion: VIOLATED at %a@."
-              (F.system p).Tm_ioa.Ioa.pp_state s)
-        :: cond_vitems "fischer" (F.system p) (F.boundmap p) [ F.u_enter p ]);
-    margin =
-      margin_reports "fischer" (F.system p) (F.boundmap p)
-        [ Pinv ("mutual exclusion", F.mutual_exclusion); Pcond (F.u_enter p) ];
-    map = (fun () -> Format.printf "no paper mapping for this system@.");
-    exact = (fun () -> Format.printf "exact analysis not wired for fischer@.");
-    progress = show_progress impl;
-  }
-
-let rg_instance ~r1 ~r2 ~w1 ~w2 =
-  let p = RG.params_of_ints ~r1 ~r2 ~w1 ~w2 in
-  let impl = RG.impl p in
-  {
-    describe =
-      Printf.sprintf
-        "request-grant (conclusions): REQ every [%d,%d], RESP within [%d,%d]"
-        r1 r2 w1 w2;
-    simulate =
-      (fun ~steps ~strategy ~seed () ->
-        run_simulation impl [ RG.u_response p ] ~steps ~strategy ~seed
-          ~denominator:2 print_trace);
-    check =
-      (fun ~runs ~steps ->
-        generic_check impl [ RG.u_response p ] ~runs ~steps ~denominator:2);
-    vitems =
-      (fun () ->
-        (* The deliberately-failing variant is informational: it runs
-           without budgets or checkpoints, so its fingerprint never
-           matches a resume file. *)
-        let extra =
-          {
-            vi_label = "request-grant without-disable";
-            vi_fingerprint = (fun () -> "informational:without-disable");
-            vi_run =
-              (fun ~resume:_ ~limit:_ ->
-                let module E = (val !engine) in
-                (match
-                   E.check_condition ~domains:!ndomains (RG.system p)
-                     (RG.boundmap p)
-                     (RG.u_response_no_disable p)
-                 with
-                | Reach.Upper_violation _ ->
-                    Format.printf
-                      "without the disabling set: UPPER BOUND VIOLATED (as \
-                       designed)@."
-                | Reach.Verified _ ->
-                    Format.printf
-                      "without the disabling set: verified (requests are \
-                       spaced out)@."
-                | _ -> Format.printf "without the disabling set: other@.");
-                None);
-          }
-        in
-        cond_vitems "request-grant" (RG.system p) (RG.boundmap p)
-          [ RG.u_response p ]
-        @ [ extra ]);
-    margin =
-      margin_reports "request-grant" (RG.system p) (RG.boundmap p)
-        [ Pcond (RG.u_response p) ];
-    map = (fun () -> Format.printf "no paper mapping for this system@.");
-    exact = (fun () -> Format.printf "exact analysis not wired for request-grant@.");
-    progress = show_progress impl;
-  }
-
-let ring_instance ~n ~d1 ~d2 =
-  let p = TR.params_of_ints ~n ~d1 ~d2 in
-  let impl = TR.impl p in
-  {
-    describe =
-      Printf.sprintf "token ring: n=%d, hop [%d,%d], rotation %s" n d1 d2
-        (Interval.to_string (TR.rotation_interval p));
-    simulate =
-      (fun ~steps ~strategy ~seed () ->
-        run_simulation impl [ TR.u_rotation p ] ~steps ~strategy ~seed
-          ~denominator:2 print_trace);
-    check =
-      (fun ~runs ~steps ->
-        generic_check impl [ TR.u_rotation p ] ~runs ~steps ~denominator:2);
-    vitems =
-      (fun () ->
-        cond_vitems "ring" (TR.system p) (TR.boundmap p) [ TR.u_rotation p ]);
-    margin =
-      margin_reports "ring" (TR.system p) (TR.boundmap p)
-        [ Pcond (TR.u_rotation p) ];
-    map =
-      (fun () ->
-        match
-          Hierarchy.check_exhaustive ~source:impl ~levels:(TR.chain p) ()
-        with
-        | Ok st ->
-            Format.printf "ring hierarchy: OK (%d product states)@."
-              st.Mapping.product_states
-        | Error e ->
-            Format.printf "ring hierarchy FAILED at level %d (%s)@."
-              e.Hierarchy.level_index e.Hierarchy.level_name);
-    exact =
-      (fun () ->
-        let a =
-          bounded_analyze ~source:impl ~conds:[| TR.u_rotation p |] ()
-        in
-        match
-          Completeness.bounds_after a
-            ~trigger:(fun _ act _ -> act = TR.Pass 0)
-            ~cond:0
-        with
-        | Some (lo, hi) ->
-            Format.printf "rotation: exact [%a, %a], predicted %s@." Time.pp
-              lo Time.pp hi
-              (Interval.to_string (TR.rotation_interval p))
-        | None -> Format.printf "no rotations reachable@.");
-    progress = show_progress impl;
-  }
-
-let fd_instance ~g1 ~g2 ~m =
-  let p = FD.params_of_ints ~h1:1 ~h2:2 ~g1 ~g2 ~m in
-  let impl = FD.impl p in
-  {
-    describe =
-      Printf.sprintf
-        "failure detector: hb [1,2], poll [%d,%d], m=%d; detection %s%s" g1
-        g2 m
-        (Interval.to_string (FD.detection_interval p))
-        (if FD.accurate p then "" else " (INACCURATE regime)");
-    simulate =
-      (fun ~steps ~strategy ~seed () ->
-        run_simulation impl [ FD.u_detect p ] ~steps ~strategy ~seed
-          ~denominator:2 print_trace);
-    check =
-      (fun ~runs ~steps ->
-        generic_check impl [ FD.u_detect p ] ~runs ~steps ~denominator:2);
-    vitems =
-      (fun () ->
-        inv_vitem "accuracy" (FD.system p) (FD.boundmap p)
-          FD.no_false_suspicion
-          ~ok:(fun st ->
-            Format.printf "accuracy: VERIFIED (%d zones)@." st.Reach.zones)
-          ~bad:(fun s ->
-            Format.printf "accuracy: false suspicion reachable at %a@."
-              (FD.system p).Tm_ioa.Ioa.pp_state s)
-        :: cond_vitems "detector" (FD.system p) (FD.boundmap p)
-             [ FD.u_detect p ]);
-    margin =
-      margin_reports "detector" (FD.system p) (FD.boundmap p)
-        [
-          Pinv ("accuracy", FD.no_false_suspicion); Pcond (FD.u_detect p);
-        ];
-    map = (fun () -> Format.printf "no paper mapping for this system@.");
-    exact =
-      (fun () ->
-        let a =
-          bounded_analyze ~source:impl ~conds:[| FD.u_detect p |] ()
-        in
-        match
-          Completeness.bounds_after a
-            ~trigger:(fun _ act _ -> act = FD.Crash)
-            ~cond:0
-        with
-        | Some (lo, hi) ->
-            Format.printf "detection: exact [%a, %a], predicted %s@." Time.pp
-              lo Time.pp hi
-              (Interval.to_string (FD.detection_interval p))
-        | None -> Format.printf "no crashes reachable@.");
-    progress = show_progress impl;
-  }
-
-let two_stage_instance () =
-  let p = TS.params_of_ints ~p1:1 ~p2:3 ~q1:1 ~q2:2 ~r1:2 ~r2:4 in
-  let impl = TS.impl p in
-  {
-    describe =
-      Printf.sprintf "chained trigger (Sec. 8): end-to-end %s"
-        (Interval.to_string (TS.end_to_end_interval p));
-    simulate =
-      (fun ~steps ~strategy ~seed () ->
-        run_simulation impl
-          [ TS.u_start_mid p; TS.u_mid_done p; TS.u_end_to_end p ]
-          ~steps ~strategy ~seed ~denominator:2 print_trace);
-    check =
-      (fun ~runs ~steps ->
-        generic_check impl
-          [ TS.u_start_mid p; TS.u_mid_done p; TS.u_end_to_end p ]
-          ~runs ~steps ~denominator:2);
-    vitems =
-      (fun () ->
-        cond_vitems "two-stage" (TS.system p) (TS.boundmap p)
-          [ TS.u_start_mid p; TS.u_mid_done p; TS.u_end_to_end p ]);
-    margin =
-      margin_reports "two-stage" (TS.system p) (TS.boundmap p)
-        [
-          Pcond (TS.u_start_mid p);
-          Pcond (TS.u_mid_done p);
-          Pcond (TS.u_end_to_end p);
-        ];
-    map =
-      (fun () ->
-        match
-          Hierarchy.check_exhaustive ~source:impl ~levels:(TS.chain p) ()
-        with
-        | Ok st ->
-            Format.printf "stage hierarchy: OK (%d product states)@."
-              st.Mapping.product_states
-        | Error e ->
-            Format.printf "stage hierarchy FAILED at level %d (%s)@."
-              e.Hierarchy.level_index e.Hierarchy.level_name);
-    exact =
-      (fun () ->
-        let a =
-          bounded_analyze ~source:impl ~conds:[| TS.u_end_to_end p |] ()
-        in
-        match
-          Completeness.bounds_after a
-            ~trigger:(fun _ act _ -> act = TS.Start)
-            ~cond:0
-        with
-        | Some (lo, hi) ->
-            Format.printf "end-to-end: exact [%a, %a], predicted %s@."
-              Time.pp lo Time.pp hi
-              (Interval.to_string (TS.end_to_end_interval p))
-        | None -> Format.printf "no Start edges reachable@.");
-    progress = show_progress impl;
-  }
+(* The [exact] windows of a model, each measured on the one budgeted
+   analysis of its conditions. *)
+let print_exact (model : Registry.model) =
+  let (Registry.Simulated s) = model.Registry.simulated in
+  match s.Registry.exact with
+  | None ->
+      Format.printf "exact analysis not wired for %s@." model.Registry.label
+  | Some ex ->
+      let a =
+        bounded_analyze ~source:s.Registry.impl ~conds:ex.Registry.exact_conds
+          ()
+      in
+      List.iter
+        (fun (row : _ Registry.exact_row) ->
+          let print (lo, hi) =
+            Format.printf "%sexact [%a, %a], %s@." row.what Time.pp lo
+              Time.pp hi row.reference
+          in
+          match row.origin with
+          | Registry.Start -> print (Completeness.start_bounds a ~cond:row.cond)
+          | Registry.After { trigger; unreachable } -> (
+              match Completeness.bounds_after a ~trigger ~cond:row.cond with
+              | Some window -> print window
+              | None -> Format.printf "%s@." unreachable))
+        ex.Registry.rows
 
 (* ------------------------------------------------------------------ *)
 (* cmdliner plumbing *)
 
 open Cmdliner
 
+(* A usage error (exit 124 with a usage hint, nothing on stdout)
+   unless [ok v]. *)
+let checked ok msg arg =
+  Term.(
+    ret (const (fun v -> if ok v then `Ok v else `Error (true, msg)) $ arg))
+
 let system_arg =
   let doc =
-    "System to analyze: rm (resource manager), im (interrupt-driven \
-     manager), relay, fischer, rg (request-grant), ring (token ring), fd \
-     (failure detector), two (chained trigger)."
+    "System to analyze: "
+    ^ String.concat ", "
+        (List.map
+           (fun (e : Registry.entry) -> e.name ^ " (" ^ e.doc ^ ")")
+           Registry.entries)
+    ^ "."
   in
   Arg.(value & opt string "rm" & info [ "system"; "S" ] ~docv:"SYSTEM" ~doc)
 
-let k_arg = Arg.(value & opt int 3 & info [ "k" ] ~doc:"ticks per grant")
-let c1_arg = Arg.(value & opt int 2 & info [ "c1" ] ~doc:"clock lower bound")
-let c2_arg = Arg.(value & opt int 3 & info [ "c2" ] ~doc:"clock upper bound")
-let l_arg = Arg.(value & opt int 1 & info [ "l" ] ~doc:"local-step bound")
-let n_arg = Arg.(value & opt int 4 & info [ "n" ] ~doc:"line length / processes")
-let d1_arg = Arg.(value & opt int 1 & info [ "d1" ] ~doc:"per-hop lower bound")
-let d2_arg = Arg.(value & opt int 2 & info [ "d2" ] ~doc:"per-hop upper bound")
-let a_arg = Arg.(value & opt int 1 & info [ "a" ] ~doc:"fischer write deadline")
-let b_arg = Arg.(value & opt int 2 & info [ "b" ] ~doc:"fischer check delay")
-let steps_arg = Arg.(value & opt int 60 & info [ "steps" ] ~doc:"steps to simulate")
+(* One flag per registry parameter; the term is the list of the flags
+   given, which the registry completes with the system's defaults. *)
+let params_term =
+  List.fold_right
+    (fun ((p : Registry.param), users) rest ->
+      let doc =
+        p.doc ^ " (" ^ String.concat ", " users ^ "; default "
+        ^ string_of_int p.default
+        ^ (match p.margin_default with
+          | Some d -> ", " ^ string_of_int d ^ " under $(b,margin)"
+          | None -> "")
+        ^ ")"
+      in
+      let arg = Arg.(value & opt (some int) None & info [ p.key ] ~doc) in
+      Term.(
+        const (fun v given ->
+            match v with Some i -> (p.key, i) :: given | None -> given)
+        $ arg $ rest))
+    Registry.params (Term.const [])
+
+(* The system a subcommand analyzes, instantiated from the registry;
+   an unknown system or parameters the system rejects are usage
+   errors, with the messages the daemon returns. *)
+let model_term ?(margin = false) () =
+  let build system given =
+    match
+      Result.bind (Registry.find system) (fun e ->
+          Registry.instantiate ~margin e given)
+    with
+    | Ok m -> `Ok m
+    | Error msg -> `Error (true, msg)
+  in
+  Term.(ret (const build $ system_arg $ params_term))
+
+let steps_arg =
+  Arg.(value & opt int 60 & info [ "steps" ] ~doc:"steps to simulate")
+
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed")
-let runs_arg = Arg.(value & opt int 100 & info [ "runs" ] ~doc:"number of runs")
 
-let g1_arg ~default =
-  Arg.(value & opt int default & info [ "g1" ] ~doc:"poll gap lower bound")
-
-let g2_arg = Arg.(value & opt int 3 & info [ "g2" ] ~doc:"poll gap upper bound")
-
-let m_arg ~default =
-  Arg.(value & opt int default & info [ "m" ] ~doc:"misses before suspicion")
+let runs_arg =
+  Arg.(value & opt int 100 & info [ "runs" ] ~doc:"number of runs")
 
 let strategy_arg =
+  let parse name =
+    match Catalog.make_strategy name with
+    | Ok _ -> Ok name
+    | Error m -> Error (`Msg m)
+  in
   Arg.(
     value
-    & opt string "random"
+    & opt (conv (parse, Format.pp_print_string)) "random"
     & info [ "strategy" ] ~doc:"eager | lazy | random")
 
 (* ------------------------------------------------------------------ *)
@@ -1077,34 +655,6 @@ let with_obs name o f =
       finish ();
       raise e
 
-let build_instance system k c1 c2 l n d1 d2 a b g1 g2 m =
-  match system with
-  | "rm" -> rm_instance ~k ~c1 ~c2 ~l
-  | "im" -> im_instance ~k ~c1 ~c2 ~l
-  | "relay" -> relay_instance ~n ~d1 ~d2
-  (* LU extrapolation + the int kernel keep fischer tractable well past
-     the old n=3 cap; n=5 completes in CI, n=6 is the safety stop. *)
-  | "fischer" -> fischer_instance ~n:(max 2 (min n 6)) ~a ~b
-  | "rg" -> rg_instance ~r1:2 ~r2:5 ~w1:1 ~w2:3
-  | "ring" -> ring_instance ~n ~d1 ~d2
-  | "fd" -> fd_instance ~g1 ~g2 ~m
-  | "two" -> two_stage_instance ()
-  | other -> failwith (Printf.sprintf "unknown system %S" other)
-
-(* The failure-detector defaults differ per subcommand: [verify] wants
-   the safe regime (g1=2, m=2, accuracy via the m>=2 clause), while
-   [margin] wants the single-miss detector (g1=3, m=1) whose accuracy
-   margin is the exact slack g1 - h2 of the paper's analysis. *)
-let instance_term_with ~g1_default ~m_default =
-  Term.(
-    const build_instance $ system_arg $ k_arg $ c1_arg $ c2_arg $ l_arg
-    $ n_arg $ d1_arg $ d2_arg $ a_arg $ b_arg
-    $ g1_arg ~default:g1_default
-    $ g2_arg
-    $ m_arg ~default:m_default)
-
-let instance_term = instance_term_with ~g1_default:2 ~m_default:2
-
 (* Budget flags shared by the exploring subcommands.  The term's value
    is unit: evaluating it stores the budgets in the globals the
    analysis helpers read. *)
@@ -1148,19 +698,18 @@ let domains_term =
              domain count; the default 1 is the exact sequential path. \
              On $(b,simulate) the single trace itself stays sequential.")
   in
-  let mk d =
-    if d < 1 then failwith "--domains must be >= 1";
-    ndomains := d
-  in
-  Term.(const mk $ arg)
+  Term.(
+    const (fun d -> ndomains := d)
+    $ checked (fun d -> d >= 1) "--domains must be >= 1" arg)
 
 let simulate_cmd =
-  let run inst steps strategy seed () () obs =
+  let run model steps strategy seed () () obs =
     let reason =
       with_obs "simulate" obs (fun () ->
-          Format.printf "%s@." inst.describe;
+          Format.printf "%s@." model.Registry.describe;
           Log.debug "strategy=%s seed=%d steps=%d" strategy seed steps;
-          inst.simulate ~steps ~strategy ~seed ())
+          let (Registry.Simulated s) = model.Registry.simulated in
+          run_simulation s ~steps ~strategy ~seed)
     in
     match reason with
     | Simulator.Deadlock ->
@@ -1183,15 +732,16 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate" ~doc:"Simulate a system and print the timed trace")
     Term.(
-      const run $ instance_term $ steps_arg $ strategy_arg $ seed_arg
+      const run $ model_term () $ steps_arg $ strategy_arg $ seed_arg
       $ budget_term $ domains_term $ obs_term)
 
 let check_cmd =
-  let run inst runs steps () obs =
+  let run model runs steps () obs =
     let v =
       with_obs "check" obs (fun () ->
-          Format.printf "%s@." inst.describe;
-          inst.check ~runs ~steps)
+          Format.printf "%s@." model.Registry.describe;
+          let (Registry.Simulated s) = model.Registry.simulated in
+          generic_check s ~runs ~steps)
     in
     Format.printf "%d runs x %d steps: %d violations@." runs steps v;
     if v > 0 then exit 1
@@ -1200,16 +750,16 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:"Simulate many seeds and check the timing conditions")
     Term.(
-      const run $ instance_term $ runs_arg $ steps_arg $ domains_term
+      const run $ model_term () $ runs_arg $ steps_arg $ domains_term
       $ obs_term)
 
-let simple_cmd name ~doc select =
-  let run inst obs =
+let simple_cmd name ~doc body =
+  let run model obs =
     with_obs name obs (fun () ->
-        Format.printf "%s@." inst.describe;
-        select inst ())
+        Format.printf "%s@." model.Registry.describe;
+        body model)
   in
-  Cmd.v (Cmd.info name ~doc) Term.(const run $ instance_term $ obs_term)
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ model_term () $ obs_term)
 
 let engine_arg =
   let engine_conv =
@@ -1237,15 +787,11 @@ let engine_arg =
            run the identical exploration and must agree.")
 
 let set_engine name =
-  engine_name := name;
-  match name with
-  | "ref" -> engine := (module Reach.Ref : Reach.S)
-  | "paranoid" ->
-      if Tm_recover.Paranoid.every () = 0 then Tm_recover.Paranoid.set_every 64;
-      engine := (module Reach.Paranoid : Reach.S)
-  | _ ->
-      engine_name := "auto";
-      engine := (module Reach.Auto : Reach.S)
+  match Catalog.engine_of name with
+  | Ok e ->
+      engine_name := name;
+      engine := e
+  | Error m -> invalid_arg m (* [engine_arg] admits known engines only *)
 
 (* Checkpoint flags shared by verify/run; like [budget_term] the value
    is unit and evaluation stores the policy in globals. *)
@@ -1286,17 +832,17 @@ let recover_term =
   Term.(const mk $ ck_arg $ every_arg $ selfcheck_arg)
 
 let verify_cmd =
-  let run inst ename () () () obs =
+  let run model ename () () () obs =
     set_engine ename;
     with_obs "verify" obs (fun () ->
-        Format.printf "%s@." inst.describe;
-        Supervisor.graceful (fun () -> verify_items (inst.vitems ())));
+        Format.printf "%s@." model.Registry.describe;
+        Supervisor.graceful (fun () -> verify_items (vitems model)));
     if !had_unknown then exit 4
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"Exact zone-based verification")
     Term.(
-      const run $ instance_term $ engine_arg $ budget_term $ domains_term
+      const run $ model_term () $ engine_arg $ budget_term $ domains_term
       $ recover_term $ obs_term)
 
 let run_cmd =
@@ -1313,36 +859,36 @@ let run_cmd =
              uninterrupted $(b,verify) of the same system.")
   in
   let attempts_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "attempts" ] ~docv:"N"
-          ~doc:
-            "Give each verification item up to $(docv) attempts; only \
-             failures that can make progress (a checkpoint to chain \
-             from, or a wall-clock deadline) are retried.")
+    checked (fun n -> n >= 1) "--attempts must be >= 1"
+      Arg.(
+        value & opt int 3
+        & info [ "attempts" ] ~docv:"N"
+            ~doc:
+              "Give each verification item up to $(docv) attempts; only \
+               failures that can make progress (a checkpoint to chain \
+               from, or a wall-clock deadline) are retried.")
   in
   let backoff_arg =
-    Arg.(
-      value & opt float 500.
-      & info [ "backoff-ms" ] ~docv:"MS"
-          ~doc:
-            "Base delay before the first retry; doubles on each \
-             further retry.")
+    checked (fun ms -> ms >= 0.) "--backoff-ms must be >= 0"
+      Arg.(
+        value & opt float 500.
+        & info [ "backoff-ms" ] ~docv:"MS"
+            ~doc:
+              "Base delay before the first retry; doubles on each \
+               further retry.")
   in
-  let run inst ename resume attempts backoff_ms () () () obs =
+  let run model ename resume attempts backoff_ms () () () obs =
     set_engine ename;
-    if attempts < 1 then failwith "--attempts must be >= 1";
-    if backoff_ms < 0. then failwith "--backoff-ms must be >= 0";
     (* Keep saving progress to the file we resumed from, unless the
        user pointed --checkpoint elsewhere. *)
     (match (!checkpoint_path, resume) with
     | None, Some path -> checkpoint_path := Some path
     | _ -> ());
     with_obs "run" obs (fun () ->
-        Format.printf "%s@." inst.describe;
+        Format.printf "%s@." model.Registry.describe;
         Supervisor.graceful (fun () ->
             supervise_items ~attempts ~backoff_s:(backoff_ms /. 1000.) ~resume
-              (inst.vitems ())));
+              (vitems model)));
     if !had_unknown then exit 4
   in
   Cmd.v
@@ -1352,7 +898,7 @@ let run_cmd =
           exponential backoff, per-attempt budgets chained through \
           checkpoints, resumable after interrupts")
     Term.(
-      const run $ instance_term $ engine_arg $ resume_arg $ attempts_arg
+      const run $ model_term () $ engine_arg $ resume_arg $ attempts_arg
       $ backoff_arg $ budget_term $ domains_term $ recover_term $ obs_term)
 
 let margin_cmd =
@@ -1364,16 +910,31 @@ let margin_cmd =
             "Print the reports as a JSON array on stdout instead of \
              tables.")
   in
-  let run inst e json () () obs =
+  let run model e json () () obs =
     set_engine e;
-    margin_table := not json;
     let reports =
       with_obs "margin" obs (fun () ->
-          if not json then Format.printf "%s@." inst.describe;
-          inst.margin ())
+          if not json then Format.printf "%s@." model.Registry.describe;
+          let reports =
+            Catalog.margin_reports !engine ?limit:!budget_states
+              ?deadline_s:!budget_s ~domains:!ndomains model
+          in
+          if not json then List.iter print_margin_report reports;
+          reports)
     in
-    if json then Format.printf "%s@." (Json.to_string (Json.List reports));
-    if !had_unknown then exit 4
+    if json then
+      Format.printf "%s@."
+        (Json.to_string (Json.List (List.map Margin.to_json reports)));
+    (* a refutation at e = 0 is a definite answer; any other failed
+       search (a probe ran out of budget) leaves the margin unknown *)
+    if
+      List.exists
+        (fun (r : Margin.report) ->
+          match r.Margin.overall with
+          | Error m -> m <> "refuted with no perturbation (e = 0)"
+          | Ok _ -> false)
+        reports
+    then exit 4
   in
   Cmd.v
     (Cmd.info "margin"
@@ -1382,18 +943,18 @@ let margin_cmd =
           each property survives, per class and overall")
     Term.(
       const run
-      $ instance_term_with ~g1_default:3 ~m_default:1
+      $ model_term ~margin:true ()
       $ engine_arg $ json_arg $ budget_term $ domains_term $ obs_term)
 
 let map_cmd =
   simple_cmd "map" ~doc:"Check the paper's strong possibilities mappings"
-    (fun i -> i.map)
+    (fun model -> Format.printf "%s@." (model.Registry.map ()))
 
 let exact_cmd =
-  let run inst () obs =
+  let run model () obs =
     with_obs "exact" obs (fun () ->
-        Format.printf "%s@." inst.describe;
-        match inst.exact () with
+        Format.printf "%s@." model.Registry.describe;
+        match print_exact model with
         | () -> ()
         | exception Exact_unknown m ->
             had_unknown := true;
@@ -1403,12 +964,14 @@ let exact_cmd =
   Cmd.v
     (Cmd.info "exact"
        ~doc:"Exact first-occurrence windows from the discretized graph")
-    Term.(const run $ instance_term $ budget_term $ obs_term)
+    Term.(const run $ model_term () $ budget_term $ obs_term)
 
 let progress_cmd =
   simple_cmd "progress"
-    ~doc:"Deadlock and Zeno-trap (time divergence) analysis" (fun i ->
-      i.progress)
+    ~doc:"Deadlock and Zeno-trap (time divergence) analysis" (fun model ->
+      let (Registry.Simulated s) = model.Registry.simulated in
+      Format.printf "%a@." Progress.pp_report
+        (Progress.analyze s.Registry.impl))
 
 let obs_cmd =
   let file_arg =

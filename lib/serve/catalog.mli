@@ -1,22 +1,25 @@
 (** Request catalog: parse a job request into a runnable, fingerprinted
-    job.
+    job, and the runners both the daemon and the CLI use to check, probe
+    and simulate a {!Tm_systems.Registry} model.
 
     A request is a JSON object:
 
     {v
     { "op": "verify" | "margin" | "simulate",
-      "system": "rm"|"im"|"relay"|"fischer"|"rg"|"ring"|"fd"|"two",
-      "params": { "n": 3, "a": 1, ... },      // system knobs, all optional
+      "system": "fischer",                    // a registry entry
+      "params": { "n": 3, "a": 1, ... },      // its knobs, all optional
       "item": 0,                               // verify: which check
       "engine": "auto"|"ref"|"paranoid",
       "limit": 50000, "deadline_s": 10.0,      // per-job budgets
       "steps": 60, "strategy": "random", "seed": 42 }   // simulate only
     v}
 
-    Parsing is total and paranoid: unknown ops, systems, engines,
-    params, non-integer knobs, out-of-range items all come back as
-    [Error msg] — the server turns that into a structured error frame,
-    never an exception.
+    Systems, their parameters and their checks come from the registry;
+    [item] indexes the system's checks without the CLI-only
+    informational ones.  Parsing is total and paranoid: unknown ops,
+    systems, engines, params, non-integer knobs, out-of-range items all
+    come back as [Error msg] — the server turns that into a structured
+    error frame, never an exception.
 
     The job's [fingerprint] is the content address for the verdict
     cache and the checkpoint routing key.  For verify jobs it is {e
@@ -27,6 +30,7 @@
     the answer (props and budgets; steps/strategy/seed/deadline). *)
 
 module Reach = Tm_zones.Reach
+module Registry = Tm_systems.Registry
 
 type job = {
   label : string;  (** human name for logs and responses *)
@@ -53,5 +57,54 @@ val of_request :
 (** [default_engine] (default ["auto"]) applies when the request names
     none. *)
 
-val systems : string list
-(** Known system names, for error messages and docs. *)
+(** {1 Runners} *)
+
+val engine_of : string -> ((module Reach.S), string) result
+(** ["auto"], ["ref"] or ["paranoid"] (which turns on a self-check
+    period of 64 unless one is set). *)
+
+val make_strategy :
+  string ->
+  (seed:int -> denominator:int -> ('s, 'a) Tm_sim.Strategy.t, string) result
+(** ["eager"], ["lazy"] or ["random"]; the function builds a fresh
+    strategy per run. *)
+
+(** The definite verdict of one check. *)
+type outcome =
+  | Verified of { bounds : Tm_base.Interval.t; stats : Reach.stats }
+  | Lower_violation of Reach.stats
+  | Upper_violation of Reach.stats
+  | Unsupported of string
+  | Invariant_ok of Reach.stats
+  | Invariant_violated of string  (** the offending state, printed *)
+
+val run_check :
+  (module Reach.S) ->
+  ?limit:int ->
+  ?deadline_s:float ->
+  domains:int ->
+  ?checkpoint:string * int ->
+  ?resume:string ->
+  ('s, 'a) Registry.verified ->
+  ('s, 'a) Registry.check ->
+  (outcome, Reach.exhausted) result
+(** [Error] on budget exhaustion or a cooperative interrupt.  A
+    [Note] runs as the plain condition it carries. *)
+
+val check_fingerprint :
+  (module Reach.S) ->
+  ('s, 'a) Registry.verified ->
+  ('s, 'a) Registry.check ->
+  string
+(** The checkpoint fingerprint of a check's run; a [Note] (never
+    checkpointed) gets a string no snapshot carries. *)
+
+val margin_reports :
+  (module Reach.S) ->
+  ?limit:int ->
+  ?deadline_s:float ->
+  domains:int ->
+  Registry.model ->
+  Tm_faults.Margin.report list
+(** One robustness margin report per check of the model, [Note]s
+    skipped, each probe under the given budgets. *)

@@ -67,12 +67,14 @@ let bnd_add a b = if a = inf || b = inf then inf else a + b - ((a lor b) land 1)
    check — this is why the weak bit lives in the LOW bit. *)
 let bnd_neg_ok p = p > 0
 
-(* A non-integer rational has no exact packed form; both extrapolation
-   entry points take rationals, so clamp the direction soundly:
-   rounding an L/U bound or the max constant UP only makes the
-   abstraction finer, never unsound.  (Jobs are scaled to integers
-   before they get here, so this is exact.) *)
-let ceil_int q = Rational.ceil q
+(* The extrapolation entry points take their constants (the max
+   constant, the L/U bounds) as rationals.  Jobs are scaled to integers
+   before they get here, so a non-integer constant is a scaling bug:
+   like [pack], raise rather than round. *)
+let int_const ~where ~what q =
+  if not (Rational.is_integer q) then
+    invalid_arg (Printf.sprintf "Dbm_int.%s: non-integer %s" where what);
+  q.Rational.num
 
 (* [off] is the start of this zone's n*n slice inside [m]: arena zones
    share one large chunk array, heap zones own an exactly-sized array
@@ -210,17 +212,18 @@ let extrapolate_arr n m mc neg_mc =
    to Inf when c > L_i, else to Lt (-U_j) when c < -U_j; a [None] bound
    is -inf and wipes unconditionally.  Comparisons are on the constant
    only (strictness does not matter), exactly as in {!Dbm_ref}, so on
-   integral inputs both kernels extrapolate to the same zone.  The per-clock thresholds are
-   hoisted into int rows up front: [lceil.(i) = ceil L_i] (a [None]
-   lower bound is -inf, encoded [min_int] so every constant exceeds
-   it) and [nuc.(j) = -ceil U_j] ([None] upper encoded [max_int],
-   meaning wipe). *)
-let lu_thresholds n lower upper =
+   integral inputs both kernels extrapolate to the same zone.  The
+   per-clock thresholds are hoisted into int rows up front:
+   [lceil.(i) = L_i] (a [None] lower bound is -inf, encoded [min_int]
+   so every constant exceeds it) and [nuc.(j) = -U_j] ([None] upper
+   encoded [max_int], meaning wipe). *)
+let lu_thresholds ~where n lower upper =
+  let bound q = int_const ~where ~what:"LU bound" q in
   let lceil = Array.make n min_int in
   let nuc = Array.make n max_int in
   for k = 0 to n - 1 do
-    (match lower.(k) with None -> () | Some l -> lceil.(k) <- ceil_int l);
-    match upper.(k) with None -> () | Some u -> nuc.(k) <- -ceil_int u
+    (match lower.(k) with None -> () | Some l -> lceil.(k) <- bound l);
+    match upper.(k) with None -> () | Some u -> nuc.(k) <- -bound u
   done;
   (lceil, nuc)
 
@@ -349,11 +352,9 @@ let intersect a b =
 
 let extrapolate mc z =
   Metrics.incr c_extrapolate;
-  if not (Rational.is_integer mc) then
-    invalid_arg "Dbm_int.extrapolate: non-integer max constant";
+  let mci = int_const ~where:"extrapolate" ~what:"max constant" mc in
   if z.empty then z
   else begin
-    let mci = ceil_int mc in
     let m = dup z in
     if not (extrapolate_arr z.n m mci (-mci)) then z
     else begin
@@ -367,7 +368,9 @@ let extrapolate_lu ~lower ~upper z =
   if z.empty then z
   else begin
     let m = dup z in
-    let lceil, nuc = lu_thresholds z.n lower upper in
+    let lceil, nuc =
+      lu_thresholds ~where:"extrapolate_lu" z.n lower upper
+    in
     if not (extrapolate_lu_packed z.n m lceil nuc) then z
     else begin
       ignore (canonicalize_arr z.n m);
@@ -676,9 +679,9 @@ module Scratch = struct
 
   let extrapolate mc s =
     Metrics.incr c_extrapolate;
-    if not (Rational.is_integer mc) then
-      invalid_arg "Dbm_int.Scratch.extrapolate: non-integer max constant";
-    let mci = ceil_int mc in
+    let mci =
+      int_const ~where:"Scratch.extrapolate" ~what:"max constant" mc
+    in
     if (not s.sempty) && extrapolate_arr s.sn s.sm mci (-mci) then
       ignore (canonicalize_arr s.sn s.sm)
 
@@ -686,7 +689,9 @@ module Scratch = struct
     Metrics.incr c_extrapolate;
     if not s.sempty then begin
       if s.slu_lower != lower || s.slu_upper != upper then begin
-        let lceil, nuc = lu_thresholds s.sn lower upper in
+        let lceil, nuc =
+          lu_thresholds ~where:"Scratch.extrapolate_lu" s.sn lower upper
+        in
         s.slu_lower <- lower;
         s.slu_upper <- upper;
         s.slu_lceil <- lceil;

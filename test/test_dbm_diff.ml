@@ -422,6 +422,34 @@ let unit_sat_is_o1_consistent () =
       (2, 0, Bnd.Le (Gen.q 0));
     ]
 
+(* A fractional L/U bound can only come from a scaling bug: both LU
+   entry points refuse it instead of rounding it, as the max-constant
+   ones do. *)
+let unit_lu_rejects_fractions () =
+  let half = Some (Rational.make 1 2) and two = Some (Gen.q 2) in
+  let z = Dbm_int.top 3 in
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s: half-unit LU bound accepted" what
+    | exception Invalid_argument m ->
+        Alcotest.(check string) what
+          ("Dbm_int." ^ what ^ ": non-integer LU bound")
+          m
+  in
+  refused "extrapolate_lu" (fun () ->
+      ignore
+        (Dbm_int.extrapolate_lu ~lower:[| two; half; two |]
+           ~upper:[| two; two; two |] z));
+  refused "Scratch.extrapolate_lu" (fun () ->
+      let scr = Dbm_int.Scratch.create 3 in
+      Dbm_int.Scratch.load scr z;
+      Dbm_int.Scratch.extrapolate_lu ~lower:[| two; two; two |]
+        ~upper:[| two; two; half |] scr);
+  (* integral bounds still go through *)
+  ignore
+    (Dbm_int.extrapolate_lu ~lower:[| two; two; two |]
+       ~upper:[| two; None; two |] z)
+
 let suite =
   [
     script_diff_int_vs_ref;
@@ -441,4 +469,6 @@ let suite =
       unit_empty_freeze;
     Alcotest.test_case "sat: O(1) formula matches definition" `Quick
       unit_sat_is_o1_consistent;
+    Alcotest.test_case "lu: fractional bounds refused on both entry points"
+      `Quick unit_lu_rejects_fractions;
   ]

@@ -548,6 +548,7 @@ let daemon_survives_garbage () =
           "{\"system\":\"rm\",\"params\":{\"q\":1}}";
           "{\"system\":\"rm\",\"params\":{\"k\":\"three\"}}";
           "{\"system\":\"rm\",\"item\":99}";
+          "{\"system\":\"rm\",\"item\":-1}";
           "{\"op\":\"simulate\",\"strategy\":\"clairvoyant\"}";
           "[1,2,3]";
           (* rm with c1 > c2: constructor validation, contained *)
