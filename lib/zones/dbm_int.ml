@@ -97,9 +97,21 @@ let get z i j = unpack z.m.(z.off + (i * z.n) + j)
 let is_empty z = z.empty
 let mk n m empty = { n; m; off = 0; empty; hmemo = min_int }
 
-let dup z =
-  if z.off = 0 && Array.length z.m = z.n * z.n then Array.copy z.m
-  else Array.sub z.m z.off (z.n * z.n)
+(* Payload copies are typed [int array] loops, never [Array.blit] /
+   [Array.sub]: those do not know the elements are immediate, so into
+   a major-heap destination (arena chunks, scratches, any matrix over
+   256 words) they pay a write barrier per word. *)
+let copy_words (src : int array) soff (dst : int array) doff len =
+  for k = 0 to len - 1 do
+    Array.unsafe_set dst (doff + k) (Array.unsafe_get src (soff + k))
+  done
+
+let sub_words src off len =
+  let dst = Array.make len inf in
+  copy_words src off dst 0 len;
+  dst
+
+let dup z = sub_words z.m z.off (z.n * z.n)
 
 (* ------------------------------------------------------------------ *)
 (* In-place core.                                                     *)
@@ -501,7 +513,7 @@ let copy_into a z =
   else begin
     let len = z.n * z.n in
     let buf, off = Arena.alloc a len in
-    Array.blit z.m z.off buf off len;
+    copy_words z.m z.off buf off len;
     { n = z.n; m = buf; off; empty = false; hmemo = z.hmemo }
   end
 
@@ -670,7 +682,7 @@ module Scratch = struct
 
   let load s z =
     if s.sn <> z.n then invalid_arg "Dbm_int.Scratch.load";
-    Array.blit z.m z.off s.sm 0 (s.sn * s.sn);
+    copy_words z.m z.off s.sm 0 (s.sn * s.sn);
     s.sempty <- z.empty;
     s.ssrc <- Some z
 
@@ -753,7 +765,7 @@ module Scratch = struct
   let freeze s =
     match unchanged s with
     | Some z -> z
-    | None -> mk s.sn (Array.copy s.sm) s.sempty
+    | None -> mk s.sn (sub_words s.sm 0 (s.sn * s.sn)) s.sempty
 
   let hash s = if s.sempty then 0 else hash_arr s.sn s.sm 0
 
@@ -775,11 +787,11 @@ module Scratch = struct
     match unchanged s with
     | Some z -> z
     | None ->
-        if s.sempty then mk s.sn (Array.copy s.sm) true
+        let len = s.sn * s.sn in
+        if s.sempty then mk s.sn (sub_words s.sm 0 len) true
         else begin
-          let len = s.sn * s.sn in
           let buf, off = Arena.alloc a len in
-          Array.blit s.sm 0 buf off len;
+          copy_words s.sm 0 buf off len;
           let hmemo = match hash with Some h -> h | None -> min_int in
           { n = s.sn; m = buf; off; empty = false; hmemo }
         end
