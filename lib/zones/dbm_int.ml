@@ -120,8 +120,8 @@ let dup z = sub_words z.m z.off (z.n * z.n)
    is dead: the clock of a disabled class after [free], or any row LU
    widening wiped.  No path leaves a dead row, and no operation of the
    closure can give it a finite entry. *)
-let row_live n m k =
-  let rowk = k * n in
+let row_live n m off k =
+  let rowk = off + (k * n) in
   let j = ref 0 in
   while !j < n && (!j = k || Array.unsafe_get m (rowk + !j) = inf) do
     incr j
@@ -151,7 +151,7 @@ let canonicalize_arr n m =
   (try
      for k = 0 to n - 1 do
        let rowk = k * n in
-       if not (row_live n m k) then begin
+       if not (row_live n m 0 k) then begin
          if m.(rowk + k) <= 0 then raise Exit
        end
        else
@@ -532,67 +532,85 @@ module Min = struct
     else begin
       Metrics.incr c_minimize;
       let n = z.n and m = z.m and o = z.off in
-      let r i j = m.(o + (i * n) + j) in
       (* Zero-equivalence: the 2-cycle adds up to exactly Le 0 = 1. *)
-      let rep = Array.init n (fun i -> i) in
+      let rep = Array.init n Fun.id in
       for i = 1 to n - 1 do
-        (try
-           for j = 0 to i - 1 do
-             if rep.(j) = j && bnd_add (r j i) (r i j) = le_zero then begin
-               rep.(i) <- j;
-               raise Exit
-             end
-           done
-         with Exit -> ())
-      done;
-      let idx = ref [] and bnd = ref [] in
-      let keep i j b =
-        idx := ((i * n) + j) :: !idx;
-        bnd := b :: !bnd
-      in
-      for c = 0 to n - 1 do
-        if rep.(c) = c then begin
-          let members = ref [] in
-          for i = n - 1 downto c do
-            if rep.(i) = c then members := i :: !members
-          done;
-          match !members with
-          | [] | [ _ ] -> ()
-          | first :: _ as ms ->
-              let rec cyc = function
-                | [ last ] -> keep last first (r last first)
-                | a :: (b :: _ as tl) ->
-                    keep a b (r a b);
-                    cyc tl
-                | [] -> ()
-              in
-              cyc ms
-        end
-      done;
-      for i = 0 to n - 1 do
-        if rep.(i) = i then
-          for j = 0 to n - 1 do
-            if j <> i && rep.(j) = j then begin
-              let b = r i j in
-              if b <> inf then begin
-                let redundant = ref false in
-                let k = ref 0 in
-                while (not !redundant) && !k < n do
-                  if !k <> i && !k <> j && rep.(!k) = !k then
-                    if bnd_add (r i !k) (r !k j) <= b then redundant := true;
-                  incr k
-                done;
-                if not !redundant then keep i j b
-              end
+        let rowi = o + (i * n) in
+        try
+          for j = 0 to i - 1 do
+            if rep.(j) = j && bnd_add m.(o + (j * n) + i) m.(rowi + j) = le_zero
+            then begin
+              rep.(i) <- j;
+              raise Exit
             end
           done
+        with Exit -> ()
       done;
-      {
-        mn = n;
-        mempty = false;
-        midx = Array.of_list (List.rev !idx);
-        mbnd = Array.of_list (List.rev !bnd);
-      }
+      (* Live representatives.  Only their rows can hold a kept
+         representative edge, and only they can make one redundant: a
+         dead row [k] has [m(k, j) = inf] for every [j <> k]. *)
+      let live = Array.make n 0 and nlive = ref 0 in
+      for k = 0 to n - 1 do
+        if rep.(k) = k && row_live n m o k then begin
+          live.(!nlive) <- k;
+          incr nlive
+        end
+      done;
+      let nlive = !nlive in
+      (* Mark the non-redundant representative edges. *)
+      let kept = Bytes.make (n * n) '\000' and nkept = ref 0 in
+      for a = 0 to nlive - 1 do
+        let i = live.(a) in
+        let rowi = o + (i * n) in
+        for j = 0 to n - 1 do
+          let b = m.(rowi + j) in
+          if j <> i && b <> inf && rep.(j) = j then begin
+            let redundant = ref false and c = ref 0 in
+            while (not !redundant) && !c < nlive do
+              let k = live.(!c) in
+              if k <> i && k <> j
+                 && bnd_add m.(rowi + k) m.(o + (k * n) + j) <= b
+              then redundant := true;
+              incr c
+            done;
+            if not !redundant then begin
+              Bytes.unsafe_set kept ((i * n) + j) '\001';
+              incr nkept
+            end
+          end
+        done
+      done;
+      (* A class of [s >= 2] clocks keeps its [s]-edge cycle. *)
+      let size = Array.make n 0 in
+      Array.iter (fun c -> size.(c) <- size.(c) + 1) rep;
+      let ncyc = ref 0 in
+      Array.iter (fun s -> if s >= 2 then ncyc := !ncyc + s) size;
+      let total = !ncyc + !nkept in
+      let midx = Array.make total 0 and mbnd = Array.make total 0 in
+      let e = ref 0 in
+      let keep ij =
+        midx.(!e) <- ij;
+        mbnd.(!e) <- m.(o + ij);
+        incr e
+      in
+      (* Class cycles first, classes in representative order, members
+         ascending; then representative edges in row-major order. *)
+      for c = 0 to n - 1 do
+        if rep.(c) = c && size.(c) >= 2 then begin
+          let prev = ref c in
+          for i = c + 1 to n - 1 do
+            if rep.(i) = c then begin
+              keep ((!prev * n) + i);
+              prev := i
+            end
+          done;
+          keep ((!prev * n) + c)
+        end
+      done;
+      for ij = 0 to (n * n) - 1 do
+        if Bytes.unsafe_get kept ij <> '\000' then keep ij
+      done;
+      { mn = n; mempty = false; midx; mbnd }
     end
 
   let to_zone mn =
