@@ -482,14 +482,22 @@ let pp fmt z =
 (* ------------------------------------------------------------------ *)
 (* Arena: bump allocation for stored-zone payloads.  Chunks start at
    512 words so they land on the major heap directly — freezing a zone
-   into the arena costs no minor-heap words beyond its record.  Growth
-   swaps in a doubled chunk and abandons the old one to the zones
-   already pointing into it; [reset] rewinds only the current chunk,
-   which is exactly right for the per-domain speculative arenas
-   (everything since the last reset is discarded or was copied out by
-   the commit loop); the main arena never resets.                     *)
+   into the arena costs no minor-heap words beyond its record.  When
+   the current chunk is full, the arena starts a fresh one, twice the
+   size of the last but at most [arena_chunk_max] words, and leaves the
+   old one to the zones already pointing into it.  The cap bounds the
+   slack: a fresh chunk is written in full when it is made, so an
+   uncapped doubled chunk, mostly empty at the end of a run, would
+   commit up to half the payload again in pages nobody reads.  The cap
+   is 2^17 words (1 MB): on verify -S fischer -n 5 it gave the lowest
+   peak RSS of the caps 2^14 .. 2^18.  A zone larger than the cap gets
+   a chunk of its own size.  [reset] rewinds
+   only the current chunk, which is exactly right for the per-domain
+   speculative arenas (everything since the last reset is discarded or
+   was copied out by the commit loop); the main arena never resets.   *)
 
 let arena_chunk_min = 512
+let arena_chunk_max = 1 lsl 17
 
 module Arena = struct
   type arena = { mutable buf : int array; mutable pos : int }
@@ -499,8 +507,8 @@ module Arena = struct
 
   let alloc a size =
     if a.pos + size > Array.length a.buf then begin
-      a.buf <-
-        Array.make (max (2 * Array.length a.buf) (max size arena_chunk_min)) inf;
+      let grown = min arena_chunk_max (2 * Array.length a.buf) in
+      a.buf <- Array.make (max size (max grown arena_chunk_min)) inf;
       a.pos <- 0
     end;
     let off = a.pos in
