@@ -1171,65 +1171,72 @@ let serve_cmd =
              and in-flight progress.")
   in
   let queue_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "queue" ] ~docv:"N"
-          ~doc:
-            "Admission queue depth. A request arriving on a full queue \
-             is shed: answered UNKNOWN with a retry hint, never left \
-             hanging.")
+    checked (fun n -> n >= 0) "--queue must be >= 0"
+      Arg.(
+        value & opt int 16
+        & info [ "queue" ] ~docv:"N"
+            ~doc:
+              "Admission queue depth. A request arriving on a full queue \
+               is shed: answered UNKNOWN with a retry hint, never left \
+               hanging.")
   in
   let max_states_arg =
-    Arg.(
-      value & opt int 200_000
-      & info [ "max-states" ] ~docv:"N"
-          ~doc:
-            "Per-job zone budget cap (and default). Requests may ask \
-             for less, never for more.")
+    checked (fun n -> n >= 1) "--max-states must be >= 1"
+      Arg.(
+        value & opt int 200_000
+        & info [ "max-states" ] ~docv:"N"
+            ~doc:
+              "Per-job zone budget cap (and default). Requests may ask \
+               for less, never for more.")
   in
   let max_deadline_arg =
-    Arg.(
-      value & opt float 30_000.
-      & info [ "max-deadline-ms" ] ~docv:"MS"
-          ~doc:"Per-job wall-clock cap (and default).")
+    checked (fun ms -> ms > 0.) "--max-deadline-ms must be > 0"
+      Arg.(
+        value & opt float 30_000.
+        & info [ "max-deadline-ms" ] ~docv:"MS"
+            ~doc:"Per-job wall-clock cap (and default).")
   in
   let attempts_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "attempts" ] ~docv:"N"
-          ~doc:
-            "Supervisor attempts per job: contained worker failures and \
-             checkpoint-chained budget exhaustions retry up to $(docv) \
-             times with jittered backoff.")
+    checked (fun n -> n >= 1) "--attempts must be >= 1"
+      Arg.(
+        value & opt int 3
+        & info [ "attempts" ] ~docv:"N"
+            ~doc:
+              "Supervisor attempts per job: contained worker failures and \
+               checkpoint-chained budget exhaustions retry up to $(docv) \
+               times with jittered backoff.")
   in
   let workers_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Run jobs in $(docv) supervised worker processes instead of \
-             in-process: a crashing or killed job costs one worker (it \
-             is restarted with backoff), never the daemon, and up to \
-             $(docv) jobs run concurrently. 0 (the default) keeps the \
-             classic in-process execution; verdicts are byte-identical \
-             either way.")
+    checked (fun n -> n >= 0) "--workers must be >= 0"
+      Arg.(
+        value & opt int 0
+        & info [ "workers" ] ~docv:"N"
+            ~doc:
+              "Run jobs in $(docv) supervised worker processes instead of \
+               in-process: a crashing or killed job costs one worker (it \
+               is restarted with backoff), never the daemon, and up to \
+               $(docv) jobs run concurrently. 0 (the default) keeps the \
+               classic in-process execution; verdicts are byte-identical \
+               either way.")
   in
   let quarantine_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "quarantine-after" ] ~docv:"K"
-          ~doc:
-            "Quarantine a job fingerprint after it crashes $(docv) \
-             workers: further requests for it answer a structured error \
-             instead of grinding the pool down.")
+    checked (fun k -> k >= 1) "--quarantine-after must be >= 1"
+      Arg.(
+        value & opt int 3
+        & info [ "quarantine-after" ] ~docv:"K"
+            ~doc:
+              "Quarantine a job fingerprint after it crashes $(docv) \
+               workers: further requests for it answer a structured error \
+               instead of grinding the pool down.")
   in
   let hb_timeout_arg =
-    Arg.(
-      value & opt float 5_000.
-      & info [ "hb-timeout-ms" ] ~docv:"MS"
-          ~doc:
-            "Declare a worker wedged (and SIGKILL it) after $(docv) of \
-             heartbeat silence.")
+    checked (fun ms -> ms > 0.) "--hb-timeout-ms must be > 0"
+      Arg.(
+        value & opt float 5_000.
+        & info [ "hb-timeout-ms" ] ~docv:"MS"
+            ~doc:
+              "Declare a worker wedged (and SIGKILL it) after $(docv) of \
+               heartbeat silence.")
   in
   let chaos_arg =
     Arg.(
@@ -1244,12 +1251,6 @@ let serve_cmd =
   in
   let run socket state_dir queue max_states max_deadline_ms attempts workers
       quarantine_after hb_timeout_ms chaos_ms ename () obs =
-    if queue < 0 then failwith "--queue must be >= 0";
-    if max_states < 1 then failwith "--max-states must be >= 1";
-    if attempts < 1 then failwith "--attempts must be >= 1";
-    if workers < 0 then failwith "--workers must be >= 0";
-    if quarantine_after < 1 then failwith "--quarantine-after must be >= 1";
-    if hb_timeout_ms <= 0. then failwith "--hb-timeout-ms must be > 0";
     engine_name := ename;
     let cfg =
       {
@@ -1294,30 +1295,30 @@ let serve_cmd =
 
 let client_cmd =
   let requests_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"REQUEST"
-          ~doc:
-            "Request JSON objects, or the bare words $(b,ping), \
-             $(b,stats), $(b,shutdown). All requests are pipelined, \
-             then every response is printed as one NDJSON line.")
+    checked (fun l -> l <> []) "no requests given"
+      Arg.(
+        value & pos_all string []
+        & info [] ~docv:"REQUEST"
+            ~doc:
+              "Request JSON objects, or the bare words $(b,ping), \
+               $(b,stats), $(b,shutdown). All requests are pipelined, \
+               then every response is printed as one NDJSON line.")
   in
   let timeout_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "timeout" ] ~docv:"MS"
-          ~doc:
-            "Give up if all responses have not arrived within $(docv) \
-             milliseconds (a single deadline for the whole pipeline) \
-             and exit 3 — a wedged or drowned daemon never hangs the \
-             caller.")
+    checked
+      (function Some ms -> ms > 0. | None -> true)
+      "--timeout must be > 0"
+      Arg.(
+        value
+        & opt (some float) None
+        & info [ "timeout" ] ~docv:"MS"
+            ~doc:
+              "Give up if all responses have not arrived within $(docv) \
+               milliseconds (a single deadline for the whole pipeline) \
+               and exit 3 — a wedged or drowned daemon never hangs the \
+               caller.")
   in
   let run socket timeout_ms requests =
-    if requests = [] then failwith "client: no requests given";
-    (match timeout_ms with
-    | Some ms when ms <= 0. -> failwith "client: --timeout must be > 0"
-    | _ -> ());
     let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     (match Unix.connect sock (Unix.ADDR_UNIX socket) with
     | () -> ()
