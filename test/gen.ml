@@ -106,6 +106,9 @@ type dbm_op =
   | Intersect of dbm_constraint list
       (** intersect with [top] refined by these constraints *)
   | Extrapolate of int  (** max constant *)
+  | Extrapolate_lu of int option list * int option list
+      (** LU bounds per clock, reference clock included; [None] is
+          [-inf].  Only {!dead_row_script} generates it. *)
 
 type dbm_script = { ds_clocks : int; ds_ops : dbm_op list }
 
@@ -150,6 +153,13 @@ let print_dbm_op = function
       Printf.sprintf "intersect[%s]"
         (String.concat "; " (List.map print_dbm_constraint cs))
   | Extrapolate m -> Printf.sprintf "extrapolate %d" m
+  | Extrapolate_lu (l, u) ->
+      let bs =
+        List.map (function None -> "-" | Some c -> string_of_int c)
+      in
+      Printf.sprintf "extrapolate_lu L=[%s] U=[%s]"
+        (String.concat "," (bs l))
+        (String.concat "," (bs u))
 
 let print_dbm_script s =
   Printf.sprintf "clocks=%d: %s" s.ds_clocks
@@ -166,7 +176,7 @@ let scale_dbm_script s =
       (function
         | Constrain c -> [ c.cden ]
         | Intersect cs -> List.map (fun c -> c.cden) cs
-        | Up | Reset _ | Free _ | Extrapolate _ -> [])
+        | Up | Reset _ | Free _ | Extrapolate _ | Extrapolate_lu _ -> [])
       s.ds_ops
   in
   let k = List.fold_left (fun k d -> k / gcd k d * d) 1 dens in
@@ -175,9 +185,61 @@ let scale_dbm_script s =
     | Constrain c -> Constrain (sc c)
     | Intersect cs -> Intersect (List.map sc cs)
     | Extrapolate m -> Extrapolate (m * k)
+    | Extrapolate_lu (l, u) ->
+        let sc_lu = List.map (Option.map (fun c -> c * k)) in
+        Extrapolate_lu (sc_lu l, sc_lu u)
     | (Up | Reset _ | Free _) as o -> o
   in
   (k, { s with ds_ops = List.map op s.ds_ops })
+
+(* Fischer-shaped scripts for the dead-row paths of the int kernel.
+   A zone of 9-16 clocks goes through rounds; each round applies a few
+   random ops, then frees every clock but at most a quarter of them
+   (a disabled class's clock after [free]: its row is [Inf] off the
+   diagonal) and LU-extrapolates, as every successor pipeline of an
+   MMT exploration does.  Constants and bounds are as in
+   {!dbm_script}, so the zones still hit fractional corners and go
+   empty now and then. *)
+let dead_row_script : dbm_script QCheck2.Gen.t =
+  QCheck2.Gen.(
+    let wide = int_range 0 15 in
+    let constr =
+      map
+        (fun (ci, cj, cnum, (cden, cstrict)) ->
+          { ci; cj; cnum; cden; cstrict })
+        (quad wide wide (int_range (-12) 12) (pair (int_range 1 4) bool))
+    in
+    let op =
+      frequency
+        [
+          (6, map (fun c -> Constrain c) constr);
+          (2, return Up);
+          (2, map (fun x -> Reset x) wide);
+          (1, map (fun cs -> Intersect cs) (list_size (int_range 0 3) constr));
+        ]
+    in
+    let bound = option ~ratio:0.6 (int_range 0 6) in
+    let round n =
+      map3
+        (fun ops keep (l, u) ->
+          let keep =
+            List.filteri (fun i _ -> i < (n - 1) / 4)
+              (List.map (fun x -> 1 + (x mod (n - 1))) keep)
+          in
+          let frees =
+            List.filter_map
+              (fun x -> if List.mem x keep then None else Some (Free x))
+              (List.init (n - 1) (fun i -> i + 1))
+          in
+          ops @ frees @ [ Extrapolate_lu (Some 0 :: l, Some 0 :: u) ])
+        (list_size (int_range 0 6) op)
+        (list_size (int_range 0 4) wide)
+        (pair (list_repeat (n - 1) bound) (list_repeat (n - 1) bound))
+    in
+    int_range 9 16 >>= fun n ->
+    map
+      (fun rounds -> { ds_clocks = n; ds_ops = List.concat rounds })
+      (list_size (int_range 1 4) (round n)))
 
 (* Fischer n=2 with bounds in quarter units: a fractional system the
    int engine runs scaled by 4. *)

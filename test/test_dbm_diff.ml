@@ -33,6 +33,7 @@ let norm_constraint n (c : Gen.dbm_constraint) =
   (i, j, if c.cstrict then Bnd.Lt q else Bnd.Le q)
 
 let norm_clock n x = 1 + (x mod (n - 1))
+let lu_bounds l = Array.of_list (List.map (Option.map Rational.of_int) l)
 
 (* A kernel-independent record of everything observable about a run. *)
 type trace = {
@@ -72,6 +73,8 @@ let run_persistent (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
         in
         (K.intersect z other, None)
     | Gen.Extrapolate m -> (K.extrapolate (Rational.of_int m) z, None)
+    | Gen.Extrapolate_lu (l, u) ->
+        (K.extrapolate_lu ~lower:(lu_bounds l) ~upper:(lu_bounds u) z, None)
   in
   let _, zones_rev, empties, mats, sats =
     List.fold_left
@@ -136,6 +139,9 @@ let run_scratch (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
         None
     | Gen.Extrapolate m ->
         Sc.extrapolate (Rational.of_int m) scr;
+        None
+    | Gen.Extrapolate_lu (l, u) ->
+        Sc.extrapolate_lu ~lower:(lu_bounds l) ~upper:(lu_bounds u) scr;
         None
   in
   let zones_rev, empties, mats, sats =
@@ -214,6 +220,18 @@ let script_diff_int_scratch =
       traces_equal
         (run_scratch (module Dbm_int) scaled)
         (run_persistent (module Dbm_int) scaled))
+
+(* Most clocks freed before every LU extrapolation, as in a fischer
+   successor pipeline: the closure and the minimization skip dead rows
+   there, so the int kernel must still land on the reference zone,
+   emptiness included, after every op — on both of its APIs. *)
+let dead_rows_int_vs_ref =
+  Gen.check_holds "dead rows: int kernel (scaled) == ref kernel" ~count:300
+    ~print:Gen.print_dbm_script Gen.dead_row_script (fun s ->
+      let k, scaled = Gen.scale_dbm_script s in
+      let int_trace = run_persistent (module Dbm_int) scaled in
+      traces_equal (unscale k int_trace) (run_persistent (module Dbm_ref) s)
+      && traces_equal (run_scratch (module Dbm_int) scaled) int_trace)
 
 (* ------------------------------------------------------------------ *)
 (* Engine-level differential on random boundmap automata.              *)
@@ -402,6 +420,24 @@ let unit_empty_freeze () =
   Alcotest.(check bool) "frozen empty" true
     (Dbm_int.is_empty (Dbm_int.Scratch.freeze scr))
 
+(* A negative cycle among live clocks, with dead rows before, between
+   and after them: the closure skips the dead pivots, and must still
+   find the cycle.  Clocks 1 and 4 are live, 2, 3 and 5 are dead (rows
+   of [top] off the reference clock are all [Inf]); the intersection
+   demands x1 - x4 <= -1 and x4 - x1 <= 0. *)
+let unit_dead_pivot_negative_cycle () =
+  let check (type z) name (module K : Tm_zones.Dbm_sig.S with type t = z) =
+    let a = K.constrain (K.top 6) 4 1 (Bnd.Le (Gen.q 0)) in
+    let a = K.constrain a 1 0 (Bnd.Le (Gen.q 3)) in
+    let b = K.constrain (K.top 6) 1 4 (Bnd.Le (Gen.q (-1))) in
+    Alcotest.(check bool) (name ^ ": operands nonempty") false
+      (K.is_empty a || K.is_empty b);
+    Alcotest.(check bool) (name ^ ": intersection empty") true
+      (K.is_empty (K.intersect a b))
+  in
+  check "int" (module Dbm_int);
+  check "ref" (module Dbm_ref)
+
 let unit_sat_is_o1_consistent () =
   (* sat must agree with the constrain-then-check definition on a
      canonical zone; the constants are the sixths-valued corners
@@ -455,6 +491,7 @@ let suite =
     script_diff_int_vs_ref;
     script_diff_ref_scratch;
     script_diff_int_scratch;
+    dead_rows_int_vs_ref;
     fixpoint_diff;
     budget_diff;
     condition_diff;
@@ -467,6 +504,8 @@ let suite =
       unit_overflow_guard;
     Alcotest.test_case "scratch: unsat constrain empties and freezes" `Quick
       unit_empty_freeze;
+    Alcotest.test_case "closure: negative cycle past dead pivots is empty"
+      `Quick unit_dead_pivot_negative_cycle;
     Alcotest.test_case "sat: O(1) formula matches definition" `Quick
       unit_sat_is_o1_consistent;
     Alcotest.test_case "lu: fractional bounds refused on both entry points"

@@ -7,14 +7,18 @@
    constants): [of_zone |> to_zone] must rebuild
    the identical canonical matrix, [subsumes] must agree with dense
    [includes] on every snapshot pair, and reductions of equal zones
-   must be structurally equal (the construction is deterministic).
+   must be structurally equal (the construction is deterministic).  On
+   zones with most rows dead, the int reduction must keep exactly the
+   constraint list of {!Tm_zones.Dbm_min}, in the same order.
 
    The arena tests pin the zero-copy storage discipline:
    [copy_into]/[freeze_into] round-trip zone payloads through bump
-   arenas (across chunk growth), a no-op edge pipeline still freezes
-   to the original interned zone, and an engine-level regression holds
-   verdicts fixed across domain counts — a worker arena reset must
-   discard exactly the speculative zones and nothing else. *)
+   arenas (across chunk growth, past the int kernel's chunk cap, and
+   across a rewind of an arena that grew past it), a no-op edge
+   pipeline still freezes to the original interned zone, and an
+   engine-level regression holds verdicts fixed across domain counts —
+   a worker arena reset must discard exactly the speculative zones and
+   nothing else. *)
 
 module Rational = Tm_base.Rational
 module Bnd = Tm_zones.Dbm_bound
@@ -56,6 +60,9 @@ let zones_of_script (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
                K.constrain acc i j b)
              (K.top n) cs)
     | Gen.Extrapolate m -> K.extrapolate (Rational.of_int m) z
+    | Gen.Extrapolate_lu (l, u) ->
+        let lu l = Array.of_list (List.map (Option.map Rational.of_int) l) in
+        K.extrapolate_lu ~lower:(lu l) ~upper:(lu u) z
   in
   let zs, _ =
     List.fold_left
@@ -144,6 +151,35 @@ let subsumes_int =
     ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
       subsumes_agrees (module Dbm_int) (snd (Gen.scale_dbm_script s)))
 
+(* On fischer-shaped zones, where most rows are dead, the int kernel's
+   hand-specialized reduction (direct indexing, live pivots only) must
+   keep exactly the constraints {!Tm_zones.Dbm_min} keeps on the
+   reference zone: same count, same positions, same bounds once divided
+   back to the script's unit, same order. *)
+let min_int_matches_dbm_min =
+  Gen.check_holds "min: int reduction == Dbm_min on dead-row zones"
+    ~count:150 ~print:Gen.print_dbm_script Gen.dead_row_script (fun s ->
+      let k, scaled = Gen.scale_dbm_script s in
+      let unscale p =
+        match Dbm_int.unpack p with
+        | Bnd.Le q -> Bnd.Le (Rational.div q (Rational.of_int k))
+        | Bnd.Lt q -> Bnd.Lt (Rational.div q (Rational.of_int k))
+        | Bnd.Inf -> Bnd.Inf
+      in
+      List.for_all2
+        (fun zr zi ->
+          Dbm_ref.is_empty zr = Dbm_int.is_empty zi
+          && (Dbm_ref.is_empty zr
+             ||
+             let r = Tm_zones.Dbm_min.reduce (Dbm_ref.dim zr) (Dbm_ref.get zr) in
+             let m = Dbm_int.Min.of_zone zi in
+             r.Tm_zones.Dbm_min.midx = m.Dbm_int.Min.midx
+             && Array.for_all2
+                  (fun b p -> Bnd.compare b (unscale p) = 0)
+                  r.Tm_zones.Dbm_min.mbnd m.Dbm_int.Min.mbnd))
+        (zones_of_script (module Dbm_ref) s)
+        (zones_of_script (module Dbm_int) scaled))
+
 (* ------------------------------------------------------------------ *)
 (* Arena unit tests (int and ref kernels; paranoid delegates to int,
    ref keeps the arena API but allocates every zone on the heap).      *)
@@ -196,6 +232,59 @@ let unit_reset_reuse (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
   Alcotest.(check bool) "post-reset freeze is exact" true
     (K.equal after (K.reset (K.top 3) 1))
 
+(* Int arena chunks stop doubling at [Dbm_int.arena_chunk_max] words.
+   Zone [c] of [n] clocks: all clocks equal, at most [c + 1], above
+   [c mod 7] — pairwise different.  [heap_zone] builds it with the
+   persistent API, [freeze_zone] with a scratch frozen into [arena]. *)
+let zone_bounds n c =
+  ((1 + (c mod (n - 1)), 0, Bnd.Le (Gen.q (c + 1))),
+   (0, 1 + (c / (n - 1) mod (n - 1)), Bnd.Lt (Gen.q (-(c mod 7)))))
+
+let heap_zone n c =
+  let (i, j, b), (i', j', b') = zone_bounds n c in
+  Dbm_int.constrain (Dbm_int.constrain (Dbm_int.up (Dbm_int.zero n)) i j b) i' j' b'
+
+let freeze_zone arena scr n c =
+  let (i, j, b), (i', j', b') = zone_bounds n c in
+  Dbm_int.Scratch.load scr (Dbm_int.zero n);
+  Dbm_int.Scratch.up scr;
+  Dbm_int.Scratch.constrain scr i j b;
+  Dbm_int.Scratch.constrain scr i' j' b';
+  Dbm_int.Scratch.freeze_into arena scr
+
+let freeze_range arena n lo hi =
+  let scr = Dbm_int.Scratch.create n in
+  List.init (hi - lo) (fun c -> freeze_zone arena scr n (lo + c))
+
+let heap_range n lo hi = List.init (hi - lo) (fun c -> heap_zone n (lo + c))
+
+(* Enough zones for several capped chunks: every frozen zone must still
+   equal its heap copy once all of them are frozen. *)
+let unit_capped_growth () =
+  let n = 20 in
+  let count = 5 * (Dbm_int.arena_chunk_max / (n * n)) in
+  let frozen = freeze_range (Dbm_int.Arena.create ()) n 0 count in
+  Alcotest.(check bool) "every frozen zone equals its heap copy" true
+    (List.for_all2 Dbm_int.equal (heap_range n 0 count) frozen)
+
+(* The commit loop's discipline past the cap: a worker arena fills
+   several capped chunks, the survivors are copied into the main arena,
+   the worker arena is rewound and refilled with other zones.  The
+   copies must not change. *)
+let unit_rewind_past_cap () =
+  let n = 20 in
+  let half = 3 * (Dbm_int.arena_chunk_max / (n * n)) in
+  let worker = Dbm_int.Arena.create () and main = Dbm_int.Arena.create () in
+  let committed =
+    List.map (Dbm_int.copy_into main) (freeze_range worker n 0 half)
+  in
+  Dbm_int.Arena.reset worker;
+  let again = freeze_range worker n half (2 * half) in
+  Alcotest.(check bool) "copied-out zones unchanged by the rewind" true
+    (List.for_all2 Dbm_int.equal (heap_range n 0 half) committed);
+  Alcotest.(check bool) "zones frozen after the rewind are exact" true
+    (List.for_all2 Dbm_int.equal (heap_range n half (2 * half)) again)
+
 (* ------------------------------------------------------------------ *)
 (* Engine regression: a worker arena reset discards exactly the
    speculative zones.  Any leak of recycled payloads into the shared
@@ -224,6 +313,7 @@ let suite =
     roundtrip_int;
     subsumes_ref;
     subsumes_int;
+    min_int_matches_dbm_min;
     Alcotest.test_case "arena: copy_into round-trips (ref)" `Quick
       (unit_copy_into (module Dbm_ref));
     Alcotest.test_case "arena: copy_into round-trips (int)" `Quick
@@ -242,5 +332,9 @@ let suite =
       (unit_reset_reuse (module Dbm_ref));
     Alcotest.test_case "arena: reset recycles space exactly (int)" `Quick
       (unit_reset_reuse (module Dbm_int));
+    Alcotest.test_case "arena: growth past the chunk cap (int)" `Quick
+      unit_capped_growth;
+    Alcotest.test_case "arena: rewind past the chunk cap keeps copies (int)"
+      `Quick unit_rewind_past_cap;
     Alcotest.test_case "engine: domains 1/2/4 agree" `Quick domains_agree;
   ]
