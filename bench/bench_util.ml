@@ -35,13 +35,19 @@ let exact_matches iv (lo, hi) =
 
 (* GC accounting for the allocation ablation (E17): run [f] and return
    its result together with the minor words allocated, total allocated
-   bytes, and the major-heap peak (top_heap_words) observed over the
-   run.  OCaml 5 GC stats are domain-local, so callers that want
-   deterministic figures must keep the measured work on this domain. *)
+   bytes, and how far the major-heap peak (top_heap_words) grew during
+   the run.  The peak itself is process-wide and never falls, so a run
+   after a bigger one would only repeat the earlier peak; its growth is
+   what this run added.  OCaml 5 GC stats are domain-local, so callers
+   that want deterministic figures must keep the measured work on this
+   domain. *)
 let with_gc_stats f =
   let b0 = Gc.allocated_bytes () in
   let g0 = Gc.quick_stat () in
   let r = f () in
   let g1 = Gc.quick_stat () in
   let b1 = Gc.allocated_bytes () in
-  (r, g1.Gc.minor_words -. g0.Gc.minor_words, b1 -. b0, g1.Gc.top_heap_words)
+  ( r,
+    g1.Gc.minor_words -. g0.Gc.minor_words,
+    b1 -. b0,
+    g1.Gc.top_heap_words - g0.Gc.top_heap_words )
