@@ -491,10 +491,10 @@ let pp fmt z =
    commit up to half the payload again in pages nobody reads.  The cap
    is 2^17 words (1 MB): on verify -S fischer -n 5 it gave the lowest
    peak RSS of the caps 2^14 .. 2^18.  A zone larger than the cap gets
-   a chunk of its own size.  [reset] rewinds
-   only the current chunk, which is exactly right for the per-domain
-   speculative arenas (everything since the last reset is discarded or
-   was copied out by the commit loop); the main arena never resets.   *)
+   a chunk of its own size.  [reset] rewinds only the current chunk,
+   which is exactly right for the per-domain speculative arenas
+   (everything since the last reset is discarded or was copied out by
+   the commit loop); the main arena never resets.                     *)
 
 let arena_chunk_min = 512
 let arena_chunk_max = 1 lsl 17
@@ -541,7 +541,7 @@ module Min = struct
       Metrics.incr c_minimize;
       let n = z.n and m = z.m and o = z.off in
       (* Zero-equivalence: the 2-cycle adds up to exactly Le 0 = 1. *)
-      let rep = Array.init n Fun.id in
+      let rep = Array.init n (fun i -> i) in
       for i = 1 to n - 1 do
         let rowi = o + (i * n) in
         try
