@@ -973,62 +973,16 @@ let progress_cmd =
       Format.printf "%a@." Progress.pp_report
         (Progress.analyze s.Registry.impl))
 
-let obs_cmd =
-  let file_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"METRICS_JSON"
-          ~doc:"File written by --metrics-out (or a bench metrics dump).")
-  in
-  let run file =
-    match Json.of_file file with
-    | Error m ->
-        Format.eprintf "obs: %s@." m;
-        exit 2
-    | Ok j -> (
-        (* accept both a bare metrics document and a run report that
-           nests one under "metrics" *)
-        let parsed =
-          match Metrics.of_json j with
-          | Ok snap -> Ok snap
-          | Error _ as e -> (
-              match Json.member "metrics" j with
-              | Some nested -> Metrics.of_json nested
-              | None -> e)
-        in
-        match parsed with
-        | Error m ->
-            Format.eprintf "obs: %s: %s@." file m;
-            exit 2
-        | Ok snap ->
-            (* report-wrapped dumps are self-describing: surface the
-               provenance before the metrics *)
-            let str k = Option.bind (Json.member k j) Json.string_opt in
-            let num k = Option.bind (Json.member k j) Json.int_opt in
-            (match (str "command", str "engine", num "domains",
-                    str "version") with
-            | None, None, None, None -> ()
-            | cmd, eng, dom, ver ->
-                Format.printf "run: %s (engine=%s domains=%d version=%s)@."
-                  (Option.value cmd ~default:"?")
-                  (match eng with Some e when e <> "" -> e | _ -> "?")
-                  (Option.value dom ~default:1)
-                  (match ver with Some v when v <> "" -> v | _ -> "?"));
-            Format.printf "%a" Metrics.pp snap)
-  in
-  Cmd.v
-    (Cmd.info "obs"
-       ~doc:"Pretty-print a metrics dump written by --metrics-out")
-    Term.(const run $ file_arg)
-
-(* Load a metrics artifact for bench-diff: a bare metrics document or a
-   run report nesting one, plus whatever provenance/timing it carries. *)
+(* Load a metrics artifact for obs and bench-diff: a bare metrics
+   document or a run report nesting one under "metrics", plus whatever
+   provenance/timing it carries. *)
 type bench_doc = {
   bd_metrics : Metrics.snapshot;
   bd_wall_s : float option;
+  bd_command : string option;
   bd_engine : string option;
   bd_domains : int option;
+  bd_version : string option;
 }
 
 let load_bench_doc file =
@@ -1046,13 +1000,47 @@ let load_bench_doc file =
       match parsed with
       | Error m -> Error (Printf.sprintf "%s: %s" file m)
       | Ok snap ->
+          let str k = Option.bind (Json.member k j) Json.string_opt in
           Ok
             {
               bd_metrics = snap;
               bd_wall_s = Option.bind (Json.member "wall_s" j) Json.float_opt;
-              bd_engine = Option.bind (Json.member "engine" j) Json.string_opt;
+              bd_command = str "command";
+              bd_engine = str "engine";
               bd_domains = Option.bind (Json.member "domains" j) Json.int_opt;
+              bd_version = str "version";
             })
+
+let obs_cmd =
+  let file_arg =
+    Arg.(
+      required
+      & pos 0 (some file) None
+      & info [] ~docv:"METRICS_JSON"
+          ~doc:"File written by --metrics-out (or a bench metrics dump).")
+  in
+  let run file =
+    match load_bench_doc file with
+    | Error m ->
+        Format.eprintf "obs: %s@." m;
+        exit 2
+    | Ok d ->
+        (* report-wrapped dumps are self-describing: surface the
+           provenance before the metrics *)
+        (match (d.bd_command, d.bd_engine, d.bd_domains, d.bd_version) with
+        | None, None, None, None -> ()
+        | cmd, eng, dom, ver ->
+            Format.printf "run: %s (engine=%s domains=%d version=%s)@."
+              (Option.value cmd ~default:"?")
+              (match eng with Some e when e <> "" -> e | _ -> "?")
+              (Option.value dom ~default:1)
+              (match ver with Some v when v <> "" -> v | _ -> "?"));
+        Format.printf "%a" Metrics.pp d.bd_metrics
+  in
+  Cmd.v
+    (Cmd.info "obs"
+       ~doc:"Pretty-print a metrics dump written by --metrics-out")
+    Term.(const run $ file_arg)
 
 let bench_diff_cmd =
   let old_arg =

@@ -52,7 +52,7 @@ exception Out_of_budget of exhausted
 
 type phase = Idle | Armed
 
-(* The no-op observer shared by [reachable] and [check_state_invariant]:
+(* The no-op observer of the observer-free checks ([explore_states]):
    phases never change and the observer clock is untouched.  The result
    values are preallocated — this runs once per explored edge. *)
 let keep_idle = Ok (Idle, `Keep)
@@ -334,21 +334,25 @@ module Make (K : Dbm_sig.S) : S = struct
     p_waiting_max : float;
   }
 
-  (* Per-domain expansion context for the parallel path: a private
-     scratch matrix plus a private enabled-vector cache (its own
-     Hstore, so the single-domain owner assertion holds).  Created
-     lazily by the domain that uses it. *)
+  (* Per-domain successor context: a private scratch matrix plus a
+     private enabled-vector cache (its own Hstore, so the single-domain
+     owner assertion holds).  Slot 0 belongs to the calling domain —
+     [Pool.parallel_for] runs its caller as domain 0 — so it also
+     serves the sequential and seeding paths; the other slots are
+     created lazily by the worker domain that uses them. *)
   type 's dctx = {
-    dscr : K.Scratch.scratch;
-    darena : K.Arena.arena;
-        (** speculative zones freeze into this bump arena; it rewinds
+    scr : K.Scratch.scratch;
+    sat : int -> int -> Dbm_bound.t -> bool;
+        (** shared satisfiability probe over [scr], so the per-edge
+            [observe] call allocates no closure *)
+    spec_arena : K.Arena.arena;
+        (** speculated zones freeze into this bump arena; it rewinds
             at the end of every batch, after the commit loop has copied
             the survivors into the main arena *)
-    dvids : 's Hstore.t;
-    dvecs : (int, bool array) Hashtbl.t;
-    dsat : int -> int -> Dbm_bound.t -> bool;
-        (** shared satisfiability probe over [dscr], so the per-edge
-            [observe] call allocates no closure *)
+    vids : 's Hstore.t;
+    vecs : (int, bool array) Hashtbl.t;
+    mutable phase : phase;
+        (** observer phase of the last successor that survived *)
   }
 
   (* Generic exploration.  [observe] sees each discrete step plus a
@@ -358,9 +362,10 @@ module Make (K : Dbm_sig.S) : S = struct
      [`Keep]); [inspect] sees every stored (state, phase, zone).
 
      With a [pool] of size > 1 the engine runs speculate-then-commit
-     per popped location batch: workers compute the pure DBM successor
-     pipelines of the batch in parallel on per-domain scratches, then
-     the main domain replays the outcomes in exact sequential order —
+     per popped location batch: workers run [successor], the pipeline
+     the sequential path runs, for every (entry, guard) pair of the
+     batch in parallel on per-domain contexts, then the main domain
+     replays the outcomes in exact sequential order —
      edge counting, observer probes, interning, subsumption, storing,
      queueing all happen at commit.  Every state-mutating decision is
      thus made in the sequential order, so verdicts, the reachable
@@ -413,32 +418,50 @@ module Make (K : Dbm_sig.S) : S = struct
     let pending : (int, zentry list ref) Hashtbl.t = Hashtbl.create 64 in
     let locq = Queue.create () in
     let queued : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-    (* Per-state caches of {!Clock_enc.enabled_vec}, shared across
+    let dctxs =
+      Array.make (match pool with Some p -> Pool.size p | None -> 1) None
+    in
+    let domain_ctx d =
+      match dctxs.(d) with
+      | Some c -> c
+      | None ->
+          let scr = K.Scratch.create enc.nclocks in
+          let c =
+            {
+              scr;
+              sat = (fun i j b -> K.Scratch.sat scr i j b);
+              spec_arena = K.Arena.create ();
+              vids =
+                Hstore.create ~equal:a.Ioa.equal_state ~hash:a.Ioa.hash_state
+                  64;
+              vecs = Hashtbl.create 64;
+              phase = Idle;
+            }
+          in
+          dctxs.(d) <- Some c;
+          c
+    in
+    let main = domain_ctx 0 in
+    (* Per-state cache of {!Clock_enc.enabled_vec}, shared across
        observer phases. *)
-    let vec_ids = Hstore.create ~equal:a.Ioa.equal_state ~hash:a.Ioa.hash_state 64 in
-    let vecs : (int, bool array) Hashtbl.t = Hashtbl.create 64 in
-    let enabled_vec s =
-      let id = match Hstore.add vec_ids s with `Added i | `Present i -> i in
-      match Hashtbl.find_opt vecs id with
+    let enabled_vec dc s =
+      let id = match Hstore.add dc.vids s with `Added i | `Present i -> i in
+      match Hashtbl.find_opt dc.vecs id with
       | Some v -> v
       | None ->
           let v = Clock_enc.enabled_vec enc.cenc s in
-          Hashtbl.add vecs id v;
+          Hashtbl.add dc.vecs id v;
           v
     in
-    let scr = K.Scratch.create enc.nclocks in
-    (* One shared satisfiability probe over [scr]: building the partial
-       application here keeps the per-edge [observe] call closure-free. *)
-    let sat_scr i j b = K.Scratch.sat scr i j b in
     (* The main arena holds every stored zone's payload.  It is never
        reset: everything frozen into it on the sequential
        path, or copied into it by the commit loop, is a stored zone. *)
     let arena = K.Arena.create () in
     (* The one widening applied to every zone before it is stored —
        LU-bound extrapolation by default, classic max-constant when
-       disabled.  Uniform across kernels and across the sequential,
-       speculative and seeding paths, so [zones.stored] stays identical
-       by construction whatever the kernel or domain count. *)
+       disabled.  Every zone reaches it through [settle], whatever the
+       kernel or domain count, so [zones.stored] stays identical by
+       construction. *)
     let widen scr =
       match enc.lu with
       | Some (lower, upper) -> K.Scratch.extrapolate_lu ~lower ~upper scr
@@ -542,12 +565,19 @@ module Make (K : Dbm_sig.S) : S = struct
           Hashtbl.add cells id c;
           c
     in
-    (* Store one already-interned zone: subsumption (both directions
-       through the minimal-constraint forms), storing, inspection,
-       queueing.  All callers run on the main domain in sequential
-       commit order, so everything here is deterministic at any domain
-       count. *)
-    let add_interned s p z =
+    (* Store one zone, given the outcome of probing it against the
+       hash-consing store: subsumption (both directions through the
+       minimal-constraint forms), storing, inspection, queueing.  All
+       callers run on the main domain in sequential commit order, so
+       everything here is deterministic at any domain count. *)
+    let add_interned s p probe =
+      let z =
+        match probe with
+        | `Hit z ->
+            Metrics.incr c_zones_interned;
+            z
+        | `Miss z -> z
+      in
       let id = match Hstore.add store (s, p) with `Added i | `Present i -> i in
       let cell = cell_of id in
       if List.exists (fun e -> K.Min.subsumes e.zmin z) !cell then
@@ -596,35 +626,27 @@ module Make (K : Dbm_sig.S) : S = struct
         Metrics.set_max g_waiting_max (float_of_int !waiting)
       end
     in
-    (* Sequential path: the surviving successor is still in [scr].  It
-       is hashed and probed in place — a hit never copies the matrix at
-       all; a miss freezes exactly once, into the main arena. *)
+    (* Sequential path: the surviving successor is still in
+       [main.scr].  It is hashed and probed in place — a hit never
+       copies the matrix at all; a miss freezes exactly once, into the
+       main arena. *)
     let add_scratch s p =
+      let scr = main.scr in
       let h = K.Scratch.hash scr in
-      match
-        Hstore.intern_scratch zstore ~hash:h
-          ~equal:(K.Scratch.equal_zone scr)
-          ~freeze:(fun () -> K.Scratch.freeze_into ~hash:h arena scr)
-      with
-      | `Hit z ->
-          Metrics.incr c_zones_interned;
-          add_interned s p z
-      | `Miss z -> add_interned s p z
+      add_interned s p
+        (Hstore.intern_scratch zstore ~hash:h
+           ~equal:(K.Scratch.equal_zone scr)
+           ~freeze:(fun () -> K.Scratch.freeze_into ~hash:h arena scr))
     in
     (* Commit path: the speculated zone was frozen on a worker domain,
        into its per-domain arena.  Probe it against the store; only a
        genuine miss is copied into the main arena — the worker arenas
        rewind at the end of the batch. *)
     let add_spec s p z =
-      match
-        Hstore.intern_scratch zstore ~hash:(K.hash z)
-          ~equal:(fun k -> K.equal k z)
-          ~freeze:(fun () -> K.copy_into arena z)
-      with
-      | `Hit z ->
-          Metrics.incr c_zones_interned;
-          add_interned s p z
-      | `Miss z -> add_interned s p z
+      add_interned s p
+        (Hstore.intern_scratch zstore ~hash:(K.hash z)
+           ~equal:(fun k -> K.equal k z)
+           ~freeze:(fun () -> K.copy_into arena z))
     in
     (* The unfinished tail of the batch being drained: the entry under
        expansion plus the ones not yet reached.  Only a mid-batch
@@ -782,131 +804,91 @@ module Make (K : Dbm_sig.S) : S = struct
           ignore (save_snapshot ())
       | _ -> ()
     in
+    (* The one successor pipeline, in the paper's MMT encoding of
+       (A, b).  [settle] is its tail, shared with the seeds: reset the
+       classes that fire or become enabled, free the disabled ones,
+       apply the observer clock's operation, let time elapse under the
+       enabled classes' invariants [x_C <= b_u(C)], widen.  A seed is a
+       successor with [pre = post] and no firing class ([ci = -1]), so
+       it frees exactly the disabled classes.  [true] iff the zone left
+       in [dc.scr] is nonempty. *)
+    let settle dc ~ci pre post y_op =
+      let scr = dc.scr in
+      for i = 0 to nclasses - 1 do
+        if post.(i) then begin
+          if ci = i || not pre.(i) then K.Scratch.reset scr (i + 1)
+        end
+        else K.Scratch.free scr (i + 1)
+      done;
+      (match (enc.y, y_op) with
+      | Some y, `Reset -> K.Scratch.reset scr y
+      | Some y, `Free -> K.Scratch.free scr y
+      | Some _, `Keep | None, _ -> ());
+      K.Scratch.up scr;
+      for i = 0 to nclasses - 1 do
+        if post.(i) then
+          match enc.uppers.(i) with
+          | Some b -> K.Scratch.constrain scr (i + 1) 0 b
+          | None -> ()
+      done;
+      widen scr;
+      not (K.Scratch.is_empty scr)
+    in
+    (* One edge [s -act-> s'] out of zone [z]: load, guard
+       [x_C >= b_l(C)], observer, then [settle].  On [true] the
+       survivor is in [dc.scr] and its phase in [dc.phase] — a field
+       rather than a returned pair, so the sequential path allocates
+       nothing per edge.  Pure apart from [dc], which is why workers can
+       run it; an unsupported observer shape raises. *)
+    let successor dc s p pre z (act, gopt, ci) s' =
+      let scr = dc.scr in
+      K.Scratch.load scr z;
+      (match gopt with
+      | None -> ()
+      | Some (x, b) -> K.Scratch.constrain scr 0 x b);
+      (not (K.Scratch.is_empty scr))
+      &&
+      match observe p s act s' ~sat:dc.sat with
+      | Error m -> raise (Unsupported_shape m)
+      | Ok (p', y_op) ->
+          dc.phase <- p';
+          settle dc ~ci pre (enabled_vec dc s') y_op
+    in
+    let count_edge () =
+      incr edges;
+      Metrics.incr c_zone_edges;
+      check_deadline ()
+    in
     let expand s p pre z =
       Array.iter
-        (fun (act, gopt, ci) ->
+        (fun ((act, _, _) as g) ->
           List.iter
             (fun s' ->
-              incr edges;
-              Metrics.incr c_zone_edges;
-              check_deadline ();
-              K.Scratch.load scr z;
-              (match gopt with
-              | None -> ()
-              | Some (x, b) -> K.Scratch.constrain scr 0 x b);
-              if not (K.Scratch.is_empty scr) then begin
-                match observe p s act s' ~sat:sat_scr with
-                | Error m -> raise (Unsupported_shape m)
-                | Ok (p', y_op) ->
-                    let post = enabled_vec s' in
-                    for i = 0 to nclasses - 1 do
-                      if post.(i) then begin
-                        if ci = i || not pre.(i) then
-                          K.Scratch.reset scr (i + 1)
-                      end
-                      else K.Scratch.free scr (i + 1)
-                    done;
-                    (match (enc.y, y_op) with
-                    | Some y, `Reset -> K.Scratch.reset scr y
-                    | Some y, `Free -> K.Scratch.free scr y
-                    | Some _, `Keep | None, _ -> ());
-                    K.Scratch.up scr;
-                    for i = 0 to nclasses - 1 do
-                      if post.(i) then
-                        match enc.uppers.(i) with
-                        | Some b -> K.Scratch.constrain scr (i + 1) 0 b
-                        | None -> ()
-                    done;
-                    widen scr;
-                    if not (K.Scratch.is_empty scr) then add_scratch s' p'
-              end)
+              count_edge ();
+              if successor main s p pre z g s' then add_scratch s' main.phase)
             (a.Ioa.delta s act))
         enc.guards
     in
-    (* Parallel path: pure successor pipeline for one (entry, guard)
-       pair, mirroring [expand]'s inner loop op for op but recording
-       outcomes instead of committing them.  Runs on worker domains;
-       exceptions from [observe] (violation witnesses use local
-       exceptions) are captured and re-raised at the commit point. *)
-    let dctxs =
-      Array.make (match pool with Some p -> Pool.size p | None -> 1) None
-    in
-    let domain_ctx d =
-      match dctxs.(d) with
-      | Some c -> c
-      | None ->
-          let dscr = K.Scratch.create enc.nclocks in
-          let c =
-            {
-              dscr;
-              darena = K.Arena.create ();
-              dvids =
-                Hstore.create ~equal:a.Ioa.equal_state ~hash:a.Ioa.hash_state
-                  64;
-              dvecs = Hashtbl.create 64;
-              dsat = (fun i j b -> K.Scratch.sat dscr i j b);
-            }
-          in
-          dctxs.(d) <- Some c;
-          c
-    in
-    let denabled_vec dc s' =
-      let id =
-        match Hstore.add dc.dvids s' with `Added i | `Present i -> i
-      in
-      match Hashtbl.find_opt dc.dvecs id with
-      | Some v -> v
-      | None ->
-          let v = Clock_enc.enabled_vec enc.cenc s' in
-          Hashtbl.add dc.dvecs id v;
-          v
-    in
-    let speculate dc s p pre z (act, gopt, ci) =
+    (* Parallel path: the same pipeline for one (entry, guard) pair on
+       a worker domain, recording outcomes instead of committing them.
+       Anything the pipeline raises — a violation witness from
+       [observe], an unsupported shape — is captured and re-raised at
+       the commit point, in sequential order. *)
+    let speculate dc s p pre z ((act, _, _) as g) =
       List.map
         (fun s' ->
-          let scr = dc.dscr in
-          K.Scratch.load scr z;
-          (match gopt with
-          | None -> ()
-          | Some (x, b) -> K.Scratch.constrain scr 0 x b);
-          if K.Scratch.is_empty scr then `Skip
-          else
-            match observe p s act s' ~sat:dc.dsat with
-            | exception ex -> `Raised ex
-            | Error m -> `Unsup m
-            | Ok (p', y_op) ->
-                let post = denabled_vec dc s' in
-                for i = 0 to nclasses - 1 do
-                  if post.(i) then begin
-                    if ci = i || not pre.(i) then K.Scratch.reset scr (i + 1)
-                  end
-                  else K.Scratch.free scr (i + 1)
-                done;
-                (match (enc.y, y_op) with
-                | Some y, `Reset -> K.Scratch.reset scr y
-                | Some y, `Free -> K.Scratch.free scr y
-                | Some _, `Keep | None, _ -> ());
-                K.Scratch.up scr;
-                for i = 0 to nclasses - 1 do
-                  if post.(i) then
-                    match enc.uppers.(i) with
-                    | Some b -> K.Scratch.constrain scr (i + 1) 0 b
-                    | None -> ()
-                done;
-                widen scr;
-                if K.Scratch.is_empty scr then `Dead
-                else
-                  `Succ (s', p', K.Scratch.freeze_into dc.darena scr))
+          match successor dc s p pre z g s' with
+          | true ->
+              `Succ (s', dc.phase, K.Scratch.freeze_into dc.spec_arena dc.scr)
+          | false -> `Skip
+          | exception ex -> `Raised ex)
         (a.Ioa.delta s act)
     in
     (* Sequential-order replay of one speculated edge. *)
     let commit_edge out =
-      incr edges;
-      Metrics.incr c_zone_edges;
-      check_deadline ();
+      count_edge ();
       match out with
-      | `Skip | `Dead -> ()
-      | `Unsup m -> raise (Unsupported_shape m)
+      | `Skip -> ()
       | `Raised ex -> raise ex
       | `Succ (s', p', z) -> add_spec s' p' z
     in
@@ -944,7 +926,7 @@ module Make (K : Dbm_sig.S) : S = struct
          main arena, so whatever the workers froze this batch is now
          discarded speculative work — rewind the per-domain arenas. *)
       Array.iter
-        (function Some dc -> K.Arena.reset dc.darena | None -> ())
+        (function Some dc -> K.Arena.reset dc.spec_arena | None -> ())
         dctxs
     in
     let result =
@@ -954,24 +936,11 @@ module Make (K : Dbm_sig.S) : S = struct
         | None ->
             List.iter
               (fun s0 ->
-                K.Scratch.load scr z_init;
-                let v0 = enabled_vec s0 in
-                for i = 0 to nclasses - 1 do
-                  if not v0.(i) then K.Scratch.free scr (i + 1)
-                done;
+                K.Scratch.load main.scr z_init;
+                let v0 = enabled_vec main s0 in
                 let p0 = initial_phase s0 in
-                (match enc.y with
-                | Some y when p0 = Idle -> K.Scratch.free scr y
-                | Some _ | None -> ());
-                K.Scratch.up scr;
-                for i = 0 to nclasses - 1 do
-                  if v0.(i) then
-                    match enc.uppers.(i) with
-                    | Some b -> K.Scratch.constrain scr (i + 1) 0 b
-                    | None -> ()
-                done;
-                widen scr;
-                if not (K.Scratch.is_empty scr) then add_scratch s0 p0)
+                let y_op = match p0 with Idle -> `Free | Armed -> `Keep in
+                if settle main ~ci:(-1) v0 v0 y_op then add_scratch s0 p0)
               a.Ioa.start);
         while
           boundary_checks ();
@@ -1000,7 +969,7 @@ module Make (K : Dbm_sig.S) : S = struct
               batch
           in
           let s, p = Hstore.key_of_id store id in
-          let pre = enabled_vec s in
+          let pre = enabled_vec main s in
           batch_loc := id;
           batch_left := batch;
           (match pool with
@@ -1090,50 +1059,44 @@ module Make (K : Dbm_sig.S) : S = struct
   let span_args domains =
     [ ("domains", string_of_int (match domains with Some d -> max 1 d | None -> 1)) ]
 
-  let reachable ?limit ?deadline_s ?domains ?checkpoint ?resume
-      (a : ('s, 'a) Ioa.t) bm =
-    Tracing.with_span "zones.reachable" ~args:(span_args domains) @@ fun () ->
+  (* The driver shared by the two observer-free checks: no observer
+     clock, every phase [Idle], [visit] sees each stored state. *)
+  let explore_states ~span ~kind ?limit ?deadline_s ?domains ?checkpoint
+      ?resume (a : ('s, 'a) Ioa.t) bm (visit : 's -> unit) =
+    Tracing.with_span span ~args:(span_args domains) @@ fun () ->
     let enc = make_enc a bm ~with_observer:false ~cond_bounds:None in
-    let fingerprint = fingerprint_of ~kind:"reachable" bm enc in
-    let seen = ref [] in
-    let inspect _ s _ =
-      if not (List.exists (a.Ioa.equal_state s) !seen) then seen := s :: !seen
-    in
+    let fingerprint = fingerprint_of ~kind bm enc in
     match
       with_domains domains @@ fun pool ->
       explore ?limit ?deadline_s ?pool ?checkpoint ?resume ~fingerprint enc
         ~initial_phase:(fun _ -> Idle)
         ~observe:keep_phase
-        ~inspect
+        ~inspect:(fun _ s _ -> visit s)
     with
-    | Ok stats -> (stats, List.rev !seen)
+    | Ok stats -> stats
     | Error (`Unsupported m) -> raise (Open_system m)
     | Error (`Budget e) -> raise (Out_of_budget e)
 
-  let check_state_invariant ?limit ?deadline_s ?domains ?checkpoint ?resume
-      (a : ('s, 'a) Ioa.t) bm pred =
-    Tracing.with_span "zones.check_state_invariant" ~args:(span_args domains)
-    @@ fun () ->
-    let enc = make_enc a bm ~with_observer:false ~cond_bounds:None in
-    let fingerprint = fingerprint_of ~kind:"invariant" bm enc in
-    let bad = ref None in
-    let exception Found in
+  let reachable ?limit ?deadline_s ?domains ?checkpoint ?resume a bm =
+    let seen = ref [] in
+    let stats =
+      explore_states ~span:"zones.reachable" ~kind:"reachable" ?limit
+        ?deadline_s ?domains ?checkpoint ?resume a bm (fun s ->
+          if not (List.exists (a.Ioa.equal_state s) !seen) then
+            seen := s :: !seen)
+    in
+    (stats, List.rev !seen)
+
+  let check_state_invariant (type s) ?limit ?deadline_s ?domains ?checkpoint
+      ?resume (a : (s, _) Ioa.t) bm pred =
+    let exception Found of s in
     match
-      with_domains domains @@ fun pool ->
-      explore ?limit ?deadline_s ?pool ?checkpoint ?resume ~fingerprint enc
-        ~initial_phase:(fun _ -> Idle)
-        ~observe:keep_phase
-        ~inspect:(fun _ s _ ->
-          if not (pred s) then begin
-            bad := Some s;
-            raise Found
-          end)
+      explore_states ~span:"zones.check_state_invariant" ~kind:"invariant"
+        ?limit ?deadline_s ?domains ?checkpoint ?resume a bm (fun s ->
+          if not (pred s) then raise (Found s))
     with
-    | exception Found -> (
-        match !bad with Some s -> Error s | None -> assert false)
-    | Ok stats -> Ok stats
-    | Error (`Unsupported m) -> raise (Open_system m)
-    | Error (`Budget e) -> raise (Out_of_budget e)
+    | stats -> Ok stats
+    | exception Found s -> Error s
 
   let check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume
       (a : ('s, 'a) Ioa.t) bm (c : ('s, 'a) Condition.t) =

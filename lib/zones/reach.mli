@@ -20,9 +20,10 @@
     bounds dominate every constraint and probe the engine evaluates.  A
     clock compared against nothing on a side is unbounded there, which
     erases inactive clocks from zones entirely (clock-activity
-    reduction).  The widening is applied uniformly by all kernels and
-    on the sequential, speculative and seeding paths, so [zones.stored]
-    stays kernel- and domain-independent.  Setting [TM_NO_LU=1] in the
+    reduction).  Every zone, initial or successor, passes through one
+    successor pipeline that ends in this widening, whatever the kernel
+    or domain count, so [zones.stored] stays kernel- and
+    domain-independent.  Setting [TM_NO_LU=1] in the
     environment falls back to max-constant extrapolation (verdicts must
     not change — the metamorphic suite in test/ checks exactly that);
     the widening mode is part of the checkpoint fingerprint, so
@@ -133,10 +134,12 @@ exception Out_of_budget of exhausted
 
     Every entry point also takes [?domains] (default 1): with
     [domains > 1] the exploration runs on a [Tm_par.Pool] of that many
-    domains in speculate-then-commit style — successor DBM pipelines
-    are computed in parallel on per-domain scratch arenas and
-    enabled-vector caches, and the main domain replays the results in
-    exact sequential order.  Verdicts, the reachable base-state set,
+    domains in speculate-then-commit style — the one successor
+    pipeline that the sequential path runs is computed in parallel on
+    per-domain scratch arenas and enabled-vector caches, and the main
+    domain replays the results in exact sequential order (anything the
+    pipeline raises on a worker, such as an unsupported condition
+    shape, is re-raised at its place in that order).  Verdicts, the reachable base-state set,
     and every counter ([zones.stored], [zones.subsumed], edge counts,
     deterministic budget exhaustion) are bit-identical to [domains = 1]
     at any domain count; only wall-clock time changes.

@@ -195,6 +195,71 @@ let budget_discipline_parallel () =
     domain_counts
 
 (* ------------------------------------------------------------------ *)
+(* Observer-free invariants and unsupported condition shapes.          *)
+
+let invariant_domain_invariance () =
+  let check ~a ~b d =
+    let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a ~b ~b2:(b + 1) ~e:2 in
+    Reach.Auto.check_state_invariant ~domains:d (F.system p) (F.boundmap p)
+      F.mutual_exclusion
+  in
+  (* pinned per widening mode: CI runs the suite again under TM_NO_LU=1 *)
+  let stats =
+    match Sys.getenv_opt "TM_NO_LU" with
+    | Some ("1" | "true" | "yes") -> [ 138; 913; 2460 ]
+    | _ -> [ 138; 337; 882 ]
+  in
+  let broken_at_1 = check ~a:3 ~b:2 1 in
+  List.iter
+    (fun d ->
+      (match check ~a:1 ~b:2 d with
+      | Ok st ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "fischer n=3 stats at %d domains" d)
+            stats
+            [ st.Reach.locations; st.Reach.zones; st.Reach.edges ]
+      | Error _ -> Alcotest.failf "fischer n=3 violated at %d domains" d);
+      match check ~a:3 ~b:2 d with
+      | Error s ->
+          Alcotest.(check bool)
+            (Printf.sprintf "offending state breaks mutex at %d domains" d)
+            false (F.mutual_exclusion s);
+          Alcotest.(check bool)
+            (Printf.sprintf "same offending state at %d domains" d)
+            true
+            (broken_at_1 = Error s)
+      | Ok _ -> Alcotest.failf "broken fischer held at %d domains" d)
+    domain_counts
+
+(* A trigger that fires again on a non-Π action while the observer is
+   armed needs the paper's deadline merge, which the engine reports as
+   unsupported.  Under a pool the shape is met on a worker domain and
+   must surface from the commit loop unchanged. *)
+let unsupported_domain_invariance () =
+  let p = RM.params_of_ints ~k:3 ~c1:2 ~c2:3 ~l:1 in
+  let retrigger =
+    Condition.make ~name:"retrigger"
+      ~t_step:(fun _ act _ -> act = RM.Tick)
+      ~bounds:(Interval.make Rational.zero Time.Inf)
+      ~in_pi:(fun act -> act = RM.Grant)
+      ()
+  in
+  List.iter
+    (fun d ->
+      match
+        Reach.Auto.check_condition ~domains:d (RM.system p) (RM.boundmap p)
+          retrigger
+      with
+      | Reach.Unsupported m ->
+          Alcotest.(check string)
+            (Printf.sprintf "unsupported message at %d domains" d)
+            "trigger fired while armed with a non-Pi action (needs deadline \
+             merge)"
+            m
+      | _ -> Alcotest.failf "re-trigger not reported unsupported at %d" d)
+    domain_counts
+
+(* ------------------------------------------------------------------ *)
 (* Hstore ownership and Boundmap ordering.                             *)
 
 let hstore_cross_domain_raises () =
@@ -248,6 +313,10 @@ let suite =
       batch_domain_invariance;
     Alcotest.test_case "budget: UNKNOWN, never VERIFIED, stats merge" `Quick
       budget_discipline_parallel;
+    Alcotest.test_case "invariant: stats and witness identical at 1/2/4"
+      `Quick invariant_domain_invariance;
+    Alcotest.test_case "condition: unsupported shape identical at 1/2/4"
+      `Quick unsupported_domain_invariance;
     Alcotest.test_case "hstore: single-domain ownership enforced" `Quick
       hstore_cross_domain_raises;
     Alcotest.test_case "boundmap: to_list sorted" `Quick
