@@ -53,18 +53,6 @@ let q = Rational.of_int
    event stream so saved artifacts are self-describing. *)
 let version = "1.1.0"
 
-(* One checkpointable verification item: a label for reports, the job
-   fingerprint its snapshots carry (so [run --resume] can route a file
-   to the right item), and the check itself.  [vi_run] prints any
-   definite verdict and returns [Some e] when it exhausted a budget or
-   was interrupted — the caller (plain [verify] or the supervised
-   [run]) decides what to do with the exhaustion. *)
-type vitem = {
-  vi_label : string;
-  vi_fingerprint : unit -> string;
-  vi_run : resume:string option -> limit:int option -> Reach.exhausted option;
-}
-
 (* Graceful-degradation budgets, set by --budget-states / --budget-ms
    on the subcommands that explore: zone runs pass them to Reach, the
    exact analysis to Tgraph, the simulator to its watchdog.  A budgeted
@@ -180,154 +168,76 @@ let outcome_line label check (o : Catalog.outcome) =
       in
       Printf.sprintf "%s: %s at %s" item phrase s
 
-(* The model's checks as verification items, in order.  A note is
-   informational: it runs without budgets or checkpoints, so its
-   fingerprint never matches a resume file and it never reports
-   UNKNOWN. *)
-let vitems (model : Registry.model) =
+(* Run the model's checks in order and print each verdict; [verify] is
+   this loop with one attempt and no resume.  Every check but a note
+   runs through {!Catalog.supervise} under the CLI policy with the
+   global budgets; a note is informational: unbudgeted, never UNKNOWN.
+   [resume] routes a snapshot to the item whose fingerprint it carries.
+   The items before it replay for their output only, with no checkpoint
+   path, so they cannot overwrite or delete the snapshot.  An item that
+   gives up with a checkpoint stops the loop: the file is its own. *)
+let verify_model ~attempts ~backoff_s ~resume (model : Registry.model) =
   let (Registry.Verified v) = model.Registry.verified in
-  List.map
-    (fun check ->
-      let run ~resume ~limit =
-        match check with
-        | Registry.Note _ ->
-            Catalog.run_check !engine ~domains:!ndomains v check
-        | _ ->
-            Catalog.run_check !engine ?limit ?deadline_s:!budget_s
-              ~domains:!ndomains ?checkpoint:(ckpt ()) ?resume v check
-      in
-      {
-        vi_label = Registry.check_label model.Registry.label check;
-        vi_fingerprint =
-          (fun () -> Catalog.check_fingerprint !engine v check);
-        vi_run =
-          (fun ~resume ~limit ->
-            match (run ~resume ~limit, check) with
-            | Ok o, _ ->
-                Format.printf "%s@."
-                  (outcome_line model.Registry.label check o);
-                None
-            | Error _, Registry.Note n ->
-                Format.printf "%s: other@." n.label;
-                None
-            | Error e, _ -> Some e);
-      })
-    v.Registry.checks
-
-(* Plain [verify]: run the items in order with the global budgets.  An
-   exhaustion that left a checkpoint behind (or a cooperative
-   interrupt) stops the remaining items — the snapshot on disk belongs
-   to the item that stopped, and [run --resume] re-runs the earlier
-   items fresh so the combined output matches an uninterrupted
-   verify. *)
-let verify_items items =
-  let stop = ref false in
-  List.iter
-    (fun it ->
-      if not !stop then
-        match it.vi_run ~resume:None ~limit:!budget_states with
-        | None -> if Supervisor.interrupt_requested () then stop := true
-        | Some e ->
-            report_unknown it.vi_label e;
-            if e.Reach.checkpoint <> None || Supervisor.interrupt_requested ()
-            then stop := true)
-    items
-
-(* ------------------------------------------------------------------ *)
-(* supervised runs: [timedmap run] *)
-
-let zones_of_info info =
-  try Scanf.sscanf info "zones=%d" (fun z -> z) with _ -> 0
-
-(* Run one verification item under the retry policy.  Attempts chain
-   through checkpoints: when an attempt exhausts its budget but left a
-   snapshot behind, the next attempt resumes from it with the zone
-   limit re-based on the restored progress, so every attempt gets
-   [--budget-states] fresh zones.  A deterministic exhaustion with no
-   checkpoint to chain cannot make progress and is reported directly;
-   a cooperative interrupt is never retried. *)
-let run_supervised ~attempts ~backoff_s (it : vitem) ~resume0 =
-  let next_resume = ref resume0 in
-  let last_exhausted : Reach.exhausted option ref = ref None in
-  let attempt ~attempt:_ =
-    let resume = !next_resume in
-    let limit =
-      match (!budget_states, resume) with
-      | Some b, Some path ->
-          let _, info = Snapshot.inspect path in
-          Some (zones_of_info info + b)
-      | Some b, None -> Some b
-      | None, _ -> None
-    in
-    match it.vi_run ~resume ~limit with
-    | None -> Supervisor.Done ()
-    | Some (e : Reach.exhausted) ->
-        last_exhausted := Some e;
-        (match e.Reach.checkpoint with
-        | Some _ as ck -> next_resume := ck
-        | None -> ());
-        if Supervisor.interrupt_requested () then begin
-          (* The user asked to stop: report, keep the checkpoint for a
-             later [run --resume], never retry. *)
-          report_unknown it.vi_label e;
-          Supervisor.Done ()
-        end
-        else if e.Reach.checkpoint <> None then Supervisor.Transient e.Reach.reason
-        else if
-          String.length e.Reach.reason >= 8
-          && String.equal (String.sub e.Reach.reason 0 8) "deadline"
-        then Supervisor.Transient e.Reach.reason
-        else begin
-          report_unknown it.vi_label e;
-          Supervisor.Done ()
-        end
+  let label = model.Registry.label in
+  let items =
+    List.map (fun c -> (c, Catalog.check_job !engine ~label v c)) v.checks
   in
-  let on_retry ~attempt ~delay_s ~reason =
-    Format.eprintf "run: %s: attempt %d gave up (%s); retrying in %.1fs@."
-      it.vi_label attempt reason delay_s
-  in
-  match Supervisor.with_retries ~attempts ~backoff_s ~on_retry attempt with
-  | Ok () -> ()
-  | Error reason -> (
-      match !last_exhausted with
-      | Some e -> report_unknown it.vi_label e
-      | None ->
-          had_unknown := true;
-          Format.printf "%s: UNKNOWN — %s@." it.vi_label reason)
-
-let supervise_items ~attempts ~backoff_s ~resume items =
-  let resume_for =
-    match resume with
-    | None -> None
-    | Some path ->
+  let routed =
+    Option.map
+      (fun path ->
         let fp, info = Snapshot.inspect path in
-        let rec find i = function
-          | [] -> None
-          | it :: rest ->
-              if String.equal (it.vi_fingerprint ()) fp then Some i
-              else find (i + 1) rest
-        in
-        (match find 0 items with
+        match
+          List.find_index
+            (fun (_, (j : _ Catalog.job)) -> String.equal j.fingerprint fp)
+            items
+        with
         | Some i ->
-            Log.info "resuming %s from %s (%s)" (List.nth items i).vi_label
+            Log.info "resuming %s from %s (%s)" (snd (List.nth items i)).label
               path info;
-            Some (i, path)
+            (i, path)
         | None ->
             Format.eprintf
               "run: snapshot %s does not belong to any verification item of \
                this job (snapshot fingerprint: %s)@."
               path fp;
             exit 2)
+      resume
   in
+  let on_retry what ~attempt ~delay_s ~reason =
+    Format.eprintf "run: %s: attempt %d gave up (%s); retrying in %.1fs@."
+      what attempt reason delay_s
+  in
+  let stop = ref false in
   List.iteri
-    (fun i it ->
-      if not (Supervisor.interrupt_requested ()) then
-        let resume0 =
-          match resume_for with
-          | Some (j, path) when j = i -> Some path
-          | _ -> None
-        in
-        run_supervised ~attempts ~backoff_s it ~resume0)
+    (fun i (check, (job : _ Catalog.job)) ->
+      if not (!stop || Supervisor.interrupt_requested ()) then
+        let print o = Format.printf "%s@." (outcome_line label check o) in
+        match check with
+        | Registry.Note n -> (
+            match
+              job.exec ~limit:None ~deadline_s:None ~domains:!ndomains
+                ~checkpoint:None ~resume:None
+            with
+            | Ok o -> print o
+            | Error _ -> Format.printf "%s: other@." n.label)
+        | _ -> (
+            let checkpoint, resume =
+              match routed with
+              | Some (r, _) when i < r -> (None, None)
+              | Some (r, path) when i = r -> (ckpt (), Some path)
+              | _ -> (ckpt (), None)
+            in
+            match
+              Catalog.supervise Catalog.cli_policy ~attempts ~backoff_s
+                ~on_retry:(on_retry job.label) ?limit:!budget_states
+                ?deadline_s:!budget_s ~domains:!ndomains ?checkpoint ?resume
+                job
+            with
+            | Ok o -> print o
+            | Error (`Exhausted e) ->
+                report_unknown job.label e;
+                if e.Reach.checkpoint <> None then stop := true
+            | Error (`Crashed m) -> failwith m (* not under the CLI policy *)))
     items
 
 (* ------------------------------------------------------------------ *)
@@ -763,13 +673,10 @@ let simple_cmd name ~doc body =
 
 let engine_arg =
   let engine_conv =
-    let parse = function
-      | ("auto" | "ref" | "paranoid") as name -> Ok name
-      | other ->
-          Error
-            (`Msg
-              (Printf.sprintf "unknown engine %S (auto | ref | paranoid)"
-                 other))
+    let parse name =
+      match Catalog.engine_of name with
+      | Ok _ -> Ok name
+      | Error m -> Error (`Msg m)
     in
     Arg.conv (parse, Format.pp_print_string)
   in
@@ -836,7 +743,8 @@ let verify_cmd =
     set_engine ename;
     with_obs "verify" obs (fun () ->
         Format.printf "%s@." model.Registry.describe;
-        Supervisor.graceful (fun () -> verify_items (vitems model)));
+        Supervisor.graceful (fun () ->
+            verify_model ~attempts:1 ~backoff_s:0. ~resume:None model));
     if !had_unknown then exit 4
   in
   Cmd.v
@@ -855,8 +763,9 @@ let run_cmd =
             "Resume from a checkpoint written by a previous interrupted \
              or budget-exhausted run. The snapshot's job fingerprint \
              routes it to the matching verification item; earlier items \
-             re-run from scratch, so the combined output matches an \
-             uninterrupted $(b,verify) of the same system.")
+             re-run from scratch without a checkpoint, so the combined \
+             output matches an uninterrupted $(b,verify) of the same \
+             system.")
   in
   let attempts_arg =
     checked (fun n -> n >= 1) "--attempts must be >= 1"
@@ -866,7 +775,8 @@ let run_cmd =
             ~doc:
               "Give each verification item up to $(docv) attempts; only \
                failures that can make progress (a checkpoint to chain \
-               from, or a wall-clock deadline) are retried.")
+               from, or a wall-clock deadline) are retried. An item that \
+               gives up with a checkpoint stops the run.")
   in
   let backoff_arg =
     checked (fun ms -> ms >= 0.) "--backoff-ms must be >= 0"
@@ -887,8 +797,8 @@ let run_cmd =
     with_obs "run" obs (fun () ->
         Format.printf "%s@." model.Registry.describe;
         Supervisor.graceful (fun () ->
-            supervise_items ~attempts ~backoff_s:(backoff_ms /. 1000.) ~resume
-              (vitems model)));
+            verify_model ~attempts ~backoff_s:(backoff_ms /. 1000.) ~resume
+              model));
     if !had_unknown then exit 4
   in
   Cmd.v

@@ -12,12 +12,13 @@ module Simulator = Tm_sim.Simulator
 module Strategy = Tm_sim.Strategy
 module Margin = Tm_faults.Margin
 module Registry = Tm_systems.Registry
+module Supervisor = Tm_recover.Supervisor
+module Snapshot = Tm_recover.Snapshot
 
-type job = {
+type 'r job = {
   label : string;
   op : string;
   fingerprint : string;
-  checkpointable : bool;
   req_limit : int option;
   req_deadline_s : float option;
   exec :
@@ -26,7 +27,7 @@ type job = {
     domains:int ->
     checkpoint:(string * int) option ->
     resume:string option ->
-    (Json.t, Reach.exhausted) result;
+    ('r, Reach.exhausted) result;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -64,38 +65,47 @@ type outcome =
   | Invariant_ok of Reach.stats
   | Invariant_violated of string
 
-let run_check (type s a) (module E : Reach.S) ?limit ?deadline_s ~domains
-    ?checkpoint ?resume (v : (s, a) Registry.verified)
-    (check : (s, a) Registry.check) =
-  let sys = v.Registry.system and bm = v.Registry.boundmap in
-  match check with
-  | Registry.Cond c | Registry.Note { cond = c; _ } -> (
-      match
-        E.check_condition ?limit ?deadline_s ~domains ?checkpoint ?resume sys
-          bm c
-      with
-      | Reach.Verified stats ->
-          Ok (Verified { bounds = c.Condition.bounds; stats })
-      | Reach.Lower_violation st -> Ok (Lower_violation st)
-      | Reach.Upper_violation st -> Ok (Upper_violation st)
-      | Reach.Unsupported m -> Ok (Unsupported m)
-      | Reach.Unknown e -> Error e)
-  | Registry.Inv { pred; _ } -> (
-      match
-        E.check_state_invariant ?limit ?deadline_s ~domains ?checkpoint
-          ?resume sys bm pred
-      with
-      | Ok st -> Ok (Invariant_ok st)
-      | Error s ->
-          Ok (Invariant_violated (Format.asprintf "%a" sys.Ioa.pp_state s))
-      | exception Reach.Out_of_budget e -> Error e)
-
-let check_fingerprint (type s a) (module E : Reach.S)
+let check_job (type s a) (module E : Reach.S) ~label
     (v : (s, a) Registry.verified) (check : (s, a) Registry.check) =
-  match check with
-  | Registry.Cond c -> E.fingerprint_condition v.system v.boundmap c
-  | Registry.Inv _ -> E.fingerprint_invariant v.system v.boundmap
-  | Registry.Note { label; _ } -> "informational:" ^ label
+  let sys = v.Registry.system and bm = v.Registry.boundmap in
+  let condition c ~limit ~deadline_s ~domains ~checkpoint ~resume =
+    match
+      E.check_condition ?limit ?deadline_s ~domains ?checkpoint ?resume sys
+        bm c
+    with
+    | Reach.Verified stats ->
+        Ok (Verified { bounds = c.Condition.bounds; stats })
+    | Reach.Lower_violation st -> Ok (Lower_violation st)
+    | Reach.Upper_violation st -> Ok (Upper_violation st)
+    | Reach.Unsupported m -> Ok (Unsupported m)
+    | Reach.Unknown e -> Error e
+  in
+  let invariant pred ~limit ~deadline_s ~domains ~checkpoint ~resume =
+    match
+      E.check_state_invariant ?limit ?deadline_s ~domains ?checkpoint ?resume
+        sys bm pred
+    with
+    | Ok st -> Ok (Invariant_ok st)
+    | Error s ->
+        Ok (Invariant_violated (Format.asprintf "%a" sys.Ioa.pp_state s))
+    | exception Reach.Out_of_budget e -> Error e
+  in
+  let fingerprint, exec =
+    match check with
+    | Registry.Cond c -> (E.fingerprint_condition sys bm c, condition c)
+    | Registry.Inv { pred; _ } ->
+        (E.fingerprint_invariant sys bm, invariant pred)
+    | Registry.Note { label; cond; _ } ->
+        ("informational:" ^ label, condition cond)
+  in
+  {
+    label = Registry.check_label label check;
+    op = "verify";
+    fingerprint;
+    req_limit = None;
+    req_deadline_s = None;
+    exec;
+  }
 
 (* Verdict documents.  Field order is fixed, so re-rendering the same
    outcome yields byte-identical JSON — the cache equality the tests
@@ -254,13 +264,12 @@ let of_request ?(default_engine = "auto") req =
       in
       let limit = int_field "limit" req in
       let deadline_s = float_field "deadline_s" req in
-      let job label ~fingerprint ~checkpointable exec =
+      let job label ~fingerprint exec =
         Ok
           {
             label;
             op;
             fingerprint;
-            checkpointable;
             req_limit = limit;
             req_deadline_s = deadline_s;
             exec;
@@ -283,19 +292,15 @@ let of_request ?(default_engine = "auto") req =
                 (Printf.sprintf "item %d out of range (%s has %d items)" idx
                    system (List.length checks))
           | Some check ->
-              let item = Registry.check_label model.label check in
-              job item
-                ~fingerprint:(check_fingerprint engine v check)
-                ~checkpointable:true
+              let j = check_job engine ~label:model.label v check in
+              job j.label ~fingerprint:j.fingerprint
                 (fun ~limit ~deadline_s ~domains ~checkpoint ~resume ->
-                  Result.map (outcome_json ~item)
-                    (run_check engine ?limit ?deadline_s ~domains ?checkpoint
-                       ?resume v check)))
+                  Result.map (outcome_json ~item:j.label)
+                    (j.exec ~limit ~deadline_s ~domains ~checkpoint ~resume)))
       | "margin" ->
           let (Registry.Verified v) = model.Registry.verified in
           job (system ^ " margin")
             ~fingerprint:(margin_fingerprint engine v ~limit ~deadline_s)
-            ~checkpointable:false
             (fun ~limit ~deadline_s ~domains ~checkpoint:_ ~resume:_ ->
               let reports =
                 margin_reports engine ?limit ?deadline_s ~domains model
@@ -323,7 +328,6 @@ let of_request ?(default_engine = "auto") req =
                  "tmsim1|system=%s|%s|steps=%d|strategy=%s|seed=%d%s" system
                  paramstr steps sname seed
                  (budget_suffix ~limit:None ~deadline_s))
-            ~checkpointable:false
             (fun ~limit:_ ~deadline_s ~domains:_ ~checkpoint:_ ~resume:_ ->
               Ok
                 (simulate_json ~item:(system ^ " simulate") s ~steps
@@ -336,3 +340,83 @@ let of_request ?(default_engine = "auto") req =
                 shutdown)"
                other))
   | _ -> Error "request must be a JSON object"
+
+(* ------------------------------------------------------------------ *)
+(* the supervised runner *)
+
+type policy = {
+  retry_deadline : bool;
+  contain : bool;
+  jitter_max_s : float option;
+  interrupted : string;
+}
+
+let cli_policy =
+  {
+    retry_deadline = true;
+    contain = false;
+    jitter_max_s = None;
+    interrupted = "interrupted (SIGINT/SIGTERM)";
+  }
+
+let daemon_policy =
+  {
+    retry_deadline = false;
+    contain = true;
+    jitter_max_s = Some 2.0;
+    interrupted = "interrupted: daemon shutting down";
+  }
+
+type failure = [ `Exhausted of Reach.exhausted | `Crashed of string ]
+
+let supervise policy ~attempts ~backoff_s ?on_retry ?limit ?deadline_s
+    ~domains ?checkpoint ?resume job =
+  let resume = ref resume and last = ref None in
+  let stop f = Supervisor.Done (Error f) in
+  let retry f reason =
+    last := Some f;
+    Supervisor.Transient reason
+  in
+  (* an interrupt that keeps an attempt from running reports the
+     progress so far and the checkpoint that holds it *)
+  let interrupted () =
+    let partial =
+      match !last with
+      | Some (`Exhausted (e : Reach.exhausted)) -> e.partial
+      | _ -> { Reach.locations = 0; zones = 0; edges = 0 }
+    in
+    stop
+      (`Exhausted
+        { Reach.reason = policy.interrupted; partial; checkpoint = !resume })
+  in
+  let attempt ~attempt:_ =
+    if Supervisor.interrupt_requested () then interrupted ()
+    else
+      match
+        job.exec ~limit ~deadline_s ~domains ~checkpoint ~resume:!resume
+      with
+      | Ok r -> Supervisor.Done (Ok r)
+      | Error (e : Reach.exhausted) ->
+          if e.checkpoint <> None then resume := e.checkpoint;
+          if Supervisor.interrupt_requested () then stop (`Exhausted e)
+          else if
+            e.checkpoint <> None
+            || policy.retry_deadline
+               && String.starts_with ~prefix:"deadline" e.reason
+          then retry (`Exhausted e) e.reason
+          else stop (`Exhausted e)
+      | exception Supervisor.Interrupted when policy.contain -> interrupted ()
+      | exception ex when policy.contain ->
+          let m = Printexc.to_string ex in
+          retry (`Crashed m) m
+  in
+  (* decorrelated jitter, deterministically seeded per fingerprint: a
+     fleet of retries spreads out, a repeated run replays exactly *)
+  let seed = Snapshot.crc32 (Bytes.of_string job.fingerprint) in
+  let jitter = Option.map (fun _ -> Prng.create seed) policy.jitter_max_s in
+  match
+    Supervisor.with_retries ~attempts ~backoff_s ?jitter
+      ?max_backoff_s:policy.jitter_max_s ?on_retry attempt
+  with
+  | Ok r -> r
+  | Error _ -> Error (Option.get !last)

@@ -1,6 +1,7 @@
 (** Request catalog: parse a job request into a runnable, fingerprinted
-    job, and the runners both the daemon and the CLI use to check, probe
-    and simulate a {!Tm_systems.Registry} model.
+    job, the runners both the daemon and the CLI use to check, probe
+    and simulate a {!Tm_systems.Registry} model, and {!supervise}, the
+    one attempt loop that retries and resumes their verification jobs.
 
     A request is a JSON object:
 
@@ -32,12 +33,10 @@
 module Reach = Tm_zones.Reach
 module Registry = Tm_systems.Registry
 
-type job = {
+type 'r job = {
   label : string;  (** human name for logs and responses *)
   op : string;
   fingerprint : string;
-  checkpointable : bool;
-      (** verify jobs resume from checkpoints; margin/simulate rerun *)
   req_limit : int option;  (** the budgets the request asked for; the *)
   req_deadline_s : float option;  (** server clamps them to its caps *)
   exec :
@@ -46,14 +45,14 @@ type job = {
     domains:int ->
     checkpoint:(string * int) option ->
     resume:string option ->
-    (Tm_obs.Json.t, Reach.exhausted) result;
-      (** Run the job.  [Ok verdict] is cacheable and definite;
+    ('r, Reach.exhausted) result;
+      (** Run the job once.  [Ok r] is definite (the daemon caches it);
           [Error e] is a budget exhaustion / cooperative interrupt with
-          partial stats (never cached). *)
+          partial stats.  Only verify jobs checkpoint and resume. *)
 }
 
 val of_request :
-  ?default_engine:string -> Tm_obs.Json.t -> (job, string) result
+  ?default_engine:string -> Tm_obs.Json.t -> (Tm_obs.Json.t job, string) result
 (** [default_engine] (default ["auto"]) applies when the request names
     none. *)
 
@@ -78,26 +77,16 @@ type outcome =
   | Invariant_ok of Reach.stats
   | Invariant_violated of string  (** the offending state, printed *)
 
-val run_check :
+val check_job :
   (module Reach.S) ->
-  ?limit:int ->
-  ?deadline_s:float ->
-  domains:int ->
-  ?checkpoint:string * int ->
-  ?resume:string ->
+  label:string ->
   ('s, 'a) Registry.verified ->
   ('s, 'a) Registry.check ->
-  (outcome, Reach.exhausted) result
-(** [Error] on budget exhaustion or a cooperative interrupt.  A
-    [Note] runs as the plain condition it carries. *)
-
-val check_fingerprint :
-  (module Reach.S) ->
-  ('s, 'a) Registry.verified ->
-  ('s, 'a) Registry.check ->
-  string
-(** The checkpoint fingerprint of a check's run; a [Note] (never
-    checkpointed) gets a string no snapshot carries. *)
+  outcome job
+(** One verification item: a check of the model labelled [label] (its
+    existentially typed [verified] part is passed apart), fingerprinted
+    as its checkpoints are.  A [Note] runs as the condition it carries
+    and gets a fingerprint no snapshot carries. *)
 
 val margin_reports :
   (module Reach.S) ->
@@ -108,3 +97,49 @@ val margin_reports :
   Tm_faults.Margin.report list
 (** One robustness margin report per check of the model, [Note]s
     skipped, each probe under the given budgets. *)
+
+(** {1 The supervised runner}
+
+    {!supervise} is the one attempt loop behind [timedmap verify]/[run]
+    and the daemon.  It threads each attempt's checkpoint into the next
+    attempt's [~resume] (where the zone engine re-bases an explicit
+    [limit]), polls for interrupts, and retries an exhaustion that left
+    a checkpoint unless an interrupt came with it.  Its two callers
+    differ only in their {!policy}. *)
+
+type policy = {
+  retry_deadline : bool;  (** retry a deadline exhaustion with no checkpoint *)
+  contain : bool;
+      (** retry an attempt's exception (a second signal's
+          {!Tm_recover.Supervisor.Interrupted} stops), not propagate it *)
+  jitter_max_s : float option;
+      (** [Some cap]: decorrelated jitter seeded by the CRC of the job's
+          fingerprint, capped; [None]: pure exponential backoff *)
+  interrupted : string;  (** the reason an interrupt before an attempt gives *)
+}
+
+val cli_policy : policy
+val daemon_policy : policy
+
+type failure = [ `Exhausted of Reach.exhausted | `Crashed of string ]
+(** The last exhaustion (its [checkpoint] is where to resume), or the
+    last contained exception's message. *)
+
+val supervise :
+  policy ->
+  attempts:int ->
+  backoff_s:float ->
+  ?on_retry:(attempt:int -> delay_s:float -> reason:string -> unit) ->
+  ?limit:int ->
+  ?deadline_s:float ->
+  domains:int ->
+  ?checkpoint:string * int ->
+  ?resume:string ->
+  'r job ->
+  ('r, failure) result
+(** Run [job] under up to [attempts] attempts with the given budgets,
+    the first resuming from [resume]; [on_retry] runs before each
+    backoff sleep.  An interrupt before an attempt ends the job with
+    [`Exhausted] carrying [policy.interrupted], the last partial stats
+    and the checkpoint to resume from.
+    @raise Invalid_argument as {!Tm_recover.Supervisor.with_retries}. *)

@@ -149,7 +149,7 @@ let account_result t ~fingerprint ~label ~op result =
          | Workers.E_error _ -> "error"));
     ]
 
-let run_job t (job : Catalog.job) =
+let run_job t (job : Json.t Catalog.job) =
   Metrics.incr c_jobs;
   let result = Workers.execute_job (caps_of_config t.cfg) job in
   account_result t ~fingerprint:job.Catalog.fingerprint

@@ -19,12 +19,13 @@
 
     {b Execution.}  One job runs at a time (jobs parallelize
     internally over [domains]); budgets are the request's, clamped to
-    the server's caps.  Each job runs under
-    {!Tm_recover.Supervisor.with_retries} with decorrelated-jitter
-    backoff seeded from the job fingerprint: worker exceptions are
-    contained and retried, budget exhaustions that left a checkpoint
-    chain into the next attempt with the zone limit re-based on
-    restored progress, deterministic failures are answered directly.
+    the server's caps.  Each job runs through {!Catalog.supervise}
+    under {!Catalog.daemon_policy} (see {!Workers.execute_job}):
+    worker exceptions are contained and retried, budget exhaustions
+    that left a checkpoint chain into the next attempt — the zone
+    engine re-bases the limit on restored progress — with
+    decorrelated-jitter backoff seeded from the job fingerprint, and
+    deterministic failures are answered directly.
     Only definite verdicts are cached.
 
     {b Crash tolerance.}  SIGTERM/SIGINT inside the loop's

@@ -66,7 +66,8 @@ let caps_of_json j =
   }
 
 (* ------------------------------------------------------------------ *)
-(* the job runner (shared by workers and the in-process server path) *)
+(* the daemon's half of a job (shared by workers and the in-process
+   server path) *)
 
 type exec_result = E_ok of Json.t | E_unknown of string | E_error of string
 
@@ -81,9 +82,6 @@ let clamp_deadline cap req =
   | None, r -> r
   | Some c, None -> Some c
   | Some c, Some r -> Some (Float.min c (Float.max 0.01 r))
-
-let zones_of_info info =
-  try Scanf.sscanf info "zones=%d" (fun z -> z) with _ -> 0
 
 let checkpoint_path caps fingerprint =
   Option.map
@@ -106,64 +104,19 @@ let stale_checkpoint caps fingerprint =
           None)
   | _ -> None
 
-let execute_job caps (job : Catalog.job) =
-  let limit0 = clamp_limit caps.max_limit job.Catalog.req_limit in
-  let deadline_s =
-    clamp_deadline caps.max_deadline_s job.Catalog.req_deadline_s
-  in
-  let ckpt = checkpoint_path caps job.Catalog.fingerprint in
-  let checkpoint = Option.map (fun p -> (p, 512)) ckpt in
-  let next_resume = ref (stale_checkpoint caps job.Catalog.fingerprint) in
-  let last_reason = ref "budget exhausted" in
-  let attempt ~attempt:_ =
-    if Supervisor.interrupt_requested () then
-      Supervisor.Done (E_unknown "interrupted: daemon shutting down")
-    else
-      let resume = !next_resume in
-      let limit =
-        (* re-base the zone budget on restored progress so every
-           chained attempt gets [limit0] fresh zones *)
-        match (limit0, resume) with
-        | Some b, Some path -> (
-            match Snapshot.inspect path with
-            | _, info -> Some (zones_of_info info + b)
-            | exception _ -> Some b)
-        | Some b, None -> Some b
-        | None, _ -> None
-      in
-      match
-        job.Catalog.exec ~limit ~deadline_s ~domains:caps.domains ~checkpoint
-          ~resume
-      with
-      | Ok v -> Supervisor.Done (E_ok v)
-      | Error (e : Reach.exhausted) ->
-          last_reason := e.Reach.reason;
-          (match e.Reach.checkpoint with
-          | Some _ as ck -> next_resume := ck
-          | None -> ());
-          if Supervisor.interrupt_requested () then
-            Supervisor.Done (E_unknown e.Reach.reason)
-          else if e.Reach.checkpoint <> None && job.Catalog.checkpointable
-          then Supervisor.Transient e.Reach.reason
-          else Supervisor.Done (E_unknown e.Reach.reason)
-      | exception Supervisor.Interrupted ->
-          Supervisor.Done (E_unknown "interrupted: daemon shutting down")
-      | exception ex ->
-          (* contain the job: a crashing job is this job's problem *)
-          Supervisor.Transient (Printexc.to_string ex)
-  in
-  (* decorrelated jitter, deterministically seeded per fingerprint: a
-     fleet of retries spreads out, a repeated run replays exactly *)
-  let jitter =
-    Prng.create (Snapshot.crc32 (Bytes.of_string job.Catalog.fingerprint))
-  in
+let execute_job caps (job : Json.t Catalog.job) =
+  let fp = job.Catalog.fingerprint in
   match
-    Supervisor.with_retries ~attempts:caps.attempts ~backoff_s:caps.backoff_s
-      ~jitter ~max_backoff_s:2.0 attempt
+    Catalog.supervise Catalog.daemon_policy ~attempts:caps.attempts
+      ~backoff_s:caps.backoff_s ~domains:caps.domains
+      ?limit:(clamp_limit caps.max_limit job.req_limit)
+      ?deadline_s:(clamp_deadline caps.max_deadline_s job.req_deadline_s)
+      ?checkpoint:(Option.map (fun p -> (p, 512)) (checkpoint_path caps fp))
+      ?resume:(stale_checkpoint caps fp) job
   with
-  | Ok r -> r
-  | Error reason ->
-      if !last_reason = reason then E_unknown reason else E_error reason
+  | Ok v -> E_ok v
+  | Error (`Exhausted e) -> E_unknown e.Reach.reason
+  | Error (`Crashed m) -> E_error m
 
 let execute caps request =
   match Catalog.of_request ~default_engine:caps.default_engine request with

@@ -56,15 +56,18 @@ type caps = {
 type exec_result = E_ok of Tm_obs.Json.t | E_unknown of string | E_error of string
 
 val execute : caps -> Tm_obs.Json.t -> exec_result
-(** Parse a request through {!Catalog} and run it under the bounded
-    retry / checkpoint-chaining discipline (see {!Server}): this is the
-    single job-execution path, called by workers on shipped jobs and by
-    the in-process server when [--workers 0].  Never raises: parse
-    failures and contained crashes come back as [E_error]. *)
+(** Parse a request through {!Catalog} and run it with {!execute_job}:
+    the path workers take on shipped jobs and the in-process server
+    takes when [--workers 0].  Never raises: parse failures and
+    contained crashes come back as [E_error]. *)
 
-val execute_job : caps -> Catalog.job -> exec_result
+val execute_job : caps -> Tm_obs.Json.t Catalog.job -> exec_result
 (** {!execute} for an already-parsed job (the server parses once for
-    fingerprinting and reuses the result). *)
+    fingerprinting and reuses the result): the requested budgets
+    clamped to the caps, a checkpoint at [<state_dir>/<digest>.ckpt]
+    (adopted if a killed process left one), and {!Catalog.supervise}
+    under {!Catalog.daemon_policy}.  Exhaustions and interrupts are
+    [E_unknown], a job that kept raising [E_error]. *)
 
 val maybe_worker_main : unit -> unit
 (** Call FIRST in every binary that may host a worker (the CLI, the

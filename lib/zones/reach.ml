@@ -390,7 +390,7 @@ module Make (K : Dbm_sig.S) : S = struct
      keeps resumption sound (subsumption absorbs re-derived
      successors) at the cost of exact counter equality — the deadline
      is documented as non-deterministic anyway. *)
-  let explore (type s a) ?(limit = 200_000) ?deadline_s ?pool ?checkpoint
+  let explore (type s a) ?limit ?deadline_s ?pool ?checkpoint
       ?resume ~fingerprint:fp
       (enc : (s, a) enc)
       ~(initial_phase : s -> phase)
@@ -470,6 +470,8 @@ module Make (K : Dbm_sig.S) : S = struct
     let z_init = K.zero enc.nclocks in
     let edges = ref 0 in
     let zone_count = ref 0 in
+    (* absolute; [restore] re-bases an explicit [limit] *)
+    let zone_limit = ref (Option.value limit ~default:200_000) in
     let waiting = ref 0 in
     let seq = ref 0 in
     (* This job's baseline of the shared counters, taken before any
@@ -549,7 +551,8 @@ module Make (K : Dbm_sig.S) : S = struct
             | Some t -> Some (Float.max 0. (t -. now))
             | None ->
                 if rate > 0. then
-                  Some (float_of_int (max 0 (limit - !zone_count)) /. rate)
+                  Some
+                    (float_of_int (max 0 (!zone_limit - !zone_count)) /. rate)
                 else None
           in
           Events.progress ?eta_s ~stored:!zone_count ~frontier:!waiting
@@ -753,6 +756,10 @@ module Make (K : Dbm_sig.S) : S = struct
         snap.p_locq;
       edges := snap.p_edges;
       zone_count := snap.p_zones;
+      (* an explicit [limit] counts zones stored after this point *)
+      Option.iter
+        (fun l -> zone_limit := snap.p_zones + min l (max_int - snap.p_zones))
+        limit;
       seq := snap.p_seq;
       waiting :=
         Array.fold_left (fun n (_, es) -> n + List.length es) 0 snap.p_pending;
@@ -797,7 +804,7 @@ module Make (K : Dbm_sig.S) : S = struct
        interrupt, periodic snapshot — in that order, so an exhausted
        run never first spends time snapshotting. *)
     let boundary_checks () =
-      if !zone_count > limit then raise (Budget `States);
+      if !zone_count > !zone_limit then raise (Budget `States);
       if Supervisor.interrupt_requested () then raise (Budget `Interrupt);
       match checkpoint with
       | Some (_, every) when every > 0 && !zone_count - !last_snap >= every ->
@@ -1026,7 +1033,7 @@ module Make (K : Dbm_sig.S) : S = struct
             | `States ->
                 Metrics.incr c_budget_states;
                 Printf.sprintf "zone budget exhausted (limit=%d stored zones)"
-                  limit
+                  !zone_limit
             | `Deadline ->
                 Metrics.incr c_budget_deadline;
                 let d = match deadline_s with Some d -> d | None -> 0. in
@@ -1168,9 +1175,9 @@ module Ref = Make (Dbm_ref)
 (* Paranoid engine: the self-checking kernel, degrading to the
    reference engine when a checked pipeline disagrees.  The degraded
    rerun starts fresh — a snapshot written by the (suspect) int
-   kernel must not seed the trustworthy run — but keeps writing to the
-   caller's checkpoint path, so preemption still works after a
-   degrade. *)
+   kernel must not seed the trustworthy run, so a [limit] given with
+   [resume] bounds it from zero — but keeps writing to the caller's
+   checkpoint path, so preemption still works after a degrade. *)
 module Paranoid : S = struct
   module P = Make (Dbm_paranoid)
 

@@ -127,6 +127,9 @@ exception Out_of_budget of exhausted
     most one location batch beyond [limit], and a completed fixpoint is
     reported [Verified] only when it stayed within [limit]); it is
     deterministic and agrees exactly across kernels and domain counts.
+    On [~resume], an explicit [limit] counts the zones stored {e after}
+    the restored point (the exhaustion reason prints the absolute bound
+    [restored + limit]); the default [200_000] stays absolute.
     The wall-clock deadline is probed before every successor pipeline,
     so one expensive pipeline cannot overshoot it by more than a single
     zone expansion — but which zone it stops at, necessarily, is not

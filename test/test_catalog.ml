@@ -5,10 +5,15 @@
    [Catalog.of_request]'s fingerprint for every system x {each verify
    item, margin, simulate}, at default and at non-default parameters,
    plus the request errors the daemon returns, and the whole request
-   universe of the serve-mix benchmark (perfbench/mix.py). *)
+   universe of the serve-mix benchmark (perfbench/mix.py).
+
+   Also the policy table of [Catalog.supervise], the attempt loop the
+   CLI and the daemon share, driven with scripted fake jobs. *)
 
 module Json = Tm_obs.Json
 module Catalog = Tm_serve.Catalog
+module Reach = Tm_zones.Reach
+module Supervisor = Tm_recover.Supervisor
 
 (* Fingerprints name the widening mode; the pins are taken with LU
    widening, and TM_NO_LU=1 (max-constant widening) must change exactly
@@ -274,6 +279,145 @@ let test_mix_universe () =
   Alcotest.(check string) "universe fingerprints" universe_digest
     (Digest.to_hex (Digest.string (String.concat "\n" fps)))
 
+(* ------------------------------------------------------------------ *)
+(* the supervised runner's policy table *)
+
+let exhausted ?checkpoint ?(zones = 5) reason =
+  Error { Reach.reason; partial = { Reach.locations = 1; zones; edges = 2 };
+          checkpoint }
+
+let zone_limit = "zone budget exhausted (limit=5 stored zones)"
+let deadline = "deadline exceeded (5 ms)"
+
+(* A job whose attempts play [script] in turn; [resumes ()] lists the
+   [~resume] each attempt received. *)
+let scripted script =
+  let left = ref script and resumes = ref [] in
+  let exec ~limit:_ ~deadline_s:_ ~domains:_ ~checkpoint:_ ~resume =
+    resumes := resume :: !resumes;
+    match !left with
+    | step :: rest ->
+        left := rest;
+        step ()
+    | [] -> Alcotest.fail "an attempt beyond the script"
+  in
+  ( { Catalog.label = "fake"; op = "verify"; fingerprint = "fake-fp";
+      req_limit = None; req_deadline_s = None; exec },
+    fun () -> List.rev !resumes )
+
+let show = function
+  | Ok n -> Printf.sprintf "ok %d" n
+  | Error (`Exhausted (e : Reach.exhausted)) ->
+      Printf.sprintf "exhausted %s (%d zones)%s" e.reason e.partial.zones
+        (match e.checkpoint with Some c -> " @" ^ c | None -> "")
+  | Error (`Crashed m) -> "crashed " ^ m
+
+let supervise ?(on_retry = fun ~attempt:_ ~delay_s:_ ~reason:_ -> ()) ?resume
+    policy script =
+  let job, resumes = scripted script in
+  Fun.protect ~finally:Supervisor.clear_interrupt @@ fun () ->
+  let r =
+    Catalog.supervise policy ~attempts:3 ~backoff_s:0. ~on_retry ~domains:1
+      ?resume job
+  in
+  (show r, resumes ())
+
+let interrupt_then r () =
+  Supervisor.request_interrupt ();
+  r
+
+let boom () = failwith "boom"
+let ok () = Ok 7
+
+(* name, script, then for each policy the final result and the
+   [~resume] of every attempt; [None] for the result means the attempt's
+   exception propagates *)
+let policy_table =
+  [
+    ( "checkpointed exhaustions chain",
+      [ (fun () -> exhausted ~checkpoint:"c1" zone_limit);
+        (fun () -> exhausted ~checkpoint:"c2" zone_limit); ok ],
+      (Some "ok 7", [ None; Some "c1"; Some "c2" ]),
+      (Some "ok 7", [ None; Some "c1"; Some "c2" ]) );
+    ( "checkpointed exhaustions run out of attempts",
+      [ (fun () -> exhausted ~checkpoint:"c1" zone_limit);
+        (fun () -> exhausted ~checkpoint:"c2" zone_limit);
+        (fun () -> exhausted ~checkpoint:"c3" ~zones:15 zone_limit) ],
+      ( Some ("exhausted " ^ zone_limit ^ " (15 zones) @c3"),
+        [ None; Some "c1"; Some "c2" ] ),
+      ( Some ("exhausted " ^ zone_limit ^ " (15 zones) @c3"),
+        [ None; Some "c1"; Some "c2" ] ) );
+    ( "deadline exhaustion without a checkpoint",
+      [ (fun () -> exhausted deadline); ok ],
+      (Some "ok 7", [ None; None ]),
+      (Some ("exhausted " ^ deadline ^ " (5 zones)"), [ None ]) );
+    ( "zone exhaustion without a checkpoint",
+      [ (fun () -> exhausted zone_limit) ],
+      (Some ("exhausted " ^ zone_limit ^ " (5 zones)"), [ None ]),
+      (Some ("exhausted " ^ zone_limit ^ " (5 zones)"), [ None ]) );
+    ( "interrupt during an attempt",
+      [ interrupt_then
+          (exhausted ~checkpoint:"c1" "interrupted (SIGINT/SIGTERM)") ],
+      (Some "exhausted interrupted (SIGINT/SIGTERM) (5 zones) @c1", [ None ]),
+      (Some "exhausted interrupted (SIGINT/SIGTERM) (5 zones) @c1", [ None ])
+    );
+    ( "raised exception",
+      [ boom; ok ],
+      (None, [ None ]),
+      (Some "ok 7", [ None; None ]) );
+    ( "raised exception every attempt",
+      [ boom; boom; boom ],
+      (None, [ None ]),
+      (Some "crashed Failure(\"boom\")", [ None; None; None ]) );
+    ( "second signal inside an attempt",
+      [ (fun () -> raise Supervisor.Interrupted) ],
+      (None, [ None ]),
+      (Some "exhausted interrupted: daemon shutting down (0 zones)", [ None ])
+    );
+  ]
+
+let test_policy_table () =
+  List.iter
+    (fun (name, script, cli, daemon) ->
+      List.iter
+        (fun (pname, policy, (want, want_resumes)) ->
+          let what = Printf.sprintf "%s, %s policy" name pname in
+          match (want, supervise policy script) with
+          | Some want, (got, resumes) ->
+              Alcotest.(check string) what want got;
+              Alcotest.(check (list (option string)))
+                (what ^ ": resumes") want_resumes resumes
+          | None, (got, _) -> Alcotest.failf "%s: returned %s" what got
+          | exception Failure _ when want = None -> ()
+          | exception Supervisor.Interrupted when want = None -> ())
+        [ ("cli", Catalog.cli_policy, cli);
+          ("daemon", Catalog.daemon_policy, daemon) ])
+    policy_table
+
+(* An interrupt that arrives before an attempt stops the job with the
+   policy's reason, the progress so far and the checkpoint to resume
+   from — before the first attempt too. *)
+let test_interrupt_before_attempt () =
+  List.iter
+    (fun (pname, (policy : Catalog.policy)) ->
+      let got, resumes =
+        supervise policy
+          ~on_retry:(fun ~attempt:_ ~delay_s:_ ~reason:_ ->
+            Supervisor.request_interrupt ())
+          [ (fun () -> exhausted ~checkpoint:"c1" ~zones:9 zone_limit) ]
+      in
+      Alcotest.(check string) (pname ^ ": between attempts")
+        (Printf.sprintf "exhausted %s (9 zones) @c1" policy.interrupted) got;
+      Alcotest.(check (list (option string))) (pname ^ ": one attempt")
+        [ None ] resumes;
+      Supervisor.request_interrupt ();
+      let got, resumes = supervise ~resume:"c0" policy [] in
+      Alcotest.(check string) (pname ^ ": before the first")
+        (Printf.sprintf "exhausted %s (0 zones) @c0" policy.interrupted) got;
+      Alcotest.(check (list (option string))) (pname ^ ": no attempt") []
+        resumes)
+    [ ("cli", Catalog.cli_policy); ("daemon", Catalog.daemon_policy) ]
+
 let suite =
   [
     Alcotest.test_case "fingerprints pinned (every system, op, item)" `Quick
@@ -281,4 +425,8 @@ let suite =
     Alcotest.test_case "request errors pinned" `Quick test_errors;
     Alcotest.test_case "serve-mix universe accepted, fingerprints pinned"
       `Quick test_mix_universe;
+    Alcotest.test_case "supervise: policy table (cli, daemon)" `Quick
+      test_policy_table;
+    Alcotest.test_case "supervise: interrupt before an attempt" `Quick
+      test_interrupt_before_attempt;
   ]
