@@ -673,10 +673,13 @@ let simple_cmd name ~doc body =
 
 let engine_arg =
   let engine_conv =
-    let parse name =
-      match Catalog.engine_of name with
-      | Ok _ -> Ok name
-      | Error m -> Error (`Msg m)
+    let parse = function
+      | ("auto" | "ref" | "paranoid") as name -> Ok name
+      | other ->
+          Error
+            (`Msg
+              (Printf.sprintf "unknown engine %S (auto | ref | paranoid)"
+                 other))
     in
     Arg.conv (parse, Format.pp_print_string)
   in

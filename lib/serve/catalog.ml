@@ -367,8 +367,6 @@ let daemon_policy =
     interrupted = "interrupted: daemon shutting down";
   }
 
-type failure = [ `Exhausted of Reach.exhausted | `Crashed of string ]
-
 let supervise policy ~attempts ~backoff_s ?on_retry ?limit ?deadline_s
     ~domains ?checkpoint ?resume job =
   let resume = ref resume and last = ref None in

@@ -121,10 +121,6 @@ type policy = {
 val cli_policy : policy
 val daemon_policy : policy
 
-type failure = [ `Exhausted of Reach.exhausted | `Crashed of string ]
-(** The last exhaustion (its [checkpoint] is where to resume), or the
-    last contained exception's message. *)
-
 val supervise :
   policy ->
   attempts:int ->
@@ -136,10 +132,12 @@ val supervise :
   ?checkpoint:string * int ->
   ?resume:string ->
   'r job ->
-  ('r, failure) result
+  ('r, [ `Exhausted of Reach.exhausted | `Crashed of string ]) result
 (** Run [job] under up to [attempts] attempts with the given budgets,
     the first resuming from [resume]; [on_retry] runs before each
-    backoff sleep.  An interrupt before an attempt ends the job with
-    [`Exhausted] carrying [policy.interrupted], the last partial stats
-    and the checkpoint to resume from.
+    backoff sleep.  A job without a definite result ends with the last
+    exhaustion (its [checkpoint] is where to resume) or the last
+    contained exception's message.  An interrupt before an attempt
+    gives an exhaustion with [policy.interrupted], the last partial
+    stats and the checkpoint to resume from.
     @raise Invalid_argument as {!Tm_recover.Supervisor.with_retries}. *)
