@@ -1108,17 +1108,15 @@ let serve_cmd =
                times with jittered backoff.")
   in
   let workers_arg =
-    checked (fun n -> n >= 0) "--workers must be >= 0"
+    checked (fun n -> n >= 1) "--workers must be >= 1"
       Arg.(
-        value & opt int 0
+        value & opt int 1
         & info [ "workers" ] ~docv:"N"
             ~doc:
-              "Run jobs in $(docv) supervised worker processes instead of \
-               in-process: a crashing or killed job costs one worker (it \
-               is restarted with backoff), never the daemon, and up to \
-               $(docv) jobs run concurrently. 0 (the default) keeps the \
-               classic in-process execution; verdicts are byte-identical \
-               either way.")
+              "Run jobs in $(docv) supervised worker processes: a crashing \
+               or killed job costs one worker (it is restarted with \
+               backoff), never the daemon, and up to $(docv) jobs run \
+               concurrently.")
   in
   let quarantine_arg =
     checked (fun k -> k >= 1) "--quarantine-after must be >= 1"
@@ -1146,9 +1144,7 @@ let serve_cmd =
       & info [ "chaos-kill-every" ] ~docv:"MS"
           ~doc:
             "Chaos harness: SIGKILL a random worker (preferring a busy \
-             one) every $(docv) milliseconds. The $(b,TM_CHAOS) \
-             environment variable (in seconds) does the same. Testing \
-             only.")
+             one) every $(docv) milliseconds. Testing only.")
   in
   let run socket state_dir queue max_states max_deadline_ms attempts workers
       quarantine_after hb_timeout_ms chaos_ms ename () obs =

@@ -49,10 +49,10 @@ val depth : 'r t -> int
 
 val set_capacity : 'r t -> int -> unit
 (** Tell admission how many live executor slots exist (gauge
-    [serve.capacity]).  Defaults to 1 — the classic in-process daemon.
-    The worker-mode server updates it every tick as workers die and
-    respawn, so shed prices track real capacity: more workers cheapen
-    the hint, zero live workers floors it at a full second.
+    [serve.capacity]).  Defaults to 1.  The server updates it every
+    tick as workers die and respawn, so shed prices track real
+    capacity: more workers cheapen the hint, zero live workers floors
+    it at a full second.
     @raise Invalid_argument on a negative capacity. *)
 
 val capacity : 'r t -> int

@@ -1,10 +1,8 @@
 module Json = Tm_obs.Json
 module Metrics = Tm_obs.Metrics
 module Events = Tm_obs.Events
-module Prng = Tm_base.Prng
 module Supervisor = Tm_recover.Supervisor
 module Snapshot = Tm_recover.Snapshot
-module Reach = Tm_zones.Reach
 
 let c_conns = Metrics.counter "serve.conns"
 let c_frames = Metrics.counter "serve.frames"
@@ -48,7 +46,7 @@ let default_config ~socket_path =
     attempts = 3;
     backoff_s = 0.05;
     default_engine = "auto";
-    workers = 0;
+    workers = 1;
     quarantine_after = 3;
     hb_timeout_s = 5.;
     chaos_kill_every_s = None;
@@ -93,7 +91,7 @@ type t = {
   mutable conns : conn list;
   cache : Cache.t;
   adm : respondent Admission.t;
-  workers : pending Workers.t option;  (** [None] = in-process execution *)
+  workers : pending Workers.t;
   retryq : pending Queue.t;  (** crashed-worker jobs awaiting resubmission *)
   mutable running : bool;
 }
@@ -123,13 +121,12 @@ let respond t (r : respondent) doc =
   end
 
 (* ------------------------------------------------------------------ *)
-(* job accounting: execution itself lives in {!Workers.execute_job}
-   (shared verbatim by worker processes and the in-process path) *)
+(* job accounting: execution itself lives in {!Workers.execute_job},
+   on a worker process *)
 
 (* Commit a finished job: cache the verdict, bump the counters, emit
-   the event.  In worker mode this runs in the PARENT only — workers
-   compute, the daemon commits, so a worker dying mid-job can never
-   half-commit. *)
+   the event.  This runs in the daemon only — workers compute, the
+   daemon commits, so a worker dying mid-job can never half-commit. *)
 let account_result t ~fingerprint ~label ~op result =
   (match result with
   | Workers.E_ok v ->
@@ -148,13 +145,6 @@ let account_result t ~fingerprint ~label ~op result =
          | Workers.E_unknown _ -> "unknown"
          | Workers.E_error _ -> "error"));
     ]
-
-let run_job t (job : Json.t Catalog.job) =
-  Metrics.incr c_jobs;
-  let result = Workers.execute_job (caps_of_config t.cfg) job in
-  account_result t ~fingerprint:job.Catalog.fingerprint
-    ~label:job.Catalog.label ~op:job.Catalog.op result;
-  result
 
 let response_of_result t ?cached result =
   match result with
@@ -183,8 +173,7 @@ let stats_doc t =
       c "worker_spawned"; c "worker_restarted"; c "worker_crashed";
       c "worker_hb_timeout"; c "worker_quarantined"; c "worker_jobs";
       c "worker_retried";
-      ("workers_live",
-       Json.Int (match t.workers with Some p -> Workers.capacity p | None -> 0));
+      ("workers_live", Json.Int (Workers.capacity t.workers));
     ]
 
 let handle_request t conn req =
@@ -208,7 +197,8 @@ let handle_request t conn req =
           Metrics.incr c_rejected;
           respond t r (Protocol.response ~error:m ~status:"error" ())
       | Ok job -> (
-          match Cache.find t.cache ~fingerprint:job.Catalog.fingerprint with
+          let fingerprint = job.Catalog.fingerprint in
+          match Cache.find t.cache ~fingerprint with
           | Some text ->
               let doc =
                 match Json.of_string text with
@@ -219,40 +209,26 @@ let handle_request t conn req =
                       ~status:"error" ()
               in
               respond t r doc
-          | None
-            when (match t.workers with
-                 | Some pool ->
-                     Workers.quarantined pool
-                       ~fingerprint:job.Catalog.fingerprint
-                     <> None
-                 | None -> false) ->
-              (* this job killed too many workers: a permanent,
-                 structured refusal instead of another crash *)
-              let why =
-                match
-                  Option.bind t.workers (fun pool ->
-                      Workers.quarantined pool
-                        ~fingerprint:job.Catalog.fingerprint)
-                with
-                | Some why -> why
-                | None -> assert false
-              in
-              Metrics.incr c_rejected;
-              respond t r (Protocol.response ~error:why ~status:"error" ())
           | None -> (
-              match
-                Admission.try_admit t.adm
-                  ~fingerprint:job.Catalog.fingerprint ~request:req r
-              with
-              | Admission.Shed hint ->
-                  Events.emit "serve.shed"
-                    [ ("label", Json.String job.Catalog.label) ];
-                  respond t r
-                    (Protocol.response ~reason:"queue full"
-                       ~retry_after_s:hint ~status:"unknown" ())
-              | Admission.Admitted _ | Admission.Coalesced _ ->
-                  (* answered when the job runs *)
-                  ())))
+              match Workers.quarantined t.workers ~fingerprint with
+              | Some why ->
+                  (* this job killed too many workers: a permanent,
+                     structured refusal instead of another crash *)
+                  Metrics.incr c_rejected;
+                  respond t r (Protocol.response ~error:why ~status:"error" ())
+              | None -> (
+                  match
+                    Admission.try_admit t.adm ~fingerprint ~request:req r
+                  with
+                  | Admission.Shed hint ->
+                      Events.emit "serve.shed"
+                        [ ("label", Json.String job.Catalog.label) ];
+                      respond t r
+                        (Protocol.response ~reason:"queue full"
+                           ~retry_after_s:hint ~status:"unknown" ())
+                  | Admission.Admitted _ | Admission.Coalesced _ ->
+                      (* answered when the job runs *)
+                      ()))))
 
 let handle_frame t conn payload =
   Metrics.incr c_frames;
@@ -314,24 +290,6 @@ let answer_result t (ajob : respondent Admission.job) result ~wall_s =
     (fun r -> respond t r (response_of_result t ?cached result))
     (List.rev ajob.Admission.respondents)
 
-let run_next_job t =
-  match Admission.pop t.adm with
-  | None -> ()
-  | Some ajob ->
-      let t0 = Unix.gettimeofday () in
-      let result =
-        (* the request parsed once already; a failure here is a bug,
-           but even then the client gets a structured error *)
-        match
-          Catalog.of_request ~default_engine:t.cfg.default_engine
-            ajob.Admission.request
-        with
-        | Error m -> Workers.E_error m
-        | Ok job -> run_job t job
-        | exception ex -> Workers.E_error (Printexc.to_string ex)
-      in
-      answer_result t ajob result ~wall_s:(Unix.gettimeofday () -. t0)
-
 let drain_queue t ~reason =
   List.iter
     (fun (ajob : respondent Admission.job) ->
@@ -346,7 +304,7 @@ let drain_queue t ~reason =
     (Admission.drain t.adm)
 
 (* ------------------------------------------------------------------ *)
-(* worker-mode plumbing *)
+(* worker plumbing *)
 
 let handle_worker_event t = function
   | Workers.Completed (p, result, wall_s) ->
@@ -376,7 +334,8 @@ let handle_worker_event t = function
 (* Keep idle workers fed: crashed-job retries first, then the admission
    queue.  A job whose submission fails (the chosen worker died under
    us) stays pending for the next tick. *)
-let dispatch_to_workers t pool =
+let dispatch_to_workers t =
+  let pool = t.workers in
   let rec go () =
     if Workers.has_idle pool then
       if not (Queue.is_empty t.retryq) then begin
@@ -391,6 +350,8 @@ let dispatch_to_workers t pool =
         match Admission.pop t.adm with
         | None -> ()
         | Some ajob -> (
+            (* the request parsed once already; a failure here is a bug,
+               but even then the client gets a structured error *)
             match
               Catalog.of_request ~default_engine:t.cfg.default_engine
                 ajob.Admission.request
@@ -422,9 +383,10 @@ let dispatch_to_workers t pool =
   go ()
 
 (* SIGTERM with jobs on workers: forward the stop so each in-flight job
-   checkpoints and answers UNKNOWN (exactly the in-process drain
-   semantics), wait out the stragglers, then answer whatever is left. *)
-let drain_workers t pool ~reason =
+   checkpoints at its next batch boundary and answers UNKNOWN, wait out
+   the stragglers, then answer whatever is left. *)
+let drain_workers t ~reason =
+  let pool = t.workers in
   Workers.interrupt_busy pool;
   let deadline =
     Unix.gettimeofday ()
@@ -462,11 +424,10 @@ let drain_workers t pool ~reason =
   Workers.shutdown pool
 
 let loop t =
-  let timeout = match t.workers with Some _ -> 0.05 | None -> 0.25 in
   while t.running && not (Supervisor.interrupt_requested ()) do
-    let wfds = match t.workers with Some p -> Workers.fds p | None -> [] in
+    let wfds = Workers.fds t.workers in
     let fds = (t.listen_fd :: wfds) @ List.map (fun c -> c.fd) t.conns in
-    (match Unix.select fds [] [] timeout with
+    (match Unix.select fds [] [] 0.05 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | ready, _, _ ->
         List.iter
@@ -483,31 +444,23 @@ let loop t =
               | exception Unix.Unix_error _ -> ()
             end
             else if List.exists (fun wfd -> wfd = fd) wfds then
-              match t.workers with
-              | Some pool ->
-                  List.iter (handle_worker_event t)
-                    (Workers.on_readable pool fd)
-              | None -> ()
+              List.iter (handle_worker_event t)
+                (Workers.on_readable t.workers fd)
             else
               match List.find_opt (fun c -> c.fd = fd) t.conns with
               | Some conn -> pump_conn t conn
               | None -> ())
           ready);
-    match t.workers with
-    | None -> run_next_job t
-    | Some pool ->
-        List.iter (handle_worker_event t) (Workers.tick pool);
-        Admission.set_capacity t.adm (Workers.capacity pool);
-        dispatch_to_workers t pool
+    List.iter (handle_worker_event t) (Workers.tick t.workers);
+    Admission.set_capacity t.adm (Workers.capacity t.workers);
+    dispatch_to_workers t
   done;
   let reason =
     if Supervisor.interrupt_requested () then "interrupted: daemon shutting down"
     else "daemon shutting down"
   in
   drain_queue t ~reason;
-  match t.workers with
-  | None -> ()
-  | Some pool -> drain_workers t pool ~reason
+  drain_workers t ~reason
 
 (* ------------------------------------------------------------------ *)
 (* lifecycle *)
@@ -533,7 +486,8 @@ let claim_socket path =
     try Unix.unlink path with Unix.Unix_error _ -> ()
   end
 
-let run cfg =
+let run (cfg : config) =
+  if cfg.workers < 1 then invalid_arg "Server.run: workers < 1";
   Supervisor.install_handlers ();
   Option.iter mkdir_p cfg.state_dir;
   (* a kill -9 between a checkpoint's temp write and its rename leaks
@@ -547,18 +501,10 @@ let run cfg =
     cfg.state_dir;
   claim_socket cfg.socket_path;
   let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let chaos_kill_every_s =
-    match cfg.chaos_kill_every_s with
-    | Some _ as s -> s
-    | None -> Option.bind (Sys.getenv_opt "TM_CHAOS") float_of_string_opt
-  in
   let workers =
-    if cfg.workers > 0 then
-      Some
-        (Workers.create ?chaos_kill_every_s ~hb_timeout_s:cfg.hb_timeout_s
-           ~quarantine_after:cfg.quarantine_after (caps_of_config cfg)
-           ~n:cfg.workers)
-    else None
+    Workers.create ?chaos_kill_every_s:cfg.chaos_kill_every_s
+      ~hb_timeout_s:cfg.hb_timeout_s ~quarantine_after:cfg.quarantine_after
+      (caps_of_config cfg) ~n:cfg.workers
   in
   let t =
     {
@@ -587,9 +533,7 @@ let run cfg =
     ~finally:(fun () ->
       (* belt and braces: on every exit path — including an escalated
          second signal — no worker process outlives the daemon *)
-      (match t.workers with
-      | Some pool -> ( try Workers.shutdown pool with _ -> ())
-      | None -> ());
+      (try Workers.shutdown t.workers with _ -> ());
       List.iter (fun c -> drop_conn t c) t.conns;
       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
       (try Unix.unlink cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ());

@@ -17,9 +17,12 @@
       identical in-flight job, shed with [status = "unknown"] and a
       [retry_after_s] hint when the queue is full, or enqueued.
 
-    {b Execution.}  One job runs at a time (jobs parallelize
-    internally over [domains]); budgets are the request's, clamped to
-    the server's caps.  Each job runs through {!Catalog.supervise}
+    {b Execution.}  Every job runs on a supervised worker process
+    ({!Workers}); up to [workers] jobs run at a time, each
+    parallelized internally over [domains].  A crashing or killed job
+    costs one worker, never the daemon.  Budgets are the request's,
+    clamped to the server's caps.  Each job runs through
+    {!Catalog.supervise}
     under {!Catalog.daemon_policy} (see {!Workers.execute_job}):
     worker exceptions are contained and retried, budget exhaustions
     that left a checkpoint chain into the next attempt — the zone
@@ -30,8 +33,8 @@
 
     {b Crash tolerance.}  SIGTERM/SIGINT inside the loop's
     {!Tm_recover.Supervisor.graceful} scope requests a cooperative
-    stop: the in-flight job checkpoints at its next batch boundary and
-    is answered UNKNOWN, queued jobs are drained with
+    stop: it is forwarded to the busy workers, each in-flight job
+    checkpoints at its next batch boundary and is answered UNKNOWN, queued jobs are drained with
     UNKNOWN-plus-retry answers, the socket is unlinked.  A [kill -9]
     loses nothing durable: verdicts are already on disk, and the
     orphaned checkpoint of the interrupted job is adopted by the next
@@ -55,20 +58,17 @@ type config = {
   attempts : int;  (** supervisor attempts per job *)
   backoff_s : float;  (** retry backoff base *)
   default_engine : string;  (** engine when the request names none *)
-  workers : int;
-      (** worker processes ({!Workers}); 0 = classic in-process
-          execution, byte-identical verdicts either way *)
+  workers : int;  (** worker processes ({!Workers}), at least 1 *)
   quarantine_after : int;
       (** crashes of one fingerprint before it is refused for good *)
   hb_timeout_s : float;  (** worker silence before it is declared wedged *)
   chaos_kill_every_s : float option;
-      (** chaos harness: SIGKILL a random worker this often (also
-          settable via the [TM_CHAOS] environment variable) *)
+      (** chaos harness: SIGKILL a random worker this often *)
 }
 
 val default_config : socket_path:string -> config
 (** queue 16, 1 MiB frames, limit 200000 zones, deadline 30 s,
-    1 domain, 3 attempts, 0.05 s backoff, engine ["auto"], 0 workers
+    1 domain, 3 attempts, 0.05 s backoff, engine ["auto"], 1 worker
     (quarantine after 3, 5 s heartbeat timeout, no chaos). *)
 
 exception Already_running of string
@@ -76,4 +76,6 @@ exception Already_running of string
 
 val run : config -> unit
 (** Serve until [shutdown] or SIGTERM/SIGINT; returns after draining.
+    @raise Invalid_argument when [workers < 1], before the socket is
+    claimed.
     @raise Already_running instead of stealing a live socket. *)

@@ -66,8 +66,8 @@ let caps_of_json j =
   }
 
 (* ------------------------------------------------------------------ *)
-(* the daemon's half of a job (shared by workers and the in-process
-   server path) *)
+(* running one job: what a worker does with each shipped request, and
+   the in-process reference the tests and bench E18 compare it with *)
 
 type exec_result = E_ok of Json.t | E_unknown of string | E_error of string
 
@@ -164,10 +164,9 @@ let result_of_json j =
 
 let env_flag = "TM_SERVE_WORKER"
 let env_caps = "TM_SERVE_WORKER_CAPS"
-let env_hb = "TM_SERVE_WORKER_HB"
 let env_poison = "TM_WORKER_POISON"
 
-let default_hb_interval_s = 0.25
+let hb_interval_s = 0.25
 let default_hb_timeout_s = 5.0
 
 (* All frame writes to the parent go through one mutex: the heartbeat
@@ -202,11 +201,6 @@ let worker_main () =
         | Ok j -> caps_of_json j
         | Error _ -> exit 12)
   in
-  let hb_interval =
-    match Sys.getenv_opt env_hb with
-    | Some s -> ( try float_of_string s with _ -> default_hb_interval_s)
-    | None -> default_hb_interval_s
-  in
   let poison =
     match Sys.getenv_opt env_poison with
     | Some "" | None -> None
@@ -220,7 +214,7 @@ let worker_main () =
     Domain.spawn (fun () ->
         let hb = Json.to_string (Json.Obj [ ("op", Json.String "hb") ]) in
         let rec beat () =
-          Unix.sleepf hb_interval;
+          Unix.sleepf hb_interval_s;
           (match worker_write_frame fd hb with
           | () -> ()
           | exception (Unix.Unix_error _ | Sys_error _) -> Unix._exit 0);
@@ -317,6 +311,9 @@ type 'a t = {
   hb_timeout_s : float;
   quarantine_after : int;
   slots : 'a slot array;
+  read_buf : Bytes.t;
+      (** shared by every worker fd: the pool is driven from a single
+          domain, and [Protocol.feed] copies what it keeps *)
   crash_counts : (string, int) Hashtbl.t;  (** fingerprint -> crashes *)
   quarantine : (string, string) Hashtbl.t;  (** fingerprint -> reason *)
   chaos_every_s : float option;
@@ -346,12 +343,7 @@ let spawn t slot =
   Unix.set_close_on_exec parent_fd;
   let env =
     Array.of_list
-      (filtered_env ()
-      @ [
-          env_flag ^ "=1";
-          env_caps ^ "=" ^ t.caps_env;
-          env_hb ^ "=" ^ string_of_float default_hb_interval_s;
-        ])
+      (filtered_env () @ [ env_flag ^ "=1"; env_caps ^ "=" ^ t.caps_env ])
   in
   (* The child talks frames on fd 0 (the socketpair is bidirectional);
      its stdout is pointed at our stderr so a stray [print_string]
@@ -401,6 +393,7 @@ let create ?chaos_kill_every_s ?(hb_timeout_s = default_hb_timeout_s)
                   ~jitter:(Prng.create (0x5EED + idx))
                   ~max_s:5.0 ~base_s:0.05 ();
             });
+      read_buf = Bytes.create 65536;
       crash_counts = Hashtbl.create 16;
       quarantine = Hashtbl.create 4;
       chaos_every_s = chaos_kill_every_s;
@@ -557,11 +550,10 @@ let on_readable t fd =
   with
   | None -> []
   | Some slot -> (
-      let buf = Bytes.create 65536 in
-      match Unix.read slot.fd buf 0 (Bytes.length buf) with
+      match Unix.read slot.fd t.read_buf 0 (Bytes.length t.read_buf) with
       | 0 -> mark_dead t slot ~reason:"eof"
       | n ->
-          Protocol.feed slot.rd buf 0 n;
+          Protocol.feed slot.rd t.read_buf 0 n;
           let rec drain acc =
             match slot.state with
             | Dead _ -> acc

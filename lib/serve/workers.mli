@@ -1,7 +1,7 @@
 (** Crash-isolated worker processes for the verification daemon.
 
-    With [--workers N >= 1] the daemon no longer runs jobs in its own
-    address space: it keeps a pool of [N] long-lived child processes
+    The daemon runs no job in its own address space: it keeps a pool
+    of [N >= 1] ([--workers N]) long-lived child processes
     (re-executions of the current binary, flagged through the
     environment) and ships each admitted job to an idle worker as a
     length-prefixed JSON frame over a private socketpair.  A job that
@@ -37,8 +37,8 @@
     {b Determinism.}  Workers compute; only the parent commits —
     caching, metrics accounting and event emission for job outcomes
     stay in the daemon, and the verdict document travels as structured
-    JSON whose canonical re-rendering is byte-identical.  [--workers 0]
-    (the default) bypasses this module entirely. *)
+    JSON whose canonical re-rendering is byte-identical to running
+    {!execute} in-process. *)
 
 type caps = {
   state_dir : string option;
@@ -50,16 +50,17 @@ type caps = {
   default_engine : string;
 }
 (** The execution half of the server's config — everything a worker
-    needs to run a job exactly as the in-process path would.  Shipped
-    to workers as JSON through the environment. *)
+    needs to run a job.  Shipped to workers as JSON through the
+    environment. *)
 
 type exec_result = E_ok of Tm_obs.Json.t | E_unknown of string | E_error of string
 
 val execute : caps -> Tm_obs.Json.t -> exec_result
 (** Parse a request through {!Catalog} and run it with {!execute_job}:
-    the path workers take on shipped jobs and the in-process server
-    takes when [--workers 0].  Never raises: parse failures and
-    contained crashes come back as [E_error]. *)
+    the path workers take on shipped jobs, and the in-process
+    reference the tests and bench E18 compare the pool against.  Never
+    raises: parse failures and contained crashes come back as
+    [E_error]. *)
 
 val execute_job : caps -> Tm_obs.Json.t Catalog.job -> exec_result
 (** {!execute} for an already-parsed job (the server parses once for
@@ -140,7 +141,7 @@ val drain_busy : 'a t -> 'a list
 val interrupt_busy : 'a t -> unit
 (** Forward SIGTERM to every busy worker — the cooperative-stop half of
     daemon drain: each job checkpoints at its next batch boundary and
-    answers UNKNOWN, exactly as the in-process path would. *)
+    answers UNKNOWN. *)
 
 val shutdown : 'a t -> unit
 (** Send quit frames, close the pipes, wait briefly for voluntary

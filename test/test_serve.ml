@@ -312,13 +312,11 @@ let spawn_server cfg =
     @ (match cfg.Server.max_deadline_s with
       | Some s -> [ Printf.sprintf "deadline_ms=%g" (s *. 1000.) ]
       | None -> [])
-    @ (if cfg.Server.workers > 0 then
-         [
-           "workers=" ^ string_of_int cfg.Server.workers;
-           "quarantine=" ^ string_of_int cfg.Server.quarantine_after;
-           Printf.sprintf "hb_timeout_ms=%g" (cfg.Server.hb_timeout_s *. 1000.);
-         ]
-       else [])
+    @ [
+        "workers=" ^ string_of_int cfg.Server.workers;
+        "quarantine=" ^ string_of_int cfg.Server.quarantine_after;
+        Printf.sprintf "hb_timeout_ms=%g" (cfg.Server.hb_timeout_s *. 1000.);
+      ]
     @
     match cfg.Server.chaos_kill_every_s with
     | Some s -> [ Printf.sprintf "chaos_kill_ms=%g" (s *. 1000.) ]
@@ -386,6 +384,56 @@ let shutdown_server pid sock =
       close_cx cx
   | exception Unix.Unix_error _ -> ());
   ignore (Unix.waitpid [] pid)
+
+(* [Some (ppid, zombie)] from /proc/PID/status, [None] once the process
+   is gone. *)
+let proc_status pid =
+  match
+    In_channel.with_open_text
+      (Printf.sprintf "/proc/%d/status" pid)
+      In_channel.input_all
+  with
+  | exception Sys_error _ -> None
+  | text -> (
+      let field name =
+        List.find_map
+          (fun line ->
+            match String.split_on_char ':' line with
+            | k :: v :: _ when k = name -> Some (String.trim v)
+            | _ -> None)
+          (String.split_on_char '\n' text)
+      in
+      match (field "PPid", field "State") with
+      | Some ppid, Some state ->
+          Some (int_of_string ppid, String.length state > 0 && state.[0] = 'Z')
+      | _ -> None)
+
+(* The daemon's worker processes: every live pid whose parent it is. *)
+let children_of pid =
+  Array.to_list (Sys.readdir "/proc")
+  |> List.filter_map (fun d ->
+         match int_of_string_opt d with
+         | Some child -> (
+             match proc_status child with
+             | Some (ppid, false) when ppid = pid -> Some child
+             | _ -> None)
+         | None -> None)
+
+(* Each process must be gone, or a zombie nobody reaps yet, within 2 s. *)
+let check_exited pids =
+  let deadline = Unix.gettimeofday () +. 2. in
+  let running p =
+    match proc_status p with Some (_, false) -> true | _ -> false
+  in
+  let rec wait () =
+    let left = List.filter running pids in
+    if left <> [] && Unix.gettimeofday () < deadline then begin
+      Unix.sleepf 0.02;
+      wait ()
+    end
+    else left
+  in
+  Alcotest.(check (list int)) "no worker process left behind" [] (wait ())
 
 let base_cfg sock =
   {
@@ -559,7 +607,8 @@ let daemon_survives_garbage () =
 (* kill -9 mid-job, restart on the same state dir, resubmit: the
    recovered verdict must be byte-identical to an undisturbed daemon's.
    Whether the kill landed mid-computation (checkpoint or recompute)
-   or just after (cache hit) the bytes must not change. *)
+   or just after (cache hit) the bytes must not change, and the worker
+   the kill orphaned must exit on its own. *)
 let daemon_kill9_restart () =
   let state = tmp_dir () in
   let sock = sock_path () in
@@ -583,8 +632,11 @@ let daemon_kill9_restart () =
   (* let the job start, then pull the plug — no drain, no checkpoint
      flush beyond what the engine already wrote *)
   Unix.sleepf 0.3;
+  let workers = children_of pid in
+  Alcotest.(check bool) "daemon has a worker" true (workers <> []);
   Unix.kill pid Sys.sigkill;
   ignore (Unix.waitpid [] pid);
+  check_exited workers;
   close_cx cx;
   (try Unix.unlink sock with Unix.Unix_error _ -> ());
   let pid2 = spawn_server cfg in
@@ -599,26 +651,41 @@ let daemon_kill9_restart () =
       Alcotest.(check string) "byte-identical to undisturbed daemon"
         reference (verdict_text doc))
 
-(* SIGTERM mid-job: the daemon answers the in-flight job (UNKNOWN if it
-   had to stop, OK if it won the race), drains, unlinks its socket and
-   exits 0. *)
-let daemon_sigterm_drains () =
+(* SIGTERM with jobs on workers: in-flight jobs are answered (OK or
+   UNKNOWN), the daemon exits 0, the socket is unlinked, and no worker
+   process is left behind. *)
+let daemon_sigterm_drains_workers () =
   let sock = sock_path () in
-  let cfg = { (base_cfg sock) with Server.state_dir = Some (tmp_dir ()) } in
+  let cfg =
+    {
+      (base_cfg sock) with
+      Server.state_dir = Some (tmp_dir ());
+      workers = 2;
+    }
+  in
   let pid = spawn_server cfg in
   let cx = connect sock in
   send cx fischer_req;
+  send cx
+    "{\"op\":\"verify\",\"system\":\"fischer\",\"params\":{\"n\":3,\"b\":3},\
+     \"item\":0}";
   Unix.sleepf 0.2;
+  let workers = children_of pid in
+  Alcotest.(check int) "daemon has two workers" 2 (List.length workers);
   Unix.kill pid Sys.sigterm;
-  let doc = recv cx in
-  Alcotest.(check bool)
-    (Printf.sprintf "in-flight job answered (%s)" (status doc))
-    true
-    (List.mem (status doc) [ "ok"; "unknown" ]);
+  let docs = List.init 2 (fun _ -> recv cx) in
+  List.iter
+    (fun doc ->
+      Alcotest.(check bool)
+        (Printf.sprintf "in-flight worker job answered (%s)" (status doc))
+        true
+        (List.mem (status doc) [ "ok"; "unknown" ]))
+    docs;
   close_cx cx;
   let _, exit_status = Unix.waitpid [] pid in
   Alcotest.(check bool) "clean exit" true (exit_status = Unix.WEXITED 0);
-  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock)
+  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock);
+  check_exited workers
 
 (* ------------------------------------------------------------------ *)
 (* worker processes *)
@@ -702,8 +769,8 @@ let workers_pool_roundtrip () =
         requests inproc)
 
 (* A --workers 2 daemon under a flood of pipelined jobs: every request
-   answered, verdicts byte-identical to a --workers 0 daemon on the
-   same mix. *)
+   answered, verdicts byte-identical to a one-worker daemon on the same
+   mix. *)
 let daemon_workers_byte_identical () =
   let mix =
     [
@@ -749,18 +816,18 @@ let daemon_workers_byte_identical () =
         workers = 2;
       }
   in
-  let in_process =
+  let one_worker =
     run_daemon
       { (base_cfg (sock_path ())) with Server.state_dir = Some (tmp_dir ()) }
   in
   List.iter2
-    (fun (id_w, (st_w, v_w)) (id_i, (st_i, v_i)) ->
-      Alcotest.(check int) "same response set" id_i id_w;
-      Alcotest.(check string) "same status" st_i st_w;
+    (fun (id_w, (st_w, v_w)) (id_1, (st_1, v_1)) ->
+      Alcotest.(check int) "same response set" id_1 id_w;
+      Alcotest.(check string) "same status" st_1 st_w;
       Alcotest.(check string)
-        (Printf.sprintf "verdict %d byte-identical across modes" id_w)
-        v_i v_w)
-    with_workers in_process
+        (Printf.sprintf "verdict %d byte-identical across pool sizes" id_w)
+        v_1 v_w)
+    with_workers one_worker
 
 (* Chaos: a --workers 2 daemon whose workers are SIGKILLed every 150 ms
    mid-flood.  Every job must still be answered OK (crashed jobs are
@@ -860,39 +927,6 @@ let daemon_poison_quarantine () =
         (status (recv cx));
       close_cx cx)
 
-(* SIGTERM with jobs on workers: in-flight jobs are answered (OK or
-   UNKNOWN), the daemon exits 0, the socket is unlinked, and no worker
-   process is left behind. *)
-let daemon_sigterm_drains_workers () =
-  let sock = sock_path () in
-  let cfg =
-    {
-      (base_cfg sock) with
-      Server.state_dir = Some (tmp_dir ());
-      workers = 2;
-    }
-  in
-  let pid = spawn_server cfg in
-  let cx = connect sock in
-  send cx fischer_req;
-  send cx
-    "{\"op\":\"verify\",\"system\":\"fischer\",\"params\":{\"n\":3,\"b\":3},\
-     \"item\":0}";
-  Unix.sleepf 0.2;
-  Unix.kill pid Sys.sigterm;
-  let docs = List.init 2 (fun _ -> recv cx) in
-  List.iter
-    (fun doc ->
-      Alcotest.(check bool)
-        (Printf.sprintf "in-flight worker job answered (%s)" (status doc))
-        true
-        (List.mem (status doc) [ "ok"; "unknown" ]))
-    docs;
-  close_cx cx;
-  let _, exit_status = Unix.waitpid [] pid in
-  Alcotest.(check bool) "clean exit" true (exit_status = Unix.WEXITED 0);
-  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock)
-
 let suite =
   [
     Alcotest.test_case "protocol: chunked roundtrip" `Quick reader_roundtrip;
@@ -917,20 +951,18 @@ let suite =
       daemon_survives_garbage;
     Alcotest.test_case "daemon: kill -9 then restart recovers verdict" `Slow
       daemon_kill9_restart;
-    Alcotest.test_case "daemon: SIGTERM drains gracefully" `Slow
-      daemon_sigterm_drains;
+    Alcotest.test_case "daemon: SIGTERM drains worker pool" `Slow
+      daemon_sigterm_drains_workers;
     Alcotest.test_case "admission: capacity scales shed prices" `Quick
       admission_capacity;
     Alcotest.test_case "protocol: read_frame_deadline times out" `Quick
       protocol_read_deadline;
     Alcotest.test_case "workers: pool verdicts byte-identical" `Slow
       workers_pool_roundtrip;
-    Alcotest.test_case "daemon: --workers 2 byte-identical to --workers 0"
+    Alcotest.test_case "daemon: --workers 2 byte-identical to --workers 1"
       `Slow daemon_workers_byte_identical;
     Alcotest.test_case "daemon: chaos kills lose no job" `Slow
       daemon_chaos_no_loss;
     Alcotest.test_case "daemon: poison job quarantined" `Slow
       daemon_poison_quarantine;
-    Alcotest.test_case "daemon: SIGTERM drains worker pool" `Slow
-      daemon_sigterm_drains_workers;
   ]
