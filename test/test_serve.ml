@@ -651,6 +651,30 @@ let daemon_kill9_restart () =
       Alcotest.(check string) "byte-identical to undisturbed daemon"
         reference (verdict_text doc))
 
+(* SIGTERM mid-job on the default one-worker daemon: the daemon answers
+   the in-flight job (UNKNOWN if it had to stop, OK if it won the race),
+   drains, unlinks its socket, exits 0 and leaves no worker behind. *)
+let daemon_sigterm_drains () =
+  let sock = sock_path () in
+  let cfg = { (base_cfg sock) with Server.state_dir = Some (tmp_dir ()) } in
+  let pid = spawn_server cfg in
+  let cx = connect sock in
+  send cx fischer_req;
+  Unix.sleepf 0.2;
+  let workers = children_of pid in
+  Alcotest.(check int) "daemon has one worker" 1 (List.length workers);
+  Unix.kill pid Sys.sigterm;
+  let doc = recv cx in
+  Alcotest.(check bool)
+    (Printf.sprintf "in-flight job answered (%s)" (status doc))
+    true
+    (List.mem (status doc) [ "ok"; "unknown" ]);
+  close_cx cx;
+  let _, exit_status = Unix.waitpid [] pid in
+  Alcotest.(check bool) "clean exit" true (exit_status = Unix.WEXITED 0);
+  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock);
+  check_exited workers
+
 (* SIGTERM with jobs on workers: in-flight jobs are answered (OK or
    UNKNOWN), the daemon exits 0, the socket is unlinked, and no worker
    process is left behind. *)
@@ -951,8 +975,8 @@ let suite =
       daemon_survives_garbage;
     Alcotest.test_case "daemon: kill -9 then restart recovers verdict" `Slow
       daemon_kill9_restart;
-    Alcotest.test_case "daemon: SIGTERM drains worker pool" `Slow
-      daemon_sigterm_drains_workers;
+    Alcotest.test_case "daemon: SIGTERM drains gracefully" `Slow
+      daemon_sigterm_drains;
     Alcotest.test_case "admission: capacity scales shed prices" `Quick
       admission_capacity;
     Alcotest.test_case "protocol: read_frame_deadline times out" `Quick
@@ -965,4 +989,6 @@ let suite =
       daemon_chaos_no_loss;
     Alcotest.test_case "daemon: poison job quarantined" `Slow
       daemon_poison_quarantine;
+    Alcotest.test_case "daemon: SIGTERM drains worker pool" `Slow
+      daemon_sigterm_drains_workers;
   ]
