@@ -18,7 +18,6 @@
      E12 exact robustness margins (fault-injection subsystem)
      E13 multi-core scaling of the zone engine
      E14 checkpoint overhead and exhaust-and-resume discipline
-     E15 LU extrapolation ablation (zone counts with widening on/off)
      E16 serving layer: verdict-cache duplicate suppression, admission
      E17 zero-copy zone storage: allocation per stored zone
      E18 worker-process pool: throughput and verdict agreement
@@ -969,85 +968,6 @@ let e14 () =
         (if agree then "AGREE" else "DISAGREE"));
   rm_ck ()
 
-(* E15: LU extrapolation ablation *)
-
-let e15 () =
-  section "E15: LU extrapolation ablation — zone counts with widening on/off";
-  (* The same exploration under the two widening modes: LU bounds (the
-     default) vs classic max-constant ([TM_NO_LU=1]).  Locations and
-     the reachable base-state set must be identical — only the zone
-     abstraction coarsens — while zones(LU) <= zones(maxc) by
-     construction.  E15 is NOT part of the committed metrics baseline
-     (its counters depend on the ablation, not the product), so run it
-     standalone: dune exec bench/main.exe -- e15. *)
-  row "%-24s %-12s %-12s %-8s %-8s %s\n" "workload" "zones(LU)" "zones(maxc)"
-    "shrink" "locs" "agreement";
-  let with_no_lu f =
-    Unix.putenv "TM_NO_LU" "1";
-    Fun.protect ~finally:(fun () -> Unix.putenv "TM_NO_LU" "") f
-  in
-  let ablate (type s a) name (sys : (s, a) Tm_ioa.Ioa.t) bm =
-    let st_lu, r_lu = Reach.reachable ~domains:bench_domains sys bm in
-    let st_mc, r_mc =
-      with_no_lu (fun () -> Reach.reachable ~domains:bench_domains sys bm)
-    in
-    let agree =
-      st_lu.Reach.locations = st_mc.Reach.locations
-      && st_lu.Reach.zones <= st_mc.Reach.zones
-      && List.length r_lu = List.length r_mc
-      && List.for_all
-           (fun s -> List.exists (sys.Tm_ioa.Ioa.equal_state s) r_mc)
-           r_lu
-    in
-    row "%-24s %-12d %-12d %-8.2f %-8d %s\n" name st_lu.Reach.zones
-      st_mc.Reach.zones
-      (float_of_int st_mc.Reach.zones /. float_of_int (max 1 st_lu.Reach.zones))
-      st_lu.Reach.locations
-      (if agree then "AGREE" else "DISAGREE")
-  in
-  (let p = SR.params_of_ints ~n:6 ~d1:1 ~d2:2 in
-   ablate "relay n=6" (SR.line p) (SR.boundmap p));
-  (let p = TR.params_of_ints ~n:6 ~d1:1 ~d2:2 in
-   ablate "token ring n=6" (TR.system p) (TR.boundmap p));
-  (let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
-   ablate "fischer n=3" (F.system p) (F.boundmap p));
-  (let p = F.params_of_ints ~n:4 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
-   ablate "fischer n=4" (F.system p) (F.boundmap p));
-  (* verdict metamorphism: the condition checker must agree under the
-     ablation too (the observer clock's LU bounds come from the probe
-     constants, so this exercises the inverted-bound arm) *)
-  row "\n%-52s %s\n" "condition verdicts, LU vs maxc" "agreement";
-  let cond_ablate (type s a) name (sys : (s, a) Tm_ioa.Ioa.t) bm c =
-    let o_lu = Reach.check_condition ~domains:bench_domains sys bm c in
-    let o_mc =
-      with_no_lu (fun () ->
-          Reach.check_condition ~domains:bench_domains sys bm c)
-    in
-    let verdict_of = function
-      | Reach.Verified _ -> "VERIFIED"
-      | Reach.Lower_violation _ -> "LOWER"
-      | Reach.Upper_violation _ -> "UPPER"
-      | Reach.Unknown _ -> "UNKNOWN"
-      | Reach.Unsupported _ -> "UNSUPPORTED"
-    in
-    row "%-52s %s\n" name
-      (if String.equal (verdict_of o_lu) (verdict_of o_mc) then "AGREE"
-       else
-         Printf.sprintf "DISAGREE (%s vs %s)" (verdict_of o_lu)
-           (verdict_of o_mc))
-  in
-  (let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
-   cond_ablate "fischer n=3 SET->ENTER window" (F.system p) (F.boundmap p)
-     (F.u_enter p));
-  (let p = SR.params_of_ints ~n:6 ~d1:1 ~d2:2 in
-   cond_ablate "relay n=6 U(0,6)" (SR.line p) (SR.boundmap p)
-     (Tm_timed.Condition.make ~name:"U0n"
-        ~t_step:(fun _ a _ -> a = SR.Signal 0)
-        ~bounds:(SR.delay_interval p)
-        ~in_pi:(fun a -> a = SR.Signal 6)
-        ()))
-
-(* ------------------------------------------------------------------ *)
 (* E16: the serving layer — duplicate suppression and load shedding.
    In-process (no sockets): the daemon's catalog, cache and admission
    modules are driven directly, measuring what `timedmap serve` claims
@@ -1289,7 +1209,7 @@ let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
-    ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
+    ("e12", e12); ("e13", e13); ("e14", e14); ("e16", e16);
     ("e17", e17); ("e18", e18);
   ]
 

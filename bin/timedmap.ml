@@ -387,12 +387,14 @@ let model_term ?(margin = false) () =
   Term.(ret (const build $ system_arg $ params_term))
 
 let steps_arg =
-  Arg.(value & opt int 60 & info [ "steps" ] ~doc:"steps to simulate")
+  checked (fun n -> n >= 0) "--steps must be >= 0"
+    Arg.(value & opt int 60 & info [ "steps" ] ~doc:"steps to simulate")
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed")
 
 let runs_arg =
-  Arg.(value & opt int 100 & info [ "runs" ] ~doc:"number of runs")
+  checked (fun n -> n >= 0) "--runs must be >= 0"
+    Arg.(value & opt int 100 & info [ "runs" ] ~doc:"number of runs")
 
 let strategy_arg =
   let parse name =
@@ -570,23 +572,29 @@ let with_obs name o f =
    analysis helpers read. *)
 let budget_term =
   let states_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "budget-states" ] ~docv:"N"
-          ~doc:
-            "Give up after storing $(docv) zones (or discretized nodes). \
-             An exhausted run reports UNKNOWN with partial statistics \
-             and exits 4.")
+    checked
+      (function None -> true | Some n -> n >= 1)
+      "--budget-states must be >= 1"
+      Arg.(
+        value
+        & opt (some int) None
+        & info [ "budget-states" ] ~docv:"N"
+            ~doc:
+              "Give up after storing $(docv) zones (or discretized \
+               nodes). An exhausted run reports UNKNOWN with partial \
+               statistics and exits 4.")
   in
   let ms_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "budget-ms" ] ~docv:"MS"
-          ~doc:
-            "Wall-clock budget in milliseconds. A run that exceeds it \
-             reports UNKNOWN (exit 4) instead of hanging.")
+    checked
+      (function None -> true | Some ms -> ms > 0.)
+      "--budget-ms must be > 0"
+      Arg.(
+        value
+        & opt (some float) None
+        & info [ "budget-ms" ] ~docv:"MS"
+            ~doc:
+              "Wall-clock budget in milliseconds. A run that exceeds it \
+               reports UNKNOWN (exit 4) instead of hanging.")
   in
   let mk states ms =
     budget_states := states;
@@ -1329,6 +1337,9 @@ let () =
       exit 130
   | exception Snapshot.Bad_snapshot m ->
       Format.eprintf "timedmap: snapshot error: %s@." m;
+      exit 2
+  | exception Sys_error m ->
+      Format.eprintf "timedmap: %s@." m;
       exit 2
   | exception Failure m ->
       Format.eprintf "timedmap: %s@." m;

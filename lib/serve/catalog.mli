@@ -25,7 +25,7 @@
     The job's [fingerprint] is the content address for the verdict
     cache and the checkpoint routing key.  For verify jobs it is {e
     exactly} the [Tm_zones.Reach] checkpoint fingerprint (kernel,
-    widening mode, boundmap, condition/invariant encoding), so cache
+    boundmap, condition/invariant encoding), so cache
     entries and checkpoint files agree on identity.  Margin and
     simulation fingerprints extend it with every input that can change
     the answer (props and budgets; steps/strategy/seed/deadline). *)

@@ -12,7 +12,7 @@
    which makes the tightness order ([Lt c < Le c < Inf]) the native
    integer order, bound addition two adds and a mask, and the whole
    Scratch pipeline allocation-free.  Feeding a non-integer bound to
-   [constrain]/[sat]/[extrapolate] is a scaling bug, never a
+   [constrain]/[sat]/[extrapolate_lu] is a scaling bug, never a
    truncation: it raises [Invalid_argument] so the differential wall
    notices immediately.  Overflow is excluded up front by {!headroom}.
 
@@ -66,15 +66,6 @@ let bnd_add a b = if a = inf || b = inf then inf else a + b - ((a lor b) land 1)
 (* Does the bound admit 0?  Le 0 = 1, Lt 0 = 0, so the test is a sign
    check — this is why the weak bit lives in the LOW bit. *)
 let bnd_neg_ok p = p > 0
-
-(* The extrapolation entry points take their constants (the max
-   constant, the L/U bounds) as rationals.  Jobs are scaled to integers
-   before they get here, so a non-integer constant is a scaling bug:
-   like [pack], raise rather than round. *)
-let int_const ~where ~what q =
-  if not (Rational.is_integer q) then
-    invalid_arg (Printf.sprintf "Dbm_int.%s: non-integer %s" where what);
-  q.Rational.num
 
 (* [off] is the start of this zone's n*n slice inside [m]: arena zones
    share one large chunk array, heap zones own an exactly-sized array
@@ -222,26 +213,6 @@ let free_arr n m x =
     end
   done
 
-let extrapolate_arr n m mc neg_mc =
-  (* mc / neg_mc are plain integer constants; entry constant is
-     [p asr 1] for either strictness, so both rules are integer
-     compares.  [Lt (-mc)] packs to [neg_mc * 2]. *)
-  let lt_neg_mc = neg_mc lsl 1 in
-  let changed = ref false in
-  for k = 0 to (n * n) - 1 do
-    let p = m.(k) in
-    if p <> inf then
-      if p asr 1 > mc then begin
-        m.(k) <- inf;
-        changed := true
-      end
-      else if p asr 1 < neg_mc then begin
-        m.(k) <- lt_neg_mc;
-        changed := true
-      end
-  done;
-  !changed
-
 (* LU relaxation on packed entries: entry (i, j) with constant c goes
    to Inf when c > L_i, else to Lt (-U_j) when c < -U_j; a [None] bound
    is -inf and wipes unconditionally.  Comparisons are on the constant
@@ -250,9 +221,15 @@ let extrapolate_arr n m mc neg_mc =
    per-clock thresholds are hoisted into int rows up front:
    [lceil.(i) = L_i] (a [None] lower bound is -inf, encoded [min_int]
    so every constant exceeds it) and [nuc.(j) = -U_j] ([None] upper
-   encoded [max_int], meaning wipe). *)
+   encoded [max_int], meaning wipe).  Jobs are scaled to integers
+   before they get here, so a non-integer bound is a scaling bug: like
+   [pack], raise rather than round. *)
 let lu_thresholds ~where n lower upper =
-  let bound q = int_const ~where ~what:"LU bound" q in
+  let bound q =
+    if not (Rational.is_integer q) then
+      invalid_arg (Printf.sprintf "Dbm_int.%s: non-integer LU bound" where);
+    q.Rational.num
+  in
   let lceil = Array.make n min_int in
   let nuc = Array.make n max_int in
   for k = 0 to n - 1 do
@@ -382,19 +359,6 @@ let intersect a b =
     in
     let empty = canonicalize_arr a.n m in
     mk a.n m empty
-  end
-
-let extrapolate mc z =
-  Metrics.incr c_extrapolate;
-  let mci = int_const ~where:"extrapolate" ~what:"max constant" mc in
-  if z.empty then z
-  else begin
-    let m = dup z in
-    if not (extrapolate_arr z.n m mci (-mci)) then z
-    else begin
-      ignore (canonicalize_arr z.n m);
-      mk z.n m false
-    end
   end
 
 let extrapolate_lu ~lower ~upper z =
@@ -736,14 +700,6 @@ module Scratch = struct
     Metrics.incr c_free;
     if x < 1 || x >= s.sn then invalid_arg "Dbm_int.Scratch.free";
     if not s.sempty then free_arr s.sn s.sm x
-
-  let extrapolate mc s =
-    Metrics.incr c_extrapolate;
-    let mci =
-      int_const ~where:"Scratch.extrapolate" ~what:"max constant" mc
-    in
-    if (not s.sempty) && extrapolate_arr s.sn s.sm mci (-mci) then
-      ignore (canonicalize_arr s.sn s.sm)
 
   let extrapolate_lu ~lower ~upper s =
     Metrics.incr c_extrapolate;

@@ -26,7 +26,6 @@ let reset = Dbm_int.reset
 let free = Dbm_int.free
 let intersect = Dbm_int.intersect
 let includes = Dbm_int.includes
-let extrapolate = Dbm_int.extrapolate
 let extrapolate_lu = Dbm_int.extrapolate_lu
 let sat = Dbm_int.sat
 let loose = Dbm_int.loose
@@ -126,10 +125,6 @@ module Scratch = struct
   let free s x =
     Dbm_int.Scratch.free s.intk x;
     if s.checking then Dbm_ref.Scratch.free s.refk x
-
-  let extrapolate mc s =
-    Dbm_int.Scratch.extrapolate mc s.intk;
-    if s.checking then Dbm_ref.Scratch.extrapolate mc s.refk
 
   let extrapolate_lu ~lower ~upper s =
     Dbm_int.Scratch.extrapolate_lu ~lower ~upper s.intk;

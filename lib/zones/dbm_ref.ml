@@ -157,32 +157,6 @@ let includes big small =
       big.m;
     !ok
 
-let extrapolate mc z =
-  if z.empty then z
-  else begin
-    let n = z.n in
-    let m = Array.copy z.m in
-    let changed = ref false in
-    for k = 0 to (n * n) - 1 do
-      (match m.(k) with
-      | Inf -> ()
-      | Le c | Lt c ->
-          if Rational.(c > mc) then begin
-            m.(k) <- Inf;
-            changed := true
-          end
-          else if Rational.(c < Rational.neg mc) then begin
-            m.(k) <- Lt (Rational.neg mc);
-            changed := true
-          end)
-    done;
-    if not !changed then z
-    else begin
-      ignore (canonicalize_arr n m);
-      { z with m }
-    end
-  end
-
 (* LU relaxation: entry (i, j) with constant c goes to Inf when
    c > lower.(i), else to Lt (-upper.(j)) when c < -upper.(j); a [None]
    bound is -inf and wipes unconditionally.  Comparisons are on the
@@ -316,7 +290,6 @@ module Scratch = struct
   let up s = s.cur <- up s.cur
   let reset s x = s.cur <- reset s.cur x
   let free s x = s.cur <- free s.cur x
-  let extrapolate mc s = s.cur <- extrapolate mc s.cur
 
   let extrapolate_lu ~lower ~upper s =
     s.cur <- extrapolate_lu ~lower ~upper s.cur

@@ -57,10 +57,6 @@ module type S = sig
   val intersect : t -> t -> t
   val includes : t -> t -> bool
 
-  val extrapolate : Tm_base.Rational.t -> t -> t
-  (** Max-constant extrapolation: bounds above [mc] become [Inf],
-      bounds below [-mc] become [Lt (-mc)]. *)
-
   val extrapolate_lu :
     lower:Tm_base.Rational.t option array ->
     upper:Tm_base.Rational.t option array ->
@@ -151,7 +147,6 @@ module type S = sig
     val up : scratch -> unit
     val reset : scratch -> int -> unit
     val free : scratch -> int -> unit
-    val extrapolate : Tm_base.Rational.t -> scratch -> unit
 
     val extrapolate_lu :
       lower:Tm_base.Rational.t option array ->

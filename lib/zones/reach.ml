@@ -61,16 +61,6 @@ let keep_armed = Ok (Armed, `Keep)
 let keep_phase p _ _ _ ~sat:_ =
   match p with Idle -> keep_idle | Armed -> keep_armed
 
-(* LU extrapolation is the default widening; TM_NO_LU=1 falls back to
-   classic max-constant extrapolation — the escape hatch CI uses to
-   keep the non-LU path covered, and the toggle the metamorphic
-   soundness tests flip.  Read per encoding, so one process can build
-   both modes in sequence. *)
-let lu_disabled () =
-  match Sys.getenv_opt "TM_NO_LU" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
 (* Time-unit scaling.  Multiplying every boundmap endpoint and every
    condition bound by the same integer k >= 1 maps timed executions one
    to one (Defs 2.1/2.2/3.1 do not depend on the unit of time), so
@@ -158,9 +148,8 @@ module Make (K : Dbm_sig.S) : S = struct
             ([-1] when classless) *)
     uppers : Dbm_bound.t option array;
         (** per class index: invariant bound [Le b_u] when finite *)
-    lu : (Rational.t option array * Rational.t option array) option;
-        (** per DBM clock LU-extrapolation bounds, [None] when LU is
-            disabled (fall back to max-constant widening) *)
+    lu : Rational.t option array * Rational.t option array;
+        (** per DBM clock LU-extrapolation bounds [(lower, upper)] *)
     scale : int;
         (** time-unit factor every constant above was multiplied by;
             [1] on a rational kernel *)
@@ -220,39 +209,36 @@ module Make (K : Dbm_sig.S) : S = struct
     | Some _ | None -> ());
     let y = if with_observer then Some (nreal + 1) else None in
     let lu =
-      if lu_disabled () then None
-      else begin
-        (* L(x) / U(x) must dominate every constant the exploration
-           ever compares clock x against.  Class clocks only meet their
-           guard (x >= b_l, a lower comparison) and their invariant
-           (x <= b_u, an upper comparison) — {!Boundmap.lu_bounds}.
-           The observer clock is only met by the condition probes, and
-           those INVERT: [y < b_l] is an upper-type comparison (so b_l
-           feeds U(y)) and [y > b_u] is a lower-type one (so b_u feeds
-           L(y)).  The reference clock carries [Some 0] on both sides.
-           A clock with no comparison on a side keeps [None] (-inf)
-           there, which wipes the corresponding entries — inactive
-           clocks vanish from the zone for free. *)
-        let lower = Array.make nclocks None in
-        let upper = Array.make nclocks None in
-        lower.(0) <- Some Rational.zero;
-        upper.(0) <- Some Rational.zero;
-        Array.iteri
-          (fun i c ->
-            let l, u = Boundmap.lu_bounds bm c in
-            lower.(i + 1) <- l;
-            upper.(i + 1) <- u)
-          cenc.Clock_enc.classes;
-        (match (y, cond_bounds) with
-        | Some yi, Some iv ->
-            let bl = Interval.lo iv in
-            if Rational.sign bl > 0 then upper.(yi) <- Some bl;
-            (match Interval.hi iv with
-            | Time.Fin q -> lower.(yi) <- Some q
-            | Time.Inf -> ())
-        | Some _, None | None, _ -> ());
-        Some (lower, upper)
-      end
+      (* L(x) / U(x) must dominate every constant the exploration
+         ever compares clock x against.  Class clocks only meet their
+         guard (x >= b_l, a lower comparison) and their invariant
+         (x <= b_u, an upper comparison) — {!Boundmap.lu_bounds}.
+         The observer clock is only met by the condition probes, and
+         those INVERT: [y < b_l] is an upper-type comparison (so b_l
+         feeds U(y)) and [y > b_u] is a lower-type one (so b_u feeds
+         L(y)).  The reference clock carries [Some 0] on both sides.
+         A clock with no comparison on a side keeps [None] (-inf)
+         there, which wipes the corresponding entries — inactive
+         clocks vanish from the zone for free. *)
+      let lower = Array.make nclocks None in
+      let upper = Array.make nclocks None in
+      lower.(0) <- Some Rational.zero;
+      upper.(0) <- Some Rational.zero;
+      Array.iteri
+        (fun i c ->
+          let l, u = Boundmap.lu_bounds bm c in
+          lower.(i + 1) <- l;
+          upper.(i + 1) <- u)
+        cenc.Clock_enc.classes;
+      (match (y, cond_bounds) with
+      | Some yi, Some iv ->
+          let bl = Interval.lo iv in
+          if Rational.sign bl > 0 then upper.(yi) <- Some bl;
+          (match Interval.hi iv with
+          | Time.Fin q -> lower.(yi) <- Some q
+          | Time.Inf -> ())
+      | Some _, None | None, _ -> ());
+      (lower, upper)
     in
     { cenc; nclocks; y; max_const; guards; uppers; lu; scale }
 
@@ -264,13 +250,12 @@ module Make (K : Dbm_sig.S) : S = struct
      the same program calling again.  It is built from the caller's
      unscaled [bm] and max constant, so [bm] and [2·bm] never share a
      fingerprint, and an integral job's fingerprint does not depend on
-     scaling at all. *)
+     scaling at all.  [widen=lu] is a constant since LU became the
+     only widening; it stays so that existing fingerprints still match. *)
   let fingerprint_of ~kind bm (enc : _ enc) =
     Format.asprintf
-      "tmjob1|kernel=%s|widen=%s|kind=%s|nclocks=%d|maxc=%a|alpha=%d|%a"
-      K.name
-      (match enc.lu with Some _ -> "lu" | None -> "maxc")
-      kind enc.nclocks Rational.pp
+      "tmjob1|kernel=%s|widen=lu|kind=%s|nclocks=%d|maxc=%a|alpha=%d|%a"
+      K.name kind enc.nclocks Rational.pp
       (Rational.div enc.max_const (Rational.of_int enc.scale))
       (Array.length enc.guards)
       (Format.pp_print_list
@@ -457,16 +442,12 @@ module Make (K : Dbm_sig.S) : S = struct
        reset: everything frozen into it on the sequential
        path, or copied into it by the commit loop, is a stored zone. *)
     let arena = K.Arena.create () in
-    (* The one widening applied to every zone before it is stored —
-       LU-bound extrapolation by default, classic max-constant when
-       disabled.  Every zone reaches it through [settle], whatever the
-       kernel or domain count, so [zones.stored] stays identical by
-       construction. *)
-    let widen scr =
-      match enc.lu with
-      | Some (lower, upper) -> K.Scratch.extrapolate_lu ~lower ~upper scr
-      | None -> K.Scratch.extrapolate enc.max_const scr
-    in
+    (* The one widening applied to every zone before it is stored:
+       LU-bound extrapolation.  Every zone reaches it through [settle],
+       whatever the kernel or domain count, so [zones.stored] stays
+       identical by construction. *)
+    let lower, upper = enc.lu in
+    let widen scr = K.Scratch.extrapolate_lu ~lower ~upper scr in
     let z_init = K.zero enc.nclocks in
     let edges = ref 0 in
     let zone_count = ref 0 in

@@ -23,11 +23,12 @@
     reduction).  Every zone, initial or successor, passes through one
     successor pipeline that ends in this widening, whatever the kernel
     or domain count, so [zones.stored] stays kernel- and
-    domain-independent.  Setting [TM_NO_LU=1] in the
-    environment falls back to max-constant extrapolation (verdicts must
-    not change — the metamorphic suite in test/ checks exactly that);
-    the widening mode is part of the checkpoint fingerprint, so
-    snapshots never cross modes.
+    domain-independent.  LU is the only widening: there is no
+    max-constant fallback mode.  Its soundness is checked independently
+    of this engine by the Alur–Dill region construction ({!Region}),
+    which test/ runs against the zone verdicts.  The checkpoint
+    fingerprint carries the constant field [widen=lu], kept so that
+    existing fingerprints and snapshots stay valid.
 
     A timing condition is checked by an observer with one extra clock
     [y], armed by the condition's triggers and disarmed by [Π]-actions

@@ -105,10 +105,9 @@ type dbm_op =
   | Free of int
   | Intersect of dbm_constraint list
       (** intersect with [top] refined by these constraints *)
-  | Extrapolate of int  (** max constant *)
   | Extrapolate_lu of int option list * int option list
       (** LU bounds per clock, reference clock included; [None] is
-          [-inf].  Only {!dead_row_script} generates it. *)
+          [-inf] *)
 
 type dbm_script = { ds_clocks : int; ds_ops : dbm_op list }
 
@@ -120,7 +119,16 @@ let dbm_constraint : dbm_constraint QCheck2.Gen.t =
       (quad (int_range 0 4) (int_range 0 4) (int_range (-12) 12)
          (pair (int_range 1 4) bool)))
 
-let dbm_op : dbm_op QCheck2.Gen.t =
+(* An LU extrapolation of an [n]-clock zone: bounds random per clock,
+   [None] allowed, [Some 0] on the reference clock. *)
+let extrapolate_lu_op n : dbm_op QCheck2.Gen.t =
+  QCheck2.Gen.(
+    let bound = option ~ratio:0.6 (int_range 0 6) in
+    map
+      (fun (l, u) -> Extrapolate_lu (Some 0 :: l, Some 0 :: u))
+      (pair (list_repeat (n - 1) bound) (list_repeat (n - 1) bound)))
+
+let dbm_op n : dbm_op QCheck2.Gen.t =
   QCheck2.Gen.(
     frequency
       [
@@ -129,15 +137,15 @@ let dbm_op : dbm_op QCheck2.Gen.t =
         (2, map (fun x -> Reset x) (int_range 0 4));
         (2, map (fun x -> Free x) (int_range 0 4));
         (1, map (fun cs -> Intersect cs) (list_size (int_range 0 3) dbm_constraint));
-        (1, map (fun m -> Extrapolate m) (int_range 0 6));
+        (1, extrapolate_lu_op n);
       ])
 
 let dbm_script : dbm_script QCheck2.Gen.t =
   QCheck2.Gen.(
-    map2
-      (fun ds_clocks ds_ops -> { ds_clocks; ds_ops })
-      (int_range 2 5)
-      (list_size (int_range 1 25) dbm_op))
+    int_range 2 5 >>= fun n ->
+    map
+      (fun ds_ops -> { ds_clocks = n; ds_ops })
+      (list_size (int_range 1 25) (dbm_op n)))
 
 let print_dbm_constraint c =
   Printf.sprintf "x%d-x%d %s %d/%d" c.ci c.cj
@@ -152,7 +160,6 @@ let print_dbm_op = function
   | Intersect cs ->
       Printf.sprintf "intersect[%s]"
         (String.concat "; " (List.map print_dbm_constraint cs))
-  | Extrapolate m -> Printf.sprintf "extrapolate %d" m
   | Extrapolate_lu (l, u) ->
       let bs =
         List.map (function None -> "-" | Some c -> string_of_int c)
@@ -176,7 +183,7 @@ let scale_dbm_script s =
       (function
         | Constrain c -> [ c.cden ]
         | Intersect cs -> List.map (fun c -> c.cden) cs
-        | Up | Reset _ | Free _ | Extrapolate _ | Extrapolate_lu _ -> [])
+        | Up | Reset _ | Free _ | Extrapolate_lu _ -> [])
       s.ds_ops
   in
   let k = List.fold_left (fun k d -> k / gcd k d * d) 1 dens in
@@ -184,7 +191,6 @@ let scale_dbm_script s =
   let op = function
     | Constrain c -> Constrain (sc c)
     | Intersect cs -> Intersect (List.map sc cs)
-    | Extrapolate m -> Extrapolate (m * k)
     | Extrapolate_lu (l, u) ->
         let sc_lu = List.map (Option.map (fun c -> c * k)) in
         Extrapolate_lu (sc_lu l, sc_lu u)
@@ -218,10 +224,9 @@ let dead_row_script : dbm_script QCheck2.Gen.t =
           (1, map (fun cs -> Intersect cs) (list_size (int_range 0 3) constr));
         ]
     in
-    let bound = option ~ratio:0.6 (int_range 0 6) in
     let round n =
       map3
-        (fun ops keep (l, u) ->
+        (fun ops keep extrapolate ->
           let keep =
             List.filteri (fun i _ -> i < (n - 1) / 4)
               (List.map (fun x -> 1 + (x mod (n - 1))) keep)
@@ -231,10 +236,10 @@ let dead_row_script : dbm_script QCheck2.Gen.t =
               (fun x -> if List.mem x keep then None else Some (Free x))
               (List.init (n - 1) (fun i -> i + 1))
           in
-          ops @ frees @ [ Extrapolate_lu (Some 0 :: l, Some 0 :: u) ])
+          ops @ frees @ [ extrapolate ])
         (list_size (int_range 0 6) op)
         (list_size (int_range 0 4) wide)
-        (pair (list_repeat (n - 1) bound) (list_repeat (n - 1) bound))
+        (extrapolate_lu_op n)
     in
     int_range 9 16 >>= fun n ->
     map

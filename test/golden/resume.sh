@@ -13,11 +13,10 @@
 #                later run --resume picks up that item's progress
 #   resume-later run --resume routed to an item that is not the first one
 #
-# stderr is dropped; TM_NO_LU is cleared as in run.sh.
+# stderr is dropped.
 exe=$1
 case_=$2
 ck=$case_.ckpt
-unset TM_NO_LU
 rm -f "$ck"
 
 run () {

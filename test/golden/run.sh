@@ -5,11 +5,9 @@
 #   sh run.sh path/to/timedmap.exe SYSTEM
 #
 # Used by the dune rules next to it, which diff the result against
-# SYSTEM.expected.  The transcripts pin the default (LU) widening, so
-# TM_NO_LU is cleared; stderr is dropped.
+# SYSTEM.expected.  stderr is dropped.
 exe=$1
 sys=$2
-unset TM_NO_LU
 
 run () {
   echo "\$ timedmap $*"

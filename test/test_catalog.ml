@@ -15,35 +15,9 @@ module Catalog = Tm_serve.Catalog
 module Reach = Tm_zones.Reach
 module Supervisor = Tm_recover.Supervisor
 
-(* Fingerprints name the widening mode; the pins are taken with LU
-   widening, and TM_NO_LU=1 (max-constant widening) must change exactly
-   that field. *)
-let canon fp =
-  let mode =
-    match Sys.getenv_opt "TM_NO_LU" with
-    | Some ("1" | "true" | "yes") -> "maxc"
-    | _ -> "lu"
-  in
-  let pat = "|widen=" ^ mode ^ "|" in
-  let lp = String.length pat in
-  let b = Buffer.create (String.length fp) in
-  let rec go i =
-    if i >= String.length fp then ()
-    else if i + lp <= String.length fp && String.sub fp i lp = pat then begin
-      Buffer.add_string b "|widen=lu|";
-      go (i + lp)
-    end
-    else begin
-      Buffer.add_char b fp.[i];
-      go (i + 1)
-    end
-  in
-  go 0;
-  Buffer.contents b
-
 let digest req =
   match Catalog.of_request req with
-  | Ok job -> Digest.to_hex (Digest.string (canon job.Catalog.fingerprint))
+  | Ok job -> Digest.to_hex (Digest.string job.Catalog.fingerprint)
   | Error m -> "error: " ^ m
 
 let obj kvs = Json.Obj kvs
@@ -271,7 +245,7 @@ let test_mix_universe () =
     List.map
       (fun r ->
         match Catalog.of_request r with
-        | Ok job -> canon job.Catalog.fingerprint
+        | Ok job -> job.Catalog.fingerprint
         | Error m -> Alcotest.failf "rejected %s: %s" (Json.to_string r) m)
       (mix_universe ())
   in

@@ -94,17 +94,33 @@ let test_intersect_includes () =
   Alcotest.(check bool) "empty included anywhere" true
     (Dbm.includes i (Dbm.constrain i 1 0 (Bnd.Lt (q 3 |> Rational.neg))))
 
+(* LU bounds for a 2-clock zone: L(x1) = l, U(x1) = u, [Some 0] on the
+   reference clock. *)
+let lu2 l u z =
+  Dbm.extrapolate_lu ~lower:[| Some Rational.zero; l |]
+    ~upper:[| Some Rational.zero; u |] z
+
 let test_extrapolate () =
   let t = Dbm.top 2 in
   let z = Dbm.constrain t 1 0 (Bnd.Le (q 100)) in
-  let e = Dbm.extrapolate (q 10) z in
-  Alcotest.(check bool) "big upper bound dropped" true (Dbm.get e 1 0 = Bnd.Inf);
+  let e = lu2 (Some (q 10)) (Some (q 10)) z in
+  Alcotest.(check bool) "upper bound above L dropped" true
+    (Dbm.get e 1 0 = Bnd.Inf);
   Alcotest.(check bool) "extrapolated zone includes original" true
     (Dbm.includes e z);
   (* small bounds unchanged *)
   let z2 = Dbm.constrain t 1 0 (Bnd.Le (q 5)) in
   Alcotest.(check bool) "small bound kept" true
-    (Dbm.equal (Dbm.extrapolate (q 10) z2) z2)
+    (Dbm.equal (lu2 (Some (q 10)) (Some (q 10)) z2) z2);
+  (* a lower bound beyond U relaxes to Lt (-U) *)
+  let z3 = Dbm.constrain t 0 1 (Bnd.Le (q (-20))) in
+  Alcotest.(check bool) "lower bound above U relaxed" true
+    (Dbm.get (lu2 (Some (q 10)) (Some (q 10)) z3) 0 1 = Bnd.Lt (q (-10)));
+  (* no comparison on a side wipes that side *)
+  let e4 = lu2 None (Some (q 10)) z2 in
+  Alcotest.(check bool) "None lower bound wipes the row" true
+    (Dbm.get e4 1 0 = Bnd.Inf);
+  Alcotest.(check bool) "the rest kept" true (Dbm.get e4 0 1 = Dbm.get z2 0 1)
 
 let test_equal_hash () =
   let a = Dbm.constrain (Dbm.top 3) 1 0 (Bnd.Le (q 2)) in
@@ -138,9 +154,22 @@ let prop_up_grows =
       QCheck2.assume (not (Dbm.is_empty z));
       Dbm.includes (Dbm.up z) z)
 
+(* random LU bounds for {!zone_gen}'s 3 clocks *)
+let lu_gen =
+  QCheck2.Gen.(
+    let side =
+      map
+        (fun bs ->
+          Array.of_list (Some Rational.zero :: List.map (Option.map q) bs))
+        (list_repeat 2 (option ~ratio:0.6 (int_range 0 6)))
+    in
+    pair side side)
+
 let prop_extrapolate_grows =
-  check_holds "extrapolate yields a superset" zone_gen (fun z ->
-      Dbm.includes (Dbm.extrapolate (q 4) z) z)
+  check_holds "extrapolate yields a superset"
+    QCheck2.Gen.(pair zone_gen lu_gen)
+    (fun (z, (lower, upper)) ->
+      Dbm.includes (Dbm.extrapolate_lu ~lower ~upper z) z)
 
 let prop_intersect_commutes =
   check_holds "intersect commutes" QCheck2.Gen.(pair zone_gen zone_gen)

@@ -72,7 +72,6 @@ let run_persistent (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
             (K.top n) cs
         in
         (K.intersect z other, None)
-    | Gen.Extrapolate m -> (K.extrapolate (Rational.of_int m) z, None)
     | Gen.Extrapolate_lu (l, u) ->
         (K.extrapolate_lu ~lower:(lu_bounds l) ~upper:(lu_bounds u) z, None)
   in
@@ -136,9 +135,6 @@ let run_scratch (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
             (K.top n) cs
         in
         Sc.load scr (K.intersect (Sc.freeze scr) other);
-        None
-    | Gen.Extrapolate m ->
-        Sc.extrapolate (Rational.of_int m) scr;
         None
     | Gen.Extrapolate_lu (l, u) ->
         Sc.extrapolate_lu ~lower:(lu_bounds l) ~upper:(lu_bounds u) scr;
@@ -344,19 +340,14 @@ let unit_scaled_jobs () =
 let unit_integral_fingerprints_stable () =
   let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let sys = F.system p and bm = F.boundmap p in
-  let widen =
-    match Sys.getenv_opt "TM_NO_LU" with
-    | Some ("1" | "true" | "yes") -> "maxc"
-    | _ -> "lu"
-  in
   let fp kind nclocks =
     Printf.sprintf
-      "tmjob1|kernel=int|widen=%s|kind=%s|nclocks=%d|maxc=3|alpha=21|\
+      "tmjob1|kernel=int|widen=lu|kind=%s|nclocks=%d|maxc=3|alpha=21|\
        CHECK_1:[2, 3],CHECK_2:[2, 3],CHECK_3:[2, 3],CRIT_1:[0, 2],\
        CRIT_2:[0, 2],CRIT_3:[0, 2],RETRY_1:[0, 2],RETRY_2:[0, 2],\
        RETRY_3:[0, 2],SET_1:[0, 1],SET_2:[0, 1],SET_3:[0, 1],TEST_1:[0, 1],\
        TEST_2:[0, 1],TEST_3:[0, 1]"
-      widen kind nclocks
+      kind nclocks
   in
   Alcotest.(check string) "reachable" (fp "reachable" 16)
     (Reach.Auto.fingerprint_reachable sys bm);
@@ -459,8 +450,7 @@ let unit_sat_is_o1_consistent () =
     ]
 
 (* A fractional L/U bound can only come from a scaling bug: both LU
-   entry points refuse it instead of rounding it, as the max-constant
-   ones do. *)
+   entry points refuse it instead of rounding it. *)
 let unit_lu_rejects_fractions () =
   let half = Some (Rational.make 1 2) and two = Some (Gen.q 2) in
   let z = Dbm_int.top 3 in

@@ -59,7 +59,6 @@ let zones_of_script (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
                let i, j, b = norm_constraint n c in
                K.constrain acc i j b)
              (K.top n) cs)
-    | Gen.Extrapolate m -> K.extrapolate (Rational.of_int m) z
     | Gen.Extrapolate_lu (l, u) ->
         let lu l = Array.of_list (List.map (Option.map Rational.of_int) l) in
         K.extrapolate_lu ~lower:(lu l) ~upper:(lu u) z

@@ -203,12 +203,6 @@ let invariant_domain_invariance () =
     Reach.Auto.check_state_invariant ~domains:d (F.system p) (F.boundmap p)
       F.mutual_exclusion
   in
-  (* pinned per widening mode: CI runs the suite again under TM_NO_LU=1 *)
-  let stats =
-    match Sys.getenv_opt "TM_NO_LU" with
-    | Some ("1" | "true" | "yes") -> [ 138; 913; 2460 ]
-    | _ -> [ 138; 337; 882 ]
-  in
   let broken_at_1 = check ~a:3 ~b:2 1 in
   List.iter
     (fun d ->
@@ -216,7 +210,7 @@ let invariant_domain_invariance () =
       | Ok st ->
           Alcotest.(check (list int))
             (Printf.sprintf "fischer n=3 stats at %d domains" d)
-            stats
+            [ 138; 337; 882 ]
             [ st.Reach.locations; st.Reach.zones; st.Reach.edges ]
       | Error _ -> Alcotest.failf "fischer n=3 violated at %d domains" d);
       match check ~a:3 ~b:2 d with

@@ -402,9 +402,8 @@ let fischer_cond_resume () =
     | Reach.Verified st -> st.Reach.zones
     | _ -> Alcotest.fail "fischer n=2 U_enter should verify"
   in
-  (* A budget at half the fixpoint always exhausts, whatever the
-     widening mode stores in total (LU stores far fewer zones than
-     max-constant, so a fixed count would not survive the ablation). *)
+  (* A budget at half the fixpoint always exhausts, and is derived from
+     the run rather than pinned, so it tracks the engine's zone count. *)
   let limit = (full_zones / 2) + 1 in
   let every = max 1 (limit / 4) in
   List.iter

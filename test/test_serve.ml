@@ -480,10 +480,8 @@ let daemon_pipeline () =
    limit far below the fixpoint still verifies, because each supervised
    attempt resumes the previous frontier with a re-based budget — and
    the verdict is byte-identical to an unbudgeted run.  The limit must
-   stay below the LU fixpoint (~337 stored zones) so chaining is
-   actually exercised, while attempts x limit must cover the non-LU
-   exploration (~913 zones) — CI runs this suite under TM_NO_LU=1
-   too. *)
+   stay below the fixpoint (~337 stored zones) so chaining is actually
+   exercised. *)
 let daemon_budget_chaining () =
   let run_one ~req =
     let sock = sock_path () in
