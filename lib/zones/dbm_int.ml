@@ -73,6 +73,7 @@ let bnd_neg_ok p = p > 0
 type t = { n : int; m : int array; off : int; empty : bool; mutable hmemo : int }
 
 let name = "int"
+let compact = true
 
 (* Headroom.  Every finite entry of a stored zone lies in [-c, c] for
    the job's max constant [c] (guards, invariants, resets to 0 and LU
@@ -361,6 +362,14 @@ let intersect a b =
     mk a.n m empty
   end
 
+type lu = { lceil : int array; nuc : int array }
+
+let prepare_lu ~lower ~upper =
+  let lceil, nuc =
+    lu_thresholds ~where:"prepare_lu" (Array.length lower) lower upper
+  in
+  { lceil; nuc }
+
 let extrapolate_lu ~lower ~upper z =
   Metrics.incr c_extrapolate;
   if z.empty then z
@@ -642,37 +651,32 @@ end
    already-interned original.                                          *)
 
 module Scratch = struct
+  (* The current zone is the first [sn * sn] words of [sm], row stride
+     [sn]; [remap] builds its target in [sbuf] and swaps the two. *)
   type scratch = {
-    sn : int;
-    sm : int array;
+    cap : int;  (** largest dimension the buffers hold *)
+    mutable sn : int;
+    mutable sm : int array;
+    mutable sbuf : int array;
     mutable sempty : bool;
     mutable ssrc : t option;
-    (* LU thresholds, cached under the physical identity of the bound
-       arrays: an exploration extrapolates every pipeline with the same
-       two arrays, so the rational-to-int conversion runs once per
-       exploration instead of once per edge. *)
-    mutable slu_lower : Rational.t option array;
-    mutable slu_upper : Rational.t option array;
-    mutable slu_lceil : int array;
-    mutable slu_nuc : int array;
   }
 
   let create n =
     if n < 1 then invalid_arg "Dbm_int.Scratch.create";
     {
+      cap = n;
       sn = n;
       sm = Array.make (n * n) inf;
+      sbuf = Array.make (n * n) inf;
       sempty = true;
       ssrc = None;
-      slu_lower = [||];
-      slu_upper = [||];
-      slu_lceil = [||];
-      slu_nuc = [||];
     }
 
   let load s z =
-    if s.sn <> z.n then invalid_arg "Dbm_int.Scratch.load";
-    copy_words z.m z.off s.sm 0 (s.sn * s.sn);
+    if z.n > s.cap then invalid_arg "Dbm_int.Scratch.load";
+    s.sn <- z.n;
+    copy_words z.m z.off s.sm 0 (z.n * z.n);
     s.sempty <- z.empty;
     s.ssrc <- Some z
 
@@ -701,21 +705,53 @@ module Scratch = struct
     if x < 1 || x >= s.sn then invalid_arg "Dbm_int.Scratch.free";
     if not s.sempty then free_arr s.sn s.sm x
 
-  let extrapolate_lu ~lower ~upper s =
-    Metrics.incr c_extrapolate;
+  (* Target entry (k, l) is source entry (src k, src l): a reset clock
+     reads clock 0's row and column, which is exactly [reset_arr].  A
+     freed target row is [Inf] and a freed target column copies the
+     row's entry against clock 0, which is exactly [free_arr].  Every
+     diagonal is [Le 0]. *)
+  let remap s (r : Dbm_sig.remap) =
+    let src = r.Dbm_sig.src in
+    let n = s.sn and n' = Array.length src in
+    if n' < 1 || n' > s.cap || src.(0) <> 0 then
+      invalid_arg "Dbm_int.Scratch.remap";
+    for k = 1 to n' - 1 do
+      let sk = src.(k) in
+      if sk < -1 || sk >= n then invalid_arg "Dbm_int.Scratch.remap";
+      if sk = 0 then Metrics.incr c_reset
+    done;
+    Metrics.add c_free r.Dbm_sig.frees;
     if not s.sempty then begin
-      if s.slu_lower != lower || s.slu_upper != upper then begin
-        let lceil, nuc =
-          lu_thresholds ~where:"Scratch.extrapolate_lu" s.sn lower upper
-        in
-        s.slu_lower <- lower;
-        s.slu_upper <- upper;
-        s.slu_lceil <- lceil;
-        s.slu_nuc <- nuc
-      end;
-      if extrapolate_lu_packed s.sn s.sm s.slu_lceil s.slu_nuc then
+      let m = s.sm and d = s.sbuf in
+      for k = 0 to n' - 1 do
+        let sk = Array.unsafe_get src k in
+        let row = k * n' in
+        if sk < 0 then
+          for l = 0 to n' - 1 do
+            Array.unsafe_set d (row + l) inf
+          done
+        else begin
+          let srow = sk * n in
+          for l = 0 to n' - 1 do
+            let sl = Array.unsafe_get src l in
+            Array.unsafe_set d (row + l)
+              (Array.unsafe_get m (srow + if sl < 0 then 0 else sl))
+          done
+        end;
+        Array.unsafe_set d (row + k) le_zero
+      done;
+      s.sm <- d;
+      s.sbuf <- m
+    end;
+    s.sn <- n'
+
+  let extrapolate_lu lu s =
+    Metrics.incr c_extrapolate;
+    if Array.length lu.lceil <> s.sn then
+      invalid_arg "Dbm_int.Scratch.extrapolate_lu";
+    if not s.sempty then
+      if extrapolate_lu_packed s.sn s.sm lu.lceil lu.nuc then
         ignore (canonicalize_arr s.sn s.sm)
-    end
 
   let sat s i j b =
     Metrics.incr c_sat;

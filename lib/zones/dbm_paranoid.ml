@@ -14,6 +14,12 @@ let c_mismatch = Metrics.counter "recover.selfcheck_mismatch"
 type t = Dbm_int.t
 
 let name = "int+selfcheck"
+
+(* Full-width: {!Reach} drives this kernel with the full-width clock
+   maps of {!Dbm_ref}, so both halves of a checked pipeline see the
+   same ops, and the zones are the cylinders the reference engine
+   stores. *)
+let compact = false
 let headroom = Dbm_int.headroom
 let dim = Dbm_int.dim
 let zero = Dbm_int.zero
@@ -28,6 +34,11 @@ let intersect = Dbm_int.intersect
 let includes = Dbm_int.includes
 let extrapolate_lu = Dbm_int.extrapolate_lu
 let sat = Dbm_int.sat
+
+type lu = Dbm_int.lu * Dbm_ref.lu
+
+let prepare_lu ~lower ~upper =
+  (Dbm_int.prepare_lu ~lower ~upper, Dbm_ref.prepare_lu ~lower ~upper)
 let loose = Dbm_int.loose
 let equal = Dbm_int.equal
 let hash = Dbm_int.hash
@@ -126,9 +137,13 @@ module Scratch = struct
     Dbm_int.Scratch.free s.intk x;
     if s.checking then Dbm_ref.Scratch.free s.refk x
 
-  let extrapolate_lu ~lower ~upper s =
-    Dbm_int.Scratch.extrapolate_lu ~lower ~upper s.intk;
-    if s.checking then Dbm_ref.Scratch.extrapolate_lu ~lower ~upper s.refk
+  let remap s r =
+    Dbm_int.Scratch.remap s.intk r;
+    if s.checking then Dbm_ref.Scratch.remap s.refk r
+
+  let extrapolate_lu (li, lr) s =
+    Dbm_int.Scratch.extrapolate_lu li s.intk;
+    if s.checking then Dbm_ref.Scratch.extrapolate_lu lr s.refk
 
   let is_empty s =
     let ia = Dbm_int.Scratch.is_empty s.intk in

@@ -19,6 +19,7 @@ let bnd_neg_ok = Dbm_bound.neg_ok
 type t = { n : int; m : bnd array; empty : bool }
 
 let name = "ref"
+let compact = false
 let headroom = None
 let dim z = z.n
 let get z i j = z.m.(i * z.n + j)
@@ -203,7 +204,32 @@ let extrapolate_lu ~lower ~upper z =
     end
   end
 
+type lu = Rational.t option array * Rational.t option array
+
+let prepare_lu ~lower ~upper = (lower, upper)
 let sat z i j b = not (is_empty (constrain z i j b))
+
+(* The clock map of {!Dbm_sig.remap}, entry by entry: a freed row is
+   [Inf], a freed column repeats the row's bound against clock 0, and
+   everything else is read from the source through [src]. *)
+let remap z (r : Dbm_sig.remap) =
+  let src = r.Dbm_sig.src in
+  let n' = Array.length src in
+  if n' < 1 || src.(0) <> 0 then invalid_arg "Dbm_ref.remap";
+  Array.iter
+    (fun j -> if j < -1 || j >= z.n then invalid_arg "Dbm_ref.remap")
+    src;
+  if z.empty then { z with n = n'; m = Array.make (n' * n') Inf }
+  else
+    let entry k l =
+      if k = l then Le Rational.zero
+      else if src.(k) < 0 then Inf
+      else
+        let sl = if src.(l) < 0 then 0 else src.(l) in
+        get z src.(k) sl
+    in
+    { n = n'; m = Array.init (n' * n') (fun e -> entry (e / n') (e mod n'));
+      empty = false }
 
 let loose z =
   if z.empty then 0
@@ -290,8 +316,9 @@ module Scratch = struct
   let up s = s.cur <- up s.cur
   let reset s x = s.cur <- reset s.cur x
   let free s x = s.cur <- free s.cur x
+  let remap s r = s.cur <- remap s.cur r
 
-  let extrapolate_lu ~lower ~upper s =
+  let extrapolate_lu (lower, upper) s =
     s.cur <- extrapolate_lu ~lower ~upper s.cur
 
   let is_empty s = is_empty s.cur

@@ -10,6 +10,19 @@
    the difference [x_i - x_j].  All values are canonical (shortest-path
    closed) unless empty. *)
 
+(* A clock map for [Scratch.remap]: the source zone's clocks become the
+   target zone's, [Array.length src] of them.  Target clock [k] takes
+   - [src.(k) = j >= 1]: source clock [j], with its bounds against
+     every other kept clock (a kept clock);
+   - [src.(k) = 0]: clock 0's row and column, i.e. it starts at 0 (a
+     reset clock; [src.(0)] is always [0], the reference clock);
+   - [src.(k) = -1]: no constraint at all beyond [x_k >= 0] (a freed
+     clock, as after [free]).
+   A source clock no target takes is dropped: projected away.  [frees]
+   is the number of logical [free] operations the map stands for; it
+   feeds the [dbm.ops] counter only, next to one [reset] per [0]. *)
+type remap = { src : int array; frees : int }
+
 module type S = sig
   type t
   (** A persistent zone: immutable from the caller's point of view. *)
@@ -26,6 +39,20 @@ module type S = sig
       overflow.  {!Reach.Make} scales every job's constants to
       integers before they reach such a kernel, and refuses a job whose
       scaled max constant exceeds [h dim]. *)
+
+  val compact : bool
+  (** [true] for a kernel that stores each zone over its location's live
+      clocks only: {!Reach} then runs every pipeline at dimension
+      1 + |live| and moves between locations with {!Scratch.remap}.
+      [false] for a full-width kernel, whose zones keep a row for every
+      logical clock.  Such a kernel stores the cylinder of the compact
+      zone — every clock outside the live set unconstrained — so the
+      two kinds are differential-testable entry for entry: {!Reach}
+      frees the dropped clocks in the location-change map, and frees
+      them again after widening, since letting time pass advances a
+      freed clock and widening may then leave bounds on it that the
+      compact zone does not have.  A clock outside the live set carries
+      no information: it is reset before it is next read. *)
 
   val dim : t -> int
   (** Number of clocks including the reference clock. *)
@@ -73,6 +100,18 @@ module type S = sig
       (so at least as aggressive as) max-constant extrapolation when
       the arrays dominate the constraint constants, and sound for
       verdicts for the same reason. *)
+
+  type lu
+  (** LU bounds prepared for {!Scratch.extrapolate_lu}: converted (and
+      checked) once, applied on every pipeline that ends at a location
+      with these bounds. *)
+
+  val prepare_lu :
+    lower:Tm_base.Rational.t option array ->
+    upper:Tm_base.Rational.t option array ->
+    lu
+  (** The bounds of [extrapolate_lu], for a zone of
+      [Array.length lower] clocks. *)
 
   val sat : t -> int -> int -> Dbm_bound.t -> bool
   (** [sat z i j b]: is [z /\ (x_i - x_j <= b)] nonempty? *)
@@ -138,23 +177,29 @@ module type S = sig
     type scratch
 
     val create : int -> scratch
-    (** [create n] allocates a scratch matrix for [n] clocks. *)
+    (** [create n] allocates a scratch matrix for zones of up to [n]
+        clocks. *)
 
     val load : scratch -> t -> unit
-    (** Copy a persistent zone into the scratch. *)
+    (** Copy a persistent zone into the scratch; the scratch takes the
+        zone's dimension. *)
+
+    val remap : scratch -> remap -> unit
+    (** Move the scratch zone to the clocks of [remap]'s target (see
+        {!Dbm_sig.remap}) in one pass: kept clocks copy, reset clocks
+        take clock 0's row and column, freed clocks lose every bound,
+        dropped clocks go.  A canonical zone stays canonical, and an
+        empty one empty.  The scratch takes the target's dimension, and
+        [dbm.ops] counts the logical resets and frees of the map. *)
 
     val constrain : scratch -> int -> int -> Dbm_bound.t -> unit
     val up : scratch -> unit
     val reset : scratch -> int -> unit
     val free : scratch -> int -> unit
 
-    val extrapolate_lu :
-      lower:Tm_base.Rational.t option array ->
-      upper:Tm_base.Rational.t option array ->
-      scratch ->
-      unit
-    (** In-place LU-bound extrapolation; see the persistent
-        [extrapolate_lu]. *)
+    val extrapolate_lu : lu -> scratch -> unit
+    (** In-place LU-bound extrapolation with prepared bounds; see the
+        persistent [extrapolate_lu]. *)
 
     val is_empty : scratch -> bool
 

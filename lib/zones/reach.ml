@@ -52,6 +52,10 @@ exception Out_of_budget of exhausted
 
 type phase = Idle | Armed
 
+(* A condition observer's witness: a [Π]-step that may come too early,
+   or an armed zone that may pass its deadline. *)
+exception Refuted of [ `Lower | `Upper ]
+
 (* The no-op observer of the observer-free checks ([explore_states]):
    phases never change and the observer clock is untouched.  The result
    values are preallocated — this runs once per explored edge. *)
@@ -296,6 +300,30 @@ module Make (K : Dbm_sig.S) : S = struct
     mutable expanded : bool;
   }
 
+  (* A location's clock layout: the logical clocks its zones carry, in
+     ascending order.  On a compact kernel these are the live clocks —
+     clock 0, the enabled classes' clocks, and the observer clock while
+     armed; a disabled class has no timing obligation (its bounds
+     constrain it only while it is enabled, Defs 2.1/2.2), and the
+     observer clock is freed whenever the observer disarms, so no other
+     clock carries information.  On a full-width kernel every logical
+     clock is in the layout, and [refree] frees the dead ones again
+     after widening, so the kernel stores the cylinder of the compact
+     zone.  One layout is built per live set and shared by every
+     location with that set, LU bounds and invariants included. *)
+  type layout = {
+    en : bool array;  (** enabled classes *)
+    live : int array;  (** layout index -> logical clock *)
+    pos : int array;  (** logical clock -> layout index, [-1] if absent *)
+    dead : int;  (** logical clocks absent from the layout *)
+    disabled : int;  (** disabled classes, freed on entry *)
+    lu : K.lu;  (** LU bounds at layout indices *)
+    invs : (int * Dbm_bound.t) array;
+        (** enabled classes' invariants [x <= b_u], at layout indices *)
+    refree : Dbm_sig.remap option;
+        (** full-width layout with dead clocks: the map that frees them *)
+  }
+
   (* Checkpoint payload: the whole search frontier at a batch boundary.
      Zones and waiting-list entries are plain data ([K.t] carries no
      closures), and one [Marshal] call preserves the sharing between
@@ -320,24 +348,29 @@ module Make (K : Dbm_sig.S) : S = struct
   }
 
   (* Per-domain successor context: a private scratch matrix plus a
-     private enabled-vector cache (its own Hstore, so the single-domain
-     owner assertion holds).  Slot 0 belongs to the calling domain —
+     private layout cache (its own Hstore, so the single-domain owner
+     assertion holds).  Slot 0 belongs to the calling domain —
      [Pool.parallel_for] runs its caller as domain 0 — so it also
      serves the sequential and seeding paths; the other slots are
      created lazily by the worker domain that uses them. *)
   type 's dctx = {
     scr : K.Scratch.scratch;
     sat : int -> int -> Dbm_bound.t -> bool;
-        (** shared satisfiability probe over [scr], so the per-edge
-            [observe] call allocates no closure *)
+        (** shared satisfiability probe over [scr] in logical clocks,
+            through [cur]'s layout, so the per-edge [observe] call
+            allocates no closure *)
     spec_arena : K.Arena.arena;
         (** speculated zones freeze into this bump arena; it rewinds
             at the end of every batch, after the commit loop has copied
             the survivors into the main arena *)
     vids : 's Hstore.t;
-    vecs : (int, bool array) Hashtbl.t;
+    lays : (int, layout) Hashtbl.t;  (** per (state id, phase) *)
+    sets : (bool array * bool, layout) Hashtbl.t;
+        (** per live set: enabled classes, observer armed *)
+    mutable cur : layout;  (** layout of the zone loaded in [scr] *)
     mutable phase : phase;
         (** observer phase of the last successor that survived *)
+    mutable post : layout;  (** and its layout *)
   }
 
   (* Generic exploration.  [observe] sees each discrete step plus a
@@ -382,9 +415,53 @@ module Make (K : Dbm_sig.S) : S = struct
       ~(observe :
          phase -> s -> a -> s -> sat:(int -> int -> Dbm_bound.t -> bool)
          -> (phase * [ `Reset | `Free | `Keep ], string) result)
-      ~(inspect : phase -> s -> K.t -> unit) =
+      ~(inspect : phase -> s -> K.t -> int array -> unit) =
     let a = enc.cenc.Clock_enc.aut in
     let nclasses = enc.cenc.Clock_enc.nclasses in
+    let nclocks = enc.nclocks in
+    let lower, upper = enc.lu in
+    let all_clocks = Array.init nclocks Fun.id in
+    let build_layout en armed =
+      let in_set x =
+        x = 0
+        || (x <= nclasses && en.(x - 1))
+        || (armed && enc.y = Some x)
+      in
+      let live =
+        if K.compact then Array.of_list (List.filter in_set (Array.to_list all_clocks))
+        else all_clocks
+      in
+      let pos = Array.make nclocks (-1) in
+      Array.iteri (fun k x -> pos.(x) <- k) live;
+      let at bounds = Array.map (fun x -> bounds.(x)) live in
+      let invs =
+        List.filter_map
+          (fun (k, x) ->
+            if x >= 1 && x <= nclasses && en.(x - 1) then
+              Option.map (fun b -> (k, b)) enc.uppers.(x - 1)
+            else None)
+          (List.mapi (fun k x -> (k, x)) (Array.to_list live))
+      in
+      let dead = List.filter (fun x -> not (in_set x)) (Array.to_list live) in
+      {
+        en;
+        live;
+        pos;
+        dead = nclocks - Array.length live;
+        disabled = Array.fold_left (fun n e -> if e then n else n + 1) 0 en;
+        lu = K.prepare_lu ~lower:(at lower) ~upper:(at upper);
+        invs = Array.of_list invs;
+        refree =
+          (if dead = [] then None
+           else
+             Some
+               {
+                 Dbm_sig.src =
+                   Array.map (fun x -> if in_set x then x else -1) live;
+                 frees = 0;
+               });
+      }
+    in
     let store =
       Hstore.create
         ~equal:(fun (s1, p1) (s2, p2) -> p1 = p2 && a.Ioa.equal_state s1 s2)
@@ -406,49 +483,77 @@ module Make (K : Dbm_sig.S) : S = struct
     let dctxs =
       Array.make (match pool with Some p -> Pool.size p | None -> 1) None
     in
+    (* The layout [Scratch.create]'s zone is in until the first load:
+       every logical clock, none of them dead. *)
+    let full = build_layout (Array.make nclasses true) true in
     let domain_ctx d =
       match dctxs.(d) with
       | Some c -> c
       | None ->
-          let scr = K.Scratch.create enc.nclocks in
-          let c =
+          let scr = K.Scratch.create nclocks in
+          let rec c =
             {
               scr;
-              sat = (fun i j b -> K.Scratch.sat scr i j b);
+              sat =
+                (fun i j b -> K.Scratch.sat scr c.cur.pos.(i) c.cur.pos.(j) b);
               spec_arena = K.Arena.create ();
               vids =
                 Hstore.create ~equal:a.Ioa.equal_state ~hash:a.Ioa.hash_state
                   64;
-              vecs = Hashtbl.create 64;
+              lays = Hashtbl.create 64;
+              sets = Hashtbl.create 64;
+              cur = full;
               phase = Idle;
+              post = full;
             }
           in
           dctxs.(d) <- Some c;
           c
     in
     let main = domain_ctx 0 in
-    (* Per-state cache of {!Clock_enc.enabled_vec}, shared across
-       observer phases. *)
-    let enabled_vec dc s =
+    (* The layout of location [(s, p)], cached per state and phase, and
+       shared per live set so its LU bounds are prepared once. *)
+    let layout dc s p =
       let id = match Hstore.add dc.vids s with `Added i | `Present i -> i in
-      match Hashtbl.find_opt dc.vecs id with
-      | Some v -> v
+      let armed = match p with Idle -> false | Armed -> true in
+      let key = (2 * id) + Bool.to_int armed in
+      match Hashtbl.find_opt dc.lays key with
+      | Some l -> l
       | None ->
-          let v = Clock_enc.enabled_vec enc.cenc s in
-          Hashtbl.add dc.vecs id v;
-          v
+          let set = (Clock_enc.enabled_vec enc.cenc s, armed) in
+          let l =
+            match Hashtbl.find_opt dc.sets set with
+            | Some l -> l
+            | None ->
+                let l = build_layout (fst set) armed in
+                Hashtbl.add dc.sets set l;
+                l
+          in
+          Hashtbl.add dc.lays key l;
+          l
+    in
+    (* The batch order key: the number of [Inf] entries of the zone's
+       full-width cylinder, so that every kernel expands a batch in the
+       same order.  Each dead clock adds an [Inf] row (all but its
+       diagonal) and repeats clock 0's column, whose [Inf] entries are
+       the live clocks without an upper bound. *)
+    let loose lay z =
+      if lay.dead = 0 then K.loose z
+      else begin
+        let unbounded = ref 0 in
+        for k = 1 to Array.length lay.live - 1 do
+          match K.get z k 0 with
+          | Dbm_bound.Inf -> incr unbounded
+          | Dbm_bound.Le _ | Dbm_bound.Lt _ -> ()
+        done;
+        K.loose z + (lay.dead * (nclocks - 1 + !unbounded))
+      end
     in
     (* The main arena holds every stored zone's payload.  It is never
        reset: everything frozen into it on the sequential
        path, or copied into it by the commit loop, is a stored zone. *)
     let arena = K.Arena.create () in
-    (* The one widening applied to every zone before it is stored:
-       LU-bound extrapolation.  Every zone reaches it through [settle],
-       whatever the kernel or domain count, so [zones.stored] stays
-       identical by construction. *)
-    let lower, upper = enc.lu in
-    let widen scr = K.Scratch.extrapolate_lu ~lower ~upper scr in
-    let z_init = K.zero enc.nclocks in
+    let z_init = K.zero nclocks in
     let edges = ref 0 in
     let zone_count = ref 0 in
     (* absolute; [restore] re-bases an explicit [limit] *)
@@ -541,6 +646,9 @@ module Make (K : Dbm_sig.S) : S = struct
         end
       end
     in
+    let stats_now () =
+      { locations = Hstore.length store; zones = !zone_count; edges = !edges }
+    in
     let cell_of id =
       match Hashtbl.find_opt cells id with
       | Some c -> c
@@ -554,7 +662,7 @@ module Make (K : Dbm_sig.S) : S = struct
        minimal-constraint forms), storing, inspection, queueing.  All
        callers run on the main domain in sequential commit order, so
        everything here is deterministic at any domain count. *)
-    let add_interned s p probe =
+    let add_interned s p lay probe =
       let z =
         match probe with
         | `Hit z ->
@@ -583,7 +691,7 @@ module Make (K : Dbm_sig.S) : S = struct
           {
             z;
             zmin;
-            zloose = K.loose z;
+            zloose = loose lay z;
             seq = !seq;
             alive = true;
             expanded = false;
@@ -592,7 +700,7 @@ module Make (K : Dbm_sig.S) : S = struct
         cell := e :: !cell;
         incr zone_count;
         Metrics.incr c_zones_stored;
-        inspect p s z;
+        inspect p s z lay.pos;
         let bucket =
           match Hashtbl.find_opt pending id with
           | Some b -> b
@@ -614,10 +722,10 @@ module Make (K : Dbm_sig.S) : S = struct
        [main.scr].  It is hashed and probed in place — a hit never
        copies the matrix at all; a miss freezes exactly once, into the
        main arena. *)
-    let add_scratch s p =
+    let add_scratch s p lay =
       let scr = main.scr in
       let h = K.Scratch.hash scr in
-      add_interned s p
+      add_interned s p lay
         (Hstore.intern_scratch zstore ~hash:h
            ~equal:(K.Scratch.equal_zone scr)
            ~freeze:(fun () -> K.Scratch.freeze_into ~hash:h arena scr))
@@ -626,8 +734,8 @@ module Make (K : Dbm_sig.S) : S = struct
        into its per-domain arena.  Probe it against the store; only a
        genuine miss is copied into the main arena — the worker arenas
        rewind at the end of the batch. *)
-    let add_spec s p z =
-      add_interned s p
+    let add_spec s p lay z =
+      add_interned s p lay
         (Hstore.intern_scratch zstore ~hash:(K.hash z)
            ~equal:(fun k -> K.equal k z)
            ~freeze:(fun () -> K.copy_into arena z))
@@ -778,7 +886,7 @@ module Make (K : Dbm_sig.S) : S = struct
       List.iter
         (fun (id, e) ->
           let s, p = Hstore.key_of_id store id in
-          inspect p s e.z)
+          inspect p s e.z (layout main s p).pos)
         entries
     in
     (* Batch-boundary discipline: deterministic budget, cooperative
@@ -792,55 +900,80 @@ module Make (K : Dbm_sig.S) : S = struct
           ignore (save_snapshot ())
       | _ -> ()
     in
+    (* The location-change map from a zone over [pre_pos] (logical clock
+       -> index, [-1] if absent) with enabled classes [pre_en] to the
+       layout [post]: a class that fires ([ci]) or becomes enabled is
+       reset, a disabled one is freed, the observer clock follows
+       [y_op], every other clock keeps its bounds.  A clock absent from
+       [post] is dropped; the map still counts its logical [free]. *)
+    let remap_to ~ci pre_en pre_pos post y_op =
+      let src =
+        Array.map
+          (fun x ->
+            if x = 0 then 0
+            else if x <= nclasses then
+              if not post.en.(x - 1) then -1
+              else if ci = x - 1 || not pre_en.(x - 1) then 0
+              else pre_pos.(x)
+            else
+              match y_op with
+              | `Reset -> 0
+              | `Free -> -1
+              | `Keep -> pre_pos.(x))
+          post.live
+      in
+      let y_frees =
+        match (enc.y, y_op) with Some _, `Free -> 1 | _ -> 0
+      in
+      { Dbm_sig.src; frees = post.disabled + y_frees }
+    in
     (* The one successor pipeline, in the paper's MMT encoding of
-       (A, b).  [settle] is its tail, shared with the seeds: reset the
-       classes that fire or become enabled, free the disabled ones,
-       apply the observer clock's operation, let time elapse under the
-       enabled classes' invariants [x_C <= b_u(C)], widen.  A seed is a
-       successor with [pre = post] and no firing class ([ci = -1]), so
-       it frees exactly the disabled classes.  [true] iff the zone left
-       in [dc.scr] is nonempty. *)
-    let settle dc ~ci pre post y_op =
+       (A, b).  [settle] is its tail, shared with the seeds: move to the
+       successor's layout (reset the classes that fire or become
+       enabled, free the disabled ones, apply the observer clock's
+       operation), let time elapse under the enabled classes'
+       invariants [x_C <= b_u(C)], and widen with LU-bound
+       extrapolation — the one widening, which every zone reaches
+       through here whatever the kernel or domain count, so
+       [zones.stored] stays identical by construction.  A seed is a
+       successor from the all-clocks layout with no firing class
+       ([ci = -1]), so it frees exactly the disabled classes.  [true]
+       iff the zone left in [dc.scr] is nonempty. *)
+    let settle dc ~ci pre_en pre_pos post y_op =
       let scr = dc.scr in
-      for i = 0 to nclasses - 1 do
-        if post.(i) then begin
-          if ci = i || not pre.(i) then K.Scratch.reset scr (i + 1)
-        end
-        else K.Scratch.free scr (i + 1)
-      done;
-      (match (enc.y, y_op) with
-      | Some y, `Reset -> K.Scratch.reset scr y
-      | Some y, `Free -> K.Scratch.free scr y
-      | Some _, `Keep | None, _ -> ());
+      K.Scratch.remap scr (remap_to ~ci pre_en pre_pos post y_op);
       K.Scratch.up scr;
-      for i = 0 to nclasses - 1 do
-        if post.(i) then
-          match enc.uppers.(i) with
-          | Some b -> K.Scratch.constrain scr (i + 1) 0 b
-          | None -> ()
+      for k = 0 to Array.length post.invs - 1 do
+        let x, b = post.invs.(k) in
+        K.Scratch.constrain scr x 0 b
       done;
-      widen scr;
+      K.Scratch.extrapolate_lu post.lu scr;
+      Option.iter (K.Scratch.remap scr) post.refree;
       not (K.Scratch.is_empty scr)
     in
-    (* One edge [s -act-> s'] out of zone [z]: load, guard
-       [x_C >= b_l(C)], observer, then [settle].  On [true] the
-       survivor is in [dc.scr] and its phase in [dc.phase] — a field
-       rather than a returned pair, so the sequential path allocates
-       nothing per edge.  Pure apart from [dc], which is why workers can
-       run it; an unsupported observer shape raises. *)
+    (* One edge [s -act-> s'] out of zone [z] at layout [pre]: load,
+       guard [x_C >= b_l(C)], observer, then [settle].  On [true] the
+       survivor is in [dc.scr], its phase in [dc.phase] and its layout
+       in [dc.post] — fields rather than a returned tuple, so the
+       sequential path allocates nothing per edge beyond the clock map.
+       Pure apart from [dc], which is why workers can run it; an
+       unsupported observer shape raises. *)
     let successor dc s p pre z (act, gopt, ci) s' =
       let scr = dc.scr in
       K.Scratch.load scr z;
+      dc.cur <- pre;
       (match gopt with
       | None -> ()
-      | Some (x, b) -> K.Scratch.constrain scr 0 x b);
+      | Some (x, b) -> K.Scratch.constrain scr 0 pre.pos.(x) b);
       (not (K.Scratch.is_empty scr))
       &&
       match observe p s act s' ~sat:dc.sat with
       | Error m -> raise (Unsupported_shape m)
       | Ok (p', y_op) ->
+          let post = layout dc s' p' in
           dc.phase <- p';
-          settle dc ~ci pre (enabled_vec dc s') y_op
+          dc.post <- post;
+          settle dc ~ci pre.en pre.pos post y_op
     in
     let count_edge () =
       incr edges;
@@ -853,7 +986,8 @@ module Make (K : Dbm_sig.S) : S = struct
           List.iter
             (fun s' ->
               count_edge ();
-              if successor main s p pre z g s' then add_scratch s' main.phase)
+              if successor main s p pre z g s' then
+                add_scratch s' main.phase main.post)
             (a.Ioa.delta s act))
         enc.guards
     in
@@ -867,7 +1001,11 @@ module Make (K : Dbm_sig.S) : S = struct
         (fun s' ->
           match successor dc s p pre z g s' with
           | true ->
-              `Succ (s', dc.phase, K.Scratch.freeze_into dc.spec_arena dc.scr)
+              `Succ
+                ( s',
+                  dc.phase,
+                  dc.post,
+                  K.Scratch.freeze_into dc.spec_arena dc.scr )
           | false -> `Skip
           | exception ex -> `Raised ex)
         (a.Ioa.delta s act)
@@ -878,7 +1016,7 @@ module Make (K : Dbm_sig.S) : S = struct
       match out with
       | `Skip -> ()
       | `Raised ex -> raise ex
-      | `Succ (s', p', z) -> add_spec s' p' z
+      | `Succ (s', p', lay, z) -> add_spec s' p' lay z
     in
     let expand_batch_par pl s p pre batch =
       (* Aliveness is sampled twice, exactly like the sequential loop:
@@ -925,10 +1063,11 @@ module Make (K : Dbm_sig.S) : S = struct
             List.iter
               (fun s0 ->
                 K.Scratch.load main.scr z_init;
-                let v0 = enabled_vec main s0 in
                 let p0 = initial_phase s0 in
+                let post = layout main s0 p0 in
                 let y_op = match p0 with Idle -> `Free | Armed -> `Keep in
-                if settle main ~ci:(-1) v0 v0 y_op then add_scratch s0 p0)
+                if settle main ~ci:(-1) post.en all_clocks post y_op then
+                  add_scratch s0 p0 post)
               a.Ioa.start);
         while
           boundary_checks ();
@@ -957,7 +1096,7 @@ module Make (K : Dbm_sig.S) : S = struct
               batch
           in
           let s, p = Hstore.key_of_id store id in
-          let pre = enabled_vec main s in
+          let pre = layout main s p in
           batch_loc := id;
           batch_left := batch;
           (match pool with
@@ -988,27 +1127,21 @@ module Make (K : Dbm_sig.S) : S = struct
         | _ -> ());
         emit_telemetry ~force:true ~ev:"zones.done" ();
         Events.progress_clear ();
-        Ok
-          {
-            locations = Hstore.length store;
-            zones = !zone_count;
-            edges = !edges;
-          }
+        Ok (stats_now ())
       with
       | Unsupported_shape m -> Error (`Unsupported m)
+      | Refuted side ->
+          (* The observer's witness, raised in sequential commit order
+             at any domain count: the stats so far are deterministic. *)
+          Events.progress_clear ();
+          Error (`Refuted (side, stats_now ()))
       | Budget kind ->
           (* Exhaustion must never masquerade as a verdict: surface the
              partial stats so the caller can report how far the search
              got before the budget ran out — and leave a final snapshot
              behind so none of that work is lost. *)
           let ck = save_snapshot () in
-          let partial =
-            {
-              locations = Hstore.length store;
-              zones = !zone_count;
-              edges = !edges;
-            }
-          in
+          let partial = stats_now () in
           let reason =
             match kind with
             | `States ->
@@ -1059,11 +1192,14 @@ module Make (K : Dbm_sig.S) : S = struct
       explore ?limit ?deadline_s ?pool ?checkpoint ?resume ~fingerprint enc
         ~initial_phase:(fun _ -> Idle)
         ~observe:keep_phase
-        ~inspect:(fun _ s _ -> visit s)
+        ~inspect:(fun _ s _ _ -> visit s)
     with
     | Ok stats -> stats
     | Error (`Unsupported m) -> raise (Open_system m)
     | Error (`Budget e) -> raise (Out_of_budget e)
+    | Error (`Refuted _) ->
+        (* [keep_phase] never probes and [visit] raises its own *)
+        assert false
 
   let reachable ?limit ?deadline_s ?domains ?checkpoint ?resume a bm =
     let seen = ref [] in
@@ -1106,15 +1242,13 @@ module Make (K : Dbm_sig.S) : S = struct
       | Time.Fin q -> Some (Dbm_bound.Lt (Rational.neg q))
       | Time.Inf -> None
     in
-    let exception Lower in
-    let exception Upper in
     let observe p s act s' ~sat =
       let triggered = c.Condition.t_step s act s' in
       let pi = c.Condition.in_pi act in
       match p with
       | Armed when pi ->
           (* Occurrence: too early iff the zone admits y < b_l. *)
-          if check_lower && sat y 0 lt_bl then raise Lower;
+          if check_lower && sat y 0 lt_bl then raise (Refuted `Lower);
           if triggered then Ok (Armed, `Reset) else Ok (Idle, `Free)
       | Armed when triggered ->
           Error
@@ -1124,12 +1258,12 @@ module Make (K : Dbm_sig.S) : S = struct
           if c.Condition.in_s s' then Ok (Idle, `Free) else Ok (Armed, `Keep)
       | Idle -> if triggered then Ok (Armed, `Reset) else Ok (Idle, `Free)
     in
-    let inspect p _s z =
+    let inspect p _s z pos =
       match (p, upper_probe) with
       | Armed, Some probe ->
           (* Violation iff time can pass the deadline while still armed:
              the zone admits y > q, i.e. 0 − y < −q is satisfiable. *)
-          if K.sat z 0 y probe then raise Upper
+          if K.sat z 0 pos.(y) probe then raise (Refuted `Upper)
       | Armed, None | Idle, _ -> ()
     in
     match
@@ -1142,8 +1276,8 @@ module Make (K : Dbm_sig.S) : S = struct
     | Ok stats -> Verified stats
     | Error (`Unsupported m) -> Unsupported m
     | Error (`Budget e) -> Unknown e
-    | exception Lower -> Lower_violation { locations = 0; zones = 0; edges = 0 }
-    | exception Upper -> Upper_violation { locations = 0; zones = 0; edges = 0 }
+    | Error (`Refuted (`Lower, st)) -> Lower_violation st
+    | Error (`Refuted (`Upper, st)) -> Upper_violation st
 end
 
 (* The production engine: the packed-int kernel, every job scaled to

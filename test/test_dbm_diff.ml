@@ -137,7 +137,9 @@ let run_scratch (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
         Sc.load scr (K.intersect (Sc.freeze scr) other);
         None
     | Gen.Extrapolate_lu (l, u) ->
-        Sc.extrapolate_lu ~lower:(lu_bounds l) ~upper:(lu_bounds u) scr;
+        Sc.extrapolate_lu
+          (K.prepare_lu ~lower:(lu_bounds l) ~upper:(lu_bounds u))
+          scr;
         None
   in
   let zones_rev, empties, mats, sats =
@@ -450,7 +452,8 @@ let unit_sat_is_o1_consistent () =
     ]
 
 (* A fractional L/U bound can only come from a scaling bug: both LU
-   entry points refuse it instead of rounding it. *)
+   entry points — the persistent one and the preparation of a
+   scratch's bounds — refuse it instead of rounding it. *)
 let unit_lu_rejects_fractions () =
   let half = Some (Rational.make 1 2) and two = Some (Gen.q 2) in
   let z = Dbm_int.top 3 in
@@ -466,11 +469,10 @@ let unit_lu_rejects_fractions () =
       ignore
         (Dbm_int.extrapolate_lu ~lower:[| two; half; two |]
            ~upper:[| two; two; two |] z));
-  refused "Scratch.extrapolate_lu" (fun () ->
-      let scr = Dbm_int.Scratch.create 3 in
-      Dbm_int.Scratch.load scr z;
-      Dbm_int.Scratch.extrapolate_lu ~lower:[| two; two; two |]
-        ~upper:[| two; two; half |] scr);
+  refused "prepare_lu" (fun () ->
+      ignore
+        (Dbm_int.prepare_lu ~lower:[| two; two; two |]
+           ~upper:[| two; two; half |]));
   (* integral bounds still go through *)
   ignore
     (Dbm_int.extrapolate_lu ~lower:[| two; two; two |]
