@@ -109,9 +109,11 @@ let dup z = sub_words z.m z.off (z.n * z.n)
 (* In-place core.                                                     *)
 
 (* Does row [k] have a finite off-diagonal entry?  A row that does not
-   is dead: the clock of a disabled class after [free], or any row LU
-   widening wiped.  No path leaves a dead row, and no operation of the
-   closure can give it a finite entry. *)
+   is dead: the clock of a disabled class after [free] on a full-width
+   zone, or any row LU widening wiped — on a compact zone, the clock of
+   an enabled class whose lower bound is 0, which no guard reads.  No
+   path leaves a dead row, and no operation of the closure can give it
+   a finite entry. *)
 let row_live n m off k =
   let rowk = off + (k * n) in
   let j = ref 0 in
@@ -129,8 +131,10 @@ let canonicalize_arr n m =
      For a live pivot, the [i -> k] hop is hoisted out of the inner
      loop and a row with [m.(i,k) = inf] is skipped, which skips every
      dead row [i] too.  The cost is thus about (live rows)^2 * n plus an
-     O(n) liveness scan per dead pivot, instead of (live rows) * n^2:
-     in fischer n=5, 6 of the 26 rows are live.  This is the kernel's
+     O(n) liveness scan per dead pivot, instead of (live rows) * n^2.
+     Compaction already leaves out the disabled classes' rows, but in
+     fischer most enabled classes have lower bound 0, so LU widening
+     still wipes most rows of a compact zone.  This is the kernel's
      hottest loop, re-run after every per-edge extrapolation.
 
      The inner loop is branchless: packing makes tightness native int
@@ -527,32 +531,20 @@ module Min = struct
           done
         with Exit -> ()
       done;
-      (* Live representatives.  Only their rows can hold a kept
-         representative edge, and only they can make one redundant: a
-         dead row [k] has [m(k, j) = inf] for every [j <> k]. *)
-      let live = Array.make n 0 and nlive = ref 0 in
-      for k = 0 to n - 1 do
-        if rep.(k) = k && row_live n m o k then begin
-          live.(!nlive) <- k;
-          incr nlive
-        end
-      done;
-      let nlive = !nlive in
       (* Mark the non-redundant representative edges. *)
       let kept = Bytes.make (n * n) '\000' and nkept = ref 0 in
-      for a = 0 to nlive - 1 do
-        let i = live.(a) in
+      for i = 0 to n - 1 do
         let rowi = o + (i * n) in
         for j = 0 to n - 1 do
           let b = m.(rowi + j) in
-          if j <> i && b <> inf && rep.(j) = j then begin
-            let redundant = ref false and c = ref 0 in
-            while (not !redundant) && !c < nlive do
-              let k = live.(!c) in
-              if k <> i && k <> j
-                 && bnd_add m.(rowi + k) m.(o + (k * n) + j) <= b
+          if rep.(i) = i && j <> i && b <> inf && rep.(j) = j then begin
+            let redundant = ref false and k = ref 0 in
+            while (not !redundant) && !k < n do
+              let k' = !k in
+              if rep.(k') = k' && k' <> i && k' <> j
+                 && bnd_add m.(rowi + k') m.(o + (k' * n) + j) <= b
               then redundant := true;
-              incr c
+              incr k
             done;
             if not !redundant then begin
               Bytes.unsafe_set kept ((i * n) + j) '\001';
