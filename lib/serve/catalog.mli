@@ -77,6 +77,11 @@ type outcome =
   | Invariant_ok of Reach.stats
   | Invariant_violated of string  (** the offending state, printed *)
 
+val outcome_json : item:string -> outcome -> Tm_obs.Json.t
+(** The verdict document of a verify job, as the daemon caches and
+    returns it: [item], [result], then the outcome's fields (stats as
+    [locations], [zones], [edges]) in a fixed order. *)
+
 val check_job :
   (module Reach.S) ->
   label:string ->

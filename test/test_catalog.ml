@@ -392,6 +392,70 @@ let test_interrupt_before_attempt () =
         resumes)
     [ ("cli", Catalog.cli_policy); ("daemon", Catalog.daemon_policy) ]
 
+(* A refuted condition reports how far the search got when the
+   observer's witness fired — both witnesses are raised in sequential
+   commit order, so the stats are real and the same at every domain
+   count — and the verdict document carries them.  The relay line
+   n=5, d=[1,2] delivers in [5, 10]: [5, 9] misses the deadline and
+   [6, 10] admits an early delivery. *)
+let test_refutation_stats () =
+  let module SR = Tm_systems.Signal_relay in
+  let module Registry = Tm_systems.Registry in
+  let p = SR.params_of_ints ~n:5 ~d1:1 ~d2:2 in
+  let u lo hi =
+    Tm_timed.Condition.make ~name:"U(0,5)"
+      ~t_step:(fun _ a _ -> a = SR.Signal 0)
+      ~bounds:
+        (Tm_base.Interval.make
+           (Tm_base.Rational.of_int lo)
+           (Tm_base.Time.of_int hi))
+      ~in_pi:(fun a -> a = SR.Signal 5)
+      ()
+  in
+  let v =
+    { Registry.system = SR.line p; boundmap = SR.boundmap p; checks = [] }
+  in
+  let case name c side =
+    let job =
+      Catalog.check_job (module Reach.Auto) ~label:name v (Registry.Cond c)
+    in
+    let run domains =
+      match
+        job.Catalog.exec ~limit:None ~deadline_s:None ~domains
+          ~checkpoint:None ~resume:None
+      with
+      | Ok (Catalog.Lower_violation st) when side = `Lower -> st
+      | Ok (Catalog.Upper_violation st) when side = `Upper -> st
+      | Ok _ | Error _ -> Alcotest.failf "%s: not refuted as expected" name
+    in
+    let st = run 1 in
+    Alcotest.(check bool)
+      (name ^ ": stats nonzero") true
+      (st.Reach.locations > 0 && st.Reach.zones > 0 && st.Reach.edges > 0);
+    List.iter
+      (fun d ->
+        let sd = run d in
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s: stats at domains %d" name d)
+          [ st.Reach.locations; st.Reach.zones; st.Reach.edges ]
+          [ sd.Reach.locations; sd.Reach.zones; sd.Reach.edges ])
+      [ 2; 4 ];
+    let outcome =
+      if side = `Lower then Catalog.Lower_violation st
+      else Catalog.Upper_violation st
+    in
+    Alcotest.(check string)
+      (name ^ ": verdict doc")
+      (Printf.sprintf
+         {|{"item":"%s","result":"%s_violation","locations":%d,"zones":%d,"edges":%d}|}
+         job.Catalog.label
+         (if side = `Lower then "lower" else "upper")
+         st.Reach.locations st.Reach.zones st.Reach.edges)
+      (Json.to_string (Catalog.outcome_json ~item:job.Catalog.label outcome))
+  in
+  case "relay [5,9]" (u 5 9) `Upper;
+  case "relay [6,10]" (u 6 10) `Lower
+
 let suite =
   [
     Alcotest.test_case "fingerprints pinned (every system, op, item)" `Quick
@@ -403,4 +467,6 @@ let suite =
       test_policy_table;
     Alcotest.test_case "supervise: interrupt before an attempt" `Quick
       test_interrupt_before_attempt;
+    Alcotest.test_case "refutations report their stats at any domain count"
+      `Quick test_refutation_stats;
   ]

@@ -50,35 +50,38 @@ let snapshot (type z) (module K : Tm_zones.Dbm_sig.S with type t = z) (z : z)
     let n = K.dim z in
     Some (Array.init (n * n) (fun k -> K.get z (k / n) (k mod n)))
 
+(* One op of an [n]-clock script on the persistent API of any kernel,
+   with the [sat] verdict probed before a Constrain. *)
+let step_persistent (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
+    n (z : z) op =
+  match op with
+  | Gen.Constrain c ->
+      let i, j, b = norm_constraint n c in
+      (K.constrain z i j b, Some (K.sat z i j b))
+  | Gen.Up -> (K.up z, None)
+  | Gen.Reset x -> (K.reset z (norm_clock n x), None)
+  | Gen.Free x -> (K.free z (norm_clock n x), None)
+  | Gen.Intersect cs ->
+      let other =
+        List.fold_left
+          (fun acc c ->
+            let i, j, b = norm_constraint n c in
+            K.constrain acc i j b)
+          (K.top n) cs
+      in
+      (K.intersect z other, None)
+  | Gen.Extrapolate_lu (l, u) ->
+      (K.extrapolate_lu ~lower:(lu_bounds l) ~upper:(lu_bounds u) z, None)
+
 (* Interpret a script with the persistent API of any kernel. *)
 let run_persistent (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     (s : Gen.dbm_script) : trace =
   let n = s.Gen.ds_clocks in
   let snap = snapshot (module K) in
-  let step (z : z) op =
-    match op with
-    | Gen.Constrain c ->
-        let i, j, b = norm_constraint n c in
-        (K.constrain z i j b, Some (K.sat z i j b))
-    | Gen.Up -> (K.up z, None)
-    | Gen.Reset x -> (K.reset z (norm_clock n x), None)
-    | Gen.Free x -> (K.free z (norm_clock n x), None)
-    | Gen.Intersect cs ->
-        let other =
-          List.fold_left
-            (fun acc c ->
-              let i, j, b = norm_constraint n c in
-              K.constrain acc i j b)
-            (K.top n) cs
-        in
-        (K.intersect z other, None)
-    | Gen.Extrapolate_lu (l, u) ->
-        (K.extrapolate_lu ~lower:(lu_bounds l) ~upper:(lu_bounds u) z, None)
-  in
   let _, zones_rev, empties, mats, sats =
     List.fold_left
       (fun (z, zs, es, ms, ss) op ->
-        let z', sat = step z op in
+        let z', sat = step_persistent (module K) n z op in
         ( z',
           z' :: zs,
           K.is_empty z' :: es,
@@ -230,6 +233,140 @@ let dead_rows_int_vs_ref =
       let int_trace = run_persistent (module Dbm_int) scaled in
       traces_equal (unscale k int_trace) (run_persistent (module Dbm_ref) s)
       && traces_equal (run_scratch (module Dbm_int) scaled) int_trace)
+
+(* ------------------------------------------------------------------ *)
+(* Location-change maps ([Scratch.remap]).                             *)
+
+(* What happens to each non-reference clock of a script's final zone:
+   kept, reset (a newly enabled or firing class), dropped (a disabled
+   class, projected away), or freed in place (a full-width kernel's
+   dead clock). *)
+type fate = Keep | New | Drop | Freed
+
+let fate_of = function 0 -> Keep | 1 -> New | 2 -> Drop | _ -> Freed
+
+let print_fate = function
+  | Keep -> "keep"
+  | New -> "new"
+  | Drop -> "drop"
+  | Freed -> "free"
+
+(* The target clocks, in ascending source order (clock 0 first), and
+   the [Dbm_sig.remap] that takes a zone to them. *)
+let remap_of n fates =
+  let fate x = fate_of (List.nth fates (x - 1)) in
+  let targets =
+    0 :: List.filter (fun x -> fate x <> Drop) (List.init (n - 1) succ)
+  in
+  let src x =
+    if x = 0 then 0
+    else match fate x with Keep -> x | New -> 0 | Drop | Freed -> -1
+  in
+  let frees =
+    List.length
+      (List.filter
+         (fun x ->
+           match fate x with Drop | Freed -> true | Keep | New -> false)
+         (List.init (n - 1) succ))
+  in
+  ( targets,
+    { Tm_zones.Dbm_sig.src = Array.of_list (List.map src targets); frees } )
+
+(* The full-width reference zone with the dropped and freed clocks
+   freed and the new ones reset, read at the target clocks. *)
+let projected n fates z =
+  let z =
+    List.fold_left
+      (fun z x ->
+        match fate_of (List.nth fates (x - 1)) with
+        | Keep -> z
+        | New -> Dbm_ref.reset z x
+        | Drop | Freed -> Dbm_ref.free z x)
+      z
+      (List.init (n - 1) succ)
+  in
+  let targets, _ = remap_of n fates in
+  if Dbm_ref.is_empty z then None
+  else
+    let t = Array.of_list targets in
+    let n' = Array.length t in
+    Some
+      (Array.init (n' * n') (fun e -> Dbm_ref.get z t.(e / n') t.(e mod n')))
+
+let remap_gen =
+  QCheck2.Gen.(pair Gen.dbm_script (list_repeat 4 (int_range 0 3)))
+
+let print_remap (s, fates) =
+  Printf.sprintf "%s then [%s]" (Gen.print_dbm_script s)
+    (String.concat ","
+       (List.filteri
+          (fun i _ -> i < s.Gen.ds_clocks - 1)
+          (List.map (fun f -> print_fate (fate_of f)) fates)))
+
+let final_zone (type z) (module K : Tm_zones.Dbm_sig.S with type t = z) s =
+  let n = s.Gen.ds_clocks in
+  List.fold_left
+    (fun z op -> fst (step_persistent (module K) n z op))
+    (K.top n) s.Gen.ds_ops
+
+let remapped (type z) (module K : Tm_zones.Dbm_sig.S with type t = z) z r =
+  let scr = K.Scratch.create (K.dim z) in
+  K.Scratch.load scr z;
+  K.Scratch.remap scr r;
+  snapshot (module K) (K.Scratch.freeze scr)
+
+(* A random script, then a random keep/new/drop/free map: the compact
+   int zone (scaled, divided back) and the reference kernel's own
+   [remap] must both equal, entry by entry, the projection of the
+   full-width reference zone with the dropped clocks freed and the new
+   clocks reset — the cylinder rule the full-width kernels rely on. *)
+let remap_int_vs_ref =
+  Gen.check_holds "remap: compact int zone == projected ref cylinder"
+    ~count:500 ~print:print_remap remap_gen (fun (s, fates) ->
+      let n = s.Gen.ds_clocks in
+      let k, scaled = Gen.scale_dbm_script s in
+      let _, r = remap_of n fates in
+      let want = projected n fates (final_zone (module Dbm_ref) s) in
+      let unscaled m =
+        (unscale k { empties = []; mats = [ m ]; sats = []; incl = [] }).mats
+      in
+      let int_zone = final_zone (module Dbm_int) scaled in
+      let ref_zone = final_zone (module Dbm_ref) s in
+      mats_equal (unscaled (remapped (module Dbm_int) int_zone r)) [ want ]
+      && mats_equal [ remapped (module Dbm_ref) ref_zone r ] [ want ])
+
+(* Remapping to the same live set is the identity: the zone is
+   unchanged entry for entry (so [freeze] hands back the loaded zone
+   itself), and the map counts no reset and no free. *)
+let unit_remap_same_live_set () =
+  let ops name = Tm_obs.Metrics.counter "dbm.ops" ~labels:[ ("op", name) ] in
+  let c_reset = ops "reset" and c_free = ops "free" in
+  let check (type z) name (module K : Tm_zones.Dbm_sig.S with type t = z)
+      (z : z) =
+    let n = K.dim z in
+    let scr = K.Scratch.create n in
+    K.Scratch.load scr z;
+    let r0 = Tm_obs.Metrics.value c_reset
+    and f0 = Tm_obs.Metrics.value c_free in
+    K.Scratch.remap scr
+      { Tm_zones.Dbm_sig.src = Array.init n Fun.id; frees = 0 };
+    Alcotest.(check bool)
+      (name ^ ": same zone") true
+      (K.Scratch.freeze scr == z);
+    Alcotest.(check (pair int int))
+      (name ^ ": no logical op counted")
+      (r0, f0)
+      (Tm_obs.Metrics.value c_reset, Tm_obs.Metrics.value c_free)
+  in
+  let zone (type z) (module K : Tm_zones.Dbm_sig.S with type t = z) =
+    let z = K.up (K.constrain (K.zero 4) 0 2 (Bnd.Le (Gen.q (-1)))) in
+    let z = K.constrain (K.reset z 3) 1 0 (Bnd.Lt (Gen.q 6)) in
+    K.free z 2
+  in
+  check "int" (module Dbm_int) (zone (module Dbm_int));
+  check "int, empty" (module Dbm_int)
+    (Dbm_int.constrain (Dbm_int.zero 3) 1 0 (Bnd.Lt (Gen.q 0)));
+  check "ref" (module Dbm_ref) (zone (module Dbm_ref))
 
 (* ------------------------------------------------------------------ *)
 (* Engine-level differential on random boundmap automata.              *)
@@ -484,6 +621,7 @@ let suite =
     script_diff_ref_scratch;
     script_diff_int_scratch;
     dead_rows_int_vs_ref;
+    remap_int_vs_ref;
     fixpoint_diff;
     budget_diff;
     condition_diff;
@@ -502,4 +640,6 @@ let suite =
       unit_sat_is_o1_consistent;
     Alcotest.test_case "lu: fractional bounds refused on both entry points"
       `Quick unit_lu_rejects_fractions;
+    Alcotest.test_case "remap: same live set leaves the zone unchanged"
+      `Quick unit_remap_same_live_set;
   ]

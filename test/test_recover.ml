@@ -128,6 +128,57 @@ let snapshot_rejects_corruption () =
   write_file path (whole ^ "x");
   expect_bad path "trailing"
 
+(* An old snapshot must be stopped by its version field: the payload
+   is unmarshalled unchecked, and version 2 changed its layout (zones
+   over live clocks only), so a version-1 payload read by this build
+   would be garbage, not an error.  A real checkpoint — written by the
+   CLI out of zone budget — with its version rewritten to 1 is refused
+   by [Snapshot.read], and the CLI's resume path ([run --resume]) exits
+   2 with that one line. *)
+let snapshot_old_version_refused () =
+  let exe =
+    List.fold_left Filename.concat
+      (Filename.dirname Sys.executable_name)
+      [ Filename.parent_dir_name; "bin"; "timedmap.exe" ]
+  in
+  let ck = tmp_ck () and err = Filename.temp_file "tmtest" ".err" in
+  Fun.protect ~finally:(fun () -> rm_f ck; rm_f err) @@ fun () ->
+  let run args =
+    let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+    let efd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+    let pid =
+      Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin null
+        efd
+    in
+    Unix.close null;
+    Unix.close efd;
+    match Unix.waitpid [] pid with
+    | _, Unix.WEXITED c -> c
+    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
+  in
+  rm_f ck;
+  Alcotest.(check int) "budgeted verify exits 4" 4
+    (run
+       [ "verify"; "-S"; "fischer"; "-n"; "3"; "--budget-states"; "100";
+         "--checkpoint"; ck ]);
+  let b = Bytes.of_string (read_file ck) in
+  (* the version field sits right after the 8-byte magic *)
+  Alcotest.(check int32) "written at version 2" 2l (Bytes.get_int32_be b 8);
+  Bytes.set_int32_be b 8 1l;
+  write_file ck (Bytes.to_string b);
+  let want =
+    ck ^ ": unsupported snapshot version 1 (this build reads version 2)"
+  in
+  (match Snapshot.read ck with
+  | _ -> Alcotest.fail "version-1 snapshot read"
+  | exception Snapshot.Bad_snapshot m ->
+      Alcotest.(check string) "Snapshot.read refuses" want m);
+  Alcotest.(check int) "resume exits 2" 2
+    (run [ "run"; "-S"; "fischer"; "-n"; "3"; "--resume"; ck ]);
+  Alcotest.(check string) "one-line message"
+    ("timedmap: snapshot error: " ^ want ^ "\n")
+    (read_file err)
+
 (* A short write the kernel never reported (power cut between write
    and fsync completing): whatever length survives, the published file
    must read as [Bad_snapshot] — never as a snapshot, never as a
@@ -652,6 +703,8 @@ let suite =
       snapshot_roundtrip;
     Alcotest.test_case "snapshot: corruption rejected descriptively" `Quick
       snapshot_rejects_corruption;
+    Alcotest.test_case "snapshot: older version refused, CLI exits 2" `Quick
+      snapshot_old_version_refused;
     Alcotest.test_case "snapshot: short write never adopted" `Quick
       snapshot_short_write_never_adopted;
     Alcotest.test_case "snapshot: crash before rename leaks nothing" `Quick
