@@ -798,6 +798,18 @@ let e11 () =
      (RM.boundmap p) (RM.g1 p));
   (let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
    cmp_reach "fischer n=2: reachable" (F.system p) (F.boundmap p));
+  (* Compaction rows: the int engine stores zones over live clocks, the
+     reference engine their full-width cylinders.  Fischer has a dead
+     clock for every disabled class, U_enter adds the observer clock,
+     armed and idle, and request-grant's U_response arms and disarms it
+     through the disabling set. *)
+  (let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
+   cmp_reach "fischer n=3: reachable" (F.system p) (F.boundmap p);
+   cmp_cond "fischer n=3: check U_enter" (F.system p) (F.boundmap p)
+     (F.u_enter p));
+  (let p = RG.params_of_ints ~r1:2 ~r2:5 ~w1:1 ~w2:3 in
+   cmp_cond "request-grant: check U_response" (RG.system p) (RG.boundmap p)
+     (RG.u_response p));
   (let q = Rational.make in
    let p =
      F.params ~n:2 ~r:(q 5 2) ~t:(q 1 2) ~a:(q 3 4) ~b:(q 3 2) ~b2:(q 5 2)
