@@ -2,9 +2,11 @@
     successor pipeline re-executed on {!Dbm_ref} and compared.
 
     Persistent operations and representations are exactly {!Dbm_int}'s
-    ([type t = Dbm_int.t]), so an exploration on this kernel stores
-    bit-identical zones to the int engine — the self-check is pure
-    overhead, never a behaviour change.  The sampling period comes from
+    ([type t = Dbm_int.t]), but the kernel is full-width
+    ([compact = false]): it stores the cylinders {!Dbm_ref} stores, so
+    both halves of a checked pipeline run the same clock maps.  Its
+    verdicts and zone counts are the int engine's — the self-check is
+    pure overhead, never a behaviour change.  The sampling period comes from
     [Tm_recover.Paranoid.every]; each {!Dbm_sig.S.Scratch} arena counts
     its own pipeline loads, so under a pool every domain samples
     independently.

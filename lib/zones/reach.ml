@@ -423,26 +423,22 @@ module Make (K : Dbm_sig.S) : S = struct
     let all_clocks = Array.init nclocks Fun.id in
     let build_layout en armed =
       let in_set x =
-        x = 0
-        || (x <= nclasses && en.(x - 1))
-        || (armed && enc.y = Some x)
+        x = 0 || (x <= nclasses && en.(x - 1)) || (armed && enc.y = Some x)
       in
       let live =
-        if K.compact then Array.of_list (List.filter in_set (Array.to_list all_clocks))
+        if K.compact then
+          Array.of_seq (Seq.filter in_set (Array.to_seq all_clocks))
         else all_clocks
       in
       let pos = Array.make nclocks (-1) in
       Array.iteri (fun k x -> pos.(x) <- k) live;
       let at bounds = Array.map (fun x -> bounds.(x)) live in
-      let invs =
-        List.filter_map
-          (fun (k, x) ->
-            if x >= 1 && x <= nclasses && en.(x - 1) then
-              Option.map (fun b -> (k, b)) enc.uppers.(x - 1)
-            else None)
-          (List.mapi (fun k x -> (k, x)) (Array.to_list live))
-      in
-      let dead = List.filter (fun x -> not (in_set x)) (Array.to_list live) in
+      let invs = ref [] in
+      Array.iteri
+        (fun k x ->
+          if x >= 1 && x <= nclasses && en.(x - 1) then
+            Option.iter (fun b -> invs := (k, b) :: !invs) enc.uppers.(x - 1))
+        live;
       {
         en;
         live;
@@ -450,9 +446,9 @@ module Make (K : Dbm_sig.S) : S = struct
         dead = nclocks - Array.length live;
         disabled = Array.fold_left (fun n e -> if e then n else n + 1) 0 en;
         lu = K.prepare_lu ~lower:(at lower) ~upper:(at upper);
-        invs = Array.of_list invs;
+        invs = Array.of_list (List.rev !invs);
         refree =
-          (if dead = [] then None
+          (if Array.for_all in_set live then None
            else
              Some
                {

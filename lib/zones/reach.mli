@@ -30,6 +30,28 @@
     fingerprint carries the constant field [widen=lu], kept so that
     existing fingerprints and snapshots stay valid.
 
+    {b Live clocks.}  A zone is stored over its location's live clocks
+    only: the reference clock, the clocks of the classes enabled there,
+    and the observer clock while it is armed.  A dead clock carries no
+    information.  A disabled class's bounds do not constrain it
+    (Defs 2.1/2.2 bound a class only while it is enabled), and its
+    clock is reset when the class is next enabled, before any guard or
+    invariant reads it; the observer clock is freed whenever the
+    observer disarms and reset when it arms.  So the zone over the live
+    clocks determines everything the exploration can observe (Daws &
+    Yovine, RTSS'96, in its dynamic per-location form).  On the
+    production kernel the whole successor pipeline runs at dimension
+    1 + |live|, and a location change is one kernel [remap]: kept
+    clocks copy, newly enabled and firing clocks start at 0, disabled
+    ones drop.  In fischer n=5 that is at most 7 of 27 rows.  The
+    reference kernel stays full-width and stores the cylinder — the
+    same zone with every dead clock unconstrained — so the int-vs-ref
+    differential also checks the compaction; the waiting list orders a
+    batch by the cylinder's [Inf] count on both, so both expand it in
+    the same order.  Layouts, with their LU bounds and invariants, are
+    built once per live set.  The fingerprint keeps the logical clock
+    count.
+
     A timing condition is checked by an observer with one extra clock
     [y], armed by the condition's triggers and disarmed by [Π]-actions
     and [S]-states:
@@ -37,6 +59,9 @@
       upper-bound violation;
     - a [Π]-transition from an armed zone admitting [y < b_l] (with no
       intervening disarm) witnesses a lower-bound violation.
+    A violation carries the stats of the search at the witness.  Both
+    witnesses fire in sequential commit order, so these partial stats
+    are the same at any domain count.
 
     Supported condition shapes: a trigger step that fires while the
     observer is already armed must itself be a [Π]-action (then the
@@ -140,7 +165,7 @@ exception Out_of_budget of exhausted
     [domains > 1] the exploration runs on a [Tm_par.Pool] of that many
     domains in speculate-then-commit style — the one successor
     pipeline that the sequential path runs is computed in parallel on
-    per-domain scratch arenas and enabled-vector caches, and the main
+    per-domain scratch arenas and layout caches, and the main
     domain replays the results in exact sequential order (anything the
     pipeline raises on a worker, such as an unsupported condition
     shape, is re-raised at its place in that order).  Verdicts, the reachable base-state set,
