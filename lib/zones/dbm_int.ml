@@ -687,16 +687,6 @@ module Scratch = struct
     Metrics.incr c_up;
     if not s.sempty then up_arr s.sn s.sm
 
-  let reset s x =
-    Metrics.incr c_reset;
-    if x < 1 || x >= s.sn then invalid_arg "Dbm_int.Scratch.reset";
-    if not s.sempty then reset_arr s.sn s.sm x
-
-  let free s x =
-    Metrics.incr c_free;
-    if x < 1 || x >= s.sn then invalid_arg "Dbm_int.Scratch.free";
-    if not s.sempty then free_arr s.sn s.sm x
-
   (* Target entry (k, l) is source entry (src k, src l): a reset clock
      reads clock 0's row and column, which is exactly [reset_arr].  A
      freed target row is [Inf] and a freed target column copies the

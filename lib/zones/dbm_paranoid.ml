@@ -39,6 +39,7 @@ type lu = Dbm_int.lu * Dbm_ref.lu
 
 let prepare_lu ~lower ~upper =
   (Dbm_int.prepare_lu ~lower ~upper, Dbm_ref.prepare_lu ~lower ~upper)
+
 let loose = Dbm_int.loose
 let equal = Dbm_int.equal
 let hash = Dbm_int.hash
@@ -128,14 +129,6 @@ module Scratch = struct
   let up s =
     Dbm_int.Scratch.up s.intk;
     if s.checking then Dbm_ref.Scratch.up s.refk
-
-  let reset s x =
-    Dbm_int.Scratch.reset s.intk x;
-    if s.checking then Dbm_ref.Scratch.reset s.refk x
-
-  let free s x =
-    Dbm_int.Scratch.free s.intk x;
-    if s.checking then Dbm_ref.Scratch.free s.refk x
 
   let remap s r =
     Dbm_int.Scratch.remap s.intk r;

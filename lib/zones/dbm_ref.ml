@@ -207,6 +207,7 @@ let extrapolate_lu ~lower ~upper z =
 type lu = Rational.t option array * Rational.t option array
 
 let prepare_lu ~lower ~upper = (lower, upper)
+
 let sat z i j b = not (is_empty (constrain z i j b))
 
 (* The clock map of {!Dbm_sig.remap}, entry by entry: a freed row is
@@ -228,8 +229,11 @@ let remap z (r : Dbm_sig.remap) =
         let sl = if src.(l) < 0 then 0 else src.(l) in
         get z src.(k) sl
     in
-    { n = n'; m = Array.init (n' * n') (fun e -> entry (e / n') (e mod n'));
-      empty = false }
+    {
+      n = n';
+      m = Array.init (n' * n') (fun e -> entry (e / n') (e mod n'));
+      empty = false;
+    }
 
 let loose z =
   if z.empty then 0
@@ -314,8 +318,6 @@ module Scratch = struct
 
   let constrain s i j b = s.cur <- constrain s.cur i j b
   let up s = s.cur <- up s.cur
-  let reset s x = s.cur <- reset s.cur x
-  let free s x = s.cur <- free s.cur x
   let remap s r = s.cur <- remap s.cur r
 
   let extrapolate_lu (lower, upper) s =

@@ -194,8 +194,6 @@ module type S = sig
 
     val constrain : scratch -> int -> int -> Dbm_bound.t -> unit
     val up : scratch -> unit
-    val reset : scratch -> int -> unit
-    val free : scratch -> int -> unit
 
     val extrapolate_lu : lu -> scratch -> unit
     (** In-place LU-bound extrapolation with prepared bounds; see the

@@ -104,9 +104,18 @@ let run_persistent (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     incl = !incl;
   }
 
+(* The clock map that resets ([0]) or frees ([-1]) clock [x] of an
+   [n]-clock zone and keeps every other clock: how a scratch resets or
+   frees one clock. *)
+let one_clock n x v =
+  {
+    Tm_zones.Dbm_sig.src = Array.init n (fun k -> if k = x then v else k);
+    frees = (if v < 0 then 1 else 0);
+  }
+
 (* Interpret the same script with a kernel's destructive Scratch API
    (intersect round-trips through freeze, the one operation Scratch
-   does not provide). *)
+   does not provide; reset and free are one-clock [remap]s). *)
 let run_scratch (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     (s : Gen.dbm_script) : trace =
   let n = s.Gen.ds_clocks in
@@ -124,10 +133,10 @@ let run_scratch (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
         Sc.up scr;
         None
     | Gen.Reset x ->
-        Sc.reset scr (norm_clock n x);
+        Sc.remap scr (one_clock n (norm_clock n x) 0);
         None
     | Gen.Free x ->
-        Sc.free scr (norm_clock n x);
+        Sc.remap scr (one_clock n (norm_clock n x) (-1));
         None
     | Gen.Intersect cs ->
         let other =

@@ -226,7 +226,7 @@ let unit_reset_reuse (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
   ignore (K.Scratch.freeze_into a scr);
   K.Arena.reset a;
   K.Scratch.load scr (K.top 3);
-  K.Scratch.reset scr 1;
+  K.Scratch.remap scr { Tm_zones.Dbm_sig.src = [| 0; 0; 2 |]; frees = 0 };
   let after = K.Scratch.freeze_into a scr in
   Alcotest.(check bool) "post-reset freeze is exact" true
     (K.equal after (K.reset (K.top 3) 1))
