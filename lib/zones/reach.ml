@@ -138,22 +138,23 @@ end
    harness both rely on. *)
 module Make (K : Dbm_sig.S) : S = struct
   (* The zone engine's view of the encoding: the shared class clocks of
-     {!Clock_enc} (DBM indices 1..n, index 0 is the reference), plus an
-     optional observer clock.  Guards and invariants are precomputed
-     into arrays so the per-edge pipeline does no boundmap lookups and
-     allocates no bound values. *)
+     {!Clock_enc} (logical clocks 1..n, 0 is the reference), plus an
+     optional observer clock n+1.  A zone's own indices are those of
+     its location's [layout] below.  Guards and invariants are
+     precomputed into arrays so the per-edge pipeline does no boundmap
+     lookups and allocates no bound values. *)
   type ('s, 'a) enc = {
     cenc : ('s, 'a) Clock_enc.t;
-    nclocks : int;  (** DBM dimension *)
+    nclocks : int;  (** logical clocks, reference included *)
     y : int option;  (** observer clock *)
     max_const : Rational.t;
     guards : ('a * (int * Dbm_bound.t) option * int) array;
-        (** per action: guard [(clock, Le (-b_l))] and class index
-            ([-1] when classless) *)
+        (** per action: guard [(logical clock, Le (-b_l))] and class
+            index ([-1] when classless) *)
     uppers : Dbm_bound.t option array;
         (** per class index: invariant bound [Le b_u] when finite *)
     lu : Rational.t option array * Rational.t option array;
-        (** per DBM clock LU-extrapolation bounds [(lower, upper)] *)
+        (** per logical clock LU-extrapolation bounds [(lower, upper)] *)
     scale : int;
         (** time-unit factor every constant above was multiplied by;
             [1] on a rational kernel *)

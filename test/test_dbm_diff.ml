@@ -8,6 +8,9 @@
    verdicts after every single op.  Scripts have rational constants:
    the int kernel runs them scaled by the LCM of their denominators,
    and its matrices are divided back before the comparison.  Random
+   location-change maps ([Scratch.remap]) after a script check that the
+   int kernel's compact zone is the projection of the reference
+   kernel's full-width cylinder.  Random
    boundmap automata with half-unit bounds then check the engines
    fixpoint for fixpoint: {!Tm_zones.Reach.Auto} (int kernel, scaled)
    and {!Tm_zones.Reach.Ref} (reference, unscaled) share one
