@@ -211,6 +211,11 @@ let verify_model ~attempts ~backoff_s ~resume (model : Registry.model) =
   List.iteri
     (fun i (check, (job : _ Catalog.job)) ->
       if not (!stop || Supervisor.interrupt_requested ()) then
+        (* The previous check's zones are garbage by now.  Collect them
+           before this check builds its own: the major GC is paced by
+           allocation, so it would otherwise still be freeing them
+           while this heap grows, and peak RSS would hold both. *)
+        let () = if i > 0 then Gc.full_major () in
         let print o = Format.printf "%s@." (outcome_line label check o) in
         match check with
         | Registry.Note n -> (

@@ -1,7 +1,14 @@
+(* Open addressing with linear probing over two int arrays: [slots]
+   maps a slot to the id stored there ([-1] when empty), [hashes] to
+   that key's caller hash, so a probe compares ints first and calls
+   [equal] only on a full hash match, and growing rehashes without
+   calling [hash] again.  Keys are never removed, so a probe stops at
+   the first empty slot.  The table is at most half full. *)
 type 'k t = {
   equal : 'k -> 'k -> bool;
   hash : 'k -> int;
-  buckets : (int, (int * 'k) list) Hashtbl.t;
+  mutable slots : int array;
+  mutable hashes : int array;
   mutable keys : 'k array;
   mutable count : int;
   owner : int;  (* Domain.id of the creating domain *)
@@ -10,7 +17,7 @@ type 'k t = {
 (* Stores are single-domain by design: the zone engine gives each
    domain its own tables instead of locking a shared one.  Every
    operation asserts ownership so a cross-domain access fails loudly
-   (naming both domains) instead of corrupting the buckets. *)
+   (naming both domains) instead of corrupting the table. *)
 let check_owner t =
   let d = (Domain.self () :> int) in
   if d <> t.owner then
@@ -21,10 +28,15 @@ let check_owner t =
          t.owner d)
 
 let create ~equal ~hash n =
+  let cap = ref 16 in
+  while !cap < n do
+    cap := 2 * !cap
+  done;
   {
     equal;
     hash;
-    buckets = Hashtbl.create n;
+    slots = Array.make !cap (-1);
+    hashes = Array.make !cap 0;
     keys = [||];
     count = 0;
     owner = (Domain.self () :> int);
@@ -32,36 +44,75 @@ let create ~equal ~hash n =
 
 let length t = t.count
 
+(* The home slot of a hash: a multiplicative mix, so that hashes that
+   differ only in their high bits, or small consecutive ints, still
+   spread over the low bits the mask keeps. *)
+let home h mask =
+  let h = h * 0x9E3779B97F4A7C1 in
+  (h lxor (h lsr 29)) land mask
+
+(* The slot holding a key with hash [h] that [eq] accepts, or the empty
+   slot where such a key would go. *)
+let probe t h eq =
+  let slots = t.slots and hashes = t.hashes in
+  let mask = Array.length slots - 1 in
+  let i = ref (home h mask) in
+  while
+    let id = slots.(!i) in
+    id >= 0 && not (hashes.(!i) = h && eq t.keys.(id))
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let grow t =
+  let slots = t.slots and hashes = t.hashes in
+  let cap = 2 * Array.length slots in
+  let mask = cap - 1 in
+  let nslots = Array.make cap (-1) and nhashes = Array.make cap 0 in
+  for i = 0 to Array.length slots - 1 do
+    let id = slots.(i) in
+    if id >= 0 then begin
+      let h = hashes.(i) in
+      let j = ref (home h mask) in
+      while nslots.(!j) >= 0 do
+        j := (!j + 1) land mask
+      done;
+      nslots.(!j) <- id;
+      nhashes.(!j) <- h
+    end
+  done;
+  t.slots <- nslots;
+  t.hashes <- nhashes
+
+(* Store [k] under hash [h] in the empty slot [i] found by [probe]. *)
+let insert t i h k =
+  let id = t.count in
+  let cap = Array.length t.keys in
+  if id >= cap then begin
+    let keys = Array.make (if cap = 0 then 16 else cap * 2) k in
+    Array.blit t.keys 0 keys 0 cap;
+    t.keys <- keys
+  end;
+  t.keys.(id) <- k;
+  t.slots.(i) <- id;
+  t.hashes.(i) <- h;
+  t.count <- id + 1;
+  if 2 * t.count > Array.length t.slots then grow t;
+  id
+
 let find t k =
   check_owner t;
-  let h = t.hash k in
-  match Hashtbl.find_opt t.buckets h with
-  | None -> None
-  | Some entries ->
-      List.find_map
-        (fun (id, k') -> if t.equal k k' then Some id else None)
-        entries
+  let i = probe t (t.hash k) (t.equal k) in
+  let id = t.slots.(i) in
+  if id < 0 then None else Some id
 
 let add t k =
-  match find t k with
-  | Some id -> `Present id
-  | None ->
-      let id = t.count in
-      let h = t.hash k in
-      let entries =
-        match Hashtbl.find_opt t.buckets h with None -> [] | Some e -> e
-      in
-      Hashtbl.replace t.buckets h ((id, k) :: entries);
-      let cap = Array.length t.keys in
-      if id >= cap then begin
-        let ncap = if cap = 0 then 16 else cap * 2 in
-        let keys = Array.make ncap k in
-        Array.blit t.keys 0 keys 0 cap;
-        t.keys <- keys
-      end;
-      t.keys.(id) <- k;
-      t.count <- id + 1;
-      `Added id
+  check_owner t;
+  let h = t.hash k in
+  let i = probe t h (t.equal k) in
+  let id = t.slots.(i) in
+  if id >= 0 then `Present id else `Added (insert t i h k)
 
 let intern t k =
   match add t k with `Added _ -> k | `Present id -> t.keys.(id)
@@ -74,31 +125,13 @@ let intern t k =
    checks both ways. *)
 let intern_scratch t ~hash ~equal ~freeze =
   check_owner t;
-  let hit =
-    match Hashtbl.find_opt t.buckets hash with
-    | None -> None
-    | Some entries ->
-        List.find_map (fun (_, k') -> if equal k' then Some k' else None) entries
-  in
-  match hit with
-  | Some k -> `Hit k
-  | None ->
-      let k = freeze () in
-      let id = t.count in
-      let entries =
-        match Hashtbl.find_opt t.buckets hash with None -> [] | Some e -> e
-      in
-      Hashtbl.replace t.buckets hash ((id, k) :: entries);
-      let cap = Array.length t.keys in
-      if id >= cap then begin
-        let ncap = if cap = 0 then 16 else cap * 2 in
-        let keys = Array.make ncap k in
-        Array.blit t.keys 0 keys 0 cap;
-        t.keys <- keys
-      end;
-      t.keys.(id) <- k;
-      t.count <- id + 1;
-      `Miss k
+  let i = probe t hash equal in
+  let id = t.slots.(i) in
+  if id >= 0 then `Hit t.keys.(id)
+  else
+    let k = freeze () in
+    ignore (insert t i hash k);
+    `Miss k
 
 let key_of_id t id =
   if id < 0 || id >= t.count then invalid_arg "Hstore.key_of_id";

@@ -3,9 +3,11 @@
     Automaton states come from arbitrary OCaml types whose structural
     equality/hash functions are carried in the automaton record rather
     than derived from the type, so [Hashtbl.Make] does not apply.  This
-    store buckets by a caller hash and resolves collisions with a
-    caller equality; each key is assigned a dense integer id on first
-    insertion (ids are handy as graph-node indices).
+    store is an open-addressed table over the caller hash (linear
+    probing; each slot keeps the id and the full hash, so a probe calls
+    the caller equality only on a full hash match); each key is
+    assigned a dense integer id on first insertion (ids are handy as
+    graph-node indices).
 
     A store belongs to the domain that created it: {!find}, {!add} and
     {!intern} raise [Invalid_argument] (naming the owning and the

@@ -28,9 +28,8 @@ let make (a : ('s, 'a) Ioa.t) bm =
   (* Class membership of every action, resolved once: [Ioa.class_of]
      may build its class name on every call (systems typically
      [sprintf] it), so the per-state paths below must never consult it
-     again — {!Reach} computes an enabled-vector per discrete location,
-     and an alphabet-times-classes name scan there dominates the whole
-     exploration's allocation. *)
+     again — an alphabet-times-classes name scan per state dominates a
+     whole exploration's allocation. *)
   let members =
     Array.map
       (fun c ->
@@ -66,8 +65,6 @@ let class_index enc act =
    allocation-free except for the successor lists [delta] builds. *)
 let class_on enc i s =
   Array.exists (fun act -> enc.aut.Ioa.delta s act <> []) enc.members.(i)
-
-let enabled_vec enc s = Array.init enc.nclasses (fun i -> class_on enc i s)
 
 let guard enc act =
   match enc.aut.Ioa.class_of act with

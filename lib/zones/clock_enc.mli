@@ -35,11 +35,6 @@ val clock : ('s, 'a) t -> string -> int
 val class_index : ('s, 'a) t -> 'a -> int option
 (** 0-based class index of an action's class ([clock enc c - 1]). *)
 
-val enabled_vec : ('s, 'a) t -> 's -> bool array
-(** Per-class enabledness in a state, indexed by class index.  {!Reach}
-    caches this per discrete location so [step_ops]-style decisions are
-    array reads instead of repeated [Ioa.class_enabled] scans. *)
-
 val guard : ('s, 'a) t -> 'a -> (int * Tm_base.Rational.t) option
 (** [(clock, b_l)] when the action's class has a positive lower bound. *)
 

@@ -325,6 +325,44 @@ module Make (K : Dbm_sig.S) : S = struct
         (** full-width layout with dead clocks: the map that frees them *)
   }
 
+  (* The state table's records: one per automaton state the main domain
+     has met, as a start state or as a successor's target.  In the MMT
+     encoding of (A, b) the discrete part of a location depends on its
+     state only, so everything here is worked out once per state, on
+     first use: the successors, from one [delta] call per action —
+     [(guard index, target record)] pairs held in two arrays, in
+     alphabet order, then [delta]'s order, the order the edges are
+     explored in (the enabled classes are the classes of the guards
+     that occur); the layout of each phase (without an observer clock
+     only [idle] is used); and the location id of each phase ([-1]
+     until the location stores its first zone).  A target record starts
+     with no successors ([stepped] false): its own [delta] calls wait
+     until it is first used.  Workers only read these records. *)
+  type 's srec = {
+    st : 's;
+    mutable stepped : bool;  (** [gis] and [targets] are filled *)
+    mutable gis : int array;  (** per successor: guard index *)
+    mutable targets : 's srec array;  (** per successor: target *)
+    mutable idle : layout;
+    mutable armed : layout;
+    mutable loc_idle : int;
+    mutable loc_armed : int;
+  }
+
+  (* A location's record, indexed by its id: state, phase and layout,
+     the passed + waiting zones [cell], the ones still waiting
+     [pending], and whether the location is on the FIFO of locations
+     with pending zones. *)
+  type 's loc = {
+    lid : int;
+    sr : 's srec;
+    ph : phase;
+    lay : layout;
+    mutable cell : zentry list;
+    mutable pending : zentry list;
+    mutable queued : bool;
+  }
+
   (* Checkpoint payload: the whole search frontier at a batch boundary.
      Zones and waiting-list entries are plain data ([K.t] carries no
      closures), and one [Marshal] call preserves the sharing between
@@ -348,13 +386,12 @@ module Make (K : Dbm_sig.S) : S = struct
     p_waiting_max : float;
   }
 
-  (* Per-domain successor context: a private scratch matrix plus a
-     private layout cache (its own Hstore, so the single-domain owner
-     assertion holds).  Slot 0 belongs to the calling domain —
+  (* Per-domain successor context: a private scratch matrix and
+     speculation arena.  Slot 0 belongs to the calling domain —
      [Pool.parallel_for] runs its caller as domain 0 — so it also
      serves the sequential and seeding paths; the other slots are
      created lazily by the worker domain that uses them. *)
-  type 's dctx = {
+  type dctx = {
     scr : K.Scratch.scratch;
     sat : int -> int -> Dbm_bound.t -> bool;
         (** shared satisfiability probe over [scr] in logical clocks,
@@ -364,14 +401,9 @@ module Make (K : Dbm_sig.S) : S = struct
         (** speculated zones freeze into this bump arena; it rewinds
             at the end of every batch, after the commit loop has copied
             the survivors into the main arena *)
-    vids : 's Hstore.t;
-    lays : (int, layout) Hashtbl.t;  (** per (state id, phase) *)
-    sets : (bool array * bool, layout) Hashtbl.t;
-        (** per live set: enabled classes, observer armed *)
     mutable cur : layout;  (** layout of the zone loaded in [scr] *)
     mutable phase : phase;
         (** observer phase of the last successor that survived *)
-    mutable post : layout;  (** and its layout *)
   }
 
   (* Generic exploration.  [observe] sees each discrete step plus a
@@ -382,7 +414,7 @@ module Make (K : Dbm_sig.S) : S = struct
 
      With a [pool] of size > 1 the engine runs speculate-then-commit
      per popped location batch: workers run [successor], the pipeline
-     the sequential path runs, for every (entry, guard) pair of the
+     the sequential path runs, for every (entry, successor) pair of the
      batch in parallel on per-domain contexts, then the main domain
      replays the outcomes in exact sequential order —
      edge counting, observer probes, interning, subsumption, storing,
@@ -393,8 +425,10 @@ module Make (K : Dbm_sig.S) : S = struct
      any domain count.  The only speculative waste is computing
      successors of entries that a same-batch commit prunes; their
      results are discarded exactly where the sequential engine would
-     have skipped the dead entry.  [observe] and the automaton's
-     [delta] must be pure — they run on worker domains.
+     have skipped the dead entry.  [observe] must be pure — it runs on
+     worker domains.  The automaton's [delta] runs on the main domain
+     only, once per (state, action), when the state table first meets
+     the state.
 
      Checkpointing discipline: snapshots, the (deterministic) zone
      budget, and cooperative interrupts all act only at batch
@@ -459,30 +493,124 @@ module Make (K : Dbm_sig.S) : S = struct
                });
       }
     in
-    let store =
+    (* Layouts are shared per live set (enabled classes, observer
+       armed), so each set's LU bounds are prepared once. *)
+    let sets : (bool array * bool, layout) Hashtbl.t = Hashtbl.create 64 in
+    (* The layout [Scratch.create]'s zone is in until the first load:
+       every logical clock, none of them dead.  In a state record it
+       marks a layout not built yet. *)
+    let full = build_layout (Array.make nclasses true) true in
+    (* The state table: one record per state, hashed once per state. *)
+    let states : s srec Hstore.t =
       Hstore.create
-        ~equal:(fun (s1, p1) (s2, p2) -> p1 = p2 && a.Ioa.equal_state s1 s2)
-        ~hash:(fun (s, p) ->
-          (a.Ioa.hash_state s * 2) + match p with Idle -> 0 | Armed -> 1)
-        256
+        ~equal:(fun r1 r2 -> a.Ioa.equal_state r1.st r2.st)
+        ~hash:(fun r -> a.Ioa.hash_state r.st)
+        64
+    in
+    let state_rec s =
+      match
+        Hstore.intern_scratch states ~hash:(a.Ioa.hash_state s)
+          ~equal:(fun r -> a.Ioa.equal_state s r.st)
+          ~freeze:(fun () ->
+            {
+              st = s;
+              stepped = false;
+              gis = [||];
+              targets = [||];
+              idle = full;
+              armed = full;
+              loc_idle = -1;
+              loc_armed = -1;
+            })
+      with
+      | `Hit r | `Miss r -> r
+    in
+    (* [r]'s successors, computed on first use.  Like [layout_of], this
+       writes on the main domain only: before fanning a batch out, the
+       parallel path fills everything its workers may read. *)
+    let step_state r =
+      if not r.stepped then begin
+        let acc = ref [] in
+        Array.iteri
+          (fun gi (act, _, _) ->
+            List.iter
+              (fun s' -> acc := (gi, state_rec s') :: !acc)
+              (a.Ioa.delta r.st act))
+          enc.guards;
+        let succ = Array.of_list (List.rev !acc) in
+        r.gis <- Array.map fst succ;
+        r.targets <- Array.map snd succ;
+        r.stepped <- true
+      end
+    in
+    (* A class is enabled iff one of its actions has a successor. *)
+    let build_layout_of r armed =
+      step_state r;
+      let en = Array.make nclasses false in
+      Array.iter
+        (fun gi ->
+          let _, _, ci = enc.guards.(gi) in
+          if ci >= 0 then en.(ci) <- true)
+        r.gis;
+      match Hashtbl.find_opt sets (en, armed) with
+      | Some l -> l
+      | None ->
+          let l = build_layout en armed in
+          Hashtbl.add sets (en, armed) l;
+          l
+    in
+    let layout_of r p =
+      match (p, enc.y) with
+      | Armed, Some _ ->
+          if r.armed == full then r.armed <- build_layout_of r true;
+          r.armed
+      | Idle, _ | Armed, None ->
+          if r.idle == full then r.idle <- build_layout_of r false;
+          r.idle
+    in
+    (* The location table, indexed by location id.  A location gets the
+       next id when it stores its first zone, so ids (and the snapshot's
+       [p_keys]) follow first-storage order. *)
+    let locs : s loc array ref = ref [||] in
+    let nlocs = ref 0 in
+    let loc_id r p = match p with Idle -> r.loc_idle | Armed -> r.loc_armed in
+    let loc_of r p =
+      let id = loc_id r p in
+      if id >= 0 then !locs.(id)
+      else begin
+        let id = !nlocs in
+        let lc =
+          {
+            lid = id;
+            sr = r;
+            ph = p;
+            lay = layout_of r p;
+            cell = [];
+            pending = [];
+            queued = false;
+          }
+        in
+        if id = Array.length !locs then begin
+          let bigger = Array.make (max 64 (2 * id)) lc in
+          Array.blit !locs 0 bigger 0 id;
+          locs := bigger
+        end;
+        !locs.(id) <- lc;
+        nlocs := id + 1;
+        (match p with Idle -> r.loc_idle <- id | Armed -> r.loc_armed <- id);
+        lc
+      end
     in
     (* Hash-consed zone store: structurally equal zones become one
        pointer, so passed-list inclusion checks start with a physical
        equality hit and hash at most once per distinct zone. *)
     let zstore = Hstore.create ~equal:K.equal ~hash:K.hash 64 in
-    (* Passed + waiting zones per location id. *)
-    let cells : (int, zentry list ref) Hashtbl.t = Hashtbl.create 64 in
-    (* Waiting list: per-location pending buckets drained in FIFO
-       location order, largest zone first within a bucket. *)
-    let pending : (int, zentry list ref) Hashtbl.t = Hashtbl.create 64 in
+    (* Waiting list: locations with pending zones, drained in FIFO
+       order, largest zone first within a location. *)
     let locq = Queue.create () in
-    let queued : (int, unit) Hashtbl.t = Hashtbl.create 64 in
     let dctxs =
       Array.make (match pool with Some p -> Pool.size p | None -> 1) None
     in
-    (* The layout [Scratch.create]'s zone is in until the first load:
-       every logical clock, none of them dead. *)
-    let full = build_layout (Array.make nclasses true) true in
     let domain_ctx d =
       match dctxs.(d) with
       | Some c -> c
@@ -494,41 +622,14 @@ module Make (K : Dbm_sig.S) : S = struct
               sat =
                 (fun i j b -> K.Scratch.sat scr c.cur.pos.(i) c.cur.pos.(j) b);
               spec_arena = K.Arena.create ();
-              vids =
-                Hstore.create ~equal:a.Ioa.equal_state ~hash:a.Ioa.hash_state
-                  64;
-              lays = Hashtbl.create 64;
-              sets = Hashtbl.create 64;
               cur = full;
               phase = Idle;
-              post = full;
             }
           in
           dctxs.(d) <- Some c;
           c
     in
     let main = domain_ctx 0 in
-    (* The layout of location [(s, p)], cached per state and phase, and
-       shared per live set so its LU bounds are prepared once. *)
-    let layout dc s p =
-      let id = match Hstore.add dc.vids s with `Added i | `Present i -> i in
-      let armed = match p with Idle -> false | Armed -> true in
-      let key = (2 * id) + Bool.to_int armed in
-      match Hashtbl.find_opt dc.lays key with
-      | Some l -> l
-      | None ->
-          let set = (Clock_enc.enabled_vec enc.cenc s, armed) in
-          let l =
-            match Hashtbl.find_opt dc.sets set with
-            | Some l -> l
-            | None ->
-                let l = build_layout (fst set) armed in
-                Hashtbl.add dc.sets set l;
-                l
-          in
-          Hashtbl.add dc.lays key l;
-          l
-    in
     (* The batch order key: the number of [Inf] entries of the zone's
        full-width cylinder, so that every kernel expands a batch in the
        same order.  Each dead clock adds an [Inf] row (all but its
@@ -554,7 +655,7 @@ module Make (K : Dbm_sig.S) : S = struct
     let edges = ref 0 in
     let zone_count = ref 0 in
     (* absolute; [restore] re-bases an explicit [limit] *)
-    let zone_limit = ref (Option.value limit ~default:200_000) in
+    let zone_limit = ref (Option.value limit ~default:1_000_000) in
     let waiting = ref 0 in
     let seq = ref 0 in
     (* This job's baseline of the shared counters, taken before any
@@ -614,7 +715,7 @@ module Make (K : Dbm_sig.S) : S = struct
               ([
                  ("stored", Json.Int !zone_count);
                  ("frontier", Json.Int !waiting);
-                 ("locations", Json.Int (Hstore.length store));
+                 ("locations", Json.Int !nlocs);
                  ("edges", Json.Int !edges);
                  ( "subsumed",
                    Json.Int (Metrics.value c_zones_subsumed - base_subsumed)
@@ -644,22 +745,14 @@ module Make (K : Dbm_sig.S) : S = struct
       end
     in
     let stats_now () =
-      { locations = Hstore.length store; zones = !zone_count; edges = !edges }
-    in
-    let cell_of id =
-      match Hashtbl.find_opt cells id with
-      | Some c -> c
-      | None ->
-          let c = ref [] in
-          Hashtbl.add cells id c;
-          c
+      { locations = !nlocs; zones = !zone_count; edges = !edges }
     in
     (* Store one zone, given the outcome of probing it against the
        hash-consing store: subsumption (both directions through the
        minimal-constraint forms), storing, inspection, queueing.  All
        callers run on the main domain in sequential commit order, so
        everything here is deterministic at any domain count. *)
-    let add_interned s p lay probe =
+    let add_interned r p probe =
       let z =
         match probe with
         | `Hit z ->
@@ -667,13 +760,12 @@ module Make (K : Dbm_sig.S) : S = struct
             z
         | `Miss z -> z
       in
-      let id = match Hstore.add store (s, p) with `Added i | `Present i -> i in
-      let cell = cell_of id in
-      if List.exists (fun e -> K.Min.subsumes e.zmin z) !cell then
+      let lc = loc_of r p in
+      if List.exists (fun e -> K.Min.subsumes e.zmin z) lc.cell then
         Metrics.incr c_zones_subsumed
       else begin
         let zmin = K.Min.of_zone z in
-        cell :=
+        lc.cell <-
           List.filter
             (fun e ->
               if K.Min.subsumes zmin e.z then begin
@@ -682,34 +774,26 @@ module Make (K : Dbm_sig.S) : S = struct
                 false
               end
               else true)
-            !cell;
+            lc.cell;
         incr seq;
         let e =
           {
             z;
             zmin;
-            zloose = loose lay z;
+            zloose = loose lc.lay z;
             seq = !seq;
             alive = true;
             expanded = false;
           }
         in
-        cell := e :: !cell;
+        lc.cell <- e :: lc.cell;
         incr zone_count;
         Metrics.incr c_zones_stored;
-        inspect p s z lay.pos;
-        let bucket =
-          match Hashtbl.find_opt pending id with
-          | Some b -> b
-          | None ->
-              let b = ref [] in
-              Hashtbl.add pending id b;
-              b
-        in
-        bucket := e :: !bucket;
-        if not (Hashtbl.mem queued id) then begin
-          Hashtbl.add queued id ();
-          Queue.add id locq
+        inspect p r.st z lc.lay.pos;
+        lc.pending <- e :: lc.pending;
+        if not lc.queued then begin
+          lc.queued <- true;
+          Queue.add lc.lid locq
         end;
         incr waiting;
         Metrics.set_max g_waiting_max (float_of_int !waiting)
@@ -719,10 +803,10 @@ module Make (K : Dbm_sig.S) : S = struct
        [main.scr].  It is hashed and probed in place — a hit never
        copies the matrix at all; a miss freezes exactly once, into the
        main arena. *)
-    let add_scratch s p lay =
+    let add_scratch r p =
       let scr = main.scr in
       let h = K.Scratch.hash scr in
-      add_interned s p lay
+      add_interned r p
         (Hstore.intern_scratch zstore ~hash:h
            ~equal:(K.Scratch.equal_zone scr)
            ~freeze:(fun () -> K.Scratch.freeze_into ~hash:h arena scr))
@@ -731,8 +815,8 @@ module Make (K : Dbm_sig.S) : S = struct
        into its per-domain arena.  Probe it against the store; only a
        genuine miss is copied into the main arena — the worker arenas
        rewind at the end of the batch. *)
-    let add_spec s p lay z =
-      add_interned s p lay
+    let add_spec r p z =
+      add_interned r p
         (Hstore.intern_scratch zstore ~hash:(K.hash z)
            ~equal:(fun k -> K.equal k z)
            ~freeze:(fun () -> K.copy_into arena z))
@@ -754,33 +838,26 @@ module Make (K : Dbm_sig.S) : S = struct
       | None -> None
       | Some (path, _) ->
           Tracing.with_span "recover.snapshot" @@ fun () ->
-          let p_keys =
-            Array.init (Hstore.length store) (Hstore.key_of_id store)
-          in
-          let p_cells =
-            Array.of_seq
-              (Seq.map
-                 (fun (id, es) -> (id, !es))
-                 (Hashtbl.to_seq cells))
-          in
-          let base_pending =
-            List.of_seq
-              (Seq.map (fun (id, es) -> (id, !es)) (Hashtbl.to_seq pending))
-          in
+          let locs = Array.sub !locs 0 !nlocs in
+          let p_keys = Array.map (fun lc -> (lc.sr.st, lc.ph)) locs in
+          let p_cells = Array.map (fun lc -> (lc.lid, lc.cell)) locs in
           (* Fold the unfinished batch tail back into the frontier. *)
-          let pend, q_extra =
-            match !batch_left with
-            | [] -> (base_pending, [])
-            | tail ->
-                let id = !batch_loc in
-                let merged =
-                  match List.assoc_opt id base_pending with
-                  | Some es -> (id, tail @ es) :: List.remove_assoc id base_pending
-                  | None -> (id, tail) :: base_pending
-                in
-                (merged, if Hashtbl.mem queued id then [] else [ id ])
+          let p_pending =
+            Array.of_seq
+              (Seq.filter_map
+                 (fun lc ->
+                   let es =
+                     if lc.lid = !batch_loc then !batch_left @ lc.pending
+                     else lc.pending
+                   in
+                   match es with [] -> None | _ -> Some (lc.lid, es))
+                 (Array.to_seq locs))
           in
-          let p_pending = Array.of_list pend in
+          let q_extra =
+            match !batch_left with
+            | _ :: _ when not locs.(!batch_loc).queued -> [ !batch_loc ]
+            | _ -> []
+          in
           let p_locq =
             Array.of_list (q_extra @ List.of_seq (Queue.to_seq locq))
           in
@@ -802,7 +879,7 @@ module Make (K : Dbm_sig.S) : S = struct
           in
           let info =
             Printf.sprintf "zones=%d locations=%d edges=%d" !zone_count
-              (Hstore.length store) !edges
+              !nlocs !edges
           in
           Snapshot.write ~path ~fingerprint:fp ~info
             (Marshal.to_bytes (snap : s snap) []);
@@ -820,25 +897,23 @@ module Make (K : Dbm_sig.S) : S = struct
                 \  snapshot: %s\n\
                 \  this run: %s" path fp_got fp));
       let snap = (Marshal.from_bytes payload 0 : s snap) in
-      (* Dense Hstore ids are assigned in insertion order, so re-adding
-         the keys in id order reproduces every id exactly. *)
-      Array.iter (fun k -> ignore (Hstore.add store k)) snap.p_keys;
+      (* Location ids are assigned in order, so re-creating the
+         locations in id order reproduces every id exactly. *)
+      Array.iter (fun (s, p) -> ignore (loc_of (state_rec s) p)) snap.p_keys;
       Array.iter
         (fun (id, es) ->
-          Hashtbl.replace cells id (ref es);
+          !locs.(id).cell <- es;
           (* Re-seed the hash-consing store.  Marshal preserved the
              sharing among stored zones, so structurally equal zones
              are still one pointer and each distinct zone is interned
              once. *)
           List.iter (fun e -> ignore (Hstore.intern zstore e.z)) es)
         snap.p_cells;
-      Array.iter
-        (fun (id, es) -> Hashtbl.replace pending id (ref es))
-        snap.p_pending;
+      Array.iter (fun (id, es) -> !locs.(id).pending <- es) snap.p_pending;
       Array.iter
         (fun id ->
           Queue.add id locq;
-          Hashtbl.replace queued id ())
+          !locs.(id).queued <- true)
         snap.p_locq;
       edges := snap.p_edges;
       zone_count := snap.p_zones;
@@ -871,20 +946,29 @@ module Make (K : Dbm_sig.S) : S = struct
          storage order: reachable-set accumulators see every stored
          location again, and condition probes re-audit zones that
          already passed (pure, so they pass again). *)
+      let entries = ref [] in
+      for id = 0 to !nlocs - 1 do
+        let lc = !locs.(id) in
+        List.iter (fun e -> entries := (lc, e) :: !entries) lc.cell
+      done;
       let entries =
-        Hashtbl.fold
-          (fun id es acc ->
-            List.fold_left (fun acc e -> (id, e) :: acc) acc !es)
-          cells []
+        List.sort (fun (_, e1) (_, e2) -> compare e1.seq e2.seq) !entries
       in
-      let entries =
-        List.sort (fun (_, e1) (_, e2) -> compare e1.seq e2.seq) entries
-      in
-      List.iter
-        (fun (id, e) ->
-          let s, p = Hstore.key_of_id store id in
-          inspect p s e.z (layout main s p).pos)
-        entries
+      List.iter (fun (lc, e) -> inspect lc.ph lc.sr.st e.z lc.lay.pos) entries
+    in
+    (* The states with a stored zone, in first-stored order: a location
+       gets its id at its first stored zone, and a state's first
+       location is the one with the smaller id. *)
+    let stored_states () =
+      let acc = ref [] in
+      for id = !nlocs - 1 downto 0 do
+        let lc = !locs.(id) in
+        let other =
+          loc_id lc.sr (match lc.ph with Idle -> Armed | Armed -> Idle)
+        in
+        if other < 0 || other > id then acc := lc.sr.st :: !acc
+      done;
+      !acc
     in
     (* Batch-boundary discipline: deterministic budget, cooperative
        interrupt, periodic snapshot — in that order, so an exhausted
@@ -904,21 +988,19 @@ module Make (K : Dbm_sig.S) : S = struct
        [y_op], every other clock keeps its bounds.  A clock absent from
        [post] is dropped; the map still counts its logical [free]. *)
     let remap_to ~ci pre_en pre_pos post y_op =
-      let src =
-        Array.map
-          (fun x ->
-            if x = 0 then 0
-            else if x <= nclasses then
-              if not post.en.(x - 1) then -1
-              else if ci = x - 1 || not pre_en.(x - 1) then 0
-              else pre_pos.(x)
-            else
-              match y_op with
-              | `Reset -> 0
-              | `Free -> -1
-              | `Keep -> pre_pos.(x))
-          post.live
-      in
+      let live = post.live in
+      (* [live.(0)] is clock 0, which maps to itself *)
+      let src = Array.make (Array.length live) 0 in
+      for k = 1 to Array.length live - 1 do
+        let x = live.(k) in
+        src.(k) <-
+          (if x <= nclasses then
+             if not post.en.(x - 1) then -1
+             else if ci = x - 1 || not pre_en.(x - 1) then 0
+             else pre_pos.(x)
+           else
+             match y_op with `Reset -> 0 | `Free -> -1 | `Keep -> pre_pos.(x))
+      done;
       let y_frees =
         match (enc.y, y_op) with Some _, `Free -> 1 | _ -> 0
       in
@@ -948,14 +1030,14 @@ module Make (K : Dbm_sig.S) : S = struct
       Option.iter (K.Scratch.remap scr) post.refree;
       not (K.Scratch.is_empty scr)
     in
-    (* One edge [s -act-> s'] out of zone [z] at layout [pre]: load,
+    (* One edge [s -act-> t.st] out of zone [z] at layout [pre]: load,
        guard [x_C >= b_l(C)], observer, then [settle].  On [true] the
-       survivor is in [dc.scr], its phase in [dc.phase] and its layout
-       in [dc.post] — fields rather than a returned tuple, so the
-       sequential path allocates nothing per edge beyond the clock map.
-       Pure apart from [dc], which is why workers can run it; an
-       unsupported observer shape raises. *)
-    let successor dc s p pre z (act, gopt, ci) s' =
+       survivor is in [dc.scr] and its phase in [dc.phase] — a field
+       rather than a returned tuple, so the sequential path allocates
+       nothing per edge beyond the clock map.  Pure apart from [dc],
+       which is why workers can run it; an unsupported observer shape
+       raises. *)
+    let successor dc s p pre z (act, gopt, ci) t =
       let scr = dc.scr in
       K.Scratch.load scr z;
       dc.cur <- pre;
@@ -964,82 +1046,78 @@ module Make (K : Dbm_sig.S) : S = struct
       | Some (x, b) -> K.Scratch.constrain scr 0 pre.pos.(x) b);
       (not (K.Scratch.is_empty scr))
       &&
-      match observe p s act s' ~sat:dc.sat with
+      match observe p s act t.st ~sat:dc.sat with
       | Error m -> raise (Unsupported_shape m)
       | Ok (p', y_op) ->
-          let post = layout dc s' p' in
           dc.phase <- p';
-          dc.post <- post;
-          settle dc ~ci pre.en pre.pos post y_op
+          settle dc ~ci pre.en pre.pos (layout_of t p') y_op
     in
     let count_edge () =
       incr edges;
       Metrics.incr c_zone_edges;
       check_deadline ()
     in
-    let expand s p pre z =
-      Array.iter
-        (fun ((act, _, _) as g) ->
-          List.iter
-            (fun s' ->
-              count_edge ();
-              if successor main s p pre z g s' then
-                add_scratch s' main.phase main.post)
-            (a.Ioa.delta s act))
-        enc.guards
+    let expand r p pre z =
+      step_state r;
+      for k = 0 to Array.length r.targets - 1 do
+        count_edge ();
+        let t = r.targets.(k) in
+        if successor main r.st p pre z enc.guards.(r.gis.(k)) t then
+          add_scratch t main.phase
+      done
     in
-    (* Parallel path: the same pipeline for one (entry, guard) pair on
-       a worker domain, recording outcomes instead of committing them.
-       Anything the pipeline raises — a violation witness from
+    (* Parallel path: the same pipeline for one (entry, successor) pair
+       on a worker domain, recording the outcome instead of committing
+       it.  Anything the pipeline raises — a violation witness from
        [observe], an unsupported shape — is captured and re-raised at
        the commit point, in sequential order. *)
-    let speculate dc s p pre z ((act, _, _) as g) =
-      List.map
-        (fun s' ->
-          match successor dc s p pre z g s' with
-          | true ->
-              `Succ
-                ( s',
-                  dc.phase,
-                  dc.post,
-                  K.Scratch.freeze_into dc.spec_arena dc.scr )
-          | false -> `Skip
-          | exception ex -> `Raised ex)
-        (a.Ioa.delta s act)
+    let speculate dc r p pre z k =
+      match successor dc r.st p pre z enc.guards.(r.gis.(k)) r.targets.(k) with
+      | true -> `Succ (dc.phase, K.Scratch.freeze_into dc.spec_arena dc.scr)
+      | false -> `Skip
+      | exception ex -> `Raised ex
     in
     (* Sequential-order replay of one speculated edge. *)
-    let commit_edge out =
+    let commit_edge t out =
       count_edge ();
       match out with
       | `Skip -> ()
       | `Raised ex -> raise ex
-      | `Succ (s', p', lay, z) -> add_spec s' p' lay z
+      | `Succ (p', z) -> add_spec t p' z
     in
-    let expand_batch_par pl s p pre batch =
+    let expand_batch_par pl r p pre batch =
       (* Aliveness is sampled twice, exactly like the sequential loop:
          entries dead at pop get no tasks; entries killed by an earlier
          commit of this very batch have their speculation discarded. *)
       let marks = List.map (fun e -> (e, e.alive)) batch in
       let alive = Array.of_list (List.filter (fun e -> e.alive) batch) in
-      let ng = Array.length enc.guards in
-      let ntasks = Array.length alive * ng in
-      let res = Array.make (max ntasks 1) [] in
+      (* Filled here, on the main domain, with every layout a worker may
+         need: workers only read them. *)
+      if Array.length alive > 0 then begin
+        step_state r;
+        Array.iter
+          (fun t ->
+            ignore (layout_of t Idle);
+            ignore (layout_of t Armed))
+          r.targets
+      end;
+      let ns = Array.length r.targets in
+      let ntasks = Array.length alive * ns in
+      let res = Array.make (max ntasks 1) `Skip in
       Pool.parallel_for pl ~n:ntasks (fun ~domain t ->
           res.(t) <-
-            speculate (domain_ctx domain) s p pre
-              alive.(t / ng).z
-              enc.guards.(t mod ng));
+            speculate (domain_ctx domain) r p pre alive.(t / ns).z (t mod ns));
       let ai = ref 0 in
       List.iter
         (fun (e, was_alive) ->
           decr waiting;
           (if was_alive then begin
-             let base = !ai * ng in
+             let base = !ai * ns in
              incr ai;
              if e.alive then begin
                e.expanded <- true;
-               for gi = 0 to ng - 1 do
-                 List.iter commit_edge res.(base + gi)
+               for k = 0 to ns - 1 do
+                 commit_edge r.targets.(k) res.(base + k)
                done
              end
            end);
@@ -1061,10 +1139,11 @@ module Make (K : Dbm_sig.S) : S = struct
               (fun s0 ->
                 K.Scratch.load main.scr z_init;
                 let p0 = initial_phase s0 in
-                let post = layout main s0 p0 in
+                let r = state_rec s0 in
+                let post = layout_of r p0 in
                 let y_op = match p0 with Idle -> `Free | Armed -> `Keep in
                 if settle main ~ci:(-1) post.en all_clocks post y_op then
-                  add_scratch s0 p0 post)
+                  add_scratch r p0)
               a.Ioa.start);
         while
           boundary_checks ();
@@ -1072,16 +1151,10 @@ module Make (K : Dbm_sig.S) : S = struct
         do
           check_deadline ();
           emit_telemetry ();
-          let id = Queue.pop locq in
-          Hashtbl.remove queued id;
-          let batch =
-            match Hashtbl.find_opt pending id with
-            | Some b ->
-                let entries = !b in
-                Hashtbl.remove pending id;
-                entries
-            | None -> []
-          in
+          let lc = !locs.(Queue.pop locq) in
+          lc.queued <- false;
+          let batch = lc.pending in
+          lc.pending <- [];
           (* Largest zone first: the biggest zone subsumes the most
              successors, so expanding it first maximizes pruning.  The
              insertion sequence breaks ties for determinism. *)
@@ -1092,19 +1165,18 @@ module Make (K : Dbm_sig.S) : S = struct
                 else compare e1.seq e2.seq)
               batch
           in
-          let s, p = Hstore.key_of_id store id in
-          let pre = layout main s p in
-          batch_loc := id;
+          let r = lc.sr and p = lc.ph and pre = lc.lay in
+          batch_loc := lc.lid;
           batch_left := batch;
           (match pool with
-          | Some pl when Pool.size pl > 1 -> expand_batch_par pl s p pre batch
+          | Some pl when Pool.size pl > 1 -> expand_batch_par pl r p pre batch
           | Some _ | None ->
               List.iter
                 (fun e ->
                   decr waiting;
                   (if e.alive then begin
                      e.expanded <- true;
-                     expand s p pre e.z
+                     expand r p pre e.z
                    end);
                   pop_batch_left ())
                 batch)
@@ -1124,7 +1196,7 @@ module Make (K : Dbm_sig.S) : S = struct
         | _ -> ());
         emit_telemetry ~force:true ~ev:"zones.done" ();
         Events.progress_clear ();
-        Ok (stats_now ())
+        Ok (stats_now (), stored_states)
       with
       | Unsupported_shape m -> Error (`Unsupported m)
       | Refuted side ->
@@ -1191,7 +1263,7 @@ module Make (K : Dbm_sig.S) : S = struct
         ~observe:keep_phase
         ~inspect:(fun _ s _ _ -> visit s)
     with
-    | Ok stats -> stats
+    | Ok (stats, stored_states) -> (stats, stored_states)
     | Error (`Unsupported m) -> raise (Open_system m)
     | Error (`Budget e) -> raise (Out_of_budget e)
     | Error (`Refuted _) ->
@@ -1199,14 +1271,11 @@ module Make (K : Dbm_sig.S) : S = struct
         assert false
 
   let reachable ?limit ?deadline_s ?domains ?checkpoint ?resume a bm =
-    let seen = ref [] in
-    let stats =
+    let stats, stored_states =
       explore_states ~span:"zones.reachable" ~kind:"reachable" ?limit
-        ?deadline_s ?domains ?checkpoint ?resume a bm (fun s ->
-          if not (List.exists (a.Ioa.equal_state s) !seen) then
-            seen := s :: !seen)
+        ?deadline_s ?domains ?checkpoint ?resume a bm ignore
     in
-    (stats, List.rev !seen)
+    (stats, stored_states ())
 
   let check_state_invariant (type s) ?limit ?deadline_s ?domains ?checkpoint
       ?resume (a : (s, _) Ioa.t) bm pred =
@@ -1216,7 +1285,7 @@ module Make (K : Dbm_sig.S) : S = struct
         ?limit ?deadline_s ?domains ?checkpoint ?resume a bm (fun s ->
           if not (pred s) then raise (Found s))
     with
-    | stats -> Ok stats
+    | stats, _ -> Ok stats
     | exception Found s -> Error s
 
   let check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume
@@ -1270,7 +1339,7 @@ module Make (K : Dbm_sig.S) : S = struct
           if c.Condition.t_start s0 then Armed else Idle)
         ~observe ~inspect
     with
-    | Ok stats -> Verified stats
+    | Ok (stats, _) -> Verified stats
     | Error (`Unsupported m) -> Unsupported m
     | Error (`Budget e) -> Unknown e
     | Error (`Refuted (`Lower, st)) -> Lower_violation st

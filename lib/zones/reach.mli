@@ -52,6 +52,16 @@
     built once per live set.  The fingerprint keeps the logical clock
     count.
 
+    {b State and location tables.}  The discrete part of a location —
+    its actions, successor states, enabled classes and so its layout —
+    depends on the automaton state only.  The engine keeps one record
+    per state, built on the main domain when it first meets the state:
+    it calls [delta] once per action there and never again, so [delta]
+    runs at most once per (state, action), on the main domain, at any
+    domain count.  Locations are numbered in the order they store their
+    first zone and kept in an array indexed by that number, so the
+    per-edge path indexes records instead of hashing states.
+
     A timing condition is checked by an observer with one extra clock
     [y], armed by the condition's triggers and disarmed by [Π]-actions
     and [S]-states:
@@ -145,7 +155,7 @@ exception Out_of_budget of exhausted
     engine as a first-class module of this type.
 
     Every entry point takes a graceful-degradation budget: [limit]
-    bounds stored zones (default [200_000]) and [deadline_s] bounds
+    bounds stored zones (default [1_000_000]) and [deadline_s] bounds
     wall-clock seconds.  Running out of either yields an {!exhausted}
     carrying partial {!stats} — via {!Out_of_budget} or
     {!outcome.Unknown} — rather than a truncated (unsound) verdict.
@@ -155,7 +165,7 @@ exception Out_of_budget of exhausted
     deterministic and agrees exactly across kernels and domain counts.
     On [~resume], an explicit [limit] counts the zones stored {e after}
     the restored point (the exhaustion reason prints the absolute bound
-    [restored + limit]); the default [200_000] stays absolute.
+    [restored + limit]); the default [1_000_000] stays absolute.
     The wall-clock deadline is probed before every successor pipeline,
     so one expensive pipeline cannot overshoot it by more than a single
     zone expansion — but which zone it stops at, necessarily, is not
@@ -165,7 +175,7 @@ exception Out_of_budget of exhausted
     [domains > 1] the exploration runs on a [Tm_par.Pool] of that many
     domains in speculate-then-commit style — the one successor
     pipeline that the sequential path runs is computed in parallel on
-    per-domain scratch arenas and layout caches, and the main
+    per-domain scratch matrices and arenas, and the main
     domain replays the results in exact sequential order (anything the
     pipeline raises on a worker, such as an unsupported condition
     shape, is re-raised at its place in that order).  Verdicts, the reachable base-state set,
@@ -191,8 +201,8 @@ module type S = sig
     ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t -> stats * 's list
   (** Timed reachability: explored stats and the base states reachable
       under the timing assumptions (a subset of the untimed reachable
-      set).  After a resume the list holds the same states, though not
-      necessarily in first-discovery order.
+      set), in the order each first stored a zone — after a resume too,
+      since a snapshot keeps the location numbering.
       @raise Out_of_budget when a budget is exhausted. *)
 
   val check_state_invariant :

@@ -7,6 +7,7 @@ module RM = Tm_systems.Resource_manager
 module IM = Tm_systems.Interrupt_manager
 module SR = Tm_systems.Signal_relay
 module RG = Tm_systems.Request_grant
+module F = Tm_systems.Fischer
 open Gen
 
 let p = RM.params_of_ints ~k:3 ~c1:2 ~c2:3 ~l:1
@@ -233,6 +234,49 @@ let test_lu_domain_invariance () =
         (List.sort compare r = rbase))
     [ 2; 4 ]
 
+(* The discrete part of a location depends on its state only, so the
+   engine asks [delta] once per (state, action), however many zones it
+   expands there and at any domain count.  The wrapper counts calls
+   under a mutex, since an engine may call [delta] from worker domains. *)
+let test_delta_once_per_state_action () =
+  let fp = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
+  let fsys = F.system fp and fbm = F.boundmap fp in
+  let counted () =
+    let calls = Hashtbl.create 256 in
+    let lock = Mutex.create () in
+    let delta s act =
+      Mutex.protect lock (fun () ->
+          let k = (s, act) in
+          Hashtbl.replace calls k
+            (1 + Option.value (Hashtbl.find_opt calls k) ~default:0));
+      fsys.Tm_ioa.Ioa.delta s act
+    in
+    let most () = Hashtbl.fold (fun _ n m -> max n m) calls 0 in
+    ({ fsys with Tm_ioa.Ioa.delta }, most, fun () -> Hashtbl.length calls)
+  in
+  List.iter
+    (fun d ->
+      let wrapped, most, pairs = counted () in
+      let st, states = Reach.reachable ~domains:d wrapped fbm in
+      Alcotest.(check bool)
+        (Printf.sprintf "reachable unchanged at domains=%d" d)
+        true
+        ((st, states) = Reach.reachable fsys fbm);
+      Alcotest.(check bool) "delta was called" true (pairs () > 0);
+      Alcotest.(check int)
+        (Printf.sprintf "reachable: calls per (state, action) at domains=%d"
+           d)
+        1 (most ());
+      let wrapped, most, _ = counted () in
+      Alcotest.(check string)
+        (Printf.sprintf "U_enter verdict at domains=%d" d)
+        "verified"
+        (verdict_tag (Reach.check_condition ~domains:d wrapped fbm (F.u_enter fp)));
+      Alcotest.(check int)
+        (Printf.sprintf "U_enter: calls per (state, action) at domains=%d" d)
+        1 (most ()))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "manager bounds verified" `Quick
@@ -260,4 +304,6 @@ let suite =
       test_lu_metamorphic_reachable;
     Alcotest.test_case "LU metamorphic: domain invariance" `Quick
       test_lu_domain_invariance;
+    Alcotest.test_case "delta once per (state, action)" `Quick
+      test_delta_once_per_state_action;
   ]
