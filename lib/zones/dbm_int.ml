@@ -12,7 +12,7 @@
    which makes the tightness order ([Lt c < Le c < Inf]) the native
    integer order, bound addition two adds and a mask, and the whole
    Scratch pipeline allocation-free.  Feeding a non-integer bound to
-   [constrain]/[sat]/[extrapolate_lu] is a scaling bug, never a
+   [constrain]/[sat]/[extrapolate_lu]/[prepare_lu] is a scaling bug, never a
    truncation: it raises [Invalid_argument] so the differential wall
    notices immediately.  Overflow is excluded up front by {!headroom}.
 
@@ -243,36 +243,96 @@ let lu_thresholds ~where n lower upper =
   done;
   (lceil, nuc)
 
+(* The rule for one packed entry [p] at (i, j), [i <> j], with
+   [li = lceil.(i)] and [nu = nuc.(j)]. *)
+let[@inline] widen li nu p =
+  if p = inf then inf
+  else
+    let c = p asr 1 in
+    if c > li || nu = max_int then inf else if c < nu then nu lsl 1 else p
+
+(* Widen row [i] in place; [true] iff an entry changed. *)
+let widen_row n m i lceil nuc =
+  let row = i * n and li = Array.unsafe_get lceil i in
+  let changed = ref false in
+  for j = 0 to n - 1 do
+    if j <> i then begin
+      let p = Array.unsafe_get m (row + j) in
+      let w = widen li (Array.unsafe_get nuc j) p in
+      if w <> p then begin
+        changed := true;
+        Array.unsafe_set m (row + j) w
+      end
+    end
+  done;
+  !changed
+
 let extrapolate_lu_packed n m lceil nuc =
   let changed = ref false in
   for i = 0 to n - 1 do
-    let row = i * n in
-    let li = lceil.(i) in
-    for j = 0 to n - 1 do
-      if i <> j then begin
-        let p = m.(row + j) in
-        if p <> inf then begin
-          let c = p asr 1 in
-          if c > li then begin
-            m.(row + j) <- inf;
-            changed := true
-          end
-          else begin
-            let nu = nuc.(j) in
-            if nu = max_int then begin
-              m.(row + j) <- inf;
-              changed := true
-            end
-            else if c < nu then begin
-              m.(row + j) <- nu lsl 1;
-              changed := true
-            end
-          end
-        end
-      end
-    done
+    if widen_row n m i lceil nuc then changed := true
   done;
   !changed
+
+(* [min_x m(row + x) + b_x] over the invariants: the shortest way from
+   the row's clock to clock 0 through one invariant edge. *)
+let[@inline] col m row ix ib =
+  let c = ref inf in
+  for e = 0 to Array.length ix - 1 do
+    let v =
+      bnd_add (Array.unsafe_get m (row + Array.unsafe_get ix e))
+        (Array.unsafe_get ib e)
+    in
+    if v < !c then c := v
+  done;
+  !c
+
+(* [up], the invariants [x - 0 <= b] ([ix.(e)], packed [ib.(e)]) and
+   LU widening of a canonical nonempty zone, in one sweep.  After [up]
+   column 0 is [Inf] below row 0, and every invariant edge ends at clock
+   0, so a shortest path uses at most one of them: row [i]'s new entry
+   against clock 0 is [col i = min_x m(i,x) + b_x], and entry (i, j)
+   becomes [min m(i,j) (col i + m(0,j))].  Row 0 keeps its entries, and
+   the zone is empty iff [col 0 < Le 0], a negative cycle through clock
+   0.  LU widening is entry-wise, so each entry is widened as soon as
+   its final value is known; row 0 is widened last, after every other
+   row has read it.  A row whose lower bound is [None] is wiped whatever
+   it holds, so it is not tightened first: it changes iff [col i] or an
+   entry of the old row is finite.  Returns [-1] when the zone is empty
+   (the matrix is then left as it was), [1] when the widening changed
+   an entry, so the caller must close again, and [0] otherwise. *)
+let settle_arr n m ix ib lceil nuc =
+  if not (bnd_neg_ok (col m 0 ix ib)) then -1
+  else begin
+    let changed = ref false in
+    for i = 1 to n - 1 do
+      let row = i * n and li = Array.unsafe_get lceil i in
+      let ci = col m row ix ib in
+      if li = min_int then begin
+        if ci <> inf then changed := true;
+        Array.unsafe_set m row inf;
+        if widen_row n m i lceil nuc then changed := true
+      end
+      else begin
+        (* [up] left [Inf] at (i, 0), and [Le 0] is at (0, 0) *)
+        let w = widen li (Array.unsafe_get nuc 0) ci in
+        if w <> ci then changed := true;
+        Array.unsafe_set m row w;
+        for j = 1 to n - 1 do
+          if j <> i then begin
+            let cur = Array.unsafe_get m (row + j) in
+            let via = bnd_add ci (Array.unsafe_get m j) in
+            let p = if via < cur then via else cur in
+            let w = widen li (Array.unsafe_get nuc j) p in
+            if w <> p then changed := true;
+            Array.unsafe_set m (row + j) w
+          end
+        done
+      end
+    done;
+    if widen_row n m 0 lceil nuc then changed := true;
+    Bool.to_int !changed
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Persistent API.                                                     *)
@@ -366,13 +426,31 @@ let intersect a b =
     mk a.n m empty
   end
 
-type lu = { lceil : int array; nuc : int array }
+(* A layout's tail for [Scratch.settle]: the invariants as clock
+   indices [ix] and packed bounds [ib], and the LU thresholds.  Every
+   constant is checked here, once per layout, not on every edge. *)
+type lu = { ix : int array; ib : int array; lceil : int array; nuc : int array }
 
-let prepare_lu ~lower ~upper =
-  let lceil, nuc =
-    lu_thresholds ~where:"prepare_lu" (Array.length lower) lower upper
+let prepare_lu ~invs ~lower ~upper =
+  let n = Array.length lower in
+  let lceil, nuc = lu_thresholds ~where:"prepare_lu" n lower upper in
+  let ix =
+    Array.map
+      (fun (x, _) ->
+        if x < 1 || x >= n then invalid_arg "Dbm_int.prepare_lu: clock";
+        x)
+      invs
   in
-  { lceil; nuc }
+  let ib =
+    Array.map
+      (fun (_, b) ->
+        match b with
+        | Dbm_bound.(Le q | Lt q) when not (Rational.is_integer q) ->
+            invalid_arg "Dbm_int.prepare_lu: non-integer invariant"
+        | b -> pack b)
+      invs
+  in
+  { ix; ib; lceil; nuc }
 
 let extrapolate_lu ~lower ~upper z =
   Metrics.incr c_extrapolate;
@@ -683,10 +761,6 @@ module Scratch = struct
       if unsat_with s.sn s.sm 0 i j b then s.sempty <- true
       else tighten_arr s.sn s.sm i j b
 
-  let up s =
-    Metrics.incr c_up;
-    if not s.sempty then up_arr s.sn s.sm
-
   (* Target entry (k, l) is source entry (src k, src l): a reset clock
      reads clock 0's row and column, which is exactly [reset_arr].  A
      freed target row is [Inf] and a freed target column copies the
@@ -727,13 +801,16 @@ module Scratch = struct
     end;
     s.sn <- n'
 
-  let extrapolate_lu lu s =
+  let settle lu s =
+    Metrics.incr c_up;
+    Metrics.add c_constrain (Array.length lu.ix);
     Metrics.incr c_extrapolate;
-    if Array.length lu.lceil <> s.sn then
-      invalid_arg "Dbm_int.Scratch.extrapolate_lu";
+    if Array.length lu.lceil <> s.sn then invalid_arg "Dbm_int.Scratch.settle";
     if not s.sempty then
-      if extrapolate_lu_packed s.sn s.sm lu.lceil lu.nuc then
-        ignore (canonicalize_arr s.sn s.sm)
+      match settle_arr s.sn s.sm lu.ix lu.ib lu.lceil lu.nuc with
+      | -1 -> s.sempty <- true
+      | 0 -> ()
+      | _ -> ignore (canonicalize_arr s.sn s.sm)
 
   let sat s i j b =
     Metrics.incr c_sat;

@@ -37,8 +37,9 @@ let sat = Dbm_int.sat
 
 type lu = Dbm_int.lu * Dbm_ref.lu
 
-let prepare_lu ~lower ~upper =
-  (Dbm_int.prepare_lu ~lower ~upper, Dbm_ref.prepare_lu ~lower ~upper)
+let prepare_lu ~invs ~lower ~upper =
+  ( Dbm_int.prepare_lu ~invs ~lower ~upper,
+    Dbm_ref.prepare_lu ~invs ~lower ~upper )
 
 let loose = Dbm_int.loose
 let equal = Dbm_int.equal
@@ -126,17 +127,13 @@ module Scratch = struct
     Dbm_int.Scratch.constrain s.intk i j b;
     if s.checking then Dbm_ref.Scratch.constrain s.refk i j b
 
-  let up s =
-    Dbm_int.Scratch.up s.intk;
-    if s.checking then Dbm_ref.Scratch.up s.refk
-
   let remap s r =
     Dbm_int.Scratch.remap s.intk r;
     if s.checking then Dbm_ref.Scratch.remap s.refk r
 
-  let extrapolate_lu (li, lr) s =
-    Dbm_int.Scratch.extrapolate_lu li s.intk;
-    if s.checking then Dbm_ref.Scratch.extrapolate_lu lr s.refk
+  let settle (li, lr) s =
+    Dbm_int.Scratch.settle li s.intk;
+    if s.checking then Dbm_ref.Scratch.settle lr s.refk
 
   let is_empty s =
     let ia = Dbm_int.Scratch.is_empty s.intk in

@@ -204,9 +204,19 @@ let extrapolate_lu ~lower ~upper z =
     end
   end
 
-type lu = Rational.t option array * Rational.t option array
+type lu = {
+  invs : (int * bnd) array;
+  lower : Rational.t option array;
+  upper : Rational.t option array;
+}
 
-let prepare_lu ~lower ~upper = (lower, upper)
+let prepare_lu ~invs ~lower ~upper =
+  Array.iter
+    (fun (x, _) ->
+      if x < 1 || x >= Array.length lower then
+        invalid_arg "Dbm_ref.prepare_lu: clock")
+    invs;
+  { invs; lower; upper }
 
 let sat z i j b = not (is_empty (constrain z i j b))
 
@@ -316,12 +326,16 @@ module Scratch = struct
     s.cur <- z;
     s.src <- Some z
 
-  let constrain s i j b = s.cur <- constrain s.cur i j b
-  let up s = s.cur <- up s.cur
-  let remap s r = s.cur <- remap s.cur r
+  (* The executable specification of the fused tail: the literal
+     sequence the int kernel's one sweep must reproduce. *)
+  let settle lu s =
+    let z =
+      Array.fold_left (fun z (x, b) -> constrain z x 0 b) (up s.cur) lu.invs
+    in
+    s.cur <- extrapolate_lu ~lower:lu.lower ~upper:lu.upper z
 
-  let extrapolate_lu (lower, upper) s =
-    s.cur <- extrapolate_lu ~lower ~upper s.cur
+  let constrain s i j b = s.cur <- constrain s.cur i j b
+  let remap s r = s.cur <- remap s.cur r
 
   let is_empty s = is_empty s.cur
   let sat s i j b = sat s.cur i j b

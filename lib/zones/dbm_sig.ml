@@ -102,16 +102,19 @@ module type S = sig
       verdicts for the same reason. *)
 
   type lu
-  (** LU bounds prepared for {!Scratch.extrapolate_lu}: converted (and
-      checked) once, applied on every pipeline that ends at a location
-      with these bounds. *)
+  (** A layout's timing tail, prepared for {!Scratch.settle}: its
+      invariants and LU bounds, converted (and checked) once, applied
+      on every pipeline that ends at a location with this layout. *)
 
   val prepare_lu :
+    invs:(int * Dbm_bound.t) array ->
     lower:Tm_base.Rational.t option array ->
     upper:Tm_base.Rational.t option array ->
     lu
-  (** The bounds of [extrapolate_lu], for a zone of
-      [Array.length lower] clocks. *)
+  (** The tail of a zone of [Array.length lower] clocks: the invariants
+      [x - 0 <= b] ([<] if strict), one per [(x, b)] with [x >= 1], and
+      the bounds of [extrapolate_lu].  Raises [Invalid_argument] on a
+      clock out of range, and on a constant a kernel cannot hold. *)
 
   val sat : t -> int -> int -> Dbm_bound.t -> bool
   (** [sat z i j b]: is [z /\ (x_i - x_j <= b)] nonempty? *)
@@ -193,11 +196,15 @@ module type S = sig
         [dbm.ops] counts the logical resets and frees of the map. *)
 
     val constrain : scratch -> int -> int -> Dbm_bound.t -> unit
-    val up : scratch -> unit
 
-    val extrapolate_lu : lu -> scratch -> unit
-    (** In-place LU-bound extrapolation with prepared bounds; see the
-        persistent [extrapolate_lu]. *)
+    val settle : lu -> scratch -> unit
+    (** The end of every successor pipeline, in place: let time elapse
+        ([up]), intersect with each invariant of [lu] ([constrain x 0 b]
+        in turn), then widen with [lu]'s LU bounds ([extrapolate_lu]).
+        The result is that sequence's zone, and [dbm.ops] counts that
+        sequence's ops: one [up], one [constrain] per invariant, one
+        [extrapolate], and one [canonicalize] when the widening changed
+        a nonempty zone. *)
 
     val is_empty : scratch -> bool
 

@@ -318,9 +318,9 @@ module Make (K : Dbm_sig.S) : S = struct
     pos : int array;  (** logical clock -> layout index, [-1] if absent *)
     dead : int;  (** logical clocks absent from the layout *)
     disabled : int;  (** disabled classes, freed on entry *)
-    lu : K.lu;  (** LU bounds at layout indices *)
-    invs : (int * Dbm_bound.t) array;
-        (** enabled classes' invariants [x <= b_u], at layout indices *)
+    lu : K.lu;
+        (** the timing tail at layout indices: the enabled classes'
+            invariants [x <= b_u] and the LU bounds *)
     refree : Dbm_sig.remap option;
         (** full-width layout with dead clocks: the map that frees them *)
   }
@@ -480,8 +480,10 @@ module Make (K : Dbm_sig.S) : S = struct
         pos;
         dead = nclocks - Array.length live;
         disabled = Array.fold_left (fun n e -> if e then n else n + 1) 0 en;
-        lu = K.prepare_lu ~lower:(at lower) ~upper:(at upper);
-        invs = Array.of_list (List.rev !invs);
+        lu =
+          K.prepare_lu
+            ~invs:(Array.of_list (List.rev !invs))
+            ~lower:(at lower) ~upper:(at upper);
         refree =
           (if Array.for_all in_set live then None
            else
@@ -494,7 +496,7 @@ module Make (K : Dbm_sig.S) : S = struct
       }
     in
     (* Layouts are shared per live set (enabled classes, observer
-       armed), so each set's LU bounds are prepared once. *)
+       armed), so each set's invariants and LU bounds are prepared once. *)
     let sets : (bool array * bool, layout) Hashtbl.t = Hashtbl.create 64 in
     (* The layout [Scratch.create]'s zone is in until the first load:
        every logical clock, none of them dead.  In a state record it
@@ -1010,8 +1012,9 @@ module Make (K : Dbm_sig.S) : S = struct
        (A, b).  [settle] is its tail, shared with the seeds: move to the
        successor's layout (reset the classes that fire or become
        enabled, free the disabled ones, apply the observer clock's
-       operation), let time elapse under the enabled classes'
-       invariants [x_C <= b_u(C)], and widen with LU-bound
+       operation), then one kernel call for the timing obligations:
+       let time elapse while every enabled class C keeps
+       [x_C <= b_u(C)] (Defs 2.1/2.2), and widen with LU-bound
        extrapolation — the one widening, which every zone reaches
        through here whatever the kernel or domain count, so
        [zones.stored] stays identical by construction.  A seed is a
@@ -1021,12 +1024,7 @@ module Make (K : Dbm_sig.S) : S = struct
     let settle dc ~ci pre_en pre_pos post y_op =
       let scr = dc.scr in
       K.Scratch.remap scr (remap_to ~ci pre_en pre_pos post y_op);
-      K.Scratch.up scr;
-      for k = 0 to Array.length post.invs - 1 do
-        let x, b = post.invs.(k) in
-        K.Scratch.constrain scr x 0 b
-      done;
-      K.Scratch.extrapolate_lu post.lu scr;
+      K.Scratch.settle post.lu scr;
       Option.iter (K.Scratch.remap scr) post.refree;
       not (K.Scratch.is_empty scr)
     in

@@ -98,6 +98,14 @@ type dbm_constraint = {
   cstrict : bool;
 }
 
+(* An invariant [x - 0 <= inum/iden] ([<] if [istrict]). *)
+type dbm_inv = {
+  ix : int;  (** raw clock, applier maps into [1..nclocks-1] *)
+  inum : int;
+  iden : int;
+  istrict : bool;
+}
+
 type dbm_op =
   | Constrain of dbm_constraint
   | Up
@@ -108,6 +116,9 @@ type dbm_op =
   | Extrapolate_lu of int option list * int option list
       (** LU bounds per clock, reference clock included; [None] is
           [-inf] *)
+  | Settle of dbm_inv list * int option list * int option list
+      (** a successor's timing tail: [up], the invariants, then LU
+          widening with these bounds *)
 
 type dbm_script = { ds_clocks : int; ds_ops : dbm_op list }
 
@@ -119,14 +130,31 @@ let dbm_constraint : dbm_constraint QCheck2.Gen.t =
       (quad (int_range 0 4) (int_range 0 4) (int_range (-12) 12)
          (pair (int_range 1 4) bool)))
 
-(* An LU extrapolation of an [n]-clock zone: bounds random per clock,
-   [None] allowed, [Some 0] on the reference clock. *)
-let extrapolate_lu_op n : dbm_op QCheck2.Gen.t =
+(* LU bounds of an [n]-clock zone: random per clock, [None] allowed,
+   [Some 0] on the reference clock. *)
+let lu_bounds n =
   QCheck2.Gen.(
     let bound = option ~ratio:0.6 (int_range 0 6) in
     map
-      (fun (l, u) -> Extrapolate_lu (Some 0 :: l, Some 0 :: u))
+      (fun (l, u) -> (Some 0 :: l, Some 0 :: u))
       (pair (list_repeat (n - 1) bound) (list_repeat (n - 1) bound)))
+
+let extrapolate_lu_op n : dbm_op QCheck2.Gen.t =
+  QCheck2.Gen.map (fun (l, u) -> Extrapolate_lu (l, u)) (lu_bounds n)
+
+(* A settle with up to three invariants on raw clocks [0..wide]
+   (strict or not, rarely negative, so some empty the zone), or none. *)
+let settle_op ?(wide = 4) n : dbm_op QCheck2.Gen.t =
+  QCheck2.Gen.(
+    let inv =
+      map
+        (fun (ix, inum, iden, istrict) -> { ix; inum; iden; istrict })
+        (quad (int_range 0 wide) (int_range (-2) 12) (int_range 1 4) bool)
+    in
+    map2
+      (fun invs (l, u) -> Settle (invs, l, u))
+      (list_size (int_range 0 3) inv)
+      (lu_bounds n))
 
 let dbm_op n : dbm_op QCheck2.Gen.t =
   QCheck2.Gen.(
@@ -138,6 +166,7 @@ let dbm_op n : dbm_op QCheck2.Gen.t =
         (2, map (fun x -> Free x) (int_range 0 4));
         (1, map (fun cs -> Intersect cs) (list_size (int_range 0 3) dbm_constraint));
         (1, extrapolate_lu_op n);
+        (1, settle_op n);
       ])
 
 let dbm_script : dbm_script QCheck2.Gen.t =
@@ -152,6 +181,11 @@ let print_dbm_constraint c =
     (if c.cstrict then "<" else "<=")
     c.cnum c.cden
 
+let print_lu l u =
+  let bs = List.map (function None -> "-" | Some c -> string_of_int c) in
+  Printf.sprintf "L=[%s] U=[%s]" (String.concat "," (bs l))
+    (String.concat "," (bs u))
+
 let print_dbm_op = function
   | Constrain c -> print_dbm_constraint c
   | Up -> "up"
@@ -161,12 +195,16 @@ let print_dbm_op = function
       Printf.sprintf "intersect[%s]"
         (String.concat "; " (List.map print_dbm_constraint cs))
   | Extrapolate_lu (l, u) ->
-      let bs =
-        List.map (function None -> "-" | Some c -> string_of_int c)
+      Printf.sprintf "extrapolate_lu %s" (print_lu l u)
+  | Settle (invs, l, u) ->
+      let inv i =
+        Printf.sprintf "x%d %s %d/%d" i.ix
+          (if i.istrict then "<" else "<=")
+          i.inum i.iden
       in
-      Printf.sprintf "extrapolate_lu L=[%s] U=[%s]"
-        (String.concat "," (bs l))
-        (String.concat "," (bs u))
+      Printf.sprintf "settle inv=[%s] %s"
+        (String.concat "; " (List.map inv invs))
+        (print_lu l u)
 
 let print_dbm_script s =
   Printf.sprintf "clocks=%d: %s" s.ds_clocks
@@ -183,17 +221,19 @@ let scale_dbm_script s =
       (function
         | Constrain c -> [ c.cden ]
         | Intersect cs -> List.map (fun c -> c.cden) cs
+        | Settle (invs, _, _) -> List.map (fun i -> i.iden) invs
         | Up | Reset _ | Free _ | Extrapolate_lu _ -> [])
       s.ds_ops
   in
   let k = List.fold_left (fun k d -> k / gcd k d * d) 1 dens in
   let sc c = { c with cnum = c.cnum * (k / c.cden); cden = 1 } in
+  let sc_inv i = { i with inum = i.inum * (k / i.iden); iden = 1 } in
+  let sc_lu = List.map (Option.map (fun c -> c * k)) in
   let op = function
     | Constrain c -> Constrain (sc c)
     | Intersect cs -> Intersect (List.map sc cs)
-    | Extrapolate_lu (l, u) ->
-        let sc_lu = List.map (Option.map (fun c -> c * k)) in
-        Extrapolate_lu (sc_lu l, sc_lu u)
+    | Extrapolate_lu (l, u) -> Extrapolate_lu (sc_lu l, sc_lu u)
+    | Settle (invs, l, u) -> Settle (List.map sc_inv invs, sc_lu l, sc_lu u)
     | (Up | Reset _ | Free _) as o -> o
   in
   (k, { s with ds_ops = List.map op s.ds_ops })
@@ -202,10 +242,10 @@ let scale_dbm_script s =
    A zone of 9-16 clocks goes through rounds; each round applies a few
    random ops, then frees every clock but at most a quarter of them
    (a disabled class's clock after [free]: its row is [Inf] off the
-   diagonal) and LU-extrapolates, as every successor pipeline of an
-   MMT exploration does.  Constants and bounds are as in
-   {!dbm_script}, so the zones still hit fractional corners and go
-   empty now and then. *)
+   diagonal) and LU-extrapolates, alone or as the tail of a [Settle],
+   as every successor pipeline of an MMT exploration does.  Constants
+   and bounds are as in {!dbm_script}, so the zones still hit
+   fractional corners and go empty now and then. *)
 let dead_row_script : dbm_script QCheck2.Gen.t =
   QCheck2.Gen.(
     let wide = int_range 0 15 in
@@ -239,7 +279,7 @@ let dead_row_script : dbm_script QCheck2.Gen.t =
           ops @ frees @ [ extrapolate ])
         (list_size (int_range 0 6) op)
         (list_size (int_range 0 4) wide)
-        (extrapolate_lu_op n)
+        (oneof [ extrapolate_lu_op n; settle_op ~wide:15 n ])
     in
     int_range 9 16 >>= fun n ->
     map

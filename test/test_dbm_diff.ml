@@ -38,6 +38,17 @@ let norm_constraint n (c : Gen.dbm_constraint) =
 let norm_clock n x = 1 + (x mod (n - 1))
 let lu_bounds l = Array.of_list (List.map (Option.map Rational.of_int) l)
 
+let norm_inv n (i : Gen.dbm_inv) =
+  let q = Rational.make i.inum i.iden in
+  (norm_clock n i.ix, if i.istrict then Bnd.Lt q else Bnd.Le q)
+
+(* The persistent reading of [Scratch.settle]: [up], one
+   [constrain x 0 b] per invariant, then [extrapolate_lu]. *)
+let settle_persistent (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
+    (z : z) invs l u =
+  let z = List.fold_left (fun z (x, b) -> K.constrain z x 0 b) (K.up z) invs in
+  K.extrapolate_lu ~lower:(lu_bounds l) ~upper:(lu_bounds u) z
+
 (* A kernel-independent record of everything observable about a run. *)
 type trace = {
   empties : bool list;
@@ -75,6 +86,8 @@ let step_persistent (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
       (K.intersect z other, None)
   | Gen.Extrapolate_lu (l, u) ->
       (K.extrapolate_lu ~lower:(lu_bounds l) ~upper:(lu_bounds u) z, None)
+  | Gen.Settle (invs, l, u) ->
+      (settle_persistent (module K) z (List.map (norm_inv n) invs) l u, None)
 
 (* Interpret a script with the persistent API of any kernel. *)
 let run_persistent (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
@@ -117,8 +130,9 @@ let one_clock n x v =
   }
 
 (* Interpret the same script with a kernel's destructive Scratch API
-   (intersect round-trips through freeze, the one operation Scratch
-   does not provide; reset and free are one-clock [remap]s). *)
+   (intersect, up and extrapolate_lu, which Scratch does not provide on
+   their own, round-trip through freeze, the persistent op and load;
+   reset and free are one-clock [remap]s). *)
 let run_scratch (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     (s : Gen.dbm_script) : trace =
   let n = s.Gen.ds_clocks in
@@ -133,7 +147,7 @@ let run_scratch (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
         Sc.constrain scr i j b;
         Some sat
     | Gen.Up ->
-        Sc.up scr;
+        Sc.load scr (K.up (Sc.freeze scr));
         None
     | Gen.Reset x ->
         Sc.remap scr (one_clock n (norm_clock n x) 0);
@@ -152,8 +166,15 @@ let run_scratch (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
         Sc.load scr (K.intersect (Sc.freeze scr) other);
         None
     | Gen.Extrapolate_lu (l, u) ->
-        Sc.extrapolate_lu
-          (K.prepare_lu ~lower:(lu_bounds l) ~upper:(lu_bounds u))
+        Sc.load scr
+          (K.extrapolate_lu ~lower:(lu_bounds l) ~upper:(lu_bounds u)
+             (Sc.freeze scr));
+        None
+    | Gen.Settle (invs, l, u) ->
+        Sc.settle
+          (K.prepare_lu
+             ~invs:(Array.of_list (List.map (norm_inv n) invs))
+             ~lower:(lu_bounds l) ~upper:(lu_bounds u))
           scr;
         None
   in
@@ -182,6 +203,18 @@ let run_scratch (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     sats = List.rev sats;
     incl = !incl;
   }
+
+(* [f ()] and the [dbm.ops] counts it adds, op by op. *)
+let counted f =
+  let counters =
+    List.map
+      (fun o -> Tm_obs.Metrics.counter "dbm.ops" ~labels:[ ("op", o) ])
+      [ "canonicalize"; "constrain"; "up"; "reset"; "free"; "intersect";
+        "includes"; "extrapolate"; "sat" ]
+  in
+  let before = List.map Tm_obs.Metrics.value counters in
+  let r = f () in
+  (r, List.map2 ( - ) (List.map Tm_obs.Metrics.value counters) before)
 
 let mats_equal a b =
   List.length a = List.length b
@@ -226,25 +259,39 @@ let script_diff_ref_scratch =
         (run_scratch (module Dbm_ref) s)
         (run_persistent (module Dbm_ref) s))
 
+(* The int scratch also counts the persistent replay's [dbm.ops]: a
+   settle counts the up, constrains, extrapolate and closure of the
+   sequence it fuses. *)
 let script_diff_int_scratch =
   Gen.check_holds "script: int scratch replay == persistent int" ~count:300
     ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
       let _, scaled = Gen.scale_dbm_script s in
-      traces_equal
-        (run_scratch (module Dbm_int) scaled)
-        (run_persistent (module Dbm_int) scaled))
+      let scratch, by_scratch =
+        counted (fun () -> run_scratch (module Dbm_int) scaled)
+      in
+      let persistent, by_persistent =
+        counted (fun () -> run_persistent (module Dbm_int) scaled)
+      in
+      traces_equal scratch persistent && by_scratch = by_persistent)
 
 (* Most clocks freed before every LU extrapolation, as in a fischer
    successor pipeline: the closure and the minimization skip dead rows
    there, so the int kernel must still land on the reference zone,
-   emptiness included, after every op — on both of its APIs. *)
+   emptiness included, after every op — on both of its APIs, which
+   count the same [dbm.ops]. *)
 let dead_rows_int_vs_ref =
   Gen.check_holds "dead rows: int kernel (scaled) == ref kernel" ~count:300
     ~print:Gen.print_dbm_script Gen.dead_row_script (fun s ->
       let k, scaled = Gen.scale_dbm_script s in
-      let int_trace = run_persistent (module Dbm_int) scaled in
+      let int_trace, by_persistent =
+        counted (fun () -> run_persistent (module Dbm_int) scaled)
+      in
+      let scratch_trace, by_scratch =
+        counted (fun () -> run_scratch (module Dbm_int) scaled)
+      in
       traces_equal (unscale k int_trace) (run_persistent (module Dbm_ref) s)
-      && traces_equal (run_scratch (module Dbm_int) scaled) int_trace)
+      && traces_equal scratch_trace int_trace
+      && by_scratch = by_persistent)
 
 (* ------------------------------------------------------------------ *)
 (* Location-change maps ([Scratch.remap]).                             *)
@@ -346,6 +393,104 @@ let remap_int_vs_ref =
       let ref_zone = final_zone (module Dbm_ref) s in
       mats_equal (unscaled (remapped (module Dbm_int) int_zone r)) [ want ]
       && mats_equal [ remapped (module Dbm_ref) ref_zone r ] [ want ])
+
+(* [Scratch.settle] on hand-picked zones, one per corner of the one
+   sweep: the int scratch, the int persistent sequence ([up], each
+   invariant, [extrapolate_lu]) and the reference kernel must land on
+   one zone, the scratch must count exactly the [dbm.ops] of the
+   persistent sequence, and the zone must show the corner. *)
+let unit_settle_cases () =
+  let le c = Bnd.Le (Gen.q c) and lt c = Bnd.Lt (Gen.q c) in
+  let constr (i, j, c) =
+    Gen.Constrain { ci = i; cj = j; cnum = c; cden = 1; cstrict = false }
+  in
+  let case name ~shows n zone invs l u =
+    let s = { Gen.ds_clocks = n; ds_ops = List.map constr zone } in
+    let zi = final_zone (module Dbm_int) s in
+    let persistent, by_ops =
+      counted (fun () -> settle_persistent (module Dbm_int) zi invs l u)
+    in
+    let scr = Dbm_int.Scratch.create n in
+    Dbm_int.Scratch.load scr zi;
+    let lu =
+      Dbm_int.prepare_lu ~invs:(Array.of_list invs) ~lower:(lu_bounds l)
+        ~upper:(lu_bounds u)
+    in
+    let fused, by_settle =
+      counted (fun () ->
+          Dbm_int.Scratch.settle lu scr;
+          Dbm_int.Scratch.freeze scr)
+    in
+    let reference =
+      settle_persistent (module Dbm_ref) (final_zone (module Dbm_ref) s) invs
+        l u
+    in
+    let snap_int = snapshot (module Dbm_int) in
+    Alcotest.(check bool)
+      (name ^ ": scratch == persistent") true
+      (mats_equal [ snap_int fused ] [ snap_int persistent ]);
+    Alcotest.(check bool)
+      (name ^ ": persistent == ref") true
+      (mats_equal [ snap_int persistent ]
+         [ snapshot (module Dbm_ref) reference ]);
+    Alcotest.(check (list int)) (name ^ ": dbm.ops") by_ops by_settle;
+    Alcotest.(check bool) (name ^ ": shows the corner") true (shows fused)
+  in
+  let get z i j = Dbm_int.get z i j in
+  let wide = [ Some 0; Some 10; Some 10 ] in
+  (* x2 - x1 <= -4 and the invariant x1 <= 3 force x2 <= -1: the cycle
+     0 -> x2 -> x1 -> 0 is negative, through the invariant's edge. *)
+  case "invariant empties through clock 0" 3 [ (2, 1, -4) ]
+    [ (1, le 3) ] wide wide ~shows:Dbm_int.is_empty;
+  (* With x2 <= x1, the strict x1 < 4 beats the weak x2 <= 4 on x2's
+     own row: col 2 is min over both invariants. *)
+  case "strict invariants" 3 [ (2, 1, 0) ]
+    [ (1, lt 4); (2, le 4) ]
+    wide wide
+    ~shows:(fun z -> get z 1 0 = lt 4 && get z 2 0 = lt 4);
+  case "no invariants" 3 [ (1, 0, 2) ] [] wide wide
+    ~shows:(fun z -> get z 1 0 = Bnd.Inf && get z 0 1 = le 0);
+  (* [None] on both sides of clock 1 wipes its row and its column. *)
+  case "LU wipes a whole row" 3 [ (1, 0, 2) ]
+    [ (1, le 5); (2, le 6) ]
+    [ Some 0; None; Some 10 ] [ Some 0; None; Some 10 ]
+    ~shows:(fun z ->
+      List.for_all (fun (i, j) -> get z i j = Bnd.Inf)
+        [ (1, 0); (1, 2); (0, 1); (2, 1) ]
+      && get z 2 0 = le 6);
+  (* U(x1) = 3 loosens x1 >= 5 to x1 > 3, and only that entry. *)
+  case "LU loosens single entries" 3 [ (0, 1, -5) ] [ (1, le 8) ]
+    [ Some 0; Some 10; Some 10 ] [ Some 0; Some 3; Some 10 ]
+    ~shows:(fun z -> get z 0 1 = lt (-3) && get z 1 0 = le 8)
+
+(* The successor tail runs once per edge, so the int kernel's settle
+   must not allocate: a thousand calls cost no more minor words than
+   ten.  The zone has a live row, a wiped row and invariants, so every
+   branch of the sweep runs, and the widening re-closes every time. *)
+let unit_settle_allocates_nothing () =
+  let n = 4 in
+  let scr = Dbm_int.Scratch.create n in
+  Dbm_int.Scratch.load scr
+    (Dbm_int.constrain (Dbm_int.top n) 0 1 (Bnd.Le (Gen.q (-5))));
+  let lu =
+    Dbm_int.prepare_lu
+      ~invs:[| (1, Bnd.Le (Gen.q 8)); (2, Bnd.Lt (Gen.q 6)) |]
+      ~lower:(lu_bounds [ Some 0; Some 9; None; Some 9 ])
+      ~upper:(lu_bounds [ Some 0; Some 3; Some 9; Some 9 ])
+  in
+  let words calls =
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      Dbm_int.Scratch.settle lu scr
+    done;
+    Gc.minor_words () -. before
+  in
+  ignore (words 10);
+  let few = words 10 in
+  let many = words 1000 in
+  Alcotest.(check bool) "scratch still nonempty" false
+    (Dbm_int.Scratch.is_empty scr);
+  Alcotest.(check (float 0.)) "minor words of 990 more calls" few many
 
 (* Remapping to the same live set is the identity: the zone is
    unchanged entry for entry (so [freeze] hands back the loaded zone
@@ -600,18 +745,19 @@ let unit_sat_is_o1_consistent () =
       (2, 0, Bnd.Le (Gen.q 0));
     ]
 
-(* A fractional L/U bound can only come from a scaling bug: both LU
-   entry points — the persistent one and the preparation of a
-   scratch's bounds — refuse it instead of rounding it. *)
+(* A fractional L/U bound or invariant can only come from a scaling
+   bug: both LU entry points — the persistent one and the preparation
+   of a layout's tail, which packs the invariants once per layout —
+   refuse it instead of rounding it. *)
 let unit_lu_rejects_fractions () =
   let half = Some (Rational.make 1 2) and two = Some (Gen.q 2) in
   let z = Dbm_int.top 3 in
-  let refused what f =
+  let refused ?(what = "LU bound") where f =
     match f () with
-    | () -> Alcotest.failf "%s: half-unit LU bound accepted" what
+    | () -> Alcotest.failf "%s: half-unit %s accepted" where what
     | exception Invalid_argument m ->
-        Alcotest.(check string) what
-          ("Dbm_int." ^ what ^ ": non-integer LU bound")
+        Alcotest.(check string) where
+          ("Dbm_int." ^ where ^ ": non-integer " ^ what)
           m
   in
   refused "extrapolate_lu" (fun () ->
@@ -620,8 +766,13 @@ let unit_lu_rejects_fractions () =
            ~upper:[| two; two; two |] z));
   refused "prepare_lu" (fun () ->
       ignore
-        (Dbm_int.prepare_lu ~lower:[| two; two; two |]
+        (Dbm_int.prepare_lu ~invs:[||] ~lower:[| two; two; two |]
            ~upper:[| two; two; half |]));
+  refused ~what:"invariant" "prepare_lu" (fun () ->
+      ignore
+        (Dbm_int.prepare_lu
+           ~invs:[| (1, Bnd.Le (Gen.q 1)); (2, Bnd.Lt (Rational.make 3 2)) |]
+           ~lower:[| two; two; two |] ~upper:[| two; two; two |]));
   (* integral bounds still go through *)
   ignore
     (Dbm_int.extrapolate_lu ~lower:[| two; two; two |]
@@ -654,4 +805,8 @@ let suite =
       `Quick unit_lu_rejects_fractions;
     Alcotest.test_case "remap: same live set leaves the zone unchanged"
       `Quick unit_remap_same_live_set;
+    Alcotest.test_case "settle: one sweep == up, invariants, LU on corners"
+      `Quick unit_settle_cases;
+    Alcotest.test_case "settle: no allocation per call" `Quick
+      unit_settle_allocates_nothing;
   ]

@@ -38,6 +38,7 @@ let norm_constraint n (c : Gen.dbm_constraint) =
   (i, j, if c.cstrict then Bnd.Lt q else Bnd.Le q)
 
 let norm_clock n x = 1 + (x mod (n - 1))
+let lu l = Array.of_list (List.map (Option.map Rational.of_int) l)
 
 (* Every zone a script's persistent interpretation passes through,
    including [top] and any empties. *)
@@ -59,9 +60,15 @@ let zones_of_script (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
                let i, j, b = norm_constraint n c in
                K.constrain acc i j b)
              (K.top n) cs)
-    | Gen.Extrapolate_lu (l, u) ->
-        let lu l = Array.of_list (List.map (Option.map Rational.of_int) l) in
-        K.extrapolate_lu ~lower:(lu l) ~upper:(lu u) z
+    | Gen.Extrapolate_lu (l, u) -> K.extrapolate_lu ~lower:(lu l) ~upper:(lu u) z
+    | Gen.Settle (invs, l, u) ->
+        let inv z (i : Gen.dbm_inv) =
+          let q = Rational.make i.inum i.iden in
+          K.constrain z (norm_clock n i.ix) 0
+            (if i.istrict then Bnd.Lt q else Bnd.Le q)
+        in
+        K.extrapolate_lu ~lower:(lu l) ~upper:(lu u)
+          (List.fold_left inv (K.up z) invs)
   in
   let zs, _ =
     List.fold_left
@@ -198,8 +205,7 @@ let unit_freeze_into (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     () =
   let a = K.Arena.create () in
   let scr = K.Scratch.create 3 in
-  K.Scratch.load scr (K.zero 3);
-  K.Scratch.up scr;
+  K.Scratch.load scr (K.up (K.zero 3));
   K.Scratch.constrain scr 1 0 (Bnd.Le (Gen.q 5));
   let via_arena = K.Scratch.freeze_into a scr in
   let persistent = K.constrain (K.up (K.zero 3)) 1 0 (Bnd.Le (Gen.q 5)) in
@@ -221,8 +227,7 @@ let unit_reset_reuse (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
      reset land on the recycled space and must be exactly right. *)
   let a = K.Arena.create () in
   let scr = K.Scratch.create 3 in
-  K.Scratch.load scr (K.zero 3);
-  K.Scratch.up scr;
+  K.Scratch.load scr (K.up (K.zero 3));
   ignore (K.Scratch.freeze_into a scr);
   K.Arena.reset a;
   K.Scratch.load scr (K.top 3);
@@ -245,8 +250,7 @@ let heap_zone n c =
 
 let freeze_zone arena scr n c =
   let (i, j, b), (i', j', b') = zone_bounds n c in
-  Dbm_int.Scratch.load scr (Dbm_int.zero n);
-  Dbm_int.Scratch.up scr;
+  Dbm_int.Scratch.load scr (Dbm_int.up (Dbm_int.zero n));
   Dbm_int.Scratch.constrain scr i j b;
   Dbm_int.Scratch.constrain scr i' j' b';
   Dbm_int.Scratch.freeze_into arena scr
