@@ -40,14 +40,19 @@ let exact_matches iv (lo, hi) =
    after a bigger one would only repeat the earlier peak; its growth is
    what this run added.  OCaml 5 GC stats are domain-local, so callers
    that want deterministic figures must keep the measured work on this
-   domain. *)
+   domain.  Minor words come from [Gc.minor_words], which reads this
+   domain's allocation pointer.  The [minor_words] of [Gc.quick_stat]
+   (and [Gc.counters], so [Gc.allocated_bytes] too) are only brought up
+   to date at minor collections on OCaml 5.1, so that figure moves by up
+   to a minor heap (256k words) whenever anything allocated before the
+   run shifts where the collections fall. *)
 let with_gc_stats f =
   let b0 = Gc.allocated_bytes () in
-  let g0 = Gc.quick_stat () in
+  let g0 = Gc.quick_stat () and m0 = Gc.minor_words () in
   let r = f () in
-  let g1 = Gc.quick_stat () in
+  let m1 = Gc.minor_words () and g1 = Gc.quick_stat () in
   let b1 = Gc.allocated_bytes () in
   ( r,
-    g1.Gc.minor_words -. g0.Gc.minor_words,
+    m1 -. m0,
     b1 -. b0,
     g1.Gc.top_heap_words - g0.Gc.top_heap_words )

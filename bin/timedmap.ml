@@ -709,6 +709,30 @@ let engine_arg =
            disagreement degrades the run to the reference kernel). All \
            run the identical exploration and must agree.")
 
+(* [--engine] with [--selfcheck-every], for the subcommands that take
+   both.  The period is a usage error unless it is positive and the
+   engine is the one it samples. *)
+let engine_selfcheck_term =
+  let selfcheck_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "selfcheck-every" ] ~docv:"K"
+          ~doc:
+            "With $(b,--engine paranoid): re-run every $(docv)-th DBM \
+             pipeline on the reference kernel and compare (default 64).")
+  in
+  let check ename = function
+    | None -> `Ok ename
+    | Some k when k < 1 -> `Error (true, "--selfcheck-every must be >= 1")
+    | Some _ when ename <> "paranoid" ->
+        `Error (true, "--selfcheck-every needs --engine paranoid")
+    | Some k ->
+        Tm_recover.Paranoid.set_every k;
+        `Ok ename
+  in
+  Term.(ret (const check $ engine_arg $ selfcheck_arg))
+
 let set_engine name =
   match Catalog.engine_of name with
   | Ok e ->
@@ -739,20 +763,11 @@ let recover_term =
             "Also snapshot after every $(docv) newly stored zones \
              (default 0: only final snapshots).")
   in
-  let selfcheck_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "selfcheck-every" ] ~docv:"K"
-          ~doc:
-            "With $(b,--engine paranoid): re-run every $(docv)-th DBM \
-             pipeline on the reference kernel and compare (default 64).")
-  in
-  let mk ck every selfcheck =
+  let mk ck every =
     checkpoint_path := ck;
-    checkpoint_every := every;
-    if selfcheck > 0 then Tm_recover.Paranoid.set_every selfcheck
+    checkpoint_every := every
   in
-  Term.(const mk $ ck_arg $ every_arg $ selfcheck_arg)
+  Term.(const mk $ ck_arg $ every_arg)
 
 let verify_cmd =
   let run model ename () () () obs =
@@ -766,8 +781,8 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc:"Exact zone-based verification")
     Term.(
-      const run $ model_term () $ engine_arg $ budget_term $ domains_term
-      $ recover_term $ obs_term)
+      const run $ model_term () $ engine_selfcheck_term $ budget_term
+      $ domains_term $ recover_term $ obs_term)
 
 let run_cmd =
   let resume_arg =
@@ -824,8 +839,9 @@ let run_cmd =
           exponential backoff, per-attempt budgets chained through \
           checkpoints, resumable after interrupts")
     Term.(
-      const run $ model_term () $ engine_arg $ resume_arg $ attempts_arg
-      $ backoff_arg $ budget_term $ domains_term $ recover_term $ obs_term)
+      const run $ model_term () $ engine_selfcheck_term $ resume_arg
+      $ attempts_arg $ backoff_arg $ budget_term $ domains_term $ recover_term
+      $ obs_term)
 
 let margin_cmd =
   let json_arg =
@@ -1266,12 +1282,7 @@ let client_cmd =
     let deadline =
       Option.map (fun ms -> Unix.gettimeofday () +. (ms /. 1000.)) timeout_ms
     in
-    let read_one () =
-      match deadline with
-      | None -> Tm_serve.Protocol.read_frame_with rd sock
-      | Some deadline ->
-          Tm_serve.Protocol.read_frame_deadline rd sock ~deadline
-    in
+    let read_one () = Tm_serve.Protocol.read_frame ?deadline rd sock in
     let rec read_all n =
       if n > 0 then
         match read_one () with

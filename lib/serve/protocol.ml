@@ -123,43 +123,29 @@ let write_frame fd payload =
   let s = encode_frame payload in
   write_all fd (Bytes.unsafe_of_string s) 0 (String.length s)
 
-let read_frame_with r fd =
-  let buf = Bytes.create 8192 in
-  let rec go () =
-    match next r with
-    | Frame p -> Some p
-    | Oversized n -> failwith (Printf.sprintf "oversized frame (%d bytes)" n)
-    | Await -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
-        | 0 ->
-            if at_frame_boundary r then None
-            else failwith "truncated frame (peer closed mid-frame)"
-        | n ->
-            feed r buf 0 n;
-            go ())
-  in
-  go ()
-
-let read_frame ?max_frame fd = read_frame_with (reader ?max_frame ()) fd
-
 exception Timeout
 
-let read_frame_deadline r fd ~deadline =
+let read_frame ?deadline r fd =
   let buf = Bytes.create 8192 in
+  (* Is [fd] readable before the deadline?  Without one, a plain
+     blocking read waits. *)
+  let ready () =
+    match deadline with
+    | None -> true
+    | Some deadline -> (
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0. then raise Timeout;
+        (* EINTR just means "check the clock again". *)
+        match Unix.select [ fd ] [] [] left with
+        | rs, _, _ -> rs <> []
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> false)
+  in
   let rec go () =
     match next r with
     | Frame p -> Some p
     | Oversized n -> failwith (Printf.sprintf "oversized frame (%d bytes)" n)
     | Await ->
-        let left = deadline -. Unix.gettimeofday () in
-        if left <= 0. then raise Timeout;
-        let ready =
-          (* EINTR just means "check the clock again". *)
-          match Unix.select [ fd ] [] [] left with
-          | rs, _, _ -> rs <> []
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-        in
-        if not ready then go ()
+        if not (ready ()) then go ()
         else (
           match Unix.read fd buf 0 (Bytes.length buf) with
           | 0 ->

@@ -69,29 +69,19 @@ val write_frame : Unix.file_descr -> string -> unit
 (** Write one frame, handling short writes.
     @raise Invalid_argument when the payload exceeds {!max_encodable}. *)
 
-val read_frame_with : reader -> Unix.file_descr -> string option
+exception Timeout
+(** Raised by {!read_frame} when its deadline passes. *)
+
+val read_frame :
+  ?deadline:float -> reader -> Unix.file_descr -> string option
 (** Blocking read of one frame through a caller-held reader; [None] on
     EOF at a frame boundary.  When reading several pipelined responses
     from one connection the SAME reader must be reused for every call:
     a single [read] can pull multiple coalesced frames off the socket,
     and the extras live in the reader until the next call pops them.
-    @raise Failure on a truncated or oversized frame. *)
-
-val read_frame : ?max_frame:int -> Unix.file_descr -> string option
-(** [read_frame_with] with a fresh throwaway reader.  Only safe when at
-    most one frame will ever arrive on [fd] — any buffered surplus is
-    lost with the reader. *)
-
-exception Timeout
-(** Raised by {!read_frame_deadline} when the deadline passes. *)
-
-val read_frame_deadline :
-  reader -> Unix.file_descr -> deadline:float -> string option
-(** Like {!read_frame_with}, but gives up once [Unix.gettimeofday ()]
-    passes [deadline] — the client's [--timeout] and the worker-drain
-    path both need "a frame or a clock", never an indefinite block on a
-    daemon that stopped answering.  Same reader-reuse rule as
-    {!read_frame_with}.
+    With [?deadline], gives up once [Unix.gettimeofday ()] passes it:
+    the client's [--timeout] needs "a frame or a clock", never an
+    indefinite block on a daemon that stopped answering.
     @raise Timeout when the deadline passes with no complete frame.
     @raise Failure on a truncated or oversized frame. *)
 

@@ -12,14 +12,16 @@
    which makes the tightness order ([Lt c < Le c < Inf]) the native
    integer order, bound addition two adds and a mask, and the whole
    Scratch pipeline allocation-free.  Feeding a non-integer bound to
-   [constrain]/[sat]/[extrapolate_lu]/[prepare_lu] is a scaling bug, never a
-   truncation: it raises [Invalid_argument] so the differential wall
-   notices immediately.  Overflow is excluded up front by {!headroom}.
+   [constrain]/[sat]/[prepare_lu] is a scaling bug, never a truncation:
+   it raises [Invalid_argument] so the differential wall notices
+   immediately.  Overflow is excluded up front by {!headroom}.
 
-   Every operation must land on the zone the exact-rational reference
-   kernel {!Dbm_ref} computes; test/test_dbm_diff.ml checks that after
-   every op of random scripts, run here scaled to integers and divided
-   back. *)
+   The kernel is scratch-only: a zone is born as [zero] and changes
+   only in a {!Scratch}, through the ops {!Reach} runs.  Every scratch
+   op must land on the zone the persistent op of the exact-rational
+   reference kernel {!Dbm_ref} computes; test/test_dbm_diff.ml checks
+   that after every op of random scripts, run here scaled to integers
+   and divided back. *)
 
 module Rational = Tm_base.Rational
 module Metrics = Tm_obs.Metrics
@@ -30,8 +32,6 @@ let c_constrain = op "constrain"
 let c_up = op "up"
 let c_reset = op "reset"
 let c_free = op "free"
-let c_intersect = op "intersect"
-let c_includes = op "includes"
 let c_extrapolate = op "extrapolate"
 let c_sat = op "sat"
 let c_minimize = op "minimize"
@@ -103,8 +103,6 @@ let sub_words src off len =
   copy_words src off dst 0 len;
   dst
 
-let dup z = sub_words z.m z.off (z.n * z.n)
-
 (* ------------------------------------------------------------------ *)
 (* In-place core.                                                     *)
 
@@ -114,24 +112,27 @@ let dup z = sub_words z.m z.off (z.n * z.n)
    an enabled class whose lower bound is 0, which no guard reads.  No
    path leaves a dead row, and no operation of the closure can give it
    a finite entry. *)
-let row_live n m off k =
-  let rowk = off + (k * n) in
+let row_live n m k =
+  let rowk = k * n in
   let j = ref 0 in
   while !j < n && (!j = k || Array.unsafe_get m (rowk + !j) = inf) do
     incr j
   done;
   !j < n
 
+(* Re-close a matrix that LU widening loosened.  Every entry is at
+   least the canonical nonempty zone's it was widened from, so no cycle
+   is negative: the closure cannot empty the zone, and checks nothing
+   for it. *)
 let canonicalize_arr n m =
   Metrics.incr c_canonicalize;
   (* Floyd–Warshall that does work in proportion to live rows.  A dead
      pivot [k] (see [row_live]) is skipped outright: every [k -> j] hop
-     is [inf], so no path through [k] can tighten anything — only its
-     own diagonal is checked, since a negative one still means empty.
-     For a live pivot, the [i -> k] hop is hoisted out of the inner
-     loop and a row with [m.(i,k) = inf] is skipped, which skips every
-     dead row [i] too.  The cost is thus about (live rows)^2 * n plus an
-     O(n) liveness scan per dead pivot, instead of (live rows) * n^2.
+     is [inf], so no path through [k] can tighten anything.  For a live
+     pivot, the [i -> k] hop is hoisted out of the inner loop and a row
+     with [m.(i,k) = inf] is skipped, which skips every dead row [i]
+     too.  The cost is thus about (live rows)^2 * n plus an O(n)
+     liveness scan per dead pivot, instead of (live rows) * n^2.
      Compaction already leaves out the disabled classes' rows, but in
      fischer most enabled classes have lower bound 0, so LU widening
      still wipes most rows of a compact zone.  This is the kernel's
@@ -144,33 +145,24 @@ let canonicalize_arr n m =
      so the blend writes back [cur] untouched.  Bounds are in range by
      construction ([rowi + j], [rowk + j] < n*n), hence the unsafe
      accesses. *)
-  (try
-     for k = 0 to n - 1 do
-       let rowk = k * n in
-       if not (row_live n m 0 k) then begin
-         if m.(rowk + k) <= 0 then raise Exit
-       end
-       else
-         for i = 0 to n - 1 do
-           let rowi = i * n in
-           let ik = m.(rowi + k) in
-           if ik <> inf && k <> i then
-             for j = 0 to n - 1 do
-               let kj = Array.unsafe_get m (rowk + j) in
-               let cur = Array.unsafe_get m (rowi + j) in
-               let via = ik + kj - ((ik lor kj) land 1) in
-               let take =
-                 Bool.to_int (kj <> inf) land Bool.to_int (via < cur)
-               in
-               let mask = -take in
-               Array.unsafe_set m (rowi + j)
-                 ((via land mask) lor (cur land lnot mask))
-             done;
-           if m.(rowi + i) <= 0 then raise Exit
-         done
-     done
-   with Exit -> m.(0) <- 0 (* Lt 0 *));
-  not (bnd_neg_ok m.(0))
+  for k = 0 to n - 1 do
+    let rowk = k * n in
+    if row_live n m k then
+      for i = 0 to n - 1 do
+        let rowi = i * n in
+        let ik = m.(rowi + k) in
+        if ik <> inf && k <> i then
+          for j = 0 to n - 1 do
+            let kj = Array.unsafe_get m (rowk + j) in
+            let cur = Array.unsafe_get m (rowi + j) in
+            let via = ik + kj - ((ik lor kj) land 1) in
+            let take = Bool.to_int (kj <> inf) land Bool.to_int (via < cur) in
+            let mask = -take in
+            Array.unsafe_set m (rowi + j)
+              ((via land mask) lor (cur land lnot mask))
+          done
+      done
+  done
 
 (* [b] is a genuinely tightening bound, hence finite — so [via] below
    is finite too and the branchless blend only has to mask the
@@ -196,28 +188,6 @@ let tighten_arr n m i j b =
 let unsat_with n m off i j b =
   not (bnd_neg_ok (bnd_add b m.(off + (j * n) + i)))
 
-let up_arr n m =
-  for i = 1 to n - 1 do
-    m.(i * n) <- inf
-  done
-
-let reset_arr n m x =
-  for j = 0 to n - 1 do
-    if j <> x then begin
-      m.((x * n) + j) <- m.(j);
-      m.((j * n) + x) <- m.(j * n)
-    end
-  done;
-  m.((x * n) + x) <- le_zero
-
-let free_arr n m x =
-  for j = 0 to n - 1 do
-    if j <> x then begin
-      m.((x * n) + j) <- inf;
-      m.((j * n) + x) <- m.(j * n)
-    end
-  done
-
 (* LU relaxation on packed entries: entry (i, j) with constant c goes
    to Inf when c > L_i, else to Lt (-U_j) when c < -U_j; a [None] bound
    is -inf and wipes unconditionally.  Comparisons are on the constant
@@ -229,10 +199,10 @@ let free_arr n m x =
    encoded [max_int], meaning wipe).  Jobs are scaled to integers
    before they get here, so a non-integer bound is a scaling bug: like
    [pack], raise rather than round. *)
-let lu_thresholds ~where n lower upper =
+let lu_thresholds n lower upper =
   let bound q =
     if not (Rational.is_integer q) then
-      invalid_arg (Printf.sprintf "Dbm_int.%s: non-integer LU bound" where);
+      invalid_arg "Dbm_int.prepare_lu: non-integer LU bound";
     q.Rational.num
   in
   let lceil = Array.make n min_int in
@@ -264,13 +234,6 @@ let widen_row n m i lceil nuc =
         Array.unsafe_set m (row + j) w
       end
     end
-  done;
-  !changed
-
-let extrapolate_lu_packed n m lceil nuc =
-  let changed = ref false in
-  for i = 0 to n - 1 do
-    if widen_row n m i lceil nuc then changed := true
   done;
   !changed
 
@@ -335,96 +298,11 @@ let settle_arr n m ix ib lceil nuc =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Persistent API.                                                     *)
+(* Zones.                                                             *)
 
 let zero n =
   if n < 1 then invalid_arg "Dbm_int.zero";
   mk n (Array.make (n * n) le_zero) false
-
-let top n =
-  if n < 1 then invalid_arg "Dbm_int.top";
-  let m = Array.make (n * n) inf in
-  for i = 0 to n - 1 do
-    m.((i * n) + i) <- le_zero;
-    m.(i) <- le_zero
-  done;
-  mk n m false
-
-let constrain z i j b =
-  Metrics.incr c_constrain;
-  if i < 0 || i >= z.n || j < 0 || j >= z.n then
-    invalid_arg "Dbm_int.constrain";
-  let b = pack b in
-  if z.empty then z
-  else if b >= z.m.(z.off + (i * z.n) + j) then z
-  else if unsat_with z.n z.m z.off i j b then
-    { n = z.n; m = z.m; off = z.off; empty = true; hmemo = 0 }
-  else begin
-    let m = dup z in
-    tighten_arr z.n m i j b;
-    mk z.n m false
-  end
-
-let up z =
-  Metrics.incr c_up;
-  if z.empty then z
-  else begin
-    let m = dup z in
-    up_arr z.n m;
-    mk z.n m false
-  end
-
-let reset z x =
-  Metrics.incr c_reset;
-  if x < 1 || x >= z.n then invalid_arg "Dbm_int.reset";
-  if z.empty then z
-  else begin
-    let m = dup z in
-    reset_arr z.n m x;
-    mk z.n m false
-  end
-
-let free z x =
-  Metrics.incr c_free;
-  if x < 1 || x >= z.n then invalid_arg "Dbm_int.free";
-  if z.empty then z
-  else begin
-    let m = dup z in
-    free_arr z.n m x;
-    mk z.n m false
-  end
-
-let includes big small =
-  Metrics.incr c_includes;
-  if big.n <> small.n then invalid_arg "Dbm_int.includes";
-  if big == small then true
-  else if small.empty then true
-  else if big.empty then false
-  else begin
-    let len = big.n * big.n in
-    let bo = big.off and so = small.off in
-    let k = ref 0 in
-    let ok = ref true in
-    while !ok && !k < len do
-      if small.m.(so + !k) > big.m.(bo + !k) then ok := false;
-      incr k
-    done;
-    !ok
-  end
-
-let intersect a b =
-  Metrics.incr c_intersect;
-  if a.n <> b.n then invalid_arg "Dbm_int.intersect";
-  if a == b then a
-  else if a.empty then a
-  else if b.empty then b
-  else begin
-    let m =
-      Array.init (a.n * a.n) (fun k -> min a.m.(a.off + k) b.m.(b.off + k))
-    in
-    let empty = canonicalize_arr a.n m in
-    mk a.n m empty
-  end
 
 (* A layout's tail for [Scratch.settle]: the invariants as clock
    indices [ix] and packed bounds [ib], and the LU thresholds.  Every
@@ -433,7 +311,7 @@ type lu = { ix : int array; ib : int array; lceil : int array; nuc : int array }
 
 let prepare_lu ~invs ~lower ~upper =
   let n = Array.length lower in
-  let lceil, nuc = lu_thresholds ~where:"prepare_lu" n lower upper in
+  let lceil, nuc = lu_thresholds n lower upper in
   let ix =
     Array.map
       (fun (x, _) ->
@@ -451,21 +329,6 @@ let prepare_lu ~invs ~lower ~upper =
       invs
   in
   { ix; ib; lceil; nuc }
-
-let extrapolate_lu ~lower ~upper z =
-  Metrics.incr c_extrapolate;
-  if z.empty then z
-  else begin
-    let m = dup z in
-    let lceil, nuc =
-      lu_thresholds ~where:"extrapolate_lu" z.n lower upper
-    in
-    if not (extrapolate_lu_packed z.n m lceil nuc) then z
-    else begin
-      ignore (canonicalize_arr z.n m);
-      mk z.n m false
-    end
-  end
 
 let sat z i j b =
   Metrics.incr c_sat;
@@ -520,19 +383,6 @@ let equal a b =
              incr k
            done;
            !eq)
-
-let pp fmt z =
-  if z.empty then Format.pp_print_string fmt "empty"
-  else begin
-    Format.fprintf fmt "@[<v>";
-    for i = 0 to z.n - 1 do
-      for j = 0 to z.n - 1 do
-        Format.fprintf fmt "%a " Dbm_bound.pp (get z i j)
-      done;
-      Format.fprintf fmt "@,"
-    done;
-    Format.fprintf fmt "@]"
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Arena: bump allocation for stored-zone payloads.  Chunks start at
@@ -664,28 +514,6 @@ module Min = struct
       { mn = n; mempty = false; midx; mbnd }
     end
 
-  let to_zone mn =
-    if mn.mempty then
-      { n = mn.mn; m = Array.make (mn.mn * mn.mn) inf; off = 0; empty = true;
-        hmemo = 0 }
-    else begin
-      let n = mn.mn in
-      let m = Array.make (n * n) inf in
-      for i = 0 to n - 1 do
-        m.((i * n) + i) <- le_zero
-      done;
-      Array.iteri (fun e ij -> m.(ij) <- mn.mbnd.(e)) mn.midx;
-      for k = 0 to n - 1 do
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            let via = bnd_add m.((i * n) + k) m.((k * n) + j) in
-            if via < m.((i * n) + j) then m.((i * n) + j) <- via
-          done
-        done
-      done;
-      mk n m false
-    end
-
   (* [subsumes mn z]: does the zone [mn] was reduced from include [z]?
      Checking the kept constraints suffices: every reconstructed entry
      is a path sum of kept bounds, and canonical [z] satisfies the
@@ -708,15 +536,10 @@ module Min = struct
       done;
       !ok
     end
-
-  let equal a b =
-    a.mn = b.mn && a.mempty = b.mempty && a.midx = b.midx && a.mbnd = b.mbnd
-
-  let count mn = Array.length mn.midx
 end
 
 (* ------------------------------------------------------------------ *)
-(* Scratch: allocation-free between [load] and [freeze].  [ssrc]
+(* Scratch: allocation-free between [load] and [freeze_into].  [ssrc]
    remembers the zone last loaded so a no-op pipeline freezes to the
    already-interned original.                                          *)
 
@@ -762,10 +585,10 @@ module Scratch = struct
       else tighten_arr s.sn s.sm i j b
 
   (* Target entry (k, l) is source entry (src k, src l): a reset clock
-     reads clock 0's row and column, which is exactly [reset_arr].  A
-     freed target row is [Inf] and a freed target column copies the
-     row's entry against clock 0, which is exactly [free_arr].  Every
-     diagonal is [Le 0]. *)
+     reads clock 0's row and column, as {!Dbm_ref.reset} does.  A freed
+     target row is [Inf] and a freed target column copies the row's
+     entry against clock 0, as {!Dbm_ref.free} does.  Every diagonal is
+     [Le 0]. *)
   let remap s (r : Dbm_sig.remap) =
     let src = r.Dbm_sig.src in
     let n = s.sn and n' = Array.length src in
@@ -810,7 +633,7 @@ module Scratch = struct
       match settle_arr s.sn s.sm lu.ix lu.ib lu.lceil lu.nuc with
       | -1 -> s.sempty <- true
       | 0 -> ()
-      | _ -> ignore (canonicalize_arr s.sn s.sm)
+      | _ -> canonicalize_arr s.sn s.sm
 
   let sat s i j b =
     Metrics.incr c_sat;
@@ -838,11 +661,6 @@ module Scratch = struct
           done;
           if !eq then Some z else None
         end
-
-  let freeze s =
-    match unchanged s with
-    | Some z -> z
-    | None -> mk s.sn (sub_words s.sm 0 (s.sn * s.sn)) s.sempty
 
   let hash s = if s.sempty then 0 else hash_arr s.sn s.sm 0
 

@@ -23,16 +23,8 @@ let compact = false
 let headroom = Dbm_int.headroom
 let dim = Dbm_int.dim
 let zero = Dbm_int.zero
-let top = Dbm_int.top
 let is_empty = Dbm_int.is_empty
 let get = Dbm_int.get
-let constrain = Dbm_int.constrain
-let up = Dbm_int.up
-let reset = Dbm_int.reset
-let free = Dbm_int.free
-let intersect = Dbm_int.intersect
-let includes = Dbm_int.includes
-let extrapolate_lu = Dbm_int.extrapolate_lu
 let sat = Dbm_int.sat
 
 type lu = Dbm_int.lu * Dbm_ref.lu
@@ -44,7 +36,6 @@ let prepare_lu ~invs ~lower ~upper =
 let loose = Dbm_int.loose
 let equal = Dbm_int.equal
 let hash = Dbm_int.hash
-let pp = Dbm_int.pp
 
 (* Zones are Dbm_int.t values, so arena and minimal-constraint storage
    delegate wholesale — the self-check happens at freeze time, before
@@ -79,23 +70,28 @@ let ref_of_int z =
   !r
 
 (* Test hook: derange a frozen zone into a legitimately different zone
-   using only public kernel operations, so the entry-by-entry
+   using only the kernel's own scratch ops, so the entry-by-entry
    comparison below must notice.  Tightening clock 1 against the
    reference clock changes any zone that admits more than a point of
    clock 1 (and empties point zones, which the emptiness comparison
-   catches); an empty zone is replaced by [top]. *)
+   catches); a zone without clock 1 is emptied, and an empty zone is
+   replaced by [zero]. *)
 let corrupt z =
   let n = Dbm_int.dim z in
-  if Dbm_int.is_empty z then Dbm_int.top n
-  else if n < 2 then Dbm_int.up z
-  else
-    match Dbm_int.get z 1 0 with
-    | Dbm_bound.Inf ->
-        Dbm_int.constrain z 1 0 (Dbm_bound.Le Tm_base.Rational.zero)
-    | Dbm_bound.Le c -> Dbm_int.constrain z 1 0 (Dbm_bound.Lt c)
-    | Dbm_bound.Lt c ->
-        Dbm_int.constrain z 1 0
-          (Dbm_bound.Lt (Tm_base.Rational.sub c Tm_base.Rational.one))
+  if Dbm_int.is_empty z then Dbm_int.zero n
+  else begin
+    let s = Dbm_int.Scratch.create n in
+    Dbm_int.Scratch.load s z;
+    let open Dbm_bound in
+    let tighter = function
+      | Inf -> Le Tm_base.Rational.zero
+      | Le c -> Lt c
+      | Lt c -> Lt (Tm_base.Rational.sub c Tm_base.Rational.one)
+    in
+    if n < 2 then Dbm_int.Scratch.constrain s 0 0 (Lt Tm_base.Rational.zero)
+    else Dbm_int.Scratch.constrain s 1 0 (tighter (Dbm_int.get z 1 0));
+    Dbm_int.Scratch.freeze_into (Dbm_int.Arena.create ()) s
+  end
 
 module Scratch = struct
   type scratch = {
@@ -155,12 +151,14 @@ module Scratch = struct
     ia
 
   (* Cross-kernel comparison of a frozen int zone against the mirror
-     pipeline; shared by [freeze] and [freeze_into]. *)
+     pipeline. *)
   let check_frozen s zi =
     if not s.checking then zi
     else begin
       let zi = if Paranoid.corrupt () then corrupt zi else zi in
-      let zr = Dbm_ref.Scratch.freeze s.refk in
+      let zr =
+        Dbm_ref.Scratch.freeze_into (Dbm_ref.Arena.create ()) s.refk
+      in
       let ie = Dbm_int.is_empty zi and re = Dbm_ref.is_empty zr in
       if ie <> re then
         mismatch "selfcheck: frozen emptiness disagrees (int=%b, ref=%b)" ie
@@ -182,8 +180,6 @@ module Scratch = struct
       end;
       zi
     end
-
-  let freeze s = check_frozen s (Dbm_int.Scratch.freeze s.intk)
 
   let freeze_into ?hash a s =
     check_frozen s (Dbm_int.Scratch.freeze_into ?hash a s.intk)

@@ -1,8 +1,10 @@
 (** Self-checking DBM kernel: {!Dbm_int} arithmetic, with every [k]-th
     successor pipeline re-executed on {!Dbm_ref} and compared.
 
-    Persistent operations and representations are exactly {!Dbm_int}'s
-    ([type t = Dbm_int.t]), but the kernel is full-width
+    Zones, arenas and minimal-constraint forms are exactly
+    {!Dbm_int}'s ([type t = Dbm_int.t]), and like it the kernel is
+    scratch-only: the persistent algebra it is checked against is
+    {!Dbm_ref}'s.  Unlike {!Dbm_int} the kernel is full-width
     ([compact = false]): it stores the cylinders {!Dbm_ref} stores, so
     both halves of a checked pipeline run the same clock maps.  Its
     verdicts and zone counts are the int engine's — the self-check is

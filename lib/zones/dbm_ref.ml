@@ -2,8 +2,9 @@
    over exact rationals, kept verbatim (minus metrics) as the oracle for
    differential testing of the packed-int kernel {!Dbm_int}.  Unlike
    that kernel it runs every job unscaled, so each int-vs-ref
-   differential also checks the time-unit scaling in {!Reach}.  Every
-   operation copies the
+   differential also checks the time-unit scaling in {!Reach}.  It is
+   the one kernel with the persistent zone algebra; its [Scratch] is
+   the literal sequence of those ops.  Every operation copies the
    matrix; [sat] re-runs a full constrain; [zero]/[top]/[intersect]
    re-canonicalize from scratch.  Slow on purpose — do not optimise. *)
 
@@ -257,19 +258,6 @@ let hash z =
   if z.empty then 0
   else Array.fold_left (fun h b -> (h * 31) + Dbm_bound.hash b) z.n z.m
 
-let pp fmt z =
-  if z.empty then Format.pp_print_string fmt "empty"
-  else begin
-    Format.fprintf fmt "@[<v>";
-    for i = 0 to z.n - 1 do
-      for j = 0 to z.n - 1 do
-        Format.fprintf fmt "%a " Dbm_bound.pp (get z i j)
-      done;
-      Format.fprintf fmt "@,"
-    done;
-    Format.fprintf fmt "@]"
-  end
-
 (* The reference kernel stores plain persistent zones, so its arena is
    a unit token: [copy_into] and [freeze_into] change nothing, which is
    exactly what the oracle should do — the differential wall then pins
@@ -285,30 +273,18 @@ let copy_into () z = z
 
 (* Minimal-constraint form via the shared {!Dbm_min} reduction. *)
 module Min = struct
-  type min = MEmpty of int | M of Dbm_min.t
+  type min = MEmpty | M of Dbm_min.t
 
   let of_zone z =
-    if z.empty then MEmpty z.n
+    if z.empty then MEmpty
     else M (Dbm_min.reduce z.n (fun i j -> z.m.((i * z.n) + j)))
-
-  let to_zone = function
-    | MEmpty n -> { n; m = Array.make (n * n) Inf; empty = true }
-    | M r -> { n = r.Dbm_min.mn; m = Dbm_min.to_matrix r; empty = false }
 
   let subsumes mn z =
     match mn with
-    | MEmpty _ -> z.empty
+    | MEmpty -> z.empty
     | M r ->
         if z.n <> r.Dbm_min.mn then invalid_arg "Dbm_ref.Min.subsumes";
         z.empty || Dbm_min.subsumes r (fun i j -> z.m.((i * z.n) + j))
-
-  let equal a b =
-    match (a, b) with
-    | MEmpty n, MEmpty n' -> n = n'
-    | M r, M r' -> Dbm_min.equal r r'
-    | _ -> false
-
-  let count = function MEmpty _ -> 0 | M r -> Dbm_min.count r
 end
 
 (* Scratch for the reference kernel is just a cell holding a persistent
@@ -340,10 +316,9 @@ module Scratch = struct
   let is_empty s = is_empty s.cur
   let sat s i j b = sat s.cur i j b
 
-  let freeze s =
-    match s.src with Some z when equal z s.cur -> z | _ -> s.cur
-
   let hash s = hash s.cur
   let equal_zone s z = equal s.cur z
-  let freeze_into ?hash:_ () s = freeze s
+
+  let freeze_into ?hash:_ () s =
+    match s.src with Some z when equal z s.cur -> z | _ -> s.cur
 end

@@ -6,6 +6,15 @@
    testing meaningful, and keeps [zones.stored] identical by
    construction.
 
+   The signature is exactly what {!Reach.Make} calls, plus the
+   read-only accessors [dim] and [is_empty]: zones are built from
+   [zero] and transformed only in a {!Scratch} (load, guard
+   [constrain], [remap], [settle], freeze).  The int kernel is
+   scratch-only; the persistent zone algebra ([top], [constrain], [up],
+   [reset], [free], [intersect], [includes], [extrapolate_lu]) is
+   {!Dbm_ref}'s own API, the specification the differential harness
+   holds the int scratch to.
+
    Clock [0] is the reference clock fixed at 0; entry [(i, j)] bounds
    the difference [x_i - x_j].  All values are canonical (shortest-path
    closed) unless empty. *)
@@ -60,46 +69,10 @@ module type S = sig
   val zero : int -> t
   (** All clocks equal to 0. *)
 
-  val top : int -> t
-  (** All clocks unconstrained (but nonnegative). *)
-
   val is_empty : t -> bool
 
   val get : t -> int -> int -> Dbm_bound.t
   (** [get z i j] is the bound on [x_i - x_j]. *)
-
-  val constrain : t -> int -> int -> Dbm_bound.t -> t
-  (** [constrain z i j b] intersects with [x_i - x_j <= b] ([<] if
-      strict) and re-canonicalizes incrementally. *)
-
-  val up : t -> t
-  (** Delay closure: let arbitrary time elapse. *)
-
-  val reset : t -> int -> t
-  (** [reset z x] sets clock [x] to 0. *)
-
-  val free : t -> int -> t
-  (** [free z x] forgets all constraints on clock [x]. *)
-
-  val intersect : t -> t -> t
-  val includes : t -> t -> bool
-
-  val extrapolate_lu :
-    lower:Tm_base.Rational.t option array ->
-    upper:Tm_base.Rational.t option array ->
-    t ->
-    t
-  (** LU-bound extrapolation (Behrmann–Bouyer–Larsen–Pelánek): entry
-      [(i, j)] with constant [c] becomes [Inf] when [c > lower.(i)],
-      else [Lt (-upper.(j))] when [c < -upper.(j)].  [lower.(x)] /
-      [upper.(x)] are the largest constants appearing in lower-bound
-      (resp. upper-bound) comparisons against clock [x]; [None] means
-      no such comparison exists ([-inf]), which wipes the whole
-      row/column — clock-activity reduction falls out for free.  Index
-      [0] is the reference clock and must carry [Some 0].  Coarser than
-      (so at least as aggressive as) max-constant extrapolation when
-      the arrays dominate the constraint constants, and sound for
-      verdicts for the same reason. *)
 
   type lu
   (** A layout's timing tail, prepared for {!Scratch.settle}: its
@@ -113,7 +86,14 @@ module type S = sig
     lu
   (** The tail of a zone of [Array.length lower] clocks: the invariants
       [x - 0 <= b] ([<] if strict), one per [(x, b)] with [x >= 1], and
-      the bounds of [extrapolate_lu].  Raises [Invalid_argument] on a
+      LU bounds: entry [(i, j)] with constant [c] becomes [Inf] when
+      [c > lower.(i)], else [Lt (-upper.(j))] when [c < -upper.(j)]
+      (Behrmann–Bouyer–Larsen–Pelánek).  [lower.(x)] / [upper.(x)] are
+      the largest constants appearing in lower-bound (resp. upper-bound)
+      comparisons against clock [x]; [None] means no such comparison
+      exists ([-inf]), which wipes the whole row/column — clock-activity
+      reduction falls out for free.  Index [0] is the reference clock
+      and must carry [Some 0].  Raises [Invalid_argument] on a
       clock out of range, and on a constant a kernel cannot hold. *)
 
   val sat : t -> int -> int -> Dbm_bound.t -> bool
@@ -125,7 +105,6 @@ module type S = sig
 
   val equal : t -> t -> bool
   val hash : t -> int
-  val pp : Format.formatter -> t -> unit
 
   (** Bump arena for stored-zone payloads.  Zones frozen into an arena
       are slices of a shared chunk (grow-by-doubling, chunks large
@@ -153,23 +132,16 @@ module type S = sig
       reconstruct the exact matrix by re-closing.  Stored alongside
       each zone in the waiting/passed lists so subsumption probes scan
       O(active constraints) instead of O(n²).  Construction is
-      deterministic, so structural [equal] is exact. *)
+      deterministic: the kept constraints are {!Dbm_min}'s, in its
+      order. *)
   module Min : sig
     type min
 
     val of_zone : t -> min
-    val to_zone : min -> t
-    (** Re-closes the kept constraints; round-trips to the identical
-        canonical matrix. *)
 
     val subsumes : min -> t -> bool
     (** [subsumes m z]: does the zone [m] came from include [z]?
-        Exact — equivalent to [includes (to_zone m) z]. *)
-
-    val equal : min -> min -> bool
-
-    val count : min -> int
-    (** Number of kept constraints (diagnostic / bench column). *)
+        Exact — the dense inclusion test on the zone [m] came from. *)
   end
 
   (** Destructive operations on a reusable scratch matrix.  One scratch
@@ -201,33 +173,29 @@ module type S = sig
     (** The end of every successor pipeline, in place: let time elapse
         ([up]), intersect with each invariant of [lu] ([constrain x 0 b]
         in turn), then widen with [lu]'s LU bounds ([extrapolate_lu]).
-        The result is that sequence's zone, and [dbm.ops] counts that
-        sequence's ops: one [up], one [constrain] per invariant, one
-        [extrapolate], and one [canonicalize] when the widening changed
-        a nonempty zone. *)
+        The result is the zone of that sequence of {!Dbm_ref}'s
+        persistent ops, and [dbm.ops] counts that sequence's ops: one
+        [up], one [constrain] per invariant, one [extrapolate], and one
+        [canonicalize] when the widening changed a nonempty zone. *)
 
     val is_empty : scratch -> bool
 
     val sat : scratch -> int -> int -> Dbm_bound.t -> bool
     (** Satisfiability of one extra constraint, without mutating. *)
 
-    val freeze : scratch -> t
-    (** Snapshot the scratch as a persistent zone.  When the scratch is
-        still byte-equal to the zone it was loaded from, returns that
-        original (already-interned) zone instead of copying. *)
-
     val hash : scratch -> int
-    (** The hash [freeze] 's result would have — same formula as the
-        persistent [hash], computed over the scratch in place. *)
+    (** The hash [freeze_into] 's result would have — same formula as
+        the persistent [hash], computed over the scratch in place. *)
 
     val equal_zone : scratch -> t -> bool
-    (** Would [freeze] 's result be [equal] to this stored zone?
+    (** Would [freeze_into] 's result be [equal] to this stored zone?
         Compared in place, no allocation. *)
 
     val freeze_into : ?hash:int -> Arena.arena -> scratch -> t
-    (** Like [freeze] (including the loaded-zone short-circuit) but a
-        genuine copy lands in the arena instead of the minor heap.
-        [?hash] seeds the zone's hash memo when the caller already
-        computed {!hash}. *)
+    (** Snapshot the scratch as a persistent zone, its payload copied
+        into the arena.  When the scratch is still byte-equal to the
+        zone it was loaded from, returns that original (already
+        interned) zone instead of copying.  [?hash] seeds the zone's
+        hash memo when the caller already computed {!hash}. *)
   end
 end

@@ -87,8 +87,12 @@ let print_metric_update = function
 
 (* ------------------------------------------------------------------ *)
 (* Random DBM-operation scripts for the kernel differential harness
-   (test_dbm_diff).  Clock indices and bound constants are generated
-   raw and normalized by the applier, so shrinking stays structural. *)
+   (test_dbm_diff).  The ops are the ones the scratch-only int kernel
+   has: a guard constraint, a location change ([Reset]/[Free] of one
+   clock, or a general [Remap] that may change the dimension) and a
+   successor's timing tail ([Settle]).  Clock indices, LU bounds and
+   clock maps are generated raw and normalized by the applier against
+   the zone's current dimension, so shrinking stays structural. *)
 
 type dbm_constraint = {
   ci : int;  (** raw row index, applier takes [mod nclocks] *)
@@ -108,19 +112,23 @@ type dbm_inv = {
 
 type dbm_op =
   | Constrain of dbm_constraint
-  | Up
   | Reset of int  (** raw clock, applier maps into [1..nclocks-1] *)
   | Free of int
-  | Intersect of dbm_constraint list
-      (** intersect with [top] refined by these constraints *)
-  | Extrapolate_lu of int option list * int option list
-      (** LU bounds per clock, reference clock included; [None] is
-          [-inf] *)
+  | Remap of int list
+      (** one raw source code per target clock [k >= 1]: the applier
+          maps code [c] to source clock [c mod (nclocks + 1) - 1], so
+          [-1] frees and [0] resets; a source clock already taken
+          resets instead *)
   | Settle of dbm_inv list * int option list * int option list
       (** a successor's timing tail: [up], the invariants, then LU
-          widening with these bounds *)
+          widening with these bounds (per clock, reference clock
+          included, [None] is [-inf]; the applier reads the first
+          [nclocks]) *)
 
 type dbm_script = { ds_clocks : int; ds_ops : dbm_op list }
+
+(* Largest dimension a {!dbm_script} zone takes, remaps included. *)
+let dbm_max_clocks = 6
 
 let dbm_constraint : dbm_constraint QCheck2.Gen.t =
   QCheck2.Gen.(
@@ -139,9 +147,6 @@ let lu_bounds n =
       (fun (l, u) -> (Some 0 :: l, Some 0 :: u))
       (pair (list_repeat (n - 1) bound) (list_repeat (n - 1) bound)))
 
-let extrapolate_lu_op n : dbm_op QCheck2.Gen.t =
-  QCheck2.Gen.map (fun (l, u) -> Extrapolate_lu (l, u)) (lu_bounds n)
-
 (* A settle with up to three invariants on raw clocks [0..wide]
    (strict or not, rarely negative, so some empty the zone), or none. *)
 let settle_op ?(wide = 4) n : dbm_op QCheck2.Gen.t =
@@ -156,17 +161,18 @@ let settle_op ?(wide = 4) n : dbm_op QCheck2.Gen.t =
       (list_size (int_range 0 3) inv)
       (lu_bounds n))
 
-let dbm_op n : dbm_op QCheck2.Gen.t =
+let dbm_op : dbm_op QCheck2.Gen.t =
   QCheck2.Gen.(
     frequency
       [
         (6, map (fun c -> Constrain c) dbm_constraint);
-        (2, return Up);
         (2, map (fun x -> Reset x) (int_range 0 4));
         (2, map (fun x -> Free x) (int_range 0 4));
-        (1, map (fun cs -> Intersect cs) (list_size (int_range 0 3) dbm_constraint));
-        (1, extrapolate_lu_op n);
-        (1, settle_op n);
+        ( 1,
+          map
+            (fun cs -> Remap cs)
+            (list_size (int_range 1 (dbm_max_clocks - 1)) (int_range 0 6)) );
+        (3, settle_op dbm_max_clocks);
       ])
 
 let dbm_script : dbm_script QCheck2.Gen.t =
@@ -174,7 +180,7 @@ let dbm_script : dbm_script QCheck2.Gen.t =
     int_range 2 5 >>= fun n ->
     map
       (fun ds_ops -> { ds_clocks = n; ds_ops })
-      (list_size (int_range 1 25) (dbm_op n)))
+      (list_size (int_range 1 25) dbm_op))
 
 let print_dbm_constraint c =
   Printf.sprintf "x%d-x%d %s %d/%d" c.ci c.cj
@@ -188,14 +194,11 @@ let print_lu l u =
 
 let print_dbm_op = function
   | Constrain c -> print_dbm_constraint c
-  | Up -> "up"
   | Reset x -> Printf.sprintf "reset x%d" x
   | Free x -> Printf.sprintf "free x%d" x
-  | Intersect cs ->
-      Printf.sprintf "intersect[%s]"
-        (String.concat "; " (List.map print_dbm_constraint cs))
-  | Extrapolate_lu (l, u) ->
-      Printf.sprintf "extrapolate_lu %s" (print_lu l u)
+  | Remap cs ->
+      Printf.sprintf "remap [%s]"
+        (String.concat "," (List.map string_of_int cs))
   | Settle (invs, l, u) ->
       let inv i =
         Printf.sprintf "x%d %s %d/%d" i.ix
@@ -220,9 +223,8 @@ let scale_dbm_script s =
     List.concat_map
       (function
         | Constrain c -> [ c.cden ]
-        | Intersect cs -> List.map (fun c -> c.cden) cs
         | Settle (invs, _, _) -> List.map (fun i -> i.iden) invs
-        | Up | Reset _ | Free _ | Extrapolate_lu _ -> [])
+        | Reset _ | Free _ | Remap _ -> [])
       s.ds_ops
   in
   let k = List.fold_left (fun k d -> k / gcd k d * d) 1 dens in
@@ -231,21 +233,19 @@ let scale_dbm_script s =
   let sc_lu = List.map (Option.map (fun c -> c * k)) in
   let op = function
     | Constrain c -> Constrain (sc c)
-    | Intersect cs -> Intersect (List.map sc cs)
-    | Extrapolate_lu (l, u) -> Extrapolate_lu (sc_lu l, sc_lu u)
     | Settle (invs, l, u) -> Settle (List.map sc_inv invs, sc_lu l, sc_lu u)
-    | (Up | Reset _ | Free _) as o -> o
+    | (Reset _ | Free _ | Remap _) as o -> o
   in
   (k, { s with ds_ops = List.map op s.ds_ops })
 
 (* Fischer-shaped scripts for the dead-row paths of the int kernel.
    A zone of 9-16 clocks goes through rounds; each round applies a few
-   random ops, then frees every clock but at most a quarter of them
-   (a disabled class's clock after [free]: its row is [Inf] off the
-   diagonal) and LU-extrapolates, alone or as the tail of a [Settle],
-   as every successor pipeline of an MMT exploration does.  Constants
-   and bounds are as in {!dbm_script}, so the zones still hit
-   fractional corners and go empty now and then. *)
+   random guards and resets, then frees every clock but at most a
+   quarter of them (a disabled class's clock after [free]: its row is
+   [Inf] off the diagonal) and settles, as every successor pipeline of
+   an MMT exploration does.  Constants and bounds are as in
+   {!dbm_script}, so the zones still hit fractional corners and go
+   empty now and then. *)
 let dead_row_script : dbm_script QCheck2.Gen.t =
   QCheck2.Gen.(
     let wide = int_range 0 15 in
@@ -259,14 +259,12 @@ let dead_row_script : dbm_script QCheck2.Gen.t =
       frequency
         [
           (6, map (fun c -> Constrain c) constr);
-          (2, return Up);
           (2, map (fun x -> Reset x) wide);
-          (1, map (fun cs -> Intersect cs) (list_size (int_range 0 3) constr));
         ]
     in
     let round n =
       map3
-        (fun ops keep extrapolate ->
+        (fun ops keep settle ->
           let keep =
             List.filteri (fun i _ -> i < (n - 1) / 4)
               (List.map (fun x -> 1 + (x mod (n - 1))) keep)
@@ -276,10 +274,10 @@ let dead_row_script : dbm_script QCheck2.Gen.t =
               (fun x -> if List.mem x keep then None else Some (Free x))
               (List.init (n - 1) (fun i -> i + 1))
           in
-          ops @ frees @ [ extrapolate ])
+          ops @ frees @ [ settle ])
         (list_size (int_range 0 6) op)
         (list_size (int_range 0 4) wide)
-        (oneof [ extrapolate_lu_op n; settle_op ~wide:15 n ])
+        (settle_op ~wide:15 n)
     in
     int_range 9 16 >>= fun n ->
     map

@@ -1,21 +1,24 @@
 (* Differential harness for the DBM kernels.
 
-   Every random operation script runs through several interpreters —
-   the persistent and destructive [Scratch] APIs of the packed-int
-   kernel ({!Tm_zones.Dbm_int}) and of the exact-rational reference
-   kernel ({!Tm_zones.Dbm_ref}) — and must produce identical canonical
-   matrices, emptiness flags, [sat] verdicts and pairwise inclusion
-   verdicts after every single op.  Scripts have rational constants:
-   the int kernel runs them scaled by the LCM of their denominators,
-   and its matrices are divided back before the comparison.  Random
+   Every random operation script runs through the destructive
+   [Scratch] API of the scratch-only packed-int kernel
+   ({!Tm_zones.Dbm_int}) and through the persistent algebra of the
+   exact-rational reference kernel ({!Tm_zones.Dbm_ref}), op for op,
+   and both must produce identical canonical matrices, emptiness flags,
+   [sat] verdicts and pairwise inclusion verdicts (the int kernel's
+   [Min.subsumes] against the reference [includes]) after every single
+   op.  The int scratch must also count exactly the [dbm.ops] of the
+   script's literal op sequence.  Scripts have rational constants: the
+   int kernel runs them scaled by the LCM of their denominators, and
+   its matrices are divided back before the comparison.  Random
    location-change maps ([Scratch.remap]) after a script check that the
    int kernel's compact zone is the projection of the reference
-   kernel's full-width cylinder.  Random
-   boundmap automata with half-unit bounds then check the engines
-   fixpoint for fixpoint: {!Tm_zones.Reach.Auto} (int kernel, scaled)
-   and {!Tm_zones.Reach.Ref} (reference, unscaled) share one
-   exploration discipline, so their stats and reachable state sets must
-   agree exactly. *)
+   kernel's full-width cylinder.  Random boundmap automata with
+   half-unit bounds then check the engines fixpoint for fixpoint:
+   {!Tm_zones.Reach.Auto} (int kernel, scaled) and
+   {!Tm_zones.Reach.Ref} (reference, unscaled) share one exploration
+   discipline, so their stats and reachable state sets must agree
+   exactly. *)
 
 module Rational = Tm_base.Rational
 module Interval = Tm_base.Interval
@@ -27,7 +30,8 @@ module Boundmap = Tm_timed.Boundmap
 module Condition = Tm_timed.Condition
 module F = Tm_systems.Fischer
 
-(* Normalize raw generated indices into valid kernel arguments. *)
+(* Normalize raw generated indices into valid kernel arguments for a
+   zone of [n] clocks. *)
 let norm_constraint n (c : Gen.dbm_constraint) =
   let i = c.ci mod n in
   let j = c.cj mod n in
@@ -37,88 +41,11 @@ let norm_constraint n (c : Gen.dbm_constraint) =
 
 let norm_clock n x = 1 + (x mod (n - 1))
 let lu_bounds l = Array.of_list (List.map (Option.map Rational.of_int) l)
+let norm_lu n l = lu_bounds (List.filteri (fun i _ -> i < n) l)
 
 let norm_inv n (i : Gen.dbm_inv) =
   let q = Rational.make i.inum i.iden in
   (norm_clock n i.ix, if i.istrict then Bnd.Lt q else Bnd.Le q)
-
-(* The persistent reading of [Scratch.settle]: [up], one
-   [constrain x 0 b] per invariant, then [extrapolate_lu]. *)
-let settle_persistent (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
-    (z : z) invs l u =
-  let z = List.fold_left (fun z (x, b) -> K.constrain z x 0 b) (K.up z) invs in
-  K.extrapolate_lu ~lower:(lu_bounds l) ~upper:(lu_bounds u) z
-
-(* A kernel-independent record of everything observable about a run. *)
-type trace = {
-  empties : bool list;
-  mats : Bnd.t array option list;  (** canonical matrix after each op *)
-  sats : bool list;  (** [sat] verdict probed before each Constrain *)
-  incl : bool list;  (** pairwise inclusion verdicts over all snapshots *)
-}
-
-let snapshot (type z) (module K : Tm_zones.Dbm_sig.S with type t = z) (z : z)
-    =
-  if K.is_empty z then None
-  else
-    let n = K.dim z in
-    Some (Array.init (n * n) (fun k -> K.get z (k / n) (k mod n)))
-
-(* One op of an [n]-clock script on the persistent API of any kernel,
-   with the [sat] verdict probed before a Constrain. *)
-let step_persistent (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
-    n (z : z) op =
-  match op with
-  | Gen.Constrain c ->
-      let i, j, b = norm_constraint n c in
-      (K.constrain z i j b, Some (K.sat z i j b))
-  | Gen.Up -> (K.up z, None)
-  | Gen.Reset x -> (K.reset z (norm_clock n x), None)
-  | Gen.Free x -> (K.free z (norm_clock n x), None)
-  | Gen.Intersect cs ->
-      let other =
-        List.fold_left
-          (fun acc c ->
-            let i, j, b = norm_constraint n c in
-            K.constrain acc i j b)
-          (K.top n) cs
-      in
-      (K.intersect z other, None)
-  | Gen.Extrapolate_lu (l, u) ->
-      (K.extrapolate_lu ~lower:(lu_bounds l) ~upper:(lu_bounds u) z, None)
-  | Gen.Settle (invs, l, u) ->
-      (settle_persistent (module K) z (List.map (norm_inv n) invs) l u, None)
-
-(* Interpret a script with the persistent API of any kernel. *)
-let run_persistent (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
-    (s : Gen.dbm_script) : trace =
-  let n = s.Gen.ds_clocks in
-  let snap = snapshot (module K) in
-  let _, zones_rev, empties, mats, sats =
-    List.fold_left
-      (fun (z, zs, es, ms, ss) op ->
-        let z', sat = step_persistent (module K) n z op in
-        ( z',
-          z' :: zs,
-          K.is_empty z' :: es,
-          snap z' :: ms,
-          match sat with Some v -> v :: ss | None -> ss ))
-      (K.top n, [], [], [], [])
-      s.Gen.ds_ops
-  in
-  let zones = Array.of_list (List.rev zones_rev) in
-  let incl = ref [] in
-  for i = Array.length zones - 1 downto 0 do
-    for j = Array.length zones - 1 downto 0 do
-      incl := K.includes zones.(i) zones.(j) :: !incl
-    done
-  done;
-  {
-    empties = List.rev empties;
-    mats = List.rev mats;
-    sats = List.rev sats;
-    incl = !incl;
-  }
 
 (* The clock map that resets ([0]) or frees ([-1]) clock [x] of an
    [n]-clock zone and keeps every other clock: how a scratch resets or
@@ -129,92 +56,205 @@ let one_clock n x v =
     frees = (if v < 0 then 1 else 0);
   }
 
-(* Interpret the same script with a kernel's destructive Scratch API
-   (intersect, up and extrapolate_lu, which Scratch does not provide on
-   their own, round-trip through freeze, the persistent op and load;
-   reset and free are one-clock [remap]s). *)
+(* The map of a [Gen.Remap] on an [n]-clock zone (see {!Gen.dbm_op}).
+   It stands for one [free] per source clock no target keeps and per
+   freed target clock. *)
+let remap_of_codes n codes =
+  let taken = Array.make n false in
+  let src =
+    List.map
+      (fun c ->
+        let j = (c mod (n + 1)) - 1 in
+        if j < 1 then j
+        else if taken.(j) then 0
+        else begin
+          taken.(j) <- true;
+          j
+        end)
+      codes
+  in
+  let kept = Array.fold_left (fun k t -> if t then k + 1 else k) 0 taken in
+  {
+    Tm_zones.Dbm_sig.src = Array.of_list (0 :: src);
+    frees = n - 1 - kept + List.length (List.filter (fun j -> j < 0) src);
+  }
+
+(* [top n] of a scratch-only kernel: [zero n] with every clock freed. *)
+let scratch_top (type z) (module K : Tm_zones.Dbm_sig.S with type t = z) n : z
+    =
+  let scr = K.Scratch.create n in
+  K.Scratch.load scr (K.zero n);
+  K.Scratch.remap scr
+    {
+      Tm_zones.Dbm_sig.src = Array.init n (fun k -> if k = 0 then 0 else -1);
+      frees = n - 1;
+    };
+  K.Scratch.freeze_into (K.Arena.create ()) scr
+
+(* The reference reading of [Scratch.settle]: [up], one
+   [constrain x 0 b] per invariant, then [extrapolate_lu].  Also says
+   whether the widening changed the zone, when the int kernel closes
+   it again. *)
+let settle_ref z invs lower upper =
+  let z =
+    List.fold_left
+      (fun z (x, b) -> Dbm_ref.constrain z x 0 b)
+      (Dbm_ref.up z) invs
+  in
+  let w = Dbm_ref.extrapolate_lu ~lower ~upper z in
+  (w, w != z)
+
+(* The [dbm.ops] counters a script touches, in this order. *)
+let op_names =
+  [ "canonicalize"; "constrain"; "up"; "reset"; "free"; "extrapolate"; "sat" ]
+
+(* What a script's literal op sequence adds to each of [op_names]. *)
+type ops = {
+  mutable canonicalize : int;
+  mutable constrain : int;
+  mutable up : int;
+  mutable reset : int;
+  mutable free : int;
+  mutable extrapolate : int;
+  mutable sat : int;
+}
+
+let ops_list o =
+  [ o.canonicalize; o.constrain; o.up; o.reset; o.free; o.extrapolate; o.sat ]
+
+let count_remap o (r : Tm_zones.Dbm_sig.remap) =
+  Array.iteri (fun k j -> if k > 0 && j = 0 then o.reset <- o.reset + 1) r.src;
+  o.free <- o.free + r.frees
+
+(* One op of a script on the reference kernel's persistent algebra:
+   the zone after it and the [sat] verdict probed before a Constrain,
+   with the op's [dbm.ops] added to [o]. *)
+let step_ref o z op =
+  let n = Dbm_ref.dim z in
+  match op with
+  | Gen.Constrain c ->
+      let i, j, b = norm_constraint n c in
+      o.constrain <- o.constrain + 1;
+      o.sat <- o.sat + 1;
+      (Dbm_ref.constrain z i j b, Some (Dbm_ref.sat z i j b))
+  | Gen.Reset x ->
+      o.reset <- o.reset + 1;
+      (Dbm_ref.reset z (norm_clock n x), None)
+  | Gen.Free x ->
+      o.free <- o.free + 1;
+      (Dbm_ref.free z (norm_clock n x), None)
+  | Gen.Remap cs ->
+      let r = remap_of_codes n cs in
+      count_remap o r;
+      (Dbm_ref.remap z r, None)
+  | Gen.Settle (invs, l, u) ->
+      let invs = List.map (norm_inv n) invs in
+      let z, closes = settle_ref z invs (norm_lu n l) (norm_lu n u) in
+      o.up <- o.up + 1;
+      o.constrain <- o.constrain + List.length invs;
+      o.extrapolate <- o.extrapolate + 1;
+      if closes then o.canonicalize <- o.canonicalize + 1;
+      (z, None)
+
+(* A script run: the zone after each op (the start, [top], first) and
+   the [sat] verdicts. *)
+type 'z run = { zones : 'z list; sats : bool list }
+
+let no_ops () =
+  {
+    canonicalize = 0;
+    constrain = 0;
+    up = 0;
+    reset = 0;
+    free = 0;
+    extrapolate = 0;
+    sat = 0;
+  }
+
+(* Interpret a script with the reference kernel's persistent algebra,
+   adding the [dbm.ops] of its literal op sequence to [ops]. *)
+let run_ref ?(ops = no_ops ()) (s : Gen.dbm_script) =
+  let zones, sats =
+    List.fold_left
+      (fun (zs, ss) op ->
+        let z, sat = step_ref ops (List.hd zs) op in
+        (z :: zs, match sat with Some v -> v :: ss | None -> ss))
+      ([ Dbm_ref.top s.Gen.ds_clocks ], [])
+      s.Gen.ds_ops
+  in
+  { zones = List.rev zones; sats = List.rev sats }
+
+(* Interpret a script with a kernel's Scratch API: one scratch, each
+   zone frozen into an arena after its op. *)
 let run_scratch (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
-    (s : Gen.dbm_script) : trace =
-  let n = s.Gen.ds_clocks in
+    (s : Gen.dbm_script) : z run =
   let module Sc = K.Scratch in
-  let scr = Sc.create n in
-  Sc.load scr (K.top n);
-  let step op =
-    match op with
+  let arena = K.Arena.create () in
+  let scr = Sc.create (max s.Gen.ds_clocks Gen.dbm_max_clocks) in
+  let step n = function
     | Gen.Constrain c ->
         let i, j, b = norm_constraint n c in
         let sat = Sc.sat scr i j b in
         Sc.constrain scr i j b;
         Some sat
-    | Gen.Up ->
-        Sc.load scr (K.up (Sc.freeze scr));
-        None
     | Gen.Reset x ->
         Sc.remap scr (one_clock n (norm_clock n x) 0);
         None
     | Gen.Free x ->
         Sc.remap scr (one_clock n (norm_clock n x) (-1));
         None
-    | Gen.Intersect cs ->
-        let other =
-          List.fold_left
-            (fun acc c ->
-              let i, j, b = norm_constraint n c in
-              K.constrain acc i j b)
-            (K.top n) cs
-        in
-        Sc.load scr (K.intersect (Sc.freeze scr) other);
-        None
-    | Gen.Extrapolate_lu (l, u) ->
-        Sc.load scr
-          (K.extrapolate_lu ~lower:(lu_bounds l) ~upper:(lu_bounds u)
-             (Sc.freeze scr));
+    | Gen.Remap cs ->
+        Sc.remap scr (remap_of_codes n cs);
         None
     | Gen.Settle (invs, l, u) ->
         Sc.settle
           (K.prepare_lu
              ~invs:(Array.of_list (List.map (norm_inv n) invs))
-             ~lower:(lu_bounds l) ~upper:(lu_bounds u))
+             ~lower:(norm_lu n l) ~upper:(norm_lu n u))
           scr;
         None
   in
-  let zones_rev, empties, mats, sats =
+  let top = scratch_top (module K) s.Gen.ds_clocks in
+  Sc.load scr top;
+  let zones, sats =
     List.fold_left
-      (fun (zs, es, ms, ss) op ->
-        let sat = step op in
-        let z = Sc.freeze scr in
-        ( z :: zs,
-          K.is_empty z :: es,
-          snapshot (module K) z :: ms,
-          match sat with Some v -> v :: ss | None -> ss ))
-      ([], [], [], [])
-      s.Gen.ds_ops
+      (fun (zs, ss) op ->
+        let sat = step (K.dim (List.hd zs)) op in
+        let z = Sc.freeze_into arena scr in
+        (* the next op starts from the zone it is given, as in [Reach] *)
+        Sc.load scr z;
+        (z :: zs, match sat with Some v -> v :: ss | None -> ss))
+      ([ top ], []) s.Gen.ds_ops
   in
-  let zones = Array.of_list (List.rev zones_rev) in
-  let incl = ref [] in
-  for i = Array.length zones - 1 downto 0 do
-    for j = Array.length zones - 1 downto 0 do
-      incl := K.includes zones.(i) zones.(j) :: !incl
-    done
-  done;
-  {
-    empties = List.rev empties;
-    mats = List.rev mats;
-    sats = List.rev sats;
-    incl = !incl;
-  }
+  { zones = List.rev zones; sats = List.rev sats }
 
-(* [f ()] and the [dbm.ops] counts it adds, op by op. *)
+(* [f ()] and the [dbm.ops] counts it adds, in [op_names] order. *)
 let counted f =
   let counters =
     List.map
       (fun o -> Tm_obs.Metrics.counter "dbm.ops" ~labels:[ ("op", o) ])
-      [ "canonicalize"; "constrain"; "up"; "reset"; "free"; "intersect";
-        "includes"; "extrapolate"; "sat" ]
+      op_names
   in
   let before = List.map Tm_obs.Metrics.value counters in
   let r = f () in
   (r, List.map2 ( - ) (List.map Tm_obs.Metrics.value counters) before)
+
+let snapshot (type z) (module K : Tm_zones.Dbm_sig.S with type t = z) (z : z)
+    =
+  if K.is_empty z then None
+  else
+    let n = K.dim z in
+    Some (Array.init (n * n) (fun k -> K.get z (k / n) (k mod n)))
+
+(* A matrix recorded in a time unit [1/k] as fine, read back in the
+   original unit: every entry divided by [k]. *)
+let unscale k =
+  let div q = Rational.div q (Rational.of_int k) in
+  Option.map
+    (Array.map (function
+      | Bnd.Le q -> Bnd.Le (div q)
+      | Bnd.Lt q -> Bnd.Lt (div q)
+      | Bnd.Inf -> Bnd.Inf))
 
 let mats_equal a b =
   List.length a = List.length b
@@ -228,70 +268,71 @@ let mats_equal a b =
          | _ -> false)
        a b
 
-let traces_equal t1 t2 =
-  t1.empties = t2.empties && t1.sats = t2.sats && t1.incl = t2.incl
-  && mats_equal t1.mats t2.mats
+(* [incl zi zj] over every ordered pair of same-dimension zones. *)
+let inclusions dim incl zones =
+  List.concat_map
+    (fun zi ->
+      List.filter_map
+        (fun zj -> if dim zi = dim zj then Some (incl zi zj) else None)
+        zones)
+    zones
 
-(* A trace recorded in a time unit [1/k] as fine, read back in the
-   original unit: every matrix entry divided by [k], every boolean
-   verdict unchanged. *)
-let unscale k t =
-  let div q = Rational.div q (Rational.of_int k) in
-  let bnd = function
-    | Bnd.Le q -> Bnd.Le (div q)
-    | Bnd.Lt q -> Bnd.Lt (div q)
-    | Bnd.Inf -> Bnd.Inf
-  in
-  { t with mats = List.map (Option.map (Array.map bnd)) t.mats }
+let int_incl zi =
+  let m = Dbm_int.Min.of_zone zi in
+  Dbm_int.Min.subsumes m
+
+(* The int scratch on the scaled script lands on the reference zone
+   after every op: entries (divided back), emptiness, [sat] probes and
+   inclusion verdicts. *)
+let int_agrees_with_ref s =
+  let k, scaled = Gen.scale_dbm_script s in
+  let ri = run_scratch (module Dbm_int) scaled and rr = run_ref s in
+  mats_equal
+    (List.map (fun z -> unscale k (snapshot (module Dbm_int) z)) ri.zones)
+    (List.map (snapshot (module Dbm_ref)) rr.zones)
+  && ri.sats = rr.sats
+  && inclusions Dbm_int.dim int_incl ri.zones
+     = inclusions Dbm_ref.dim Dbm_ref.includes rr.zones
+
+(* The int scratch counts one [dbm.ops] entry per op of the script's
+   literal sequence: a constrain and its [sat] probe per guard, one
+   [reset] per [0] and the map's [frees] per remap, and per settle one
+   [up], one [constrain] per invariant, one [extrapolate] and one
+   [canonicalize] iff the reference widening changed the zone.  The
+   start, [top], is [zero] with every clock freed. *)
+let int_counts_script_ops s =
+  let _, scaled = Gen.scale_dbm_script s in
+  let _, by_int = counted (fun () -> run_scratch (module Dbm_int) scaled) in
+  let want = no_ops () in
+  ignore (run_ref ~ops:want s);
+  want.free <- want.free + s.Gen.ds_clocks - 1;
+  by_int = ops_list want
 
 let script_diff_int_vs_ref =
   Gen.check_holds "script: int kernel (scaled) == ref kernel" ~count:500
-    ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
-      let k, scaled = Gen.scale_dbm_script s in
-      traces_equal
-        (unscale k (run_persistent (module Dbm_int) scaled))
-        (run_persistent (module Dbm_ref) s))
+    ~print:Gen.print_dbm_script Gen.dbm_script int_agrees_with_ref
 
 let script_diff_ref_scratch =
   Gen.check_holds "script: ref scratch replay == persistent ref" ~count:300
     ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
-      traces_equal
-        (run_scratch (module Dbm_ref) s)
-        (run_persistent (module Dbm_ref) s))
+      let rs = run_scratch (module Dbm_ref) s and rr = run_ref s in
+      let snap = snapshot (module Dbm_ref) in
+      mats_equal (List.map snap rs.zones) (List.map snap rr.zones)
+      && rs.sats = rr.sats)
 
-(* The int scratch also counts the persistent replay's [dbm.ops]: a
-   settle counts the up, constrains, extrapolate and closure of the
-   sequence it fuses. *)
-let script_diff_int_scratch =
-  Gen.check_holds "script: int scratch replay == persistent int" ~count:300
-    ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
-      let _, scaled = Gen.scale_dbm_script s in
-      let scratch, by_scratch =
-        counted (fun () -> run_scratch (module Dbm_int) scaled)
-      in
-      let persistent, by_persistent =
-        counted (fun () -> run_persistent (module Dbm_int) scaled)
-      in
-      traces_equal scratch persistent && by_scratch = by_persistent)
+let script_ops_int =
+  Gen.check_holds "script: int scratch replay == script's dbm.ops"
+    ~count:300 ~print:Gen.print_dbm_script Gen.dbm_script
+    int_counts_script_ops
 
-(* Most clocks freed before every LU extrapolation, as in a fischer
-   successor pipeline: the closure and the minimization skip dead rows
-   there, so the int kernel must still land on the reference zone,
-   emptiness included, after every op — on both of its APIs, which
-   count the same [dbm.ops]. *)
+(* Most clocks freed before every settle, as in a fischer successor
+   pipeline: the closure and the minimization skip dead rows there, so
+   the int kernel must still land on the reference zone, emptiness
+   included, after every op, and count the script's [dbm.ops]. *)
 let dead_rows_int_vs_ref =
   Gen.check_holds "dead rows: int kernel (scaled) == ref kernel" ~count:300
     ~print:Gen.print_dbm_script Gen.dead_row_script (fun s ->
-      let k, scaled = Gen.scale_dbm_script s in
-      let int_trace, by_persistent =
-        counted (fun () -> run_persistent (module Dbm_int) scaled)
-      in
-      let scratch_trace, by_scratch =
-        counted (fun () -> run_scratch (module Dbm_int) scaled)
-      in
-      traces_equal (unscale k int_trace) (run_persistent (module Dbm_ref) s)
-      && traces_equal scratch_trace int_trace
-      && by_scratch = by_persistent)
+      int_agrees_with_ref s && int_counts_script_ops s)
 
 (* ------------------------------------------------------------------ *)
 (* Location-change maps ([Scratch.remap]).                             *)
@@ -353,26 +394,21 @@ let projected n fates z =
       (Array.init (n' * n') (fun e -> Dbm_ref.get z t.(e / n') t.(e mod n')))
 
 let remap_gen =
-  QCheck2.Gen.(pair Gen.dbm_script (list_repeat 4 (int_range 0 3)))
+  QCheck2.Gen.(
+    pair Gen.dbm_script
+      (list_repeat (Gen.dbm_max_clocks - 1) (int_range 0 3)))
 
 let print_remap (s, fates) =
   Printf.sprintf "%s then [%s]" (Gen.print_dbm_script s)
-    (String.concat ","
-       (List.filteri
-          (fun i _ -> i < s.Gen.ds_clocks - 1)
-          (List.map (fun f -> print_fate (fate_of f)) fates)))
+    (String.concat "," (List.map (fun f -> print_fate (fate_of f)) fates))
 
-let final_zone (type z) (module K : Tm_zones.Dbm_sig.S with type t = z) s =
-  let n = s.Gen.ds_clocks in
-  List.fold_left
-    (fun z op -> fst (step_persistent (module K) n z op))
-    (K.top n) s.Gen.ds_ops
+let last l = List.nth l (List.length l - 1)
 
 let remapped (type z) (module K : Tm_zones.Dbm_sig.S with type t = z) z r =
   let scr = K.Scratch.create (K.dim z) in
   K.Scratch.load scr z;
   K.Scratch.remap scr r;
-  snapshot (module K) (K.Scratch.freeze scr)
+  snapshot (module K) (K.Scratch.freeze_into (K.Arena.create ()) scr)
 
 (* A random script, then a random keep/new/drop/free map: the compact
    int zone (scaled, divided back) and the reference kernel's own
@@ -382,36 +418,27 @@ let remapped (type z) (module K : Tm_zones.Dbm_sig.S with type t = z) z r =
 let remap_int_vs_ref =
   Gen.check_holds "remap: compact int zone == projected ref cylinder"
     ~count:500 ~print:print_remap remap_gen (fun (s, fates) ->
-      let n = s.Gen.ds_clocks in
       let k, scaled = Gen.scale_dbm_script s in
+      let ref_zone = last (run_ref s).zones in
+      let int_zone = last (run_scratch (module Dbm_int) scaled).zones in
+      let n = Dbm_ref.dim ref_zone in
       let _, r = remap_of n fates in
-      let want = projected n fates (final_zone (module Dbm_ref) s) in
-      let unscaled m =
-        (unscale k { empties = []; mats = [ m ]; sats = []; incl = [] }).mats
-      in
-      let int_zone = final_zone (module Dbm_int) scaled in
-      let ref_zone = final_zone (module Dbm_ref) s in
-      mats_equal (unscaled (remapped (module Dbm_int) int_zone r)) [ want ]
+      let want = projected n fates ref_zone in
+      mats_equal [ unscale k (remapped (module Dbm_int) int_zone r) ] [ want ]
       && mats_equal [ remapped (module Dbm_ref) ref_zone r ] [ want ])
 
 (* [Scratch.settle] on hand-picked zones, one per corner of the one
-   sweep: the int scratch, the int persistent sequence ([up], each
-   invariant, [extrapolate_lu]) and the reference kernel must land on
-   one zone, the scratch must count exactly the [dbm.ops] of the
-   persistent sequence, and the zone must show the corner. *)
+   sweep: the int scratch and the reference sequence ([up], each
+   invariant, [extrapolate_lu]) must land on one zone, the scratch must
+   count exactly the [dbm.ops] of that sequence (the closure iff the
+   reference widening changed the zone), and the zone must show the
+   corner. *)
 let unit_settle_cases () =
   let le c = Bnd.Le (Gen.q c) and lt c = Bnd.Lt (Gen.q c) in
-  let constr (i, j, c) =
-    Gen.Constrain { ci = i; cj = j; cnum = c; cden = 1; cstrict = false }
-  in
   let case name ~shows n zone invs l u =
-    let s = { Gen.ds_clocks = n; ds_ops = List.map constr zone } in
-    let zi = final_zone (module Dbm_int) s in
-    let persistent, by_ops =
-      counted (fun () -> settle_persistent (module Dbm_int) zi invs l u)
-    in
     let scr = Dbm_int.Scratch.create n in
-    Dbm_int.Scratch.load scr zi;
+    Dbm_int.Scratch.load scr (scratch_top (module Dbm_int) n);
+    List.iter (fun (i, j, c) -> Dbm_int.Scratch.constrain scr i j (le c)) zone;
     let lu =
       Dbm_int.prepare_lu ~invs:(Array.of_list invs) ~lower:(lu_bounds l)
         ~upper:(lu_bounds u)
@@ -419,21 +446,24 @@ let unit_settle_cases () =
     let fused, by_settle =
       counted (fun () ->
           Dbm_int.Scratch.settle lu scr;
-          Dbm_int.Scratch.freeze scr)
+          Dbm_int.Scratch.freeze_into (Dbm_int.Arena.create ()) scr)
     in
-    let reference =
-      settle_persistent (module Dbm_ref) (final_zone (module Dbm_ref) s) invs
-        l u
+    let reference, closes =
+      settle_ref
+        (List.fold_left
+           (fun z (i, j, c) -> Dbm_ref.constrain z i j (le c))
+           (Dbm_ref.top n) zone)
+        invs (lu_bounds l) (lu_bounds u)
     in
-    let snap_int = snapshot (module Dbm_int) in
     Alcotest.(check bool)
-      (name ^ ": scratch == persistent") true
-      (mats_equal [ snap_int fused ] [ snap_int persistent ]);
-    Alcotest.(check bool)
-      (name ^ ": persistent == ref") true
-      (mats_equal [ snap_int persistent ]
+      (name ^ ": scratch == ref") true
+      (mats_equal
+         [ snapshot (module Dbm_int) fused ]
          [ snapshot (module Dbm_ref) reference ]);
-    Alcotest.(check (list int)) (name ^ ": dbm.ops") by_ops by_settle;
+    Alcotest.(check (list int))
+      (name ^ ": dbm.ops")
+      [ Bool.to_int closes; List.length invs; 1; 0; 0; 1; 0 ]
+      by_settle;
     Alcotest.(check bool) (name ^ ": shows the corner") true (shows fused)
   in
   let get z i j = Dbm_int.get z i j in
@@ -470,8 +500,8 @@ let unit_settle_cases () =
 let unit_settle_allocates_nothing () =
   let n = 4 in
   let scr = Dbm_int.Scratch.create n in
-  Dbm_int.Scratch.load scr
-    (Dbm_int.constrain (Dbm_int.top n) 0 1 (Bnd.Le (Gen.q (-5))));
+  Dbm_int.Scratch.load scr (scratch_top (module Dbm_int) n);
+  Dbm_int.Scratch.constrain scr 0 1 (Bnd.Le (Gen.q (-5)));
   let lu =
     Dbm_int.prepare_lu
       ~invs:[| (1, Bnd.Le (Gen.q 8)); (2, Bnd.Lt (Gen.q 6)) |]
@@ -493,8 +523,8 @@ let unit_settle_allocates_nothing () =
   Alcotest.(check (float 0.)) "minor words of 990 more calls" few many
 
 (* Remapping to the same live set is the identity: the zone is
-   unchanged entry for entry (so [freeze] hands back the loaded zone
-   itself), and the map counts no reset and no free. *)
+   unchanged entry for entry (so [freeze_into] hands back the loaded
+   zone itself), and the map counts no reset and no free. *)
 let unit_remap_same_live_set () =
   let ops name = Tm_obs.Metrics.counter "dbm.ops" ~labels:[ ("op", name) ] in
   let c_reset = ops "reset" and c_free = ops "free" in
@@ -509,21 +539,31 @@ let unit_remap_same_live_set () =
       { Tm_zones.Dbm_sig.src = Array.init n Fun.id; frees = 0 };
     Alcotest.(check bool)
       (name ^ ": same zone") true
-      (K.Scratch.freeze scr == z);
+      (K.Scratch.freeze_into (K.Arena.create ()) scr == z);
     Alcotest.(check (pair int int))
       (name ^ ": no logical op counted")
       (r0, f0)
       (Tm_obs.Metrics.value c_reset, Tm_obs.Metrics.value c_free)
   in
-  let zone (type z) (module K : Tm_zones.Dbm_sig.S with type t = z) =
-    let z = K.up (K.constrain (K.zero 4) 0 2 (Bnd.Le (Gen.q (-1)))) in
-    let z = K.constrain (K.reset z 3) 1 0 (Bnd.Lt (Gen.q 6)) in
-    K.free z 2
+  (* x2 >= 1 after a delay (without one it empties the zone), x3
+     reset, x1 < 6, x2 freed *)
+  let nines = lu_bounds [ Some 0; Some 9; Some 9; Some 9 ] in
+  let zone (type z) (module K : Tm_zones.Dbm_sig.S with type t = z) ~empty =
+    let scr = K.Scratch.create 4 in
+    K.Scratch.load scr (K.zero 4);
+    if not empty then
+      K.Scratch.settle (K.prepare_lu ~invs:[||] ~lower:nines ~upper:nines) scr;
+    K.Scratch.constrain scr 0 2 (Bnd.Le (Gen.q (-1)));
+    K.Scratch.remap scr (one_clock 4 3 0);
+    K.Scratch.constrain scr 1 0 (Bnd.Lt (Gen.q 6));
+    K.Scratch.remap scr (one_clock 4 2 (-1));
+    K.Scratch.freeze_into (K.Arena.create ()) scr
   in
-  check "int" (module Dbm_int) (zone (module Dbm_int));
-  check "int, empty" (module Dbm_int)
-    (Dbm_int.constrain (Dbm_int.zero 3) 1 0 (Bnd.Lt (Gen.q 0)));
-  check "ref" (module Dbm_ref) (zone (module Dbm_ref))
+  let nonempty = zone (module Dbm_int) ~empty:false in
+  Alcotest.(check bool) "int zone nonempty" false (Dbm_int.is_empty nonempty);
+  check "int" (module Dbm_int) nonempty;
+  check "int, empty" (module Dbm_int) (zone (module Dbm_int) ~empty:true);
+  check "ref" (module Dbm_ref) (zone (module Dbm_ref) ~empty:false)
 
 (* ------------------------------------------------------------------ *)
 (* Engine-level differential on random boundmap automata.              *)
@@ -705,37 +745,25 @@ let unit_empty_freeze () =
   Dbm_int.Scratch.constrain scr 1 0 (Bnd.Le (Gen.q (-1)));
   Alcotest.(check bool) "scratch empty" true (Dbm_int.Scratch.is_empty scr);
   Alcotest.(check bool) "frozen empty" true
-    (Dbm_int.is_empty (Dbm_int.Scratch.freeze scr))
-
-(* A negative cycle among live clocks, with dead rows before, between
-   and after them: the closure skips the dead pivots, and must still
-   find the cycle.  Clocks 1 and 4 are live, 2, 3 and 5 are dead (rows
-   of [top] off the reference clock are all [Inf]); the intersection
-   demands x1 - x4 <= -1 and x4 - x1 <= 0. *)
-let unit_dead_pivot_negative_cycle () =
-  let check (type z) name (module K : Tm_zones.Dbm_sig.S with type t = z) =
-    let a = K.constrain (K.top 6) 4 1 (Bnd.Le (Gen.q 0)) in
-    let a = K.constrain a 1 0 (Bnd.Le (Gen.q 3)) in
-    let b = K.constrain (K.top 6) 1 4 (Bnd.Le (Gen.q (-1))) in
-    Alcotest.(check bool) (name ^ ": operands nonempty") false
-      (K.is_empty a || K.is_empty b);
-    Alcotest.(check bool) (name ^ ": intersection empty") true
-      (K.is_empty (K.intersect a b))
-  in
-  check "int" (module Dbm_int);
-  check "ref" (module Dbm_ref)
+    (Dbm_int.is_empty
+       (Dbm_int.Scratch.freeze_into (Dbm_int.Arena.create ()) scr))
 
 let unit_sat_is_o1_consistent () =
   (* sat must agree with the constrain-then-check definition on a
      canonical zone; the constants are the sixths-valued corners
      7/2, -5/3, -11/2, -31/6, 2, -7/2, 0 scaled by 6. *)
-  let z = Dbm_int.constrain (Dbm_int.top 3) 1 0 (Bnd.Lt (Gen.q 21)) in
-  let z = Dbm_int.constrain z 0 2 (Bnd.Le (Gen.q (-10))) in
+  let scr = Dbm_int.Scratch.create 3 in
+  Dbm_int.Scratch.load scr (scratch_top (module Dbm_int) 3);
+  Dbm_int.Scratch.constrain scr 1 0 (Bnd.Lt (Gen.q 21));
+  Dbm_int.Scratch.constrain scr 0 2 (Bnd.Le (Gen.q (-10)));
+  let z = Dbm_int.Scratch.freeze_into (Dbm_int.Arena.create ()) scr in
   List.iter
     (fun (i, j, b) ->
+      Dbm_int.Scratch.load scr z;
+      Dbm_int.Scratch.constrain scr i j b;
       Alcotest.(check bool)
         (Printf.sprintf "sat %d %d" i j)
-        (not (Dbm_int.is_empty (Dbm_int.constrain z i j b)))
+        (not (Dbm_int.Scratch.is_empty scr))
         (Dbm_int.sat z i j b))
     [
       (2, 1, Bnd.Le (Gen.q (-33)));
@@ -746,43 +774,35 @@ let unit_sat_is_o1_consistent () =
     ]
 
 (* A fractional L/U bound or invariant can only come from a scaling
-   bug: both LU entry points — the persistent one and the preparation
-   of a layout's tail, which packs the invariants once per layout —
-   refuse it instead of rounding it. *)
+   bug: the preparation of a layout's tail, which packs the invariants
+   and LU bounds once per layout, refuses it instead of rounding it. *)
 let unit_lu_rejects_fractions () =
   let half = Some (Rational.make 1 2) and two = Some (Gen.q 2) in
-  let z = Dbm_int.top 3 in
-  let refused ?(what = "LU bound") where f =
+  let refused what f =
     match f () with
-    | () -> Alcotest.failf "%s: half-unit %s accepted" where what
+    | _ -> Alcotest.failf "prepare_lu: half-unit %s accepted" what
     | exception Invalid_argument m ->
-        Alcotest.(check string) where
-          ("Dbm_int." ^ where ^ ": non-integer " ^ what)
+        Alcotest.(check string) what
+          ("Dbm_int.prepare_lu: non-integer " ^ what)
           m
   in
-  refused "extrapolate_lu" (fun () ->
-      ignore
-        (Dbm_int.extrapolate_lu ~lower:[| two; half; two |]
-           ~upper:[| two; two; two |] z));
-  refused "prepare_lu" (fun () ->
-      ignore
-        (Dbm_int.prepare_lu ~invs:[||] ~lower:[| two; two; two |]
-           ~upper:[| two; two; half |]));
-  refused ~what:"invariant" "prepare_lu" (fun () ->
-      ignore
-        (Dbm_int.prepare_lu
-           ~invs:[| (1, Bnd.Le (Gen.q 1)); (2, Bnd.Lt (Rational.make 3 2)) |]
-           ~lower:[| two; two; two |] ~upper:[| two; two; two |]));
+  refused "LU bound" (fun () ->
+      Dbm_int.prepare_lu ~invs:[||] ~lower:[| two; two; two |]
+        ~upper:[| two; two; half |]);
+  refused "invariant" (fun () ->
+      Dbm_int.prepare_lu
+        ~invs:[| (1, Bnd.Le (Gen.q 1)); (2, Bnd.Lt (Rational.make 3 2)) |]
+        ~lower:[| two; two; two |] ~upper:[| two; two; two |]);
   (* integral bounds still go through *)
   ignore
-    (Dbm_int.extrapolate_lu ~lower:[| two; two; two |]
-       ~upper:[| two; None; two |] z)
+    (Dbm_int.prepare_lu ~invs:[| (1, Bnd.Lt (Gen.q 3)) |]
+       ~lower:[| two; two; two |] ~upper:[| two; None; two |])
 
 let suite =
   [
     script_diff_int_vs_ref;
     script_diff_ref_scratch;
-    script_diff_int_scratch;
+    script_ops_int;
     dead_rows_int_vs_ref;
     remap_int_vs_ref;
     fixpoint_diff;
@@ -797,12 +817,10 @@ let suite =
       unit_overflow_guard;
     Alcotest.test_case "scratch: unsat constrain empties and freezes" `Quick
       unit_empty_freeze;
-    Alcotest.test_case "closure: negative cycle past dead pivots is empty"
-      `Quick unit_dead_pivot_negative_cycle;
     Alcotest.test_case "sat: O(1) formula matches definition" `Quick
       unit_sat_is_o1_consistent;
-    Alcotest.test_case "lu: fractional bounds refused on both entry points"
-      `Quick unit_lu_rejects_fractions;
+    Alcotest.test_case "lu: fractional bounds refused by prepare_lu" `Quick
+      unit_lu_rejects_fractions;
     Alcotest.test_case "remap: same live set leaves the zone unchanged"
       `Quick unit_remap_same_live_set;
     Alcotest.test_case "settle: one sweep == up, invariants, LU on corners"

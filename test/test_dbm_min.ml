@@ -2,14 +2,14 @@
 
    The kernels' [Min] modules keep the non-redundant constraint subset
    of each stored zone (Larsen et al., RTSS'97); {!Tm_zones.Reach} uses
-   them for waiting/passed subsumption.  These tests pin both kernels
-   to the dense semantics (the int kernel on scripts scaled to integer
-   constants): [of_zone |> to_zone] must rebuild
-   the identical canonical matrix, [subsumes] must agree with dense
-   [includes] on every snapshot pair, and reductions of equal zones
-   must be structurally equal (the construction is deterministic).  On
-   zones with most rows dead, the int reduction must keep exactly the
-   constraint list of {!Tm_zones.Dbm_min}, in the same order.
+   them for waiting/passed subsumption.  These tests pin them to the
+   dense semantics: {!Tm_zones.Dbm_min}'s reduction rebuilds the
+   identical canonical matrix of every reference zone a script passes
+   through, [subsumes] agrees with the reference kernel's dense
+   [includes] on every snapshot pair (the int kernel on scripts scaled
+   to integer constants), and on every script zone, dead-row zones
+   included, the int reduction keeps exactly the constraint list of
+   {!Tm_zones.Dbm_min}, in the same order.
 
    The arena tests pin the zero-copy storage discipline:
    [copy_into]/[freeze_into] round-trip zone payloads through bump
@@ -24,76 +24,12 @@ module Rational = Tm_base.Rational
 module Bnd = Tm_zones.Dbm_bound
 module Dbm_ref = Tm_zones.Dbm_ref
 module Dbm_int = Tm_zones.Dbm_int
+module Dbm_min = Tm_zones.Dbm_min
 module Reach = Tm_zones.Reach
 module F = Tm_systems.Fischer
+module D = Test_dbm_diff
 
-(* Normalize raw generated indices into valid kernel arguments —
-   mirrors the differential harness so both draw the same zones from
-   one script. *)
-let norm_constraint n (c : Gen.dbm_constraint) =
-  let i = c.ci mod n in
-  let j = c.cj mod n in
-  let j = if i = j then (j + 1) mod n else j in
-  let q = Rational.make c.cnum c.cden in
-  (i, j, if c.cstrict then Bnd.Lt q else Bnd.Le q)
-
-let norm_clock n x = 1 + (x mod (n - 1))
-let lu l = Array.of_list (List.map (Option.map Rational.of_int) l)
-
-(* Every zone a script's persistent interpretation passes through,
-   including [top] and any empties. *)
-let zones_of_script (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
-    (s : Gen.dbm_script) : z list =
-  let n = s.Gen.ds_clocks in
-  let step z op =
-    match op with
-    | Gen.Constrain c ->
-        let i, j, b = norm_constraint n c in
-        K.constrain z i j b
-    | Gen.Up -> K.up z
-    | Gen.Reset x -> K.reset z (norm_clock n x)
-    | Gen.Free x -> K.free z (norm_clock n x)
-    | Gen.Intersect cs ->
-        K.intersect z
-          (List.fold_left
-             (fun acc c ->
-               let i, j, b = norm_constraint n c in
-               K.constrain acc i j b)
-             (K.top n) cs)
-    | Gen.Extrapolate_lu (l, u) -> K.extrapolate_lu ~lower:(lu l) ~upper:(lu u) z
-    | Gen.Settle (invs, l, u) ->
-        let inv z (i : Gen.dbm_inv) =
-          let q = Rational.make i.inum i.iden in
-          K.constrain z (norm_clock n i.ix) 0
-            (if i.istrict then Bnd.Lt q else Bnd.Le q)
-        in
-        K.extrapolate_lu ~lower:(lu l) ~upper:(lu u)
-          (List.fold_left inv (K.up z) invs)
-  in
-  let zs, _ =
-    List.fold_left
-      (fun (zs, z) op ->
-        let z' = step z op in
-        (z' :: zs, z'))
-      ([ K.top n ], K.top n)
-      s.Gen.ds_ops
-  in
-  List.rev zs
-
-let snapshot (type z) (module K : Tm_zones.Dbm_sig.S with type t = z) (z : z)
-    =
-  if K.is_empty z then None
-  else
-    let n = K.dim z in
-    Some (Array.init (n * n) (fun k -> K.get z (k / n) (k mod n)))
-
-let snap_equal a b =
-  match (a, b) with
-  | None, None -> true
-  | Some x, Some y ->
-      Array.length x = Array.length y
-      && Array.for_all2 (fun u v -> Bnd.compare u v = 0) x y
-  | _ -> false
+let snapshot = D.snapshot
 
 let finite_offdiag = function
   | None -> 0
@@ -106,65 +42,58 @@ let finite_offdiag = function
         m;
       !c
 
-(* of_zone |> to_zone rebuilds the identical canonical matrix; the
-   reduction is deterministic (re-reducing the rebuilt zone gives a
-   structurally equal value) and never keeps more constraints than the
-   matrix has finite off-diagonal entries. *)
-let roundtrip (type z) (module K : Tm_zones.Dbm_sig.S with type t = z) s =
-  List.for_all
-    (fun z ->
-      let m = K.Min.of_zone z in
-      let z' = K.Min.to_zone m in
-      K.equal z z'
-      && snap_equal (snapshot (module K) z) (snapshot (module K) z')
-      && K.Min.equal m (K.Min.of_zone z')
-      && K.Min.count m <= finite_offdiag (snapshot (module K) z))
-    (zones_of_script (module K) s)
-
+(* Reducing a nonempty reference zone and rebuilding it gives the
+   identical canonical matrix; the reduction is deterministic
+   (re-reducing the rebuilt matrix gives a structurally equal value)
+   and never keeps more constraints than the matrix has finite
+   off-diagonal entries. *)
 let roundtrip_ref =
-  Gen.check_holds "min: of_zone |> to_zone is identity (ref)" ~count:200
-    ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
-      roundtrip (module Dbm_ref) s)
-
-let roundtrip_int =
-  Gen.check_holds "min: of_zone |> to_zone is identity (int)" ~count:200
-    ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
-      roundtrip (module Dbm_int) (snd (Gen.scale_dbm_script s)))
+  Gen.check_holds "min: Dbm_min reduce |> to_matrix is identity (ref)"
+    ~count:200 ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
+      List.for_all
+        (fun z ->
+          Dbm_ref.is_empty z
+          ||
+          let n = Dbm_ref.dim z in
+          let r = Dbm_min.reduce n (Dbm_ref.get z) in
+          let m = Dbm_min.to_matrix r in
+          D.mats_equal [ Some m ] [ snapshot (module Dbm_ref) z ]
+          && Dbm_min.equal r (Dbm_min.reduce n (fun i j -> m.((i * n) + j)))
+          && Dbm_min.count r <= finite_offdiag (Some m))
+        (D.run_ref s).zones)
 
 (* The sparse probe must equal the dense verdict on every ordered pair
-   of zones a script produces — including empty operands on both
-   sides. *)
-let subsumes_agrees (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
-    s =
-  let zs = Array.of_list (zones_of_script (module K) s) in
-  let ok = ref true in
-  Array.iter
-    (fun zi ->
-      let m = K.Min.of_zone zi in
-      Array.iter
-        (fun zj -> if K.Min.subsumes m zj <> K.includes zi zj then ok := false)
-        zs)
-    zs;
-  !ok
-
+   of same-dimension zones a script produces — including empty
+   operands on both sides. *)
 let subsumes_ref =
   Gen.check_holds "min: subsumes == dense includes (ref)" ~count:150
     ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
-      subsumes_agrees (module Dbm_ref) s)
+      let zs = (D.run_ref s).zones in
+      let probe zi = Dbm_ref.Min.subsumes (Dbm_ref.Min.of_zone zi) in
+      D.inclusions Dbm_ref.dim probe zs
+      = D.inclusions Dbm_ref.dim Dbm_ref.includes zs)
 
+(* The int probe on the scaled script against the reference kernel's
+   dense verdict on the original one. *)
 let subsumes_int =
-  Gen.check_holds "min: subsumes == dense includes (int)" ~count:150
+  Gen.check_holds "min: subsumes == dense includes (int vs ref)" ~count:150
     ~print:Gen.print_dbm_script Gen.dbm_script (fun s ->
-      subsumes_agrees (module Dbm_int) (snd (Gen.scale_dbm_script s)))
+      let scaled = snd (Gen.scale_dbm_script s) in
+      let zi = (D.run_scratch (module Dbm_int) scaled).zones in
+      D.inclusions Dbm_int.dim D.int_incl zi
+      = D.inclusions Dbm_ref.dim Dbm_ref.includes (D.run_ref s).zones)
 
-(* On fischer-shaped zones, where most rows are dead, the int kernel's
-   hand-specialized reduction (direct indexing, live pivots only) must
-   keep exactly the constraints {!Tm_zones.Dbm_min} keeps on the
-   reference zone: same count, same positions, same bounds once divided
-   back to the script's unit, same order. *)
+(* The int kernel's hand-specialized reduction (direct indexing, live
+   pivots only) must keep exactly the constraints {!Tm_zones.Dbm_min}
+   keeps on the reference zone: same count, same positions, same bounds
+   once divided back to the script's unit, same order — on every zone
+   of random scripts and of fischer-shaped ones, where most rows are
+   dead. *)
 let min_int_matches_dbm_min =
-  Gen.check_holds "min: int reduction == Dbm_min on dead-row zones"
-    ~count:150 ~print:Gen.print_dbm_script Gen.dead_row_script (fun s ->
+  Gen.check_holds "min: int reduction == Dbm_min on every script zone"
+    ~count:300 ~print:Gen.print_dbm_script
+    (QCheck2.Gen.oneof [ Gen.dbm_script; Gen.dead_row_script ])
+    (fun s ->
       let k, scaled = Gen.scale_dbm_script s in
       let unscale p =
         match Dbm_int.unpack p with
@@ -177,23 +106,43 @@ let min_int_matches_dbm_min =
           Dbm_ref.is_empty zr = Dbm_int.is_empty zi
           && (Dbm_ref.is_empty zr
              ||
-             let r = Tm_zones.Dbm_min.reduce (Dbm_ref.dim zr) (Dbm_ref.get zr) in
+             let r = Dbm_min.reduce (Dbm_ref.dim zr) (Dbm_ref.get zr) in
              let m = Dbm_int.Min.of_zone zi in
-             r.Tm_zones.Dbm_min.midx = m.Dbm_int.Min.midx
+             r.Dbm_min.midx = m.Dbm_int.Min.midx
              && Array.for_all2
                   (fun b p -> Bnd.compare b (unscale p) = 0)
-                  r.Tm_zones.Dbm_min.mbnd m.Dbm_int.Min.mbnd))
-        (zones_of_script (module Dbm_ref) s)
-        (zones_of_script (module Dbm_int) scaled))
+                  r.Dbm_min.mbnd m.Dbm_int.Min.mbnd))
+        (D.run_ref s).zones
+        (D.run_scratch (module Dbm_int) scaled).zones)
 
 (* ------------------------------------------------------------------ *)
 (* Arena unit tests (int and ref kernels; paranoid delegates to int,
    ref keeps the arena API but allocates every zone on the heap).      *)
 
+(* Zones from [up (zero n)], on any kernel's scratch. *)
+module Up_zero (K : Tm_zones.Dbm_sig.S) = struct
+  (* [up (zero n)]: a settle with no invariants, whose LU bounds leave
+     the zone's 0 constants alone. *)
+  let load scr n =
+    K.Scratch.load scr (K.zero n);
+    let zeros = Array.make n (Some Rational.zero) in
+    K.Scratch.settle (K.prepare_lu ~invs:[||] ~lower:zeros ~upper:zeros) scr
+
+  (* [up (zero n)] and then [x_1 - 0 <= b], frozen into [arena]. *)
+  let constrained arena n b =
+    let scr = K.Scratch.create n in
+    load scr n;
+    Option.iter (K.Scratch.constrain scr 1 0) b;
+    K.Scratch.freeze_into arena scr
+end
+
+module Up_zero_int = Up_zero (Dbm_int)
+
 let unit_copy_into (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     () =
-  let z = K.constrain (K.up (K.zero 4)) 1 0 (Bnd.Lt (Gen.q 7)) in
+  let module U = Up_zero (K) in
   let a = K.Arena.create () in
+  let z = U.constrained (K.Arena.create ()) 4 (Some (Bnd.Lt (Gen.q 7))) in
   Alcotest.(check bool) "copy_into preserves the zone" true
     (K.equal z (K.copy_into a z));
   (* enough copies to force chunk growth; every slice must stay intact *)
@@ -203,18 +152,22 @@ let unit_copy_into (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
 
 let unit_freeze_into (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     () =
-  let a = K.Arena.create () in
-  let scr = K.Scratch.create 3 in
-  K.Scratch.load scr (K.up (K.zero 3));
-  K.Scratch.constrain scr 1 0 (Bnd.Le (Gen.q 5));
-  let via_arena = K.Scratch.freeze_into a scr in
-  let persistent = K.constrain (K.up (K.zero 3)) 1 0 (Bnd.Le (Gen.q 5)) in
+  let module U = Up_zero (K) in
+  let via_arena =
+    U.constrained (K.Arena.create ()) 3 (Some (Bnd.Le (Gen.q 5)))
+  in
+  let persistent =
+    Dbm_ref.constrain (Dbm_ref.up (Dbm_ref.zero 3)) 1 0 (Bnd.Le (Gen.q 5))
+  in
   Alcotest.(check bool) "freeze_into equals the persistent pipeline" true
-    (K.equal via_arena persistent)
+    (D.mats_equal
+       [ snapshot (module K) via_arena ]
+       [ snapshot (module Dbm_ref) persistent ])
 
 let unit_short_circuit (type z)
     (module K : Tm_zones.Dbm_sig.S with type t = z) () =
-  let z = K.up (K.zero 3) in
+  let module U = Up_zero (K) in
+  let z = U.constrained (K.Arena.create ()) 3 None in
   let a = K.Arena.create () in
   let scr = K.Scratch.create 3 in
   K.Scratch.load scr z;
@@ -225,35 +178,38 @@ let unit_reset_reuse (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     () =
   (* Speculative freeze, discard, rewind — zones frozen after the
      reset land on the recycled space and must be exactly right. *)
+  let module U = Up_zero (K) in
   let a = K.Arena.create () in
   let scr = K.Scratch.create 3 in
-  K.Scratch.load scr (K.up (K.zero 3));
+  U.load scr 3;
   ignore (K.Scratch.freeze_into a scr);
   K.Arena.reset a;
-  K.Scratch.load scr (K.top 3);
+  K.Scratch.load scr (D.scratch_top (module K) 3);
   K.Scratch.remap scr { Tm_zones.Dbm_sig.src = [| 0; 0; 2 |]; frees = 0 };
   let after = K.Scratch.freeze_into a scr in
   Alcotest.(check bool) "post-reset freeze is exact" true
-    (K.equal after (K.reset (K.top 3) 1))
+    (D.mats_equal
+       [ snapshot (module K) after ]
+       [ snapshot (module Dbm_ref) (Dbm_ref.reset (Dbm_ref.top 3) 1) ])
 
 (* Int arena chunks stop doubling at [Dbm_int.arena_chunk_max] words.
    Zone [c] of [n] clocks: all clocks equal, at most [c + 1], above
-   [c mod 7] — pairwise different.  [heap_zone] builds it with the
-   persistent API, [freeze_zone] with a scratch frozen into [arena]. *)
+   [c mod 7] — pairwise different.  [freeze_zone] builds it with a
+   scratch frozen into [arena]; [heap_zone] builds it alone, in an
+   arena of its own. *)
 let zone_bounds n c =
   ((1 + (c mod (n - 1)), 0, Bnd.Le (Gen.q (c + 1))),
    (0, 1 + (c / (n - 1) mod (n - 1)), Bnd.Lt (Gen.q (-(c mod 7)))))
 
-let heap_zone n c =
-  let (i, j, b), (i', j', b') = zone_bounds n c in
-  Dbm_int.constrain (Dbm_int.constrain (Dbm_int.up (Dbm_int.zero n)) i j b) i' j' b'
-
 let freeze_zone arena scr n c =
   let (i, j, b), (i', j', b') = zone_bounds n c in
-  Dbm_int.Scratch.load scr (Dbm_int.up (Dbm_int.zero n));
+  Up_zero_int.load scr n;
   Dbm_int.Scratch.constrain scr i j b;
   Dbm_int.Scratch.constrain scr i' j' b';
   Dbm_int.Scratch.freeze_into arena scr
+
+let heap_zone n c =
+  freeze_zone (Dbm_int.Arena.create ()) (Dbm_int.Scratch.create n) n c
 
 let freeze_range arena n lo hi =
   let scr = Dbm_int.Scratch.create n in
@@ -313,7 +269,6 @@ let domains_agree () =
 let suite =
   [
     roundtrip_ref;
-    roundtrip_int;
     subsumes_ref;
     subsumes_int;
     min_int_matches_dbm_min;

@@ -210,8 +210,7 @@ let protocol_read_deadline () =
       (* nothing arrives: the deadline fires instead of blocking *)
       let t0 = Unix.gettimeofday () in
       (match
-         Protocol.read_frame_deadline (Protocol.reader ()) a
-           ~deadline:(t0 +. 0.2)
+         Protocol.read_frame ~deadline:(t0 +. 0.2) (Protocol.reader ()) a
        with
       | exception Protocol.Timeout -> ()
       | _ -> Alcotest.fail "expected Timeout on a silent peer");
@@ -222,8 +221,9 @@ let protocol_read_deadline () =
       Protocol.write_frame b "hello";
       Alcotest.(check (option string))
         "frame beats deadline" (Some "hello")
-        (Protocol.read_frame_deadline (Protocol.reader ()) a
-           ~deadline:(Unix.gettimeofday () +. 5.)))
+        (Protocol.read_frame
+           ~deadline:(Unix.gettimeofday () +. 5.)
+           (Protocol.reader ()) a))
 
 (* ------------------------------------------------------------------ *)
 (* verdict cache *)
@@ -362,7 +362,7 @@ let send cx payload = Protocol.write_frame cx.cfd payload
 let close_cx cx = try Unix.close cx.cfd with Unix.Unix_error _ -> ()
 
 let recv cx =
-  match Protocol.read_frame_with cx.crd cx.cfd with
+  match Protocol.read_frame cx.crd cx.cfd with
   | Some payload -> (
       match Json.of_string payload with
       | Ok doc -> doc
@@ -380,7 +380,7 @@ let shutdown_server pid sock =
   (match connect sock with
   | cx ->
       send cx "{\"op\":\"shutdown\"}";
-      ignore (Protocol.read_frame_with cx.crd cx.cfd);
+      ignore (Protocol.read_frame cx.crd cx.cfd);
       close_cx cx
   | exception Unix.Unix_error _ -> ());
   ignore (Unix.waitpid [] pid)
