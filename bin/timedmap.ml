@@ -270,9 +270,9 @@ let print_margin_report (r : Margin.report) =
 exception Exact_unknown of string
 
 (* Completeness.analyze honoring the budget flags: the discretized
-   graph gets the node limit / wall-clock deadline, and a truncated
-   graph is refused — its value tables would silently under-approximate
-   the windows. *)
+   graph gets the node limit / wall-clock deadline, and the analysis
+   refuses a truncated graph — its value tables would silently
+   under-approximate the windows. *)
 let bounded_analyze ~source ~conds () =
   let params =
     let p = Tm_core.Tgraph.default_params source in
@@ -285,29 +285,13 @@ let bounded_analyze ~source ~conds () =
     | Some s -> { p with Tm_core.Tgraph.deadline_s = Some s }
     | None -> p
   in
-  let refuse g =
+  try Completeness.analyze ~params ~source ~conds ()
+  with Completeness.Truncated nodes ->
     raise
       (Exact_unknown
          (Printf.sprintf
             "discretized graph truncated after %d nodes — budget exhausted"
-            (Tm_core.Tgraph.node_count g)))
-  in
-  let budgeted = !budget_states <> None || !budget_s <> None in
-  (* Probe the graph before value iteration: a truncated graph must be
-     refused up front, or the iteration hits the cut frontier (states
-     with no successor) and dies with Dead_state. *)
-  (if budgeted then
-     let g = Tm_core.Tgraph.build ~params source in
-     if g.Tm_core.Tgraph.truncated then refuse g);
-  match Completeness.analyze ~params ~source ~conds () with
-  | a ->
-      let g = Completeness.graph a in
-      if g.Tm_core.Tgraph.truncated then refuse g;
-      a
-  | exception Tm_core.Completeness.Dead_state when budgeted ->
-      (* The probe passed but the wall clock ran out during the second
-         build: same verdict, just detected later. *)
-      raise (Exact_unknown "graph truncated mid-analysis — budget exhausted")
+            nodes))
 
 (* The [exact] windows of a model, each measured on the one budgeted
    analysis of its conditions. *)
@@ -704,34 +688,10 @@ let engine_arg =
            packed-int kernel; rational bounds are scaled to integers by \
            the LCM of their denominators first), $(b,ref) (exact \
            rational reference kernel, unscaled, for cross-checking a \
-           verdict) or $(b,paranoid) (the int kernel with a sampled \
-           in-flight self-check against the reference kernel; a \
-           disagreement degrades the run to the reference kernel). All \
-           run the identical exploration and must agree.")
-
-(* [--engine] with [--selfcheck-every], for the subcommands that take
-   both.  The period is a usage error unless it is positive and the
-   engine is the one it samples. *)
-let engine_selfcheck_term =
-  let selfcheck_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "selfcheck-every" ] ~docv:"K"
-          ~doc:
-            "With $(b,--engine paranoid): re-run every $(docv)-th DBM \
-             pipeline on the reference kernel and compare (default 64).")
-  in
-  let check ename = function
-    | None -> `Ok ename
-    | Some k when k < 1 -> `Error (true, "--selfcheck-every must be >= 1")
-    | Some _ when ename <> "paranoid" ->
-        `Error (true, "--selfcheck-every needs --engine paranoid")
-    | Some k ->
-        Tm_recover.Paranoid.set_every k;
-        `Ok ename
-  in
-  Term.(ret (const check $ engine_arg $ selfcheck_arg))
+           verdict) or $(b,paranoid) ($(b,auto), its verdict checked \
+           afterwards by an independent certificate checker or a \
+           $(b,ref) rerun; a failed check degrades the run to \
+           $(b,ref)). All run the identical exploration and must agree.")
 
 let set_engine name =
   match Catalog.engine_of name with
@@ -756,12 +716,13 @@ let recover_term =
              to resume.")
   in
   let every_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:
-            "Also snapshot after every $(docv) newly stored zones \
-             (default 0: only final snapshots).")
+    checked (fun n -> n >= 0) "--checkpoint-every must be >= 0"
+      Arg.(
+        value & opt int 0
+        & info [ "checkpoint-every" ] ~docv:"N"
+            ~doc:
+              "Also snapshot after every $(docv) newly stored zones \
+               (default 0: only final snapshots).")
   in
   let mk ck every =
     checkpoint_path := ck;
@@ -781,8 +742,8 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc:"Exact zone-based verification")
     Term.(
-      const run $ model_term () $ engine_selfcheck_term $ budget_term
-      $ domains_term $ recover_term $ obs_term)
+      const run $ model_term () $ engine_arg $ budget_term $ domains_term
+      $ recover_term $ obs_term)
 
 let run_cmd =
   let resume_arg =
@@ -839,7 +800,7 @@ let run_cmd =
           exponential backoff, per-attempt budgets chained through \
           checkpoints, resumable after interrupts")
     Term.(
-      const run $ model_term () $ engine_selfcheck_term $ resume_arg
+      const run $ model_term () $ engine_arg $ resume_arg
       $ attempts_arg $ backoff_arg $ budget_term $ domains_term $ recover_term
       $ obs_term)
 

@@ -4,6 +4,7 @@ module Hstore = Tm_base.Hstore
 module Condition = Tm_timed.Condition
 
 exception Dead_state
+exception Truncated of int
 
 type ('s, 'a) t = {
   graph : ('s, 'a) Tgraph.t;
@@ -109,6 +110,7 @@ let compute_inf g out (c : ('s, 'a) Condition.t) =
 
 let analyze ?params ~source ~conds () =
   let g = Tgraph.build ?params source in
+  if g.Tgraph.truncated then raise (Truncated (Tgraph.node_count g));
   let out = adjacency g in
   {
     graph = g;

@@ -31,6 +31,12 @@ exception Dead_state
 (** Raised by {!analyze} when some reachable discretized state has no
     outgoing move; apply {!Dummify} to the system first. *)
 
+exception Truncated of int
+(** Raised by {!analyze}, before any value iteration, when the
+    discretized graph stopped at its node limit or deadline
+    ([Tgraph.t.truncated]), with the number of nodes it reached: the
+    graph lacks moves, so its value tables would not be the windows. *)
+
 val analyze :
   ?params:Tgraph.params ->
   source:('s, 'a) Time_automaton.t ->

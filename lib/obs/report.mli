@@ -5,7 +5,9 @@
     tables so perf PRs can diff instrumented baselines.
 
     Reports carry build/engine provenance — the tool version, which
-    engine ran (auto/ref/paranoid), and the domain count — so a
+    engine ran (auto/ref/paranoid; under paranoid the
+    [recover.selfcheck_*] counters count checked certificate zones and
+    confirmed refutations), and the domain count — so a
     saved artifact is self-describing ([timedmap obs] prints the
     provenance back, and [timedmap bench-diff] can warn when two
     artifacts came from different configurations). *)

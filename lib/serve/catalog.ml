@@ -36,9 +36,7 @@ type 'r job = {
 let engine_of = function
   | "auto" -> Ok (module Reach.Auto : Reach.S)
   | "ref" -> Ok (module Reach.Ref : Reach.S)
-  | "paranoid" ->
-      if Tm_recover.Paranoid.every () = 0 then Tm_recover.Paranoid.set_every 64;
-      Ok (module Reach.Paranoid : Reach.S)
+  | "paranoid" -> Ok (module Reach.Paranoid : Reach.S)
   | other ->
       Error (Printf.sprintf "unknown engine %S (auto | ref | paranoid)" other)
 

@@ -59,8 +59,8 @@ val of_request :
 (** {1 Runners} *)
 
 val engine_of : string -> ((module Reach.S), string) result
-(** ["auto"], ["ref"] or ["paranoid"] (which turns on a self-check
-    period of 64 unless one is set). *)
+(** ["auto"], ["ref"] or ["paranoid"]: {!Reach.Auto}, {!Reach.Ref}
+    and {!Reach.Paranoid}. *)
 
 val make_strategy :
   string ->

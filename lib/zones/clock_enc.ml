@@ -107,6 +107,27 @@ let invariant enc s =
     enc.classes;
   List.rev !invs
 
+let lu_bounds enc ~observer =
+  let n = enc.nclasses + if Option.is_none observer then 1 else 2 in
+  let lower = Array.make n None and upper = Array.make n None in
+  lower.(0) <- Some Rational.zero;
+  upper.(0) <- Some Rational.zero;
+  Array.iteri
+    (fun i c ->
+      let l, u = Boundmap.lu_bounds enc.bm c in
+      lower.(i + 1) <- l;
+      upper.(i + 1) <- u)
+    enc.classes;
+  Option.iter
+    (fun iv ->
+      let bl = Interval.lo iv in
+      if Rational.sign bl > 0 then upper.(n - 1) <- Some bl;
+      match Interval.hi iv with
+      | Time.Fin q -> lower.(n - 1) <- Some q
+      | Time.Inf -> ())
+    observer;
+  (lower, upper)
+
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 let lcm a b = a / gcd a b * b
 

@@ -50,6 +50,17 @@ val start_ops : ('s, 'a) t -> 's -> op list
 val invariant : ('s, 'a) t -> 's -> (int * Tm_base.Rational.t) list
 (** [(clock, b_u)] for every enabled class with a finite upper bound. *)
 
+val lu_bounds :
+  ('s, 'a) t ->
+  observer:Tm_base.Interval.t option ->
+  Tm_base.Rational.t option array * Tm_base.Rational.t option array
+(** Per clock, the largest constant it is compared against from below
+    and from above, for LU widening ([None]: never, which wipes that
+    side); [Some 0] on the reference clock.  A class clock meets its
+    guard and invariant ({!Tm_timed.Boundmap.lu_bounds}); the observer
+    clock [nclasses + 1] of condition bounds [observer] meets inverted
+    probes: [y < b_l] compares from above, [y > b_u] from below. *)
+
 val scale : ('s, 'a) t -> int
 (** The lcm of the denominators of all bound constants: multiplying
     constants by [scale] makes them integers (used by {!Region}). *)

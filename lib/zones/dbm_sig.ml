@@ -1,10 +1,12 @@
 (* Signature shared by the packed-int production kernel ({!Dbm_int})
-   and the straightforward rational reference kernel ({!Dbm_ref}).
-   {!Reach.Make} is a functor over this signature, so the two engines
-   share one exploration discipline and differ only in DBM arithmetic —
-   which is what makes op-for-op and fixpoint-for-fixpoint differential
-   testing meaningful, and keeps [zones.stored] identical by
-   construction.
+   and the straightforward rational reference kernel ({!Dbm_ref}), its
+   only two implementations.  {!Reach.Make} is a functor over this
+   signature, so the two engines share one exploration discipline and
+   differ only in DBM arithmetic — which is what makes op-for-op and
+   fixpoint-for-fixpoint differential testing meaningful, and keeps
+   [zones.stored] identical by construction.  The paranoid engine adds
+   no kernel: it runs {!Dbm_int} and checks the finished zone set with
+   {!Certificate}, which computes on {!Dbm_ref}'s persistent algebra.
 
    The signature is exactly what {!Reach.Make} calls, plus the
    read-only accessors [dim] and [is_empty]: zones are built from
@@ -53,8 +55,9 @@ module type S = sig
   (** [true] for a kernel that stores each zone over its location's live
       clocks only: {!Reach} then runs every pipeline at dimension
       1 + |live| and moves between locations with {!Scratch.remap}.
-      [false] for a full-width kernel, whose zones keep a row for every
-      logical clock.  Such a kernel stores the cylinder of the compact
+      [false] for a full-width kernel ({!Dbm_ref}, so that the int-vs-ref
+      differential checks the compaction), whose zones keep a row for
+      every logical clock.  It stores the cylinder of the compact
       zone — every clock outside the live set unconstrained — so the
       two kinds are differential-testable entry for entry: {!Reach}
       frees the dropped clocks in the location-change map, and frees

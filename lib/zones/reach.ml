@@ -110,16 +110,19 @@ module type S = sig
   val reachable :
     ?limit:int -> ?deadline_s:float -> ?domains:int ->
     ?checkpoint:string * int -> ?resume:string ->
+    ?certificate:('s Certificate.t -> unit) ->
     ('s, 'a) Ioa.t -> Boundmap.t -> stats * 's list
 
   val check_state_invariant :
     ?limit:int -> ?deadline_s:float -> ?domains:int ->
     ?checkpoint:string * int -> ?resume:string ->
+    ?certificate:('s Certificate.t -> unit) ->
     ('s, 'a) Ioa.t -> Boundmap.t -> ('s -> bool) -> (stats, 's) result
 
   val check_condition :
     ?limit:int -> ?deadline_s:float -> ?domains:int ->
     ?checkpoint:string * int -> ?resume:string ->
+    ?certificate:('s Certificate.t -> unit) ->
     ('s, 'a) Ioa.t -> Boundmap.t -> ('s, 'a) Condition.t -> outcome
 
   val fingerprint_reachable : ('s, 'a) Ioa.t -> Boundmap.t -> string
@@ -160,7 +163,7 @@ module Make (K : Dbm_sig.S) : S = struct
             [1] on a rational kernel *)
   }
 
-  let make_enc a bm ~with_observer ~cond_bounds =
+  let make_enc a bm ~cond_bounds =
     let scale =
       match K.headroom with None -> 1 | Some _ -> time_scale bm cond_bounds
     in
@@ -203,7 +206,7 @@ module Make (K : Dbm_sig.S) : S = struct
           | Time.Inf -> None)
         cenc.Clock_enc.classes
     in
-    let nclocks = nreal + 1 + (if with_observer then 1 else 0) in
+    let nclocks = nreal + if Option.is_none cond_bounds then 1 else 2 in
     (match K.headroom with
     | Some h when Rational.(max_const > of_int (h nclocks)) ->
         invalid_arg
@@ -212,39 +215,8 @@ module Make (K : Dbm_sig.S) : S = struct
               headroom %d for %d clocks"
              Rational.pp max_const scale K.name (h nclocks) nclocks)
     | Some _ | None -> ());
-    let y = if with_observer then Some (nreal + 1) else None in
-    let lu =
-      (* L(x) / U(x) must dominate every constant the exploration
-         ever compares clock x against.  Class clocks only meet their
-         guard (x >= b_l, a lower comparison) and their invariant
-         (x <= b_u, an upper comparison) — {!Boundmap.lu_bounds}.
-         The observer clock is only met by the condition probes, and
-         those INVERT: [y < b_l] is an upper-type comparison (so b_l
-         feeds U(y)) and [y > b_u] is a lower-type one (so b_u feeds
-         L(y)).  The reference clock carries [Some 0] on both sides.
-         A clock with no comparison on a side keeps [None] (-inf)
-         there, which wipes the corresponding entries — inactive
-         clocks vanish from the zone for free. *)
-      let lower = Array.make nclocks None in
-      let upper = Array.make nclocks None in
-      lower.(0) <- Some Rational.zero;
-      upper.(0) <- Some Rational.zero;
-      Array.iteri
-        (fun i c ->
-          let l, u = Boundmap.lu_bounds bm c in
-          lower.(i + 1) <- l;
-          upper.(i + 1) <- u)
-        cenc.Clock_enc.classes;
-      (match (y, cond_bounds) with
-      | Some yi, Some iv ->
-          let bl = Interval.lo iv in
-          if Rational.sign bl > 0 then upper.(yi) <- Some bl;
-          (match Interval.hi iv with
-          | Time.Fin q -> lower.(yi) <- Some q
-          | Time.Inf -> ())
-      | Some _, None | None, _ -> ());
-      (lower, upper)
-    in
+    let y = Option.map (fun _ -> nreal + 1) cond_bounds in
+    let lu = Clock_enc.lu_bounds cenc ~observer:cond_bounds in
     { cenc; nclocks; y; max_const; guards; uppers; lu; scale }
 
   (* The job fingerprint ties a checkpoint to the run shape that wrote
@@ -274,16 +246,15 @@ module Make (K : Dbm_sig.S) : S = struct
 
   let fingerprint_reachable a bm =
     fingerprint_of ~kind:"reachable" bm
-      (make_enc a bm ~with_observer:false ~cond_bounds:None)
+      (make_enc a bm ~cond_bounds:None)
 
   let fingerprint_invariant a bm =
     fingerprint_of ~kind:"invariant" bm
-      (make_enc a bm ~with_observer:false ~cond_bounds:None)
+      (make_enc a bm ~cond_bounds:None)
 
   let fingerprint_condition a bm c =
     fingerprint_of ~kind:(cond_kind c) bm
-      (make_enc a bm ~with_observer:true
-         ~cond_bounds:(Some c.Condition.bounds))
+      (make_enc a bm ~cond_bounds:(Some c.Condition.bounds))
 
   (* A stored zone doubling as a waiting-list entry.  [alive] is
      cleared when a later, larger zone at the same location subsumes
@@ -972,6 +943,47 @@ module Make (K : Dbm_sig.S) : S = struct
       done;
       !acc
     in
+    (* The certificate of a finished run (see {!Certificate}): every
+       location in id order with its stored zones, each projected on the
+       logical clocks live there (all of a compact layout; a full-width
+       cylinder drops its dead clocks, so both kinds lift alike),
+       unscaled, in minimal-constraint form ({!Dbm_min}). *)
+    let certificate () =
+      let k = Rational.of_int enc.scale in
+      let unscale : Dbm_bound.t -> Dbm_bound.t = function
+        | Le q -> Le (Rational.div q k)
+        | Lt q -> Lt (Rational.div q k)
+        | Inf -> Inf
+      in
+      Array.init !nlocs (fun id ->
+          let lc = !locs.(id) in
+          let armed = lc.ph = Armed in
+          let live = lc.lay.live in
+          let idx =
+            Array.of_seq
+              (Seq.filter
+                 (fun i ->
+                   let x = live.(i) in
+                   x = 0
+                   || (x <= nclasses && lc.lay.en.(x - 1))
+                   || (armed && enc.y = Some x))
+                 (Seq.init (Array.length live) Fun.id))
+          in
+          let n = Array.length idx in
+          let lift e =
+            let m =
+              Array.init (n * n) (fun p ->
+                  unscale (K.get e.z idx.(p / n) idx.(p mod n)))
+            in
+            let r = Dbm_min.reduce n (fun i j -> m.((i * n) + j)) in
+            let clock p = live.(idx.(p)) in
+            List.mapi
+              (fun c p -> (clock (p / n), clock (p mod n), r.mbnd.(c)))
+              (Array.to_list r.midx)
+          in
+          let zones = List.rev_map lift lc.cell in
+          { Certificate.state = lc.sr.st; armed; zones })
+    in
     (* Batch-boundary discipline: deterministic budget, cooperative
        interrupt, periodic snapshot — in that order, so an exhausted
        run never first spends time snapshotting. *)
@@ -1194,7 +1206,7 @@ module Make (K : Dbm_sig.S) : S = struct
         | _ -> ());
         emit_telemetry ~force:true ~ev:"zones.done" ();
         Events.progress_clear ();
-        Ok (stats_now (), stored_states)
+        Ok (stats_now (), stored_states, certificate)
       with
       | Unsupported_shape m -> Error (`Unsupported m)
       | Refuted side ->
@@ -1250,9 +1262,9 @@ module Make (K : Dbm_sig.S) : S = struct
   (* The driver shared by the two observer-free checks: no observer
      clock, every phase [Idle], [visit] sees each stored state. *)
   let explore_states ~span ~kind ?limit ?deadline_s ?domains ?checkpoint
-      ?resume (a : ('s, 'a) Ioa.t) bm (visit : 's -> unit) =
+      ?resume ?certificate (a : ('s, 'a) Ioa.t) bm (visit : 's -> unit) =
     Tracing.with_span span ~args:(span_args domains) @@ fun () ->
-    let enc = make_enc a bm ~with_observer:false ~cond_bounds:None in
+    let enc = make_enc a bm ~cond_bounds:None in
     let fingerprint = fingerprint_of ~kind bm enc in
     match
       with_domains domains @@ fun pool ->
@@ -1261,38 +1273,42 @@ module Make (K : Dbm_sig.S) : S = struct
         ~observe:keep_phase
         ~inspect:(fun _ s _ _ -> visit s)
     with
-    | Ok (stats, stored_states) -> (stats, stored_states)
+    | Ok (stats, stored_states, cert) ->
+        Option.iter (fun f -> f (cert ())) certificate;
+        (stats, stored_states)
     | Error (`Unsupported m) -> raise (Open_system m)
     | Error (`Budget e) -> raise (Out_of_budget e)
     | Error (`Refuted _) ->
         (* [keep_phase] never probes and [visit] raises its own *)
         assert false
 
-  let reachable ?limit ?deadline_s ?domains ?checkpoint ?resume a bm =
+  let reachable ?limit ?deadline_s ?domains ?checkpoint ?resume ?certificate a
+      bm =
     let stats, stored_states =
       explore_states ~span:"zones.reachable" ~kind:"reachable" ?limit
-        ?deadline_s ?domains ?checkpoint ?resume a bm ignore
+        ?deadline_s ?domains ?checkpoint ?resume ?certificate a bm ignore
     in
     (stats, stored_states ())
 
   let check_state_invariant (type s) ?limit ?deadline_s ?domains ?checkpoint
-      ?resume (a : (s, _) Ioa.t) bm pred =
+      ?resume ?certificate (a : (s, _) Ioa.t) bm pred =
     let exception Found of s in
     match
       explore_states ~span:"zones.check_state_invariant" ~kind:"invariant"
-        ?limit ?deadline_s ?domains ?checkpoint ?resume a bm (fun s ->
+        ?limit ?deadline_s ?domains ?checkpoint ?resume ?certificate a bm
+        (fun s ->
           if not (pred s) then raise (Found s))
     with
     | stats, _ -> Ok stats
     | exception Found s -> Error s
 
   let check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume
-      (a : ('s, 'a) Ioa.t) bm (c : ('s, 'a) Condition.t) =
+      ?certificate (a : ('s, 'a) Ioa.t) bm (c : ('s, 'a) Condition.t) =
     Tracing.with_span "zones.check_condition"
       ~args:(("cond", c.Condition.cname) :: span_args domains)
     @@ fun () ->
     let enc =
-      make_enc a bm ~with_observer:true ~cond_bounds:(Some c.Condition.bounds)
+      make_enc a bm ~cond_bounds:(Some c.Condition.bounds)
     in
     let fingerprint = fingerprint_of ~kind:(cond_kind c) bm enc in
     let y = match enc.y with Some y -> y | None -> assert false in
@@ -1337,7 +1353,9 @@ module Make (K : Dbm_sig.S) : S = struct
           if c.Condition.t_start s0 then Armed else Idle)
         ~observe ~inspect
     with
-    | Ok (stats, _) -> Verified stats
+    | Ok (stats, _, cert) ->
+        Option.iter (fun f -> f (cert ())) certificate;
+        Verified stats
     | Error (`Unsupported m) -> Unsupported m
     | Error (`Budget e) -> Unknown e
     | Error (`Refuted (`Lower, st)) -> Lower_violation st
@@ -1351,52 +1369,108 @@ end
 module Auto = Make (Dbm_int)
 module Ref = Make (Dbm_ref)
 
-(* Paranoid engine: the self-checking kernel, degrading to the
-   reference engine when a checked pipeline disagrees.  The degraded
-   rerun starts fresh — a snapshot written by the (suspect) int
-   kernel must not seed the trustworthy run, so a [limit] given with
-   [resume] bounds it from zero — but keeps writing to the caller's
-   checkpoint path, so preemption still works after a degrade. *)
-module Paranoid : S = struct
-  module P = Make (Dbm_paranoid)
+(* Paranoid engine: the production exploration with its verdict
+   checked after the fact; see reach.mli.  The kernel is {!Dbm_int}
+   under its own name, so fingerprints keep paranoid checkpoints and
+   cached daemon verdicts apart from [auto] ones.  A rerun on {!Ref}
+   starts fresh — a snapshot of the (suspect) int run must not seed it,
+   so a [limit] given with [resume] bounds it from zero — but writes to
+   the caller's checkpoint path, so preemption still works. *)
+module For_testing = struct
+  let corrupt_certificate = ref false
+  let reset () = corrupt_certificate := false
+end
 
+module Paranoid : S = struct
+  module P = Make (struct
+    include Dbm_int
+
+    let name = "int+cert"
+  end)
+
+  let c_checked = Metrics.counter "recover.selfcheck_total"
+  let c_mismatch = Metrics.counter "recover.selfcheck_mismatch"
   let c_degraded = Metrics.counter "recover.degraded"
 
-  let degrade what fallback f =
-    try f () with
-    | Tm_recover.Paranoid.Mismatch m ->
-        Metrics.incr c_degraded;
-        Events.emit "recover.degraded"
-          [ ("what", Json.String what); ("mismatch", Json.String m) ];
-        Log.warn
-          "paranoid %s: int kernel self-check failed (%s) — degrading to \
-           the reference kernel"
-          what m;
-        fallback ()
+  (* [run (module E) ?resume sink] is one run of the entry point on
+     engine [E].  Run the int engine with a certificate sink and check
+     what its outcome claims: [`Proof] — the certificate must pass;
+     [`Refutation same] — a fresh {!Ref} run must return an outcome
+     [same] accepts; [`Nothing] — nothing.  A failed check answers with
+     the {!Ref} run's outcome. *)
+  let checked what a bm prop ?resume ~certificate ~claim run =
+    let cert = ref [||] in
+    let r = run (module P : S) ?resume (Some (fun c -> cert := c)) in
+    let rerun () = run (module Ref : S) ?resume:None certificate in
+    let degraded why =
+      Metrics.incr c_mismatch;
+      Metrics.incr c_degraded;
+      Events.emit "recover.degraded"
+        [ ("what", Json.String what); ("mismatch", Json.String why) ];
+      Log.warn "paranoid %s: %s — degrading to the reference kernel" what why
+    in
+    match claim r with
+    | `Nothing -> r
+    | `Proof -> (
+        let cert : _ Certificate.t = !cert in
+        (* the test hook drops the zone the first start state seeded *)
+        if !For_testing.corrupt_certificate then
+          cert.(0) <-
+            { (cert.(0)) with zones = List.tl cert.(0).Certificate.zones };
+        match
+          Tracing.with_span "zones.certify" (fun () ->
+              Certificate.check a bm prop cert)
+        with
+        | Ok n ->
+            Metrics.add c_checked n;
+            Option.iter (fun f -> f cert) certificate;
+            r
+        | Error why ->
+            degraded ("certificate rejected: " ^ why);
+            rerun ())
+    | `Refutation same -> (
+        let why = "the reference kernel does not reproduce the refutation" in
+        match rerun () with
+        | r' when same r' ->
+            Metrics.incr c_checked;
+            r
+        | r' ->
+            degraded why;
+            r'
+        | exception (Out_of_budget _ as ex) ->
+            degraded why;
+            raise ex)
 
-  let reachable ?limit ?deadline_s ?domains ?checkpoint ?resume a bm =
-    degrade "reachable"
-      (fun () -> Ref.reachable ?limit ?deadline_s ?domains ?checkpoint a bm)
-      (fun () ->
-        P.reachable ?limit ?deadline_s ?domains ?checkpoint ?resume a bm)
+  let reachable ?limit ?deadline_s ?domains ?checkpoint ?resume ?certificate a
+      bm =
+    checked "reachable" a bm (Certificate.Invariant (fun _ -> true)) ?resume
+      ~certificate ~claim:(fun _ -> `Proof)
+      (fun (module E : S) ?resume certificate ->
+        E.reachable ?limit ?deadline_s ?domains ?checkpoint ?resume
+          ?certificate a bm)
 
-  let check_state_invariant ?limit ?deadline_s ?domains ?checkpoint ?resume a
-      bm pred =
-    degrade "invariant"
-      (fun () ->
-        Ref.check_state_invariant ?limit ?deadline_s ?domains ?checkpoint a bm
-          pred)
-      (fun () ->
-        P.check_state_invariant ?limit ?deadline_s ?domains ?checkpoint
-          ?resume a bm pred)
+  let check_state_invariant ?limit ?deadline_s ?domains ?checkpoint ?resume
+      ?certificate (a : (_, _) Ioa.t) bm pred =
+    checked "invariant" a bm (Certificate.Invariant pred) ?resume ~certificate
+      ~claim:(function
+        | Ok _ -> `Proof
+        | Error s ->
+            `Refutation
+              (function Error s' -> a.Ioa.equal_state s s' | Ok _ -> false))
+      (fun (module E : S) ?resume certificate ->
+        E.check_state_invariant ?limit ?deadline_s ?domains ?checkpoint
+          ?resume ?certificate a bm pred)
 
-  let check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume a bm c =
-    degrade "condition"
-      (fun () ->
-        Ref.check_condition ?limit ?deadline_s ?domains ?checkpoint a bm c)
-      (fun () ->
-        P.check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume a bm
-          c)
+  let check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume
+      ?certificate a bm c =
+    checked "condition" a bm (Certificate.Condition c) ?resume ~certificate
+      ~claim:(function
+        | Verified _ -> `Proof
+        | (Lower_violation _ | Upper_violation _) as o -> `Refutation (( = ) o)
+        | Unknown _ | Unsupported _ -> `Nothing)
+      (fun (module E : S) ?resume certificate ->
+        E.check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume
+          ?certificate a bm c)
 
   let fingerprint_reachable = P.fingerprint_reachable
   let fingerprint_invariant = P.fingerprint_invariant

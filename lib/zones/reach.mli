@@ -87,7 +87,9 @@
     policy decision (subsumption-aware waiting list bucketed by
     discrete location, largest-zone-first expansion, hash-consed zone
     store), their [stats] agree exactly — the differential harness in
-    test/ and bench/ checks this.
+    test/ and bench/ checks this.  {!Paranoid} adds no kernel: it runs
+    the production exploration and checks each verdict afterwards, a
+    positive one through its certificate ({!Certificate}).
 
     The int kernel holds integer constants only, so every job it runs
     is first scaled: all boundmap endpoints and condition bounds are
@@ -193,11 +195,19 @@ exception Out_of_budget of exhausted
     continues the fixpoint exactly; it raises
     [Tm_recover.Snapshot.Bad_snapshot] on a corrupt, truncated,
     wrong-version or wrong-job file — a bad snapshot can never produce
-    a wrong verdict. *)
+    a wrong verdict.
+
+    [?certificate f] calls [f] on a positive verdict with the stored
+    zones, an inductive invariant that {!Certificate.check} confirms
+    without this engine's code: each location in id order, each zone
+    lifted to the logical clocks live there, unscaled, in minimal
+    constraints.  It is read off
+    the location table after the search, which it does not change. *)
 module type S = sig
   val reachable :
     ?limit:int -> ?deadline_s:float -> ?domains:int ->
     ?checkpoint:string * int -> ?resume:string ->
+    ?certificate:('s Certificate.t -> unit) ->
     ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t -> stats * 's list
   (** Timed reachability: explored stats and the base states reachable
       under the timing assumptions (a subset of the untimed reachable
@@ -211,6 +221,7 @@ module type S = sig
     ?domains:int ->
     ?checkpoint:string * int ->
     ?resume:string ->
+    ?certificate:('s Certificate.t -> unit) ->
     ('s, 'a) Tm_ioa.Ioa.t ->
     Tm_timed.Boundmap.t ->
     ('s -> bool) ->
@@ -225,6 +236,7 @@ module type S = sig
     ?domains:int ->
     ?checkpoint:string * int ->
     ?resume:string ->
+    ?certificate:('s Certificate.t -> unit) ->
     ('s, 'a) Tm_ioa.Ioa.t ->
     Tm_timed.Boundmap.t ->
     ('s, 'a) Tm_timed.Condition.t ->
@@ -265,13 +277,22 @@ module Ref : S
     cross-checking a suspicious verdict. *)
 
 module Paranoid : S
-(** The int kernel under a sampled in-flight self-check
-    ({!Dbm_paranoid}; period from [Tm_recover.Paranoid.set_every]),
-    behind the same scaling step as {!Auto}.  Explores exactly like
-    {!Auto}; if any checked pipeline disagrees with the reference
-    kernel, the run is restarted from scratch on {!Ref} (counting
-    [recover.degraded]) instead of reporting a possibly corrupt
-    verdict. *)
+(** {!Auto}'s exploration, its verdict checked after the fact: a
+    positive one by {!Certificate.check} ([recover.selfcheck_total]
+    counts the zones), a refutation by a fresh {!Ref} run that must
+    return the same outcome (counted once).  A failed check counts
+    [recover.selfcheck_mismatch] and [recover.degraded], logs why, and
+    answers with {!Ref}'s outcome.  [Unknown] and [Unsupported] claim
+    nothing and pass unchecked.  Fingerprints read [kernel=int+cert]. *)
+
+(** Test hook, in the style of [Tm_recover.Snapshot.For_testing]. *)
+module For_testing : sig
+  val corrupt_certificate : bool ref
+  (** While set, {!Paranoid} drops the zone the first start state seeded
+      from every certificate before checking it. *)
+
+  val reset : unit -> unit
+end
 
 include S
 (** The production engine's ({!Auto}'s) operations, available

@@ -139,7 +139,7 @@ let expected =
     ("two margin params", "dfb0108a2820c84f2fdc30339cd438a8");
     ("two simulate params", "d202c204b00f63741deefa3e20b8eec6");
     ("fischer verify ref", "efe4bed50d995db1b45ac0dc6581f4ef");
-    ("fischer verify paranoid", "5225411081fe5e8738dd2c41ef4cc9a9");
+    ("fischer verify paranoid", "1fcda50852140efdce4fd734cc41765d");
     ("fd margin budgets", "e5c937414df336b65d352c7c126958b9");
     ("ring simulate knobs", "4552c57a8f240c318867758497782ec0");
     ("no op, no system", "de94c165d41c78e750476030c8bd76d4");

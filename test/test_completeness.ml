@@ -169,6 +169,16 @@ let test_dead_state_detected () =
   Alcotest.check_raises "Dead_state" Completeness.Dead_state (fun () ->
       ignore (Completeness.analyze ~source:raw ~conds:[| base_cond |] ()))
 
+(* A graph cut short by its node limit is refused before value
+   iteration, even where every node it kept has a move. *)
+let test_truncated_refused () =
+  let params =
+    { (Tm_core.Tgraph.default_params impl) with Tm_core.Tgraph.limit = 10 }
+  in
+  Alcotest.check_raises "Truncated" (Completeness.Truncated 10) (fun () ->
+      ignore
+        (Completeness.analyze ~params ~source:impl ~conds:[| RM.g1 p |] ()))
+
 let test_sup_infinite_when_unreachable () =
   (* a condition whose Pi action never occurs: sup = inf = infinity *)
   let never =
@@ -229,6 +239,7 @@ let suite =
     Alcotest.test_case "false spec rejected" `Quick
       test_completeness_needs_truth;
     Alcotest.test_case "dead states detected" `Quick test_dead_state_detected;
+    Alcotest.test_case "truncated graph refused" `Quick test_truncated_refused;
     Alcotest.test_case "unreachable Pi gives infinity" `Quick
       test_sup_infinite_when_unreachable;
     prop_closed_forms_random_params;

@@ -116,8 +116,8 @@ let min_int_matches_dbm_min =
         (D.run_scratch (module Dbm_int) scaled).zones)
 
 (* ------------------------------------------------------------------ *)
-(* Arena unit tests (int and ref kernels; paranoid delegates to int,
-   ref keeps the arena API but allocates every zone on the heap).      *)
+(* Arena unit tests (int and ref kernels; ref keeps the arena API but
+   allocates every zone on the heap).                                  *)
 
 (* Zones from [up (zero n)], on any kernel's scratch. *)
 module Up_zero (K : Tm_zones.Dbm_sig.S) = struct

@@ -1,5 +1,6 @@
-(* Checkpoint/resume, snapshot integrity, retry supervision and the
-   paranoid self-checking kernel.
+(* Checkpoint/resume, snapshot integrity, retry supervision, and
+   certified verdicts: the certificate checker and the paranoid engine
+   built on it.
 
    The load-bearing property is kill-and-resume equivalence: a run
    interrupted at an arbitrary checkpoint boundary and resumed must
@@ -16,7 +17,8 @@ module Reach = Tm_zones.Reach
 module Metrics = Tm_obs.Metrics
 module Snapshot = Tm_recover.Snapshot
 module Supervisor = Tm_recover.Supervisor
-module Paranoid = Tm_recover.Paranoid
+module Certificate = Tm_zones.Certificate
+module Registry = Tm_systems.Registry
 module F = Tm_systems.Fischer
 
 let q = Gen.q
@@ -564,52 +566,252 @@ let resume_rejects_wrong_job () =
         (String.length m > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Paranoid self-checking kernel.                                      *)
+(* Certificates and the paranoid engine.                               *)
 
-let with_paranoid ~every ~corrupt f =
-  Paranoid.set_every every;
-  Paranoid.set_corrupt corrupt;
-  Fun.protect
-    ~finally:(fun () ->
-      Paranoid.set_every 0;
-      Paranoid.set_corrupt false)
-    f
+let zone_count (cert : _ Certificate.t) =
+  Array.fold_left (fun n l -> n + List.length l.Certificate.zones) 0 cert
+
+(* The certificate a positive verdict of [E] hands out. *)
+let cert_of_condition (module E : Reach.S) sys bm cond =
+  let cert = ref None in
+  match
+    E.check_condition ~certificate:(fun c -> cert := Some c) sys bm cond
+  with
+  | Reach.Verified _ -> Option.get !cert
+  | _ -> Alcotest.fail "expected a verified condition"
+
+let cert_of_invariant (module E : Reach.S) sys bm pred =
+  let cert = ref None in
+  match
+    E.check_state_invariant ~certificate:(fun c -> cert := Some c) sys bm pred
+  with
+  | Ok _ -> Option.get !cert
+  | Error _ -> Alcotest.fail "expected the invariant to hold"
+
+let accepts what sys bm prop cert =
+  match Certificate.check sys bm prop cert with
+  | Ok n ->
+      Alcotest.(check int) (what ^ ": every zone checked") (zone_count cert) n
+  | Error m -> Alcotest.failf "%s: certificate rejected: %s" what m
+
+(* Every positive verdict of every registry system at test size comes
+   with a certificate the checker accepts, the same at 1 and 2
+   domains. *)
+let certificate_registry_accepted () =
+  let checked = ref 0 in
+  List.iter
+    (fun (e : Registry.entry) ->
+      let model = Result.get_ok (Registry.instantiate e [ ("n", 3) ]) in
+      let (Registry.Verified v) = model.Registry.verified in
+      let sys = v.Registry.system and bm = v.Registry.boundmap in
+      List.iter
+        (fun check ->
+          let what =
+            e.Registry.name ^ " "
+            ^ Registry.check_label model.Registry.label check
+          in
+          (* [run domains sink]: the check, [sink] seeing the certificate *)
+          let prop, run =
+            match check with
+            | Registry.Cond c | Registry.Note { cond = c; _ } ->
+                ( Certificate.Condition c,
+                  fun domains sink ->
+                    ignore
+                      (Reach.Auto.check_condition ~domains ~certificate:sink
+                         sys bm c) )
+            | Registry.Inv { pred; _ } ->
+                ( Certificate.Invariant pred,
+                  fun domains sink ->
+                    ignore
+                      (Reach.Auto.check_state_invariant ~domains
+                         ~certificate:sink sys bm pred) )
+          in
+          let cert domains =
+            let c = ref None in
+            run domains (fun x -> c := Some x);
+            !c
+          in
+          match cert 1 with
+          | None -> ()
+          | Some c1 ->
+              incr checked;
+              accepts what sys bm prop c1;
+              Alcotest.(check bool)
+                (what ^ ": same certificate at 2 domains")
+                true
+                (Some c1 = cert 2))
+        v.Registry.checks)
+    Registry.entries;
+  Alcotest.(check int) "positive verdicts certified" 14 !checked
+
+(* The int engine's compact zones, lifted and unscaled, are the
+   reference engine's full-width cylinders, zone for zone. *)
+let certificate_int_equals_ref () =
+  let same what sys bm cond =
+    let ci = cert_of_condition (module Reach.Auto) sys bm cond in
+    let cr = cert_of_condition (module Reach.Ref) sys bm cond in
+    Alcotest.(check int)
+      (what ^ ": locations") (Array.length cr) (Array.length ci);
+    Alcotest.(check bool) (what ^ ": zone for zone") true (ci = cr)
+  in
+  let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
+  same "fischer n=3" (F.system p) (F.boundmap p) (F.u_enter p);
+  let p = Gen.quarter_fischer () in
+  same "quarter fischer" (F.system p) (F.boundmap p) (F.u_enter p)
+
+(* Every zone of the fischer n=3 certificate carries weight: dropping
+   any one, or tightening a sample of its bounds from [<= c] to [< c],
+   is rejected. *)
+let certificate_mutations_rejected () =
+  let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
+  let sys = F.system p and bm = F.boundmap p and cond = F.u_enter p in
+  let prop = Certificate.Condition cond in
+  let cert = cert_of_condition (module Reach.Auto) sys bm cond in
+  accepts "unmutated" sys bm prop cert;
+  let with_zones li zones =
+    Array.mapi
+      (fun i (l : _ Certificate.location) ->
+        if i = li then { l with Certificate.zones } else l)
+      cert
+  in
+  let rejected what cert =
+    match Certificate.check sys bm prop cert with
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | Error _ -> ()
+  in
+  Array.iteri
+    (fun li (l : _ Certificate.location) ->
+      List.iteri
+        (fun zi _ ->
+          rejected
+            (Printf.sprintf "location %d without zone %d" li zi)
+            (with_zones li
+               (List.filteri (fun k _ -> k <> zi) l.Certificate.zones)))
+        l.Certificate.zones)
+    cert;
+  (* every non-strict bound, as (location, zone, constraint) *)
+  let weak = ref [] in
+  Array.iteri
+    (fun li (l : _ Certificate.location) ->
+      List.iteri
+        (fun zi z ->
+          List.iteri
+            (fun ci (_, _, b) ->
+              match b with
+              | Tm_zones.Dbm_bound.Le _ -> weak := (li, zi, ci) :: !weak
+              | Tm_zones.Dbm_bound.Lt _ | Tm_zones.Dbm_bound.Inf -> ())
+            z)
+        l.Certificate.zones)
+    cert;
+  let weak = Array.of_list (List.rev !weak) in
+  let prng = Tm_base.Prng.create 23 in
+  let samples = 60 in
+  Alcotest.(check bool)
+    "enough bounds to sample" true
+    (Array.length weak >= samples);
+  for _ = 1 to samples do
+    let li, zi, ci = weak.(Tm_base.Prng.int prng (Array.length weak)) in
+    let tighten z =
+      List.mapi
+        (fun k ((i, j, b) as c) ->
+          match b with
+          | Tm_zones.Dbm_bound.Le q when k = ci ->
+              (i, j, Tm_zones.Dbm_bound.Lt q)
+          | _ -> c)
+        z
+    in
+    let zones =
+      List.mapi
+        (fun k z -> if k = zi then tighten z else z)
+        cert.(li).Certificate.zones
+    in
+    rejected
+      (Printf.sprintf "location %d zone %d bound %d tightened" li zi ci)
+      (with_zones li zones)
+  done
+
+(* One class [k] with bounds [2, 2] firing action 0 forever, and a
+   condition that arms at the start and at every step and bounds the
+   time to the next step.  Each wrong claim below is caught by one
+   check of the checker alone: the upper probe, the lower probe, the
+   invariant, start coverage.  (With [b_l(k) < 2] LU widening would
+   drop [x <= 2], and a tighter [b_u] would then widen the zones too.) *)
+let certificate_property_rejected () =
+  let module Ioa = Tm_ioa.Ioa in
+  let sys =
+    {
+      Ioa.name = "loop";
+      start = [ 0 ];
+      alphabet = [ 0 ];
+      kind_of = (fun _ -> Ioa.Output);
+      delta = (fun s a -> if a = 0 then [ s ] else []);
+      classes = [ "k" ];
+      class_of = (fun _ -> Some "k");
+      equal_state = Int.equal;
+      hash_state = Hashtbl.hash;
+      pp_state = Format.pp_print_int;
+      equal_action = Int.equal;
+      pp_action = Format.pp_print_int;
+    }
+  in
+  let bm =
+    Tm_timed.Boundmap.of_list [ ("k", Interval.make (q 2) (Time.Fin (q 2))) ]
+  in
+  let next lo hi =
+    Condition.make ~name:"next" ~t_start:(fun _ -> true)
+      ~t_step:(fun _ _ _ -> true)
+      ~bounds:(Interval.make lo (Time.Fin hi))
+      ~in_pi:(fun a -> a = 0)
+      ()
+  in
+  let within lo hi = Certificate.Condition (next lo hi) in
+  let cert = cert_of_condition (module Reach.Auto) sys bm (next (q 0) (q 2)) in
+  let inv = cert_of_invariant (module Reach.Auto) sys bm (fun _ -> true) in
+  accepts "the condition" sys bm (within (q 0) (q 2)) cert;
+  List.iter
+    (fun (what, prop, cert) ->
+      match Certificate.check sys bm prop cert with
+      | Ok _ -> Alcotest.failf "%s: accepted" what
+      | Error _ -> ())
+    [
+      ("upper bound 3/2", within (q 0) (Rational.make 3 2), cert);
+      ("lower bound 3/2", within (Rational.make 3 2) (q 2), cert);
+      ("false invariant", Certificate.Invariant (fun _ -> false), inv);
+      ("no zones", Certificate.Invariant (fun _ -> true), [||]);
+    ]
 
 let paranoid_clean_agrees () =
   let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let sys = F.system p and bm = F.boundmap p in
   let cond = F.u_enter p in
   let base = Reach.Auto.check_condition sys bm cond in
-  with_paranoid ~every:1 ~corrupt:false @@ fun () ->
   let t0 = Metrics.value c_selfcheck and m0 = Metrics.value c_mismatch in
   let o = Reach.Paranoid.check_condition sys bm cond in
   Alcotest.(check bool) "verdict equals int engine" true (o = base);
   Alcotest.(check bool)
-    "pipelines were checked" true
+    "certificate zones were checked" true
     (Metrics.value c_selfcheck > t0);
   Alcotest.(check int) "no mismatches" m0 (Metrics.value c_mismatch)
 
 (* The paranoid engine goes through the same scaling step: on a
-   fractional job both the int kernel and its reference mirror see the
-   scaled constants and must agree entry for entry, and the verdict
+   fractional job the certificate comes back unscaled, and the verdict
    must equal the unscaled reference engine's. *)
 let paranoid_fractional_agrees () =
   let p = Gen.quarter_fischer () in
   let sys = F.system p and bm = F.boundmap p in
   let cond = F.u_enter p in
   let base = Reach.Ref.check_condition sys bm cond in
-  with_paranoid ~every:1 ~corrupt:false @@ fun () ->
   let t0 = Metrics.value c_selfcheck and m0 = Metrics.value c_mismatch in
   let o = Reach.Paranoid.check_condition sys bm cond in
   Alcotest.(check bool) "verdict equals ref engine" true (o = base);
   Alcotest.(check bool)
-    "pipelines were checked" true
+    "certificate zones were checked" true
     (Metrics.value c_selfcheck > t0);
   Alcotest.(check int) "no mismatches" m0 (Metrics.value c_mismatch)
 
-(* Margin walks probe mediant-perturbed, non-integral boundmaps; under
-   a self-check of every pipeline each scaled probe must agree with the
-   reference mirror, and the report must equal the int engine's. *)
+(* Margin walks probe mediant-perturbed, non-integral boundmaps; every
+   probe's verdict is checked — a certificate or a reference rerun —
+   and the report must equal the int engine's. *)
 let paranoid_margin_agrees () =
   let module Margin = Tm_faults.Margin in
   let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
@@ -621,12 +823,32 @@ let paranoid_margin_agrees () =
       bm
   in
   let base = report (module Reach.Auto) in
-  with_paranoid ~every:1 ~corrupt:false @@ fun () ->
+  let t0 = Metrics.value c_selfcheck in
   let m0 = Metrics.value c_mismatch and d0 = Metrics.value c_degraded in
   Alcotest.(check bool)
     "report equals int engine" true
     (report (module Reach.Paranoid) = base);
+  Alcotest.(check bool)
+    "probes were checked" true
+    (Metrics.value c_selfcheck > t0);
   Alcotest.(check int) "no mismatches" m0 (Metrics.value c_mismatch);
+  Alcotest.(check int) "no degradation" d0 (Metrics.value c_degraded)
+
+(* A refutation is confirmed by a reference rerun, which counts one
+   check and degrades nothing. *)
+let paranoid_refutation_confirmed () =
+  let bad = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:3 ~b:2 ~b2:3 ~e:2 in
+  let sys = F.system bad and bm = F.boundmap bad in
+  let base = Reach.Auto.check_state_invariant sys bm F.mutual_exclusion in
+  let t0 = Metrics.value c_selfcheck and d0 = Metrics.value c_degraded in
+  let o = Reach.Paranoid.check_state_invariant sys bm F.mutual_exclusion in
+  (match (o, base) with
+  | Error s, Error s' ->
+      Alcotest.(check bool)
+        "same violating state" true
+        (sys.Tm_ioa.Ioa.equal_state s s')
+  | _ -> Alcotest.fail "a >= b must break mutual exclusion");
+  Alcotest.(check int) "one confirmation" (t0 + 1) (Metrics.value c_selfcheck);
   Alcotest.(check int) "no degradation" d0 (Metrics.value c_degraded)
 
 let paranoid_detects_corruption () =
@@ -634,7 +856,8 @@ let paranoid_detects_corruption () =
   let sys = F.system p and bm = F.boundmap p in
   let cond = F.u_enter p in
   let base = Reach.Auto.check_condition sys bm cond in
-  with_paranoid ~every:1 ~corrupt:true @@ fun () ->
+  Reach.For_testing.corrupt_certificate := true;
+  Fun.protect ~finally:Reach.For_testing.reset @@ fun () ->
   let m0 = Metrics.value c_mismatch and d0 = Metrics.value c_degraded in
   let o = Reach.Paranoid.check_condition sys bm cond in
   Alcotest.(check bool)
@@ -732,12 +955,24 @@ let suite =
       `Quick fractional_checkpoint_roundtrip;
     Alcotest.test_case "resume: foreign snapshot rejected" `Quick
       resume_rejects_wrong_job;
+    Alcotest.test_case
+      "certificate: every registry verdict accepted, 1 and 2 domains" `Quick
+      certificate_registry_accepted;
+    Alcotest.test_case "certificate: int fixpoint equals ref, zone for zone"
+      `Quick certificate_int_equals_ref;
+    Alcotest.test_case
+      "certificate: dropped zones and tightened bounds rejected" `Quick
+      certificate_mutations_rejected;
+    Alcotest.test_case "certificate: stronger properties rejected" `Quick
+      certificate_property_rejected;
     Alcotest.test_case "paranoid: clean run agrees with int" `Quick
       paranoid_clean_agrees;
     Alcotest.test_case "paranoid: fractional job checked, agrees with ref"
       `Quick paranoid_fractional_agrees;
     Alcotest.test_case "paranoid: margin probes checked, report unchanged"
       `Quick paranoid_margin_agrees;
+    Alcotest.test_case "paranoid: refutation confirmed by the ref engine"
+      `Quick paranoid_refutation_confirmed;
     Alcotest.test_case "paranoid: injected corruption detected, degraded"
       `Quick paranoid_detects_corruption;
     Alcotest.test_case "deadline: overshoot bounded by one expansion" `Quick
