@@ -393,7 +393,13 @@ let supervise policy ~attempts ~backoff_s ?on_retry ?limit ?deadline_s
       with
       | Ok r -> Supervisor.Done (Ok r)
       | Error (e : Reach.exhausted) ->
-          if e.checkpoint <> None then resume := e.checkpoint;
+          (* the next attempt resumes from this one's snapshot, else
+             from where this one began — unless a finished search (a
+             paranoid run whose check ran out of time) removed it *)
+          (match (e.checkpoint, !resume) with
+          | Some _, _ -> resume := e.checkpoint
+          | None, Some r when not (Sys.file_exists r) -> resume := None
+          | None, _ -> ());
           if Supervisor.interrupt_requested () then stop (`Exhausted e)
           else if
             e.checkpoint <> None

@@ -139,8 +139,10 @@ val supervise :
   'r job ->
   ('r, [ `Exhausted of Reach.exhausted | `Crashed of string ]) result
 (** Run [job] under up to [attempts] attempts with the given budgets,
-    the first resuming from [resume]; [on_retry] runs before each
-    backoff sleep.  A job without a definite result ends with the last
+    the first resuming from [resume] and each later one from its
+    predecessor's checkpoint, or else from where that one began while
+    the file is still there; [on_retry] runs before each backoff
+    sleep.  A job without a definite result ends with the last
     exhaustion (its [checkpoint] is where to resume) or the last
     contained exception's message.  An interrupt before an attempt
     gives an exhaustion with [policy.interrupted], the last partial

@@ -14,6 +14,7 @@ type ('s, 'a) property =
   | Condition of ('s, 'a) Condition.t
 
 exception Reject of string
+exception Out_of_time
 
 let reject fmt = Printf.ksprintf (fun m -> raise (Reject m)) fmt
 
@@ -41,8 +42,13 @@ type 's srec = {
 
 let phase armed = if armed then 1 else 0
 
-let check (type s a) (a : (s, a) Ioa.t) bm (prop : (s, a) property)
-    (cert : s t) =
+let check (type s a) ?deadline (a : (s, a) Ioa.t) bm
+    (prop : (s, a) property) (cert : s t) =
+  let on_time =
+    match deadline with
+    | None -> ignore
+    | Some t -> fun () -> if Tm_obs.Tracing.now_s () > t then raise Out_of_time
+  in
   let enc = Clock_enc.make a bm in
   let n = enc.Clock_enc.nclasses in
   let y = n + 1 in
@@ -144,6 +150,7 @@ let check (type s a) (a : (s, a) Ioa.t) bm (prop : (s, a) property)
      ones reset, the others kept, disabled ones dropped), then the
      timing tail. *)
   let step ~li s r armed z =
+    on_time ();
     let pos = r.lays.(phase armed).pos in
     List.iter
       (fun (k, s') ->

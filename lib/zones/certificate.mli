@@ -29,7 +29,11 @@ type ('s, 'a) property =
       (** no armed zone admits [y > b_u], no [Π]-step from an armed zone
           admits [y < b_l] *)
 
+exception Out_of_time
+(** {!check} ran past its [deadline]. *)
+
 val check :
+  ?deadline:float ->
   ('s, 'a) Tm_ioa.Ioa.t ->
   Tm_timed.Boundmap.t ->
   ('s, 'a) property ->
@@ -44,4 +48,6 @@ val check :
     the observer's move, time passing under the invariants
     [x_C <= b_u(C)], LU widening — is empty or lies in one zone at its
     target; and the property holds.  Otherwise [Error] names the
-    failing location.  @raise Clock_enc.Open_system like {!Reach}. *)
+    failing location.  @raise Out_of_time once the clock of
+    [Tm_obs.Tracing.now_s] passes [deadline].
+    @raise Clock_enc.Open_system like {!Reach}. *)

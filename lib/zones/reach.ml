@@ -110,19 +110,16 @@ module type S = sig
   val reachable :
     ?limit:int -> ?deadline_s:float -> ?domains:int ->
     ?checkpoint:string * int -> ?resume:string ->
-    ?certificate:('s Certificate.t -> unit) ->
     ('s, 'a) Ioa.t -> Boundmap.t -> stats * 's list
 
   val check_state_invariant :
     ?limit:int -> ?deadline_s:float -> ?domains:int ->
     ?checkpoint:string * int -> ?resume:string ->
-    ?certificate:('s Certificate.t -> unit) ->
     ('s, 'a) Ioa.t -> Boundmap.t -> ('s -> bool) -> (stats, 's) result
 
   val check_condition :
     ?limit:int -> ?deadline_s:float -> ?domains:int ->
     ?checkpoint:string * int -> ?resume:string ->
-    ?certificate:('s Certificate.t -> unit) ->
     ('s, 'a) Ioa.t -> Boundmap.t -> ('s, 'a) Condition.t -> outcome
 
   val fingerprint_reachable : ('s, 'a) Ioa.t -> Boundmap.t -> string
@@ -139,7 +136,7 @@ end
    differs.  That makes [zones.stored] identical across kernels by
    construction, which the CI determinism guard and the differential
    harness both rely on. *)
-module Make (K : Dbm_sig.S) : S = struct
+module Make (K : Dbm_sig.S) = struct
   (* The zone engine's view of the encoding: the shared class clocks of
      {!Clock_enc} (logical clocks 1..n, 0 is the reference), plus an
      optional observer clock n+1.  A zone's own indices are those of
@@ -1360,6 +1357,26 @@ module Make (K : Dbm_sig.S) : S = struct
     | Error (`Budget e) -> Unknown e
     | Error (`Refuted (`Lower, st)) -> Lower_violation st
     | Error (`Refuted (`Upper, st)) -> Upper_violation st
+
+  (* The entry points above also hand a positive verdict's certificate
+     to [?certificate]; [S] (and so every engine outside this file)
+     sees them without it. *)
+  module Certifying = struct
+    let reachable = reachable
+    let check_state_invariant = check_state_invariant
+    let check_condition = check_condition
+  end
+
+  let reachable ?limit ?deadline_s ?domains ?checkpoint ?resume a bm =
+    reachable ?limit ?deadline_s ?domains ?checkpoint ?resume a bm
+
+  let check_state_invariant ?limit ?deadline_s ?domains ?checkpoint ?resume a
+      bm pred =
+    check_state_invariant ?limit ?deadline_s ?domains ?checkpoint ?resume a bm
+      pred
+
+  let check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume a bm c =
+    check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume a bm c
 end
 
 (* The production engine: the packed-int kernel, every job scaled to
@@ -1369,18 +1386,34 @@ end
 module Auto = Make (Dbm_int)
 module Ref = Make (Dbm_ref)
 
-(* Paranoid engine: the production exploration with its verdict
-   checked after the fact; see reach.mli.  The kernel is {!Dbm_int}
-   under its own name, so fingerprints keep paranoid checkpoints and
-   cached daemon verdicts apart from [auto] ones.  A rerun on {!Ref}
-   starts fresh — a snapshot of the (suspect) int run must not seed it,
-   so a [limit] given with [resume] bounds it from zero — but writes to
-   the caller's checkpoint path, so preemption still works. *)
+(* Test hooks; see reach.mli. *)
 module For_testing = struct
   let corrupt_certificate = ref false
   let reset () = corrupt_certificate := false
+
+  let certificate (type s a) ?domains kernel (a : (s, a) Ioa.t) bm
+      (prop : (s, a) Certificate.property) =
+    let cert = ref None in
+    let certificate c = cert := Some c in
+    let inv, cond =
+      match kernel with
+      | `Int -> Auto.Certifying.(check_state_invariant, check_condition)
+      | `Ref -> Ref.Certifying.(check_state_invariant, check_condition)
+    in
+    (match prop with
+    | Certificate.Invariant p -> ignore (inv ?domains ~certificate a bm p)
+    | Certificate.Condition c -> ignore (cond ?domains ~certificate a bm c));
+    !cert
 end
 
+(* Paranoid engine: the production exploration with its verdict
+   checked after the fact; see reach.mli.  The kernel is {!Dbm_int}
+   under its own name, so fingerprints keep paranoid checkpoints and
+   cached daemon verdicts apart from [auto] ones.  A {!Ref} rerun
+   starts fresh — a snapshot of the (suspect) int run must not seed it,
+   so a [limit] given with [resume] bounds it from zero — within what is
+   left of the deadline, and writes no checkpoint: its snapshots would
+   carry {!Ref}'s fingerprint, which a retry of this engine refuses. *)
 module Paranoid : S = struct
   module P = Make (struct
     include Dbm_int
@@ -1392,17 +1425,29 @@ module Paranoid : S = struct
   let c_mismatch = Metrics.counter "recover.selfcheck_mismatch"
   let c_degraded = Metrics.counter "recover.degraded"
 
-  (* [run (module E) ?resume sink] is one run of the entry point on
-     engine [E].  Run the int engine with a certificate sink and check
-     what its outcome claims: [`Proof] — the certificate must pass;
-     [`Refutation same] — a fresh {!Ref} run must return an outcome
-     [same] accepts; [`Nothing] — nothing.  A failed check answers with
-     the {!Ref} run's outcome. *)
-  let checked what a bm prop ?resume ~certificate ~claim run =
-    let cert = ref [||] in
-    let r = run (module P : S) ?resume (Some (fun c -> cert := c)) in
-    let rerun () = run (module Ref : S) ?resume:None certificate in
-    let degraded why =
+  (* Why a call ran out of its [deadline_s] during [stage]. *)
+  let late deadline_s stage =
+    Printf.sprintf "deadline exceeded (%.0f ms) %s"
+      (Option.value deadline_s ~default:0. *. 1000.)
+      stage
+
+  (* One checked call.  [run_int sink] is the int engine's run, [sink]
+     seeing a positive verdict's certificate; [run_ref d] the {!Ref} run
+     with deadline [d], an exhausted one raising [Out_of_budget].
+     [claim] reads what the int outcome claims: [`Proof stats] — the
+     certificate must pass; [`Refutation same] — the {!Ref} run's
+     outcome must satisfy [same]; [`Nothing] — nothing.  A failed check
+     answers with the {!Ref} run's outcome.  A check or confirming run
+     the deadline cuts short confirms nothing and raises
+     [Out_of_budget]. *)
+  let checked what a bm prop ~deadline_s ~claim run_int run_ref =
+    let t0 = Tracing.now_s () and cert = ref [||] in
+    let r = run_int (( := ) cert) in
+    let run_ref () =
+      let spent = Tracing.now_s () -. t0 in
+      run_ref (Option.map (fun d -> Float.max 0. (d -. spent)) deadline_s)
+    in
+    let degrade why =
       Metrics.incr c_mismatch;
       Metrics.incr c_degraded;
       Events.emit "recover.degraded"
@@ -1411,66 +1456,80 @@ module Paranoid : S = struct
     in
     match claim r with
     | `Nothing -> r
-    | `Proof -> (
+    | `Proof partial -> (
         let cert : _ Certificate.t = !cert in
         (* the test hook drops the zone the first start state seeded *)
         if !For_testing.corrupt_certificate then
           cert.(0) <-
             { (cert.(0)) with zones = List.tl cert.(0).Certificate.zones };
+        let deadline = Option.map (( +. ) t0) deadline_s in
         match
           Tracing.with_span "zones.certify" (fun () ->
-              Certificate.check a bm prop cert)
+              Certificate.check ?deadline a bm prop cert)
         with
         | Ok n ->
             Metrics.add c_checked n;
-            Option.iter (fun f -> f cert) certificate;
             r
         | Error why ->
-            degraded ("certificate rejected: " ^ why);
-            rerun ())
+            degrade ("certificate rejected: " ^ why);
+            run_ref ()
+        | exception Certificate.Out_of_time ->
+            let reason = late deadline_s "checking the certificate" in
+            raise (Out_of_budget { reason; partial; checkpoint = None }))
     | `Refutation same -> (
-        let why = "the reference kernel does not reproduce the refutation" in
-        match rerun () with
+        match run_ref () with
         | r' when same r' ->
             Metrics.incr c_checked;
             r
         | r' ->
-            degraded why;
+            degrade "the reference kernel does not reproduce the refutation";
             r'
-        | exception (Out_of_budget _ as ex) ->
-            degraded why;
-            raise ex)
+        | exception Out_of_budget e
+          when String.starts_with ~prefix:"deadline" e.reason ->
+            let reason = late deadline_s "confirming the refutation" in
+            raise (Out_of_budget { e with reason }))
 
-  let reachable ?limit ?deadline_s ?domains ?checkpoint ?resume ?certificate a
-      bm =
-    checked "reachable" a bm (Certificate.Invariant (fun _ -> true)) ?resume
-      ~certificate ~claim:(fun _ -> `Proof)
-      (fun (module E : S) ?resume certificate ->
-        E.reachable ?limit ?deadline_s ?domains ?checkpoint ?resume
-          ?certificate a bm)
+  let reachable ?limit ?deadline_s ?domains ?checkpoint ?resume a bm =
+    checked "reachable" a bm (Certificate.Invariant (fun _ -> true))
+      ~deadline_s
+      ~claim:(fun (stats, _) -> `Proof stats)
+      (fun certificate ->
+        P.Certifying.reachable ?limit ?deadline_s ?domains ?checkpoint
+          ?resume ~certificate a bm)
+      (fun deadline_s -> Ref.reachable ?limit ?deadline_s ?domains a bm)
 
   let check_state_invariant ?limit ?deadline_s ?domains ?checkpoint ?resume
-      ?certificate (a : (_, _) Ioa.t) bm pred =
-    checked "invariant" a bm (Certificate.Invariant pred) ?resume ~certificate
+      (a : (_, _) Ioa.t) bm pred =
+    checked "invariant" a bm (Certificate.Invariant pred) ~deadline_s
       ~claim:(function
-        | Ok _ -> `Proof
+        | Ok stats -> `Proof stats
         | Error s ->
             `Refutation
               (function Error s' -> a.Ioa.equal_state s s' | Ok _ -> false))
-      (fun (module E : S) ?resume certificate ->
-        E.check_state_invariant ?limit ?deadline_s ?domains ?checkpoint
-          ?resume ?certificate a bm pred)
+      (fun certificate ->
+        P.Certifying.check_state_invariant ?limit ?deadline_s ?domains
+          ?checkpoint ?resume ~certificate a bm pred)
+      (fun deadline_s ->
+        Ref.check_state_invariant ?limit ?deadline_s ?domains a bm pred)
 
-  let check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume
-      ?certificate a bm c =
-    checked "condition" a bm (Certificate.Condition c) ?resume ~certificate
-      ~claim:(function
-        | Verified _ -> `Proof
-        | (Lower_violation _ | Upper_violation _) as o -> `Refutation (( = ) o)
-        | Unknown _ | Unsupported _ -> `Nothing)
-      (fun (module E : S) ?resume certificate ->
-        E.check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume
-          ?certificate a bm c)
+  (* Inside [checked] an exhausted condition check is [Out_of_budget],
+     as for the other two entry points. *)
+  let check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume a bm c =
+    try
+      checked "condition" a bm (Certificate.Condition c) ~deadline_s
+        ~claim:(function
+          | Verified stats -> `Proof stats
+          | (Lower_violation _ | Upper_violation _) as o ->
+              `Refutation (( = ) o)
+          | Unknown _ | Unsupported _ -> `Nothing)
+        (fun certificate ->
+          P.Certifying.check_condition ?limit ?deadline_s ?domains ?checkpoint
+            ?resume ~certificate a bm c)
+        (fun deadline_s ->
+          match Ref.check_condition ?limit ?deadline_s ?domains a bm c with
+          | Unknown e -> raise (Out_of_budget e)
+          | o -> o)
+    with Out_of_budget e -> Unknown e
 
   let fingerprint_reachable = P.fingerprint_reachable
   let fingerprint_invariant = P.fingerprint_invariant

@@ -195,19 +195,11 @@ exception Out_of_budget of exhausted
     continues the fixpoint exactly; it raises
     [Tm_recover.Snapshot.Bad_snapshot] on a corrupt, truncated,
     wrong-version or wrong-job file — a bad snapshot can never produce
-    a wrong verdict.
-
-    [?certificate f] calls [f] on a positive verdict with the stored
-    zones, an inductive invariant that {!Certificate.check} confirms
-    without this engine's code: each location in id order, each zone
-    lifted to the logical clocks live there, unscaled, in minimal
-    constraints.  It is read off
-    the location table after the search, which it does not change. *)
+    a wrong verdict. *)
 module type S = sig
   val reachable :
     ?limit:int -> ?deadline_s:float -> ?domains:int ->
     ?checkpoint:string * int -> ?resume:string ->
-    ?certificate:('s Certificate.t -> unit) ->
     ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t -> stats * 's list
   (** Timed reachability: explored stats and the base states reachable
       under the timing assumptions (a subset of the untimed reachable
@@ -221,7 +213,6 @@ module type S = sig
     ?domains:int ->
     ?checkpoint:string * int ->
     ?resume:string ->
-    ?certificate:('s Certificate.t -> unit) ->
     ('s, 'a) Tm_ioa.Ioa.t ->
     Tm_timed.Boundmap.t ->
     ('s -> bool) ->
@@ -236,7 +227,6 @@ module type S = sig
     ?domains:int ->
     ?checkpoint:string * int ->
     ?resume:string ->
-    ?certificate:('s Certificate.t -> unit) ->
     ('s, 'a) Tm_ioa.Ioa.t ->
     Tm_timed.Boundmap.t ->
     ('s, 'a) Tm_timed.Condition.t ->
@@ -277,21 +267,40 @@ module Ref : S
     cross-checking a suspicious verdict. *)
 
 module Paranoid : S
-(** {!Auto}'s exploration, its verdict checked after the fact: a
-    positive one by {!Certificate.check} ([recover.selfcheck_total]
-    counts the zones), a refutation by a fresh {!Ref} run that must
+(** {!Auto}'s exploration, its verdict checked after the fact.  A
+    positive one is checked by {!Certificate.check} on its certificate:
+    the stored zones, an inductive invariant — each location in id
+    order, each zone lifted to the logical clocks live there, unscaled,
+    in minimal constraints — read off the location table after the
+    search, which it does not change ([recover.selfcheck_total] counts
+    the zones).  A refutation is checked by a fresh {!Ref} run that must
     return the same outcome (counted once).  A failed check counts
     [recover.selfcheck_mismatch] and [recover.degraded], logs why, and
     answers with {!Ref}'s outcome.  [Unknown] and [Unsupported] claim
-    nothing and pass unchecked.  Fingerprints read [kernel=int+cert]. *)
+    nothing and pass unchecked.  [?deadline_s] bounds the whole call:
+    the check and any {!Ref} run get what the exploration left of it, a
+    {!Ref} run writes no checkpoint, and a check or confirming run the
+    budget cuts short is exhausted ([Unknown] / [Out_of_budget]), not a
+    mismatch.  Fingerprints read [kernel=int+cert]. *)
 
-(** Test hook, in the style of [Tm_recover.Snapshot.For_testing]. *)
+(** Test hooks, in the style of [Tm_recover.Snapshot.For_testing]. *)
 module For_testing : sig
   val corrupt_certificate : bool ref
   (** While set, {!Paranoid} drops the zone the first start state seeded
       from every certificate before checking it. *)
 
   val reset : unit -> unit
+
+  val certificate :
+    ?domains:int ->
+    [ `Int | `Ref ] ->
+    ('s, 'a) Tm_ioa.Ioa.t ->
+    Tm_timed.Boundmap.t ->
+    ('s, 'a) Certificate.property ->
+    's Certificate.t option
+  (** The certificate {!Auto} ([`Int]) or {!Ref} reads off its fixpoint
+      after checking the invariant or condition; [None] unless the
+      verdict is positive. *)
 end
 
 include S

@@ -3,9 +3,11 @@
 # of every subcommand in the matrix below, as `timedmap` runs it.
 #
 #   sh run.sh path/to/timedmap.exe SYSTEM
+#   sh run.sh path/to/timedmap.exe -- ARGS...    (the one command ARGS)
 #
 # Used by the dune rules next to it, which diff the result against
-# SYSTEM.expected.  stderr is dropped.
+# SYSTEM.expected (or, for one command, the rule's own file).  stderr
+# is dropped.
 exe=$1
 sys=$2
 
@@ -14,6 +16,12 @@ run () {
   "$exe" "$@" 2>/dev/null
   echo "[exit $?]"
 }
+
+if [ "$sys" = -- ]; then
+  shift 2
+  run "$@"
+  exit 0
+fi
 
 run verify -S "$sys" -n 3
 run margin -S "$sys" -n 2 --json

@@ -368,6 +368,18 @@ let test_policy_table () =
           ("daemon", Catalog.daemon_policy, daemon) ])
     policy_table
 
+(* An attempt that leaves no snapshot after a finished search removed
+   the one it resumed from (a paranoid run whose check ran out of
+   time) sends the next attempt back to the start. *)
+let test_removed_resume_dropped () =
+  let got, resumes =
+    supervise ~resume:"/nonexistent/c0" Catalog.cli_policy
+      [ (fun () -> exhausted deadline); ok ]
+  in
+  Alcotest.(check string) "retried" "ok 7" got;
+  Alcotest.(check (list (option string)))
+    "resumes" [ Some "/nonexistent/c0"; None ] resumes
+
 (* An interrupt that arrives before an attempt stops the job with the
    policy's reason, the progress so far and the checkpoint to resume
    from — before the first attempt too. *)
@@ -465,6 +477,8 @@ let suite =
       `Quick test_mix_universe;
     Alcotest.test_case "supervise: policy table (cli, daemon)" `Quick
       test_policy_table;
+    Alcotest.test_case "supervise: a removed resume file is dropped" `Quick
+      test_removed_resume_dropped;
     Alcotest.test_case "supervise: interrupt before an attempt" `Quick
       test_interrupt_before_attempt;
     Alcotest.test_case "refutations report their stats at any domain count"

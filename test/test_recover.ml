@@ -571,22 +571,12 @@ let resume_rejects_wrong_job () =
 let zone_count (cert : _ Certificate.t) =
   Array.fold_left (fun n l -> n + List.length l.Certificate.zones) 0 cert
 
-(* The certificate a positive verdict of [E] hands out. *)
-let cert_of_condition (module E : Reach.S) sys bm cond =
-  let cert = ref None in
-  match
-    E.check_condition ~certificate:(fun c -> cert := Some c) sys bm cond
-  with
-  | Reach.Verified _ -> Option.get !cert
-  | _ -> Alcotest.fail "expected a verified condition"
-
-let cert_of_invariant (module E : Reach.S) sys bm pred =
-  let cert = ref None in
-  match
-    E.check_state_invariant ~certificate:(fun c -> cert := Some c) sys bm pred
-  with
-  | Ok _ -> Option.get !cert
-  | Error _ -> Alcotest.fail "expected the invariant to hold"
+(* The certificate a positive verdict of the int or reference engine
+   hands out. *)
+let cert_of kernel sys bm prop =
+  match Reach.For_testing.certificate kernel sys bm prop with
+  | Some cert -> cert
+  | None -> Alcotest.fail "expected a positive verdict"
 
 let accepts what sys bm prop cert =
   match Certificate.check sys bm prop cert with
@@ -610,26 +600,14 @@ let certificate_registry_accepted () =
             e.Registry.name ^ " "
             ^ Registry.check_label model.Registry.label check
           in
-          (* [run domains sink]: the check, [sink] seeing the certificate *)
-          let prop, run =
+          let prop =
             match check with
             | Registry.Cond c | Registry.Note { cond = c; _ } ->
-                ( Certificate.Condition c,
-                  fun domains sink ->
-                    ignore
-                      (Reach.Auto.check_condition ~domains ~certificate:sink
-                         sys bm c) )
-            | Registry.Inv { pred; _ } ->
-                ( Certificate.Invariant pred,
-                  fun domains sink ->
-                    ignore
-                      (Reach.Auto.check_state_invariant ~domains
-                         ~certificate:sink sys bm pred) )
+                Certificate.Condition c
+            | Registry.Inv { pred; _ } -> Certificate.Invariant pred
           in
           let cert domains =
-            let c = ref None in
-            run domains (fun x -> c := Some x);
-            !c
+            Reach.For_testing.certificate ~domains `Int sys bm prop
           in
           match cert 1 with
           | None -> ()
@@ -648,8 +626,8 @@ let certificate_registry_accepted () =
    reference engine's full-width cylinders, zone for zone. *)
 let certificate_int_equals_ref () =
   let same what sys bm cond =
-    let ci = cert_of_condition (module Reach.Auto) sys bm cond in
-    let cr = cert_of_condition (module Reach.Ref) sys bm cond in
+    let ci = cert_of `Int sys bm (Certificate.Condition cond) in
+    let cr = cert_of `Ref sys bm (Certificate.Condition cond) in
     Alcotest.(check int)
       (what ^ ": locations") (Array.length cr) (Array.length ci);
     Alcotest.(check bool) (what ^ ": zone for zone") true (ci = cr)
@@ -666,7 +644,7 @@ let certificate_mutations_rejected () =
   let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let sys = F.system p and bm = F.boundmap p and cond = F.u_enter p in
   let prop = Certificate.Condition cond in
-  let cert = cert_of_condition (module Reach.Auto) sys bm cond in
+  let cert = cert_of `Int sys bm prop in
   accepts "unmutated" sys bm prop cert;
   let with_zones li zones =
     Array.mapi
@@ -765,9 +743,16 @@ let certificate_property_rejected () =
       ()
   in
   let within lo hi = Certificate.Condition (next lo hi) in
-  let cert = cert_of_condition (module Reach.Auto) sys bm (next (q 0) (q 2)) in
-  let inv = cert_of_invariant (module Reach.Auto) sys bm (fun _ -> true) in
+  let cert = cert_of `Int sys bm (within (q 0) (q 2)) in
+  let inv = cert_of `Int sys bm (Certificate.Invariant (fun _ -> true)) in
   accepts "the condition" sys bm (within (q 0) (q 2)) cert;
+  (match
+     Certificate.check
+       ~deadline:(Tm_obs.Tracing.now_s () -. 1.)
+       sys bm (within (q 0) (q 2)) cert
+   with
+  | exception Certificate.Out_of_time -> ()
+  | _ -> Alcotest.fail "a past deadline must cut the check short");
   List.iter
     (fun (what, prop, cert) ->
       match Certificate.check sys bm prop cert with
@@ -851,6 +836,72 @@ let paranoid_refutation_confirmed () =
   Alcotest.(check int) "one confirmation" (t0 + 1) (Metrics.value c_selfcheck);
   Alcotest.(check int) "no degradation" d0 (Metrics.value c_degraded)
 
+(* A refutation the int engine reaches within the deadline but the
+   reference rerun does not is unconfirmed: exhausted, with no mismatch
+   and no degrade, and no reference snapshot at the caller's checkpoint
+   path, so the supervised retry runs the same paranoid job again.  The
+   deadline sits between the two engines' times for the refutation, on
+   fischer n=5 about fifty-fold apart. *)
+let paranoid_unconfirmed_refutation () =
+  let e = Result.get_ok (Registry.find "fischer") in
+  let model =
+    Result.get_ok (Registry.instantiate e [ ("n", 5); ("a", 2); ("b", 1) ])
+  in
+  let (Registry.Verified v) = model.Registry.verified in
+  let sys = v.Registry.system and bm = v.Registry.boundmap in
+  let check = List.hd v.Registry.checks in
+  let pred =
+    match check with
+    | Registry.Inv { pred; _ } -> pred
+    | _ -> Alcotest.fail "fischer's first check is mutual exclusion"
+  in
+  let time f =
+    let t0 = Unix.gettimeofday () in
+    (match f sys bm pred with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail "a >= b must break mutual exclusion");
+    Unix.gettimeofday () -. t0
+  in
+  let t_int =
+    Float.min
+      (time Reach.Auto.check_state_invariant)
+      (time Reach.Auto.check_state_invariant)
+  in
+  let t_ref = time Reach.Ref.check_state_invariant in
+  let deadline_s = sqrt (t_int *. t_ref) in
+  let job =
+    Tm_serve.Catalog.check_job (module Reach.Paranoid) ~label:"fischer" v
+      check
+  in
+  let ck = tmp_ck () in
+  rm_f ck;
+  Fun.protect ~finally:(fun () -> rm_f ck) @@ fun () ->
+  let m0 = Metrics.value c_mismatch and d0 = Metrics.value c_degraded in
+  let retries = ref 0 in
+  (match
+     Tm_serve.Catalog.supervise Tm_serve.Catalog.cli_policy ~attempts:2
+       ~backoff_s:0.
+       ~on_retry:(fun ~attempt:_ ~delay_s:_ ~reason:_ -> incr retries)
+       ~deadline_s ~domains:1 ~checkpoint:(ck, 64) job
+   with
+  | Error (`Exhausted x) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "exhausted by the deadline (%s)" x.Reach.reason)
+        true
+        (String.starts_with ~prefix:"deadline" x.Reach.reason)
+  | Error (`Crashed m) -> Alcotest.failf "crashed: %s" m
+  | Ok _ ->
+      Alcotest.failf "confirmed within %.0f ms (int %.0f ms, ref %.0f ms)"
+        (deadline_s *. 1000.) (t_int *. 1000.) (t_ref *. 1000.));
+  Alcotest.(check int) "the deadline retried once" 1 !retries;
+  Alcotest.(check int) "no mismatch" m0 (Metrics.value c_mismatch);
+  Alcotest.(check int) "no degrade" d0 (Metrics.value c_degraded);
+  if Sys.file_exists ck then
+    Alcotest.(check string)
+      "only the paranoid job's own snapshot"
+      (Reach.Paranoid.fingerprint_invariant sys bm)
+      (fst (Snapshot.inspect ck))
+
 let paranoid_detects_corruption () =
   let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let sys = F.system p and bm = F.boundmap p in
@@ -874,9 +925,8 @@ let paranoid_detects_corruption () =
    ~10 ms, and the full space has hundreds of zones, so an uninterrupted
    run takes seconds.  A 50 ms deadline must stop the search after at
    most one in-flight zone expansion — well under a second. *)
-let slow_automaton () =
+let slow_automaton ?(n = 400) ?(sleep = 0.01) () =
   let module Ioa = Tm_ioa.Ioa in
-  let n = 400 in
   {
     Ioa.name = "slow";
     start = [ 0 ];
@@ -886,7 +936,7 @@ let slow_automaton () =
       (fun s a ->
         if a <> 0 then []
         else begin
-          Unix.sleepf 0.01;
+          Unix.sleepf sleep;
           [ (s + 1) mod n ]
         end);
     classes = [ "k" ];
@@ -918,6 +968,27 @@ let deadline_overshoot_bounded () =
   Alcotest.(check bool)
     (Printf.sprintf "stopped promptly (%.3f s)" elapsed)
     true (elapsed < 1.0)
+
+(* A paranoid run's certificate check gets what the search left of
+   the deadline.  Ten states whose [delta] sleeps 20 ms each: the search
+   takes about 200 ms, and the checker, which calls [delta] again, as
+   long; a 300 ms deadline cuts the check short — exhausted, not a
+   mismatch. *)
+let paranoid_check_bounded () =
+  let aut = slow_automaton ~n:10 ~sleep:0.02 () in
+  let bm =
+    Tm_timed.Boundmap.of_list
+      [ ("k", Interval.make (q 1) (Time.Fin (q 2))) ]
+  in
+  let m0 = Metrics.value c_mismatch and d0 = Metrics.value c_degraded in
+  (match Reach.Paranoid.reachable ~deadline_s:0.3 aut bm with
+  | _ -> Alcotest.fail "the check should run out of time"
+  | exception Reach.Out_of_budget e ->
+      Alcotest.(check string)
+        "reason" "deadline exceeded (300 ms) checking the certificate"
+        e.Reach.reason);
+  Alcotest.(check int) "no mismatch" m0 (Metrics.value c_mismatch);
+  Alcotest.(check int) "no degrade" d0 (Metrics.value c_degraded)
 
 let suite =
   [
@@ -975,6 +1046,10 @@ let suite =
       `Quick paranoid_refutation_confirmed;
     Alcotest.test_case "paranoid: injected corruption detected, degraded"
       `Quick paranoid_detects_corruption;
+    Alcotest.test_case "paranoid: unconfirmed refutation is exhausted"
+      `Quick paranoid_unconfirmed_refutation;
+    Alcotest.test_case "paranoid: a check past the deadline is exhausted"
+      `Quick paranoid_check_bounded;
     Alcotest.test_case "deadline: overshoot bounded by one expansion" `Quick
       deadline_overshoot_bounded;
   ]
