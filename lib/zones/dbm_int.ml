@@ -433,15 +433,18 @@ let copy_into a z =
 (* ------------------------------------------------------------------ *)
 (* Minimal-constraint form: the {!Dbm_min} reduction hand-specialized
    to packed ints so the waiting/passed-list subsumption probe is a
-   tight loop over two int arrays — no closures, no boxing.  Same
+   tight loop over one int array — no closures, no boxing.  Same
    class-cycle + representative-edge construction, in the same
    deterministic order, so [equal] is structural here too.             *)
 
 module Min = struct
-  type min = { mn : int; mempty : bool; midx : int array; mbnd : int array }
+  (* [mc] holds the kept constraints as (index, bound) pairs: constraint
+     [e]'s row-major offset [i * mn + j] at [2e] and its packed bound at
+     [2e + 1], so a probe reads one block per stored zone. *)
+  type min = { mn : int; mempty : bool; mc : int array }
 
   let of_zone z =
-    if z.empty then { mn = z.n; mempty = true; midx = [||]; mbnd = [||] }
+    if z.empty then { mn = z.n; mempty = true; mc = [||] }
     else begin
       Metrics.incr c_minimize;
       let n = z.n and m = z.m and o = z.off in
@@ -487,12 +490,12 @@ module Min = struct
       let ncyc = ref 0 in
       Array.iter (fun s -> if s >= 2 then ncyc := !ncyc + s) size;
       let total = !ncyc + !nkept in
-      let midx = Array.make total 0 and mbnd = Array.make total 0 in
+      let mc = Array.make (2 * total) 0 in
       let e = ref 0 in
       let keep ij =
-        midx.(!e) <- ij;
-        mbnd.(!e) <- m.(o + ij);
-        incr e
+        mc.(!e) <- ij;
+        mc.(!e + 1) <- m.(o + ij);
+        e := !e + 2
       in
       (* Class cycles first, classes in representative order, members
          ascending; then representative edges in row-major order. *)
@@ -511,31 +514,54 @@ module Min = struct
       for ij = 0 to (n * n) - 1 do
         if Bytes.unsafe_get kept ij <> '\000' then keep ij
       done;
-      { mn = n; mempty = false; midx; mbnd }
+      { mn = n; mempty = false; mc }
     end
 
-  (* [subsumes mn z]: does the zone [mn] was reduced from include [z]?
-     Checking the kept constraints suffices: every reconstructed entry
-     is a path sum of kept bounds, and canonical [z] satisfies the
-     triangle inequality along that path. *)
-  let subsumes mn z =
+  (* Does the zone [mn] was reduced from include the [n]-clock zone at
+     offset [o] of [m] ([empty] if it is empty)?  Checking the kept
+     constraints suffices: every reconstructed entry is a path sum of
+     kept bounds, and a canonical zone satisfies the triangle
+     inequality along that path.  Both {!subsumes} and
+     {!Scratch.subsumed_by} are this loop, and count one
+     [min_subsumes]. *)
+  let covers mn n m o empty =
     Metrics.incr c_min_subsumes;
-    if mn.mempty then z.empty
-    else if z.empty then true
+    if mn.mempty then empty
+    else if empty then true
     else begin
-      if z.n <> mn.mn then invalid_arg "Dbm_int.Min.subsumes";
-      let m = z.m and o = z.off in
-      let midx = mn.midx and mbnd = mn.mbnd in
-      let ne = Array.length midx in
-      let ok = ref true in
+      if n <> mn.mn then invalid_arg "Dbm_int.Min.subsumes";
+      let mc = mn.mc in
+      let ne = Array.length mc in
       let e = ref 0 in
-      while !ok && !e < ne do
-        if m.(o + Array.unsafe_get midx !e) > Array.unsafe_get mbnd !e then
-          ok := false;
-        incr e
+      while
+        !e < ne
+        && m.(o + Array.unsafe_get mc !e) <= Array.unsafe_get mc (!e + 1)
+      do
+        e := !e + 2
       done;
-      !ok
+      !e >= ne
     end
+
+  let subsumes mn z = covers mn z.n z.m z.off z.empty
+
+  (* Checkpoint format 2's layout: positions and bounds in two arrays. *)
+  type stored = {
+    smn : int;
+    smempty : bool;
+    sidx : int array;
+    sbnd : int array;
+  }
+
+  let to_stored m =
+    let half r =
+      Array.init (Array.length m.mc / 2) (fun e -> m.mc.((2 * e) + r))
+    in
+    { smn = m.mn; smempty = m.mempty; sidx = half 0; sbnd = half 1 }
+
+  let of_stored s =
+    let pair p = (if p land 1 = 0 then s.sidx else s.sbnd).(p / 2) in
+    let mc = Array.init (2 * Array.length s.sidx) pair in
+    { mn = s.smn; mempty = s.smempty; mc }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -662,6 +688,7 @@ module Scratch = struct
           if !eq then Some z else None
         end
 
+  let subsumed_by s mn = Min.covers mn s.sn s.sm 0 s.sempty
   let hash s = if s.sempty then 0 else hash_arr s.sn s.sm 0
 
   let equal_zone s z =

@@ -285,6 +285,11 @@ module Min = struct
     | M r ->
         if z.n <> r.Dbm_min.mn then invalid_arg "Dbm_ref.Min.subsumes";
         z.empty || Dbm_min.subsumes r (fun i j -> z.m.((i * z.n) + j))
+
+  type stored = min
+
+  let to_stored m = m
+  let of_stored m = m
 end
 
 (* Scratch for the reference kernel is just a cell holding a persistent
@@ -315,6 +320,7 @@ module Scratch = struct
 
   let is_empty s = is_empty s.cur
   let sat s i j b = sat s.cur i j b
+  let subsumed_by s mn = Min.subsumes mn s.cur
 
   let hash s = hash s.cur
   let equal_zone s z = equal s.cur z

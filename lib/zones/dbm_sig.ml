@@ -145,6 +145,15 @@ module type S = sig
     val subsumes : min -> t -> bool
     (** [subsumes m z]: does the zone [m] came from include [z]?
         Exact — the dense inclusion test on the zone [m] came from. *)
+
+    type stored
+    (** [min] as a checkpoint holds it: the layout of snapshot format
+        version 2, kept whatever [min]'s own layout, so that a
+        checkpoint resumes on any build of that version. *)
+
+    val to_stored : min -> stored
+    val of_stored : stored -> min
+    (** Inverse conversions; neither counts a [dbm.ops]. *)
   end
 
   (** Destructive operations on a reusable scratch matrix.  One scratch
@@ -185,6 +194,13 @@ module type S = sig
 
     val sat : scratch -> int -> int -> Dbm_bound.t -> bool
     (** Satisfiability of one extra constraint, without mutating. *)
+
+    val subsumed_by : scratch -> Min.min -> bool
+    (** [subsumed_by s m] is [Min.subsumes m z] for the zone [z]
+        [freeze_into] would make of [s], read in place, so a successor
+        that a stored zone covers is dropped before it is hashed,
+        interned or frozen.  Same verdict and the same [dbm.ops] count
+        as [Min.subsumes]. *)
 
     val hash : scratch -> int
     (** The hash [freeze_into] 's result would have — same formula as

@@ -258,16 +258,22 @@ module Make (K : Dbm_sig.S) = struct
      it; [expanded] distinguishes passed-list members from entries
      pruned while still waiting (the [zones.pruned_waiting] signal).
      [zmin] is the minimal-constraint form of [z], computed once at
-     store time: both subsumption directions probe it in O(kept
-     constraints) instead of scanning the full n² matrix. *)
-  type zentry = {
+     store time: it prunes the zones [z] covers then, and afterwards
+     tests every later successor at the location for inclusion in [z],
+     in O(kept constraints) instead of scanning the full n² matrix.
+     A checkpoint holds the same record with [zmin] in {!K.Min.stored}'s
+     fixed layout, so the marshaled payload stays that of snapshot
+     format 2. *)
+  type 'm entry = {
     z : K.t;
-    zmin : K.Min.min;
+    zmin : 'm;
     zloose : int;
     seq : int;
     mutable alive : bool;
     mutable expanded : bool;
   }
+
+  type zentry = K.Min.min entry
 
   (* A location's clock layout: the logical clocks its zones carry, in
      ascending order.  On a compact kernel these are the live clocks —
@@ -333,17 +339,18 @@ module Make (K : Dbm_sig.S) = struct
 
   (* Checkpoint payload: the whole search frontier at a batch boundary.
      Zones and waiting-list entries are plain data ([K.t] carries no
-     closures), and one [Marshal] call preserves the sharing between
-     [p_cells] and [p_pending], so pending entries come back as the
-     same records as their cell copies.  States must themselves be
+     closures).  Each entry is converted once (entries are keyed by
+     their unique [seq]), and one [Marshal] call preserves the sharing
+     between [p_cells] and [p_pending], so pending entries come back
+     as the same records as their cell copies.  States must themselves be
      marshalable — true of every system in this repository.  Counter
      deltas are this job's contribution to the shared metrics, replayed
      with [Metrics.add] at resume so a resumed run's totals equal an
      uninterrupted one's. *)
   type 's snap = {
     p_keys : ('s * phase) array;  (** store keys in id order *)
-    p_cells : (int * zentry list) array;
-    p_pending : (int * zentry list) array;
+    p_cells : (int * K.Min.stored entry list) array;
+    p_pending : (int * K.Min.stored entry list) array;
     p_locq : int array;
     p_edges : int;
     p_zones : int;
@@ -571,9 +578,11 @@ module Make (K : Dbm_sig.S) = struct
         lc
       end
     in
-    (* Hash-consed zone store: structurally equal zones become one
-       pointer, so passed-list inclusion checks start with a physical
-       equality hit and hash at most once per distinct zone. *)
+    (* Hash-consed zone store: a stored zone whose matrix equals one
+       stored before (at any location) shares that zone's payload, so
+       each distinct stored matrix is frozen once.  Only stored zones
+       are hashed and interned: a successor a stored zone covers is
+       dropped first. *)
     let zstore = Hstore.create ~equal:K.equal ~hash:K.hash 64 in
     (* Waiting list: locations with pending zones, drained in FIFO
        order, largest zone first within a location. *)
@@ -717,79 +726,92 @@ module Make (K : Dbm_sig.S) = struct
     let stats_now () =
       { locations = !nlocs; zones = !zone_count; edges = !edges }
     in
-    (* Store one zone, given the outcome of probing it against the
-       hash-consing store: subsumption (both directions through the
-       minimal-constraint forms), storing, inspection, queueing.  All
-       callers run on the main domain in sequential commit order, so
-       everything here is deterministic at any domain count. *)
-    let add_interned r p probe =
+    (* [cell] without the entries [zmin] includes, each marked dead
+       ([zones.pruned_waiting] counts those still waiting), tested head
+       first; the list itself when none goes, so a store that prunes
+       nothing copies nothing. *)
+    let rec prune zmin = function
+      | [] -> []
+      | e :: rest as cell ->
+          if K.Min.subsumes zmin e.z then begin
+            e.alive <- false;
+            if not e.expanded then Metrics.incr c_zones_pruned_waiting;
+            prune zmin rest
+          end
+          else
+            let rest' = prune zmin rest in
+            if rest' == rest then cell else e :: rest'
+    in
+    (* Store a successor that no zone of [lc] covers, given the outcome
+       of interning it in the hash-consing store: pruning the zones it
+       covers (through its minimal-constraint form), storing,
+       inspection, queueing.  All callers run on the main domain in
+       sequential commit order, so everything here is deterministic at
+       any domain count. *)
+    let store lc interned =
       let z =
-        match probe with
+        match interned with
         | `Hit z ->
             Metrics.incr c_zones_interned;
             z
         | `Miss z -> z
       in
+      let zmin = K.Min.of_zone z in
+      lc.cell <- prune zmin lc.cell;
+      incr seq;
+      let e =
+        {
+          z;
+          zmin;
+          zloose = loose lc.lay z;
+          seq = !seq;
+          alive = true;
+          expanded = false;
+        }
+      in
+      lc.cell <- e :: lc.cell;
+      incr zone_count;
+      Metrics.incr c_zones_stored;
+      inspect lc.ph lc.sr.st z lc.lay.pos;
+      lc.pending <- e :: lc.pending;
+      if not lc.queued then begin
+        lc.queued <- true;
+        Queue.add lc.lid locq
+      end;
+      incr waiting;
+      Metrics.set_max g_waiting_max (float_of_int !waiting)
+    in
+    (* Does [e] include the successor in [main.scr]? *)
+    let covers_main e = K.Scratch.subsumed_by main.scr e.zmin in
+    (* Sequential path: the successor is still in [main.scr].  The
+       inclusion test reads it in place, so a covered successor (most
+       of them) is never hashed, interned or frozen.  A survivor is
+       hashed and probed in place: a hit never copies the matrix; a
+       miss freezes exactly once, into the main arena. *)
+    let add_scratch r p =
+      let lc = loc_of r p and scr = main.scr in
+      if List.exists covers_main lc.cell then Metrics.incr c_zones_subsumed
+      else
+        let h = K.Scratch.hash scr in
+        store lc
+          (Hstore.intern_scratch zstore ~hash:h
+             ~equal:(K.Scratch.equal_zone scr)
+             ~freeze:(fun () -> K.Scratch.freeze_into ~hash:h arena scr))
+    in
+    (* Commit path: the speculated zone was frozen on a worker domain,
+       into its per-domain arena.  The same inclusion test comes first,
+       so the store interns the same zones as the sequential path; only
+       a survivor the store misses is copied into the main arena — the
+       worker arenas rewind at the end of the batch. *)
+    let add_spec r p z =
       let lc = loc_of r p in
       if List.exists (fun e -> K.Min.subsumes e.zmin z) lc.cell then
         Metrics.incr c_zones_subsumed
-      else begin
-        let zmin = K.Min.of_zone z in
-        lc.cell <-
-          List.filter
-            (fun e ->
-              if K.Min.subsumes zmin e.z then begin
-                e.alive <- false;
-                if not e.expanded then Metrics.incr c_zones_pruned_waiting;
-                false
-              end
-              else true)
-            lc.cell;
-        incr seq;
-        let e =
-          {
-            z;
-            zmin;
-            zloose = loose lc.lay z;
-            seq = !seq;
-            alive = true;
-            expanded = false;
-          }
-        in
-        lc.cell <- e :: lc.cell;
-        incr zone_count;
-        Metrics.incr c_zones_stored;
-        inspect p r.st z lc.lay.pos;
-        lc.pending <- e :: lc.pending;
-        if not lc.queued then begin
-          lc.queued <- true;
-          Queue.add lc.lid locq
-        end;
-        incr waiting;
-        Metrics.set_max g_waiting_max (float_of_int !waiting)
-      end
-    in
-    (* Sequential path: the surviving successor is still in
-       [main.scr].  It is hashed and probed in place — a hit never
-       copies the matrix at all; a miss freezes exactly once, into the
-       main arena. *)
-    let add_scratch r p =
-      let scr = main.scr in
-      let h = K.Scratch.hash scr in
-      add_interned r p
-        (Hstore.intern_scratch zstore ~hash:h
-           ~equal:(K.Scratch.equal_zone scr)
-           ~freeze:(fun () -> K.Scratch.freeze_into ~hash:h arena scr))
-    in
-    (* Commit path: the speculated zone was frozen on a worker domain,
-       into its per-domain arena.  Probe it against the store; only a
-       genuine miss is copied into the main arena — the worker arenas
-       rewind at the end of the batch. *)
-    let add_spec r p z =
-      add_interned r p
-        (Hstore.intern_scratch zstore ~hash:(K.hash z)
-           ~equal:(fun k -> K.equal k z)
-           ~freeze:(fun () -> K.copy_into arena z))
+      else
+        store lc
+          (Hstore.intern_scratch zstore ~hash:(K.hash z)
+             ~equal:(fun k -> K.equal k z)
+             ~freeze:(fun () -> K.copy_into arena z))
     in
     (* The unfinished tail of the batch being drained: the entry under
        expansion plus the ones not yet reached.  Only a mid-batch
@@ -803,6 +825,19 @@ module Make (K : Dbm_sig.S) = struct
     (* ---------------- checkpointing ---------------- *)
     let wrote_snapshot = ref false in
     let last_snap = ref 0 in
+    (* [f] memoized on [seq]: converting entries to and from their
+       checkpoint form makes one record per entry, so an entry both
+       stored and pending stays one record. *)
+    let per_entry f =
+      let memo = Hashtbl.create 1024 in
+      fun e ->
+        match Hashtbl.find_opt memo e.seq with
+        | Some x -> x
+        | None ->
+            let x = f e in
+            Hashtbl.add memo e.seq x;
+            x
+    in
     let save_snapshot () =
       match checkpoint with
       | None -> None
@@ -810,7 +845,12 @@ module Make (K : Dbm_sig.S) = struct
           Tracing.with_span "recover.snapshot" @@ fun () ->
           let locs = Array.sub !locs 0 !nlocs in
           let p_keys = Array.map (fun lc -> (lc.sr.st, lc.ph)) locs in
-          let p_cells = Array.map (fun lc -> (lc.lid, lc.cell)) locs in
+          let stored =
+            per_entry (fun e -> { e with zmin = K.Min.to_stored e.zmin })
+          in
+          let p_cells =
+            Array.map (fun lc -> (lc.lid, List.map stored lc.cell)) locs
+          in
           (* Fold the unfinished batch tail back into the frontier. *)
           let p_pending =
             Array.of_seq
@@ -820,7 +860,9 @@ module Make (K : Dbm_sig.S) = struct
                      if lc.lid = !batch_loc then !batch_left @ lc.pending
                      else lc.pending
                    in
-                   match es with [] -> None | _ -> Some (lc.lid, es))
+                   match es with
+                   | [] -> None
+                   | _ -> Some (lc.lid, List.map stored es))
                  (Array.to_seq locs))
           in
           let q_extra =
@@ -867,11 +909,15 @@ module Make (K : Dbm_sig.S) = struct
                 \  snapshot: %s\n\
                 \  this run: %s" path fp_got fp));
       let snap = (Marshal.from_bytes payload 0 : s snap) in
+      let entry =
+        per_entry (fun e -> { e with zmin = K.Min.of_stored e.zmin })
+      in
       (* Location ids are assigned in order, so re-creating the
          locations in id order reproduces every id exactly. *)
       Array.iter (fun (s, p) -> ignore (loc_of (state_rec s) p)) snap.p_keys;
       Array.iter
-        (fun (id, es) ->
+        (fun (id, ss) ->
+          let es = List.map entry ss in
           !locs.(id).cell <- es;
           (* Re-seed the hash-consing store.  Marshal preserved the
              sharing among stored zones, so structurally equal zones
@@ -879,7 +925,9 @@ module Make (K : Dbm_sig.S) = struct
              once. *)
           List.iter (fun e -> ignore (Hstore.intern zstore e.z)) es)
         snap.p_cells;
-      Array.iter (fun (id, es) -> !locs.(id).pending <- es) snap.p_pending;
+      Array.iter
+        (fun (id, ss) -> !locs.(id).pending <- List.map entry ss)
+        snap.p_pending;
       Array.iter
         (fun id ->
           Queue.add id locq;

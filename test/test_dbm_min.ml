@@ -7,9 +7,11 @@
    identical canonical matrix of every reference zone a script passes
    through, [subsumes] agrees with the reference kernel's dense
    [includes] on every snapshot pair (the int kernel on scripts scaled
-   to integer constants), and on every script zone, dead-row zones
-   included, the int reduction keeps exactly the constraint list of
-   {!Tm_zones.Dbm_min}, in the same order.
+   to integer constants), the in-place [Scratch.subsumed_by] agrees
+   with both and counts what [subsumes] counts, and on every script
+   zone, dead-row zones included, the int reduction keeps exactly the
+   constraint list of {!Tm_zones.Dbm_min}, in the same order, and its
+   checkpoint form keeps snapshot format 2's layout.
 
    The arena tests pin the zero-copy storage discipline:
    [copy_into]/[freeze_into] round-trip zone payloads through bump
@@ -83,10 +85,98 @@ let subsumes_int =
       D.inclusions Dbm_int.dim D.int_incl zi
       = D.inclusions Dbm_ref.dim Dbm_ref.includes (D.run_ref s).zones)
 
+(* [Scratch.subsumed_by], the in-place inclusion test {!Tm_zones.Reach}
+   runs before it interns a successor, on every ordered pair of
+   same-dimension zones a script produces plus one empty zone of each
+   dimension (so empty operands occur on both sides): the candidate
+   [zj] loaded in a scratch, the stored zone [zi] in minimal form.  It
+   must return [Min.subsumes]'s verdict on the frozen [zj] and count
+   the same [dbm.ops{op=min_subsumes}], and both must equal the
+   reference kernel's dense [includes] on the unscaled script — on
+   random scripts and fischer-shaped ones, where most rows are dead. *)
+let c_min_subsumes =
+  Tm_obs.Metrics.counter "dbm.ops" ~labels:[ ("op", "min_subsumes") ]
+
+let min_subsumes_delta f =
+  let before = Tm_obs.Metrics.value c_min_subsumes in
+  let r = f () in
+  (r, Tm_obs.Metrics.value c_min_subsumes - before)
+
+(* The zones of a script run on [K], then an empty zone of every
+   dimension among them, built by a scratch as [Reach] builds one. *)
+let with_empties (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
+    (zones : z list) =
+  let dims = List.sort_uniq compare (List.map K.dim zones) in
+  let arena = K.Arena.create () in
+  let empty n =
+    let scr = K.Scratch.create n in
+    K.Scratch.load scr (K.zero n);
+    K.Scratch.constrain scr 1 0 (Bnd.Lt Rational.zero);
+    K.Scratch.freeze_into arena scr
+  in
+  zones @ List.map empty (List.filter (fun n -> n >= 2) dims)
+
+(* Over every ordered same-dimension pair, candidate-major: [subsumed_by]
+   with the candidate in a scratch, [Min.subsumes] on the frozen
+   candidate, each with its [min_subsumes] count. *)
+let probe_pairs (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
+    (zones : z list) =
+  let mins = List.map (fun zi -> (K.dim zi, K.Min.of_zone zi)) zones in
+  let scr =
+    K.Scratch.create (List.fold_left (fun n z -> max n (K.dim z)) 1 zones)
+  in
+  let over probe =
+    min_subsumes_delta (fun () ->
+        List.concat_map
+          (fun zj ->
+            List.filter_map
+              (fun (n, m) -> if n = K.dim zj then Some (probe m zj) else None)
+              mins)
+          zones)
+  in
+  let in_place =
+    over (fun m zj ->
+        K.Scratch.load scr zj;
+        K.Scratch.subsumed_by scr m)
+  in
+  (in_place, over K.Min.subsumes)
+
+(* The reference verdicts in [probe_pairs]'s order. *)
+let dense_pairs zones =
+  List.concat_map
+    (fun zj ->
+      List.filter_map
+        (fun zi ->
+          if Dbm_ref.dim zi = Dbm_ref.dim zj then
+            Some (Dbm_ref.includes zi zj)
+          else None)
+        zones)
+    zones
+
+let subsumed_by_agrees =
+  Gen.check_holds "min: Scratch.subsumed_by == Min.subsumes == includes"
+    ~count:300 ~print:Gen.print_dbm_script
+    (QCheck2.Gen.oneof [ Gen.dbm_script; Gen.dead_row_script ])
+    (fun s ->
+      let scaled = snd (Gen.scale_dbm_script s) in
+      let zr = with_empties (module Dbm_ref) (D.run_ref s).zones in
+      let zi =
+        with_empties (module Dbm_int)
+          (D.run_scratch (module Dbm_int) scaled).zones
+      in
+      let dense = dense_pairs zr in
+      let (vi, ci), (vi', ci') = probe_pairs (module Dbm_int) zi in
+      let (vr, cr), (vr', cr') = probe_pairs (module Dbm_ref) zr in
+      List.exists Fun.id dense
+      && List.exists not dense
+      && vi = dense && vi' = dense && ci = ci' && ci = List.length dense
+      && vr = dense && vr' = dense && cr = cr')
+
 (* The int kernel's hand-specialized reduction (direct indexing, live
    pivots only) must keep exactly the constraints {!Tm_zones.Dbm_min}
    keeps on the reference zone: same count, same positions, same bounds
-   once divided back to the script's unit, same order — on every zone
+   once divided back to the script's unit, same order, laid out as
+   (position, bound) pairs with nothing after the last — on every zone
    of random scripts and of fischer-shaped ones, where most rows are
    dead. *)
 let min_int_matches_dbm_min =
@@ -107,13 +197,43 @@ let min_int_matches_dbm_min =
           && (Dbm_ref.is_empty zr
              ||
              let r = Dbm_min.reduce (Dbm_ref.dim zr) (Dbm_ref.get zr) in
-             let m = Dbm_int.Min.of_zone zi in
-             r.Dbm_min.midx = m.Dbm_int.Min.midx
+             let mc = (Dbm_int.Min.of_zone zi).Dbm_int.Min.mc in
+             let kept = Array.length r.Dbm_min.midx in
+             Array.length mc = 2 * kept
+             && Array.init kept (fun e -> mc.(2 * e)) = r.Dbm_min.midx
              && Array.for_all2
                   (fun b p -> Bnd.compare b (unscale p) = 0)
-                  r.Dbm_min.mbnd m.Dbm_int.Min.mbnd))
+                  r.Dbm_min.mbnd
+                  (Array.init kept (fun e -> mc.((2 * e) + 1)))))
         (D.run_ref s).zones
         (D.run_scratch (module Dbm_int) scaled).zones)
+
+(* The int minimal form as snapshot format 2 laid it out: checkpoints
+   marshal each stored zone's [Min.stored], which must read back as
+   this record, positions and bounds in two arrays, for a checkpoint to
+   resume on any build of that format. *)
+type v2_min = { mn : int; mempty : bool; midx : int array; mbnd : int array }
+
+let min_stored_keeps_v2_layout =
+  Gen.check_holds "min: int checkpoint form keeps the format-2 layout"
+    ~count:200 ~print:Gen.print_dbm_script
+    (QCheck2.Gen.oneof [ Gen.dbm_script; Gen.dead_row_script ])
+    (fun s ->
+      let scaled = snd (Gen.scale_dbm_script s) in
+      List.for_all
+        (fun z ->
+          let m = Dbm_int.Min.of_zone z in
+          let st = Dbm_int.Min.to_stored m in
+          let v2 : v2_min = Marshal.from_string (Marshal.to_string st []) 0 in
+          let mc = m.Dbm_int.Min.mc in
+          let kept = Array.length mc / 2 in
+          v2.mn = Dbm_int.dim z
+          && v2.mempty = Dbm_int.is_empty z
+          && v2.midx = Array.init kept (fun e -> mc.(2 * e))
+          && v2.mbnd = Array.init kept (fun e -> mc.((2 * e) + 1))
+          && Dbm_int.Min.of_stored st = m)
+        (with_empties (module Dbm_int)
+           (D.run_scratch (module Dbm_int) scaled).zones))
 
 (* ------------------------------------------------------------------ *)
 (* Arena unit tests (int and ref kernels; ref keeps the arena API but
@@ -271,7 +391,9 @@ let suite =
     roundtrip_ref;
     subsumes_ref;
     subsumes_int;
+    subsumed_by_agrees;
     min_int_matches_dbm_min;
+    min_stored_keeps_v2_layout;
     Alcotest.test_case "arena: copy_into round-trips (ref)" `Quick
       (unit_copy_into (module Dbm_ref));
     Alcotest.test_case "arena: copy_into round-trips (int)" `Quick

@@ -3,7 +3,8 @@
    The load-bearing property is bit-identical determinism: every entry
    point that takes [?domains] must produce the same verdict, the same
    reachable base-state set and the same deterministic counters
-   (zones.stored, faults.margin_probes) at 1, 2 and 4 domains — the
+   (zones.stored, .subsumed, .pruned_waiting and .interned,
+   faults.margin_probes) at 1, 2 and 4 domains — the
    speculate-then-commit engine replays speculative results in exact
    sequential order, so parallelism may only change wall-clock time.
    The pool itself is checked for coverage, ordering, exception
@@ -90,12 +91,23 @@ let pool_metrics_merge () =
 (* ------------------------------------------------------------------ *)
 (* Differential: random automata agree at every domain count.          *)
 
-let c_stored = Metrics.counter "zones.stored"
+(* The zone counters a run adds: stored, subsumed, pruned while
+   waiting, interned. *)
+let zone_counters =
+  List.map Metrics.counter
+    [
+      "zones.stored";
+      "zones.subsumed";
+      "zones.pruned_waiting";
+      "zones.interned";
+    ]
 
 let reach_at aut bm d =
-  let stored0 = Metrics.value c_stored in
+  let before = List.map Metrics.value zone_counters in
   let st, states = Reach.Auto.reachable ~domains:d aut bm in
-  (st, List.sort compare states, Metrics.value c_stored - stored0)
+  ( st,
+    List.sort compare states,
+    List.map2 (fun c v -> Metrics.value c - v) zone_counters before )
 
 let cond0 =
   Condition.make ~name:"D"
@@ -106,11 +118,16 @@ let cond0 =
 
 let reach_domain_invariance =
   Gen.check_holds
-    "reach: stats, reachable set and zones.stored identical at 1/2/4 domains"
+    "reach: stats, reachable set and zone counters identical at 1/2/4 \
+     domains"
     ~count:30 ~print:Gen.print_raut Gen.boundmap_automaton (fun r ->
       let aut, bm = Gen.build_boundmap_automaton r in
-      let base = reach_at aut bm 1 in
-      List.for_all (fun d -> reach_at aut bm d = base) [ 2; 4 ])
+      let ((_, _, counts) as base) = reach_at aut bm 1 in
+      (* only stored zones are interned *)
+      (match counts with
+      | [ stored; _; _; interned ] -> interned <= stored
+      | _ -> false)
+      && List.for_all (fun d -> reach_at aut bm d = base) [ 2; 4 ])
 
 let condition_domain_invariance =
   Gen.check_holds "check_condition: verdict identical at 1/2/4 domains"
