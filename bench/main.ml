@@ -16,7 +16,6 @@
      E10 independent exact engines (zones vs regions) and liveness
      E11 packed-int DBM kernel vs reference kernel (differential)
      E12 exact robustness margins (fault-injection subsystem)
-     E13 multi-core scaling of the zone engine
      E14 checkpoint overhead and exhaust-and-resume discipline
      E16 serving layer: verdict-cache duplicate suppression, admission
      E17 zero-copy zone storage: allocation per stored zone
@@ -54,11 +53,10 @@ open Bench_util
 
 let q = Rational.of_int
 
-(* TM_DOMAINS spreads the zone/margin experiments over that many
-   domains (default 1 = sequential).  The guarded counters in the
-   committed baseline (zones.stored and the faults counters) are
-   identical at any domain count — CI re-runs the drift guard with
-   TM_DOMAINS=2. *)
+(* TM_DOMAINS spreads E12's margin searches over that many domains
+   (default 1 = sequential); zone exploration is sequential and never
+   sees it.  Every counter in the committed baseline is identical at
+   any domain count — CI re-runs the drift guard with TM_DOMAINS=2. *)
 let bench_domains =
   match Sys.getenv_opt "TM_DOMAINS" with
   | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
@@ -402,8 +400,8 @@ let e6 () =
   in
   let p = RM.params_of_ints ~k:3 ~c1:2 ~c2:3 ~l:1 in
   let sys = RM.system p and bm = RM.boundmap p in
-  show "manager G1 = [6,10]" "VERIFIED" (Reach.check_condition ~domains:bench_domains sys bm (RM.g1 p));
-  show "manager G2 = [5,10]" "VERIFIED" (Reach.check_condition ~domains:bench_domains sys bm (RM.g2 p));
+  show "manager G1 = [6,10]" "VERIFIED" (Reach.check_condition sys bm (RM.g1 p));
+  show "manager G2 = [5,10]" "VERIFIED" (Reach.check_condition sys bm (RM.g2 p));
   let g1x lo hi =
     Tm_timed.Condition.make ~name:"G1x"
       ~t_start:(fun _ -> true)
@@ -412,12 +410,12 @@ let e6 () =
       ()
   in
   show "manager G1 tightened to [6,9]" "UPPER-VIOLATED"
-    (Reach.check_condition ~domains:bench_domains sys bm (g1x (q 6) (Time.of_int 9)));
+    (Reach.check_condition sys bm (g1x (q 6) (Time.of_int 9)));
   show "manager G1 tightened to [7,10]" "LOWER-VIOLATED"
-    (Reach.check_condition ~domains:bench_domains sys bm (g1x (q 7) (Time.of_int 10)));
+    (Reach.check_condition sys bm (g1x (q 7) (Time.of_int 10)));
   let ip = IM.params_of_ints ~k:3 ~c1:2 ~c2:3 ~l:3 in
   show "interrupt manager G2 (l >= c1)" "VERIFIED"
-    (Reach.check_condition ~domains:bench_domains (IM.system ip) (IM.boundmap ip) (IM.g2 ip));
+    (Reach.check_condition (IM.system ip) (IM.boundmap ip) (IM.g2 ip));
   List.iter
     (fun n ->
       let rp = SR.params_of_ints ~n ~d1:1 ~d2:2 in
@@ -431,7 +429,7 @@ let e6 () =
       show
         (Printf.sprintf "relay U(0,%d) = [%d,%d]" n n (2 * n))
         "VERIFIED"
-        (Reach.check_condition ~domains:bench_domains (SR.line rp) (SR.boundmap rp) u))
+        (Reach.check_condition (SR.line rp) (SR.boundmap rp) u))
     [ 2; 4; 8; 16 ];
   List.iter
     (fun n ->
@@ -439,22 +437,22 @@ let e6 () =
       show
         (Printf.sprintf "token ring rotation, n=%d = [%d,%d]" n n (2 * n))
         "VERIFIED"
-        (Reach.check_condition ~domains:bench_domains (TR.system tp) (TR.boundmap tp)
+        (Reach.check_condition (TR.system tp) (TR.boundmap tp)
            (TR.u_rotation tp)))
     [ 3; 6 ];
   (let ts = TS.params_of_ints ~p1:1 ~p2:3 ~q1:1 ~q2:2 ~r1:2 ~r2:4 in
    show "chained trigger end-to-end = [3,6]" "VERIFIED"
-     (Reach.check_condition ~domains:bench_domains (TS.system ts) (TS.boundmap ts)
+     (Reach.check_condition (TS.system ts) (TS.boundmap ts)
         (TS.u_end_to_end ts)));
   (let fd = FD.params_of_ints ~h1:1 ~h2:2 ~g1:2 ~g2:3 ~m:2 in
    show "failure detection window = [2,9]" "VERIFIED"
-     (Reach.check_condition ~domains:bench_domains (FD.system fd) (FD.boundmap fd) (FD.u_detect fd)));
+     (Reach.check_condition (FD.system fd) (FD.boundmap fd) (FD.u_detect fd)));
   let rgp = RG.params_of_ints ~r1:2 ~r2:5 ~w1:1 ~w2:3 in
   show "request-grant with disabling set" "VERIFIED"
-    (Reach.check_condition ~domains:bench_domains (RG.system rgp) (RG.boundmap rgp)
+    (Reach.check_condition (RG.system rgp) (RG.boundmap rgp)
        (RG.u_response rgp));
   show "request-grant without disabling set" "UPPER-VIOLATED"
-    (Reach.check_condition ~domains:bench_domains (RG.system rgp) (RG.boundmap rgp)
+    (Reach.check_condition (RG.system rgp) (RG.boundmap rgp)
        (RG.u_response_no_disable rgp))
 
 (* ------------------------------------------------------------------ *)
@@ -465,7 +463,7 @@ let e8 () =
   row "%-52s %s\n" "claim" "verdict";
   let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   (match
-     Reach.check_state_invariant ~domains:bench_domains (F.system p) (F.boundmap p)
+     Reach.check_state_invariant (F.system p) (F.boundmap p)
        F.mutual_exclusion
    with
   | Ok st ->
@@ -474,12 +472,12 @@ let e8 () =
   | Error _ -> row "%-52s VIOLATED (unexpected)\n" "mutual exclusion, a < b");
   (match
      let bad = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:2 ~b:2 ~b2:3 ~e:2 in
-     Reach.check_state_invariant ~domains:bench_domains (F.system bad) (F.boundmap bad)
+     Reach.check_state_invariant (F.system bad) (F.boundmap bad)
        F.mutual_exclusion
    with
   | Error _ -> row "%-52s REFUTED (expected)\n" "mutual exclusion, a = b"
   | Ok _ -> row "%-52s UNEXPECTED PASS\n" "mutual exclusion, a = b");
-  (match Reach.check_condition ~domains:bench_domains (F.system p) (F.boundmap p) (F.u_enter p) with
+  (match Reach.check_condition (F.system p) (F.boundmap p) (F.u_enter p) with
   | Reach.Verified st ->
       row "%-52s VERIFIED (%d locations, %d zones)\n"
         "uncontended SET -> ENTER within [b, b2] = [2,3]" st.Reach.locations
@@ -551,10 +549,10 @@ let e7 () =
                ~conds:[| RM.g1 p; RM.g2 p |] ()));
       Test.make ~name:"zones: verify G1 (k=3)"
         (Staged.stage (fun () ->
-             Reach.check_condition ~domains:bench_domains (RM.system p) (RM.boundmap p) (RM.g1 p)));
+             Reach.check_condition (RM.system p) (RM.boundmap p) (RM.g1 p)));
       Test.make ~name:"zones: verify relay U(0,3)"
         (Staged.stage (fun () ->
-             Reach.check_condition ~domains:bench_domains (SR.line rp) (SR.boundmap rp)
+             Reach.check_condition (SR.line rp) (SR.boundmap rp)
                (Tm_timed.Condition.make ~name:"u"
                   ~t_step:(fun _ a _ -> a = SR.Signal 0)
                   ~bounds:(SR.delay_interval rp)
@@ -672,7 +670,7 @@ let e9 () =
   row "\n%-52s %s\n" "failure-detector accuracy" "verdict";
   (let good = FD.params_of_ints ~h1:1 ~h2:2 ~g1:2 ~g2:3 ~m:2 in
    match
-     Reach.check_state_invariant ~domains:bench_domains (FD.system good) (FD.boundmap good)
+     Reach.check_state_invariant (FD.system good) (FD.boundmap good)
        FD.no_false_suspicion
    with
    | Ok st ->
@@ -681,7 +679,7 @@ let e9 () =
    | Error _ -> row "%-52s VIOLATED (unexpected)\n" "h2 <= g1");
   (let bad = FD.params_of_ints ~h1:5 ~h2:8 ~g1:2 ~g2:3 ~m:2 in
    match
-     Reach.check_state_invariant ~domains:bench_domains (FD.system bad) (FD.boundmap bad)
+     Reach.check_state_invariant (FD.system bad) (FD.boundmap bad)
        FD.no_false_suspicion
    with
    | Error _ -> row "%-52s REFUTED (expected)\n" "h2 > g1 (slow heartbeats)"
@@ -694,7 +692,7 @@ let e10 () =
   row "%-36s %-18s %-18s %s\n" "system" "zones (locs/zones)"
     "regions (locs/rgns)" "reachable sets";
   let compare_engines (type s a) name (sys : (s, a) Tm_ioa.Ioa.t) bm =
-    let zst, zs = Reach.reachable ~domains:bench_domains sys bm in
+    let zst, zs = Reach.reachable sys bm in
     let rst, rs = Region.reachable sys bm in
     let agree =
       List.length zs = List.length rs
@@ -866,45 +864,6 @@ let e12 () =
         (module Reach.Auto)
         (F.system p) F.mutual_exclusion bm')
 
-(* E13: multi-core scaling of the zone engine *)
-
-let e13 () =
-  section "E13: multi-core zone exploration — fischer scaling";
-  row "%-24s %-8s %-10s %-12s %-8s %s\n" "workload" "domains" "time(ms)"
-    "locs/zones" "speedup" "agreement";
-  (* Each row re-runs the same reachability at a different domain
-     count; AGREE means stats (locations / stored zones / edges) and
-     the reachable base-state set match the 1-domain run exactly.
-     Speedup is relative to the 1-domain row — expect ~1.0 on a
-     single-core box and ~N/⌈overhead⌉ on real hardware. *)
-  let scale (type s a) name (sys : (s, a) Tm_ioa.Ioa.t) bm =
-    let run d =
-      let t0 = Tm_obs.Tracing.now_s () in
-      let st, reach = Reach.reachable ~domains:d sys bm in
-      ((Tm_obs.Tracing.now_s () -. t0) *. 1000., st, reach)
-    in
-    let t1, st1, r1 = run 1 in
-    List.iter
-      (fun d ->
-        let td, std, rd = run d in
-        let agree =
-          std = st1
-          && List.length rd = List.length r1
-          && List.for_all
-               (fun s -> List.exists (sys.Tm_ioa.Ioa.equal_state s) r1)
-               rd
-        in
-        row "%-24s %-8d %-10.1f %-12s %-8.2f %s\n" name d td
-          (Printf.sprintf "%d/%d" std.Reach.locations std.Reach.zones)
-          (t1 /. td)
-          (if agree then "AGREE" else "DISAGREE"))
-      [ 1; 2; 4 ]
-  in
-  (let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
-   scale "fischer n=3" (F.system p) (F.boundmap p));
-  let p = F.params_of_ints ~n:4 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
-  scale "fischer n=4" (F.system p) (F.boundmap p)
-
 (* E14: checkpoint overhead and exhaust-and-resume *)
 
 let e14 () =
@@ -929,7 +888,7 @@ let e14 () =
   row "%-42s %-10s %-10s %s\n" "policy (fischer n=3 reachable)" "time(ms)"
     "snapshots" "overhead";
   let base_ms =
-    timed (fun () -> Reach.reachable ~domains:bench_domains sys bm)
+    timed (fun () -> Reach.reachable sys bm)
   in
   row "%-42s %-10.1f %-10d %s\n" "no checkpointing" base_ms 0 "-";
   List.iter
@@ -937,7 +896,7 @@ let e14 () =
       let w0 = Tm_obs.Metrics.value c_written in
       let ms =
         timed (fun () ->
-            Reach.reachable ~domains:bench_domains ~checkpoint:(ck, every) sys
+            Reach.reachable ~checkpoint:(ck, every) sys
               bm)
       in
       let snaps = (Tm_obs.Metrics.value c_written - w0) / reps in
@@ -955,10 +914,9 @@ let e14 () =
      resumed fixpoint match the one-shot run exactly (verdict
      surrogate: stats + reachable-set size). *)
   row "\n%-52s %s\n" "exhaust-and-resume (budget 200 zones)" "result";
-  let st1, states1 = Reach.reachable ~domains:bench_domains sys bm in
+  let st1, states1 = Reach.reachable sys bm in
   (match
-     Reach.reachable ~limit:200 ~domains:bench_domains ~checkpoint:(ck, 0)
-       sys bm
+     Reach.reachable ~limit:200 ~checkpoint:(ck, 0) sys bm
    with
   | _ -> row "%-52s %s\n" "budgeted run" "UNEXPECTED COMPLETION"
   | exception Reach.Out_of_budget e ->
@@ -970,7 +928,7 @@ let e14 () =
            | None -> "MISSING"));
       let c_resumed = Tm_obs.Metrics.counter "recover.resumed" in
       let r0 = Tm_obs.Metrics.value c_resumed in
-      let st, states = Reach.reachable ~domains:bench_domains ~resume:ck sys bm in
+      let st, states = Reach.reachable ~resume:ck sys bm in
       let agree =
         st = st1
         && List.length states = List.length states1
@@ -1010,7 +968,7 @@ let e16 () =
   let t0 = Tm_obs.Tracing.now_s () in
   let verdict =
     match
-      job.Catalog.exec ~limit:None ~deadline_s:None ~domains:bench_domains
+      job.Catalog.exec ~limit:None ~deadline_s:None ~domains:1
         ~checkpoint:None ~resume:None
     with
     | Ok v -> Tm_obs.Json.to_string v
@@ -1072,11 +1030,9 @@ let e16 () =
 (* ------------------------------------------------------------------ *)
 (* E17: zero-copy zone storage — allocation per stored zone.  The
    engine probes each successor scratch against the zone store in place
-   and bump-copies survivors into per-domain arenas, so a stored zone
-   should cost its record and little else on the minor heap.  GC stats
-   are domain-local under OCaml 5, so E17 pins domains=1 (the domains
-   1/2/4 equivalence lives in the test suite and the CLI determinism
-   checks).  The heap columns give how far the major-heap peak grew
+   and bump-copies survivors into its arena, so a stored zone should
+   cost its record and little else on the minor heap.  The heap
+   columns give how far the major-heap peak grew
    during each run, in total and per stored zone: arena slack shows up
    there.  Not part of the committed metrics baseline; CI runs it
    standalone and gates the rows' minor words per stored zone, and
@@ -1091,10 +1047,10 @@ let e17 () =
   let measure (type s a) name (sys : (s, a) Tm_ioa.Ioa.t) bm =
     (* A tiny budgeted warmup so one-time initialization (lazy tables,
        first-use code paths) is not billed to the measured run. *)
-    (try ignore (Reach.reachable ~limit:1 ~domains:1 sys bm)
+    (try ignore (Reach.reachable ~limit:1 sys bm)
      with Reach.Out_of_budget _ -> ());
     let (st, _), minor, bytes, top_growth =
-      with_gc_stats (fun () -> Reach.reachable ~domains:1 sys bm)
+      with_gc_stats (fun () -> Reach.reachable sys bm)
     in
     let per_zone x = x /. float_of_int (max 1 st.Reach.zones) in
     (* zones whose matrices exceed the minor-alloc cutoff live on the
@@ -1221,7 +1177,7 @@ let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
-    ("e12", e12); ("e13", e13); ("e14", e14); ("e16", e16);
+    ("e12", e12); ("e14", e14); ("e16", e16);
     ("e17", e17); ("e18", e18);
   ]
 

@@ -62,10 +62,12 @@ let budget_states : int option ref = ref None
 let budget_s : float option ref = ref None
 let had_unknown = ref false
 
-(* Domain count set by --domains on verify/margin/check/simulate.  The
-   default 1 is the exact sequential path; any other count yields the
-   same verdicts, reachable sets and stored-zone counts (see Reach),
-   only wall-clock time changes. *)
+(* Domain count set by --domains on the subcommands that fan out:
+   check (its simulation batch), margin (its independent searches) and
+   serve (each margin job).  The default 1 is the exact sequential
+   path; any other count prints the same bytes, only wall-clock time
+   changes.  Zone exploration is sequential, so verify and run take
+   --domains 1 only. *)
 let ndomains = ref 1
 
 (* Checkpoint policy set by --checkpoint / --checkpoint-every on
@@ -591,26 +593,35 @@ let budget_term =
   in
   Term.(const mk $ states_arg $ ms_arg)
 
-(* --domains on the subcommands that can fan work out.  Like
-   [budget_term], evaluating the term stores the count in the global
-   the analysis helpers read. *)
+(* --domains.  Like [budget_term], evaluating the term stores the count
+   in the global the analysis helpers read.  [domains_term] is for the
+   subcommands that fan out; [sequential_domains_term] accepts only 1,
+   for verify and run, whose zone search is sequential. *)
+let domains_arg doc =
+  checked (fun d -> d >= 1) "--domains must be >= 1"
+    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
+
 let domains_term =
-  let arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Run the analysis on $(docv) domains (OS threads). Verdicts, \
-             reachable sets and stored-zone counts are identical at any \
-             domain count; the default 1 is the exact sequential path. \
-             On $(b,simulate) the single trace itself stays sequential.")
-  in
   Term.(
     const (fun d -> ndomains := d)
-    $ checked (fun d -> d >= 1) "--domains must be >= 1" arg)
+    $ domains_arg
+        "Fan the independent work out over $(docv) domains (OS threads): \
+         the simulation runs of $(b,check), the margin searches of \
+         $(b,margin) and of each $(b,serve) margin job. The output is \
+         identical at any domain count; the default 1 is the exact \
+         sequential path.")
+
+let sequential_domains_term =
+  Term.(
+    const ignore
+    $ checked (fun d -> d = 1)
+        "--domains must be 1 (zone exploration is sequential)"
+        (domains_arg
+           "Accepted for compatibility and must be 1: zone exploration \
+            is sequential."))
 
 let simulate_cmd =
-  let run model steps strategy seed () () obs =
+  let run model steps strategy seed () obs =
     let reason =
       with_obs "simulate" obs (fun () ->
           Format.printf "%s@." model.Registry.describe;
@@ -640,7 +651,7 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Simulate a system and print the timed trace")
     Term.(
       const run $ model_term () $ steps_arg $ strategy_arg $ seed_arg
-      $ budget_term $ domains_term $ obs_term)
+      $ budget_term $ obs_term)
 
 let check_cmd =
   let run model runs steps () obs =
@@ -742,8 +753,8 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc:"Exact zone-based verification")
     Term.(
-      const run $ model_term () $ engine_arg $ budget_term $ domains_term
-      $ recover_term $ obs_term)
+      const run $ model_term () $ engine_arg $ budget_term
+      $ sequential_domains_term $ recover_term $ obs_term)
 
 let run_cmd =
   let resume_arg =
@@ -801,8 +812,8 @@ let run_cmd =
           checkpoints, resumable after interrupts")
     Term.(
       const run $ model_term () $ engine_arg $ resume_arg
-      $ attempts_arg $ backoff_arg $ budget_term $ domains_term $ recover_term
-      $ obs_term)
+      $ attempts_arg $ backoff_arg $ budget_term $ sequential_domains_term
+      $ recover_term $ obs_term)
 
 let margin_cmd =
   let json_arg =
@@ -976,7 +987,8 @@ let bench_diff_cmd =
       & info [ "ignore" ] ~docv:"PREFIX"
           ~doc:
             "Ignore metrics whose name starts with $(docv) (repeatable). \
-             The scheduling-dependent $(b,par.) family is always ignored.")
+             The domain-count-dependent $(b,par.) family is always \
+             ignored.")
   in
   let run old_f new_f max_regress ignores =
     match (load_bench_doc old_f, load_bench_doc new_f) with
@@ -985,8 +997,9 @@ let bench_diff_cmd =
         exit 2
     | Ok old_d, Ok new_d ->
         (* Counters, gauges and histograms in this project are
-           deterministic at any domain count — except the work-stealing
-           [par.*] family, which is scheduling noise by construction. *)
+           deterministic at any domain count — except the [par.*]
+           family, which records the fan-out itself (pool size, chunks
+           run) and so moves with the domain count. *)
         let ignore_prefixes = "par." :: ignores in
         let drifts =
           Export.diff ~ignore_prefixes ~baseline:old_d.bd_metrics
@@ -1161,7 +1174,7 @@ let serve_cmd =
         | exception Server.Already_running path ->
             Format.eprintf
               "serve: %s is live — another daemon answered; refusing to \
-               steal the socket@."
+               take over the socket@."
               path;
             exit 3
         | exception Unix.Unix_error (err, syscall, arg) ->

@@ -14,10 +14,11 @@ type 'k t = {
   owner : int;  (* Domain.id of the creating domain *)
 }
 
-(* Stores are single-domain by design: the zone engine gives each
-   domain its own tables instead of locking a shared one.  Every
-   operation asserts ownership so a cross-domain access fails loudly
-   (naming both domains) instead of corrupting the table. *)
+(* Stores are single-domain by design: each zone search builds its own
+   tables on the domain it runs on (margin's pooled searches run on
+   several) instead of locking a shared one.  Every operation asserts
+   ownership so a cross-domain access fails loudly (naming both
+   domains) instead of corrupting the table. *)
 let check_owner t =
   let d = (Domain.self () :> int) in
   if d <> t.owner then

@@ -12,8 +12,9 @@
     A store belongs to the domain that created it: {!find}, {!add} and
     {!intern} raise [Invalid_argument] (naming the owning and the
     calling domain) when used from another domain.  Parallel callers —
-    the zone engine's per-domain intern tables — create one store per
-    domain rather than sharing one. *)
+    the zone searches a margin report fans out over domains, each with
+    its own tables — create one store per domain rather than sharing
+    one. *)
 
 type 'k t
 

@@ -4,30 +4,12 @@ module Events = Tm_obs.Events
 module Json = Tm_obs.Json
 
 let c_tasks = Metrics.counter "par.tasks"
-let c_steals = Metrics.counter "par.steals"
-let c_contention = Metrics.counter "par.shard_contention"
 let g_domains = Metrics.gauge "par.domains"
-
-(* One run queue (shard) per domain.  A domain pops its own shard under
-   a blocking lock and steals from the others with [try_lock] only, so
-   a loaded shard never stalls thieves: a failed [try_lock] is counted
-   as [par.shard_contention] and the thief moves on. *)
-type shard = { smu : Mutex.t; jobs : (int -> unit) Queue.t }
 
 type t = {
   size : int;  (* participating domains, including the caller *)
   owner : bool;  (* this pool holds the process-wide active slot *)
-  shards : shard array;
-  queued : int Atomic.t;  (* jobs pushed and not yet popped *)
-  mutable workers : unit Domain.t array;
-  mu : Mutex.t;  (* protects closing/sleepers and pairs with cond *)
-  cond : Condition.t;
-  mutable closing : bool;
-  mutable sleepers : int;
-  t_tasks : int Atomic.t;
-  t_steals : int Atomic.t;
-  t_contention : int Atomic.t;
-  mutable rr : int;  (* round-robin push cursor; main domain only *)
+  mutable tasks : int;  (* chunks run so far; caller's domain only *)
 }
 
 (* At most one real pool at a time: a nested or concurrent [create]
@@ -35,148 +17,25 @@ type t = {
    machine or reusing Metrics slots. *)
 let active = Atomic.make false
 
-(* How many failed grabs a worker burns through with [cpu_relax] before
-   blocking on the condition variable.  Between two back-to-back
-   parallel sections (e.g. per-location batches of the zone engine)
-   workers stay in the spin phase and pick up new jobs in ~ns; the
-   condition variable only pays off across genuinely idle stretches. *)
-let spin_max = 20_000
-
-let mk_shards n =
-  Array.init n (fun _ -> { smu = Mutex.create (); jobs = Queue.create () })
-
-let seq_pool () =
-  {
-    size = 1;
-    owner = false;
-    shards = mk_shards 1;
-    queued = Atomic.make 0;
-    workers = [||];
-    mu = Mutex.create ();
-    cond = Condition.create ();
-    closing = false;
-    sleepers = 0;
-    t_tasks = Atomic.make 0;
-    t_steals = Atomic.make 0;
-    t_contention = Atomic.make 0;
-    rr = 0;
-  }
-
+let inline () = { size = 1; owner = false; tasks = 0 }
 let size p = p.size
-
-(* Unsynchronized reads of each shard's queue length: a telemetry-only
-   gauge (reading a mutable int field is memory-safe in OCaml, the
-   value is just approximate while workers are draining). *)
-let queue_depths p = Array.map (fun sh -> Queue.length sh.jobs) p.shards
-
-let pop_locked sh =
-  if Queue.is_empty sh.jobs then None else Some (Queue.pop sh.jobs)
-
-let try_pop_own p me =
-  let sh = p.shards.(me) in
-  Mutex.lock sh.smu;
-  let j = pop_locked sh in
-  Mutex.unlock sh.smu;
-  (match j with Some _ -> ignore (Atomic.fetch_and_add p.queued (-1)) | None -> ());
-  j
-
-let try_steal p me =
-  let n = p.size in
-  let rec go k =
-    if k >= n then None
-    else
-      let sh = p.shards.((me + k) mod n) in
-      if Mutex.try_lock sh.smu then begin
-        let j = pop_locked sh in
-        Mutex.unlock sh.smu;
-        match j with
-        | Some _ ->
-            ignore (Atomic.fetch_and_add p.queued (-1));
-            Atomic.incr p.t_steals;
-            j
-        | None -> go (k + 1)
-      end
-      else begin
-        Atomic.incr p.t_contention;
-        go (k + 1)
-      end
-  in
-  go 1
-
-let grab p me =
-  if Atomic.get p.queued = 0 then None
-  else
-    match try_pop_own p me with Some j -> Some j | None -> try_steal p me
-
-(* Jobs come from [parallel_for], which catches everything the user
-   body can raise; the defensive catch here only shields the scheduler
-   itself from a buggy wrapper. *)
-let run_job job me = try job me with _ -> ()
-
-let rec worker p me spin =
-  match grab p me with
-  | Some job ->
-      run_job job me;
-      worker p me spin_max
-  | None ->
-      if spin > 0 then begin
-        Domain.cpu_relax ();
-        worker p me (spin - 1)
-      end
-      else begin
-        Mutex.lock p.mu;
-        if p.closing then Mutex.unlock p.mu
-        else if Atomic.get p.queued > 0 then begin
-          Mutex.unlock p.mu;
-          worker p me spin_max
-        end
-        else begin
-          p.sleepers <- p.sleepers + 1;
-          Condition.wait p.cond p.mu;
-          p.sleepers <- p.sleepers - 1;
-          let closing = p.closing in
-          Mutex.unlock p.mu;
-          if not closing then worker p me spin_max
-        end
-      end
 
 let create ?(domains = 1) () =
   let n = max 1 (min domains Metrics.max_slots) in
-  if n = 1 then seq_pool ()
-  else if not (Atomic.compare_and_set active false true) then seq_pool ()
-  else begin
+  if n > 1 && Atomic.compare_and_set active false true then begin
     Metrics.par_begin ();
-    let p = { (seq_pool ()) with size = n; owner = true; shards = mk_shards n } in
-    p.workers <-
-      Array.init (n - 1) (fun i ->
-          let me = i + 1 in
-          Domain.spawn (fun () ->
-              Metrics.set_domain_slot me;
-              worker p me spin_max));
-    p
+    { size = n; owner = true; tasks = 0 }
   end
+  else inline ()
 
 let shutdown p =
   if p.owner then begin
-    Mutex.lock p.mu;
-    p.closing <- true;
-    Condition.broadcast p.cond;
-    Mutex.unlock p.mu;
-    Array.iter Domain.join p.workers;
     Metrics.par_end ();
     Atomic.set active false;
-    (* Flush the pool's atomics into the (now single-domain) registry. *)
-    Metrics.add c_tasks (Atomic.get p.t_tasks);
-    Metrics.add c_steals (Atomic.get p.t_steals);
-    Metrics.add c_contention (Atomic.get p.t_contention);
+    Metrics.add c_tasks p.tasks;
     Metrics.set_max g_domains (float_of_int p.size);
     Events.emit "par.pool"
-      [
-        ("domains", Json.Int p.size);
-        ("tasks", Json.Int (Atomic.get p.t_tasks));
-        ("steals", Json.Int (Atomic.get p.t_steals));
-        ("contention", Json.Int (Atomic.get p.t_contention));
-      ]
+      [ ("domains", Json.Int p.size); ("tasks", Json.Int p.tasks) ]
   end
 
 let run ?(domains = 1) f =
@@ -187,60 +46,52 @@ let run ?(domains = 1) f =
       ~args:[ ("domains", string_of_int p.size) ]
       (fun () -> Fun.protect ~finally:(fun () -> shutdown p) (fun () -> f p))
 
-let parallel_for ?(grain = 1) p ~n body =
-  if grain < 1 then invalid_arg "Pool.parallel_for: grain < 1";
-  if n > 0 then begin
-    if p.size = 1 || n <= grain then
-      for i = 0 to n - 1 do
-        body ~domain:0 i
-      done
-    else begin
-      let nchunks = min ((n + grain - 1) / grain) (p.size * 4) in
-      let chunk = (n + nchunks - 1) / nchunks in
-      let pending = Atomic.make nchunks in
-      let err : exn option Atomic.t = Atomic.make None in
-      let job lo hi me =
+(* One fan-out: [size - 1] fresh domains and the caller take chunks off
+   one atomic index until none is left, then the caller joins them.
+   The callers run one [parallel_for] per pool, so spawning per call
+   costs nothing a standing worker set would save. *)
+let parallel_for p ~n body =
+  if p.size = 1 || n <= 1 then
+    for i = 0 to n - 1 do
+      body i
+    done
+  else begin
+    let nchunks = min n (p.size * 4) in
+    let chunk = (n + nchunks - 1) / nchunks in
+    let next = Atomic.make 0 in
+    let err : exn option Atomic.t = Atomic.make None in
+    let rec drain () =
+      let c = Atomic.fetch_and_add next 1 in
+      if c < nchunks then begin
         (try
-           for i = lo to min (hi - 1) (n - 1) do
-             body ~domain:me i
+           for i = c * chunk to min (((c + 1) * chunk) - 1) (n - 1) do
+             body i
            done
          with e -> ignore (Atomic.compare_and_set err None (Some e)));
-        ignore (Atomic.fetch_and_add pending (-1))
-      in
-      for c = 0 to nchunks - 1 do
-        let sh = p.shards.(p.rr) in
-        p.rr <- (p.rr + 1) mod p.size;
-        Mutex.lock sh.smu;
-        Queue.add (job (c * chunk) ((c + 1) * chunk)) sh.jobs;
-        Mutex.unlock sh.smu
-      done;
-      ignore (Atomic.fetch_and_add p.queued nchunks);
-      ignore (Atomic.fetch_and_add p.t_tasks nchunks);
-      Mutex.lock p.mu;
-      if p.sleepers > 0 then Condition.broadcast p.cond;
-      Mutex.unlock p.mu;
-      (* The caller participates until the barrier clears. *)
-      let rec help () =
-        if Atomic.get pending > 0 then begin
-          (match grab p 0 with
-          | Some job -> run_job job 0
-          | None -> Domain.cpu_relax ());
-          help ()
-        end
-      in
-      help ();
-      match Atomic.get err with Some e -> raise e | None -> ()
-    end
+        drain ()
+      end
+    in
+    let workers =
+      Array.init
+        (min p.size nchunks - 1)
+        (fun k ->
+          Domain.spawn (fun () ->
+              Metrics.set_domain_slot (k + 1);
+              drain ()))
+    in
+    drain ();
+    Array.iter Domain.join workers;
+    p.tasks <- p.tasks + nchunks;
+    match Atomic.get err with Some e -> raise e | None -> ()
   end
 
-let map_array ?grain p f xs =
+let map_array p f xs =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
     let out = Array.make n None in
-    parallel_for ?grain p ~n (fun ~domain:_ i -> out.(i) <- Some (f xs.(i)));
+    parallel_for p ~n (fun i -> out.(i) <- Some (f xs.(i)));
     Array.map (function Some v -> v | None -> assert false) out
   end
 
-let map_list ?grain p f xs =
-  Array.to_list (map_array ?grain p f (Array.of_list xs))
+let map_list p f xs = Array.to_list (map_array p f (Array.of_list xs))

@@ -1,25 +1,24 @@
-(** Dependency-free work-sharing pool over stdlib [Domain] /
-    [Mutex] / [Condition].
+(** Dependency-free one-shot fan-out over stdlib [Domain] and
+    [Atomic].
 
-    A pool of [domains] cooperating domains: the creating (main) domain
-    plus [domains - 1] spawned workers.  Work arrives as index-range
-    jobs ({!parallel_for}) pushed round-robin onto one run-queue shard
-    per domain; a domain drains its own shard and steals from the
-    others ([Mutex.try_lock] only, so thieves never block — counted as
-    [par.steals] / [par.shard_contention]).  {!parallel_for} is a
-    barrier: the caller helps execute jobs and returns only when every
-    index has been processed.  Idle workers spin briefly, then block on
-    a condition variable until new work or shutdown.
+    A pool of [domains] participating domains: the creating (main)
+    domain plus up to [domains - 1] helpers.  Each {!parallel_for}
+    spawns the helpers, and they and the caller take chunks of the
+    index range off one shared atomic counter until none is left; the
+    caller then joins the helpers, so {!parallel_for} is a barrier and
+    no domain outlives the call.  The callers ([Tm_faults.Margin.report]
+    and [Tm_sim.Simulator.batch]) fan out once per run, over a handful
+    to a few hundred independent items.
 
     Determinism contract: the pool never reorders *results* — callers
     index output slots by input index — so any fan-out whose items are
     independent computes the same value at every domain count.
 
-    Metrics/tracing integration: workers register themselves with
+    Metrics/tracing integration: helpers register themselves with
     {!Tm_obs.Metrics.set_domain_slot}, so metric updates from jobs land
     in per-domain sinks and spans land in per-domain trace rows.
-    Totals ([par.tasks], [par.steals], [par.shard_contention], gauge
-    [par.domains]) are flushed to the registry at {!shutdown}.
+    Totals ([par.tasks], gauge [par.domains]) are flushed to the
+    registry at {!shutdown}.
 
     At most one real pool exists at a time; a nested or concurrent
     {!create} returns an inline pool of size 1 (jobs then run in the
@@ -30,12 +29,12 @@
 type t
 
 val create : ?domains:int -> unit -> t
-(** Spawn a pool of [domains] total domains (default 1; clamped to
-    [1 .. Tm_obs.Metrics.max_slots]). *)
+(** A pool of [domains] total domains (default 1; clamped to
+    [1 .. Tm_obs.Metrics.max_slots]).  Spawns nothing yet. *)
 
 val shutdown : t -> unit
-(** Wake and join every worker and flush pool metrics.  Must be called
-    from the creating domain, with no {!parallel_for} in flight. *)
+(** Release the pool and flush its metrics.  Must be called from the
+    creating domain, with no {!parallel_for} in flight. *)
 
 val run : ?domains:int -> (t -> 'a) -> 'a
 (** [run ~domains f] = {!create}, apply [f], {!shutdown} — exception
@@ -44,22 +43,15 @@ val run : ?domains:int -> (t -> 'a) -> 'a
 val size : t -> int
 (** Number of participating domains (1 for the inline pool). *)
 
-val queue_depths : t -> int array
-(** Jobs currently queued per shard (index = domain slot).  A racy,
-    telemetry-only gauge: safe to call from any domain at any time,
-    exact only when the pool is quiescent (e.g. at a barrier). *)
+val parallel_for : t -> n:int -> (int -> unit) -> unit
+(** [parallel_for p ~n body] runs [body i] for every [i] in
+    [0 .. n-1] and returns when all are done.  Indices are chunked into
+    at most [4 * size] chunks of consecutive indices.  If any [body]
+    raises, the first exception (in completion order) is re-raised
+    after the barrier; the remaining indices of that chunk are skipped,
+    other chunks still complete. *)
 
-val parallel_for : ?grain:int -> t -> n:int -> (domain:int -> int -> unit) -> unit
-(** [parallel_for p ~n body] runs [body ~domain i] for every
-    [i] in [0 .. n-1] and returns when all are done.  [domain] is the
-    executing domain's slot in [0 .. size-1] (0 = the caller), for
-    indexing per-domain scratch state.  Indices are chunked into at
-    most [4 * size] jobs of at least [grain] (default 1) consecutive
-    indices.  If any [body] raises, the first exception (in completion
-    order) is re-raised after the barrier; the remaining indices of
-    that chunk are skipped, other chunks still complete. *)
-
-val map_array : ?grain:int -> t -> ('a -> 'b) -> 'a array -> 'b array
+val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel map preserving order and length. *)
 
-val map_list : ?grain:int -> t -> ('a -> 'b) -> 'a list -> 'b list
+val map_list : t -> ('a -> 'b) -> 'a list -> 'b list

@@ -66,11 +66,8 @@ type outcome =
 let check_job (type s a) (module E : Reach.S) ~label
     (v : (s, a) Registry.verified) (check : (s, a) Registry.check) =
   let sys = v.Registry.system and bm = v.Registry.boundmap in
-  let condition c ~limit ~deadline_s ~domains ~checkpoint ~resume =
-    match
-      E.check_condition ?limit ?deadline_s ~domains ?checkpoint ?resume sys
-        bm c
-    with
+  let condition c ~limit ~deadline_s ~domains:_ ~checkpoint ~resume =
+    match E.check_condition ?limit ?deadline_s ?checkpoint ?resume sys bm c with
     | Reach.Verified stats ->
         Ok (Verified { bounds = c.Condition.bounds; stats })
     | Reach.Lower_violation st -> Ok (Lower_violation st)
@@ -78,10 +75,10 @@ let check_job (type s a) (module E : Reach.S) ~label
     | Reach.Unsupported m -> Ok (Unsupported m)
     | Reach.Unknown e -> Error e
   in
-  let invariant pred ~limit ~deadline_s ~domains ~checkpoint ~resume =
+  let invariant pred ~limit ~deadline_s ~domains:_ ~checkpoint ~resume =
     match
-      E.check_state_invariant ?limit ?deadline_s ~domains ?checkpoint ?resume
-        sys bm pred
+      E.check_state_invariant ?limit ?deadline_s ?checkpoint ?resume sys bm
+        pred
     with
     | Ok st -> Ok (Invariant_ok st)
     | Error s ->

@@ -48,7 +48,8 @@ type 'r job = {
     ('r, Reach.exhausted) result;
       (** Run the job once.  [Ok r] is definite (the daemon caches it);
           [Error e] is a budget exhaustion / cooperative interrupt with
-          partial stats.  Only verify jobs checkpoint and resume. *)
+          partial stats.  Only verify jobs checkpoint and resume; only
+          margin jobs fan out over [domains]. *)
 }
 
 val of_request :

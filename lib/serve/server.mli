@@ -18,8 +18,8 @@
       [retry_after_s] hint when the queue is full, or enqueued.
 
     {b Execution.}  Every job runs on a supervised worker process
-    ({!Workers}); up to [workers] jobs run at a time, each
-    parallelized internally over [domains].  A crashing or killed job
+    ({!Workers}); up to [workers] jobs run at a time, a margin job
+    fanning its searches out over [domains].  A crashing or killed job
     costs one worker, never the daemon.  Budgets are the request's,
     clamped to the server's caps.  Each job runs through
     {!Catalog.supervise}
@@ -54,7 +54,7 @@ type config = {
   max_frame : int;  (** per-frame byte cap (see {!Protocol}) *)
   max_limit : int option;  (** cap and default for per-job zone budgets *)
   max_deadline_s : float option;  (** cap and default for job deadlines *)
-  domains : int;  (** worker domains per job *)
+  domains : int;  (** domains per margin job; other jobs run on one *)
   attempts : int;  (** supervisor attempts per job *)
   backoff_s : float;  (** retry backoff base *)
   default_engine : string;  (** engine when the request names none *)
@@ -78,4 +78,4 @@ val run : config -> unit
 (** Serve until [shutdown] or SIGTERM/SIGINT; returns after draining.
     @raise Invalid_argument when [workers < 1], before the socket is
     claimed.
-    @raise Already_running instead of stealing a live socket. *)
+    @raise Already_running instead of taking over a live socket. *)

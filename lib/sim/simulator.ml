@@ -104,7 +104,7 @@ let batch ?(domains = 1) ?stop ?deadline_s ~runs ~steps ~prng ~strategy aut =
   let prngs = Array.init runs prng in
   let out = Array.make runs None in
   Pool.run ~domains (fun p ->
-      Pool.parallel_for p ~n:runs (fun ~domain:_ i ->
+      Pool.parallel_for p ~n:runs (fun i ->
           out.(i) <-
             Some
               (simulate ?stop ?deadline_s ~steps

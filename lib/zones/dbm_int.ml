@@ -396,10 +396,7 @@ let equal a b =
    commit up to half the payload again in pages nobody reads.  The cap
    is 2^17 words (1 MB): on verify -S fischer -n 5 it gave the lowest
    peak RSS of the caps 2^14 .. 2^18.  A zone larger than the cap gets
-   a chunk of its own size.  [reset] rewinds only the current chunk,
-   which is exactly right for the per-domain speculative arenas
-   (everything since the last reset is discarded or was copied out by
-   the commit loop); the main arena never resets.                     *)
+   a chunk of its own size. *)
 
 let arena_chunk_min = 512
 let arena_chunk_max = 1 lsl 17
@@ -408,7 +405,6 @@ module Arena = struct
   type arena = { mutable buf : int array; mutable pos : int }
 
   let create () = { buf = [||]; pos = 0 }
-  let reset a = a.pos <- 0
 
   let alloc a size =
     if a.pos + size > Array.length a.buf then begin
@@ -420,15 +416,6 @@ module Arena = struct
     a.pos <- a.pos + size;
     (a.buf, off)
 end
-
-let copy_into a z =
-  if z.empty then z
-  else begin
-    let len = z.n * z.n in
-    let buf, off = Arena.alloc a len in
-    copy_words z.m z.off buf off len;
-    { n = z.n; m = buf; off; empty = false; hmemo = z.hmemo }
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Minimal-constraint form: the {!Dbm_min} reduction hand-specialized

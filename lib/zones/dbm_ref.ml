@@ -259,17 +259,14 @@ let hash z =
   else Array.fold_left (fun h b -> (h * 31) + Dbm_bound.hash b) z.n z.m
 
 (* The reference kernel stores plain persistent zones, so its arena is
-   a unit token: [copy_into] and [freeze_into] change nothing, which is
-   exactly what the oracle should do — the differential wall then pins
-   the arena-backed kernels to these semantics. *)
+   a unit token: [freeze_into] changes nothing, which is exactly what
+   the oracle should do — the differential wall then pins the
+   arena-backed kernel to these semantics. *)
 module Arena = struct
   type arena = unit
 
   let create () = ()
-  let reset () = ()
 end
-
-let copy_into () z = z
 
 (* Minimal-constraint form via the shared {!Dbm_min} reduction. *)
 module Min = struct

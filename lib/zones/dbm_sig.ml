@@ -112,23 +112,14 @@ module type S = sig
   (** Bump arena for stored-zone payloads.  Zones frozen into an arena
       are slices of a shared chunk (grow-by-doubling, chunks large
       enough to be major-heap allocated), so storing a zone costs no
-      minor-heap traffic beyond its small record.  [reset] rewinds the
-      bump pointer — only safe when every zone frozen since the last
-      reset is discarded speculative work (the per-domain arenas in
-      {!Reach} reset at batch boundaries; the main arena never does).
-      Already-handed-out slices keep their chunk alive through their
-      own pointer, so a reset after a chunk swap never corrupts live
-      zones. *)
+      minor-heap traffic beyond its small record.  An arena only grows:
+      {!Reach} freezes stored zones alone into its one arena, and a
+      full chunk stays alive through the zones pointing into it. *)
   module Arena : sig
     type arena
 
     val create : unit -> arena
-    val reset : arena -> unit
   end
-
-  val copy_into : Arena.arena -> t -> t
-  (** Re-home a zone's payload into the arena (used when a
-      speculatively frozen zone is committed into the shared store). *)
 
   (** Minimal-constraint form (Larsen et al., RTSS'97): the
       non-redundant subset of a canonical DBM's constraints, enough to

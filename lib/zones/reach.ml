@@ -10,7 +10,6 @@ module Tracing = Tm_obs.Tracing
 module Events = Tm_obs.Events
 module Json = Tm_obs.Json
 module Log = Tm_obs.Log
-module Pool = Tm_par.Pool
 module Snapshot = Tm_recover.Snapshot
 module Supervisor = Tm_recover.Supervisor
 
@@ -299,8 +298,8 @@ module Make (K : Dbm_sig.S) = struct
         (** full-width layout with dead clocks: the map that frees them *)
   }
 
-  (* The state table's records: one per automaton state the main domain
-     has met, as a start state or as a successor's target.  In the MMT
+  (* The state table's records: one per automaton state the search has
+     met, as a start state or as a successor's target.  In the MMT
      encoding of (A, b) the discrete part of a location depends on its
      state only, so everything here is worked out once per state, on
      first use: the successors, from one [delta] call per action —
@@ -311,7 +310,7 @@ module Make (K : Dbm_sig.S) = struct
      only [idle] is used); and the location id of each phase ([-1]
      until the location stores its first zone).  A target record starts
      with no successors ([stepped] false): its own [delta] calls wait
-     until it is first used.  Workers only read these records. *)
+     until it is first used. *)
   type 's srec = {
     st : 's;
     mutable stepped : bool;  (** [gis] and [targets] are filled *)
@@ -361,21 +360,14 @@ module Make (K : Dbm_sig.S) = struct
     p_waiting_max : float;
   }
 
-  (* Per-domain successor context: a private scratch matrix and
-     speculation arena.  Slot 0 belongs to the calling domain —
-     [Pool.parallel_for] runs its caller as domain 0 — so it also
-     serves the sequential and seeding paths; the other slots are
-     created lazily by the worker domain that uses them. *)
-  type dctx = {
+  (* The successor context: the scratch matrix every successor pipeline
+     and seed runs in. *)
+  type ctx = {
     scr : K.Scratch.scratch;
     sat : int -> int -> Dbm_bound.t -> bool;
         (** shared satisfiability probe over [scr] in logical clocks,
             through [cur]'s layout, so the per-edge [observe] call
             allocates no closure *)
-    spec_arena : K.Arena.arena;
-        (** speculated zones freeze into this bump arena; it rewinds
-            at the end of every batch, after the commit loop has copied
-            the survivors into the main arena *)
     mutable cur : layout;  (** layout of the zone loaded in [scr] *)
     mutable phase : phase;
         (** observer phase of the last successor that survived *)
@@ -385,32 +377,15 @@ module Make (K : Dbm_sig.S) = struct
      satisfiability query on the guard-constrained successor zone and
      returns the observer phase transition and the operation on the
      observer clock ([`Reset], [`Free] while it is not being read, or
-     [`Keep]); [inspect] sees every stored (state, phase, zone).
-
-     With a [pool] of size > 1 the engine runs speculate-then-commit
-     per popped location batch: workers run [successor], the pipeline
-     the sequential path runs, for every (entry, successor) pair of the
-     batch in parallel on per-domain contexts, then the main domain
-     replays the outcomes in exact sequential order —
-     edge counting, observer probes, interning, subsumption, storing,
-     queueing all happen at commit.  Every state-mutating decision is
-     thus made in the sequential order, so verdicts, the reachable
-     set, and every counter (including [zones.stored] and
-     [zones.subsumed]) are bit-identical to the sequential engine at
-     any domain count.  The only speculative waste is computing
-     successors of entries that a same-batch commit prunes; their
-     results are discarded exactly where the sequential engine would
-     have skipped the dead entry.  [observe] must be pure — it runs on
-     worker domains.  The automaton's [delta] runs on the main domain
-     only, once per (state, action), when the state table first meets
-     the state.
+     [`Keep]); [inspect] sees every stored (state, phase, zone).  The
+     automaton's [delta] runs once per (state, action), when the state
+     table first meets the state.
 
      Checkpointing discipline: snapshots, the (deterministic) zone
      budget, and cooperative interrupts all act only at batch
      boundaries — the top of the drain loop — where the frontier state
-     is exactly [cells]/[pending]/[locq] and (under a pool) every
-     worker has quiesced at the [parallel_for] commit barrier.  That is
-     what makes a resumed run replay the identical commit sequence.
+     is exactly [cells]/[pending]/[locq].  That is what makes a resumed
+     run replay the identical sequence of stores.
      The wall-clock deadline is the one check allowed to fire
      mid-batch (per successor pipeline, so one slow pipeline cannot
      overshoot by more than one zone expansion); its final snapshot
@@ -418,8 +393,8 @@ module Make (K : Dbm_sig.S) = struct
      keeps resumption sound (subsumption absorbs re-derived
      successors) at the cost of exact counter equality — the deadline
      is documented as non-deterministic anyway. *)
-  let explore (type s a) ?limit ?deadline_s ?pool ?checkpoint
-      ?resume ~fingerprint:fp
+  let explore (type s a) ?limit ?deadline_s ?checkpoint ?resume
+      ~fingerprint:fp
       (enc : (s, a) enc)
       ~(initial_phase : s -> phase)
       ~(observe :
@@ -502,9 +477,7 @@ module Make (K : Dbm_sig.S) = struct
       with
       | `Hit r | `Miss r -> r
     in
-    (* [r]'s successors, computed on first use.  Like [layout_of], this
-       writes on the main domain only: before fanning a batch out, the
-       parallel path fills everything its workers may read. *)
+    (* [r]'s successors, computed on first use. *)
     let step_state r =
       if not r.stepped then begin
         let acc = ref [] in
@@ -587,28 +560,18 @@ module Make (K : Dbm_sig.S) = struct
     (* Waiting list: locations with pending zones, drained in FIFO
        order, largest zone first within a location. *)
     let locq = Queue.create () in
-    let dctxs =
-      Array.make (match pool with Some p -> Pool.size p | None -> 1) None
+    let main =
+      let scr = K.Scratch.create nclocks in
+      let rec c =
+        {
+          scr;
+          sat = (fun i j b -> K.Scratch.sat scr c.cur.pos.(i) c.cur.pos.(j) b);
+          cur = full;
+          phase = Idle;
+        }
+      in
+      c
     in
-    let domain_ctx d =
-      match dctxs.(d) with
-      | Some c -> c
-      | None ->
-          let scr = K.Scratch.create nclocks in
-          let rec c =
-            {
-              scr;
-              sat =
-                (fun i j b -> K.Scratch.sat scr c.cur.pos.(i) c.cur.pos.(j) b);
-              spec_arena = K.Arena.create ();
-              cur = full;
-              phase = Idle;
-            }
-          in
-          dctxs.(d) <- Some c;
-          c
-    in
-    let main = domain_ctx 0 in
     (* The batch order key: the number of [Inf] entries of the zone's
        full-width cylinder, so that every kernel expands a batch in the
        same order.  Each dead clock adds an [Inf] row (all but its
@@ -626,9 +589,8 @@ module Make (K : Dbm_sig.S) = struct
         K.loose z + (lay.dead * (nclocks - 1 + !unbounded))
       end
     in
-    (* The main arena holds every stored zone's payload.  It is never
-       reset: everything frozen into it on the sequential
-       path, or copied into it by the commit loop, is a stored zone. *)
+    (* The arena holds every stored zone's payload: only a stored zone
+       is ever frozen into it. *)
     let arena = K.Arena.create () in
     let z_init = K.zero nclocks in
     let edges = ref 0 in
@@ -678,34 +640,20 @@ module Make (K : Dbm_sig.S) = struct
           let rate =
             if elapsed > 0. then float_of_int !zone_count /. elapsed else 0.
           in
-          if Events.enabled () then begin
-            let queues =
-              match pool with
-              | Some pl when Pool.size pl > 1 ->
-                  [ ( "queues",
-                      Json.List
-                        (Array.to_list
-                           (Array.map
-                              (fun d -> Json.Int d)
-                              (Pool.queue_depths pl))) ) ]
-              | Some _ | None -> []
-            in
+          if Events.enabled () then
             Events.emit ev
-              ([
-                 ("stored", Json.Int !zone_count);
-                 ("frontier", Json.Int !waiting);
-                 ("locations", Json.Int !nlocs);
-                 ("edges", Json.Int !edges);
-                 ( "subsumed",
-                   Json.Int (Metrics.value c_zones_subsumed - base_subsumed)
-                 );
-                 ( "pruned",
-                   Json.Int
-                     (Metrics.value c_zones_pruned_waiting - base_pruned) );
-                 ("rate", Json.Float rate);
-               ]
-              @ queues)
-          end;
+              [
+                ("stored", Json.Int !zone_count);
+                ("frontier", Json.Int !waiting);
+                ("locations", Json.Int !nlocs);
+                ("edges", Json.Int !edges);
+                ( "subsumed",
+                  Json.Int (Metrics.value c_zones_subsumed - base_subsumed) );
+                ( "pruned",
+                  Json.Int (Metrics.value c_zones_pruned_waiting - base_pruned)
+                );
+                ("rate", Json.Float rate);
+              ];
           let eta_s =
             (* ETA toward whichever budget will end the run first: the
                wall-clock deadline, or the state budget at the current
@@ -745,9 +693,7 @@ module Make (K : Dbm_sig.S) = struct
     (* Store a successor that no zone of [lc] covers, given the outcome
        of interning it in the hash-consing store: pruning the zones it
        covers (through its minimal-constraint form), storing,
-       inspection, queueing.  All callers run on the main domain in
-       sequential commit order, so everything here is deterministic at
-       any domain count. *)
+       inspection, queueing. *)
     let store lc interned =
       let z =
         match interned with
@@ -783,11 +729,11 @@ module Make (K : Dbm_sig.S) = struct
     in
     (* Does [e] include the successor in [main.scr]? *)
     let covers_main e = K.Scratch.subsumed_by main.scr e.zmin in
-    (* Sequential path: the successor is still in [main.scr].  The
-       inclusion test reads it in place, so a covered successor (most
-       of them) is never hashed, interned or frozen.  A survivor is
-       hashed and probed in place: a hit never copies the matrix; a
-       miss freezes exactly once, into the main arena. *)
+    (* Commit the successor in [main.scr].  The inclusion test reads it
+       in place, so a covered successor (most of them) is never hashed,
+       interned or frozen.  A survivor is hashed and probed in place: a
+       hit never copies the matrix; a miss freezes exactly once, into
+       the arena. *)
     let add_scratch r p =
       let lc = loc_of r p and scr = main.scr in
       if List.exists covers_main lc.cell then Metrics.incr c_zones_subsumed
@@ -798,25 +744,10 @@ module Make (K : Dbm_sig.S) = struct
              ~equal:(K.Scratch.equal_zone scr)
              ~freeze:(fun () -> K.Scratch.freeze_into ~hash:h arena scr))
     in
-    (* Commit path: the speculated zone was frozen on a worker domain,
-       into its per-domain arena.  The same inclusion test comes first,
-       so the store interns the same zones as the sequential path; only
-       a survivor the store misses is copied into the main arena — the
-       worker arenas rewind at the end of the batch. *)
-    let add_spec r p z =
-      let lc = loc_of r p in
-      if List.exists (fun e -> K.Min.subsumes e.zmin z) lc.cell then
-        Metrics.incr c_zones_subsumed
-      else
-        store lc
-          (Hstore.intern_scratch zstore ~hash:(K.hash z)
-             ~equal:(fun k -> K.equal k z)
-             ~freeze:(fun () -> K.copy_into arena z))
-    in
     (* The unfinished tail of the batch being drained: the entry under
        expansion plus the ones not yet reached.  Only a mid-batch
        deadline can observe a nonempty tail; it is folded back into the
-       snapshot so no committed-but-unexpanded work is lost. *)
+       snapshot so no stored-but-unexpanded work is lost. *)
     let batch_loc = ref (-1) in
     let batch_left : zentry list ref = ref [] in
     let pop_batch_left () =
@@ -1073,13 +1004,13 @@ module Make (K : Dbm_sig.S) = struct
        let time elapse while every enabled class C keeps
        [x_C <= b_u(C)] (Defs 2.1/2.2), and widen with LU-bound
        extrapolation — the one widening, which every zone reaches
-       through here whatever the kernel or domain count, so
-       [zones.stored] stays identical by construction.  A seed is a
-       successor from the all-clocks layout with no firing class
-       ([ci = -1]), so it frees exactly the disabled classes.  [true]
-       iff the zone left in [dc.scr] is nonempty. *)
-    let settle dc ~ci pre_en pre_pos post y_op =
-      let scr = dc.scr in
+       through here whatever the kernel, so [zones.stored] stays
+       identical by construction.  A seed is a successor from the
+       all-clocks layout with no firing class ([ci = -1]), so it frees
+       exactly the disabled classes.  [true] iff the zone left in
+       [main.scr] is nonempty. *)
+    let settle ~ci pre_en pre_pos post y_op =
+      let scr = main.scr in
       K.Scratch.remap scr (remap_to ~ci pre_en pre_pos post y_op);
       K.Scratch.settle post.lu scr;
       Option.iter (K.Scratch.remap scr) post.refree;
@@ -1087,103 +1018,35 @@ module Make (K : Dbm_sig.S) = struct
     in
     (* One edge [s -act-> t.st] out of zone [z] at layout [pre]: load,
        guard [x_C >= b_l(C)], observer, then [settle].  On [true] the
-       survivor is in [dc.scr] and its phase in [dc.phase] — a field
-       rather than a returned tuple, so the sequential path allocates
-       nothing per edge beyond the clock map.  Pure apart from [dc],
-       which is why workers can run it; an unsupported observer shape
-       raises. *)
-    let successor dc s p pre z (act, gopt, ci) t =
-      let scr = dc.scr in
+       survivor is in [main.scr] and its phase in [main.phase] — a
+       field rather than a returned tuple, so the pipeline allocates
+       nothing per edge beyond the clock map.  An unsupported observer
+       shape raises. *)
+    let successor s p pre z (act, gopt, ci) t =
+      let scr = main.scr in
       K.Scratch.load scr z;
-      dc.cur <- pre;
+      main.cur <- pre;
       (match gopt with
       | None -> ()
       | Some (x, b) -> K.Scratch.constrain scr 0 pre.pos.(x) b);
       (not (K.Scratch.is_empty scr))
       &&
-      match observe p s act t.st ~sat:dc.sat with
+      match observe p s act t.st ~sat:main.sat with
       | Error m -> raise (Unsupported_shape m)
       | Ok (p', y_op) ->
-          dc.phase <- p';
-          settle dc ~ci pre.en pre.pos (layout_of t p') y_op
-    in
-    let count_edge () =
-      incr edges;
-      Metrics.incr c_zone_edges;
-      check_deadline ()
+          main.phase <- p';
+          settle ~ci pre.en pre.pos (layout_of t p') y_op
     in
     let expand r p pre z =
       step_state r;
       for k = 0 to Array.length r.targets - 1 do
-        count_edge ();
+        incr edges;
+        Metrics.incr c_zone_edges;
+        check_deadline ();
         let t = r.targets.(k) in
-        if successor main r.st p pre z enc.guards.(r.gis.(k)) t then
+        if successor r.st p pre z enc.guards.(r.gis.(k)) t then
           add_scratch t main.phase
       done
-    in
-    (* Parallel path: the same pipeline for one (entry, successor) pair
-       on a worker domain, recording the outcome instead of committing
-       it.  Anything the pipeline raises — a violation witness from
-       [observe], an unsupported shape — is captured and re-raised at
-       the commit point, in sequential order. *)
-    let speculate dc r p pre z k =
-      match successor dc r.st p pre z enc.guards.(r.gis.(k)) r.targets.(k) with
-      | true -> `Succ (dc.phase, K.Scratch.freeze_into dc.spec_arena dc.scr)
-      | false -> `Skip
-      | exception ex -> `Raised ex
-    in
-    (* Sequential-order replay of one speculated edge. *)
-    let commit_edge t out =
-      count_edge ();
-      match out with
-      | `Skip -> ()
-      | `Raised ex -> raise ex
-      | `Succ (p', z) -> add_spec t p' z
-    in
-    let expand_batch_par pl r p pre batch =
-      (* Aliveness is sampled twice, exactly like the sequential loop:
-         entries dead at pop get no tasks; entries killed by an earlier
-         commit of this very batch have their speculation discarded. *)
-      let marks = List.map (fun e -> (e, e.alive)) batch in
-      let alive = Array.of_list (List.filter (fun e -> e.alive) batch) in
-      (* Filled here, on the main domain, with every layout a worker may
-         need: workers only read them. *)
-      if Array.length alive > 0 then begin
-        step_state r;
-        Array.iter
-          (fun t ->
-            ignore (layout_of t Idle);
-            ignore (layout_of t Armed))
-          r.targets
-      end;
-      let ns = Array.length r.targets in
-      let ntasks = Array.length alive * ns in
-      let res = Array.make (max ntasks 1) `Skip in
-      Pool.parallel_for pl ~n:ntasks (fun ~domain t ->
-          res.(t) <-
-            speculate (domain_ctx domain) r p pre alive.(t / ns).z (t mod ns));
-      let ai = ref 0 in
-      List.iter
-        (fun (e, was_alive) ->
-          decr waiting;
-          (if was_alive then begin
-             let base = !ai * ns in
-             incr ai;
-             if e.alive then begin
-               e.expanded <- true;
-               for k = 0 to ns - 1 do
-                 commit_edge r.targets.(k) res.(base + k)
-               done
-             end
-           end);
-          pop_batch_left ())
-        marks;
-      (* Batch boundary: every committed zone was re-homed into the
-         main arena, so whatever the workers froze this batch is now
-         discarded speculative work — rewind the per-domain arenas. *)
-      Array.iter
-        (function Some dc -> K.Arena.reset dc.spec_arena | None -> ())
-        dctxs
     in
     let result =
       try
@@ -1197,7 +1060,7 @@ module Make (K : Dbm_sig.S) = struct
                 let r = state_rec s0 in
                 let post = layout_of r p0 in
                 let y_op = match p0 with Idle -> `Free | Armed -> `Keep in
-                if settle main ~ci:(-1) post.en all_clocks post y_op then
+                if settle ~ci:(-1) post.en all_clocks post y_op then
                   add_scratch r p0)
               a.Ioa.start);
         while
@@ -1223,18 +1086,15 @@ module Make (K : Dbm_sig.S) = struct
           let r = lc.sr and p = lc.ph and pre = lc.lay in
           batch_loc := lc.lid;
           batch_left := batch;
-          (match pool with
-          | Some pl when Pool.size pl > 1 -> expand_batch_par pl r p pre batch
-          | Some _ | None ->
-              List.iter
-                (fun e ->
-                  decr waiting;
-                  (if e.alive then begin
-                     e.expanded <- true;
-                     expand r p pre e.z
-                   end);
-                  pop_batch_left ())
-                batch)
+          List.iter
+            (fun e ->
+              decr waiting;
+              (if e.alive then begin
+                 e.expanded <- true;
+                 expand r p pre e.z
+               end);
+              pop_batch_left ())
+            batch
         done;
         (* The fixpoint was reached: a leftover snapshot — periodic from
            this run, or the one this run resumed from when it doubles as
@@ -1255,8 +1115,8 @@ module Make (K : Dbm_sig.S) = struct
       with
       | Unsupported_shape m -> Error (`Unsupported m)
       | Refuted side ->
-          (* The observer's witness, raised in sequential commit order
-             at any domain count: the stats so far are deterministic. *)
+          (* The observer's witness: the stats so far are
+             deterministic. *)
           Events.progress_clear ();
           Error (`Refuted (side, stats_now ()))
       | Budget kind ->
@@ -1294,26 +1154,15 @@ module Make (K : Dbm_sig.S) = struct
     in
     result
 
-  (* [?domains] scopes a pool around one exploration; [domains <= 1]
-     (the default) never touches the pool machinery. *)
-  let with_domains domains f =
-    match domains with
-    | Some d when d > 1 -> Pool.run ~domains:d (fun p -> f (Some p))
-    | Some _ | None -> f None
-
-  let span_args domains =
-    [ ("domains", string_of_int (match domains with Some d -> max 1 d | None -> 1)) ]
-
   (* The driver shared by the two observer-free checks: no observer
      clock, every phase [Idle], [visit] sees each stored state. *)
-  let explore_states ~span ~kind ?limit ?deadline_s ?domains ?checkpoint
-      ?resume ?certificate (a : ('s, 'a) Ioa.t) bm (visit : 's -> unit) =
-    Tracing.with_span span ~args:(span_args domains) @@ fun () ->
+  let explore_states ~span ~kind ?limit ?deadline_s ?checkpoint ?resume
+      ?certificate (a : ('s, 'a) Ioa.t) bm (visit : 's -> unit) =
+    Tracing.with_span span @@ fun () ->
     let enc = make_enc a bm ~cond_bounds:None in
     let fingerprint = fingerprint_of ~kind bm enc in
     match
-      with_domains domains @@ fun pool ->
-      explore ?limit ?deadline_s ?pool ?checkpoint ?resume ~fingerprint enc
+      explore ?limit ?deadline_s ?checkpoint ?resume ~fingerprint enc
         ~initial_phase:(fun _ -> Idle)
         ~observe:keep_phase
         ~inspect:(fun _ s _ _ -> visit s)
@@ -1327,30 +1176,29 @@ module Make (K : Dbm_sig.S) = struct
         (* [keep_phase] never probes and [visit] raises its own *)
         assert false
 
-  let reachable ?limit ?deadline_s ?domains ?checkpoint ?resume ?certificate a
-      bm =
+  let reachable ?limit ?deadline_s ?checkpoint ?resume ?certificate a bm =
     let stats, stored_states =
       explore_states ~span:"zones.reachable" ~kind:"reachable" ?limit
-        ?deadline_s ?domains ?checkpoint ?resume ?certificate a bm ignore
+        ?deadline_s ?checkpoint ?resume ?certificate a bm ignore
     in
     (stats, stored_states ())
 
-  let check_state_invariant (type s) ?limit ?deadline_s ?domains ?checkpoint
-      ?resume ?certificate (a : (s, _) Ioa.t) bm pred =
+  let check_state_invariant (type s) ?limit ?deadline_s ?checkpoint ?resume
+      ?certificate (a : (s, _) Ioa.t) bm pred =
     let exception Found of s in
     match
       explore_states ~span:"zones.check_state_invariant" ~kind:"invariant"
-        ?limit ?deadline_s ?domains ?checkpoint ?resume ?certificate a bm
+        ?limit ?deadline_s ?checkpoint ?resume ?certificate a bm
         (fun s ->
           if not (pred s) then raise (Found s))
     with
     | stats, _ -> Ok stats
     | exception Found s -> Error s
 
-  let check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume
-      ?certificate (a : ('s, 'a) Ioa.t) bm (c : ('s, 'a) Condition.t) =
+  let check_condition ?limit ?deadline_s ?checkpoint ?resume ?certificate
+      (a : ('s, 'a) Ioa.t) bm (c : ('s, 'a) Condition.t) =
     Tracing.with_span "zones.check_condition"
-      ~args:(("cond", c.Condition.cname) :: span_args domains)
+      ~args:[ ("cond", c.Condition.cname) ]
     @@ fun () ->
     let enc =
       make_enc a bm ~cond_bounds:(Some c.Condition.bounds)
@@ -1392,8 +1240,7 @@ module Make (K : Dbm_sig.S) = struct
       | Armed, None | Idle, _ -> ()
     in
     match
-      with_domains domains @@ fun pool ->
-      explore ?limit ?deadline_s ?pool ?checkpoint ?resume ~fingerprint enc
+      explore ?limit ?deadline_s ?checkpoint ?resume ~fingerprint enc
         ~initial_phase:(fun s0 ->
           if c.Condition.t_start s0 then Armed else Idle)
         ~observe ~inspect
@@ -1408,23 +1255,23 @@ module Make (K : Dbm_sig.S) = struct
 
   (* The entry points above also hand a positive verdict's certificate
      to [?certificate]; [S] (and so every engine outside this file)
-     sees them without it. *)
+     sees them without it, and with the ignored [?domains]. *)
   module Certifying = struct
     let reachable = reachable
     let check_state_invariant = check_state_invariant
     let check_condition = check_condition
   end
 
-  let reachable ?limit ?deadline_s ?domains ?checkpoint ?resume a bm =
-    reachable ?limit ?deadline_s ?domains ?checkpoint ?resume a bm
+  let reachable ?limit ?deadline_s ?domains:_ ?checkpoint ?resume a bm =
+    reachable ?limit ?deadline_s ?checkpoint ?resume a bm
 
-  let check_state_invariant ?limit ?deadline_s ?domains ?checkpoint ?resume a
-      bm pred =
-    check_state_invariant ?limit ?deadline_s ?domains ?checkpoint ?resume a bm
-      pred
+  let check_state_invariant ?limit ?deadline_s ?domains:_ ?checkpoint ?resume
+      a bm pred =
+    check_state_invariant ?limit ?deadline_s ?checkpoint ?resume a bm pred
 
-  let check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume a bm c =
-    check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume a bm c
+  let check_condition ?limit ?deadline_s ?domains:_ ?checkpoint ?resume a bm c
+      =
+    check_condition ?limit ?deadline_s ?checkpoint ?resume a bm c
 end
 
 (* The production engine: the packed-int kernel, every job scaled to
@@ -1439,7 +1286,7 @@ module For_testing = struct
   let corrupt_certificate = ref false
   let reset () = corrupt_certificate := false
 
-  let certificate (type s a) ?domains kernel (a : (s, a) Ioa.t) bm
+  let certificate (type s a) kernel (a : (s, a) Ioa.t) bm
       (prop : (s, a) Certificate.property) =
     let cert = ref None in
     let certificate c = cert := Some c in
@@ -1449,8 +1296,8 @@ module For_testing = struct
       | `Ref -> Ref.Certifying.(check_state_invariant, check_condition)
     in
     (match prop with
-    | Certificate.Invariant p -> ignore (inv ?domains ~certificate a bm p)
-    | Certificate.Condition c -> ignore (cond ?domains ~certificate a bm c));
+    | Certificate.Invariant p -> ignore (inv ~certificate a bm p)
+    | Certificate.Condition c -> ignore (cond ~certificate a bm c));
     !cert
 end
 
@@ -1537,16 +1384,16 @@ module Paranoid : S = struct
             let reason = late deadline_s "confirming the refutation" in
             raise (Out_of_budget { e with reason }))
 
-  let reachable ?limit ?deadline_s ?domains ?checkpoint ?resume a bm =
+  let reachable ?limit ?deadline_s ?domains:_ ?checkpoint ?resume a bm =
     checked "reachable" a bm (Certificate.Invariant (fun _ -> true))
       ~deadline_s
       ~claim:(fun (stats, _) -> `Proof stats)
       (fun certificate ->
-        P.Certifying.reachable ?limit ?deadline_s ?domains ?checkpoint
-          ?resume ~certificate a bm)
-      (fun deadline_s -> Ref.reachable ?limit ?deadline_s ?domains a bm)
+        P.Certifying.reachable ?limit ?deadline_s ?checkpoint ?resume
+          ~certificate a bm)
+      (fun deadline_s -> Ref.reachable ?limit ?deadline_s a bm)
 
-  let check_state_invariant ?limit ?deadline_s ?domains ?checkpoint ?resume
+  let check_state_invariant ?limit ?deadline_s ?domains:_ ?checkpoint ?resume
       (a : (_, _) Ioa.t) bm pred =
     checked "invariant" a bm (Certificate.Invariant pred) ~deadline_s
       ~claim:(function
@@ -1555,14 +1402,14 @@ module Paranoid : S = struct
             `Refutation
               (function Error s' -> a.Ioa.equal_state s s' | Ok _ -> false))
       (fun certificate ->
-        P.Certifying.check_state_invariant ?limit ?deadline_s ?domains
-          ?checkpoint ?resume ~certificate a bm pred)
-      (fun deadline_s ->
-        Ref.check_state_invariant ?limit ?deadline_s ?domains a bm pred)
+        P.Certifying.check_state_invariant ?limit ?deadline_s ?checkpoint
+          ?resume ~certificate a bm pred)
+      (fun deadline_s -> Ref.check_state_invariant ?limit ?deadline_s a bm pred)
 
   (* Inside [checked] an exhausted condition check is [Out_of_budget],
      as for the other two entry points. *)
-  let check_condition ?limit ?deadline_s ?domains ?checkpoint ?resume a bm c =
+  let check_condition ?limit ?deadline_s ?domains:_ ?checkpoint ?resume a bm
+      c =
     try
       checked "condition" a bm (Certificate.Condition c) ~deadline_s
         ~claim:(function
@@ -1571,10 +1418,10 @@ module Paranoid : S = struct
               `Refutation (( = ) o)
           | Unknown _ | Unsupported _ -> `Nothing)
         (fun certificate ->
-          P.Certifying.check_condition ?limit ?deadline_s ?domains ?checkpoint
-            ?resume ~certificate a bm c)
+          P.Certifying.check_condition ?limit ?deadline_s ?checkpoint ?resume
+            ~certificate a bm c)
         (fun deadline_s ->
-          match Ref.check_condition ?limit ?deadline_s ?domains a bm c with
+          match Ref.check_condition ?limit ?deadline_s a bm c with
           | Unknown e -> raise (Out_of_budget e)
           | o -> o)
     with Out_of_budget e -> Unknown e

@@ -21,9 +21,8 @@
     clock compared against nothing on a side is unbounded there, which
     erases inactive clocks from zones entirely (clock-activity
     reduction).  Every zone, initial or successor, passes through one
-    successor pipeline that ends in this widening, whatever the kernel
-    or domain count, so [zones.stored] stays kernel- and
-    domain-independent.  LU is the only widening: there is no
+    successor pipeline that ends in this widening, whatever the kernel,
+    so [zones.stored] stays kernel-independent.  LU is the only widening: there is no
     max-constant fallback mode.  Its soundness is checked independently
     of this engine by the Alur–Dill region construction ({!Region}),
     which test/ runs against the zone verdicts.  The checkpoint
@@ -55,10 +54,9 @@
     {b State and location tables.}  The discrete part of a location —
     its actions, successor states, enabled classes and so its layout —
     depends on the automaton state only.  The engine keeps one record
-    per state, built on the main domain when it first meets the state:
-    it calls [delta] once per action there and never again, so [delta]
-    runs at most once per (state, action), on the main domain, at any
-    domain count.  Locations are numbered in the order they store their
+    per state, built when it first meets the state: it calls [delta]
+    once per action there and never again, so [delta] runs at most
+    once per (state, action).  Locations are numbered in the order they store their
     first zone and kept in an array indexed by that number, so the
     per-edge path indexes records instead of hashing states.
 
@@ -69,9 +67,8 @@
       upper-bound violation;
     - a [Π]-transition from an armed zone admitting [y < b_l] (with no
       intervening disarm) witnesses a lower-bound violation.
-    A violation carries the stats of the search at the witness.  Both
-    witnesses fire in sequential commit order, so these partial stats
-    are the same at any domain count.
+    A violation carries the stats of the search at the witness, which
+    are deterministic.
 
     Supported condition shapes: a trigger step that fires while the
     observer is already armed must itself be a [Π]-action (then the
@@ -108,11 +105,9 @@
     versioned, checksummed, atomically replaced snapshot of the whole
     search frontier ([Tm_recover.Snapshot]) — and resume from one.
     Snapshots are taken only at batch boundaries, where the frontier is
-    self-contained and (under [?domains]) every worker has quiesced at
-    the commit barrier, so a resumed run replays the identical commit
-    sequence: verdict, reachable set (as a set), [zones.stored] and the
-    other guarded counters all equal the uninterrupted run, at any
-    domain count.  Resuming requires the same kernel, entry point,
+    self-contained, so a resumed run replays the identical sequence of
+    stores: verdict, reachable set (as a set), [zones.stored] and the
+    other guarded counters all equal the uninterrupted run.  Resuming requires the same kernel, entry point,
     automaton and bounds — a job fingerprint embedded in the snapshot
     is checked before any state is trusted, and automaton states must
     be marshalable (no closures).  The fingerprint is built from the
@@ -164,7 +159,7 @@ exception Out_of_budget of exhausted
     The zone budget acts at batch boundaries (so a run can finish at
     most one location batch beyond [limit], and a completed fixpoint is
     reported [Verified] only when it stayed within [limit]); it is
-    deterministic and agrees exactly across kernels and domain counts.
+    deterministic and agrees exactly across kernels.
     On [~resume], an explicit [limit] counts the zones stored {e after}
     the restored point (the exhaustion reason prints the absolute bound
     [restored + limit]); the default [1_000_000] stays absolute.
@@ -173,17 +168,10 @@ exception Out_of_budget of exhausted
     zone expansion — but which zone it stops at, necessarily, is not
     deterministic.
 
-    Every entry point also takes [?domains] (default 1): with
-    [domains > 1] the exploration runs on a [Tm_par.Pool] of that many
-    domains in speculate-then-commit style — the one successor
-    pipeline that the sequential path runs is computed in parallel on
-    per-domain scratch matrices and arenas, and the main
-    domain replays the results in exact sequential order (anything the
-    pipeline raises on a worker, such as an unsupported condition
-    shape, is re-raised at its place in that order).  Verdicts, the reachable base-state set,
-    and every counter ([zones.stored], [zones.subsumed], edge counts,
-    deterministic budget exhaustion) are bit-identical to [domains = 1]
-    at any domain count; only wall-clock time changes.
+    Zone exploration is sequential.  Every entry point still takes
+    [?domains] and ignores it: the perfbench probe
+    (perfbench/probe/probe.ml) passes [~domains:1], and the parameter
+    goes once it no longer does.
 
     [?checkpoint:(path, every)] snapshots the frontier to [path] after
     every [every] newly stored zones ([every <= 0]: only final
@@ -292,7 +280,6 @@ module For_testing : sig
   val reset : unit -> unit
 
   val certificate :
-    ?domains:int ->
     [ `Int | `Ref ] ->
     ('s, 'a) Tm_ioa.Ioa.t ->
     Tm_timed.Boundmap.t ->

@@ -13,22 +13,16 @@
    constraint list of {!Tm_zones.Dbm_min}, in the same order, and its
    checkpoint form keeps snapshot format 2's layout.
 
-   The arena tests pin the zero-copy storage discipline:
-   [copy_into]/[freeze_into] round-trip zone payloads through bump
-   arenas (across chunk growth, past the int kernel's chunk cap, and
-   across a rewind of an arena that grew past it), a no-op edge
-   pipeline still freezes to the original interned zone, and an
-   engine-level regression holds verdicts fixed across domain counts —
-   a worker arena reset must discard exactly the speculative zones and
-   nothing else. *)
+   The arena tests pin the zero-copy storage discipline: [freeze_into]
+   round-trips zone payloads through bump arenas (across chunk growth
+   and past the int kernel's chunk cap), and a no-op edge pipeline
+   still freezes to the original interned zone. *)
 
 module Rational = Tm_base.Rational
 module Bnd = Tm_zones.Dbm_bound
 module Dbm_ref = Tm_zones.Dbm_ref
 module Dbm_int = Tm_zones.Dbm_int
 module Dbm_min = Tm_zones.Dbm_min
-module Reach = Tm_zones.Reach
-module F = Tm_systems.Fischer
 module D = Test_dbm_diff
 
 let snapshot = D.snapshot
@@ -258,18 +252,6 @@ end
 
 module Up_zero_int = Up_zero (Dbm_int)
 
-let unit_copy_into (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
-    () =
-  let module U = Up_zero (K) in
-  let a = K.Arena.create () in
-  let z = U.constrained (K.Arena.create ()) 4 (Some (Bnd.Lt (Gen.q 7))) in
-  Alcotest.(check bool) "copy_into preserves the zone" true
-    (K.equal z (K.copy_into a z));
-  (* enough copies to force chunk growth; every slice must stay intact *)
-  let copies = List.init 300 (fun _ -> K.copy_into a z) in
-  Alcotest.(check bool) "all slices equal after chunk growth" true
-    (List.for_all (K.equal z) copies)
-
 let unit_freeze_into (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
     () =
   let module U = Up_zero (K) in
@@ -293,24 +275,6 @@ let unit_short_circuit (type z)
   K.Scratch.load scr z;
   Alcotest.(check bool) "no-op pipeline freezes to the original zone" true
     (K.Scratch.freeze_into a scr == z)
-
-let unit_reset_reuse (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
-    () =
-  (* Speculative freeze, discard, rewind — zones frozen after the
-     reset land on the recycled space and must be exactly right. *)
-  let module U = Up_zero (K) in
-  let a = K.Arena.create () in
-  let scr = K.Scratch.create 3 in
-  U.load scr 3;
-  ignore (K.Scratch.freeze_into a scr);
-  K.Arena.reset a;
-  K.Scratch.load scr (D.scratch_top (module K) 3);
-  K.Scratch.remap scr { Tm_zones.Dbm_sig.src = [| 0; 0; 2 |]; frees = 0 };
-  let after = K.Scratch.freeze_into a scr in
-  Alcotest.(check bool) "post-reset freeze is exact" true
-    (D.mats_equal
-       [ snapshot (module K) after ]
-       [ snapshot (module Dbm_ref) (Dbm_ref.reset (Dbm_ref.top 3) 1) ])
 
 (* Int arena chunks stop doubling at [Dbm_int.arena_chunk_max] words.
    Zone [c] of [n] clocks: all clocks equal, at most [c + 1], above
@@ -346,46 +310,6 @@ let unit_capped_growth () =
   Alcotest.(check bool) "every frozen zone equals its heap copy" true
     (List.for_all2 Dbm_int.equal (heap_range n 0 count) frozen)
 
-(* The commit loop's discipline past the cap: a worker arena fills
-   several capped chunks, the survivors are copied into the main arena,
-   the worker arena is rewound and refilled with other zones.  The
-   copies must not change. *)
-let unit_rewind_past_cap () =
-  let n = 20 in
-  let half = 3 * (Dbm_int.arena_chunk_max / (n * n)) in
-  let worker = Dbm_int.Arena.create () and main = Dbm_int.Arena.create () in
-  let committed =
-    List.map (Dbm_int.copy_into main) (freeze_range worker n 0 half)
-  in
-  Dbm_int.Arena.reset worker;
-  let again = freeze_range worker n half (2 * half) in
-  Alcotest.(check bool) "copied-out zones unchanged by the rewind" true
-    (List.for_all2 Dbm_int.equal (heap_range n 0 half) committed);
-  Alcotest.(check bool) "zones frozen after the rewind are exact" true
-    (List.for_all2 Dbm_int.equal (heap_range n half (2 * half)) again)
-
-(* ------------------------------------------------------------------ *)
-(* Engine regression: a worker arena reset discards exactly the
-   speculative zones.  Any leak of recycled payloads into the shared
-   store would perturb the verdict, the zone count or the reachable
-   state set somewhere across domain counts. *)
-
-let domains_agree () =
-  let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
-  let sys = F.system p and bm = F.boundmap p in
-  let run d =
-    let st, states = Reach.reachable ~domains:d sys bm in
-    (st, List.sort compare states)
-  in
-  let base = run 1 in
-  List.iter
-    (fun d ->
-      Alcotest.(check bool)
-        (Printf.sprintf "domains=%d matches domains=1" d)
-        true
-        (run d = base))
-    [ 2; 4 ]
-
 let suite =
   [
     roundtrip_ref;
@@ -394,10 +318,6 @@ let suite =
     subsumed_by_agrees;
     min_int_matches_dbm_min;
     min_stored_keeps_v2_layout;
-    Alcotest.test_case "arena: copy_into round-trips (ref)" `Quick
-      (unit_copy_into (module Dbm_ref));
-    Alcotest.test_case "arena: copy_into round-trips (int)" `Quick
-      (unit_copy_into (module Dbm_int));
     Alcotest.test_case "arena: freeze_into matches persistent (ref)" `Quick
       (unit_freeze_into (module Dbm_ref));
     Alcotest.test_case "arena: freeze_into matches persistent (int)" `Quick
@@ -408,13 +328,6 @@ let suite =
     Alcotest.test_case "arena: no-op freeze returns the original (int)"
       `Quick
       (unit_short_circuit (module Dbm_int));
-    Alcotest.test_case "arena: reset recycles space exactly (ref)" `Quick
-      (unit_reset_reuse (module Dbm_ref));
-    Alcotest.test_case "arena: reset recycles space exactly (int)" `Quick
-      (unit_reset_reuse (module Dbm_int));
     Alcotest.test_case "arena: growth past the chunk cap (int)" `Quick
       unit_capped_growth;
-    Alcotest.test_case "arena: rewind past the chunk cap keeps copies (int)"
-      `Quick unit_rewind_past_cap;
-    Alcotest.test_case "engine: domains 1/2/4 agree" `Quick domains_agree;
   ]

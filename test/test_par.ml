@@ -1,15 +1,15 @@
-(* Multi-core parallel exploration.
+(* The domain pool and its callers.
 
-   The load-bearing property is bit-identical determinism: every entry
-   point that takes [?domains] must produce the same verdict, the same
-   reachable base-state set and the same deterministic counters
-   (zones.stored, .subsumed, .pruned_waiting and .interned,
-   faults.margin_probes) at 1, 2 and 4 domains — the
-   speculate-then-commit engine replays speculative results in exact
-   sequential order, so parallelism may only change wall-clock time.
-   The pool itself is checked for coverage, ordering, exception
-   propagation and the single-active-pool fallback, and the
-   single-domain ownership of hash-consing stores is enforced. *)
+   The load-bearing property is bit-identical determinism: the callers
+   that fan out over [Tm_par.Pool] — margin reports and simulator
+   batches — must produce the same result (margin reports with their
+   faults.margin_probes totals) at 1, 2 and 4 domains, so parallelism
+   may only change wall-clock time.  The pool itself is checked for
+   coverage, ordering, exception propagation, metric merging and the
+   single-active-pool fallback, and the single-domain ownership of
+   hash-consing stores is enforced.  Zone exploration is sequential;
+   the cases kept here pin its zone counters, budget discipline,
+   invariant witnesses and unsupported shapes at one domain. *)
 
 module Rational = Tm_base.Rational
 module Time = Tm_base.Time
@@ -39,7 +39,7 @@ let pool_covers_all_indices () =
       let hits = Array.make n 0 in
       (* Each index is touched exactly once; chunks never overlap, so
          unsynchronized increments of distinct cells are safe. *)
-      Pool.parallel_for p ~n (fun ~domain:_ i -> hits.(i) <- hits.(i) + 1);
+      Pool.parallel_for p ~n (fun i -> hits.(i) <- hits.(i) + 1);
       Alcotest.(check (list int))
         "each index exactly once" []
         (List.filter (fun h -> h <> 1) (Array.to_list hits)))
@@ -47,10 +47,14 @@ let pool_covers_all_indices () =
 let pool_map_preserves_order () =
   Pool.run ~domains:4 (fun p ->
       let xs = List.init 257 (fun i -> i) in
+      (* Item 0 is slow, so the other domains finish later chunks
+         first: results must still come back in input order. *)
+      let f i =
+        if i = 0 then Unix.sleepf 0.05;
+        (i * i) + 1
+      in
       Alcotest.(check (list int))
-        "map_list order"
-        (List.map (fun i -> (i * i) + 1) xs)
-        (Pool.map_list p (fun i -> (i * i) + 1) xs);
+        "map_list order" (List.map f xs) (Pool.map_list p f xs);
       let a = Array.init 63 string_of_int in
       Alcotest.(check (array string))
         "map_array order"
@@ -61,7 +65,7 @@ exception Boom of int
 
 let pool_propagates_exception () =
   Pool.run ~domains:2 (fun p ->
-      match Pool.parallel_for p ~n:100 (fun ~domain:_ i ->
+      match Pool.parallel_for p ~n:100 (fun i ->
                 if i = 37 then raise (Boom i))
       with
       | () -> Alcotest.fail "expected Boom"
@@ -75,7 +79,7 @@ let pool_nested_create_is_inline () =
       Pool.run ~domains:3 (fun inner ->
           Alcotest.(check int) "inner size" 1 (Pool.size inner);
           let total = ref 0 in
-          Pool.parallel_for inner ~n:10 (fun ~domain:_ i ->
+          Pool.parallel_for inner ~n:10 (fun i ->
               total := !total + i);
           Alcotest.(check int) "inner sum" 45 !total))
 
@@ -84,12 +88,12 @@ let pool_metrics_merge () =
   let before = Metrics.value c in
   let n = 500 in
   Pool.run ~domains:3 (fun p ->
-      Pool.parallel_for p ~n (fun ~domain:_ _ -> Metrics.incr c));
+      Pool.parallel_for p ~n (fun _ -> Metrics.incr c));
   Alcotest.(check int)
     "per-domain counter sinks merge by sum" (before + n) (Metrics.value c)
 
 (* ------------------------------------------------------------------ *)
-(* Differential: random automata agree at every domain count.          *)
+(* Zone counters on random automata.                                   *)
 
 (* The zone counters a run adds: stored, subsumed, pruned while
    waiting, interned. *)
@@ -102,41 +106,17 @@ let zone_counters =
       "zones.interned";
     ]
 
-let reach_at aut bm d =
-  let before = List.map Metrics.value zone_counters in
-  let st, states = Reach.Auto.reachable ~domains:d aut bm in
-  ( st,
-    List.sort compare states,
-    List.map2 (fun c v -> Metrics.value c - v) zone_counters before )
-
-let cond0 =
-  Condition.make ~name:"D"
-    ~t_step:(fun _ a _ -> a = 0)
-    ~bounds:(Interval.make Rational.zero (Time.Fin (q 3)))
-    ~in_pi:(fun a -> a = 0)
-    ()
-
-let reach_domain_invariance =
+let reach_counters =
   Gen.check_holds
-    "reach: stats, reachable set and zone counters identical at 1/2/4 \
-     domains"
+    "reach: stats, reachable set and zone counters: interned <= stored"
     ~count:30 ~print:Gen.print_raut Gen.boundmap_automaton (fun r ->
       let aut, bm = Gen.build_boundmap_automaton r in
-      let ((_, _, counts) as base) = reach_at aut bm 1 in
+      let before = List.map Metrics.value zone_counters in
+      ignore (Reach.Auto.reachable aut bm);
       (* only stored zones are interned *)
-      (match counts with
+      match List.map2 (fun c v -> Metrics.value c - v) zone_counters before with
       | [ stored; _; _; interned ] -> interned <= stored
       | _ -> false)
-      && List.for_all (fun d -> reach_at aut bm d = base) [ 2; 4 ])
-
-let condition_domain_invariance =
-  Gen.check_holds "check_condition: verdict identical at 1/2/4 domains"
-    ~count:30 ~print:Gen.print_raut Gen.boundmap_automaton (fun r ->
-      let aut, bm = Gen.build_boundmap_automaton r in
-      let base = Reach.Auto.check_condition ~domains:1 aut bm cond0 in
-      List.for_all
-        (fun d -> Reach.Auto.check_condition ~domains:d aut bm cond0 = base)
-        [ 2; 4 ])
 
 (* ------------------------------------------------------------------ *)
 (* Margin reports and simulator batches.                               *)
@@ -185,68 +165,46 @@ let batch_domain_invariance () =
     domain_counts
 
 (* ------------------------------------------------------------------ *)
-(* Budget discipline under parallelism.                                *)
+(* Budget discipline.                                                  *)
 
-let budget_discipline_parallel () =
+let budget_discipline () =
   let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
-  let outcome d =
-    Reach.Auto.check_condition ~limit:200 ~domains:d (F.system p)
-      (F.boundmap p) (F.u_enter p)
-  in
-  let base = outcome 1 in
-  (match base with
+  match
+    Reach.Auto.check_condition ~limit:200 (F.system p) (F.boundmap p)
+      (F.u_enter p)
+  with
   | Reach.Unknown e ->
       Alcotest.(check bool)
         "partial stats populated" true
         (e.Reach.partial.Reach.zones > 0)
-  | _ -> Alcotest.fail "limit 200 should exhaust the zone budget");
-  List.iter
-    (fun d ->
-      match outcome d with
-      | Reach.Verified _ ->
-          Alcotest.failf "exhausted run surfaced as VERIFIED at %d domains" d
-      | o ->
-          Alcotest.(check bool)
-            (Printf.sprintf "UNKNOWN with identical partial stats at %d" d)
-            true (o = base))
-    domain_counts
+  | Reach.Verified _ -> Alcotest.fail "exhausted run surfaced as VERIFIED"
+  | _ -> Alcotest.fail "limit 200 should exhaust the zone budget"
 
 (* ------------------------------------------------------------------ *)
 (* Observer-free invariants and unsupported condition shapes.          *)
 
-let invariant_domain_invariance () =
-  let check ~a ~b d =
+let invariant_stats_and_witness () =
+  let check ~a ~b =
     let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a ~b ~b2:(b + 1) ~e:2 in
-    Reach.Auto.check_state_invariant ~domains:d (F.system p) (F.boundmap p)
+    Reach.Auto.check_state_invariant (F.system p) (F.boundmap p)
       F.mutual_exclusion
   in
-  let broken_at_1 = check ~a:3 ~b:2 1 in
-  List.iter
-    (fun d ->
-      (match check ~a:1 ~b:2 d with
-      | Ok st ->
-          Alcotest.(check (list int))
-            (Printf.sprintf "fischer n=3 stats at %d domains" d)
-            [ 138; 337; 882 ]
-            [ st.Reach.locations; st.Reach.zones; st.Reach.edges ]
-      | Error _ -> Alcotest.failf "fischer n=3 violated at %d domains" d);
-      match check ~a:3 ~b:2 d with
-      | Error s ->
-          Alcotest.(check bool)
-            (Printf.sprintf "offending state breaks mutex at %d domains" d)
-            false (F.mutual_exclusion s);
-          Alcotest.(check bool)
-            (Printf.sprintf "same offending state at %d domains" d)
-            true
-            (broken_at_1 = Error s)
-      | Ok _ -> Alcotest.failf "broken fischer held at %d domains" d)
-    domain_counts
+  (match check ~a:1 ~b:2 with
+  | Ok st ->
+      Alcotest.(check (list int))
+        "fischer n=3 stats" [ 138; 337; 882 ]
+        [ st.Reach.locations; st.Reach.zones; st.Reach.edges ]
+  | Error _ -> Alcotest.fail "fischer n=3 violated");
+  match check ~a:3 ~b:2 with
+  | Error s ->
+      Alcotest.(check bool)
+        "offending state breaks mutex" false (F.mutual_exclusion s)
+  | Ok _ -> Alcotest.fail "broken fischer held"
 
 (* A trigger that fires again on a non-Π action while the observer is
    armed needs the paper's deadline merge, which the engine reports as
-   unsupported.  Under a pool the shape is met on a worker domain and
-   must surface from the commit loop unchanged. *)
-let unsupported_domain_invariance () =
+   unsupported. *)
+let unsupported_shape () =
   let p = RM.params_of_ints ~k:3 ~c1:2 ~c2:3 ~l:1 in
   let retrigger =
     Condition.make ~name:"retrigger"
@@ -255,20 +213,14 @@ let unsupported_domain_invariance () =
       ~in_pi:(fun act -> act = RM.Grant)
       ()
   in
-  List.iter
-    (fun d ->
-      match
-        Reach.Auto.check_condition ~domains:d (RM.system p) (RM.boundmap p)
-          retrigger
-      with
-      | Reach.Unsupported m ->
-          Alcotest.(check string)
-            (Printf.sprintf "unsupported message at %d domains" d)
-            "trigger fired while armed with a non-Pi action (needs deadline \
-             merge)"
-            m
-      | _ -> Alcotest.failf "re-trigger not reported unsupported at %d" d)
-    domain_counts
+  match Reach.Auto.check_condition (RM.system p) (RM.boundmap p) retrigger with
+  | Reach.Unsupported m ->
+      Alcotest.(check string)
+        "unsupported message"
+        "trigger fired while armed with a non-Pi action (needs deadline \
+         merge)"
+        m
+  | _ -> Alcotest.fail "re-trigger not reported unsupported"
 
 (* ------------------------------------------------------------------ *)
 (* Hstore ownership and Boundmap ordering.                             *)
@@ -316,18 +268,17 @@ let suite =
     Alcotest.test_case "pool: nested create is inline" `Quick
       pool_nested_create_is_inline;
     Alcotest.test_case "pool: metric sinks merge" `Quick pool_metrics_merge;
-    reach_domain_invariance;
-    condition_domain_invariance;
+    reach_counters;
     Alcotest.test_case "margin: report identical at 1/2/4 domains" `Quick
       margin_domain_invariance;
     Alcotest.test_case "simulator: batch identical at 1/2/4 domains" `Quick
       batch_domain_invariance;
-    Alcotest.test_case "budget: UNKNOWN, never VERIFIED, stats merge" `Quick
-      budget_discipline_parallel;
-    Alcotest.test_case "invariant: stats and witness identical at 1/2/4"
-      `Quick invariant_domain_invariance;
-    Alcotest.test_case "condition: unsupported shape identical at 1/2/4"
-      `Quick unsupported_domain_invariance;
+    Alcotest.test_case "budget: UNKNOWN, never VERIFIED, partial stats"
+      `Quick budget_discipline;
+    Alcotest.test_case "invariant: stats and witness in fischer n=3" `Quick
+      invariant_stats_and_witness;
+    Alcotest.test_case "condition: unsupported shape is reported" `Quick
+      unsupported_shape;
     Alcotest.test_case "hstore: single-domain ownership enforced" `Quick
       hstore_cross_domain_raises;
     Alcotest.test_case "boundmap: to_list sorted" `Quick

@@ -217,65 +217,33 @@ let test_lu_metamorphic_reachable () =
   Alcotest.(check bool) "ref kernel: same states" true
     (norm r_ref = norm r_lu)
 
-let test_lu_domain_invariance () =
-  (* LU widening happens per worker domain; the merged result must not
-     depend on how the frontier was split *)
-  let base, rbase = Reach.reachable ~domains:1 sys bm in
-  let rbase = List.sort compare rbase in
-  List.iter
-    (fun d ->
-      let st, r = Reach.reachable ~domains:d sys bm in
-      Alcotest.(check bool)
-        (Printf.sprintf "stats identical at domains=%d" d)
-        true (st = base);
-      Alcotest.(check bool)
-        (Printf.sprintf "states identical at domains=%d" d)
-        true
-        (List.sort compare r = rbase))
-    [ 2; 4 ]
-
 (* The discrete part of a location depends on its state only, so the
    engine asks [delta] once per (state, action), however many zones it
-   expands there and at any domain count.  The wrapper counts calls
-   under a mutex, since an engine may call [delta] from worker domains. *)
+   expands there. *)
 let test_delta_once_per_state_action () =
   let fp = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let fsys = F.system fp and fbm = F.boundmap fp in
   let counted () =
     let calls = Hashtbl.create 256 in
-    let lock = Mutex.create () in
     let delta s act =
-      Mutex.protect lock (fun () ->
-          let k = (s, act) in
-          Hashtbl.replace calls k
-            (1 + Option.value (Hashtbl.find_opt calls k) ~default:0));
+      let k = (s, act) in
+      Hashtbl.replace calls k
+        (1 + Option.value (Hashtbl.find_opt calls k) ~default:0);
       fsys.Tm_ioa.Ioa.delta s act
     in
     let most () = Hashtbl.fold (fun _ n m -> max n m) calls 0 in
     ({ fsys with Tm_ioa.Ioa.delta }, most, fun () -> Hashtbl.length calls)
   in
-  List.iter
-    (fun d ->
-      let wrapped, most, pairs = counted () in
-      let st, states = Reach.reachable ~domains:d wrapped fbm in
-      Alcotest.(check bool)
-        (Printf.sprintf "reachable unchanged at domains=%d" d)
-        true
-        ((st, states) = Reach.reachable fsys fbm);
-      Alcotest.(check bool) "delta was called" true (pairs () > 0);
-      Alcotest.(check int)
-        (Printf.sprintf "reachable: calls per (state, action) at domains=%d"
-           d)
-        1 (most ());
-      let wrapped, most, _ = counted () in
-      Alcotest.(check string)
-        (Printf.sprintf "U_enter verdict at domains=%d" d)
-        "verified"
-        (verdict_tag (Reach.check_condition ~domains:d wrapped fbm (F.u_enter fp)));
-      Alcotest.(check int)
-        (Printf.sprintf "U_enter: calls per (state, action) at domains=%d" d)
-        1 (most ()))
-    [ 1; 2 ]
+  let wrapped, most, pairs = counted () in
+  let st, states = Reach.reachable wrapped fbm in
+  Alcotest.(check bool) "reachable unchanged" true
+    ((st, states) = Reach.reachable fsys fbm);
+  Alcotest.(check bool) "delta was called" true (pairs () > 0);
+  Alcotest.(check int) "reachable: calls per (state, action)" 1 (most ());
+  let wrapped, most, _ = counted () in
+  Alcotest.(check string) "U_enter verdict" "verified"
+    (verdict_tag (Reach.check_condition wrapped fbm (F.u_enter fp)));
+  Alcotest.(check int) "U_enter: calls per (state, action)" 1 (most ())
 
 let suite =
   [
@@ -302,8 +270,6 @@ let suite =
       test_lu_metamorphic_verdicts;
     Alcotest.test_case "LU metamorphic: reachable set" `Quick
       test_lu_metamorphic_reachable;
-    Alcotest.test_case "LU metamorphic: domain invariance" `Quick
-      test_lu_domain_invariance;
     Alcotest.test_case "delta once per (state, action)" `Quick
       test_delta_once_per_state_action;
   ]

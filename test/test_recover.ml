@@ -5,8 +5,8 @@
    The load-bearing property is kill-and-resume equivalence: a run
    interrupted at an arbitrary checkpoint boundary and resumed must
    produce the same verdict, the same reachable base-state set and the
-   same zones.stored as the uninterrupted run — for both kernels and at
-   1/2/4 domains.  Snapshot corruption of any kind must surface as a
+   same zones.stored as the uninterrupted run — for both kernels.
+   Snapshot corruption of any kind must surface as a
    descriptive [Bad_snapshot], never as a wrong verdict. *)
 
 module Rational = Tm_base.Rational
@@ -22,7 +22,6 @@ module Registry = Tm_systems.Registry
 module F = Tm_systems.Fischer
 
 let q = Gen.q
-let domain_counts = [ 1; 2; 4 ]
 let c_stored = Metrics.counter "zones.stored"
 let c_resumed = Metrics.counter "recover.resumed"
 let c_written = Metrics.counter "recover.snapshot_written"
@@ -389,9 +388,9 @@ let interrupt_flag_basics () =
 (* Kill-and-resume differential.                                       *)
 
 (* One uninterrupted run: stats, sorted reachable set, stored delta. *)
-let oneshot (module E : Reach.S) aut bm d =
+let oneshot (module E : Reach.S) aut bm =
   let s0 = Metrics.value c_stored in
-  let st, states = E.reachable ~domains:d aut bm in
+  let st, states = E.reachable aut bm in
   (st, List.sort compare states, Metrics.value c_stored - s0)
 
 (* Exhaust the zone budget at [limit] with a checkpoint, then resume
@@ -399,11 +398,11 @@ let oneshot (module E : Reach.S) aut bm d =
    match the one-shot delta: the restore replays the counters).  When
    the run fits under [limit] there is nothing to resume and the direct
    result is returned. *)
-let interrupted_resumed (module E : Reach.S) aut bm d ~limit =
+let interrupted_resumed (module E : Reach.S) aut bm ~limit =
   let ck = tmp_ck () in
   Fun.protect ~finally:(fun () -> rm_f ck) @@ fun () ->
   let s0 = Metrics.value c_stored in
-  match E.reachable ~limit ~domains:d ~checkpoint:(ck, 0) aut bm with
+  match E.reachable ~limit ~checkpoint:(ck, 0) aut bm with
   | st, states ->
       (* fit under the limit: nothing to resume *)
       (st, List.sort compare states, Metrics.value c_stored - s0)
@@ -412,7 +411,7 @@ let interrupted_resumed (module E : Reach.S) aut bm d ~limit =
         "exhaustion names the checkpoint" (Some ck) e.Reach.checkpoint;
       let r0 = Metrics.value c_resumed in
       let s0 = Metrics.value c_stored in
-      let st, states = E.reachable ~domains:d ~resume:ck aut bm in
+      let st, states = E.reachable ~resume:ck aut bm in
       Alcotest.(check int) "resume counted" (r0 + 1) (Metrics.value c_resumed);
       (st, List.sort compare states, Metrics.value c_stored - s0)
 
@@ -422,24 +421,19 @@ let kernels : (string * (module Reach.S)) list =
 let kill_resume_random =
   Gen.check_holds
     "kill+resume: verdict, reachable set and zones.stored equal one-shot \
-     (both kernels, 1/2/4 domains)"
+     (both kernels)"
     ~count:12 ~print:Gen.print_raut Gen.boundmap_automaton (fun r ->
       let aut, bm = Gen.build_boundmap_automaton r in
       List.for_all
         (fun (_, k) ->
-          let st, states, stored = oneshot k aut bm 1 in
+          let st, states, stored = oneshot k aut bm in
           (* interrupt at a boundary roughly mid-search, and at the
              first boundary *)
           let limits = [ 1; (st.Reach.zones / 2) + 1 ] in
           List.for_all
             (fun limit ->
-              List.for_all
-                (fun d ->
-                  let st', states', stored' =
-                    interrupted_resumed k aut bm d ~limit
-                  in
-                  st' = st && states' = states && stored' = stored)
-                domain_counts)
+              let st', states', stored' = interrupted_resumed k aut bm ~limit in
+              st' = st && states' = states && stored' = stored)
             limits)
         kernels)
 
@@ -449,7 +443,7 @@ let fischer_cond_resume () =
   let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let sys = F.system p and bm = F.boundmap p in
   let cond = F.u_enter p in
-  let base = Reach.Auto.check_condition ~domains:1 sys bm cond in
+  let base = Reach.Auto.check_condition sys bm cond in
   let full_zones =
     match base with
     | Reach.Verified st -> st.Reach.zones
@@ -461,28 +455,22 @@ let fischer_cond_resume () =
   let every = max 1 (limit / 4) in
   List.iter
     (fun (name, (module E : Reach.S)) ->
-      List.iter
-        (fun d ->
-          let ck = tmp_ck () in
-          Fun.protect ~finally:(fun () -> rm_f ck) @@ fun () ->
-          (match
-             E.check_condition ~limit ~domains:d ~checkpoint:(ck, every) sys
-               bm cond
-           with
-          | Reach.Unknown e ->
-              Alcotest.(check (option string))
-                "checkpoint advertised" (Some ck) e.Reach.checkpoint
-          | _ -> Alcotest.failf "%s d=%d: limit %d should exhaust" name d limit);
-          match E.check_condition ~domains:d ~resume:ck sys bm cond with
-          | o when o = base -> ()
-          | _ -> Alcotest.failf "%s d=%d: resumed verdict differs" name d)
-        domain_counts)
+      let ck = tmp_ck () in
+      Fun.protect ~finally:(fun () -> rm_f ck) @@ fun () ->
+      (match E.check_condition ~limit ~checkpoint:(ck, every) sys bm cond with
+      | Reach.Unknown e ->
+          Alcotest.(check (option string))
+            "checkpoint advertised" (Some ck) e.Reach.checkpoint
+      | _ -> Alcotest.failf "%s: limit %d should exhaust" name limit);
+      match E.check_condition ~resume:ck sys bm cond with
+      | o when o = base -> ()
+      | _ -> Alcotest.failf "%s: resumed verdict differs" name)
     kernels
 
 let cooperative_interrupt_resume () =
   let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let sys = F.system p and bm = F.boundmap p in
-  let base = oneshot (module Reach.Auto) sys bm 1 in
+  let base = oneshot (module Reach.Auto) sys bm in
   let ck = tmp_ck () in
   Fun.protect
     ~finally:(fun () ->
@@ -530,7 +518,7 @@ let fractional_checkpoint_roundtrip () =
   let p = Gen.quarter_fischer () in
   let sys = F.system p and bm = F.boundmap p in
   let doubled = Tm_timed.Boundmap.map (fun _ iv -> Interval.scale 2 iv) bm in
-  let bst, bstates, bstored = oneshot (module Reach.Auto) sys bm 1 in
+  let bst, bstates, bstored = oneshot (module Reach.Auto) sys bm in
   let ck = tmp_ck () in
   Fun.protect ~finally:(fun () -> rm_f ck) @@ fun () ->
   (match Reach.Auto.reachable ~limit:5 ~checkpoint:(ck, 0) sys bm with
@@ -585,8 +573,7 @@ let accepts what sys bm prop cert =
   | Error m -> Alcotest.failf "%s: certificate rejected: %s" what m
 
 (* Every positive verdict of every registry system at test size comes
-   with a certificate the checker accepts, the same at 1 and 2
-   domains. *)
+   with a certificate the checker accepts. *)
 let certificate_registry_accepted () =
   let checked = ref 0 in
   List.iter
@@ -606,18 +593,11 @@ let certificate_registry_accepted () =
                 Certificate.Condition c
             | Registry.Inv { pred; _ } -> Certificate.Invariant pred
           in
-          let cert domains =
-            Reach.For_testing.certificate ~domains `Int sys bm prop
-          in
-          match cert 1 with
+          match Reach.For_testing.certificate `Int sys bm prop with
           | None -> ()
-          | Some c1 ->
+          | Some c ->
               incr checked;
-              accepts what sys bm prop c1;
-              Alcotest.(check bool)
-                (what ^ ": same certificate at 2 domains")
-                true
-                (Some c1 = cert 2))
+              accepts what sys bm prop c)
         v.Registry.checks)
     Registry.entries;
   Alcotest.(check int) "positive verdicts certified" 14 !checked
@@ -1026,8 +1006,7 @@ let suite =
       `Quick fractional_checkpoint_roundtrip;
     Alcotest.test_case "resume: foreign snapshot rejected" `Quick
       resume_rejects_wrong_job;
-    Alcotest.test_case
-      "certificate: every registry verdict accepted, 1 and 2 domains" `Quick
+    Alcotest.test_case "certificate: every registry verdict accepted" `Quick
       certificate_registry_accepted;
     Alcotest.test_case "certificate: int fixpoint equals ref, zone for zone"
       `Quick certificate_int_equals_ref;
