@@ -35,39 +35,52 @@ let mediant lo hi =
     (lo.Rational.num + hi.Rational.num)
     (lo.Rational.den + hi.Rational.den)
 
-let search ?(eps_max = 8) ?(stable = 12) ?(max_probes = 96) ~family ~check bm
-    =
+(* One check actually run: one [faults.margin_probes] increment and
+   one [faults.probe] event, whichever search (or the shared base of a
+   report) asked for it. *)
+let run_check ~check e bm =
+  Metrics.incr c_probes;
+  let res =
+    match check bm with
+    | Sat -> Ok true
+    | Unsat -> Ok false
+    | Unknown m ->
+        Error
+          (Printf.sprintf "inconclusive at e = %s: %s" (Rational.to_string e) m)
+  in
+  (* Probe events stream from the pool workers [report] fans over; the
+     sink serializes concurrent emissions. *)
+  Tm_obs.Events.emit "faults.probe"
+    [
+      ("e", Json.String (Rational.to_string e));
+      ("sat", match res with Ok b -> Json.Bool b | Error _ -> Json.Null);
+    ];
+  res
+
+let validate ~eps_max ~stable =
   if eps_max < 1 then invalid_arg "Margin.search: eps_max must be >= 1";
-  if stable < 2 then invalid_arg "Margin.search: stable must be >= 2";
+  if stable < 2 then invalid_arg "Margin.search: stable must be >= 2"
+
+(* [base], when given, is the outcome of the unperturbed check: the
+   [e = 0] step takes it instead of running [check] again.  That is
+   sound for families with [family 0] the identity on [bm] (every
+   family [report] uses), and the step still counts as a probe. *)
+let descend ~eps_max ~stable ~max_probes ?base ~family ~check bm =
   let probes = ref 0 in
   let probe e =
     match Perturb.apply (family e) bm with
     | Error m -> Error m
-    | Ok bm' -> (
+    | Ok bm' ->
         incr probes;
-        Metrics.incr c_probes;
-        let res =
-          match check bm' with
-          | Sat -> Ok true
-          | Unsat -> Ok false
-          | Unknown m ->
-              Error
-                (Printf.sprintf "inconclusive at e = %s: %s"
-                   (Rational.to_string e) m)
-        in
-        (* Probe events stream from the pool workers [report] fans
-           over; the sink serializes concurrent emissions. *)
-        Tm_obs.Events.emit "faults.probe"
-          [
-            ("e", Json.String (Rational.to_string e));
-            ( "sat",
-              match res with
-              | Ok b -> Json.Bool b
-              | Error _ -> Json.Null );
-          ];
-        res)
+        run_check ~check e bm'
   in
-  let* sat0 = probe Rational.zero in
+  let* sat0 =
+    match base with
+    | None -> probe Rational.zero
+    | Some r ->
+        incr probes;
+        r
+  in
   if not sat0 then Error "refuted with no perturbation (e = 0)"
   else
     let* sat_top = probe (Rational.of_int eps_max) in
@@ -131,33 +144,39 @@ let search ?(eps_max = 8) ?(stable = 12) ?(max_probes = 96) ~family ~check bm
       in
       walk (Rational.of_int ilo) (Rational.of_int ihi) 0 0
 
-let report ?eps_max ?stable ?max_probes ?(domains = 1) ~subject ~check bm =
+let search ?(eps_max = 8) ?(stable = 12) ?(max_probes = 96) ~family ~check
+    bm =
+  validate ~eps_max ~stable;
+  descend ~eps_max ~stable ~max_probes ~family ~check bm
+
+let report ?(eps_max = 8) ?(stable = 12) ?(max_probes = 96) ?(domains = 1)
+    ~subject ~check bm =
+  validate ~eps_max ~stable;
   (* The overall search and each per-class search are independent
      Stern–Brocot descents, so they fan out over the pool as whole
      tasks (the walk inside a search is adaptive and stays
-     sequential).  Each search draws a self-contained probe sequence,
-     so verdicts and probe counts are identical at any domain count;
-     with [domains = 1] the inline pool runs them in the exact
+     sequential).  They all start from the unperturbed map ([widen 0]
+     and [widen_class c 0] leave it as it is), so that check runs once,
+     before the fan-out, and every search takes its outcome as its
+     [e = 0] step.  Each search then draws a self-contained probe
+     sequence, so verdicts and probe counts are identical at any domain
+     count; with [domains = 1] the inline pool runs them in the exact
      sequential order. *)
+  let search ~base family =
+    descend ~eps_max ~stable ~max_probes ~base ~family ~check bm
+  in
+  Tm_obs.Tracing.with_span "faults.margin_report"
+    ~args:[ ("subject", subject) ]
+  @@ fun () ->
+  let base = run_check ~check Rational.zero bm in
   let tasks =
-    (fun () ->
-      `Overall
-        (search ?eps_max ?stable ?max_probes ~family:Perturb.widen ~check bm))
+    (fun () -> `Overall (search ~base Perturb.widen))
     :: List.map
          (fun cls () ->
-           `Row
-             {
-               cls;
-               verdict =
-                 search ?eps_max ?stable ?max_probes
-                   ~family:(Perturb.widen_class cls) ~check bm;
-             })
+           `Row { cls; verdict = search ~base (Perturb.widen_class cls) })
          (Boundmap.classes bm)
   in
   let results =
-    Tm_obs.Tracing.with_span "faults.margin_report"
-      ~args:[ ("subject", subject) ]
-    @@ fun () ->
     Tm_par.Pool.run ~domains (fun p ->
         Tm_par.Pool.map_list p (fun task -> task ()) tasks)
   in

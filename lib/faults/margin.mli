@@ -36,6 +36,8 @@ type verdict = {
           never saw a refutation (censored at [eps_max]) *)
   exact : bool;
   probes : int;
+      (** steps of the search, its [e = 0] step included — also when
+          {!report} answered that step from its shared base check *)
 }
 
 type row = { cls : string; verdict : (verdict, string) result }
@@ -73,12 +75,18 @@ val report :
   Tm_timed.Boundmap.t ->
   report
 (** {!search} over {!Perturb.widen} plus {!Perturb.widen_class} for
-    every class of the map, and the sensitivity verdict.  With
-    [domains > 1] the independent searches (overall + one per class)
-    fan out over a [Tm_par.Pool]; the report — verdicts, probe counts,
-    [faults.margin_probes] totals — is identical at any domain count.
-    [check] then runs on worker domains and must be self-contained
-    (the zone-engine adapters below are). *)
+    every class of the map, and the sensitivity verdict.  Every one of
+    these searches starts at the unperturbed map, so [report] runs that
+    base check once, before the searches, and each search takes its
+    outcome for its [e = 0] step: [check] sees the unperturbed map
+    exactly once per report.  The verdicts — their [probes] counts
+    included — and the [Error] texts are those of separate {!search}
+    calls.  [faults.margin_probes] and the [faults.probe] events count
+    checks actually run, the shared base once.  With [domains > 1] the
+    independent searches (overall + one per class) fan out over a
+    [Tm_par.Pool]; the report and the [faults.margin_probes] total are
+    identical at any domain count.  [check] then runs on worker domains
+    and must be self-contained (the zone-engine adapters below are). *)
 
 val probe_engine :
   name:string -> (module Tm_zones.Reach.S) -> (module Tm_zones.Reach.S)

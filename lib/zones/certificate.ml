@@ -59,8 +59,8 @@ let check (type s a) ?deadline (a : (s, a) Ioa.t) bm
   in
   let nclocks = Array.length lower in
   let acts = Array.of_list a.Ioa.alphabet in
-  let cls = Array.map (Clock_enc.class_index enc) acts in
-  let guards = Array.map (Clock_enc.guard enc) acts in
+  let cls = Array.init (Array.length acts) (Clock_enc.class_index enc) in
+  let guards = Array.init (Array.length acts) (Clock_enc.guard enc) in
   (* Both phases get a layout; without a condition the armed one is
      never reached, and its clock [y] has no LU bounds. *)
   let layout en armed =

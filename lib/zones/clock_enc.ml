@@ -13,6 +13,7 @@ type ('s, 'a) t = {
   nclasses : int;
   max_const : Rational.t;
   members : 'a array array;
+  act_class : int array;
 }
 
 let make (a : ('s, 'a) Ioa.t) bm =
@@ -25,67 +26,71 @@ let make (a : ('s, 'a) Ioa.t) bm =
   | Ok () -> ()
   | Error m -> raise (Open_system m));
   let classes = Array.of_list a.Ioa.classes in
+  let nclasses = Array.length classes in
+  let index = Hashtbl.create nclasses in
+  Array.iteri
+    (fun i c -> if not (Hashtbl.mem index c) then Hashtbl.add index c i)
+    classes;
   (* Class membership of every action, resolved once: [Ioa.class_of]
      may build its class name on every call (systems typically
-     [sprintf] it), so the per-state paths below must never consult it
-     again — an alphabet-times-classes name scan per state dominates a
-     whole exploration's allocation. *)
-  let members =
+     [sprintf] it), so it is called once per action here and never on
+     the per-state paths below — an alphabet-times-classes name scan
+     per state dominates a whole exploration's allocation. *)
+  let acts = Array.of_list a.Ioa.alphabet in
+  let act_class =
     Array.map
-      (fun c ->
-        Array.of_list
-          (List.filter
-             (fun act -> a.Ioa.class_of act = Some c)
-             a.Ioa.alphabet))
-      classes
+      (fun act ->
+        match a.Ioa.class_of act with
+        | None -> -1
+        | Some c -> (
+            match Hashtbl.find_opt index c with
+            | Some i -> i
+            | None -> raise (Open_system ("unknown class " ^ c))))
+      acts
   in
+  let members = Array.make nclasses [] in
+  for k = Array.length acts - 1 downto 0 do
+    let i = act_class.(k) in
+    if i >= 0 then members.(i) <- acts.(k) :: members.(i)
+  done;
   {
     aut = a;
     bm;
     classes;
-    nclasses = Array.length classes;
+    nclasses;
     max_const = Boundmap.max_constant bm;
-    members;
+    members = Array.map Array.of_list members;
+    act_class;
   }
 
-let clock enc c =
-  let found = ref (-1) in
-  Array.iteri
-    (fun i c' -> if !found < 0 && String.equal c c' then found := i + 1)
-    enc.classes;
-  if !found < 0 then raise (Open_system ("unknown class " ^ c));
-  !found
-
-let class_index enc act =
-  match enc.aut.Ioa.class_of act with
-  | None -> None
-  | Some c -> Some (clock enc c - 1)
+let class_index enc k =
+  let i = enc.act_class.(k) in
+  if i < 0 then None else Some i
 
 (* Enabledness of class [i] in [s] over the precomputed members —
    allocation-free except for the successor lists [delta] builds. *)
 let class_on enc i s =
   Array.exists (fun act -> enc.aut.Ioa.delta s act <> []) enc.members.(i)
 
-let guard enc act =
-  match enc.aut.Ioa.class_of act with
-  | None -> None
-  | Some c ->
-      let bl = Boundmap.lower enc.bm c in
-      if Rational.sign bl = 0 then None else Some (clock enc c, bl)
+let guard enc k =
+  let i = enc.act_class.(k) in
+  if i < 0 then None
+  else
+    let bl = Boundmap.lower enc.bm enc.classes.(i) in
+    if Rational.sign bl = 0 then None else Some (i + 1, bl)
 
 type op = Reset of int | Free of int
 
-let step_ops enc s act s' =
+let step_ops enc s k s' =
+  let fired = enc.act_class.(k) in
   let ops = ref [] in
-  Array.iteri
-    (fun i c ->
-      let x = i + 1 in
-      if class_on enc i s' then begin
-        if enc.aut.Ioa.class_of act = Some c || not (class_on enc i s) then
-          ops := Reset x :: !ops
-      end
-      else ops := Free x :: !ops)
-    enc.classes;
+  for i = 0 to enc.nclasses - 1 do
+    let x = i + 1 in
+    if class_on enc i s' then begin
+      if i = fired || not (class_on enc i s) then ops := Reset x :: !ops
+    end
+    else ops := Free x :: !ops
+  done;
   List.rev !ops
 
 let start_ops enc s =

@@ -20,29 +20,36 @@ type ('s, 'a) t = {
   nclasses : int;
   max_const : Tm_base.Rational.t;  (** largest finite bound constant *)
   members : 'a array array;
-      (** actions of each class, indexed by class index — resolved once
-          at {!make} so the per-state enabledness scans never call
-          [Ioa.class_of] (whose class names are typically built afresh
-          per call) *)
+      (** actions of each class, indexed by class index, in alphabet
+          order *)
+  act_class : int array;
+      (** per alphabet position, the 0-based class index of that
+          action's class ([-1] when classless).  {!make} fills it and
+          [members] in one pass that calls [Ioa.class_of] once per
+          action, so no later query — per-state enabledness scans,
+          guards, step operations — calls it (systems typically build
+          their class names afresh per call) *)
 }
 
 val make : ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t -> ('s, 'a) t
-(** @raise Open_system *)
+(** @raise Open_system also when an action's class is not one of the
+    automaton's classes. *)
 
-val clock : ('s, 'a) t -> string -> int
-(** 1-based clock index of a class. *)
+(** Actions are named below by their position [k] in the automaton's
+    alphabet. *)
 
-val class_index : ('s, 'a) t -> 'a -> int option
-(** 0-based class index of an action's class ([clock enc c - 1]). *)
+val class_index : ('s, 'a) t -> int -> int option
+(** 0-based class index of action [k]'s class (its clock minus one). *)
 
-val guard : ('s, 'a) t -> 'a -> (int * Tm_base.Rational.t) option
-(** [(clock, b_l)] when the action's class has a positive lower bound. *)
+val guard : ('s, 'a) t -> int -> (int * Tm_base.Rational.t) option
+(** [(clock, b_l)] when action [k]'s class has a positive lower
+    bound. *)
 
 type op = Reset of int | Free of int
 
-val step_ops : ('s, 'a) t -> 's -> 'a -> 's -> op list
-(** Clock operations induced by the step [(s, act, s')], in clock
-    order. *)
+val step_ops : ('s, 'a) t -> 's -> int -> 's -> op list
+(** Clock operations induced by the step [(s, act, s')], [act] the
+    action at alphabet position [k], in clock order. *)
 
 val start_ops : ('s, 'a) t -> 's -> op list
 (** Frees for the classes disabled in a start state. *)

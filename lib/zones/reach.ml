@@ -178,20 +178,14 @@ module Make (K : Dbm_sig.S) = struct
     let nreal = cenc.Clock_enc.nclasses in
     let guards =
       Array.of_list
-        (List.map
-           (fun act ->
+        (List.mapi
+           (fun k act ->
              let g =
-               match Clock_enc.guard cenc act with
+               match Clock_enc.guard cenc k with
                | None -> None
-               | Some (x, bl) ->
-                   Some (x, Dbm_bound.Le (Rational.neg bl))
+               | Some (x, bl) -> Some (x, Dbm_bound.Le (Rational.neg bl))
              in
-             let ci =
-               match Clock_enc.class_index cenc act with
-               | Some i -> i
-               | None -> -1
-             in
-             (act, g, ci))
+             (act, g, cenc.Clock_enc.act_class.(k)))
            a.Ioa.alphabet)
     in
     let uppers =
@@ -392,9 +386,11 @@ module Make (K : Dbm_sig.S) = struct
      re-queues the unfinished remainder of the current batch, which
      keeps resumption sound (subsumption absorbs re-derived
      successors) at the cost of exact counter equality — the deadline
-     is documented as non-deterministic anyway. *)
+     is documented as non-deterministic anyway.  The job [fingerprint]
+     is forced only by a snapshot write or a resume, so a run that does
+     neither never formats it. *)
   let explore (type s a) ?limit ?deadline_s ?checkpoint ?resume
-      ~fingerprint:fp
+      ~(fingerprint : string Lazy.t)
       (enc : (s, a) enc)
       ~(initial_phase : s -> phase)
       ~(observe :
@@ -824,7 +820,7 @@ module Make (K : Dbm_sig.S) = struct
             Printf.sprintf "zones=%d locations=%d edges=%d" !zone_count
               !nlocs !edges
           in
-          Snapshot.write ~path ~fingerprint:fp ~info
+          Snapshot.write ~path ~fingerprint:(Lazy.force fingerprint) ~info
             (Marshal.to_bytes (snap : s snap) []);
           wrote_snapshot := true;
           last_snap := !zone_count;
@@ -832,6 +828,7 @@ module Make (K : Dbm_sig.S) = struct
     in
     let restore path =
       let fp_got, info, payload = Snapshot.read path in
+      let fp = Lazy.force fingerprint in
       if fp_got <> fp then
         raise
           (Snapshot.Bad_snapshot
@@ -1160,7 +1157,7 @@ module Make (K : Dbm_sig.S) = struct
       ?certificate (a : ('s, 'a) Ioa.t) bm (visit : 's -> unit) =
     Tracing.with_span span @@ fun () ->
     let enc = make_enc a bm ~cond_bounds:None in
-    let fingerprint = fingerprint_of ~kind bm enc in
+    let fingerprint = lazy (fingerprint_of ~kind bm enc) in
     match
       explore ?limit ?deadline_s ?checkpoint ?resume ~fingerprint enc
         ~initial_phase:(fun _ -> Idle)
@@ -1203,7 +1200,7 @@ module Make (K : Dbm_sig.S) = struct
     let enc =
       make_enc a bm ~cond_bounds:(Some c.Condition.bounds)
     in
-    let fingerprint = fingerprint_of ~kind:(cond_kind c) bm enc in
+    let fingerprint = lazy (fingerprint_of ~kind:(cond_kind c) bm enc) in
     let y = match enc.y with Some y -> y | None -> assert false in
     let bounds = scale_interval enc.scale c.Condition.bounds in
     let bl = Interval.lo bounds in

@@ -141,8 +141,8 @@ let explore (type s a) ?(limit = 500_000) (a : (s, a) Ioa.t) bm
       (fun (x, q) -> sat_le r (cx x) (to_int q))
       (Clock_enc.invariant enc s)
   in
-  let sat_guard act r =
-    match Clock_enc.guard enc act with
+  let sat_guard k r =
+    match Clock_enc.guard enc k with
     | None -> true
     | Some (x, bl) -> sat_ge r (cx x) (to_int bl)
   in
@@ -193,13 +193,13 @@ let explore (type s a) ?(limit = 500_000) (a : (s, a) Ioa.t) bm
          add s r'
        end;
        (* discrete successors *)
-       List.iter
-         (fun act ->
-           if sat_guard act r then
+       List.iteri
+         (fun k act ->
+           if sat_guard k r then
              List.iter
                (fun s' ->
                  incr edges;
-                 let r2 = apply_ops r (Clock_enc.step_ops enc s act s') in
+                 let r2 = apply_ops r (Clock_enc.step_ops enc s k s') in
                  if sat_invariant s' r2 then add s' r2)
                (a.Ioa.delta s act))
          a.Ioa.alphabet

@@ -112,6 +112,32 @@ let widen_monotone =
       | Margin.Unsat, Margin.Sat -> false
       | _ -> true)
 
+(* A report shares one unperturbed check among its searches; its
+   verdicts — probe counts and error texts included — must be those of
+   separate searches that each probe [e = 0] themselves. *)
+let report_equals_separate_searches =
+  Gen.check_holds
+    "margin: report equals separate searches with their own e = 0 probes"
+    ~count:40 ~print:Gen.print_raut Gen.boundmap_automaton (fun r ->
+      let aut, bm = Gen.build_boundmap_automaton r in
+      let check bm' =
+        Margin.condition_status (module Reach.Auto) ~limit:2000 aut cond0
+          bm'
+      in
+      let search family =
+        Margin.search ~eps_max:2 ~stable:5 ~max_probes:24 ~family ~check bm
+      in
+      let rep =
+        Margin.report ~eps_max:2 ~stable:5 ~max_probes:24 ~subject:"m"
+          ~check bm
+      in
+      rep.Margin.overall = search Perturb.widen
+      && rep.Margin.per_class
+         = List.map
+             (fun cls ->
+               { Margin.cls; verdict = search (Perturb.widen_class cls) })
+             (Boundmap.classes bm))
+
 (* ------------------------------------------------------------------ *)
 (* Exhaustion is never Verified (the budget discipline).               *)
 
@@ -266,6 +292,7 @@ let suite =
     perturb_preserves_classes;
     widen_grows_pointwise;
     widen_monotone;
+    report_equals_separate_searches;
     budget_never_verified;
     Alcotest.test_case "fd: accuracy margin is exactly g1 - h2" `Quick
       fd_margin_is_g1_minus_h2;

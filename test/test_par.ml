@@ -143,6 +143,36 @@ let margin_domain_invariance () =
         Alcotest.failf "margin report differs at %d domains" d)
     domain_counts
 
+(* The searches of a report all start at the unperturbed map; the
+   report checks it once, before the fan-out, whatever the domain
+   count, and the probe counter counts exactly the checks run. *)
+let margin_base_checked_once () =
+  let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
+  let bm = F.boundmap p in
+  let c_probes = Metrics.counter "faults.margin_probes" in
+  List.iter
+    (fun d ->
+      let base = Atomic.make 0 and all = Atomic.make 0 in
+      let probes0 = Metrics.value c_probes in
+      ignore
+        (Margin.report ~domains:d ~subject:"fischer n=2 mutex"
+           ~check:(fun bm' ->
+             Atomic.incr all;
+             if Boundmap.to_list bm' = Boundmap.to_list bm then
+               Atomic.incr base;
+             Margin.invariant_status
+               (module Reach.Auto)
+               (F.system p) F.mutual_exclusion bm')
+           bm);
+      Alcotest.(check int)
+        (Printf.sprintf "unperturbed checks at %d domains" d)
+        1 (Atomic.get base);
+      Alcotest.(check int)
+        (Printf.sprintf "margin_probes = checks run at %d domains" d)
+        (Atomic.get all)
+        (Metrics.value c_probes - probes0))
+    domain_counts
+
 let batch_domain_invariance () =
   let p = RM.params_of_ints ~k:3 ~c1:2 ~c2:3 ~l:1 in
   let impl = RM.impl p in
@@ -271,6 +301,8 @@ let suite =
     reach_counters;
     Alcotest.test_case "margin: report identical at 1/2/4 domains" `Quick
       margin_domain_invariance;
+    Alcotest.test_case "margin: base checked once per report at 1/2/4 domains"
+      `Quick margin_base_checked_once;
     Alcotest.test_case "simulator: batch identical at 1/2/4 domains" `Quick
       batch_domain_invariance;
     Alcotest.test_case "budget: UNKNOWN, never VERIFIED, partial stats"

@@ -2,7 +2,11 @@ module Rational = Tm_base.Rational
 module Time = Tm_base.Time
 module Interval = Tm_base.Interval
 module Condition = Tm_timed.Condition
+module Ioa = Tm_ioa.Ioa
+module Boundmap = Tm_timed.Boundmap
 module Reach = Tm_zones.Reach
+module Clock_enc = Tm_zones.Clock_enc
+module Registry = Tm_systems.Registry
 module RM = Tm_systems.Resource_manager
 module IM = Tm_systems.Interrupt_manager
 module SR = Tm_systems.Signal_relay
@@ -245,6 +249,64 @@ let test_delta_once_per_state_action () =
     (verdict_tag (Reach.check_condition wrapped fbm (F.u_enter fp)));
   Alcotest.(check int) "U_enter: calls per (state, action)" 1 (most ())
 
+(* Clock_enc.make resolves each action's class in one pass over the
+   alphabet; its tables must equal the per-class-filter definition
+   (members by filtering the alphabet per class, class and guard by
+   the first class of that name), with at most one [class_of] call per
+   action. *)
+let enc_matches_filter_definition (type s a) (aut : (s, a) Ioa.t) bm =
+  let calls = ref 0 in
+  let counted =
+    { aut with Ioa.class_of = (fun act -> incr calls; aut.Ioa.class_of act) }
+  in
+  let enc = Clock_enc.make counted bm in
+  let classes = Array.of_list aut.Ioa.classes in
+  let members =
+    Array.map
+      (fun c ->
+        Array.of_list
+          (List.filter (fun act -> aut.Ioa.class_of act = Some c)
+             aut.Ioa.alphabet))
+      classes
+  in
+  let index c =
+    let rec go i = if String.equal classes.(i) c then i else go (i + 1) in
+    go 0
+  in
+  let class_index act = Option.map index (aut.Ioa.class_of act) in
+  let guard act =
+    match aut.Ioa.class_of act with
+    | None -> None
+    | Some c ->
+        let bl = Boundmap.lower bm c in
+        if Rational.sign bl = 0 then None else Some (index c + 1, bl)
+  in
+  !calls <= List.length aut.Ioa.alphabet
+  && enc.Clock_enc.members = members
+  && List.for_all Fun.id
+       (List.mapi
+          (fun k act ->
+            Clock_enc.class_index enc k = class_index act
+            && Clock_enc.guard enc k = guard act)
+          aut.Ioa.alphabet)
+
+let test_clock_enc_registry () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      let model = Result.get_ok (Registry.instantiate e []) in
+      let (Registry.Verified v) = model.Registry.verified in
+      Alcotest.(check bool)
+        (e.Registry.name ^ ": tables and class_of calls")
+        true
+        (enc_matches_filter_definition v.Registry.system v.Registry.boundmap))
+    Registry.entries
+
+let clock_enc_generated =
+  check_holds "clock_enc: tables equal the per-class filter (generated)"
+    ~count:100 ~print:print_raut boundmap_automaton (fun r ->
+      let aut, bm = build_boundmap_automaton r in
+      enc_matches_filter_definition aut bm)
+
 let suite =
   [
     Alcotest.test_case "manager bounds verified" `Quick
@@ -272,4 +334,7 @@ let suite =
       test_lu_metamorphic_reachable;
     Alcotest.test_case "delta once per (state, action)" `Quick
       test_delta_once_per_state_action;
+    Alcotest.test_case "clock_enc: tables equal the per-class filter" `Quick
+      test_clock_enc_registry;
+    clock_enc_generated;
   ]
