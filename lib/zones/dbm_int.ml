@@ -384,6 +384,11 @@ let equal a b =
            done;
            !eq)
 
+let detach z =
+  let len = z.n * z.n in
+  if z.off = 0 && Array.length z.m = len then z
+  else { z with m = sub_words z.m z.off len; off = 0 }
+
 (* ------------------------------------------------------------------ *)
 (* Arena: bump allocation for stored-zone payloads.  Chunks start at
    512 words so they land on the major heap directly — freezing a zone
@@ -430,79 +435,85 @@ module Min = struct
      [2e + 1], so a probe reads one block per stored zone. *)
   type min = { mn : int; mempty : bool; mc : int array }
 
-  let of_zone z =
-    if z.empty then { mn = z.n; mempty = true; mc = [||] }
+  (* The reduction's work arrays, for zones of up to [Array.length rep]
+     clocks: [rep.(i)] is clock [i]'s class representative, and [out]
+     collects the kept (index, bound) pairs, at most [n * n] of them. *)
+  type work = { rep : int array; out : int array }
+
+  let work n = { rep = Array.make n 0; out = Array.make (2 * n * n) 0 }
+
+  (* Keep entry [ij] of the zone at offset [o] of [m] as pair [e / 2]
+     of [out]; the next pair's position. *)
+  let[@inline] keep out e m o ij =
+    out.(e) <- ij;
+    out.(e + 1) <- m.(o + ij);
+    e + 2
+
+  (* The minimal form of the [n]-clock zone at offset [o] of [m]
+     ([empty] if it is empty), built in [w] and copied out: the result
+     is all it allocates.  Both {!of_zone} and {!Scratch.minimize} are
+     this loop, and count one [minimize] per nonempty zone. *)
+  let reduce w n m o empty =
+    if empty then { mn = n; mempty = true; mc = [||] }
     else begin
       Metrics.incr c_minimize;
-      let n = z.n and m = z.m and o = z.off in
-      (* Zero-equivalence: the 2-cycle adds up to exactly Le 0 = 1. *)
-      let rep = Array.init n (fun i -> i) in
+      let rep = w.rep and out = w.out in
+      (* Zero-equivalence: the 2-cycle adds up to exactly Le 0 = 1.
+         Transitivity lets [i] be compared with earlier
+         representatives only. *)
+      rep.(0) <- 0;
       for i = 1 to n - 1 do
         let rowi = o + (i * n) in
-        try
-          for j = 0 to i - 1 do
-            if rep.(j) = j && bnd_add m.(o + (j * n) + i) m.(rowi + j) = le_zero
-            then begin
-              rep.(i) <- j;
-              raise Exit
-            end
-          done
-        with Exit -> ()
+        let j = ref 0 in
+        while
+          !j < i
+          && not
+               (rep.(!j) = !j
+               && bnd_add m.(o + (!j * n) + i) m.(rowi + !j) = le_zero)
+        do
+          incr j
+        done;
+        rep.(i) <- (if !j < i then !j else i)
       done;
-      (* Mark the non-redundant representative edges. *)
-      let kept = Bytes.make (n * n) '\000' and nkept = ref 0 in
-      for i = 0 to n - 1 do
-        let rowi = o + (i * n) in
-        for j = 0 to n - 1 do
-          let b = m.(rowi + j) in
-          if rep.(i) = i && j <> i && b <> inf && rep.(j) = j then begin
-            let redundant = ref false and k = ref 0 in
-            while (not !redundant) && !k < n do
-              let k' = !k in
-              if rep.(k') = k' && k' <> i && k' <> j
-                 && bnd_add m.(rowi + k') m.(o + (k' * n) + j) <= b
-              then redundant := true;
-              incr k
-            done;
-            if not !redundant then begin
-              Bytes.unsafe_set kept ((i * n) + j) '\001';
-              incr nkept
-            end
-          end
-        done
-      done;
-      (* A class of [s >= 2] clocks keeps its [s]-edge cycle. *)
-      let size = Array.make n 0 in
-      Array.iter (fun c -> size.(c) <- size.(c) + 1) rep;
-      let ncyc = ref 0 in
-      Array.iter (fun s -> if s >= 2 then ncyc := !ncyc + s) size;
-      let total = !ncyc + !nkept in
-      let mc = Array.make (2 * total) 0 in
       let e = ref 0 in
-      let keep ij =
-        mc.(!e) <- ij;
-        mc.(!e + 1) <- m.(o + ij);
-        e := !e + 2
-      in
       (* Class cycles first, classes in representative order, members
-         ascending; then representative edges in row-major order. *)
+         ascending: a class of [s >= 2] clocks keeps its [s]-edge
+         cycle. *)
       for c = 0 to n - 1 do
-        if rep.(c) = c && size.(c) >= 2 then begin
+        if rep.(c) = c then begin
           let prev = ref c in
           for i = c + 1 to n - 1 do
             if rep.(i) = c then begin
-              keep ((!prev * n) + i);
+              e := keep out !e m o ((!prev * n) + i);
               prev := i
             end
           done;
-          keep ((!prev * n) + c)
+          if !prev <> c then e := keep out !e m o ((!prev * n) + c)
         end
       done;
-      for ij = 0 to (n * n) - 1 do
-        if Bytes.unsafe_get kept ij <> '\000' then keep ij
+      (* Then the non-redundant representative edges, row-major. *)
+      for i = 0 to n - 1 do
+        let rowi = o + (i * n) in
+        if rep.(i) = i then
+          for j = 0 to n - 1 do
+            let b = m.(rowi + j) in
+            if j <> i && b <> inf && rep.(j) = j then begin
+              let k = ref 0 in
+              while
+                !k < n
+                && (rep.(!k) <> !k || !k = i || !k = j
+                   || bnd_add m.(rowi + !k) m.(o + (!k * n) + j) > b)
+              do
+                incr k
+              done;
+              if !k = n then e := keep out !e m o ((i * n) + j)
+            end
+          done
       done;
-      { mn = n; mempty = false; mc }
+      { mn = n; mempty = false; mc = sub_words out 0 !e }
     end
+
+  let of_zone z = reduce (work z.n) z.n z.m z.off z.empty
 
   (* Does the zone [mn] was reduced from include the [n]-clock zone at
      offset [o] of [m] ([empty] if it is empty)?  Checking the kept
@@ -558,7 +569,8 @@ end
 
 module Scratch = struct
   (* The current zone is the first [sn * sn] words of [sm], row stride
-     [sn]; [remap] builds its target in [sbuf] and swaps the two. *)
+     [sn]; [remap] builds its target in [sbuf] and swaps the two.
+     [swork] is [minimize]'s workspace. *)
   type scratch = {
     cap : int;  (** largest dimension the buffers hold *)
     mutable sn : int;
@@ -566,6 +578,7 @@ module Scratch = struct
     mutable sbuf : int array;
     mutable sempty : bool;
     mutable ssrc : t option;
+    swork : Min.work;
   }
 
   let create n =
@@ -577,6 +590,7 @@ module Scratch = struct
       sbuf = Array.make (n * n) inf;
       sempty = true;
       ssrc = None;
+      swork = Min.work n;
     }
 
   let load s z =
@@ -676,6 +690,7 @@ module Scratch = struct
         end
 
   let subsumed_by s mn = Min.covers mn s.sn s.sm 0 s.sempty
+  let minimize s = Min.reduce s.swork s.sn s.sm 0 s.sempty
   let hash s = if s.sempty then 0 else hash_arr s.sn s.sm 0
 
   let equal_zone s z =

@@ -258,6 +258,9 @@ let hash z =
   if z.empty then 0
   else Array.fold_left (fun h b -> (h * 31) + Dbm_bound.hash b) z.n z.m
 
+(* Every zone owns its matrix: there is no arena to detach from. *)
+let detach z = z
+
 (* The reference kernel stores plain persistent zones, so its arena is
    a unit token: [freeze_into] changes nothing, which is exactly what
    the oracle should do — the differential wall then pins the
@@ -318,6 +321,7 @@ module Scratch = struct
   let is_empty s = is_empty s.cur
   let sat s i j b = sat s.cur i j b
   let subsumed_by s mn = Min.subsumes mn s.cur
+  let minimize s = Min.of_zone s.cur
 
   let hash s = hash s.cur
   let equal_zone s z = equal s.cur z

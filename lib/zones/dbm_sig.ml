@@ -109,6 +109,11 @@ module type S = sig
   val equal : t -> t -> bool
   val hash : t -> int
 
+  val detach : t -> t
+  (** [z] over a payload of its own, exactly [dim z]² entries: what a
+      checkpoint marshals, so that no shared {!Arena} chunk is written
+      along with it.  [z] itself when it already owns such a payload. *)
+
   (** Bump arena for stored-zone payloads.  Zones frozen into an arena
       are slices of a shared chunk (grow-by-doubling, chunks large
       enough to be major-heap allocated), so storing a zone costs no
@@ -123,15 +128,20 @@ module type S = sig
 
   (** Minimal-constraint form (Larsen et al., RTSS'97): the
       non-redundant subset of a canonical DBM's constraints, enough to
-      reconstruct the exact matrix by re-closing.  Stored alongside
-      each zone in the waiting/passed lists so subsumption probes scan
-      O(active constraints) instead of O(n²).  Construction is
-      deterministic: the kept constraints are {!Dbm_min}'s, in its
-      order. *)
+      reconstruct the exact matrix by re-closing.  {!Reach} interns
+      each distinct stored matrix together with its form, reduced once
+      from the scratch ({!Scratch.minimize}) when the matrix is first
+      stored and shared by every later entry that stores the same
+      matrix, so subsumption probes scan O(active constraints) instead
+      of O(n²).  Construction is deterministic: the kept constraints
+      are {!Dbm_min}'s, in its order, so equal matrices have
+      structurally equal forms. *)
   module Min : sig
     type min
 
     val of_zone : t -> min
+    (** On a kernel that counts [dbm.ops] ({!Dbm_int}), one
+        [minimize] per nonempty zone. *)
 
     val subsumes : min -> t -> bool
     (** [subsumes m z]: does the zone [m] came from include [z]?
@@ -192,6 +202,12 @@ module type S = sig
         that a stored zone covers is dropped before it is hashed,
         interned or frozen.  Same verdict and the same [dbm.ops] count
         as [Min.subsumes]. *)
+
+    val minimize : scratch -> Min.min
+    (** [Min.of_zone] of the zone [freeze_into] would make of [s], read
+        in place with work arrays the scratch owns, so the minimal form
+        is all it allocates.  Same result and the same [dbm.ops] count
+        as [Min.of_zone]. *)
 
     val hash : scratch -> int
     (** The hash [freeze_into] 's result would have — same formula as

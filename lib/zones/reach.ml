@@ -136,6 +136,14 @@ end
    construction, which the CI determinism guard and the differential
    harness both rely on. *)
 module Make (K : Dbm_sig.S) = struct
+  (* Tables keyed by a zone's matrix. *)
+  module Ztbl = Hashtbl.Make (struct
+    type t = K.t
+
+    let equal = K.equal
+    let hash = K.hash
+  end)
+
   (* The zone engine's view of the encoding: the shared class clocks of
      {!Clock_enc} (logical clocks 1..n, 0 is the reference), plus an
      optional observer clock n+1.  A zone's own indices are those of
@@ -250,13 +258,15 @@ module Make (K : Dbm_sig.S) = struct
      cleared when a later, larger zone at the same location subsumes
      it; [expanded] distinguishes passed-list members from entries
      pruned while still waiting (the [zones.pruned_waiting] signal).
-     [zmin] is the minimal-constraint form of [z], computed once at
-     store time: it prunes the zones [z] covers then, and afterwards
-     tests every later successor at the location for inclusion in [z],
-     in O(kept constraints) instead of scanning the full n² matrix.
-     A checkpoint holds the same record with [zmin] in {!K.Min.stored}'s
-     fixed layout, so the marshaled payload stays that of snapshot
-     format 2. *)
+     [zmin] is the minimal-constraint form of [z], interned with it:
+     reduced once, when [z]'s matrix is first stored, and shared by
+     every entry that stores the same matrix.  It prunes the zones [z]
+     covers at store time, and afterwards tests every later successor
+     at the location for inclusion in [z], in O(kept constraints)
+     instead of scanning the full n² matrix.  A checkpoint holds the
+     same record with [z] detached from the arena and [zmin] in
+     {!K.Min.stored}'s fixed layout, so the marshaled payload stays
+     that of snapshot format 2. *)
   type 'm entry = {
     z : K.t;
     zmin : 'm;
@@ -284,12 +294,21 @@ module Make (K : Dbm_sig.S) = struct
     live : int array;  (** layout index -> logical clock *)
     pos : int array;  (** logical clock -> layout index, [-1] if absent *)
     dead : int;  (** logical clocks absent from the layout *)
-    disabled : int;  (** disabled classes, freed on entry *)
     lu : K.lu;
         (** the timing tail at layout indices: the enabled classes'
             invariants [x <= b_u] and the LU bounds *)
     refree : Dbm_sig.remap option;
         (** full-width layout with dead clocks: the map that frees them *)
+    src : int array;
+        (** the location-change map into this layout, refilled in place
+            by [remap_to] for every edge that ends here *)
+    remap_free : Dbm_sig.remap;
+        (** [src] when the observer clock is freed; its [frees] counts
+            the disabled classes, and the observer clock if the job has
+            one *)
+    remap_other : Dbm_sig.remap;
+        (** [src] in every other case; [frees] counts the disabled
+            classes *)
   }
 
   (* The state table's records: one per automaton state the search has
@@ -413,6 +432,11 @@ module Make (K : Dbm_sig.S) = struct
       in
       let pos = Array.make nclocks (-1) in
       Array.iteri (fun k x -> pos.(x) <- k) live;
+      let disabled =
+        Array.fold_left (fun n e -> if e then n else n + 1) 0 en
+      in
+      let src = Array.make (Array.length live) 0 in
+      let y_frees = if Option.is_some enc.y then 1 else 0 in
       let at bounds = Array.map (fun x -> bounds.(x)) live in
       let invs = ref [] in
       Array.iteri
@@ -425,7 +449,6 @@ module Make (K : Dbm_sig.S) = struct
         live;
         pos;
         dead = nclocks - Array.length live;
-        disabled = Array.fold_left (fun n e -> if e then n else n + 1) 0 en;
         lu =
           K.prepare_lu
             ~invs:(Array.of_list (List.rev !invs))
@@ -439,6 +462,9 @@ module Make (K : Dbm_sig.S) = struct
                    Array.map (fun x -> if in_set x then x else -1) live;
                  frees = 0;
                });
+        src;
+        remap_free = { Dbm_sig.src; frees = disabled + y_frees };
+        remap_other = { Dbm_sig.src; frees = disabled };
       }
     in
     (* Layouts are shared per live set (enabled classes, observer
@@ -547,12 +573,18 @@ module Make (K : Dbm_sig.S) = struct
         lc
       end
     in
-    (* Hash-consed zone store: a stored zone whose matrix equals one
-       stored before (at any location) shares that zone's payload, so
-       each distinct stored matrix is frozen once.  Only stored zones
-       are hashed and interned: a successor a stored zone covers is
-       dropped first. *)
-    let zstore = Hstore.create ~equal:K.equal ~hash:K.hash 64 in
+    (* Hash-consed zone store of (zone, minimal form) pairs, keyed by
+       the zone: a stored zone whose matrix equals one stored before (at
+       any location) shares that zone's payload and minimal form, so
+       each distinct stored matrix is frozen and reduced once.  Only
+       stored zones are hashed and interned: a successor a stored zone
+       covers is dropped first. *)
+    let zstore =
+      Hstore.create
+        ~equal:(fun ((z1 : K.t), _) (z2, _) -> K.equal z1 z2)
+        ~hash:(fun ((z : K.t), _) -> K.hash z)
+        64
+    in
     (* Waiting list: locations with pending zones, drained in FIFO
        order, largest zone first within a location. *)
     let locq = Queue.create () in
@@ -691,14 +723,13 @@ module Make (K : Dbm_sig.S) = struct
        covers (through its minimal-constraint form), storing,
        inspection, queueing. *)
     let store lc interned =
-      let z =
+      let z, zmin =
         match interned with
-        | `Hit z ->
+        | `Hit zz ->
             Metrics.incr c_zones_interned;
-            z
-        | `Miss z -> z
+            zz
+        | `Miss zz -> zz
       in
-      let zmin = K.Min.of_zone z in
       lc.cell <- prune zmin lc.cell;
       incr seq;
       let e =
@@ -728,17 +759,20 @@ module Make (K : Dbm_sig.S) = struct
     (* Commit the successor in [main.scr].  The inclusion test reads it
        in place, so a covered successor (most of them) is never hashed,
        interned or frozen.  A survivor is hashed and probed in place: a
-       hit never copies the matrix; a miss freezes exactly once, into
-       the arena. *)
+       hit never copies the matrix and takes the stored minimal form; a
+       miss freezes exactly once, into the arena, and reduces the
+       scratch to its minimal form. *)
+    let equal_main ((z : K.t), _) = K.Scratch.equal_zone main.scr z in
     let add_scratch r p =
       let lc = loc_of r p and scr = main.scr in
       if List.exists covers_main lc.cell then Metrics.incr c_zones_subsumed
       else
         let h = K.Scratch.hash scr in
         store lc
-          (Hstore.intern_scratch zstore ~hash:h
-             ~equal:(K.Scratch.equal_zone scr)
-             ~freeze:(fun () -> K.Scratch.freeze_into ~hash:h arena scr))
+          (Hstore.intern_scratch zstore ~hash:h ~equal:equal_main
+             ~freeze:(fun () ->
+               ( K.Scratch.freeze_into ~hash:h arena scr,
+                 K.Scratch.minimize scr )))
     in
     (* The unfinished tail of the batch being drained: the entry under
        expansion plus the ones not yet reached.  Only a mid-batch
@@ -752,16 +786,26 @@ module Make (K : Dbm_sig.S) = struct
     (* ---------------- checkpointing ---------------- *)
     let wrote_snapshot = ref false in
     let last_snap = ref 0 in
-    (* [f] memoized on [seq]: converting entries to and from their
-       checkpoint form makes one record per entry, so an entry both
-       stored and pending stays one record. *)
-    let per_entry f =
-      let memo = Hashtbl.create 1024 in
+    (* Converting entries to and from their checkpoint form keeps the
+       sharing of the search: one record per entry (memoized on [seq]),
+       so an entry both stored and pending stays one record, and one
+       (zone, minimal form) pair [g e] per distinct stored matrix
+       (memoized on the zone), which every entry storing it shares. *)
+    let per_entry g =
+      let zones = Ztbl.create 1024 and memo = Hashtbl.create 1024 in
       fun e ->
         match Hashtbl.find_opt memo e.seq with
         | Some x -> x
         | None ->
-            let x = f e in
+            let z, zmin =
+              match Ztbl.find_opt zones e.z with
+              | Some zz -> zz
+              | None ->
+                  let zz = g e in
+                  Ztbl.add zones e.z zz;
+                  zz
+            in
+            let x = { e with z; zmin } in
             Hashtbl.add memo e.seq x;
             x
     in
@@ -772,8 +816,10 @@ module Make (K : Dbm_sig.S) = struct
           Tracing.with_span "recover.snapshot" @@ fun () ->
           let locs = Array.sub !locs 0 !nlocs in
           let p_keys = Array.map (fun lc -> (lc.sr.st, lc.ph)) locs in
+          (* Each distinct zone is written as an exactly sized copy, not
+             as the arena chunk its payload is a slice of. *)
           let stored =
-            per_entry (fun e -> { e with zmin = K.Min.to_stored e.zmin })
+            per_entry (fun e -> (K.detach e.z, K.Min.to_stored e.zmin))
           in
           let p_cells =
             Array.map (fun lc -> (lc.lid, List.map stored lc.cell)) locs
@@ -837,9 +883,7 @@ module Make (K : Dbm_sig.S) = struct
                 \  snapshot: %s\n\
                 \  this run: %s" path fp_got fp));
       let snap = (Marshal.from_bytes payload 0 : s snap) in
-      let entry =
-        per_entry (fun e -> { e with zmin = K.Min.of_stored e.zmin })
-      in
+      let entry = per_entry (fun e -> (e.z, K.Min.of_stored e.zmin)) in
       (* Location ids are assigned in order, so re-creating the
          locations in id order reproduces every id exactly. *)
       Array.iter (fun (s, p) -> ignore (loc_of (state_rec s) p)) snap.p_keys;
@@ -847,11 +891,12 @@ module Make (K : Dbm_sig.S) = struct
         (fun (id, ss) ->
           let es = List.map entry ss in
           !locs.(id).cell <- es;
-          (* Re-seed the hash-consing store.  Marshal preserved the
-             sharing among stored zones, so structurally equal zones
-             are still one pointer and each distinct zone is interned
-             once. *)
-          List.iter (fun e -> ignore (Hstore.intern zstore e.z)) es)
+          (* Re-seed the hash-consing store with (zone, minimal form)
+             pairs.  [entry] made one pair per distinct stored matrix,
+             so each is interned once. *)
+          List.iter
+            (fun e -> ignore (Hstore.intern zstore (e.z, e.zmin)))
+            es)
         snap.p_cells;
       Array.iter
         (fun (id, ss) -> !locs.(id).pending <- List.map entry ss)
@@ -973,11 +1018,13 @@ module Make (K : Dbm_sig.S) = struct
        layout [post]: a class that fires ([ci]) or becomes enabled is
        reset, a disabled one is freed, the observer clock follows
        [y_op], every other clock keeps its bounds.  A clock absent from
-       [post] is dropped; the map still counts its logical [free]. *)
+       [post] is dropped; the map still counts its logical [free].  The
+       map is [post]'s own, filled in place: [settle] hands it to the
+       kernel at once, and a search runs on one domain, so no other
+       edge can see it half-filled. *)
     let remap_to ~ci pre_en pre_pos post y_op =
-      let live = post.live in
-      (* [live.(0)] is clock 0, which maps to itself *)
-      let src = Array.make (Array.length live) 0 in
+      let live = post.live and src = post.src in
+      (* [live.(0)] is clock 0, which maps to itself: [src.(0)] stays 0 *)
       for k = 1 to Array.length live - 1 do
         let x = live.(k) in
         src.(k) <-
@@ -988,10 +1035,9 @@ module Make (K : Dbm_sig.S) = struct
            else
              match y_op with `Reset -> 0 | `Free -> -1 | `Keep -> pre_pos.(x))
       done;
-      let y_frees =
-        match (enc.y, y_op) with Some _, `Free -> 1 | _ -> 0
-      in
-      { Dbm_sig.src; frees = post.disabled + y_frees }
+      match y_op with
+      | `Free -> post.remap_free
+      | `Reset | `Keep -> post.remap_other
     in
     (* The one successor pipeline, in the paper's MMT encoding of
        (A, b).  [settle] is its tail, shared with the seeds: move to the
@@ -1016,9 +1062,9 @@ module Make (K : Dbm_sig.S) = struct
     (* One edge [s -act-> t.st] out of zone [z] at layout [pre]: load,
        guard [x_C >= b_l(C)], observer, then [settle].  On [true] the
        survivor is in [main.scr] and its phase in [main.phase] — a
-       field rather than a returned tuple, so the pipeline allocates
-       nothing per edge beyond the clock map.  An unsupported observer
-       shape raises. *)
+       field rather than a returned tuple, and the clock map is the
+       target layout's, so the pipeline allocates nothing per edge.  An
+       unsupported observer shape raises. *)
     let successor s p pre z (act, gopt, ci) t =
       let scr = main.scr in
       K.Scratch.load scr z;

@@ -10,8 +10,9 @@
    to integer constants), the in-place [Scratch.subsumed_by] agrees
    with both and counts what [subsumes] counts, and on every script
    zone, dead-row zones included, the int reduction keeps exactly the
-   constraint list of {!Tm_zones.Dbm_min}, in the same order, and its
-   checkpoint form keeps snapshot format 2's layout.
+   constraint list of {!Tm_zones.Dbm_min}, in the same order, the
+   in-place [Scratch.minimize] builds the same form as [Min.of_zone],
+   and the checkpoint form keeps snapshot format 2's layout.
 
    The arena tests pin the zero-copy storage discipline: [freeze_into]
    round-trips zone payloads through bump arenas (across chunk growth
@@ -202,6 +203,46 @@ let min_int_matches_dbm_min =
         (D.run_ref s).zones
         (D.run_scratch (module Dbm_int) scaled).zones)
 
+(* [Scratch.minimize], the reduction {!Tm_zones.Reach} runs on a
+   successor whose matrix it stores for the first time, must build the
+   form [Min.of_zone] builds from the frozen zone, and count the same
+   [dbm.ops{op=minimize}]: one per nonempty zone on the int kernel,
+   none on the reference kernel, which counts no ops.  One scratch per
+   kernel serves every case, random scripts (2-6 clocks) and
+   fischer-shaped ones (9-16 clocks) alike, so a reduction that read a
+   work-array entry left by a larger zone would show. *)
+let c_minimize =
+  Tm_obs.Metrics.counter "dbm.ops" ~labels:[ ("op", "minimize") ]
+
+let minimize_delta f =
+  let before = Tm_obs.Metrics.value c_minimize in
+  let r = f () in
+  (r, Tm_obs.Metrics.value c_minimize - before)
+
+let minimize_matches (type z) (module K : Tm_zones.Dbm_sig.S with type t = z)
+    ~counted =
+  let scr = K.Scratch.create 16 in
+  List.for_all (fun z ->
+      K.Scratch.load scr z;
+      let in_place, c = minimize_delta (fun () -> K.Scratch.minimize scr) in
+      let frozen, c' = minimize_delta (fun () -> K.Min.of_zone z) in
+      in_place = frozen && c = c'
+      && c = if counted && not (K.is_empty z) then 1 else 0)
+
+let minimize_int = minimize_matches (module Dbm_int) ~counted:true
+let minimize_ref = minimize_matches (module Dbm_ref) ~counted:false
+
+let minimize_agrees =
+  Gen.check_holds "min: Scratch.minimize == Min.of_zone of the frozen zone"
+    ~count:300 ~print:Gen.print_dbm_script
+    (QCheck2.Gen.oneof [ Gen.dbm_script; Gen.dead_row_script ])
+    (fun s ->
+      let scaled = snd (Gen.scale_dbm_script s) in
+      minimize_int
+        (with_empties (module Dbm_int)
+           (D.run_scratch (module Dbm_int) scaled).zones)
+      && minimize_ref (with_empties (module Dbm_ref) (D.run_ref s).zones))
+
 (* The int minimal form as snapshot format 2 laid it out: checkpoints
    marshal each stored zone's [Min.stored], which must read back as
    this record, positions and bounds in two arrays, for a checkpoint to
@@ -317,6 +358,7 @@ let suite =
     subsumes_int;
     subsumed_by_agrees;
     min_int_matches_dbm_min;
+    minimize_agrees;
     min_stored_keeps_v2_layout;
     Alcotest.test_case "arena: freeze_into matches persistent (ref)" `Quick
       (unit_freeze_into (module Dbm_ref));

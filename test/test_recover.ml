@@ -539,6 +539,31 @@ let fractional_checkpoint_roundtrip () =
     (List.sort compare states = bstates);
   Alcotest.(check int) "stored equal" bstored (Metrics.value c_stored - s0)
 
+(* A checkpoint holds each distinct stored zone as an exactly sized
+   copy, not the arena chunk its payload is a slice of: fischer n=4
+   stopped at 2 000 zones fits in [per_zone] bytes a stored zone
+   (95 401 bytes in all), where writing the chunks whole took 224 720.
+   The resumed run still ends on the one-shot fixpoint. *)
+let checkpoint_size_bound () =
+  let p = F.params_of_ints ~n:4 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
+  let sys = F.system p and bm = F.boundmap p in
+  let bst, bstates, _ = oneshot (module Reach.Auto) sys bm in
+  let ck = tmp_ck () in
+  Fun.protect ~finally:(fun () -> rm_f ck) @@ fun () ->
+  let limit = 2000 and per_zone = 64 in
+  (match Reach.Auto.reachable ~limit ~checkpoint:(ck, 0) sys bm with
+  | _ -> Alcotest.fail "budgeted run should exhaust"
+  | exception Reach.Out_of_budget _ -> ());
+  let size = String.length (read_file ck) in
+  if size > per_zone * limit then
+    Alcotest.failf "checkpoint of %d zones is %d bytes, over %d" limit size
+      (per_zone * limit);
+  let st, states = Reach.Auto.reachable ~resume:ck sys bm in
+  Alcotest.(check bool) "stats equal" true (st = bst);
+  Alcotest.(check bool)
+    "reachable set equal" true
+    (List.sort compare states = bstates)
+
 let resume_rejects_wrong_job () =
   let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let sys = F.system p and bm = F.boundmap p in
@@ -1004,6 +1029,8 @@ let suite =
       completed_run_removes_checkpoint;
     Alcotest.test_case "checkpoint: fractional job round-trips unscaled"
       `Quick fractional_checkpoint_roundtrip;
+    Alcotest.test_case "checkpoint: exactly sized zones, bounded size" `Quick
+      checkpoint_size_bound;
     Alcotest.test_case "resume: foreign snapshot rejected" `Quick
       resume_rejects_wrong_job;
     Alcotest.test_case "certificate: every registry verdict accepted" `Quick
