@@ -10,8 +10,9 @@
      exact      exact first-occurrence windows from the discretized graph
      progress   deadlock / Zeno-trap (time divergence) analysis
 
-   verify/exact/simulate take --budget-states/--budget-ms; running out
-   of budget reports UNKNOWN with partial stats and exits 4.
+   verify/run/margin/exact take --budget-states/--budget-ms, simulate
+   --budget-ms; running out of budget reports UNKNOWN with partial
+   stats and exits 4.
 
    SIGINT/SIGTERM are routed through Tm_recover.Supervisor on every
    subcommand, so --metrics-out/--trace-out files are flushed on an
@@ -53,32 +54,14 @@ let q = Rational.of_int
    event stream so saved artifacts are self-describing. *)
 let version = "1.1.0"
 
-(* Graceful-degradation budgets, set by --budget-states / --budget-ms
-   on the subcommands that explore: zone runs pass them to Reach, the
-   exact analysis to Tgraph, the simulator to its watchdog.  A budgeted
-   run that gives up prints UNKNOWN, flips [had_unknown] and makes the
-   command exit 4 — after metrics/trace files are flushed. *)
-let budget_states : int option ref = ref None
-let budget_s : float option ref = ref None
-let had_unknown = ref false
-
-(* Domain count set by --domains on the subcommands that fan out:
-   check (its simulation batch), margin (its independent searches) and
-   serve (each margin job).  The default 1 is the exact sequential
-   path; any other count prints the same bytes, only wall-clock time
-   changes.  Zone exploration is sequential, so verify and run take
-   --domains 1 only. *)
-let ndomains = ref 1
-
-(* Checkpoint policy set by --checkpoint / --checkpoint-every on
-   verify and run: where the zone engine snapshots its frontier, and
-   how often (0 = only on exhaustion or interrupt). *)
-let checkpoint_path : string option ref = ref None
-let checkpoint_every = ref 0
-let ckpt () = Option.map (fun p -> (p, !checkpoint_every)) !checkpoint_path
+(* Graceful-degradation budgets, from --budget-states / --budget-ms on
+   the subcommands that explore: zone runs pass them to Reach, the
+   exact analysis to Tgraph.  A budgeted run that gives up prints
+   UNKNOWN and makes the command exit 4 — after metrics/trace files
+   are flushed. *)
+type budget = { limit : int option; deadline_s : float option }
 
 let report_unknown what (e : Reach.exhausted) =
-  had_unknown := true;
   Format.printf
     "%s: UNKNOWN — %s (partial: %d locations, %d zones, %d edges)%s@." what
     e.Reach.reason e.Reach.partial.Reach.locations e.Reach.partial.Reach.zones
@@ -105,15 +88,15 @@ let print_trace (type s a) (aut : (s, a) TA.t) (seq : (s, a) Tseq.t)
 (* Simulate, print the timed trace and any condition violations, and
    hand the stop reason back so the [simulate] command can fail loudly
    on deadlocks. *)
-let run_simulation (type s a) (s : (s, a) Registry.simulated) ~steps
-    ~strategy ~seed =
+let run_simulation (type s a) (s : (s, a) Registry.simulated) ?deadline_s
+    ~steps ~strategy ~seed () =
   let strategy =
     match Catalog.make_strategy strategy with
     | Ok make -> make ~seed ~denominator:s.Registry.denominator
     | Error m -> invalid_arg m (* [strategy_arg] admits known names only *)
   in
   let run =
-    Simulator.simulate ?deadline_s:!budget_s ~steps ~strategy s.Registry.impl
+    Simulator.simulate ?deadline_s ~steps ~strategy s.Registry.impl
   in
   let seq = Simulator.project run in
   print_trace s.Registry.impl seq
@@ -121,12 +104,13 @@ let run_simulation (type s a) (s : (s, a) Registry.simulated) ~steps
   Log.info "run stopped: %s" (Simulator.describe_stop run.Simulator.reason);
   run.Simulator.reason
 
-let generic_check (type s a) (s : (s, a) Registry.simulated) ~runs ~steps =
+let generic_check (type s a) (s : (s, a) Registry.simulated) ~domains ~runs
+    ~steps =
   (* Seeds dispatch over the pool; run [i] is seeded exactly as the
      historical sequential loop, so the violation count is identical
      at any domain count. *)
   let results =
-    Simulator.batch ~domains:!ndomains ~runs ~steps
+    Simulator.batch ~domains ~runs ~steps
       ~prng:(fun seed -> Prng.create seed)
       ~strategy:(fun prng ->
         Strategy.random ~prng ~denominator:s.Registry.denominator ~cap:(q 1))
@@ -139,14 +123,6 @@ let generic_check (type s a) (s : (s, a) Registry.simulated) ~runs ~steps =
           (Semantics.semi_satisfies_all (Simulator.project run)
              s.Registry.conds))
     0 results
-
-(* Zone engine selected by --engine on the verify subcommand: the
-   production int engine, or the reference kernel for cross-checking a
-   suspicious verdict. *)
-let engine : (module Reach.S) ref = ref (module Reach.Auto : Reach.S)
-
-(* Kernel name for provenance; "" until a subcommand selects one. *)
-let engine_name = ref ""
 
 (* The text line of a check's verdict, under the model's [label]. *)
 let outcome_line label check (o : Catalog.outcome) =
@@ -170,19 +146,21 @@ let outcome_line label check (o : Catalog.outcome) =
       in
       Printf.sprintf "%s: %s at %s" item phrase s
 
-(* Run the model's checks in order and print each verdict; [verify] is
-   this loop with one attempt and no resume.  Every check but a note
-   runs through {!Catalog.supervise} under the CLI policy with the
-   global budgets; a note is informational: unbudgeted, never UNKNOWN.
-   [resume] routes a snapshot to the item whose fingerprint it carries.
-   The items before it replay for their output only, with no checkpoint
-   path, so they cannot overwrite or delete the snapshot.  An item that
-   gives up with a checkpoint stops the loop: the file is its own. *)
-let verify_model ~attempts ~backoff_s ~resume (model : Registry.model) =
+(* Run the model's checks in order, print each verdict and return
+   whether any came out UNKNOWN; [verify] is this loop with one attempt
+   and no resume.  Every check but a note runs through
+   {!Catalog.supervise} under the CLI policy with the [budget]; a note
+   is informational: unbudgeted, never UNKNOWN.  [resume] routes a
+   snapshot to the item whose fingerprint it carries.  The items before
+   it replay for their output only, with no checkpoint path, so they
+   cannot overwrite or delete the snapshot.  An item that gives up with
+   a checkpoint stops the loop: the file is its own. *)
+let verify_model engine budget ~domains ~checkpoint ~attempts ~backoff_s
+    ~resume (model : Registry.model) =
   let (Registry.Verified v) = model.Registry.verified in
   let label = model.Registry.label in
   let items =
-    List.map (fun c -> (c, Catalog.check_job !engine ~label v c)) v.checks
+    List.map (fun c -> (c, Catalog.check_job engine ~label v c)) v.checks
   in
   let routed =
     Option.map
@@ -209,7 +187,7 @@ let verify_model ~attempts ~backoff_s ~resume (model : Registry.model) =
     Format.eprintf "run: %s: attempt %d gave up (%s); retrying in %.1fs@."
       what attempt reason delay_s
   in
-  let stop = ref false in
+  let stop = ref false and unknown = ref false in
   List.iteri
     (fun i (check, (job : _ Catalog.job)) ->
       if not (!stop || Supervisor.interrupt_requested ()) then
@@ -222,7 +200,7 @@ let verify_model ~attempts ~backoff_s ~resume (model : Registry.model) =
         match check with
         | Registry.Note n -> (
             match
-              job.exec ~limit:None ~deadline_s:None ~domains:!ndomains
+              job.exec ~limit:None ~deadline_s:None ~domains
                 ~checkpoint:None ~resume:None
             with
             | Ok o -> print o
@@ -231,21 +209,22 @@ let verify_model ~attempts ~backoff_s ~resume (model : Registry.model) =
             let checkpoint, resume =
               match routed with
               | Some (r, _) when i < r -> (None, None)
-              | Some (r, path) when i = r -> (ckpt (), Some path)
-              | _ -> (ckpt (), None)
+              | Some (r, path) when i = r -> (checkpoint, Some path)
+              | _ -> (checkpoint, None)
             in
             match
               Catalog.supervise Catalog.cli_policy ~attempts ~backoff_s
-                ~on_retry:(on_retry job.label) ?limit:!budget_states
-                ?deadline_s:!budget_s ~domains:!ndomains ?checkpoint ?resume
-                job
+                ~on_retry:(on_retry job.label) ?limit:budget.limit
+                ?deadline_s:budget.deadline_s ~domains ?checkpoint ?resume job
             with
             | Ok o -> print o
             | Error (`Exhausted e) ->
                 report_unknown job.label e;
+                unknown := true;
                 if e.Reach.checkpoint <> None then stop := true
             | Error (`Crashed m) -> failwith m (* not under the CLI policy *)))
-    items
+    items;
+  !unknown
 
 (* ------------------------------------------------------------------ *)
 (* robustness margins *)
@@ -269,57 +248,52 @@ let print_margin_report (r : Margin.report) =
 (* ------------------------------------------------------------------ *)
 (* budget-aware exact analysis *)
 
-exception Exact_unknown of string
-
-(* Completeness.analyze honoring the budget flags: the discretized
-   graph gets the node limit / wall-clock deadline, and the analysis
-   refuses a truncated graph — its value tables would silently
-   under-approximate the windows. *)
-let bounded_analyze ~source ~conds () =
-  let params =
-    let p = Tm_core.Tgraph.default_params source in
-    let p =
-      match !budget_states with
-      | Some n -> { p with Tm_core.Tgraph.limit = n }
-      | None -> p
-    in
-    match !budget_s with
-    | Some s -> { p with Tm_core.Tgraph.deadline_s = Some s }
-    | None -> p
-  in
-  try Completeness.analyze ~params ~source ~conds ()
-  with Completeness.Truncated nodes ->
-    raise
-      (Exact_unknown
-         (Printf.sprintf
-            "discretized graph truncated after %d nodes — budget exhausted"
-            nodes))
-
 (* The [exact] windows of a model, each measured on the one budgeted
-   analysis of its conditions. *)
-let print_exact (model : Registry.model) =
+   analysis of its conditions, and whether the budget ran out.  The
+   discretized graph gets the node limit / wall-clock deadline, and the
+   analysis refuses a truncated graph — its value tables would silently
+   under-approximate the windows — so a truncation prints UNKNOWN. *)
+let print_exact budget (model : Registry.model) =
   let (Registry.Simulated s) = model.Registry.simulated in
   match s.Registry.exact with
   | None ->
-      Format.printf "exact analysis not wired for %s@." model.Registry.label
-  | Some ex ->
-      let a =
-        bounded_analyze ~source:s.Registry.impl ~conds:ex.Registry.exact_conds
-          ()
+      Format.printf "exact analysis not wired for %s@." model.Registry.label;
+      false
+  | Some ex -> (
+      let source = s.Registry.impl in
+      let params =
+        let p = Tm_core.Tgraph.default_params source in
+        {
+          p with
+          Tm_core.Tgraph.limit = Option.value budget.limit ~default:p.limit;
+          deadline_s = budget.deadline_s;
+        }
       in
-      List.iter
-        (fun (row : _ Registry.exact_row) ->
-          let print (lo, hi) =
-            Format.printf "%sexact [%a, %a], %s@." row.what Time.pp lo
-              Time.pp hi row.reference
-          in
-          match row.origin with
-          | Registry.Start -> print (Completeness.start_bounds a ~cond:row.cond)
-          | Registry.After { trigger; unreachable } -> (
-              match Completeness.bounds_after a ~trigger ~cond:row.cond with
-              | Some window -> print window
-              | None -> Format.printf "%s@." unreachable))
-        ex.Registry.rows
+      match
+        Completeness.analyze ~params ~source ~conds:ex.Registry.exact_conds ()
+      with
+      | exception Completeness.Truncated nodes ->
+          Format.printf
+            "exact: UNKNOWN — discretized graph truncated after %d nodes — \
+             budget exhausted@."
+            nodes;
+          true
+      | a ->
+          List.iter
+            (fun (row : _ Registry.exact_row) ->
+              let print (lo, hi) =
+                Format.printf "%sexact [%a, %a], %s@." row.what Time.pp lo
+                  Time.pp hi row.reference
+              in
+              match row.origin with
+              | Registry.Start ->
+                  print (Completeness.start_bounds a ~cond:row.cond)
+              | Registry.After { trigger; unreachable } -> (
+                  match Completeness.bounds_after a ~trigger ~cond:row.cond with
+                  | Some window -> print window
+                  | None -> Format.printf "%s@." unreachable))
+            ex.Registry.rows;
+          false)
 
 (* ------------------------------------------------------------------ *)
 (* cmdliner plumbing *)
@@ -497,8 +471,11 @@ let obs_term =
 
 (* Run a subcommand body under the requested observability setup and
    flush every sink afterwards — also when the body raises or plans to
-   exit nonzero, so an interrupt still leaves complete artifacts. *)
-let with_obs name o f =
+   exit nonzero, so an interrupt still leaves complete artifacts.
+   [engine] and [domains] are provenance for the event stream and the
+   run report; [engine] is [None] for the subcommands without a zone
+   engine. *)
+let with_obs name ?engine ~domains o f =
   Log.set_level o.level;
   if o.trace_out <> None then Tracing.enable ();
   if o.prof_out <> None then Prof.enable ();
@@ -517,8 +494,8 @@ let with_obs name o f =
       ("command", Json.String name);
       ("version", Json.String version);
       ( "engine",
-        if !engine_name = "" then Json.Null else Json.String !engine_name );
-      ("domains", Json.Int !ndomains);
+        Option.fold engine ~none:Json.Null ~some:(fun e -> Json.String e) );
+      ("domains", Json.Int domains);
     ];
   let finish () =
     let wall = Tracing.now_s () -. t0 in
@@ -547,8 +524,7 @@ let with_obs name o f =
     Events.close ();
     if Log.at_least Log.Info then
       Format.eprintf "%a" Report.pp
-        (Report.make ~command:name ~version ~engine:!engine_name
-           ~domains:!ndomains ~wall_s:wall ())
+        (Report.make ~command:name ~version ?engine ~domains ~wall_s:wall ())
   in
   match f () with
   | v ->
@@ -558,9 +534,22 @@ let with_obs name o f =
       finish ();
       raise e
 
-(* Budget flags shared by the exploring subcommands.  The term's value
-   is unit: evaluating it stores the budgets in the globals the
-   analysis helpers read. *)
+(* Budget flags shared by the exploring subcommands.  [simulate] takes
+   only the wall-clock budget: its watchdog has no state count to cap. *)
+let deadline_term =
+  Term.(
+    const (Option.map (fun ms -> ms /. 1000.))
+    $ checked
+        (function None -> true | Some ms -> ms > 0.)
+        "--budget-ms must be > 0"
+        Arg.(
+          value
+          & opt (some float) None
+          & info [ "budget-ms" ] ~docv:"MS"
+              ~doc:
+                "Wall-clock budget in milliseconds. A run that exceeds it \
+                 reports UNKNOWN (exit 4) instead of hanging."))
+
 let budget_term =
   let states_arg =
     checked
@@ -575,59 +564,39 @@ let budget_term =
                nodes). An exhausted run reports UNKNOWN with partial \
                statistics and exits 4.")
   in
-  let ms_arg =
-    checked
-      (function None -> true | Some ms -> ms > 0.)
-      "--budget-ms must be > 0"
-      Arg.(
-        value
-        & opt (some float) None
-        & info [ "budget-ms" ] ~docv:"MS"
-            ~doc:
-              "Wall-clock budget in milliseconds. A run that exceeds it \
-               reports UNKNOWN (exit 4) instead of hanging.")
-  in
-  let mk states ms =
-    budget_states := states;
-    budget_s := Option.map (fun v -> v /. 1000.) ms
-  in
-  Term.(const mk $ states_arg $ ms_arg)
+  Term.(
+    const (fun limit deadline_s -> { limit; deadline_s })
+    $ states_arg $ deadline_term)
 
-(* --domains.  Like [budget_term], evaluating the term stores the count
-   in the global the analysis helpers read.  [domains_term] is for the
-   subcommands that fan out; [sequential_domains_term] accepts only 1,
-   for verify and run, whose zone search is sequential. *)
+(* --domains.  [domains_term] is for the subcommands that fan out;
+   [sequential_domains_term] accepts only 1, for verify and run, whose
+   zone search is sequential. *)
 let domains_arg doc =
   checked (fun d -> d >= 1) "--domains must be >= 1"
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
 
 let domains_term =
-  Term.(
-    const (fun d -> ndomains := d)
-    $ domains_arg
-        "Fan the independent work out over $(docv) domains (OS threads): \
-         the simulation runs of $(b,check), the margin searches of \
-         $(b,margin) and of each $(b,serve) margin job. The output is \
-         identical at any domain count; the default 1 is the exact \
-         sequential path.")
+  domains_arg
+    "Fan the independent work out over $(docv) domains (OS threads): the \
+     simulation runs of $(b,check), the margin searches of $(b,margin) and \
+     of each $(b,serve) margin job. The output is identical at any domain \
+     count; the default 1 is the exact sequential path."
 
 let sequential_domains_term =
-  Term.(
-    const ignore
-    $ checked (fun d -> d = 1)
-        "--domains must be 1 (zone exploration is sequential)"
-        (domains_arg
-           "Accepted for compatibility and must be 1: zone exploration \
-            is sequential."))
+  checked (fun d -> d = 1)
+    "--domains must be 1 (zone exploration is sequential)"
+    (domains_arg
+       "Accepted for compatibility and must be 1: zone exploration is \
+        sequential.")
 
 let simulate_cmd =
-  let run model steps strategy seed () obs =
+  let run model steps strategy seed deadline_s obs =
     let reason =
-      with_obs "simulate" obs (fun () ->
+      with_obs "simulate" ~domains:1 obs (fun () ->
           Format.printf "%s@." model.Registry.describe;
           Log.debug "strategy=%s seed=%d steps=%d" strategy seed steps;
           let (Registry.Simulated s) = model.Registry.simulated in
-          run_simulation s ~steps ~strategy ~seed)
+          run_simulation s ?deadline_s ~steps ~strategy ~seed ())
     in
     match reason with
     | Simulator.Deadlock ->
@@ -651,15 +620,15 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Simulate a system and print the timed trace")
     Term.(
       const run $ model_term () $ steps_arg $ strategy_arg $ seed_arg
-      $ budget_term $ obs_term)
+      $ deadline_term $ obs_term)
 
 let check_cmd =
-  let run model runs steps () obs =
+  let run model runs steps domains obs =
     let v =
-      with_obs "check" obs (fun () ->
+      with_obs "check" ~domains obs (fun () ->
           Format.printf "%s@." model.Registry.describe;
           let (Registry.Simulated s) = model.Registry.simulated in
-          generic_check s ~runs ~steps)
+          generic_check s ~domains ~runs ~steps)
     in
     Format.printf "%d runs x %d steps: %d violations@." runs steps v;
     if v > 0 then exit 1
@@ -673,26 +642,24 @@ let check_cmd =
 
 let simple_cmd name ~doc body =
   let run model obs =
-    with_obs name obs (fun () ->
+    with_obs name ~domains:1 obs (fun () ->
         Format.printf "%s@." model.Registry.describe;
         body model)
   in
   Cmd.v (Cmd.info name ~doc) Term.(const run $ model_term () $ obs_term)
 
+(* --engine: the kernel's name (for provenance and the daemon's
+   default) with the engine {!Catalog.engine_of} gives it. *)
 let engine_arg =
-  let engine_conv =
-    let parse = function
-      | ("auto" | "ref" | "paranoid") as name -> Ok name
-      | other ->
-          Error
-            (`Msg
-              (Printf.sprintf "unknown engine %S (auto | ref | paranoid)"
-                 other))
-    in
-    Arg.conv (parse, Format.pp_print_string)
+  let parse name =
+    match Catalog.engine_of name with
+    | Ok e -> Ok (name, e)
+    | Error m -> Error (`Msg m)
   in
+  let print fmt (name, _) = Format.pp_print_string fmt name in
   Arg.(
-    value & opt engine_conv "auto"
+    value
+    & opt (conv (parse, print)) ("auto", (module Reach.Auto : Reach.S))
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "DBM kernel for zone exploration: $(b,auto) (default: the \
@@ -704,15 +671,9 @@ let engine_arg =
            $(b,ref) rerun; a failed check degrades the run to \
            $(b,ref)). All run the identical exploration and must agree.")
 
-let set_engine name =
-  match Catalog.engine_of name with
-  | Ok e ->
-      engine_name := name;
-      engine := e
-  | Error m -> invalid_arg m (* [engine_arg] admits known engines only *)
-
-(* Checkpoint flags shared by verify/run; like [budget_term] the value
-   is unit and evaluation stores the policy in globals. *)
+(* Checkpoint flags shared by verify/run: where the zone engine
+   snapshots its frontier, and how often (0 = only on exhaustion or
+   interrupt). *)
 let recover_term =
   let ck_arg =
     Arg.(
@@ -735,26 +696,33 @@ let recover_term =
               "Also snapshot after every $(docv) newly stored zones \
                (default 0: only final snapshots).")
   in
-  let mk ck every =
-    checkpoint_path := ck;
-    checkpoint_every := every
-  in
-  Term.(const mk $ ck_arg $ every_arg)
+  Term.(const (fun ck every -> (ck, every)) $ ck_arg $ every_arg)
 
-let verify_cmd =
-  let run model ename () () () obs =
-    set_engine ename;
-    with_obs "verify" obs (fun () ->
+(* The body of verify and run: [verify] is [run] with one attempt, no
+   backoff and no resume.  A resumed run keeps saving progress to the
+   file it resumed from, unless --checkpoint points elsewhere. *)
+let verify_run name ~resume ~attempts ~backoff_s model (ename, engine)
+    budget domains (checkpoint, every) obs =
+  let checkpoint =
+    Option.map (fun p -> (p, every))
+      (if checkpoint = None then resume else checkpoint)
+  in
+  let unknown =
+    with_obs name ~engine:ename ~domains obs (fun () ->
         Format.printf "%s@." model.Registry.describe;
         Supervisor.graceful (fun () ->
-            verify_model ~attempts:1 ~backoff_s:0. ~resume:None model));
-    if !had_unknown then exit 4
+            verify_model engine budget ~domains ~checkpoint ~attempts
+              ~backoff_s ~resume model))
   in
+  if unknown then exit 4
+
+let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc:"Exact zone-based verification")
     Term.(
-      const run $ model_term () $ engine_arg $ budget_term
-      $ sequential_domains_term $ recover_term $ obs_term)
+      const (verify_run "verify" ~resume:None ~attempts:1 ~backoff_s:0.)
+      $ model_term () $ engine_arg $ budget_term $ sequential_domains_term
+      $ recover_term $ obs_term)
 
 let run_cmd =
   let resume_arg =
@@ -790,19 +758,8 @@ let run_cmd =
               "Base delay before the first retry; doubles on each \
                further retry.")
   in
-  let run model ename resume attempts backoff_ms () () () obs =
-    set_engine ename;
-    (* Keep saving progress to the file we resumed from, unless the
-       user pointed --checkpoint elsewhere. *)
-    (match (!checkpoint_path, resume) with
-    | None, Some path -> checkpoint_path := Some path
-    | _ -> ());
-    with_obs "run" obs (fun () ->
-        Format.printf "%s@." model.Registry.describe;
-        Supervisor.graceful (fun () ->
-            verify_model ~attempts ~backoff_s:(backoff_ms /. 1000.) ~resume
-              model));
-    if !had_unknown then exit 4
+  let run resume attempts backoff_ms =
+    verify_run "run" ~resume ~attempts ~backoff_s:(backoff_ms /. 1000.)
   in
   Cmd.v
     (Cmd.info "run"
@@ -811,9 +768,9 @@ let run_cmd =
           exponential backoff, per-attempt budgets chained through \
           checkpoints, resumable after interrupts")
     Term.(
-      const run $ model_term () $ engine_arg $ resume_arg
-      $ attempts_arg $ backoff_arg $ budget_term $ sequential_domains_term
-      $ recover_term $ obs_term)
+      const run $ resume_arg $ attempts_arg $ backoff_arg $ model_term ()
+      $ engine_arg $ budget_term $ sequential_domains_term $ recover_term
+      $ obs_term)
 
 let margin_cmd =
   let json_arg =
@@ -824,14 +781,13 @@ let margin_cmd =
             "Print the reports as a JSON array on stdout instead of \
              tables.")
   in
-  let run model e json () () obs =
-    set_engine e;
+  let run model (ename, engine) json budget domains obs =
     let reports =
-      with_obs "margin" obs (fun () ->
+      with_obs "margin" ~engine:ename ~domains obs (fun () ->
           if not json then Format.printf "%s@." model.Registry.describe;
           let reports =
-            Catalog.margin_reports !engine ?limit:!budget_states
-              ?deadline_s:!budget_s ~domains:!ndomains model
+            Catalog.margin_reports engine ?limit:budget.limit
+              ?deadline_s:budget.deadline_s ~domains model
           in
           if not json then List.iter print_margin_report reports;
           reports)
@@ -865,15 +821,13 @@ let map_cmd =
     (fun model -> Format.printf "%s@." (model.Registry.map ()))
 
 let exact_cmd =
-  let run model () obs =
-    with_obs "exact" obs (fun () ->
-        Format.printf "%s@." model.Registry.describe;
-        match print_exact model with
-        | () -> ()
-        | exception Exact_unknown m ->
-            had_unknown := true;
-            Format.printf "exact: UNKNOWN — %s@." m);
-    if !had_unknown then exit 4
+  let run model budget obs =
+    let unknown =
+      with_obs "exact" ~domains:1 obs (fun () ->
+          Format.printf "%s@." model.Registry.describe;
+          print_exact budget model)
+    in
+    if unknown then exit 4
   in
   Cmd.v
     (Cmd.info "exact"
@@ -889,10 +843,9 @@ let progress_cmd =
 
 (* Load a metrics artifact for obs and bench-diff: a bare metrics
    document or a run report nesting one under "metrics", plus whatever
-   provenance/timing it carries. *)
+   provenance it carries. *)
 type bench_doc = {
   bd_metrics : Metrics.snapshot;
-  bd_wall_s : float option;
   bd_command : string option;
   bd_engine : string option;
   bd_domains : int option;
@@ -918,7 +871,6 @@ let load_bench_doc file =
           Ok
             {
               bd_metrics = snap;
-              bd_wall_s = Option.bind (Json.member "wall_s" j) Json.float_opt;
               bd_command = str "command";
               bd_engine = str "engine";
               bd_domains = Option.bind (Json.member "domains" j) Json.int_opt;
@@ -970,27 +922,7 @@ let bench_diff_cmd =
       & pos 1 (some file) None
       & info [] ~docv:"CURRENT_JSON" ~doc:"Freshly produced metrics file.")
   in
-  let max_regress_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-regress" ] ~docv:"PCT"
-          ~doc:
-            "Also compare wall-clock time: fail when the current run is \
-             more than $(docv) percent slower than the baseline. Only \
-             meaningful when both files are run reports from the same \
-             machine; without this flag timings are ignored.")
-  in
-  let ignore_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "ignore" ] ~docv:"PREFIX"
-          ~doc:
-            "Ignore metrics whose name starts with $(docv) (repeatable). \
-             The domain-count-dependent $(b,par.) family is always \
-             ignored.")
-  in
-  let run old_f new_f max_regress ignores =
+  let run old_f new_f =
     match (load_bench_doc old_f, load_bench_doc new_f) with
     | Error m, _ | _, Error m ->
         Format.eprintf "bench-diff: %s@." m;
@@ -1000,9 +932,8 @@ let bench_diff_cmd =
            deterministic at any domain count — except the [par.*]
            family, which records the fan-out itself (pool size, chunks
            run) and so moves with the domain count. *)
-        let ignore_prefixes = "par." :: ignores in
         let drifts =
-          Export.diff ~ignore_prefixes ~baseline:old_d.bd_metrics
+          Export.diff ~ignore_prefixes:[ "par." ] ~baseline:old_d.bd_metrics
             ~current:new_d.bd_metrics ()
         in
         List.iter (fun d -> Format.printf "DRIFT %a@." Export.pp_drift d)
@@ -1012,44 +943,21 @@ let bench_diff_cmd =
             Format.printf
               "note: engines differ (baseline %s, current %s)@." a b
         | _ -> ());
-        let regress =
-          match (max_regress, old_d.bd_wall_s, new_d.bd_wall_s) with
-          | Some pct, Some old_w, Some new_w ->
-              let budget = old_w *. (1. +. (pct /. 100.)) in
-              let slower = new_w > budget in
-              Format.printf
-                "wall: baseline %.3fs, current %.3fs, budget %.3fs (+%g%%) \
-                 — %s@."
-                old_w new_w budget pct
-                (if slower then "REGRESSION" else "ok");
-              slower
-          | Some _, _, _ ->
-              Format.printf
-                "wall: timing comparison requested but one file carries \
-                 no wall_s — skipped@.";
-              false
-          | None, _, _ -> false
-        in
-        if drifts = [] && not regress then begin
+        if drifts = [] then
           Format.printf "bench-diff: OK (%d baseline metrics, %d current)@."
             (List.length old_d.bd_metrics)
-            (List.length new_d.bd_metrics);
-          ()
-        end
+            (List.length new_d.bd_metrics)
         else begin
-          Format.printf "bench-diff: FAIL (%d drifts%s)@."
-            (List.length drifts)
-            (if regress then ", timing regression" else "");
+          Format.printf "bench-diff: FAIL (%d drifts)@." (List.length drifts);
           exit 1
         end
   in
   Cmd.v
     (Cmd.info "bench-diff"
        ~doc:
-         "Compare two metrics dumps as a perf-regression gate: counters \
-          and deterministic gauges/histograms must match exactly, \
-          wall-clock time within --max-regress percent.")
-    Term.(const run $ old_arg $ new_arg $ max_regress_arg $ ignore_arg)
+         "Compare two metrics dumps as a determinism gate: counters and \
+          deterministic gauges/histograms must match exactly.")
+    Term.(const run $ old_arg $ new_arg)
 
 (* ------------------------------------------------------------------ *)
 (* the verification daemon and its client *)
@@ -1150,8 +1058,7 @@ let serve_cmd =
              one) every $(docv) milliseconds. Testing only.")
   in
   let run socket state_dir queue max_states max_deadline_ms attempts workers
-      quarantine_after hb_timeout_ms chaos_ms ename () obs =
-    engine_name := ename;
+      quarantine_after hb_timeout_ms chaos_ms (ename, _) domains obs =
     let cfg =
       {
         (Server.default_config ~socket_path:socket) with
@@ -1159,7 +1066,7 @@ let serve_cmd =
         max_queue = queue;
         max_limit = Some max_states;
         max_deadline_s = Some (max_deadline_ms /. 1000.);
-        domains = !ndomains;
+        domains;
         attempts;
         default_engine = ename;
         workers;
@@ -1168,7 +1075,7 @@ let serve_cmd =
         chaos_kill_every_s = Option.map (fun ms -> ms /. 1000.) chaos_ms;
       }
     in
-    with_obs "serve" obs (fun () ->
+    with_obs "serve" ~engine:ename ~domains obs (fun () ->
         match Server.run cfg with
         | () -> ()
         | exception Server.Already_running path ->

@@ -93,6 +93,9 @@ type t = {
   adm : respondent Admission.t;
   workers : pending Workers.t;
   retryq : pending Queue.t;  (** crashed-worker jobs awaiting resubmission *)
+  queued : (string, string * string) Hashtbl.t;
+      (** label and op of each queued job, by fingerprint, from the parse
+          that admitted it *)
   mutable running : bool;
 }
 
@@ -226,9 +229,11 @@ let handle_request t conn req =
                       respond t r
                         (Protocol.response ~reason:"queue full"
                            ~retry_after_s:hint ~status:"unknown" ())
-                  | Admission.Admitted _ | Admission.Coalesced _ ->
+                  | Admission.Admitted _ ->
                       (* answered when the job runs *)
-                      ()))))
+                      Hashtbl.replace t.queued fingerprint
+                        (job.Catalog.label, job.Catalog.op)
+                  | Admission.Coalesced _ -> ()))))
 
 let handle_frame t conn payload =
   Metrics.incr c_frames;
@@ -301,7 +306,8 @@ let drain_queue t ~reason =
                ~retry_after_s:(Admission.retry_hint_s t.adm)
                ~status:"unknown" ()))
         (List.rev ajob.Admission.respondents))
-    (Admission.drain t.adm)
+    (Admission.drain t.adm);
+  Hashtbl.reset t.queued
 
 (* ------------------------------------------------------------------ *)
 (* worker plumbing *)
@@ -349,36 +355,17 @@ let dispatch_to_workers t =
       else
         match Admission.pop t.adm with
         | None -> ()
-        | Some ajob -> (
-            (* the request parsed once already; a failure here is a bug,
-               but even then the client gets a structured error *)
-            match
-              Catalog.of_request ~default_engine:t.cfg.default_engine
-                ajob.Admission.request
-            with
-            | Error m ->
-                answer_result t ajob (Workers.E_error m) ~wall_s:(-1.);
-                go ()
-            | exception ex ->
-                answer_result t ajob
-                  (Workers.E_error (Printexc.to_string ex))
-                  ~wall_s:(-1.);
-                go ()
-            | Ok job ->
-                Metrics.incr c_jobs;
-                let p =
-                  {
-                    p_ajob = ajob;
-                    p_label = job.Catalog.label;
-                    p_op = job.Catalog.op;
-                  }
-                in
-                if
-                  Workers.submit pool
-                    ~fingerprint:job.Catalog.fingerprint
-                    ~request:ajob.Admission.request p
-                then go ()
-                else Queue.push p t.retryq)
+        | Some ajob ->
+            let fingerprint = ajob.Admission.fingerprint in
+            let p_label, p_op = Hashtbl.find t.queued fingerprint in
+            Hashtbl.remove t.queued fingerprint;
+            Metrics.incr c_jobs;
+            let p = { p_ajob = ajob; p_label; p_op } in
+            if
+              Workers.submit pool ~fingerprint
+                ~request:ajob.Admission.request p
+            then go ()
+            else Queue.push p t.retryq
   in
   go ()
 
@@ -518,6 +505,7 @@ let run (cfg : config) =
       adm = Admission.create ~max_depth:cfg.max_queue;
       workers;
       retryq = Queue.create ();
+      queued = Hashtbl.create 16;
       running = true;
     }
   in

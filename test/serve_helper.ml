@@ -46,6 +46,7 @@ let () =
                 cfg :=
                   { !cfg with
                     Tm_serve.Server.hb_timeout_s = float_of_string v /. 1000. }
+            | "events" -> Tm_obs.Events.open_path v
             | "chaos_kill_ms" ->
                 cfg :=
                   { !cfg with

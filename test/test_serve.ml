@@ -293,7 +293,7 @@ let sock_path =
 (* Daemons run as real child processes (their own metrics, their own
    crash domain) via [serve_helper.exe] — [Unix.fork] is forbidden once
    the par suite has spawned domains, so we [create_process] instead. *)
-let spawn_server cfg =
+let spawn_server ?(extra = []) cfg =
   let helper =
     Filename.concat (Filename.dirname Sys.executable_name) "serve_helper.exe"
   in
@@ -317,10 +317,10 @@ let spawn_server cfg =
         "quarantine=" ^ string_of_int cfg.Server.quarantine_after;
         Printf.sprintf "hb_timeout_ms=%g" (cfg.Server.hb_timeout_s *. 1000.);
       ]
-    @
-    match cfg.Server.chaos_kill_every_s with
-    | Some s -> [ Printf.sprintf "chaos_kill_ms=%g" (s *. 1000.) ]
-    | None -> []
+    @ (match cfg.Server.chaos_kill_every_s with
+      | Some s -> [ Printf.sprintf "chaos_kill_ms=%g" (s *. 1000.) ]
+      | None -> [])
+    @ extra
   in
   let pid =
     Unix.create_process helper (Array.of_list args) Unix.stdin Unix.stdout
@@ -949,6 +949,55 @@ let daemon_poison_quarantine () =
         (status (recv cx));
       close_cx cx)
 
+(* Each computed job's [serve.job] event names the label and op of the
+   parse that admitted it: a verify job and a margin job, whose
+   duplicates coalesce or hit the cache and so add no event. *)
+let daemon_job_events () =
+  let sock = sock_path () in
+  let events = Filename.temp_file "tm_events" ".ndjson" in
+  let margin_req =
+    "{\"op\":\"margin\",\"system\":\"fischer\",\"params\":{\"n\":2}}"
+  in
+  let reqs = [ fischer_req; margin_req; fischer_req; margin_req ] in
+  let pid = spawn_server ~extra:[ "events=" ^ events ] (base_cfg sock) in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove events)
+    (fun () ->
+      Fun.protect
+        ~finally:(fun () -> shutdown_server pid sock)
+        (fun () ->
+          let cx = connect sock in
+          List.iter (send cx) reqs;
+          List.iter
+            (fun _ -> Alcotest.(check string) "job ok" "ok" (status (recv cx)))
+            reqs;
+          close_cx cx);
+      let str k doc = Option.bind (Json.member k doc) Json.string_opt in
+      let jobs =
+        In_channel.with_open_text events In_channel.input_lines
+        |> List.filter_map (fun line ->
+               match Json.of_string line with
+               | Ok doc when str "ev" doc = Some "serve.job" ->
+                   Some (str "label" doc, str "op" doc, str "status" doc)
+               | _ -> None)
+      in
+      let expected req =
+        match Json.of_string req with
+        | Error m -> Alcotest.fail m
+        | Ok r -> (
+            match Tm_serve.Catalog.of_request ~default_engine:"auto" r with
+            | Ok j ->
+                ( Some j.Tm_serve.Catalog.label,
+                  Some j.Tm_serve.Catalog.op,
+                  Some "ok" )
+            | Error m -> Alcotest.fail m)
+      in
+      Alcotest.(check (list (triple (option string) (option string)
+                               (option string))))
+        "one event per computed job, labelled by its request"
+        [ expected fischer_req; expected margin_req ]
+        jobs)
+
 let suite =
   [
     Alcotest.test_case "protocol: chunked roundtrip" `Quick reader_roundtrip;
@@ -989,4 +1038,6 @@ let suite =
       daemon_poison_quarantine;
     Alcotest.test_case "daemon: SIGTERM drains worker pool" `Slow
       daemon_sigterm_drains_workers;
+    Alcotest.test_case "daemon: job events carry the admitting parse" `Slow
+      daemon_job_events;
   ]
