@@ -5,7 +5,7 @@ exception Bad_snapshot of string
 let c_written = Metrics.counter "recover.snapshot_written"
 
 let magic = "TMCKPT1\n"
-let format_version = 2
+let format_version = 3
 
 (* ------------------------------------------------------------------ *)
 (* CRC-32, IEEE polynomial (reflected 0xEDB88320), table-driven.  Kept

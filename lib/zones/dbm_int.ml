@@ -60,8 +60,11 @@ let unpack p =
 
 (* Le x + Le y keeps the weak bit; any strict operand clears it:
    (2x+1) + (2y+1) - 1 = 2(x+y) + 1, and with a strict operand the
-   subtracted [(a lor b) land 1] is exactly the surviving weak bit. *)
-let bnd_add a b = if a = inf || b = inf then inf else a + b - ((a lor b) land 1)
+   subtracted [(a lor b) land 1] is exactly the surviving weak bit.
+   Inlined: it is the inner step of every closure and reduction loop,
+   and ocamlopt without flambda would otherwise call it. *)
+let[@inline] bnd_add a b =
+  if a = inf || b = inf then inf else a + b - ((a lor b) land 1)
 
 (* Does the bound admit 0?  Le 0 = 1, Lt 0 = 0, so the test is a sign
    check — this is why the weak bit lives in the LOW bit. *)
@@ -69,8 +72,15 @@ let bnd_neg_ok p = p > 0
 
 (* [off] is the start of this zone's n*n slice inside [m]: arena zones
    share one large chunk array, heap zones own an exactly-sized array
-   at offset 0. *)
-type t = { n : int; m : int array; off : int; empty : bool; mutable hmemo : int }
+   at offset 0.  [detach] turns the first kind into the second in
+   place, so [m] and [off] are the mutable fields. *)
+type t = {
+  n : int;
+  mutable m : int array;
+  mutable off : int;
+  empty : bool;
+  mutable hmemo : int;
+}
 
 let name = "int"
 let compact = true
@@ -386,8 +396,10 @@ let equal a b =
 
 let detach z =
   let len = z.n * z.n in
-  if z.off = 0 && Array.length z.m = len then z
-  else { z with m = sub_words z.m z.off len; off = 0 }
+  if z.off <> 0 || Array.length z.m <> len then begin
+    z.m <- sub_words z.m z.off len;
+    z.off <- 0
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Arena: bump allocation for stored-zone payloads.  Chunks start at
@@ -541,25 +553,6 @@ module Min = struct
     end
 
   let subsumes mn z = covers mn z.n z.m z.off z.empty
-
-  (* Checkpoint format 2's layout: positions and bounds in two arrays. *)
-  type stored = {
-    smn : int;
-    smempty : bool;
-    sidx : int array;
-    sbnd : int array;
-  }
-
-  let to_stored m =
-    let half r =
-      Array.init (Array.length m.mc / 2) (fun e -> m.mc.((2 * e) + r))
-    in
-    { smn = m.mn; smempty = m.mempty; sidx = half 0; sbnd = half 1 }
-
-  let of_stored s =
-    let pair p = (if p land 1 = 0 then s.sidx else s.sbnd).(p / 2) in
-    let mc = Array.init (2 * Array.length s.sidx) pair in
-    { mn = s.smn; mempty = s.smempty; mc }
 end
 
 (* ------------------------------------------------------------------ *)

@@ -259,7 +259,7 @@ let hash z =
   else Array.fold_left (fun h b -> (h * 31) + Dbm_bound.hash b) z.n z.m
 
 (* Every zone owns its matrix: there is no arena to detach from. *)
-let detach z = z
+let detach _ = ()
 
 (* The reference kernel stores plain persistent zones, so its arena is
    a unit token: [freeze_into] changes nothing, which is exactly what
@@ -285,11 +285,6 @@ module Min = struct
     | M r ->
         if z.n <> r.Dbm_min.mn then invalid_arg "Dbm_ref.Min.subsumes";
         z.empty || Dbm_min.subsumes r (fun i j -> z.m.((i * z.n) + j))
-
-  type stored = min
-
-  let to_stored m = m
-  let of_stored m = m
 end
 
 (* Scratch for the reference kernel is just a cell holding a persistent

@@ -109,17 +109,21 @@ module type S = sig
   val equal : t -> t -> bool
   val hash : t -> int
 
-  val detach : t -> t
-  (** [z] over a payload of its own, exactly [dim z]² entries: what a
-      checkpoint marshals, so that no shared {!Arena} chunk is written
-      along with it.  [z] itself when it already owns such a payload. *)
+  val detach : t -> unit
+  (** Give [z] a payload of its own, exactly [dim z]² entries, in
+      place: [z] stays [equal] to itself with the same [hash], so the
+      hash-consing store and every entry holding [z] see no change, but
+      [z] no longer keeps a shared {!Arena} chunk alive, and a
+      checkpoint that marshals [z] writes only its own entries.  A no-op
+      on a zone that already owns such a payload. *)
 
   (** Bump arena for stored-zone payloads.  Zones frozen into an arena
       are slices of a shared chunk (grow-by-doubling, chunks large
       enough to be major-heap allocated), so storing a zone costs no
       minor-heap traffic beyond its small record.  An arena only grows:
       {!Reach} freezes stored zones alone into its one arena, and a
-      full chunk stays alive through the zones pointing into it. *)
+      full chunk stays alive through the zones pointing into it until
+      they are {!detach}ed. *)
   module Arena : sig
     type arena
 
@@ -135,7 +139,8 @@ module type S = sig
       matrix, so subsumption probes scan O(active constraints) instead
       of O(n²).  Construction is deterministic: the kept constraints
       are {!Dbm_min}'s, in its order, so equal matrices have
-      structurally equal forms. *)
+      structurally equal forms.  A checkpoint marshals [min] as it is,
+      so changing its layout changes the snapshot format. *)
   module Min : sig
     type min
 
@@ -146,15 +151,6 @@ module type S = sig
     val subsumes : min -> t -> bool
     (** [subsumes m z]: does the zone [m] came from include [z]?
         Exact — the dense inclusion test on the zone [m] came from. *)
-
-    type stored
-    (** [min] as a checkpoint holds it: the layout of snapshot format
-        version 2, kept whatever [min]'s own layout, so that a
-        checkpoint resumes on any build of that version. *)
-
-    val to_stored : min -> stored
-    val of_stored : stored -> min
-    (** Inverse conversions; neither counts a [dbm.ops]. *)
   end
 
   (** Destructive operations on a reusable scratch matrix.  One scratch

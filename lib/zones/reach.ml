@@ -136,14 +136,6 @@ end
    construction, which the CI determinism guard and the differential
    harness both rely on. *)
 module Make (K : Dbm_sig.S) = struct
-  (* Tables keyed by a zone's matrix. *)
-  module Ztbl = Hashtbl.Make (struct
-    type t = K.t
-
-    let equal = K.equal
-    let hash = K.hash
-  end)
-
   (* The zone engine's view of the encoding: the shared class clocks of
      {!Clock_enc} (logical clocks 1..n, 0 is the reference), plus an
      optional observer clock n+1.  A zone's own indices are those of
@@ -254,29 +246,27 @@ module Make (K : Dbm_sig.S) = struct
     fingerprint_of ~kind:(cond_kind c) bm
       (make_enc a bm ~cond_bounds:(Some c.Condition.bounds))
 
-  (* A stored zone doubling as a waiting-list entry.  [alive] is
-     cleared when a later, larger zone at the same location subsumes
-     it; [expanded] distinguishes passed-list members from entries
-     pruned while still waiting (the [zones.pruned_waiting] signal).
-     [zmin] is the minimal-constraint form of [z], interned with it:
-     reduced once, when [z]'s matrix is first stored, and shared by
-     every entry that stores the same matrix.  It prunes the zones [z]
-     covers at store time, and afterwards tests every later successor
-     at the location for inclusion in [z], in O(kept constraints)
-     instead of scanning the full n² matrix.  A checkpoint holds the
-     same record with [z] detached from the arena and [zmin] in
-     {!K.Min.stored}'s fixed layout, so the marshaled payload stays
-     that of snapshot format 2. *)
-  type 'm entry = {
-    z : K.t;
-    zmin : 'm;
+  (* A record of the hash-consing store: a distinct stored matrix [z]
+     and its minimal-constraint form [zmin], reduced once, when [z]'s
+     matrix is first stored, and shared by every entry that stores the
+     same matrix.  [zmin] prunes the zones [z] covers at store time,
+     and afterwards tests every later successor at the location for
+     inclusion in [z], in O(kept constraints) instead of scanning the
+     full n² matrix. *)
+  type zrec = { z : K.t; zmin : K.Min.min }
+
+  (* A stored zone doubling as a waiting-list entry, pointing at its
+     store record.  [alive] is cleared when a later, larger zone at the
+     same location subsumes it; [expanded] distinguishes passed-list
+     members from entries pruned while still waiting (the
+     [zones.pruned_waiting] signal). *)
+  type zentry = {
+    zr : zrec;
     zloose : int;
     seq : int;
     mutable alive : bool;
     mutable expanded : bool;
   }
-
-  type zentry = K.Min.min entry
 
   (* A location's clock layout: the logical clocks its zones carry, in
      ascending order.  On a compact kernel these are the live clocks —
@@ -349,20 +339,23 @@ module Make (K : Dbm_sig.S) = struct
     mutable queued : bool;
   }
 
-  (* Checkpoint payload: the whole search frontier at a batch boundary.
-     Zones and waiting-list entries are plain data ([K.t] carries no
-     closures).  Each entry is converted once (entries are keyed by
-     their unique [seq]), and one [Marshal] call preserves the sharing
-     between [p_cells] and [p_pending], so pending entries come back
-     as the same records as their cell copies.  States must themselves be
-     marshalable — true of every system in this repository.  Counter
-     deltas are this job's contribution to the shared metrics, replayed
-     with [Metrics.add] at resume so a resumed run's totals equal an
-     uninterrupted one's. *)
+  (* Checkpoint payload: the search's own tables at a batch boundary —
+     the hash-consing store's records in id order, and each location's
+     cell and pending entries, which point at those records.  Records
+     and entries are plain data ([K.t] carries no closures, and every
+     stored zone is detached from the arena first), so one [Marshal]
+     call writes each record once and keeps every sharing of the
+     search: the entries of one matrix share its record, and a pending
+     entry comes back as the same record as its cell copy.  States must
+     themselves be marshalable — true of every system in this
+     repository.  Counter deltas are this job's contribution to the
+     shared metrics, replayed with [Metrics.add] at resume so a resumed
+     run's totals equal an uninterrupted one's. *)
   type 's snap = {
-    p_keys : ('s * phase) array;  (** store keys in id order *)
-    p_cells : (int * K.Min.stored entry list) array;
-    p_pending : (int * K.Min.stored entry list) array;
+    p_keys : ('s * phase) array;  (** location keys in id order *)
+    p_store : zrec array;  (** zone store records in id order *)
+    p_cells : (int * zentry list) array;
+    p_pending : (int * zentry list) array;
     p_locq : int array;
     p_edges : int;
     p_zones : int;
@@ -573,16 +566,15 @@ module Make (K : Dbm_sig.S) = struct
         lc
       end
     in
-    (* Hash-consed zone store of (zone, minimal form) pairs, keyed by
-       the zone: a stored zone whose matrix equals one stored before (at
-       any location) shares that zone's payload and minimal form, so
-       each distinct stored matrix is frozen and reduced once.  Only
-       stored zones are hashed and interned: a successor a stored zone
-       covers is dropped first. *)
+    (* Hash-consed zone store of [zrec]s, keyed by the zone: a stored
+       zone whose matrix equals one stored before (at any location)
+       shares that zone's record, so each distinct stored matrix is
+       frozen and reduced once.  Only stored zones are hashed and
+       interned: a successor a stored zone covers is dropped first. *)
     let zstore =
       Hstore.create
-        ~equal:(fun ((z1 : K.t), _) (z2, _) -> K.equal z1 z2)
-        ~hash:(fun ((z : K.t), _) -> K.hash z)
+        ~equal:(fun r1 r2 -> K.equal r1.z r2.z)
+        ~hash:(fun r -> K.hash r.z)
         64
     in
     (* Waiting list: locations with pending zones, drained in FIFO
@@ -709,7 +701,7 @@ module Make (K : Dbm_sig.S) = struct
     let rec prune zmin = function
       | [] -> []
       | e :: rest as cell ->
-          if K.Min.subsumes zmin e.z then begin
+          if K.Min.subsumes zmin e.zr.z then begin
             e.alive <- false;
             if not e.expanded then Metrics.incr c_zones_pruned_waiting;
             prune zmin rest
@@ -723,20 +715,19 @@ module Make (K : Dbm_sig.S) = struct
        covers (through its minimal-constraint form), storing,
        inspection, queueing. *)
     let store lc interned =
-      let z, zmin =
+      let zr =
         match interned with
-        | `Hit zz ->
+        | `Hit zr ->
             Metrics.incr c_zones_interned;
-            zz
-        | `Miss zz -> zz
+            zr
+        | `Miss zr -> zr
       in
-      lc.cell <- prune zmin lc.cell;
+      lc.cell <- prune zr.zmin lc.cell;
       incr seq;
       let e =
         {
-          z;
-          zmin;
-          zloose = loose lc.lay z;
+          zr;
+          zloose = loose lc.lay zr.z;
           seq = !seq;
           alive = true;
           expanded = false;
@@ -745,7 +736,7 @@ module Make (K : Dbm_sig.S) = struct
       lc.cell <- e :: lc.cell;
       incr zone_count;
       Metrics.incr c_zones_stored;
-      inspect lc.ph lc.sr.st z lc.lay.pos;
+      inspect lc.ph lc.sr.st zr.z lc.lay.pos;
       lc.pending <- e :: lc.pending;
       if not lc.queued then begin
         lc.queued <- true;
@@ -755,14 +746,14 @@ module Make (K : Dbm_sig.S) = struct
       Metrics.set_max g_waiting_max (float_of_int !waiting)
     in
     (* Does [e] include the successor in [main.scr]? *)
-    let covers_main e = K.Scratch.subsumed_by main.scr e.zmin in
+    let covers_main e = K.Scratch.subsumed_by main.scr e.zr.zmin in
     (* Commit the successor in [main.scr].  The inclusion test reads it
        in place, so a covered successor (most of them) is never hashed,
        interned or frozen.  A survivor is hashed and probed in place: a
        hit never copies the matrix and takes the stored minimal form; a
        miss freezes exactly once, into the arena, and reduces the
        scratch to its minimal form. *)
-    let equal_main ((z : K.t), _) = K.Scratch.equal_zone main.scr z in
+    let equal_main r = K.Scratch.equal_zone main.scr r.z in
     let add_scratch r p =
       let lc = loc_of r p and scr = main.scr in
       if List.exists covers_main lc.cell then Metrics.incr c_zones_subsumed
@@ -771,8 +762,10 @@ module Make (K : Dbm_sig.S) = struct
         store lc
           (Hstore.intern_scratch zstore ~hash:h ~equal:equal_main
              ~freeze:(fun () ->
-               ( K.Scratch.freeze_into ~hash:h arena scr,
-                 K.Scratch.minimize scr )))
+               {
+                 z = K.Scratch.freeze_into ~hash:h arena scr;
+                 zmin = K.Scratch.minimize scr;
+               }))
     in
     (* The unfinished tail of the batch being drained: the entry under
        expansion plus the ones not yet reached.  Only a mid-batch
@@ -786,29 +779,6 @@ module Make (K : Dbm_sig.S) = struct
     (* ---------------- checkpointing ---------------- *)
     let wrote_snapshot = ref false in
     let last_snap = ref 0 in
-    (* Converting entries to and from their checkpoint form keeps the
-       sharing of the search: one record per entry (memoized on [seq]),
-       so an entry both stored and pending stays one record, and one
-       (zone, minimal form) pair [g e] per distinct stored matrix
-       (memoized on the zone), which every entry storing it shares. *)
-    let per_entry g =
-      let zones = Ztbl.create 1024 and memo = Hashtbl.create 1024 in
-      fun e ->
-        match Hashtbl.find_opt memo e.seq with
-        | Some x -> x
-        | None ->
-            let z, zmin =
-              match Ztbl.find_opt zones e.z with
-              | Some zz -> zz
-              | None ->
-                  let zz = g e in
-                  Ztbl.add zones e.z zz;
-                  zz
-            in
-            let x = { e with z; zmin } in
-            Hashtbl.add memo e.seq x;
-            x
-    in
     let save_snapshot () =
       match checkpoint with
       | None -> None
@@ -816,14 +786,14 @@ module Make (K : Dbm_sig.S) = struct
           Tracing.with_span "recover.snapshot" @@ fun () ->
           let locs = Array.sub !locs 0 !nlocs in
           let p_keys = Array.map (fun lc -> (lc.sr.st, lc.ph)) locs in
-          (* Each distinct zone is written as an exactly sized copy, not
-             as the arena chunk its payload is a slice of. *)
-          let stored =
-            per_entry (fun e -> (K.detach e.z, K.Min.to_stored e.zmin))
+          (* Every stored zone is written exactly sized, not as the
+             arena chunk its payload is a slice of: detached in place,
+             once, by the first snapshot that holds it. *)
+          Hstore.iter (fun _ r -> K.detach r.z) zstore;
+          let p_store =
+            Array.init (Hstore.length zstore) (Hstore.key_of_id zstore)
           in
-          let p_cells =
-            Array.map (fun lc -> (lc.lid, List.map stored lc.cell)) locs
-          in
+          let p_cells = Array.map (fun lc -> (lc.lid, lc.cell)) locs in
           (* Fold the unfinished batch tail back into the frontier. *)
           let p_pending =
             Array.of_seq
@@ -835,7 +805,7 @@ module Make (K : Dbm_sig.S) = struct
                    in
                    match es with
                    | [] -> None
-                   | _ -> Some (lc.lid, List.map stored es))
+                   | _ -> Some (lc.lid, es))
                  (Array.to_seq locs))
           in
           let q_extra =
@@ -849,6 +819,7 @@ module Make (K : Dbm_sig.S) = struct
           let snap =
             {
               p_keys;
+              p_store;
               p_cells;
               p_pending;
               p_locq;
@@ -883,24 +854,15 @@ module Make (K : Dbm_sig.S) = struct
                 \  snapshot: %s\n\
                 \  this run: %s" path fp_got fp));
       let snap = (Marshal.from_bytes payload 0 : s snap) in
-      let entry = per_entry (fun e -> (e.z, K.Min.of_stored e.zmin)) in
-      (* Location ids are assigned in order, so re-creating the
-         locations in id order reproduces every id exactly. *)
+      (* Ids are assigned in order, so re-interning the store's records
+         and re-creating the locations in id order reproduces every id
+         exactly.  The store gets back its whole key set, matrices whose
+         entries were all pruned included, so the resumed run freezes
+         and reduces exactly the matrices the uninterrupted one does. *)
+      Array.iter (fun r -> ignore (Hstore.intern zstore r)) snap.p_store;
       Array.iter (fun (s, p) -> ignore (loc_of (state_rec s) p)) snap.p_keys;
-      Array.iter
-        (fun (id, ss) ->
-          let es = List.map entry ss in
-          !locs.(id).cell <- es;
-          (* Re-seed the hash-consing store with (zone, minimal form)
-             pairs.  [entry] made one pair per distinct stored matrix,
-             so each is interned once. *)
-          List.iter
-            (fun e -> ignore (Hstore.intern zstore (e.z, e.zmin)))
-            es)
-        snap.p_cells;
-      Array.iter
-        (fun (id, ss) -> !locs.(id).pending <- List.map entry ss)
-        snap.p_pending;
+      Array.iter (fun (id, es) -> !locs.(id).cell <- es) snap.p_cells;
+      Array.iter (fun (id, es) -> !locs.(id).pending <- es) snap.p_pending;
       Array.iter
         (fun id ->
           Queue.add id locq;
@@ -945,7 +907,9 @@ module Make (K : Dbm_sig.S) = struct
       let entries =
         List.sort (fun (_, e1) (_, e2) -> compare e1.seq e2.seq) !entries
       in
-      List.iter (fun (lc, e) -> inspect lc.ph lc.sr.st e.z lc.lay.pos) entries
+      List.iter
+        (fun (lc, e) -> inspect lc.ph lc.sr.st e.zr.z lc.lay.pos)
+        entries
     in
     (* The states with a stored zone, in first-stored order: a location
        gets its id at its first stored zone, and a state's first
@@ -991,7 +955,7 @@ module Make (K : Dbm_sig.S) = struct
           let lift e =
             let m =
               Array.init (n * n) (fun p ->
-                  unscale (K.get e.z idx.(p / n) idx.(p mod n)))
+                  unscale (K.get e.zr.z idx.(p / n) idx.(p mod n)))
             in
             let r = Dbm_min.reduce n (fun i j -> m.((i * n) + j)) in
             let clock p = live.(idx.(p)) in
@@ -1134,7 +1098,7 @@ module Make (K : Dbm_sig.S) = struct
               decr waiting;
               (if e.alive then begin
                  e.expanded <- true;
-                 expand r p pre e.z
+                 expand r p pre e.zr.z
                end);
               pop_batch_left ())
             batch

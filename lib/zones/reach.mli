@@ -102,17 +102,28 @@
     comparison also checks the scaling.
 
     {b Checkpointing.}  Every entry point can write a checkpoint — a
-    versioned, checksummed, atomically replaced snapshot of the whole
-    search frontier ([Tm_recover.Snapshot]) — and resume from one.
-    Snapshots are taken only at batch boundaries, where the frontier is
-    self-contained, so a resumed run replays the identical sequence of
-    stores: verdict, reachable set (as a set), [zones.stored] and the
-    other guarded counters all equal the uninterrupted run.  Resuming requires the same kernel, entry point,
-    automaton and bounds — a job fingerprint embedded in the snapshot
-    is checked before any state is trusted, and automaton states must
-    be marshalable (no closures).  The fingerprint is built from the
-    caller's unscaled bounds, so a job and its scaled copy never share
-    a checkpoint. *)
+    versioned, checksummed, atomically replaced snapshot
+    ([Tm_recover.Snapshot], format version 3) of the search's own
+    tables — and resume from one.  The snapshot is the hash-consing
+    zone store's records (each distinct stored matrix with its minimal
+    form), in id order, and each location's stored and waiting
+    entries, which point at those records; it is marshaled in one call,
+    which keeps that sharing.  Writing one first detaches every stored
+    zone from the arena in place ({!Dbm_sig.S.detach}), once per zone,
+    so the file holds each matrix exactly sized.  Snapshots are taken
+    only at batch boundaries, where the frontier is self-contained.  A
+    resume re-interns every record in id order — the store's whole key
+    set, matrices whose entries were all pruned included — so the
+    resumed run replays the identical sequence of stores, hash-consing
+    hits and reductions: verdict, reachable set (as a set), every
+    [zones.*] counter, and [dbm.ops{op=minimize}] summed over both
+    legs, all equal the uninterrupted run.  A file of another format
+    version, version 2 included, is refused.  Resuming requires the
+    same kernel, entry point, automaton and bounds — a job fingerprint
+    embedded in the snapshot is checked before any state is trusted,
+    and automaton states must be marshalable (no closures).  The
+    fingerprint is built from the caller's unscaled bounds, so a job
+    and its scaled copy never share a checkpoint. *)
 
 type stats = {
   locations : int;  (** distinct (state, observer-phase) pairs *)

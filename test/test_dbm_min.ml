@@ -10,9 +10,8 @@
    to integer constants), the in-place [Scratch.subsumed_by] agrees
    with both and counts what [subsumes] counts, and on every script
    zone, dead-row zones included, the int reduction keeps exactly the
-   constraint list of {!Tm_zones.Dbm_min}, in the same order, the
-   in-place [Scratch.minimize] builds the same form as [Min.of_zone],
-   and the checkpoint form keeps snapshot format 2's layout.
+   constraint list of {!Tm_zones.Dbm_min}, in the same order, and the
+   in-place [Scratch.minimize] builds the same form as [Min.of_zone].
 
    The arena tests pin the zero-copy storage discipline: [freeze_into]
    round-trips zone payloads through bump arenas (across chunk growth
@@ -243,33 +242,6 @@ let minimize_agrees =
            (D.run_scratch (module Dbm_int) scaled).zones)
       && minimize_ref (with_empties (module Dbm_ref) (D.run_ref s).zones))
 
-(* The int minimal form as snapshot format 2 laid it out: checkpoints
-   marshal each stored zone's [Min.stored], which must read back as
-   this record, positions and bounds in two arrays, for a checkpoint to
-   resume on any build of that format. *)
-type v2_min = { mn : int; mempty : bool; midx : int array; mbnd : int array }
-
-let min_stored_keeps_v2_layout =
-  Gen.check_holds "min: int checkpoint form keeps the format-2 layout"
-    ~count:200 ~print:Gen.print_dbm_script
-    (QCheck2.Gen.oneof [ Gen.dbm_script; Gen.dead_row_script ])
-    (fun s ->
-      let scaled = snd (Gen.scale_dbm_script s) in
-      List.for_all
-        (fun z ->
-          let m = Dbm_int.Min.of_zone z in
-          let st = Dbm_int.Min.to_stored m in
-          let v2 : v2_min = Marshal.from_string (Marshal.to_string st []) 0 in
-          let mc = m.Dbm_int.Min.mc in
-          let kept = Array.length mc / 2 in
-          v2.mn = Dbm_int.dim z
-          && v2.mempty = Dbm_int.is_empty z
-          && v2.midx = Array.init kept (fun e -> mc.(2 * e))
-          && v2.mbnd = Array.init kept (fun e -> mc.((2 * e) + 1))
-          && Dbm_int.Min.of_stored st = m)
-        (with_empties (module Dbm_int)
-           (D.run_scratch (module Dbm_int) scaled).zones))
-
 (* ------------------------------------------------------------------ *)
 (* Arena unit tests (int and ref kernels; ref keeps the arena API but
    allocates every zone on the heap).                                  *)
@@ -359,7 +331,6 @@ let suite =
     subsumed_by_agrees;
     min_int_matches_dbm_min;
     minimize_agrees;
-    min_stored_keeps_v2_layout;
     Alcotest.test_case "arena: freeze_into matches persistent (ref)" `Quick
       (unit_freeze_into (module Dbm_ref));
     Alcotest.test_case "arena: freeze_into matches persistent (int)" `Quick

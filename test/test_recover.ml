@@ -130,12 +130,13 @@ let snapshot_rejects_corruption () =
   expect_bad path "trailing"
 
 (* An old snapshot must be stopped by its version field: the payload
-   is unmarshalled unchecked, and version 2 changed its layout (zones
-   over live clocks only), so a version-1 payload read by this build
-   would be garbage, not an error.  A real checkpoint — written by the
-   CLI out of zone budget — with its version rewritten to 1 is refused
-   by [Snapshot.read], and the CLI's resume path ([run --resume]) exits
-   2 with that one line. *)
+   is unmarshalled unchecked, and version 3 changed its layout (the
+   zone store's own records, each minimal form in the kernel's own
+   layout), so a version-2 payload read by this build would be garbage,
+   not an error.  A real checkpoint — written by the CLI out of zone
+   budget — with its version rewritten to 2 is refused by
+   [Snapshot.read], and the CLI's resume path ([run --resume]) exits 2
+   with that one line. *)
 let snapshot_old_version_refused () =
   let exe =
     List.fold_left Filename.concat
@@ -164,14 +165,14 @@ let snapshot_old_version_refused () =
          "--checkpoint"; ck ]);
   let b = Bytes.of_string (read_file ck) in
   (* the version field sits right after the 8-byte magic *)
-  Alcotest.(check int32) "written at version 2" 2l (Bytes.get_int32_be b 8);
-  Bytes.set_int32_be b 8 1l;
+  Alcotest.(check int32) "written at version 3" 3l (Bytes.get_int32_be b 8);
+  Bytes.set_int32_be b 8 2l;
   write_file ck (Bytes.to_string b);
   let want =
-    ck ^ ": unsupported snapshot version 1 (this build reads version 2)"
+    ck ^ ": unsupported snapshot version 2 (this build reads version 3)"
   in
   (match Snapshot.read ck with
-  | _ -> Alcotest.fail "version-1 snapshot read"
+  | _ -> Alcotest.fail "version-2 snapshot read"
   | exception Snapshot.Bad_snapshot m ->
       Alcotest.(check string) "Snapshot.read refuses" want m);
   Alcotest.(check int) "resume exits 2" 2
@@ -539,18 +540,19 @@ let fractional_checkpoint_roundtrip () =
     (List.sort compare states = bstates);
   Alcotest.(check int) "stored equal" bstored (Metrics.value c_stored - s0)
 
-(* A checkpoint holds each distinct stored zone as an exactly sized
-   copy, not the arena chunk its payload is a slice of: fischer n=4
-   stopped at 2 000 zones fits in [per_zone] bytes a stored zone
-   (95 401 bytes in all), where writing the chunks whole took 224 720.
-   The resumed run still ends on the one-shot fixpoint. *)
+(* A checkpoint holds each distinct stored zone exactly sized, not the
+   arena chunk its payload is a slice of: fischer n=4 stopped at 2 000
+   zones fits in [per_zone] bytes a stored zone (158 614 bytes in all,
+   the zone store's 917 records included), where writing the chunks
+   whole took 242 239.  The resumed run still ends on the one-shot
+   fixpoint. *)
 let checkpoint_size_bound () =
   let p = F.params_of_ints ~n:4 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let sys = F.system p and bm = F.boundmap p in
   let bst, bstates, _ = oneshot (module Reach.Auto) sys bm in
   let ck = tmp_ck () in
   Fun.protect ~finally:(fun () -> rm_f ck) @@ fun () ->
-  let limit = 2000 and per_zone = 64 in
+  let limit = 2000 and per_zone = 96 in
   (match Reach.Auto.reachable ~limit ~checkpoint:(ck, 0) sys bm with
   | _ -> Alcotest.fail "budgeted run should exhaust"
   | exception Reach.Out_of_budget _ -> ());
@@ -563,6 +565,72 @@ let checkpoint_size_bound () =
   Alcotest.(check bool)
     "reachable set equal" true
     (List.sort compare states = bstates)
+
+(* A resume restores the hash-consing store's whole key set, so the
+   resumed run freezes and reduces exactly the matrices the
+   uninterrupted one does.  Fischer n=4 checked as [run] checks it
+   (mutual exclusion, then U_enter), the first check stopped at 1 500
+   zones and resumed: the resumed leg ends with every [zones.*] counter
+   of the uninterrupted run, and both legs together reduce as many
+   minimal forms.  [zones.interned] is the counter that tells: a store
+   re-seeded from the live entries alone lacks the matrices whose
+   entries were all pruned before the checkpoint, and ends at 3 019 on
+   the int kernel.
+   The budget exhaustion that wrote the checkpoint is the one count the
+   two runs do not share.  Only the int kernel counts [dbm.ops]. *)
+let c_minimize = Metrics.counter "dbm.ops" ~labels:[ ("op", "minimize") ]
+
+let zone_counters =
+  List.map
+    (fun name -> (name, Metrics.counter name))
+    [ "zones.stored"; "zones.subsumed"; "zones.edges";
+      "zones.pruned_waiting"; "zones.interned" ]
+
+(* [f ()], the [zones.*] counts it added, and the minimal forms it
+   reduced. *)
+let counted f =
+  let read () = List.map (fun (n, c) -> (n, Metrics.value c)) zone_counters in
+  let z0 = read () and m0 = Metrics.value c_minimize in
+  let r = f () in
+  let zones = List.map2 (fun (n, v) (_, v0) -> (n, v - v0)) (read ()) z0 in
+  (r, zones, Metrics.value c_minimize - m0)
+
+let resume_restores_store_keys () =
+  let p = F.params_of_ints ~n:4 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
+  let sys = F.system p and bm = F.boundmap p and cond = F.u_enter p in
+  let mutex = F.mutual_exclusion in
+  List.iter
+    (fun (name, (module E : Reach.S), interned, minimize) ->
+      let checks ?resume () =
+        let inv = E.check_state_invariant ?resume sys bm mutex in
+        (inv, E.check_condition sys bm cond)
+      in
+      let base, zones, minimized = counted checks in
+      Alcotest.(check int)
+        (name ^ ": uninterrupted zones.interned") interned
+        (List.assoc "zones.interned" zones);
+      Alcotest.(check int) (name ^ ": uninterrupted minimize") minimize
+        minimized;
+      let ck = tmp_ck () in
+      Fun.protect ~finally:(fun () -> rm_f ck) @@ fun () ->
+      let (), _, minimized1 =
+        counted (fun () ->
+            match
+              E.check_state_invariant ~limit:1500 ~checkpoint:(ck, 0) sys bm
+                mutex
+            with
+            | _ -> Alcotest.failf "%s: limit 1500 should exhaust" name
+            | exception Reach.Out_of_budget _ -> ())
+      in
+      let resumed, zones', minimized2 = counted (checks ~resume:ck) in
+      Alcotest.(check bool) (name ^ ": verdicts equal") true (resumed = base);
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": zones.* counters") zones zones';
+      Alcotest.(check int)
+        (name ^ ": minimize over both legs") minimized
+        (minimized1 + minimized2))
+    [ ("int", (module Reach.Auto : Reach.S), 3033, 2711);
+      ("ref", (module Reach.Ref : Reach.S), 2290, 0) ]
 
 let resume_rejects_wrong_job () =
   let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
@@ -1031,6 +1099,8 @@ let suite =
       `Quick fractional_checkpoint_roundtrip;
     Alcotest.test_case "checkpoint: exactly sized zones, bounded size" `Quick
       checkpoint_size_bound;
+    Alcotest.test_case "resume: store key set restored, counters equal"
+      `Quick resume_restores_store_keys;
     Alcotest.test_case "resume: foreign snapshot rejected" `Quick
       resume_rejects_wrong_job;
     Alcotest.test_case "certificate: every registry verdict accepted" `Quick
