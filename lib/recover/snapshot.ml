@@ -49,10 +49,10 @@ let body_crc ~fingerprint ~info payload =
   Buffer.add_bytes b payload;
   crc32 (Buffer.to_bytes b)
 
-let encode ~fingerprint ~info payload =
+let encode ~version ~fingerprint ~info payload =
   let buf = Buffer.create (Bytes.length payload + 64) in
   Buffer.add_string buf magic;
-  put_u32 buf format_version;
+  put_u32 buf version;
   put_u32 buf (String.length fingerprint);
   Buffer.add_string buf fingerprint;
   put_u32 buf (String.length info);
@@ -79,7 +79,7 @@ end
 
 let temp_prefix = ".tmckpt"
 
-let write ~path ~fingerprint ~info payload =
+let write ?(version = format_version) ~path ~fingerprint ~info payload =
   let dir = Filename.dirname path in
   let tmp = Filename.temp_file ~temp_dir:dir temp_prefix ".tmp" in
   let cleanup () = try Sys.remove tmp with Sys_error _ -> () in
@@ -88,7 +88,7 @@ let write ~path ~fingerprint ~info payload =
      Fun.protect
        ~finally:(fun () -> close_out_noerr oc)
        (fun () ->
-         let body = encode ~fingerprint ~info payload in
+         let body = encode ~version ~fingerprint ~info payload in
          let body =
            match !For_testing.truncate_write_to with
            | Some n when n < String.length body -> String.sub body 0 n
@@ -116,7 +116,7 @@ let write ~path ~fingerprint ~info payload =
 (* Cursor-style decoding with truncation checks at every step. *)
 let fail fmt = Format.kasprintf (fun m -> raise (Bad_snapshot m)) fmt
 
-let decode path s =
+let decode ~version path s =
   let pos = ref 0 in
   let need n what =
     if !pos + n > String.length s then
@@ -140,9 +140,9 @@ let decode path s =
   if m <> magic then
     fail "%s: not a timedmap snapshot (bad magic %S)" path m;
   let v = u32 "version" in
-  if v <> format_version then
+  if v <> version then
     fail "%s: unsupported snapshot version %d (this build reads version %d)"
-      path v format_version;
+      path v version;
   let fingerprint = take (u32 "fingerprint length") "fingerprint" in
   let info = take (u32 "info length") "info" in
   let plen = u32 "payload length" in
@@ -157,7 +157,7 @@ let decode path s =
       path crc crc';
   (fingerprint, info, payload)
 
-let read path =
+let read ?(version = format_version) path =
   let s =
     try
       let ic = open_in_bin path in
@@ -168,7 +168,7 @@ let read path =
     | Sys_error m -> fail "%s: cannot read snapshot: %s" path m
     | End_of_file -> fail "%s: truncated snapshot (short read)" path
   in
-  decode path s
+  decode ~version path s
 
 let inspect path =
   let fingerprint, info, _ = read path in

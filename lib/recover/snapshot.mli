@@ -28,20 +28,29 @@ exception Bad_snapshot of string
     never yields a payload, so it can never yield a wrong verdict. *)
 
 val format_version : int
+(** The version of the zone engine's checkpoint payload, the default
+    [version] below.  A payload of another kind changes layout on its
+    own schedule and passes its own version — the daemon's verdict
+    cache does — so a checkpoint format change leaves its files
+    readable. *)
 
-val write : path:string -> fingerprint:string -> info:string -> bytes -> unit
-(** Atomically (re)write the snapshot at [path].  Increments the
-    [recover.snapshot_written] counter. *)
+val write :
+  ?version:int -> path:string -> fingerprint:string -> info:string -> bytes ->
+  unit
+(** Atomically (re)write the snapshot at [path], its envelope stamped
+    with the payload's [version] (default {!format_version}).
+    Increments the [recover.snapshot_written] counter. *)
 
-val read : string -> string * string * bytes
+val read : ?version:int -> string -> string * string * bytes
 (** [read path] is [(fingerprint, info, payload)] after full envelope
-    validation.
+    validation, which refuses an envelope stamped with any version but
+    [version] (default {!format_version}).
     @raise Bad_snapshot when any validation fails. *)
 
 val inspect : string -> string * string
-(** [(fingerprint, info)] of a snapshot, with the same validation as
-    {!read} — used to route a [--resume] file to the right job without
-    decoding the payload. *)
+(** [(fingerprint, info)] of a checkpoint, with the same validation as
+    {!read} at {!format_version} — used to route a [--resume] file to
+    the right job without decoding the payload. *)
 
 val crc32 : bytes -> int
 (** IEEE CRC-32 (the zlib/PNG polynomial), exposed for tests. *)

@@ -7,6 +7,12 @@ let c_hit = Metrics.counter "serve.cache_hit"
 let c_miss = Metrics.counter "serve.cache_miss"
 let c_store = Metrics.counter "serve.cache_store"
 
+(* A verdict file's payload version.  The payload is the verdict
+   string itself, unchanged since the envelope's version 2, and this
+   constant moves only when it changes: a new checkpoint format
+   ({!Snapshot.format_version}) leaves every cached verdict a hit. *)
+let version = 2
+
 type t = { dir : string option; mem : (string, string) Hashtbl.t }
 
 let create ?dir () =
@@ -38,7 +44,7 @@ let find t ~fingerprint =
       let from_disk =
         match path_of t fingerprint with
         | Some p when Sys.file_exists p -> (
-            match Snapshot.read p with
+            match Snapshot.read ~version p with
             | fp, _info, payload when String.equal fp fingerprint ->
                 Some (Bytes.to_string payload)
             | _ ->
@@ -69,7 +75,7 @@ let store t ~fingerprint verdict =
   (match path_of t fingerprint with
   | Some p -> (
       try
-        Snapshot.write ~path:p ~fingerprint ~info:"verdict"
+        Snapshot.write ~version ~path:p ~fingerprint ~info:"verdict"
           (Bytes.of_string verdict)
       with Sys_error _ | Unix.Unix_error _ ->
         (* a full or read-only disk degrades the cache to memory-only *)

@@ -14,7 +14,10 @@
     therefore recovers every verdict it ever computed; a torn or
     corrupt entry reads as a miss (and is deleted), never as a wrong
     answer, and a digest collision is detected by comparing the stored
-    fingerprint and also reads as a miss. *)
+    fingerprint and also reads as a miss.  The envelope carries the
+    verdict payload's own version, not the zone checkpoint format's, so
+    a build with a new checkpoint format still reads every verdict an
+    older one cached. *)
 
 type t
 

@@ -42,8 +42,9 @@
     detected by fingerprint/CRC and deleted).
 
     Every degradation path increments a [serve.*] metric and emits a
-    [serve.*] event, so floods and failures are visible in the
-    Prometheus export and the NDJSON event stream. *)
+    [serve.*] event, so floods and failures are visible live in the
+    NDJSON event stream ([--events-out]), in the counters the [stats]
+    op returns, and in the [--metrics-out] dump written at exit. *)
 
 type config = {
   socket_path : string;

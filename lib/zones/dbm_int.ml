@@ -72,15 +72,8 @@ let bnd_neg_ok p = p > 0
 
 (* [off] is the start of this zone's n*n slice inside [m]: arena zones
    share one large chunk array, heap zones own an exactly-sized array
-   at offset 0.  [detach] turns the first kind into the second in
-   place, so [m] and [off] are the mutable fields. *)
-type t = {
-  n : int;
-  mutable m : int array;
-  mutable off : int;
-  empty : bool;
-  mutable hmemo : int;
-}
+   at offset 0. *)
+type t = { n : int; m : int array; off : int; empty : bool; mutable hmemo : int }
 
 let name = "int"
 let compact = true
@@ -130,31 +123,28 @@ let row_live n m k =
   done;
   !j < n
 
-(* Re-close a matrix that LU widening loosened.  Every entry is at
-   least the canonical nonempty zone's it was widened from, so no cycle
-   is negative: the closure cannot empty the zone, and checks nothing
-   for it. *)
-let canonicalize_arr n m =
-  Metrics.incr c_canonicalize;
-  (* Floyd–Warshall that does work in proportion to live rows.  A dead
-     pivot [k] (see [row_live]) is skipped outright: every [k -> j] hop
-     is [inf], so no path through [k] can tighten anything.  For a live
-     pivot, the [i -> k] hop is hoisted out of the inner loop and a row
-     with [m.(i,k) = inf] is skipped, which skips every dead row [i]
-     too.  The cost is thus about (live rows)^2 * n plus an O(n)
-     liveness scan per dead pivot, instead of (live rows) * n^2.
-     Compaction already leaves out the disabled classes' rows, but in
-     fischer most enabled classes have lower bound 0, so LU widening
-     still wipes most rows of a compact zone.  This is the kernel's
-     hottest loop, re-run after every per-edge extrapolation.
+(* Close a matrix none of whose cycles is negative: the closure cannot
+   empty the zone, and checks nothing for it.  Floyd–Warshall that does
+   work in proportion to live rows.  A dead pivot [k] (see [row_live])
+   is skipped outright: every [k -> j] hop is [inf], so no path through
+   [k] can tighten anything.  For a live pivot, the [i -> k] hop is
+   hoisted out of the inner loop and a row with [m.(i,k) = inf] is
+   skipped, which skips every dead row [i] too.  The cost is thus about
+   (live rows)^2 * n plus an O(n) liveness scan per dead pivot, instead
+   of (live rows) * n^2.  Compaction already leaves out the disabled
+   classes' rows, but in fischer most enabled classes have lower bound
+   0, so LU widening still wipes most rows of a compact zone.  This is
+   the kernel's hottest loop, re-run after every per-edge
+   extrapolation.
 
-     The inner loop is branchless: packing makes tightness native int
-     order, so "keep the min" is a select, expressed as masked blends
-     flambda can keep in registers and unroll.  [via] wraps around
-     when [kj = inf], but [take] is forced to 0 in exactly that case,
-     so the blend writes back [cur] untouched.  Bounds are in range by
-     construction ([rowi + j], [rowk + j] < n*n), hence the unsafe
-     accesses. *)
+   The inner loop is branchless: packing makes tightness native int
+   order, so "keep the min" is a select, expressed as masked blends
+   flambda can keep in registers and unroll.  [via] wraps around when
+   [kj = inf], but [take] is forced to 0 in exactly that case, so the
+   blend writes back [cur] untouched.  Bounds are in range by
+   construction ([rowi + j], [rowk + j] < n*n), hence the unsafe
+   accesses. *)
+let[@inline] close_arr n m =
   for k = 0 to n - 1 do
     let rowk = k * n in
     if row_live n m k then
@@ -173,6 +163,13 @@ let canonicalize_arr n m =
           done
       done
   done
+
+(* Re-close a matrix that LU widening loosened.  Every entry is at
+   least the canonical nonempty zone's it was widened from, so no cycle
+   is negative. *)
+let canonicalize_arr n m =
+  Metrics.incr c_canonicalize;
+  close_arr n m
 
 (* [b] is a genuinely tightening bound, hence finite — so [via] below
    is finite too and the branchless blend only has to mask the
@@ -394,13 +391,6 @@ let equal a b =
            done;
            !eq)
 
-let detach z =
-  let len = z.n * z.n in
-  if z.off <> 0 || Array.length z.m <> len then begin
-    z.m <- sub_words z.m z.off len;
-    z.off <- 0
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Arena: bump allocation for stored-zone payloads.  Chunks start at
    512 words so they land on the major heap directly — freezing a zone
@@ -553,6 +543,21 @@ module Min = struct
     end
 
   let subsumes mn z = covers mn z.n z.m z.off z.empty
+
+  (* The kept constraints over an unconstrained skeleton, closed: the
+     canonical zone [mn] was reduced from. *)
+  let zone mn =
+    if mn.mempty then invalid_arg "Dbm_int.Min.zone: empty form";
+    let n = mn.mn and mc = mn.mc in
+    let m = Array.make (n * n) inf in
+    for i = 0 to n - 1 do
+      m.((i * n) + i) <- le_zero
+    done;
+    for e = 0 to (Array.length mc / 2) - 1 do
+      m.(mc.(2 * e)) <- mc.((2 * e) + 1)
+    done;
+    close_arr n m;
+    mk n m false
 end
 
 (* ------------------------------------------------------------------ *)

@@ -113,7 +113,8 @@ let reduce n r =
 
 (* Rebuild the full canonical matrix: kept constraints over an
    unconstrained diagonal-zero skeleton, then a full Floyd–Warshall
-   re-closure.  Test/diagnostic path — clarity over speed. *)
+   re-closure.  Run once per stored matrix when a checkpoint resumes —
+   clarity over speed. *)
 let to_matrix t =
   let n = t.mn in
   let m = Array.make (n * n) Dbm_bound.Inf in

@@ -258,9 +258,6 @@ let hash z =
   if z.empty then 0
   else Array.fold_left (fun h b -> (h * 31) + Dbm_bound.hash b) z.n z.m
 
-(* Every zone owns its matrix: there is no arena to detach from. *)
-let detach _ = ()
-
 (* The reference kernel stores plain persistent zones, so its arena is
    a unit token: [freeze_into] changes nothing, which is exactly what
    the oracle should do — the differential wall then pins the
@@ -285,6 +282,10 @@ module Min = struct
     | M r ->
         if z.n <> r.Dbm_min.mn then invalid_arg "Dbm_ref.Min.subsumes";
         z.empty || Dbm_min.subsumes r (fun i j -> z.m.((i * z.n) + j))
+
+  let zone = function
+    | MEmpty -> invalid_arg "Dbm_ref.Min.zone: empty form"
+    | M r -> { n = r.Dbm_min.mn; m = Dbm_min.to_matrix r; empty = false }
 end
 
 (* Scratch for the reference kernel is just a cell holding a persistent

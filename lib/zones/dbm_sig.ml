@@ -109,21 +109,12 @@ module type S = sig
   val equal : t -> t -> bool
   val hash : t -> int
 
-  val detach : t -> unit
-  (** Give [z] a payload of its own, exactly [dim z]² entries, in
-      place: [z] stays [equal] to itself with the same [hash], so the
-      hash-consing store and every entry holding [z] see no change, but
-      [z] no longer keeps a shared {!Arena} chunk alive, and a
-      checkpoint that marshals [z] writes only its own entries.  A no-op
-      on a zone that already owns such a payload. *)
-
   (** Bump arena for stored-zone payloads.  Zones frozen into an arena
       are slices of a shared chunk (grow-by-doubling, chunks large
       enough to be major-heap allocated), so storing a zone costs no
       minor-heap traffic beyond its small record.  An arena only grows:
       {!Reach} freezes stored zones alone into its one arena, and a
-      full chunk stays alive through the zones pointing into it until
-      they are {!detach}ed. *)
+      full chunk stays alive through the zones pointing into it. *)
   module Arena : sig
     type arena
 
@@ -140,7 +131,8 @@ module type S = sig
       of O(n²).  Construction is deterministic: the kept constraints
       are {!Dbm_min}'s, in its order, so equal matrices have
       structurally equal forms.  A checkpoint marshals [min] as it is,
-      so changing its layout changes the snapshot format. *)
+      without its zone, which a resume rebuilds with {!zone}: changing
+      [min]'s layout changes the snapshot format. *)
   module Min : sig
     type min
 
@@ -151,6 +143,12 @@ module type S = sig
     val subsumes : min -> t -> bool
     (** [subsumes m z]: does the zone [m] came from include [z]?
         Exact — the dense inclusion test on the zone [m] came from. *)
+
+    val zone : min -> t
+    (** The canonical zone [m] came from, [equal] to it with the same
+        [hash], rebuilt by re-closing the kept constraints.  Counts no
+        [dbm.ops]: a resume rebuilds zones its first leg counted.
+        @raise Invalid_argument on the form of an empty zone. *)
   end
 
   (** Destructive operations on a reusable scratch matrix.  One scratch

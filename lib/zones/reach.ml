@@ -252,8 +252,10 @@ module Make (K : Dbm_sig.S) = struct
      same matrix.  [zmin] prunes the zones [z] covers at store time,
      and afterwards tests every later successor at the location for
      inclusion in [z], in O(kept constraints) instead of scanning the
-     full n² matrix. *)
-  type zrec = { z : K.t; zmin : K.Min.min }
+     full n² matrix.  [z] is written only by a checkpoint, which parks
+     it while the tables are marshaled, and by the resume that rebuilds
+     it. *)
+  type zrec = { mutable z : K.t; zmin : K.Min.min }
 
   (* A stored zone doubling as a waiting-list entry, pointing at its
      store record.  [alive] is cleared when a later, larger zone at the
@@ -342,11 +344,13 @@ module Make (K : Dbm_sig.S) = struct
   (* Checkpoint payload: the search's own tables at a batch boundary —
      the hash-consing store's records in id order, and each location's
      cell and pending entries, which point at those records.  Records
-     and entries are plain data ([K.t] carries no closures, and every
-     stored zone is detached from the arena first), so one [Marshal]
-     call writes each record once and keeps every sharing of the
-     search: the entries of one matrix share its record, and a pending
-     entry comes back as the same record as its cell copy.  States must
+     and entries are plain data, so one [Marshal] call writes each
+     record once and keeps every sharing of the search: the entries of
+     one matrix share its record, and a pending entry comes back as the
+     same entry as its cell copy.  A record is written as its minimal
+     form alone — its zone is parked for the write, and rebuilt from
+     the form at resume — so no n² matrix, let alone the arena chunk it
+     is a slice of, reaches the file.  States must
      themselves be marshalable — true of every system in this
      repository.  Counter deltas are this job's contribution to the
      shared metrics, replayed with [Metrics.add] at resume so a resumed
@@ -786,10 +790,6 @@ module Make (K : Dbm_sig.S) = struct
           Tracing.with_span "recover.snapshot" @@ fun () ->
           let locs = Array.sub !locs 0 !nlocs in
           let p_keys = Array.map (fun lc -> (lc.sr.st, lc.ph)) locs in
-          (* Every stored zone is written exactly sized, not as the
-             arena chunk its payload is a slice of: detached in place,
-             once, by the first snapshot that holds it. *)
-          Hstore.iter (fun _ r -> K.detach r.z) zstore;
           let p_store =
             Array.init (Hstore.length zstore) (Hstore.key_of_id zstore)
           in
@@ -837,8 +837,17 @@ module Make (K : Dbm_sig.S) = struct
             Printf.sprintf "zones=%d locations=%d edges=%d" !zone_count
               !nlocs !edges
           in
+          (* Park every record's zone on one shared stand-in while the
+             tables are written, then put each back. *)
+          let zs = Array.map (fun r -> r.z) p_store in
+          Array.iter (fun r -> r.z <- z_init) p_store;
+          let unpark () = Array.iteri (fun i r -> r.z <- zs.(i)) p_store in
+          let payload =
+            Fun.protect ~finally:unpark (fun () ->
+                Marshal.to_bytes (snap : s snap) [])
+          in
           Snapshot.write ~path ~fingerprint:(Lazy.force fingerprint) ~info
-            (Marshal.to_bytes (snap : s snap) []);
+            payload;
           wrote_snapshot := true;
           last_snap := !zone_count;
           Some path
@@ -855,11 +864,16 @@ module Make (K : Dbm_sig.S) = struct
                 \  this run: %s" path fp_got fp));
       let snap = (Marshal.from_bytes payload 0 : s snap) in
       (* Ids are assigned in order, so re-interning the store's records
-         and re-creating the locations in id order reproduces every id
+         (each with its zone rebuilt from its minimal form) and
+         re-creating the locations in id order reproduces every id
          exactly.  The store gets back its whole key set, matrices whose
          entries were all pruned included, so the resumed run freezes
          and reduces exactly the matrices the uninterrupted one does. *)
-      Array.iter (fun r -> ignore (Hstore.intern zstore r)) snap.p_store;
+      Array.iter
+        (fun r ->
+          r.z <- K.Min.zone r.zmin;
+          ignore (Hstore.intern zstore r))
+        snap.p_store;
       Array.iter (fun (s, p) -> ignore (loc_of (state_rec s) p)) snap.p_keys;
       Array.iter (fun (id, es) -> !locs.(id).cell <- es) snap.p_cells;
       Array.iter (fun (id, es) -> !locs.(id).pending <- es) snap.p_pending;

@@ -105,15 +105,16 @@
     versioned, checksummed, atomically replaced snapshot
     ([Tm_recover.Snapshot], format version 3) of the search's own
     tables — and resume from one.  The snapshot is the hash-consing
-    zone store's records (each distinct stored matrix with its minimal
-    form), in id order, and each location's stored and waiting
-    entries, which point at those records; it is marshaled in one call,
-    which keeps that sharing.  Writing one first detaches every stored
-    zone from the arena in place ({!Dbm_sig.S.detach}), once per zone,
-    so the file holds each matrix exactly sized.  Snapshots are taken
-    only at batch boundaries, where the frontier is self-contained.  A
-    resume re-interns every record in id order — the store's whole key
-    set, matrices whose entries were all pruned included — so the
+    zone store's records (one per distinct stored matrix), in id order,
+    and each location's stored and waiting entries, which point at
+    those records; it is marshaled in one call, which keeps that
+    sharing.  A record is written as its minimal form alone: the
+    matrix is the form's closure, rebuilt at resume
+    ({!Dbm_sig.S.Min.zone}), so no matrix and no arena chunk reaches
+    the file.  Snapshots are taken only at batch boundaries, where the
+    frontier is self-contained.  A resume re-interns every record in
+    id order — the store's whole key set, matrices whose entries were
+    all pruned included — so the
     resumed run replays the identical sequence of stores, hash-consing
     hits and reductions: verdict, reachable set (as a set), every
     [zones.*] counter, and [dbm.ops{op=minimize}] summed over both

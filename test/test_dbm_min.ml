@@ -242,6 +242,35 @@ let minimize_agrees =
            (D.run_scratch (module Dbm_int) scaled).zones)
       && minimize_ref (with_empties (module Dbm_ref) (D.run_ref s).zones))
 
+(* [Min.zone] rebuilds the zone a form was reduced from — equal, with
+   the same hash — on every nonempty script zone of both kernels,
+   dead-row zones included, and counts no [minimize] or
+   [canonicalize]: a checkpoint holds each stored matrix as its form
+   alone, and the resume rebuilds the store from it. *)
+let c_canonicalize =
+  Tm_obs.Metrics.counter "dbm.ops" ~labels:[ ("op", "canonicalize") ]
+
+let rebuilds (type z) (module K : Tm_zones.Dbm_sig.S with type t = z) zones =
+  List.for_all
+    (fun z ->
+      K.is_empty z
+      ||
+      let mn = K.Min.of_zone z in
+      let c0 = Tm_obs.Metrics.value c_canonicalize in
+      let z', m = minimize_delta (fun () -> K.Min.zone mn) in
+      K.equal z' z && K.hash z' = K.hash z && m = 0
+      && Tm_obs.Metrics.value c_canonicalize = c0)
+    zones
+
+let zone_rebuilds =
+  Gen.check_holds "min: Min.zone rebuilds the zone, uncounted" ~count:300
+    ~print:Gen.print_dbm_script
+    (QCheck2.Gen.oneof [ Gen.dbm_script; Gen.dead_row_script ])
+    (fun s ->
+      let scaled = snd (Gen.scale_dbm_script s) in
+      rebuilds (module Dbm_int) (D.run_scratch (module Dbm_int) scaled).zones
+      && rebuilds (module Dbm_ref) (D.run_ref s).zones)
+
 (* ------------------------------------------------------------------ *)
 (* Arena unit tests (int and ref kernels; ref keeps the arena API but
    allocates every zone on the heap).                                  *)
@@ -343,4 +372,5 @@ let suite =
       (unit_short_circuit (module Dbm_int));
     Alcotest.test_case "arena: growth past the chunk cap (int)" `Quick
       unit_capped_growth;
+    zone_rebuilds;
   ]

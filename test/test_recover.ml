@@ -131,9 +131,9 @@ let snapshot_rejects_corruption () =
 
 (* An old snapshot must be stopped by its version field: the payload
    is unmarshalled unchecked, and version 3 changed its layout (the
-   zone store's own records, each minimal form in the kernel's own
-   layout), so a version-2 payload read by this build would be garbage,
-   not an error.  A real checkpoint — written by the CLI out of zone
+   zone store's own records, each held as its minimal form alone), so a
+   version-2 payload read by this build would be garbage, not an
+   error.  A real checkpoint — written by the CLI out of zone
    budget — with its version rewritten to 2 is refused by
    [Snapshot.read], and the CLI's resume path ([run --resume]) exits 2
    with that one line. *)
@@ -540,19 +540,20 @@ let fractional_checkpoint_roundtrip () =
     (List.sort compare states = bstates);
   Alcotest.(check int) "stored equal" bstored (Metrics.value c_stored - s0)
 
-(* A checkpoint holds each distinct stored zone exactly sized, not the
-   arena chunk its payload is a slice of: fischer n=4 stopped at 2 000
-   zones fits in [per_zone] bytes a stored zone (158 614 bytes in all,
-   the zone store's 917 records included), where writing the chunks
-   whole took 242 239.  The resumed run still ends on the one-shot
-   fixpoint. *)
+(* A checkpoint holds each distinct stored matrix as its minimal form
+   alone, neither the matrix nor the arena chunk it is a slice of:
+   fischer n=4 stopped at 2 000 zones fits in [per_zone] bytes a stored
+   zone (46 636 bytes in all, the zone store's 917 records included),
+   where writing each record's matrix too took 158 614 and writing the
+   arena chunks whole 242 239.  The resumed run still ends on the
+   one-shot fixpoint. *)
 let checkpoint_size_bound () =
   let p = F.params_of_ints ~n:4 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
   let sys = F.system p and bm = F.boundmap p in
   let bst, bstates, _ = oneshot (module Reach.Auto) sys bm in
   let ck = tmp_ck () in
   Fun.protect ~finally:(fun () -> rm_f ck) @@ fun () ->
-  let limit = 2000 and per_zone = 96 in
+  let limit = 2000 and per_zone = 64 in
   (match Reach.Auto.reachable ~limit ~checkpoint:(ck, 0) sys bm with
   | _ -> Alcotest.fail "budgeted run should exhaust"
   | exception Reach.Out_of_budget _ -> ());
@@ -565,6 +566,51 @@ let checkpoint_size_bound () =
   Alcotest.(check bool)
     "reachable set equal" true
     (List.sort compare states = bstates)
+
+(* Format 3's payload layout, pinned.  [Marshal.from_bytes] checks no
+   types, so a snapshot table or record that gained, lost or retyped a
+   field without a bump of [Snapshot.format_version] would resume an
+   older file as garbage instead of refusing it.  [shape d v] renders
+   [v] [d] levels deep: [i] an immediate, [f] a float, [b] a block not
+   opened, [(..)] a block's fields.  A change that makes this fail
+   changes the format: bump the version and pin the new shape. *)
+let rec shape d v =
+  if Obj.is_int v then "i"
+  else if Obj.tag v = Obj.double_tag then "f"
+  else if d = 0 then "b"
+  else
+    "(" ^ String.concat ","
+            (List.init (Obj.size v) (fun k -> shape (d - 1) (Obj.field v k)))
+    ^ ")"
+
+let checkpoint_layout_pinned () =
+  let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
+  let sys = F.system p and bm = F.boundmap p in
+  let ck = tmp_ck () in
+  Fun.protect ~finally:(fun () -> rm_f ck) @@ fun () ->
+  (match Reach.Auto.reachable ~limit:20 ~checkpoint:(ck, 0) sys bm with
+  | _ -> Alcotest.fail "budgeted run should exhaust"
+  | exception Reach.Out_of_budget _ -> ());
+  let _, _, payload = Snapshot.read ck in
+  let snap = Obj.repr (Marshal.from_bytes payload 0) in
+  let first k = Obj.field (Obj.field snap k) 0 in
+  let check what want v = Alcotest.(check string) what want v in
+  (* keys, store, cells, pending, queue; then edges, zones, seq, the
+     three counter deltas and the waiting-list high-water mark *)
+  check "snapshot tables" "(b,b,b,b,b,i,i,i,i,i,i,f)" (shape 1 snap);
+  check "location key: state, phase" "(b,i)" (shape 1 (first 0));
+  (* the int kernel's zone (n, matrix, offset, empty, hash memo) and
+     minimal form (n, empty, constraint pairs) *)
+  check "store record: zone, minimal form" "((i,b,i,i,i),(i,i,b))"
+    (shape 2 (first 1));
+  check "cell: location id, entries" "(i,b)" (shape 1 (first 2));
+  let entry = Obj.field (Obj.field (first 2) 1) 0 in
+  check "entry: record, loose, seq, alive, expanded" "(b,i,i,i,i)"
+    (shape 1 entry);
+  let store : Obj.t array = Obj.obj (Obj.field snap 1) in
+  Alcotest.(check bool)
+    "an entry points at a store record" true
+    (Array.exists (fun r -> r == Obj.field entry 0) store)
 
 (* A resume restores the hash-consing store's whole key set, so the
    resumed run freezes and reduces exactly the matrices the
@@ -1099,8 +1145,6 @@ let suite =
       `Quick fractional_checkpoint_roundtrip;
     Alcotest.test_case "checkpoint: exactly sized zones, bounded size" `Quick
       checkpoint_size_bound;
-    Alcotest.test_case "resume: store key set restored, counters equal"
-      `Quick resume_restores_store_keys;
     Alcotest.test_case "resume: foreign snapshot rejected" `Quick
       resume_rejects_wrong_job;
     Alcotest.test_case "certificate: every registry verdict accepted" `Quick
@@ -1128,4 +1172,8 @@ let suite =
       `Quick paranoid_check_bounded;
     Alcotest.test_case "deadline: overshoot bounded by one expansion" `Quick
       deadline_overshoot_bounded;
+    Alcotest.test_case "resume: store key set restored, counters equal"
+      `Quick resume_restores_store_keys;
+    Alcotest.test_case "checkpoint: payload layout pinned to format 3" `Quick
+      checkpoint_layout_pinned;
   ]

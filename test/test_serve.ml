@@ -276,6 +276,32 @@ let cache_corruption_dropped () =
     (Cache.find c2 ~fingerprint:"fp1");
   Alcotest.(check bool) "and is removed" false (Sys.file_exists path)
 
+(* A verdict file as builds before checkpoint format 3 wrote it — the
+   envelope laid out byte by byte, stamped version 2 — is still a disk
+   hit: verdict files do not follow the checkpoint format's version. *)
+let cache_reads_older_verdict_files () =
+  let dir = tmp_dir () in
+  let fp = "fp1" and info = "verdict" and verdict = "verdict-1" in
+  let u32 v =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_be b 0 (Int32.of_int v);
+    Bytes.to_string b
+  in
+  let body = fp ^ info ^ verdict in
+  let file =
+    String.concat ""
+      [ "TMCKPT1\n"; u32 2; u32 (String.length fp); fp;
+        u32 (String.length info); info; u32 (String.length verdict);
+        u32 (Snapshot.crc32 (Bytes.of_string body)); verdict ]
+  in
+  let path = Filename.concat dir (Cache.digest fp ^ ".tmv") in
+  let oc = open_out_bin path in
+  output_string oc file;
+  close_out oc;
+  Alcotest.(check (option string)) "disk hit" (Some verdict)
+    (Cache.find (Cache.create ~dir ()) ~fingerprint:fp);
+  Alcotest.(check bool) "and kept" true (Sys.file_exists path)
+
 (* ------------------------------------------------------------------ *)
 (* forked daemons *)
 
@@ -1040,4 +1066,6 @@ let suite =
       daemon_sigterm_drains_workers;
     Alcotest.test_case "daemon: job events carry the admitting parse" `Slow
       daemon_job_events;
+    Alcotest.test_case "cache: verdict files outlive checkpoint formats"
+      `Quick cache_reads_older_verdict_files;
   ]
