@@ -109,71 +109,32 @@ let sub_words src off len =
 (* ------------------------------------------------------------------ *)
 (* In-place core.                                                     *)
 
-(* Does row [k] have a finite off-diagonal entry?  A row that does not
-   is dead: the clock of a disabled class after [free] on a full-width
-   zone, or any row LU widening wiped — on a compact zone, the clock of
-   an enabled class whose lower bound is 0, which no guard reads.  No
-   path leaves a dead row, and no operation of the closure can give it
-   a finite entry. *)
-let row_live n m k =
-  let rowk = k * n in
-  let j = ref 0 in
-  while !j < n && (!j = k || Array.unsafe_get m (rowk + !j) = inf) do
-    incr j
-  done;
-  !j < n
-
-(* Close a matrix none of whose cycles is negative: the closure cannot
-   empty the zone, and checks nothing for it.  Floyd–Warshall that does
-   work in proportion to live rows.  A dead pivot [k] (see [row_live])
-   is skipped outright: every [k -> j] hop is [inf], so no path through
-   [k] can tighten anything.  For a live pivot, the [i -> k] hop is
-   hoisted out of the inner loop and a row with [m.(i,k) = inf] is
-   skipped, which skips every dead row [i] too.  The cost is thus about
-   (live rows)^2 * n plus an O(n) liveness scan per dead pivot, instead
-   of (live rows) * n^2.  Compaction already leaves out the disabled
-   classes' rows, but in fischer most enabled classes have lower bound
-   0, so LU widening still wipes most rows of a compact zone.  This is
-   the kernel's hottest loop, re-run after every per-edge
-   extrapolation.
-
-   The inner loop is branchless: packing makes tightness native int
-   order, so "keep the min" is a select, expressed as masked blends
-   flambda can keep in registers and unroll.  [via] wraps around when
-   [kj = inf], but [take] is forced to 0 in exactly that case, so the
-   blend writes back [cur] untouched.  Bounds are in range by
-   construction ([rowi + j], [rowk + j] < n*n), hence the unsafe
-   accesses. *)
-let[@inline] close_arr n m =
+(* Close a matrix none of whose cycles is negative: Floyd–Warshall,
+   which cannot empty the zone and checks nothing for it.  Only
+   {!Min.zone} runs it, when a resume rebuilds the stored zones; the
+   successor tail closes just the entries widening loosened
+   ({!close_listed}). *)
+let close_arr n m =
   for k = 0 to n - 1 do
     let rowk = k * n in
-    if row_live n m k then
-      for i = 0 to n - 1 do
-        let rowi = i * n in
-        let ik = m.(rowi + k) in
-        if ik <> inf && k <> i then
-          for j = 0 to n - 1 do
-            let kj = Array.unsafe_get m (rowk + j) in
-            let cur = Array.unsafe_get m (rowi + j) in
-            let via = ik + kj - ((ik lor kj) land 1) in
-            let take = Bool.to_int (kj <> inf) land Bool.to_int (via < cur) in
-            let mask = -take in
-            Array.unsafe_set m (rowi + j)
-              ((via land mask) lor (cur land lnot mask))
-          done
-      done
+    for i = 0 to n - 1 do
+      let rowi = i * n in
+      let ik = m.(rowi + k) in
+      if ik <> inf then
+        for j = 0 to n - 1 do
+          let kj = m.(rowk + j) in
+          if kj <> inf then begin
+            let via = bnd_add ik kj in
+            if via < m.(rowi + j) then m.(rowi + j) <- via
+          end
+        done
+    done
   done
-
-(* Re-close a matrix that LU widening loosened.  Every entry is at
-   least the canonical nonempty zone's it was widened from, so no cycle
-   is negative. *)
-let canonicalize_arr n m =
-  Metrics.incr c_canonicalize;
-  close_arr n m
 
 (* [b] is a genuinely tightening bound, hence finite — so [via] below
    is finite too and the branchless blend only has to mask the
-   [jy = inf] wrap-around, mirroring the closure loop. *)
+   [jy = inf] wrap-around: packing makes tightness native int order,
+   so "keep the min" is a select. *)
 let tighten_arr n m i j b =
   let rowj = j * n in
   for x = 0 to n - 1 do
@@ -228,21 +189,22 @@ let[@inline] widen li nu p =
     let c = p asr 1 in
     if c > li || nu = max_int then inf else if c < nu then nu lsl 1 else p
 
-(* Widen row [i] in place; [true] iff an entry changed. *)
-let widen_row n m i lceil nuc =
-  let row = i * n and li = Array.unsafe_get lceil i in
-  let changed = ref false in
-  for j = 0 to n - 1 do
+(* Wipe row [i]: every off-diagonal entry becomes [Inf], as widening
+   does to the row of a clock with no lower bound.  [true] iff an entry
+   of columns [1..] was finite.  Column 0 still holds its value from
+   before [up], so it is not looked at: the caller judges the new one,
+   [col i], itself. *)
+let wipe_row n m i =
+  let row = i * n in
+  let had = ref false in
+  Array.unsafe_set m row inf;
+  for j = 1 to n - 1 do
     if j <> i then begin
-      let p = Array.unsafe_get m (row + j) in
-      let w = widen li (Array.unsafe_get nuc j) p in
-      if w <> p then begin
-        changed := true;
-        Array.unsafe_set m (row + j) w
-      end
+      if Array.unsafe_get m (row + j) <> inf then had := true;
+      Array.unsafe_set m (row + j) inf
     end
   done;
-  !changed
+  !had
 
 (* [min_x m(row + x) + b_x] over the invariants: the shortest way from
    the row's clock to clock 0 through one invariant edge. *)
@@ -257,51 +219,104 @@ let[@inline] col m row ix ib =
   done;
   !c
 
-(* [up], the invariants [x - 0 <= b] ([ix.(e)], packed [ib.(e)]) and
-   LU widening of a canonical nonempty zone, in one sweep.  After [up]
-   column 0 is [Inf] below row 0, and every invariant edge ends at clock
-   0, so a shortest path uses at most one of them: row [i]'s new entry
-   against clock 0 is [col i = min_x m(i,x) + b_x], and entry (i, j)
-   becomes [min m(i,j) (col i + m(0,j))].  Row 0 keeps its entries, and
-   the zone is empty iff [col 0 < Le 0], a negative cycle through clock
-   0.  LU widening is entry-wise, so each entry is widened as soon as
-   its final value is known; row 0 is widened last, after every other
-   row has read it.  A row whose lower bound is [None] is wiped whatever
-   it holds, so it is not tightened first: it changes iff [col i] or an
-   entry of the old row is finite.  Returns [-1] when the zone is empty
-   (the matrix is then left as it was), [1] when the widening changed
-   an entry, so the caller must close again, and [0] otherwise. *)
-let settle_arr n m ix ib lceil nuc =
-  if not (bnd_neg_ok (col m 0 ix ib)) then -1
+(* Close a matrix whose entries are shortest paths except the [nw / 2]
+   entries listed in [w] (row offset at [2e], column at [2e + 1]).
+   Floyd–Warshall that relaxes only the listed entries: an entry
+   outside the list is a shortest path already, so it neither changes
+   nor needs to, and the relaxation order keeps Floyd–Warshall's
+   invariant for the listed ones.  O(n * |w|). *)
+let close_listed n m w nw =
+  for k = 0 to n - 1 do
+    let rowk = k * n in
+    let e = ref 0 in
+    while !e < nw do
+      let rowi = Array.unsafe_get w !e and j = Array.unsafe_get w (!e + 1) in
+      let ik = Array.unsafe_get m (rowi + k)
+      and kj = Array.unsafe_get m (rowk + j) in
+      if ik <> inf && kj <> inf then begin
+        let via = ik + kj - ((ik lor kj) land 1) in
+        if via < Array.unsafe_get m (rowi + j) then
+          Array.unsafe_set m (rowi + j) via
+      end;
+      e := !e + 2
+    done
+  done
+
+(* List entry (row offset [row], column [j]) at word [nw] of [w]; the
+   next free word. *)
+let[@inline] listed w nw row j =
+  Array.unsafe_set w nw row;
+  Array.unsafe_set w (nw + 1) j;
+  nw + 2
+
+(* [up], the invariants [x - 0 <= b] ([ix.(e)], packed [ib.(e)]), LU
+   widening and the closure after it, of a canonical nonempty zone, in
+   place.  After [up] column 0 is [Inf] below row 0, and every
+   invariant edge ends at clock 0, so a shortest path uses at most one
+   of them: row [i]'s new entry against clock 0 is
+   [col i = min_x m(i,x) + b_x], and entry (i, j) becomes
+   [min m(i,j) (col i + m(0,j))].  Row 0 keeps its entries, and the
+   zone is empty iff [col 0 < Le 0], a negative cycle through clock 0.
+   LU widening is entry-wise, so each entry is widened as soon as its
+   final value is known; row 0 is widened last, after every other row
+   has read it.
+
+   The matrix before widening is canonical, so widening leaves every
+   entry it does not loosen a shortest path, and only the loosened ones
+   can close tighter.  Those are listed in [w] (row offset, column; up
+   to [2 * n * n] words) and closed by {!close_listed}.  A row whose
+   lower bound is [None] is wiped whatever it holds, and a wiped row
+   cannot be tightened again (no path leaves it), so its entries are
+   not listed; nor is it tightened first: it changes iff [col i] or an
+   entry of the old row is finite, which is only worked out while no
+   other change is known.  When an entry changed, the closure counts
+   one [canonicalize], the logical op of {!Dbm_ref}'s [extrapolate_lu]
+   followed by a closure.  [true] iff the zone is empty (the matrix is
+   then left as it was). *)
+let settle_arr n m ix ib lceil nuc w =
+  if not (bnd_neg_ok (col m 0 ix ib)) then true
   else begin
-    let changed = ref false in
+    (* [wiped]: a wiped row changed; [nw]: words of [w] listed so far *)
+    let wiped = ref false and nw = ref 0 in
     for i = 1 to n - 1 do
       let row = i * n and li = Array.unsafe_get lceil i in
-      let ci = col m row ix ib in
       if li = min_int then begin
-        if ci <> inf then changed := true;
-        Array.unsafe_set m row inf;
-        if widen_row n m i lceil nuc then changed := true
+        if (not !wiped) && !nw = 0 && col m row ix ib <> inf then
+          wiped := true;
+        if wipe_row n m i then wiped := true
       end
       else begin
+        let ci = col m row ix ib in
         (* [up] left [Inf] at (i, 0), and [Le 0] is at (0, 0) *)
-        let w = widen li (Array.unsafe_get nuc 0) ci in
-        if w <> ci then changed := true;
-        Array.unsafe_set m row w;
+        let w0 = widen li (Array.unsafe_get nuc 0) ci in
+        if w0 <> ci then nw := listed w !nw row 0;
+        Array.unsafe_set m row w0;
         for j = 1 to n - 1 do
           if j <> i then begin
             let cur = Array.unsafe_get m (row + j) in
             let via = bnd_add ci (Array.unsafe_get m j) in
             let p = if via < cur then via else cur in
-            let w = widen li (Array.unsafe_get nuc j) p in
-            if w <> p then changed := true;
-            Array.unsafe_set m (row + j) w
+            let wp = widen li (Array.unsafe_get nuc j) p in
+            if wp <> p then nw := listed w !nw row j;
+            Array.unsafe_set m (row + j) wp
           end
         done
       end
     done;
-    if widen_row n m 0 lceil nuc then changed := true;
-    Bool.to_int !changed
+    let l0 = Array.unsafe_get lceil 0 in
+    for j = 1 to n - 1 do
+      let p = Array.unsafe_get m j in
+      let wp = widen l0 (Array.unsafe_get nuc j) p in
+      if wp <> p then begin
+        nw := listed w !nw 0 j;
+        Array.unsafe_set m j wp
+      end
+    done;
+    if !wiped || !nw > 0 then begin
+      Metrics.incr c_canonicalize;
+      close_listed n m w !nw
+    end;
+    false
   end
 
 (* ------------------------------------------------------------------ *)
@@ -566,37 +581,57 @@ end
    already-interned original.                                          *)
 
 module Scratch = struct
-  (* The current zone is the first [sn * sn] words of [sm], row stride
-     [sn]; [remap] builds its target in [sbuf] and swaps the two.
-     [swork] is [minimize]'s workspace. *)
+  (* The current zone is the [sn * sn] words at offset [co] of [cm], row
+     stride [sn].  [load] copies nothing: [cm] is the loaded zone's own
+     slice until the first write, which takes the zone into [sm]
+     (offset 0) — {!own}, or [remap], which builds its target in [sbuf]
+     and swaps the two.  Stored zones are never written, so reading one
+     in place is safe.  [swork] is [minimize]'s workspace and [swide]
+     [settle]'s list of the entries widening loosened. *)
   type scratch = {
     cap : int;  (** largest dimension the buffers hold *)
     mutable sn : int;
     mutable sm : int array;
     mutable sbuf : int array;
+    mutable cm : int array;
+    mutable co : int;
     mutable sempty : bool;
     mutable ssrc : t option;
     swork : Min.work;
+    swide : int array;
   }
 
   let create n =
     if n < 1 then invalid_arg "Dbm_int.Scratch.create";
+    let sm = Array.make (n * n) inf in
     {
       cap = n;
       sn = n;
-      sm = Array.make (n * n) inf;
+      sm;
       sbuf = Array.make (n * n) inf;
+      cm = sm;
+      co = 0;
       sempty = true;
       ssrc = None;
       swork = Min.work n;
+      swide = Array.make (2 * n * n) 0;
     }
 
   let load s z =
     if z.n > s.cap then invalid_arg "Dbm_int.Scratch.load";
     s.sn <- z.n;
-    copy_words z.m z.off s.sm 0 (z.n * z.n);
+    s.cm <- z.m;
+    s.co <- z.off;
     s.sempty <- z.empty;
     s.ssrc <- Some z
+
+  (* Make the current zone the scratch's own before writing to it. *)
+  let own s =
+    if s.cm != s.sm then begin
+      copy_words s.cm s.co s.sm 0 (s.sn * s.sn);
+      s.cm <- s.sm;
+      s.co <- 0
+    end
 
   let is_empty s = s.sempty
 
@@ -605,15 +640,19 @@ module Scratch = struct
     if i < 0 || i >= s.sn || j < 0 || j >= s.sn then
       invalid_arg "Dbm_int.Scratch.constrain";
     let b = pack b in
-    if (not s.sempty) && b < s.sm.((i * s.sn) + j) then
-      if unsat_with s.sn s.sm 0 i j b then s.sempty <- true
-      else tighten_arr s.sn s.sm i j b
+    if (not s.sempty) && b < s.cm.(s.co + (i * s.sn) + j) then
+      if unsat_with s.sn s.cm s.co i j b then s.sempty <- true
+      else begin
+        own s;
+        tighten_arr s.sn s.sm i j b
+      end
 
   (* Target entry (k, l) is source entry (src k, src l): a reset clock
      reads clock 0's row and column, as {!Dbm_ref.reset} does.  A freed
      target row is [Inf] and a freed target column copies the row's
      entry against clock 0, as {!Dbm_ref.free} does.  Every diagonal is
-     [Le 0]. *)
+     [Le 0].  The source is read where it is, so a loaded zone is
+     copied once, as the target. *)
   let remap s (r : Dbm_sig.remap) =
     let src = r.Dbm_sig.src in
     let n = s.sn and n' = Array.length src in
@@ -625,8 +664,9 @@ module Scratch = struct
       if sk = 0 then Metrics.incr c_reset
     done;
     Metrics.add c_free r.Dbm_sig.frees;
+    let d = s.sbuf in
     if not s.sempty then begin
-      let m = s.sm and d = s.sbuf in
+      let m = s.cm and o = s.co in
       for k = 0 to n' - 1 do
         let sk = Array.unsafe_get src k in
         let row = k * n' in
@@ -635,7 +675,7 @@ module Scratch = struct
             Array.unsafe_set d (row + l) inf
           done
         else begin
-          let srow = sk * n in
+          let srow = o + (sk * n) in
           for l = 0 to n' - 1 do
             let sl = Array.unsafe_get src l in
             Array.unsafe_set d (row + l)
@@ -643,10 +683,12 @@ module Scratch = struct
           done
         end;
         Array.unsafe_set d (row + k) le_zero
-      done;
-      s.sm <- d;
-      s.sbuf <- m
+      done
     end;
+    s.sbuf <- s.sm;
+    s.sm <- d;
+    s.cm <- d;
+    s.co <- 0;
     s.sn <- n'
 
   let settle lu s =
@@ -654,66 +696,50 @@ module Scratch = struct
     Metrics.add c_constrain (Array.length lu.ix);
     Metrics.incr c_extrapolate;
     if Array.length lu.lceil <> s.sn then invalid_arg "Dbm_int.Scratch.settle";
-    if not s.sempty then
-      match settle_arr s.sn s.sm lu.ix lu.ib lu.lceil lu.nuc with
-      | -1 -> s.sempty <- true
-      | 0 -> ()
-      | _ -> canonicalize_arr s.sn s.sm
+    if not s.sempty then begin
+      own s;
+      if settle_arr s.sn s.sm lu.ix lu.ib lu.lceil lu.nuc s.swide then
+        s.sempty <- true
+    end
 
   let sat s i j b =
     Metrics.incr c_sat;
     if i < 0 || i >= s.sn || j < 0 || j >= s.sn then
       invalid_arg "Dbm_int.Scratch.sat";
-    (not s.sempty) && not (unsat_with s.sn s.sm 0 i j (pack b))
+    (not s.sempty) && not (unsat_with s.sn s.cm s.co i j (pack b))
 
-  (* Is the scratch still (structurally) the zone it was loaded from?
-     Empty zones match on the flag alone — their entries are never
-     read. *)
-  let unchanged s =
-    match s.ssrc with
-    | None -> None
-    | Some z ->
-        if z.n <> s.sn || z.empty <> s.sempty then None
-        else if s.sempty then Some z
-        else begin
-          let len = s.sn * s.sn in
-          let zo = z.off in
-          let k = ref 0 in
-          let eq = ref true in
-          while !eq && !k < len do
-            if s.sm.(!k) <> z.m.(zo + !k) then eq := false;
-            incr k
-          done;
-          if !eq then Some z else None
-        end
-
-  let subsumed_by s mn = Min.covers mn s.sn s.sm 0 s.sempty
-  let minimize s = Min.reduce s.swork s.sn s.sm 0 s.sempty
-  let hash s = if s.sempty then 0 else hash_arr s.sn s.sm 0
-
+  (* Is the current zone (structurally) [z]?  Empty zones match on the
+     flag alone — their entries are never read. *)
   let equal_zone s z =
     s.sn = z.n && s.sempty = z.empty
     && (s.sempty
+       || (s.cm == z.m && s.co = z.off)
        ||
        let len = s.sn * s.sn in
-       let zo = z.off in
+       let m = s.cm and o = s.co and zo = z.off in
        let k = ref 0 in
        let eq = ref true in
        while !eq && !k < len do
-         if s.sm.(!k) <> z.m.(zo + !k) then eq := false;
+         if m.(o + !k) <> z.m.(zo + !k) then eq := false;
          incr k
        done;
        !eq)
 
+  let subsumed_by s mn = Min.covers mn s.sn s.cm s.co s.sempty
+  let minimize s = Min.reduce s.swork s.sn s.cm s.co s.sempty
+  let hash s = if s.sempty then 0 else hash_arr s.sn s.cm s.co
+
+  (* A scratch still (structurally) the zone it was loaded from freezes
+     to that original. *)
   let freeze_into ?hash a s =
-    match unchanged s with
-    | Some z -> z
-    | None ->
+    match s.ssrc with
+    | Some z when equal_zone s z -> z
+    | _ ->
         let len = s.sn * s.sn in
-        if s.sempty then mk s.sn (sub_words s.sm 0 len) true
+        if s.sempty then mk s.sn (sub_words s.cm s.co len) true
         else begin
           let buf, off = Arena.alloc a len in
-          copy_words s.sm 0 buf off len;
+          copy_words s.cm s.co buf off len;
           let hmemo = match hash with Some h -> h | None -> min_int in
           { n = s.sn; m = buf; off; empty = false; hmemo }
         end

@@ -163,8 +163,13 @@ module type S = sig
         clocks. *)
 
     val load : scratch -> t -> unit
-    (** Copy a persistent zone into the scratch; the scratch takes the
-        zone's dimension. *)
+    (** Make a persistent zone the scratch's zone; the scratch takes
+        the zone's dimension.  {!Dbm_int} copies nothing here: until
+        the first write the scratch reads the zone in place.  A
+        [constrain] that tightens and [settle] copy it in first, and
+        [remap] builds its target from it, so the zone itself never
+        changes.  Every read-only op, and [freeze_into], works on the
+        zone where it is. *)
 
     val remap : scratch -> remap -> unit
     (** Move the scratch zone to the clocks of [remap]'s target (see
@@ -183,7 +188,10 @@ module type S = sig
         The result is the zone of that sequence of {!Dbm_ref}'s
         persistent ops, and [dbm.ops] counts that sequence's ops: one
         [up], one [constrain] per invariant, one [extrapolate], and one
-        [canonicalize] when the widening changed a nonempty zone. *)
+        [canonicalize] when the widening changed a nonempty zone.
+        {!Dbm_int} re-closes only the entries the widening loosened,
+        the only ones that can close tighter; the [canonicalize] count
+        is the logical op's, whatever that closure had to do. *)
 
     val is_empty : scratch -> bool
 

@@ -326,13 +326,143 @@ let script_ops_int =
     int_counts_script_ops
 
 (* Most clocks freed before every settle, as in a fischer successor
-   pipeline: the closure and the minimization skip dead rows there, so
-   the int kernel must still land on the reference zone, emptiness
-   included, after every op, and count the script's [dbm.ops]. *)
+   pipeline: the settle leaves wiped rows out of its closure and the
+   minimization skips dead rows there, so the int kernel must still
+   land on the reference zone, emptiness included, after every op, and
+   count the script's [dbm.ops]. *)
 let dead_rows_int_vs_ref =
   Gen.check_holds "dead rows: int kernel (scaled) == ref kernel" ~count:300
     ~print:Gen.print_dbm_script Gen.dead_row_script (fun s ->
       int_agrees_with_ref s && int_counts_script_ops s)
+
+(* ------------------------------------------------------------------ *)
+(* The closure after widening.                                         *)
+
+let le_con i j c =
+  Gen.Constrain { Gen.ci = i; cj = j; cnum = c; cden = 1; cstrict = false }
+
+(* Zones where the closure over the loosened entries has a corner to
+   get right, each a script (its last zone is the corner) with the
+   settle that shows it.  x2 >= 5 against U(x2) = 3: widening loosens
+   row 0 only, to x2 > 3, and nothing closes it back.  The same zone
+   with x1 = x2 and U(x1) = 10: the closure takes x2 > 3 back to
+   x2 >= 5 through x1. *)
+let closure_corners =
+  let settle =
+    Gen.Settle ([], [ Some 0; Some 10; Some 10 ], [ Some 0; Some 10; Some 3 ])
+  in
+  List.map
+    (fun ops -> ({ Gen.ds_clocks = 3; ds_ops = ops }, settle))
+    [ [ le_con 0 2 (-5) ]; [ le_con 0 1 (-5); le_con 1 2 0; le_con 2 1 0 ] ]
+
+(* A settle of zones of up to [n] clocks whose LU bounds make the
+   closure work: lower bounds mix [None] (a wiped row, before or after
+   the first loosened entry) with small ones (entries going to [Inf])
+   and ones above every constant (rows that stay live); upper bounds
+   mix small ones (entries loosened to [Lt (-U)], which paths through
+   columns with a large bound can take back) with large ones and
+   [None] (a wiped column). *)
+let closure_settle ?wide n =
+  QCheck2.Gen.(
+    let bound small large =
+      frequency
+        [
+          (1, pure None);
+          (small, map Option.some (int_range 0 6));
+          (large, map Option.some (int_range 13 24));
+        ]
+    in
+    map2
+      (fun op (l, u) ->
+        match op with
+        | Gen.Settle (invs, _, _) ->
+            Gen.Settle (invs, Some 0 :: l, Some 0 :: u)
+        | op -> op)
+      (Gen.settle_op ?wide n)
+      (pair
+         (list_repeat (n - 1) (bound 1 2))
+         (list_repeat (n - 1) (bound 2 2))))
+
+(* Guards and resets on 5-8 clocks, any pair of them: zones with many
+   finite entries, so that long paths through high pivots can close a
+   loosened entry back. *)
+let dense_script =
+  QCheck2.Gen.(
+    int_range 5 8 >>= fun n ->
+    let clock = int_range 0 (n - 1) in
+    let guard =
+      map
+        (fun (ci, cj, cnum, (cden, cstrict)) ->
+          Gen.Constrain { Gen.ci; cj; cnum; cden; cstrict })
+        (quad clock clock (int_range (-12) 12) (pair (int_range 1 4) bool))
+    in
+    map
+      (fun ds_ops -> { Gen.ds_clocks = n; ds_ops })
+      (list_size (int_range 1 12)
+         (frequency [ (5, guard); (1, map (fun x -> Gen.Reset x) clock) ])))
+
+(* A script and one more settle, applied to every zone it passes
+   through. *)
+let settle_case =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, pair Gen.dbm_script (closure_settle Gen.dbm_max_clocks));
+        (4, pair dense_script (closure_settle 8));
+        (2, pair Gen.dead_row_script (closure_settle ~wide:15 16));
+        (1, oneofl closure_corners);
+      ])
+
+let print_settle_case (s, op) =
+  Printf.sprintf "%s, then %s" (Gen.print_dbm_script s) (Gen.print_dbm_op op)
+
+let settle_args n = function
+  | Gen.Settle (invs, l, u) ->
+      (Array.of_list (List.map (norm_inv n) invs), norm_lu n l, norm_lu n u)
+  | _ -> invalid_arg "settle_args"
+
+(* The int scratch's settle of [zi] (a zone of the script scaled by
+   [k], settled by [int_op]) against the reference scratch's settle of
+   [zr] by [ref_op]: the same zone entry by entry once divided back,
+   and the [dbm.ops] of the reference sequence, one [canonicalize] iff
+   the reference widening changed the zone. *)
+let settles_agree k int_op ref_op zi zr =
+  let n = Dbm_ref.dim zr in
+  let invs, lower, upper = settle_args n int_op in
+  let scr = Dbm_int.Scratch.create n in
+  Dbm_int.Scratch.load scr zi;
+  let fused, by_int =
+    counted (fun () ->
+        Dbm_int.Scratch.settle (Dbm_int.prepare_lu ~invs ~lower ~upper) scr;
+        Dbm_int.Scratch.freeze_into (Dbm_int.Arena.create ()) scr)
+  in
+  let invs, lower, upper = settle_args n ref_op in
+  let rscr = Dbm_ref.Scratch.create n in
+  Dbm_ref.Scratch.load rscr zr;
+  Dbm_ref.Scratch.settle (Dbm_ref.prepare_lu ~invs ~lower ~upper) rscr;
+  let want = Dbm_ref.Scratch.freeze_into (Dbm_ref.Arena.create ()) rscr in
+  let _, closes = settle_ref zr (Array.to_list invs) lower upper in
+  mats_equal
+    [ unscale k (snapshot (module Dbm_int) fused) ]
+    [ snapshot (module Dbm_ref) want ]
+  && by_int = [ Bool.to_int closes; Array.length invs; 1; 0; 0; 1; 0 ]
+
+let settle_closes_widened =
+  Gen.check_holds "settle: closing only the widened entries == Dbm_ref"
+    ~count:500 ~print:print_settle_case settle_case (fun (s, op) ->
+      let k, scaled =
+        Gen.scale_dbm_script { s with Gen.ds_ops = s.Gen.ds_ops @ [ op ] }
+      in
+      let nops = List.length s.Gen.ds_ops in
+      let int_op = List.nth scaled.Gen.ds_ops nops in
+      let prefix =
+        {
+          scaled with
+          Gen.ds_ops = List.filteri (fun i _ -> i < nops) scaled.Gen.ds_ops;
+        }
+      in
+      List.for_all2 (settles_agree k int_op op)
+        (run_scratch (module Dbm_int) prefix).zones (run_ref s).zones)
 
 (* ------------------------------------------------------------------ *)
 (* Location-change maps ([Scratch.remap]).                             *)
@@ -491,7 +621,17 @@ let unit_settle_cases () =
   (* U(x1) = 3 loosens x1 >= 5 to x1 > 3, and only that entry. *)
   case "LU loosens single entries" 3 [ (0, 1, -5) ] [ (1, le 8) ]
     [ Some 0; Some 10; Some 10 ] [ Some 0; Some 3; Some 10 ]
-    ~shows:(fun z -> get z 0 1 = lt (-3) && get z 1 0 = le 8)
+    ~shows:(fun z -> get z 0 1 = lt (-3) && get z 1 0 = le 8);
+  (* U(x2) = 3 loosens x2 >= 5 to x2 > 3 in row 0, the only widened
+     entry; with x1 = x2 and U(x1) = 10 the closure tightens it back
+     to x2 >= 5 through x1. *)
+  case "LU loosens row 0 only" 3 [ (0, 2, -5) ] [] wide
+    [ Some 0; Some 10; Some 3 ]
+    ~shows:(fun z -> get z 0 2 = lt (-3));
+  case "the closure re-tightens a loosened entry" 3
+    [ (0, 1, -5); (1, 2, 0); (2, 1, 0) ]
+    [] wide [ Some 0; Some 10; Some 3 ]
+    ~shows:(fun z -> get z 0 2 = le (-5))
 
 (* The successor tail runs once per edge, so the int kernel's settle
    must not allocate: a thousand calls cost no more minor words than
@@ -827,4 +967,5 @@ let suite =
       `Quick unit_settle_cases;
     Alcotest.test_case "settle: no allocation per call" `Quick
       unit_settle_allocates_nothing;
+    settle_closes_widened;
   ]

@@ -271,6 +271,115 @@ let zone_rebuilds =
       rebuilds (module Dbm_int) (D.run_scratch (module Dbm_int) scaled).zones
       && rebuilds (module Dbm_ref) (D.run_ref s).zones)
 
+(* [Scratch.load] copies nothing: until the first write the int
+   scratch reads the loaded zone where it is.  On every zone of a
+   script run on the int kernel (all frozen into one arena), plus an
+   empty zone of each dimension:
+   - with no write after [load], [freeze_into] hands back the zone
+     itself, and [hash], [equal_zone] (against every zone, most of
+     them in the same arena chunk), [sat], [subsumed_by] and
+     [minimize] answer as they do on the zone;
+   - [load z1; load z2; remap] reads [z2];
+   - an empty zone stays empty through [remap] and [settle];
+   - a load/settle/freeze and a load/constrain/remap/settle/freeze
+     pipeline leave the zone's arena chunk as it was, word for word. *)
+let lazy_load_holds zones =
+  let mins =
+    List.map (fun z -> (Dbm_int.dim z, Dbm_int.Min.of_zone z)) zones
+  in
+  let scr = Dbm_int.Scratch.create 16 in
+  let arena = Dbm_int.Arena.create () in
+  let nines n =
+    Dbm_int.prepare_lu ~invs:[||]
+      ~lower:(D.lu_bounds (Some 0 :: List.init (n - 1) (fun _ -> Some 9)))
+      ~upper:(D.lu_bounds (Some 0 :: List.init (n - 1) (fun _ -> Some 9)))
+  in
+  let remapped ?before z =
+    Option.iter (Dbm_int.Scratch.load scr) before;
+    Dbm_int.Scratch.load scr z;
+    Dbm_int.Scratch.remap scr (D.one_clock (Dbm_int.dim z) 1 0);
+    Dbm_int.Scratch.freeze_into arena scr
+  in
+  let untouched z pipeline =
+    let payload = Array.copy z.Dbm_int.m in
+    Dbm_int.Scratch.load scr z;
+    pipeline ();
+    ignore (Dbm_int.Scratch.freeze_into arena scr);
+    z.Dbm_int.m = payload
+  in
+  let prev = ref (List.hd zones) in
+  List.for_all
+    (fun z ->
+      let n = Dbm_int.dim z and empty = Dbm_int.is_empty z in
+      let loaded f =
+        Dbm_int.Scratch.load scr z;
+        f ()
+      in
+      let sats =
+        List.concat_map
+          (fun i ->
+            List.concat_map
+              (fun j ->
+                if i = j then []
+                else
+                  List.map
+                    (fun b -> (i, j, Bnd.Le (Gen.q b)))
+                    [ -3; 0; 2 ])
+              (List.init n Fun.id))
+          (List.init n Fun.id)
+      in
+      let in_place =
+        loaded (fun () -> Dbm_int.Scratch.freeze_into arena scr == z)
+        && loaded (fun () -> Dbm_int.Scratch.hash scr = Dbm_int.hash z)
+        && List.for_all
+             (fun z' ->
+               loaded (fun () -> Dbm_int.Scratch.equal_zone scr z')
+               = Dbm_int.equal z z')
+             zones
+        && loaded (fun () ->
+               Dbm_int.Scratch.minimize scr = Dbm_int.Min.of_zone z)
+        && List.for_all
+             (fun (i, j, b) ->
+               loaded (fun () -> Dbm_int.Scratch.sat scr i j b)
+               = Dbm_int.sat z i j b)
+             sats
+        && List.for_all
+             (fun (d, m) ->
+               d <> n
+               || loaded (fun () -> Dbm_int.Scratch.subsumed_by scr m)
+                  = Dbm_int.Min.subsumes m z)
+             mins
+      in
+      let reads_last = Dbm_int.equal (remapped ~before:!prev z) (remapped z) in
+      prev := z;
+      let stays_empty =
+        (not empty)
+        || loaded (fun () ->
+               Dbm_int.Scratch.remap scr (D.one_clock n 1 0);
+               Dbm_int.Scratch.is_empty scr
+               && (Dbm_int.Scratch.settle (nines n) scr;
+                   Dbm_int.Scratch.is_empty scr)
+               && Dbm_int.is_empty (Dbm_int.Scratch.freeze_into arena scr))
+      in
+      in_place && reads_last && stays_empty
+      && untouched z (fun () -> Dbm_int.Scratch.settle (nines n) scr)
+      && untouched z (fun () ->
+             Dbm_int.Scratch.constrain scr 1 0 (Bnd.Le (Gen.q 1));
+             Dbm_int.Scratch.remap scr (D.one_clock n 1 0);
+             Dbm_int.Scratch.settle (nines n) scr))
+    zones
+
+let lazy_load =
+  Gen.check_holds
+    "scratch: load reads the zone in place until the first write" ~count:200
+    ~print:Gen.print_dbm_script
+    (QCheck2.Gen.oneof [ Gen.dbm_script; Gen.dead_row_script ])
+    (fun s ->
+      let scaled = snd (Gen.scale_dbm_script s) in
+      lazy_load_holds
+        (with_empties (module Dbm_int)
+           (D.run_scratch (module Dbm_int) scaled).zones))
+
 (* ------------------------------------------------------------------ *)
 (* Arena unit tests (int and ref kernels; ref keeps the arena API but
    allocates every zone on the heap).                                  *)
@@ -373,4 +482,5 @@ let suite =
     Alcotest.test_case "arena: growth past the chunk cap (int)" `Quick
       unit_capped_growth;
     zone_rebuilds;
+    lazy_load;
   ]
