@@ -38,7 +38,6 @@ let make num den = norm num den
 let of_int n = { num = n; den = 1 }
 let zero = of_int 0
 let one = of_int 1
-let minus_one = of_int (-1)
 
 (* Integer-valued rationals dominate the DBM hot path; adding two of
    them (or adding zero) needs no gcd renormalization. *)

@@ -27,7 +27,6 @@ val of_int : int -> t
 
 val zero : t
 val one : t
-val minus_one : t
 
 val add : t -> t -> t
 val sub : t -> t -> t

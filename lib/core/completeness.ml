@@ -14,8 +14,6 @@ type ('s, 'a) t = {
 }
 
 let graph a = a.graph
-let sup_first a ~cond ~node = a.sup.(cond).(node)
-let inf_first_pi a ~cond ~node = a.inf.(cond).(node)
 
 (* Adjacency lists from the edge list. *)
 let adjacency g =

@@ -49,12 +49,6 @@ val analyze :
 
 val graph : ('s, 'a) t -> ('s, 'a) Tgraph.t
 
-val sup_first : ('s, 'a) t -> cond:int -> node:int -> Tm_base.Time.t
-(** [∞] when some extension avoids [Π ∪ S] forever. *)
-
-val inf_first_pi : ('s, 'a) t -> cond:int -> node:int -> Tm_base.Time.t
-(** [∞] when no extension reaches [Π] before [S]. *)
-
 val start_bounds : ('s, 'a) t -> cond:int -> Tm_base.Time.t * Tm_base.Time.t
 (** [(inf, sup)] from the (first) start node: the exact envelope of the
     first [Π]-occurrence time over all discretized executions. *)
@@ -71,7 +65,8 @@ val bounds_after :
 val mapping :
   ('s, 'a) t -> spec:('s, 'a) Time_automaton.t -> 's Mapping.t
 (** The mapping of Theorem 7.1: [u ∈ f(s)] iff for every condition
-    index [i] of [spec], [u.lt(i) >= s.now + sup_first] and
-    [u.ft(i) <= s.now + inf_first_pi] at the node of [normalize s].
+    index [i] of [spec], [u.lt(i) >= s.now + sup] and
+    [u.ft(i) <= s.now + inf], the two quantities above at the node of
+    [normalize s].
     Spec conditions are matched to analysis conditions by name.
     States outside the analyzed graph are mapped to the empty set. *)

@@ -1,3 +1,5 @@
+(* The mapping whose image is everything (identity on base state and
+   current time is still enforced by the checkers). *)
 let full_relation =
   { Mapping.mname = "full relation"; contains = (fun _ _ -> true) }
 

@@ -14,10 +14,6 @@
     a proof mapping; a [Error] refutation is genuine, an [Ok] verdict is
     exact on the grid. *)
 
-val full_relation : 's Mapping.t
-(** The mapping whose image is everything (identity on base state and
-    current time is still enforced by the checkers). *)
-
 val check :
   ?params:Tgraph.params ->
   source:('s, 'a) Time_automaton.t ->

@@ -103,8 +103,3 @@ let apply spec bm =
   | Error m -> Error (Printf.sprintf "%s: %s" (to_string spec) m)
   | exception Interval.Ill_formed m ->
       Error (Printf.sprintf "%s: ill-formed interval (%s)" (to_string spec) m)
-
-let apply_exn spec bm =
-  match apply spec bm with
-  | Ok bm' -> bm'
-  | Error m -> invalid_arg ("Perturb.apply: " ^ m)

@@ -45,8 +45,5 @@ val apply :
     every rewritten interval must still be a legal boundmap interval
     ([0 <= lo <= hi], [hi <> 0]). *)
 
-val apply_exn : spec -> Tm_timed.Boundmap.t -> Tm_timed.Boundmap.t
-(** @raise Invalid_argument on what {!apply} reports as [Error]. *)
-
 val pp : Format.formatter -> spec -> unit
 val to_string : spec -> string

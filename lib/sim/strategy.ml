@@ -102,21 +102,3 @@ let random ~prng ~denominator ~cap _aut s moves =
 let prefer pred inner aut s moves =
   let preferred = List.filter (fun (a, _, _) -> pred a) moves in
   inner aut s (if preferred = [] then moves else preferred)
-
-let replay ~equal schedule =
-  let remaining = ref schedule in
-  fun _aut _s moves ->
-    match !remaining with
-    | [] -> None
-    | (act, t) :: rest ->
-        let feasible =
-          List.exists
-            (fun (a, lo, hi) ->
-              equal a act && Rational.(lo <= t) && Time.le_q t hi)
-            moves
-        in
-        if feasible then begin
-          remaining := rest;
-          Some (act, t)
-        end
-        else None

@@ -42,12 +42,3 @@ val random :
 val prefer : ('a -> bool) -> ('s, 'a) t -> ('s, 'a) t
 (** Restrict the move list to preferred actions when any is enabled;
     fall back to the full list otherwise. *)
-
-val replay :
-  equal:('a -> 'a -> bool) ->
-  ('a * Tm_base.Rational.t) list ->
-  ('s, 'a) t
-(** Replay a recorded timed schedule move by move; stops (returns
-    [None]) when the schedule is exhausted or the next recorded move is
-    not currently enabled at its recorded time.  Stateful: build a
-    fresh strategy per run. *)

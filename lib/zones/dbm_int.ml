@@ -219,35 +219,38 @@ let[@inline] col m row ix ib =
   done;
   !c
 
-(* Close a matrix whose entries are shortest paths except the [nw / 2]
-   entries listed in [w] (row offset at [2e], column at [2e + 1]).
-   Floyd–Warshall that relaxes only the listed entries: an entry
-   outside the list is a shortest path already, so it neither changes
-   nor needs to, and the relaxation order keeps Floyd–Warshall's
-   invariant for the listed ones.  O(n * |w|). *)
+(* A listed entry is one word: its row offset above [col_bits] bits of
+   column.  Both fit while [n <= 2 ^ col_bits]: the row offset is below
+   [n * n <= 2 ^ 40], so the word stays below [2 ^ 60]. *)
+let col_bits = 20
+let col_mask = (1 lsl col_bits) - 1
+
+(* Close a matrix whose entries are shortest paths except the [nw]
+   entries listed in [w].  Floyd–Warshall that relaxes only the listed
+   entries: an entry outside the list is a shortest path already, so it
+   neither changes nor needs to, and the relaxation order keeps
+   Floyd–Warshall's invariant for the listed ones.  O(n * |w|). *)
 let close_listed n m w nw =
   for k = 0 to n - 1 do
     let rowk = k * n in
-    let e = ref 0 in
-    while !e < nw do
-      let rowi = Array.unsafe_get w !e and j = Array.unsafe_get w (!e + 1) in
+    for e = 0 to nw - 1 do
+      let x = Array.unsafe_get w e in
+      let rowi = x lsr col_bits and j = x land col_mask in
       let ik = Array.unsafe_get m (rowi + k)
       and kj = Array.unsafe_get m (rowk + j) in
       if ik <> inf && kj <> inf then begin
         let via = ik + kj - ((ik lor kj) land 1) in
         if via < Array.unsafe_get m (rowi + j) then
           Array.unsafe_set m (rowi + j) via
-      end;
-      e := !e + 2
+      end
     done
   done
 
 (* List entry (row offset [row], column [j]) at word [nw] of [w]; the
    next free word. *)
 let[@inline] listed w nw row j =
-  Array.unsafe_set w nw row;
-  Array.unsafe_set w (nw + 1) j;
-  nw + 2
+  Array.unsafe_set w nw ((row lsl col_bits) lor j);
+  nw + 1
 
 (* [up], the invariants [x - 0 <= b] ([ix.(e)], packed [ib.(e)]), LU
    widening and the closure after it, of a canonical nonempty zone, in
@@ -263,8 +266,8 @@ let[@inline] listed w nw row j =
 
    The matrix before widening is canonical, so widening leaves every
    entry it does not loosen a shortest path, and only the loosened ones
-   can close tighter.  Those are listed in [w] (row offset, column; up
-   to [2 * n * n] words) and closed by {!close_listed}.  A row whose
+   can close tighter.  Those are listed in [w], one word each and at
+   most [n * (n - 1)] of them, and closed by {!close_listed}.  A row whose
    lower bound is [None] is wiped whatever it holds, and a wiped row
    cannot be tightened again (no path leaves it), so its entries are
    not listed; nor is it tightened first: it changes iff [col i] or an
@@ -276,7 +279,7 @@ let[@inline] listed w nw row j =
 let settle_arr n m ix ib lceil nuc w =
   if not (bnd_neg_ok (col m 0 ix ib)) then true
   else begin
-    (* [wiped]: a wiped row changed; [nw]: words of [w] listed so far *)
+    (* [wiped]: a wiped row changed; [nw]: entries listed in [w] so far *)
     let wiped = ref false and nw = ref 0 in
     for i = 1 to n - 1 do
       let row = i * n and li = Array.unsafe_get lceil i in
@@ -586,8 +589,9 @@ module Scratch = struct
      slice until the first write, which takes the zone into [sm]
      (offset 0) — {!own}, or [remap], which builds its target in [sbuf]
      and swaps the two.  Stored zones are never written, so reading one
-     in place is safe.  [swork] is [minimize]'s workspace and [swide]
-     [settle]'s list of the entries widening loosened. *)
+     in place is safe.  Outside [remap], [sbuf] holds nothing: [settle]
+     lists the entries widening loosened there.  [swork] is
+     [minimize]'s workspace. *)
   type scratch = {
     cap : int;  (** largest dimension the buffers hold *)
     mutable sn : int;
@@ -598,11 +602,10 @@ module Scratch = struct
     mutable sempty : bool;
     mutable ssrc : t option;
     swork : Min.work;
-    swide : int array;
   }
 
   let create n =
-    if n < 1 then invalid_arg "Dbm_int.Scratch.create";
+    if n < 1 || n > 1 lsl col_bits then invalid_arg "Dbm_int.Scratch.create";
     let sm = Array.make (n * n) inf in
     {
       cap = n;
@@ -614,7 +617,6 @@ module Scratch = struct
       sempty = true;
       ssrc = None;
       swork = Min.work n;
-      swide = Array.make (2 * n * n) 0;
     }
 
   let load s z =
@@ -698,7 +700,7 @@ module Scratch = struct
     if Array.length lu.lceil <> s.sn then invalid_arg "Dbm_int.Scratch.settle";
     if not s.sempty then begin
       own s;
-      if settle_arr s.sn s.sm lu.ix lu.ib lu.lceil lu.nuc s.swide then
+      if settle_arr s.sn s.sm lu.ix lu.ib lu.lceil lu.nuc s.sbuf then
         s.sempty <- true
     end
 

@@ -10,9 +10,9 @@ let () =
       ("prng", Test_prng.suite);
       ("hstore", Test_hstore.suite);
       ("ioa", Test_ioa.suite);
+      ("explore", Test_explore.suite);
       ("execution", Test_execution.suite);
       ("compose", Test_compose.suite);
-      ("explore", Test_explore.suite);
       ("boundmap", Test_boundmap.suite);
       ("tseq", Test_tseq.suite);
       ("condition", Test_condition.suite);
@@ -37,16 +37,15 @@ let () =
       ("fischer", Test_fischer.suite);
       ("request_grant", Test_request_grant.suite);
       ("two_stage", Test_two_stage.suite);
-      ("dot", Test_dot.suite);
       ("token_ring", Test_token_ring.suite);
       ("failure_detector", Test_failure_detector.suite);
       ("region", Test_region.suite);
       ("progress", Test_progress.suite);
-      ("trace_io", Test_trace_io.suite);
       ("refinement", Test_refinement.suite);
       ("timed_compose", Test_timed_compose.suite);
       ("normalize", Test_normalize.suite);
       ("measure", Test_measure.suite);
+      ("trace_io", Test_trace_io.suite);
       ("obs", Test_obs.suite);
       ("telemetry", Test_telemetry.suite);
       ("par", Test_par.suite);

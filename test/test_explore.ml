@@ -1,71 +1,48 @@
-module Ioa = Tm_ioa.Ioa
-module Explore = Tm_ioa.Explore
-module Execution = Tm_ioa.Execution
-module Hstore = Tm_base.Hstore
-module RM = Tm_systems.Resource_manager
+(* Reachable-state exploration of the signal-relay line (Section 6),
+   by zone search.  On the line the timed reachable set is the untimed
+   one: the signal held by one of P_0..P_n, or gone. *)
+
+module Reach = Tm_zones.Reach
 module SR = Tm_systems.Signal_relay
 
-let test_reachable_manager () =
-  (* the untimed manager alone can tick below zero forever; the
-     composed system is infinite-state untimed, so explore the relay *)
-  let rp = SR.params_of_ints ~n:3 ~d1:1 ~d2:2 in
-  let g = Explore.reachable (SR.line rp) in
-  (* flag configurations reachable: signal at position 0..3 or gone *)
-  Alcotest.(check int) "5 reachable states" 5 (Hstore.length g.Explore.states);
-  Alcotest.(check bool) "not truncated" false g.Explore.truncated;
-  Alcotest.(check int) "4 edges" 4 (List.length g.Explore.edges)
+(* the n-line state in which only flag [i] is set; i = n + 1 is the
+   signal gone *)
+let holder n i = Array.init (n + 1) (fun k -> k = i)
 
-let test_reachable_limit () =
-  let p = RM.params_of_ints ~k:2 ~c1:2 ~c2:3 ~l:1 in
-  (* untimed, the manager timer decreases unboundedly: limit must hit *)
-  let g = Explore.reachable ~limit:50 (RM.system p) in
-  Alcotest.(check bool) "truncated" true g.Explore.truncated
+let test_reachable_relay () =
+  let rp = SR.params_of_ints ~n:3 ~d1:1 ~d2:2 in
+  let _, states = Reach.reachable (SR.line rp) (SR.boundmap rp) in
+  Alcotest.(check (list (array bool)))
+    "5 flag configurations"
+    (List.sort compare (List.init 5 (holder 3)))
+    (List.sort compare states)
 
 let test_invariant_holds () =
   let rp = SR.params_of_ints ~n:4 ~d1:1 ~d2:2 in
-  match Explore.check_invariant (SR.line rp) SR.lemma_6_1 with
-  | Explore.Holds n -> Alcotest.(check int) "state count" 6 n
-  | Explore.Violated _ -> Alcotest.fail "Lemma 6.1 should hold"
-  | Explore.Limit_reached _ -> Alcotest.fail "should not hit limit"
+  match
+    Reach.check_state_invariant (SR.line rp) (SR.boundmap rp) SR.lemma_6_1
+  with
+  | Ok st -> Alcotest.(check int) "location count" 6 st.Reach.locations
+  | Error _ -> Alcotest.fail "Lemma 6.1 should hold"
 
-let test_invariant_violated_with_path () =
+let test_invariant_violated () =
   let rp = SR.params_of_ints ~n:3 ~d1:1 ~d2:2 in
-  let line = SR.line rp in
-  (* claim "the signal never reaches P_3" — false, with a 3-step path *)
-  match Explore.check_invariant line (fun flags -> not flags.(3)) with
-  | Explore.Violated e ->
-      Alcotest.(check int) "counterexample length" 3 (Execution.length e);
-      Alcotest.(check bool) "counterexample is an execution" true
-        (Execution.is_execution line e);
-      Alcotest.(check bool) "end state violates" true
-        (Execution.last_state e).(3)
-  | Explore.Holds _ -> Alcotest.fail "should be violated"
-  | Explore.Limit_reached _ -> Alcotest.fail "should not hit limit"
-
-let test_invariant_violated_at_start () =
-  let rp = SR.params_of_ints ~n:2 ~d1:1 ~d2:2 in
-  match Explore.check_invariant (SR.line rp) (fun flags -> not flags.(0)) with
-  | Explore.Violated e ->
-      Alcotest.(check int) "zero-length counterexample" 0
-        (Execution.length e)
-  | _ -> Alcotest.fail "start state violates"
-
-let test_successors () =
-  let rp = SR.params_of_ints ~n:2 ~d1:1 ~d2:2 in
-  let line = SR.line rp in
-  let s0 = List.hd line.Ioa.start in
-  Alcotest.(check int) "one successor at start" 1
-    (List.length (Explore.successors line s0))
+  let line = SR.line rp and bm = SR.boundmap rp in
+  (* claim "the signal never reaches P_3" — false *)
+  match Reach.check_state_invariant line bm (fun flags -> not flags.(3)) with
+  | Error flags ->
+      Alcotest.(check (array bool)) "witness: P_3 alone holds the signal"
+        (holder 3 3) flags;
+      let _, states = Reach.reachable line bm in
+      Alcotest.(check bool) "witness is reachable" true
+        (List.mem flags states)
+  | Ok _ -> Alcotest.fail "should be violated"
 
 let suite =
   [
-    Alcotest.test_case "reachable relay" `Quick test_reachable_manager;
-    Alcotest.test_case "reachable limit" `Quick test_reachable_limit;
+    Alcotest.test_case "reachable relay" `Quick test_reachable_relay;
     Alcotest.test_case "invariant holds (Lemma 6.1)" `Quick
       test_invariant_holds;
     Alcotest.test_case "invariant violated with path" `Quick
-      test_invariant_violated_with_path;
-    Alcotest.test_case "invariant violated at start" `Quick
-      test_invariant_violated_at_start;
-    Alcotest.test_case "successors" `Quick test_successors;
+      test_invariant_violated;
   ]

@@ -12,17 +12,13 @@
 module Rational = Tm_base.Rational
 module Time = Tm_base.Time
 module Interval = Tm_base.Interval
-module Prng = Tm_base.Prng
 module Boundmap = Tm_timed.Boundmap
 module Condition = Tm_timed.Condition
 module TA = Tm_core.Time_automaton
-module Dummify = Tm_core.Dummify
 module Simulator = Tm_sim.Simulator
 module Reach = Tm_zones.Reach
 module Perturb = Tm_faults.Perturb
-module Crash = Tm_faults.Crash
 module Margin = Tm_faults.Margin
-module Inject = Tm_faults.Inject
 module FD = Tm_systems.Failure_detector
 
 let q = Gen.q
@@ -201,7 +197,7 @@ let fd_margin_report_names_critical () =
   | None -> Alcotest.fail "expected a critical class"
 
 (* ------------------------------------------------------------------ *)
-(* Crash-stop transformer.                                             *)
+(* Simulator watchdog.                                                 *)
 
 (* One state, one action in class k0, self-loop. *)
 let loop_raut =
@@ -211,67 +207,6 @@ let loop_raut =
     ra_delta = [| [| [ 0 ] |] |];
     ra_bounds = [| ((1, 1), Some (1, 1)) |];
   }
-
-let crash_disables_killed () =
-  let aut, bm = Gen.build_boundmap_automaton loop_raut in
-  let caut = Crash.automaton ~kill:[ "k0" ] aut in
-  let s0 = List.hd caut.Tm_ioa.Ioa.start in
-  Alcotest.(check bool) "starts up" false (Crash.crashed s0);
-  (match caut.Tm_ioa.Ioa.delta s0 Crash.Crash with
-  | [ s1 ] ->
-      Alcotest.(check bool) "crashed after Crash" true (Crash.crashed s1);
-      Alcotest.(check (list int))
-        "killed class disabled" []
-        (List.map
-           (fun s -> s.Crash.base)
-           (caut.Tm_ioa.Ioa.delta s1 (Crash.Step 0)));
-      Alcotest.(check int) "crash is one-shot" 0
-        (List.length (caut.Tm_ioa.Ioa.delta s1 Crash.Crash))
-  | other -> Alcotest.failf "Crash fired %d successors" (List.length other));
-  (* base behavior untouched while up *)
-  (match caut.Tm_ioa.Ioa.delta s0 (Crash.Step 0) with
-  | [ s' ] -> Alcotest.(check bool) "still up" false (Crash.crashed s')
-  | _ -> Alcotest.fail "up step lost");
-  let bm' =
-    Crash.boundmap ~crash_bounds:(Interval.unbounded_above Rational.zero) bm
-  in
-  Alcotest.(check bool) "crash class bounded" true
-    (Boundmap.mem bm' Crash.fault_class)
-
-let crash_rejects_bad_kill () =
-  let aut, _ = Gen.build_boundmap_automaton loop_raut in
-  Alcotest.check_raises "unknown class"
-    (Invalid_argument "Crash.automaton: unknown class \"nope\"")
-    (fun () -> ignore (Crash.automaton ~kill:[ "nope" ] aut))
-
-(* Adversarial injection drives a live crash-transformed system into
-   the crashed regime and the run still reaches the step limit — the
-   dummy keeps executions infinite after the kill (Theorem 5.4). *)
-let inject_reaches_crash () =
-  let aut, bm = Gen.build_boundmap_automaton loop_raut in
-  let caut, cbm =
-    Crash.live ~kill:[ "k0" ]
-      ~crash_bounds:(Interval.make (q 1) (Time.Fin (q 2)))
-      aut bm
-  in
-  let taut = TA.of_boundmap caut cbm in
-  let is_fault = function
-    | Dummify.Base Crash.Crash -> true
-    | Dummify.Base (Crash.Step _) | Dummify.Null -> false
-  in
-  let strategy =
-    Inject.strategy ~is_fault ~fault_bias_pct:100 ~prng:(Prng.create 7)
-      ~denominator:2 ~cap:(q 1) ()
-  in
-  let run = Simulator.simulate ~steps:30 ~strategy taut in
-  Alcotest.(check bool) "ran to the step limit" true
-    (run.Simulator.reason = Simulator.Step_limit);
-  let final = Tm_ioa.Execution.last_state run.Simulator.exec in
-  Alcotest.(check bool) "crash was injected" true
-    (Crash.crashed final.Tm_core.Tstate.base)
-
-(* ------------------------------------------------------------------ *)
-(* Simulator watchdog.                                                 *)
 
 let watchdog_stops_run () =
   let aut, bm = Gen.build_boundmap_automaton loop_raut in
@@ -298,12 +233,6 @@ let suite =
       fd_margin_is_g1_minus_h2;
     Alcotest.test_case "fd: report names HB as the critical class" `Quick
       fd_margin_report_names_critical;
-    Alcotest.test_case "crash: kill disables exactly the killed class"
-      `Quick crash_disables_killed;
-    Alcotest.test_case "crash: unknown kill class rejected" `Quick
-      crash_rejects_bad_kill;
-    Alcotest.test_case "inject: biased strategy reaches the crash" `Quick
-      inject_reaches_crash;
     Alcotest.test_case "simulator: watchdog stops an expired run" `Quick
       watchdog_stops_run;
   ]

@@ -1,7 +1,7 @@
 (* Regression tests pinning the semantics of Measure.envelope,
-   Measure.merge and Measure.quantile (the issue-1 audit): the merged
-   mean is the sample-count-weighted average, extremes take min/max,
-   and quantiles are exact nearest-rank. *)
+   Measure.merge, Measure.quantile and Measure.summary: the merged mean
+   is the sample-count-weighted average, extremes take min/max, and
+   quantiles are exact nearest-rank. *)
 
 module Rational = Tm_base.Rational
 module Interval = Tm_base.Interval
@@ -82,7 +82,11 @@ let test_quantile_pinned () =
     "empty" None (Measure.quantile [] 0.5);
   Alcotest.(check (option rational_t))
     "odd median" (Some (q 2))
-    (Measure.quantile [ q 3; q 1; q 2 ] 0.5)
+    (Measure.quantile [ q 3; q 1; q 2 ] 0.5);
+  Alcotest.(check string)
+    "summary" "n=5 min=1 p50=3 p90=5 max=5"
+    (Measure.summary [ q 5; q 1; q 3; q 2; q 4 ]);
+  Alcotest.(check string) "empty summary" "(no samples)" (Measure.summary [])
 
 let test_quantile_out_of_range () =
   Alcotest.check_raises "p > 1" (Invalid_argument "Measure.quantile")

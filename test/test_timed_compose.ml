@@ -1,7 +1,6 @@
 module Rational = Tm_base.Rational
 module Prng = Tm_base.Prng
 module Boundmap = Tm_timed.Boundmap
-module Timed_compose = Tm_timed.Timed_compose
 module Semantics = Tm_timed.Semantics
 module TA = Tm_core.Time_automaton
 module RM = Tm_systems.Resource_manager

@@ -1,109 +1,7 @@
-module Rational = Tm_base.Rational
-module Prng = Tm_base.Prng
-module Trace_io = Tm_sim.Trace_io
-module Simulator = Tm_sim.Simulator
-module Strategy = Tm_sim.Strategy
+(* Quantiles and summary of a sample of trace durations. *)
+
 module Measure = Tm_sim.Measure
-module RM = Tm_systems.Resource_manager
 open Gen
-
-let show = function
-  | RM.Tick -> "TICK"
-  | RM.Grant -> "GRANT"
-  | RM.Else -> "ELSE"
-
-let parse = function
-  | "TICK" -> Some RM.Tick
-  | "GRANT" -> Some RM.Grant
-  | "ELSE" -> Some RM.Else
-  | _ -> None
-
-let p = RM.params_of_ints ~k:2 ~c1:2 ~c2:3 ~l:1
-let impl = RM.impl p
-
-let sim_schedule seed steps =
-  let prng = Prng.create seed in
-  Trace_io.schedule_of_seq
-    (Simulator.project
-       (Simulator.simulate ~steps
-          ~strategy:(Strategy.random ~prng ~denominator:4 ~cap:(q 1))
-          impl))
-
-let test_roundtrip () =
-  let sched = sim_schedule 3 40 in
-  match Trace_io.of_string ~parse (Trace_io.to_string ~show sched) with
-  | Ok sched' ->
-      Alcotest.(check int) "length" (List.length sched) (List.length sched');
-      List.iter2
-        (fun (a, t) (a', t') ->
-          if a <> a' || not (Rational.equal t t') then
-            Alcotest.fail "roundtrip mismatch")
-        sched sched'
-  | Error m -> Alcotest.fail m
-
-let test_comments_and_blanks () =
-  match
-    Trace_io.of_string ~parse "# a comment\n\n2\tTICK\n\n5/2\tELSE\n"
-  with
-  | Ok [ (RM.Tick, t1); (RM.Else, t2) ] ->
-      Alcotest.(check rational_t) "t1" (q 2) t1;
-      Alcotest.(check rational_t) "t2" (qq 5 2) t2
-  | Ok _ -> Alcotest.fail "wrong parse"
-  | Error m -> Alcotest.fail m
-
-let test_errors () =
-  (match Trace_io.of_string ~parse "no tab here" with
-  | Error m -> Alcotest.(check bool) "mentions line" true
-      (String.length m > 0)
-  | Ok _ -> Alcotest.fail "missing tab accepted");
-  (match Trace_io.of_string ~parse "2\tBOGUS" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad action accepted");
-  match Trace_io.of_string ~parse "x\tTICK" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad time accepted"
-
-let test_file_roundtrip () =
-  let sched = sim_schedule 7 30 in
-  let path = Filename.temp_file "trace" ".tsv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Trace_io.save ~path ~show sched;
-      match Trace_io.load ~path ~parse with
-      | Ok sched' ->
-          Alcotest.(check int) "length" (List.length sched)
-            (List.length sched')
-      | Error m -> Alcotest.fail m)
-
-(* Replaying a recorded schedule reproduces the same timed sequence. *)
-let test_replay () =
-  let sched = sim_schedule 11 40 in
-  let run =
-    Simulator.simulate ~steps:100
-      ~strategy:(Strategy.replay ~equal:( = ) sched)
-      impl
-  in
-  Alcotest.(check bool) "stopped at end of schedule" true
-    (run.Simulator.reason = Simulator.Strategy_stop);
-  let replayed = Trace_io.schedule_of_seq (Simulator.project run) in
-  Alcotest.(check int) "same length" (List.length sched)
-    (List.length replayed);
-  List.iter2
-    (fun (a, t) (a', t') ->
-      if a <> a' || not (Rational.equal t t') then
-        Alcotest.fail "replay diverged")
-    sched replayed
-
-let test_replay_rejects_infeasible () =
-  (* GRANT at time 0 is never enabled at the start *)
-  let run =
-    Simulator.simulate ~steps:10
-      ~strategy:(Strategy.replay ~equal:( = ) [ (RM.Grant, q 0) ])
-      impl
-  in
-  Alcotest.(check int) "no moves taken" 0
-    (Tm_ioa.Execution.length run.Simulator.exec)
 
 let test_quantiles () =
   let samples = List.map q [ 5; 1; 3; 2; 4 ] in
@@ -117,17 +15,7 @@ let test_quantiles () =
   | Some v -> Alcotest.(check rational_t) "p100 = max" (q 5) v
   | None -> Alcotest.fail "p100");
   Alcotest.(check bool) "empty" true (Measure.quantile [] 0.5 = None);
-  Alcotest.(check bool) "summary mentions count" true
-    (String.length (Measure.summary samples) > 0)
+  Alcotest.(check string) "summary" "n=5 min=1 p50=3 p90=5 max=5"
+    (Measure.summary samples)
 
-let suite =
-  [
-    Alcotest.test_case "string roundtrip" `Quick test_roundtrip;
-    Alcotest.test_case "comments and blanks" `Quick test_comments_and_blanks;
-    Alcotest.test_case "parse errors" `Quick test_errors;
-    Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
-    Alcotest.test_case "replay reproduces the trace" `Quick test_replay;
-    Alcotest.test_case "replay rejects infeasible moves" `Quick
-      test_replay_rejects_infeasible;
-    Alcotest.test_case "quantiles" `Quick test_quantiles;
-  ]
+let suite = [ Alcotest.test_case "quantiles" `Quick test_quantiles ]

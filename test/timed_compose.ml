@@ -1,5 +1,6 @@
 module Ioa = Tm_ioa.Ioa
 module Compose = Tm_ioa.Compose
+module Boundmap = Tm_timed.Boundmap
 
 let check_covers (a : ('s, 'a) Ioa.t) bm =
   match Boundmap.covers bm a with

@@ -8,19 +8,21 @@
     [(A1 ∥ A2, b1 ∪ b2)].  Since boundmaps attach to partition classes
     and composition keeps the classes of both components (requiring
     them disjoint), the union boundmap is the composition's boundmap —
-    which is exactly why the two views coincide; the test suite checks
-    the resulting timed semantics agree on both constructions. *)
+    which is exactly why the two views coincide.  No executable
+    composes timed automata, so the construction lives with its test
+    ([Test_timed_compose]), which checks that the resulting timed
+    semantics agree on both constructions. *)
 
 val binary :
   name:string ->
-  ('s1, 'a) Tm_ioa.Ioa.t * Boundmap.t ->
-  ('s2, 'a) Tm_ioa.Ioa.t * Boundmap.t ->
-  ('s1 * 's2, 'a) Tm_ioa.Ioa.t * Boundmap.t
+  ('s1, 'a) Tm_ioa.Ioa.t * Tm_timed.Boundmap.t ->
+  ('s2, 'a) Tm_ioa.Ioa.t * Tm_timed.Boundmap.t ->
+  ('s1 * 's2, 'a) Tm_ioa.Ioa.t * Tm_timed.Boundmap.t
 (** @raise Tm_ioa.Compose.Incompatible on incompatible components.
     @raise Invalid_argument if the boundmaps share a class or miss one
     of their automaton's classes. *)
 
 val array :
   name:string ->
-  (('s, 'a) Tm_ioa.Ioa.t * Boundmap.t) array ->
-  ('s array, 'a) Tm_ioa.Ioa.t * Boundmap.t
+  (('s, 'a) Tm_ioa.Ioa.t * Tm_timed.Boundmap.t) array ->
+  ('s array, 'a) Tm_ioa.Ioa.t * Tm_timed.Boundmap.t
