@@ -32,7 +32,6 @@ module Semantics = Tm_timed.Semantics
 module TA = Tm_core.Time_automaton
 module Tgraph = Tm_core.Tgraph
 module Mapping = Tm_core.Mapping
-module Hierarchy = Tm_core.Hierarchy
 module Completeness = Tm_core.Completeness
 module D = Tm_core.Dummify
 module Reach = Tm_zones.Reach
@@ -255,8 +254,9 @@ let e4 () =
     (fun k ->
       let p = RM.params_of_ints ~k ~c1:2 ~c2:3 ~l:1 in
       match
-        Mapping.check_exhaustive ~source:(RM.impl p) ~target:(RM.spec p)
-          (RM.mapping p) ()
+        Mapping.check_exhaustive ~source:(RM.impl p)
+          ~levels:[ { Mapping.target = RM.spec p; map = RM.mapping p } ]
+          ()
       with
       | Ok st ->
           row "%-44s %-10d %-10d %s\n"
@@ -271,7 +271,7 @@ let e4 () =
     (fun n ->
       let p = SR.params_of_ints ~n ~d1:1 ~d2:2 in
       match
-        Hierarchy.check_exhaustive ~source:(SR.impl p) ~levels:(SR.chain p) ()
+        Mapping.check_exhaustive ~source:(SR.impl p) ~levels:(SR.chain p) ()
       with
       | Ok st ->
           row "%-44s %-10d %-10d %s\n"
@@ -280,13 +280,13 @@ let e4 () =
       | Error e ->
           row "%-44s %-10s %-10s FAILED at level %d\n"
             (Printf.sprintf "Corollary 6.3 hierarchy (f_k chain), n=%d" n)
-            "-" "-" e.Hierarchy.level_index)
+            "-" "-" e.Mapping.level_index)
     [ 1; 2; 3; 4 ];
   List.iter
     (fun n ->
       let p = TR.params_of_ints ~n ~d1:1 ~d2:2 in
       match
-        Hierarchy.check_exhaustive ~source:(TR.impl p) ~levels:(TR.chain p) ()
+        Mapping.check_exhaustive ~source:(TR.impl p) ~levels:(TR.chain p) ()
       with
       | Ok st ->
           row "%-44s %-10d %-10d %s\n"
@@ -295,18 +295,18 @@ let e4 () =
       | Error e ->
           row "%-44s %-10s %-10s FAILED at level %d\n"
             (Printf.sprintf "token-ring hierarchy, n=%d" n)
-            "-" "-" e.Hierarchy.level_index)
+            "-" "-" e.Mapping.level_index)
     [ 2; 3; 4 ];
   (let ts = TS.params_of_ints ~p1:1 ~p2:3 ~q1:1 ~q2:2 ~r1:2 ~r2:4 in
    match
-     Hierarchy.check_exhaustive ~source:(TS.impl ts) ~levels:(TS.chain ts) ()
+     Mapping.check_exhaustive ~source:(TS.impl ts) ~levels:(TS.chain ts) ()
    with
    | Ok st ->
        row "%-44s %-10d %-10d %s\n" "chained-trigger hierarchy (Sec. 8)"
          st.Mapping.product_states st.Mapping.product_edges "OK"
    | Error e ->
        row "%-44s %-10s %-10s FAILED at level %d\n"
-         "chained-trigger hierarchy (Sec. 8)" "-" "-" e.Hierarchy.level_index);
+         "chained-trigger hierarchy (Sec. 8)" "-" "-" e.Mapping.level_index);
   (* failure injection: tightening the spec breaks the mapping *)
   let p = RM.params_of_ints ~k:3 ~c1:2 ~c2:3 ~l:1 in
   let tight =
@@ -321,7 +321,8 @@ let e4 () =
       ]
   in
   match
-    Mapping.check_exhaustive ~source:(RM.impl p) ~target:tight (RM.mapping p)
+    Mapping.check_exhaustive ~source:(RM.impl p)
+      ~levels:[ { Mapping.target = tight; map = RM.mapping p } ]
       ()
   with
   | Error _ ->
@@ -345,7 +346,11 @@ let e5 () =
         Completeness.analyze ~source:impl ~conds:[| RM.g1 p; RM.g2 p |] ()
       in
       let f = Completeness.mapping a ~spec:(RM.spec p) in
-      match Mapping.check_exhaustive ~source:impl ~target:(RM.spec p) f () with
+      match
+        Mapping.check_exhaustive ~source:impl
+          ~levels:[ { Mapping.target = RM.spec p; map = f } ]
+          ()
+      with
       | Ok st ->
           row "%-44s %-10d %-10d %s\n"
             (Printf.sprintf "resource manager, k=%d" k)
@@ -364,7 +369,11 @@ let e5 () =
         Completeness.analyze ~source:impl ~conds:[| SR.u_cond p ~k:0 |] ()
       in
       let f = Completeness.mapping a ~spec:(SR.spec p) in
-      match Mapping.check_exhaustive ~source:impl ~target:(SR.spec p) f () with
+      match
+        Mapping.check_exhaustive ~source:impl
+          ~levels:[ { Mapping.target = SR.spec p; map = f } ]
+          ()
+      with
       | Ok st ->
           row "%-44s %-10d %-10d %s\n"
             (Printf.sprintf "signal relay, n=%d" n)
@@ -533,12 +542,14 @@ let e7 () =
                (RM.boundmap p) seq200));
       Test.make ~name:"mapping: check_exec on 200-step trace"
         (Staged.stage (fun () ->
-             Mapping.check_exec ~source:impl ~target:spec (RM.mapping p)
+             Mapping.check_exec ~source:impl
+               ~levels:[ { Mapping.target = spec; map = RM.mapping p } ]
                run200.Simulator.exec));
       Test.make ~name:"mapping: exhaustive check (k=3)"
         (Staged.stage (fun () ->
-             Mapping.check_exhaustive ~source:impl ~target:spec
-               (RM.mapping p) ()));
+             Mapping.check_exhaustive ~source:impl
+               ~levels:[ { Mapping.target = spec; map = RM.mapping p } ]
+               ()));
       Test.make ~name:"simulate 200 steps (random strategy)"
         (Staged.stage (fun () -> trace 200));
       Test.make ~name:"tgraph: build discretized graph (k=3)"
@@ -560,7 +571,7 @@ let e7 () =
                   ())));
       Test.make ~name:"hierarchy: exhaustive chain (n=3)"
         (Staged.stage (fun () ->
-             Hierarchy.check_exhaustive ~source:(SR.impl rp)
+             Mapping.check_exhaustive ~source:(SR.impl rp)
                ~levels:(SR.chain rp) ()));
       Test.make ~name:"refinement: mapping-free check (k=3)"
         (Staged.stage (fun () ->

@@ -66,13 +66,13 @@ let () =
     (if holds then "holds" else "VIOLATED");
 
   (* --- the mapping of Section 4.3 ------------------------------- *)
-  let f = RM.mapping p in
-  (match Mapping.check_exec ~source:impl ~target:spec f run.Simulator.exec with
+  let levels = [ { Mapping.target = spec; map = RM.mapping p } ] in
+  (match Mapping.check_exec ~source:impl ~levels run.Simulator.exec with
   | Ok () -> Format.printf "Mapping check along the trace: OK@."
   | Error e ->
       Format.printf "Mapping check along the trace: FAILED@.  %a@."
-        (Mapping.pp_failure impl) e);
-  match Mapping.check_exhaustive ~source:impl ~target:spec f () with
+        (Mapping.pp_failure impl) e.Mapping.failure);
+  match Mapping.check_exhaustive ~source:impl ~levels () with
   | Ok st ->
       Format.printf
         "Exhaustive mapping check: OK (%d product states, %d edges%s)@."
@@ -80,4 +80,4 @@ let () =
         (if st.Mapping.truncated then ", TRUNCATED" else "")
   | Error e ->
       Format.printf "Exhaustive mapping check: FAILED@.  %a@."
-        (Mapping.pp_failure impl) e
+        (Mapping.pp_failure impl) e.Mapping.failure

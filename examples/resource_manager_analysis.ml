@@ -44,14 +44,18 @@ let () =
     (if !violations = 0 then "holds" else "VIOLATED");
 
   (* 2. Lemma 4.3: the mapping *)
-  (match Mapping.check_exhaustive ~source:impl ~target:spec (RM.mapping p) () with
+  (match
+     Mapping.check_exhaustive ~source:impl
+       ~levels:[ { Mapping.target = spec; map = RM.mapping p } ]
+       ()
+   with
   | Ok st ->
       Format.printf
         "Lemma 4.3 mapping, exhaustive: OK (%d product states, %d edges)@."
         st.Mapping.product_states st.Mapping.product_edges
   | Error e ->
       Format.printf "Lemma 4.3 mapping: FAILED@.  %a@."
-        (Mapping.pp_failure impl) e);
+        (Mapping.pp_failure impl) e.Mapping.failure);
 
   (* 3a. Theorem 4.4, measured *)
   let firsts = ref [] and gaps = ref [] in

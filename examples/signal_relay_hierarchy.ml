@@ -12,7 +12,6 @@ module Time = Tm_base.Time
 module Prng = Tm_base.Prng
 module D = Tm_core.Dummify
 module Mapping = Tm_core.Mapping
-module Hierarchy = Tm_core.Hierarchy
 module Completeness = Tm_core.Completeness
 module Simulator = Tm_sim.Simulator
 module Strategy = Tm_sim.Strategy
@@ -38,11 +37,11 @@ let () =
        (List.map
           (fun lv ->
             (List.hd
-               (Array.to_list lv.Hierarchy.target.Tm_core.Time_automaton.cond_names)))
+               (Array.to_list lv.Mapping.target.Tm_core.Time_automaton.cond_names)))
           chain));
   List.iteri
     (fun i lv ->
-      Format.printf "  level %d: %s@." i lv.Hierarchy.map.Mapping.mname)
+      Format.printf "  level %d: %s@." i lv.Mapping.map.Mapping.mname)
     chain;
 
   (* per-level and whole-chain verification along a random execution *)
@@ -52,20 +51,20 @@ let () =
       ~strategy:(Strategy.random ~prng ~denominator:2 ~cap:(q 2))
       impl
   in
-  (match Hierarchy.check_exec ~source:impl ~levels:chain run.Simulator.exec with
+  (match Mapping.check_exec ~source:impl ~levels:chain run.Simulator.exec with
   | Ok () -> Format.printf "chain holds along a 100-step random execution@."
   | Error e ->
-      Format.printf "chain FAILED at level %d (%s)@." e.Hierarchy.level_index
-        e.Hierarchy.level_name);
+      Format.printf "chain FAILED at level %d (%s)@." e.Mapping.level_index
+        e.Mapping.level_name);
 
   (* exhaustive check of the whole chain *)
-  (match Hierarchy.check_exhaustive ~source:impl ~levels:chain () with
+  (match Mapping.check_exhaustive ~source:impl ~levels:chain () with
   | Ok st ->
       Format.printf "chain verified exhaustively: %d product states, %d edges@."
         st.Mapping.product_states st.Mapping.product_edges
   | Error e ->
       Format.printf "chain FAILED exhaustively at level %d (%s)@."
-        e.Hierarchy.level_index e.Hierarchy.level_name);
+        e.Mapping.level_index e.Mapping.level_name);
 
   (* exact delay window from the discretized graph *)
   let a = Completeness.analyze ~source:impl ~conds:[| SR.u_cond p ~k:0 |] () in

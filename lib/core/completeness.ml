@@ -15,16 +15,6 @@ type ('s, 'a) t = {
 
 let graph a = a.graph
 
-(* Adjacency lists from the edge list. *)
-let adjacency g =
-  let n = Tgraph.node_count g in
-  let out = Array.make n [] in
-  List.iter
-    (fun (src, (act, dt), dst) -> out.(src) <- (act, dt, dst) :: out.(src))
-    g.Tgraph.edges;
-  Array.iteri (fun v es -> if es = [] then (ignore v; raise Dead_state)) out;
-  out
-
 (* sup over infinite extensions of the first time an action in Pi or a
    state in S occurs.  Longest-path value iteration; divergence (a
    positive-weight cycle avoiding the markers) means [∞]. *)
@@ -109,7 +99,8 @@ let compute_inf g out (c : ('s, 'a) Condition.t) =
 let analyze ?params ~source ~conds () =
   let g = Tgraph.build ?params source in
   if g.Tgraph.truncated then raise (Truncated (Tgraph.node_count g));
-  let out = adjacency g in
+  let out = g.Tgraph.out in
+  if Array.exists (fun es -> es = []) out then raise Dead_state;
   {
     graph = g;
     conds;
@@ -134,15 +125,18 @@ let start_bounds a ~cond =
 
 let bounds_after a ~trigger ~cond =
   let base v = (Hstore.key_of_id a.graph.Tgraph.nodes v).Tstate.base in
-  List.fold_left
-    (fun acc (src, (act, _dt), dst) ->
-      if trigger (base src) act (base dst) then
-        let lo = a.inf.(cond).(dst) and hi = a.sup.(cond).(dst) in
-        match acc with
-        | None -> Some (lo, hi)
-        | Some (alo, ahi) -> Some (Time.min alo lo, Time.max ahi hi)
-      else acc)
-    None a.graph.Tgraph.edges
+  let acc = ref None in
+  Array.iteri
+    (fun src ->
+      List.iter (fun (act, _dt, dst) ->
+          if trigger (base src) act (base dst) then
+            let lo = a.inf.(cond).(dst) and hi = a.sup.(cond).(dst) in
+            acc :=
+              match !acc with
+              | None -> Some (lo, hi)
+              | Some (alo, ahi) -> Some (Time.min alo lo, Time.max ahi hi)))
+    a.graph.Tgraph.out;
+  !acc
 
 let mapping a ~spec =
   (* Match spec conditions to analysis conditions by name. *)

@@ -59,42 +59,76 @@ let start_witness ~source ~target f s0 =
   | Some u0 -> Ok u0
   | None -> Error (No_start_image s0)
 
-let step_witness ~target f source_post target_pre (act, tm) =
-  match
-    Time_automaton.fire_det target target_pre act tm
-      ~base_post:source_post.Tstate.base
-  with
-  | None -> Error `Not_enabled
-  | Some u ->
-      if f.contains source_post u then Ok u else Error (`Image_lost u)
+type ('s, 'a) level = { target : ('s, 'a) Time_automaton.t; map : 's t }
 
-let check_exec ~source ~target f (e : ('s, 'a) Time_automaton.texec) =
-  let ( let* ) r k = Result.bind r k in
-  let* u0 = start_witness ~source ~target f e.Execution.first in
-  let rec go u' steps =
-    match steps with
-    | [] -> Ok ()
-    | (pre, (act, tm), post) :: rest -> (
-        ignore pre;
-        Metrics.incr c_exec_steps;
-        match step_witness ~target f post u' (act, tm) with
-        | Ok u -> go u rest
-        | Error `Not_enabled ->
-            Error
-              (Move_not_enabled
-                 { source_pre = pre; target_pre = u'; action = act; time = tm })
-        | Error (`Image_lost u) ->
-            Error
-              (Image_lost
-                 { source_post = post; target_post = u; action = act; time = tm }))
+type ('s, 'a) chain_failure = {
+  level_index : int;
+  level_name : string;
+  failure : ('s, 'a) failure;
+}
+
+let fail i lv failure =
+  Error { level_index = i; level_name = lv.map.mname; failure }
+
+(* Level i's start witness lies in the image of level i-1's (level 0:
+   of the source start state [s0]). *)
+let start_witnesses ~source levels s0 =
+  let rec go i prev = function
+    | [] -> Ok []
+    | lv :: rest -> (
+        match start_witness ~source ~target:lv.target lv.map prev with
+        | Error e -> fail i lv e
+        | Ok u -> Result.map (List.cons u) (go (i + 1) u rest))
   in
-  go u0 (Execution.steps e)
+  go 0 s0 levels
+
+(* Advance every level's witness over the source move [pre] -> [post].
+   Level i matches the move of level i-1 (level 0: of the source), so a
+   move it cannot fire is reported from level i-1's pre-state. *)
+let step_witnesses levels ws ~pre ~post (act, tm) =
+  let base_post = post.Tstate.base in
+  let rec go i pre post levels ws =
+    match (levels, ws) with
+    | [], [] -> Ok []
+    | lv :: levels, w :: ws -> (
+        match Time_automaton.fire_det lv.target w act tm ~base_post with
+        | None ->
+            fail i lv
+              (Move_not_enabled
+                 { source_pre = pre; target_pre = w; action = act; time = tm })
+        | Some u when lv.map.contains post u ->
+            Result.map (List.cons u) (go (i + 1) w u levels ws)
+        | Some u ->
+            fail i lv
+              (Image_lost
+                 {
+                   source_post = post;
+                   target_post = u;
+                   action = act;
+                   time = tm;
+                 }))
+    | _ -> invalid_arg "Mapping: witness arity mismatch"
+  in
+  go 0 pre post levels ws
+
+let check_exec ~source ~levels (e : ('s, 'a) Time_automaton.texec) =
+  let ( let* ) r k = Result.bind r k in
+  let* ws = start_witnesses ~source levels e.Execution.first in
+  let rec go ws = function
+    | [] -> Ok ()
+    | (pre, mv, post) :: rest ->
+        Metrics.incr c_exec_steps;
+        let* ws = step_witnesses levels ws ~pre ~post mv in
+        go ws rest
+  in
+  go ws (Execution.steps e)
 
 type stats = { product_states : int; product_edges : int; truncated : bool }
 
 let check_exhaustive (type s a) ?params ~(source : (s, a) Time_automaton.t)
-    ~(target : (s, a) Time_automaton.t) (f : s t) () =
-  Tracing.with_span "mapping.check_exhaustive" ~args:[ ("mapping", f.mname) ]
+    ~(levels : (s, a) level list) () =
+  let names = String.concat " ; " (List.map (fun lv -> lv.map.mname) levels) in
+  Tracing.with_span "mapping.check_exhaustive" ~args:[ ("mapping", names) ]
   @@ fun () ->
   let params =
     match params with Some p -> p | None -> Tgraph.default_params source
@@ -103,79 +137,39 @@ let check_exhaustive (type s a) ?params ~(source : (s, a) Time_automaton.t)
   let hash = Time_automaton.hash_state source in
   let store =
     Hstore.create
-      ~equal:(fun (s1, u1) (s2, u2) -> eq s1 s2 && eq u1 u2)
-      ~hash:(fun (s, u) -> (hash s * 31) + hash u)
+      ~equal:(fun (s1, ws1) (s2, ws2) -> eq s1 s2 && List.for_all2 eq ws1 ws2)
+      ~hash:(fun (s, ws) ->
+        List.fold_left (fun h w -> (h * 31) + hash w) (hash s) ws)
       1024
   in
   let normalize st = Tstate.normalize ~clamp:params.Tgraph.clamp st in
-  let queue = Queue.create () in
   let edges = ref 0 in
-  let truncated = ref false in
-  let exception Fail of (s, a) failure in
-  try
-    List.iter
-      (fun s0 ->
-        match start_witness ~source ~target f s0 with
-        | Error e -> raise (Fail e)
-        | Ok u0 -> (
-            let pair = (normalize s0, normalize u0) in
-            match Hstore.add store pair with
-            | `Added id ->
-                Metrics.incr c_product_states;
-                Queue.add id queue
-            | `Present _ -> ()))
-      source.Time_automaton.start;
-    while not (Queue.is_empty queue) do
-      let id = Queue.pop queue in
-      let s, u = Hstore.key_of_id store id in
-      List.iter
-        (fun (act, tm) ->
-          List.iter
-            (fun s_post ->
-              incr edges;
-              Metrics.incr c_product_edges;
-              match step_witness ~target f s_post u (act, tm) with
-              | Error `Not_enabled ->
-                  raise
-                    (Fail
-                       (Move_not_enabled
-                          {
-                            source_pre = s;
-                            target_pre = u;
-                            action = act;
-                            time = tm;
-                          }))
-              | Error (`Image_lost u_post) ->
-                  raise
-                    (Fail
-                       (Image_lost
-                          {
-                            source_post = s_post;
-                            target_post = u_post;
-                            action = act;
-                            time = tm;
-                          }))
-              | Ok u_post ->
-                  if Hstore.length store >= params.Tgraph.limit then
-                    truncated := true
-                  else
-                    let pair = (normalize s_post, normalize u_post) in
-                    (match Hstore.add store pair with
-                    | `Added id' ->
-                        Metrics.incr c_product_states;
-                        Queue.add id' queue
-                    | `Present _ -> ()))
-            (Time_automaton.fire source s act tm))
-        (Tgraph.moves params source s)
-    done;
-    Ok
-      {
-        product_states = Hstore.length store;
-        product_edges = !edges;
-        truncated = !truncated;
-      }
-  with Fail e ->
-    (* first counterexample: count it and mark it in the trace *)
-    Metrics.incr c_failures;
-    Tracing.instant "mapping.counterexample" ~args:[ ("mapping", f.mname) ];
-    Error e
+  let exception Fail of (s, a) chain_failure in
+  let ok_or_raise = function Ok v -> v | Error e -> raise (Fail e) in
+  let result =
+    match
+      Tgraph.search params source store ~state:fst
+        ~normalize:(fun (s, ws) -> (normalize s, List.map normalize ws))
+        ~start:(fun s0 -> (s0, ok_or_raise (start_witnesses ~source levels s0)))
+        ~step:(fun (s, ws) mv s_post ->
+          incr edges;
+          let ws' = step_witnesses levels ws ~pre:s ~post:s_post mv in
+          (s_post, ok_or_raise ws'))
+    with
+    | _, truncated ->
+        Ok
+          {
+            product_states = Hstore.length store;
+            product_edges = !edges;
+            truncated;
+          }
+    | exception Fail e ->
+        (* first counterexample: count it and mark it in the trace *)
+        Metrics.incr c_failures;
+        Tracing.instant "mapping.counterexample"
+          ~args:[ ("mapping", e.level_name) ];
+        Error e
+  in
+  Metrics.add c_product_states (Hstore.length store);
+  Metrics.add c_product_edges !edges;
+  result

@@ -13,7 +13,13 @@
     be enabled on the target side, and the unique target successor must
     be in the image of the source successor.  The checkers below verify
     exactly this, either along a given execution (refutation on traces)
-    or exhaustively over a discretized product graph. *)
+    or exhaustively over a discretized product graph.
+
+    A hierarchical proof (Section 6.3) passes through a chain of
+    intermediate requirement automata, with a strong possibilities
+    mapping between each consecutive pair; the composition of the
+    chain is the desired mapping (Corollary 6.3).  The checkers take
+    such a chain of levels; a single mapping is a chain of one level. *)
 
 type 's t = {
   mname : string;
@@ -51,28 +57,42 @@ val start_witness :
 (** Condition 1 of Definition 3.2 for one source start state: find a
     target start state with the same base that lies in the image. *)
 
+type ('s, 'a) level = {
+  target : ('s, 'a) Time_automaton.t;
+  map : 's t;  (** from the previous level's automaton (level 0: the source) *)
+}
+
+type ('s, 'a) chain_failure = {
+  level_index : int;  (** 0 = first level above the source *)
+  level_name : string;  (** the [mname] of that level's mapping *)
+  failure : ('s, 'a) failure;
+      (** stated between that level and the one below it: its
+          [source_pre]/[source_post] are the lower level's witness (at
+          level 0, the source state) *)
+}
+
 val check_exec :
   source:('s, 'a) Time_automaton.t ->
-  target:('s, 'a) Time_automaton.t ->
-  's t ->
+  levels:('s, 'a) level list ->
   ('s, 'a) Time_automaton.texec ->
-  (unit, ('s, 'a) failure) result
-(** Walk an execution of the source, maintaining the deterministic
-    target witness, verifying enabledness and image membership at every
-    step.  A sound refutation check: any [Error] is a genuine
-    counterexample to the mapping (on this execution). *)
+  (unit, ('s, 'a) chain_failure) result
+(** Walk an execution of the source, maintaining one deterministic
+    witness per level, verifying enabledness and image membership at
+    every step and every level.  A sound refutation check: any [Error]
+    is a genuine counterexample to that level's mapping (on this
+    execution). *)
 
 type stats = { product_states : int; product_edges : int; truncated : bool }
 
 val check_exhaustive :
   ?params:Tgraph.params ->
   source:('s, 'a) Time_automaton.t ->
-  target:('s, 'a) Time_automaton.t ->
-  's t ->
+  levels:('s, 'a) level list ->
   unit ->
-  (stats, ('s, 'a) failure) result
-(** Exhaustive check of conditions 1–2 over the product of the
-    discretized, normalized source graph with its deterministic target
-    witnesses (see {!Tgraph} for the discretization caveats).  For a
-    finite base automaton and adequate [params], [Ok] means the mapping
-    is a strong possibilities mapping on the explored grid. *)
+  (stats, ('s, 'a) chain_failure) result
+(** Exhaustive check of conditions 1–2 at every level over the product
+    of the discretized, normalized source graph ({!Tgraph.search}) with
+    the deterministic witnesses of all levels (see {!Tgraph} for the
+    discretization caveats).  For a finite base automaton and adequate
+    [params], [Ok] means every level's mapping is a strong
+    possibilities mapping on the explored grid. *)

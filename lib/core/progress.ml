@@ -23,7 +23,7 @@ let sccs n out =
     stack := v :: !stack;
     on_stack.(v) <- true;
     List.iter
-      (fun (_, w) ->
+      (fun (_, _, w) ->
         if index.(w) < 0 then begin
           strongconnect w;
           lowlink.(v) <- min lowlink.(v) lowlink.(w)
@@ -53,10 +53,7 @@ let sccs n out =
 let analyze ?params (aut : ('s, 'a) Time_automaton.t) =
   let graph = Tgraph.build ?params aut in
   let n = Tgraph.node_count graph in
-  let out = Array.make n [] in
-  List.iter
-    (fun (src, (_, t), dst) -> out.(src) <- (t, dst) :: out.(src))
-    graph.Tgraph.edges;
+  let out = graph.Tgraph.out in
   let deadlocked = ref [] in
   for v = n - 1 downto 0 do
     if out.(v) = [] then deadlocked := v :: !deadlocked
@@ -67,11 +64,12 @@ let analyze ?params (aut : ('s, 'a) Time_automaton.t) =
      Edge times in the graph are relative to the source node's clock,
      so an edge duration is just its time label. *)
   let diverging = Array.make ncomps false in
-  List.iter
-    (fun (src, (_, t), dst) ->
-      if comp_of.(src) = comp_of.(dst) && Rational.sign t > 0 then
-        diverging.(comp_of.(src)) <- true)
-    graph.Tgraph.edges;
+  Array.iteri
+    (fun src ->
+      List.iter (fun (_, t, dst) ->
+          if comp_of.(src) = comp_of.(dst) && Rational.sign t > 0 then
+            diverging.(comp_of.(src)) <- true))
+    out;
   (* Propagate reachability of diverging SCCs backwards: fixpoint over
      nodes (the graph is small; a simple iteration suffices). *)
   let escapes = Array.init n (fun v -> diverging.(comp_of.(v))) in
@@ -80,7 +78,7 @@ let analyze ?params (aut : ('s, 'a) Time_automaton.t) =
     changed := false;
     for v = 0 to n - 1 do
       if not escapes.(v) then
-        if List.exists (fun (_, w) -> escapes.(w)) out.(v) then begin
+        if List.exists (fun (_, _, w) -> escapes.(w)) out.(v) then begin
           escapes.(v) <- true;
           changed := true
         end

@@ -5,4 +5,7 @@ let full_relation =
 
 let check ?params ~source ~target () =
   Tm_obs.Tracing.with_span "refinement.check" @@ fun () ->
-  Mapping.check_exhaustive ?params ~source ~target full_relation ()
+  Mapping.check_exhaustive ?params ~source
+    ~levels:[ { Mapping.target; map = full_relation } ]
+    ()
+  |> Result.map_error (fun e -> e.Mapping.failure)

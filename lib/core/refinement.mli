@@ -8,7 +8,7 @@
     refinement "every (discretized) execution of [time(A, U)] is an
     execution of [time(A, V)]" holds iff the deterministic witness
     never gets stuck — which is exactly {!Mapping.check_exhaustive}
-    with the full relation as the mapping.
+    with the full relation as its one level.
 
     Use this to *test* whether a timing claim holds before investing in
     a proof mapping; a [Error] refutation is genuine, an [Ok] verdict is

@@ -40,7 +40,7 @@ type ('s, 'a) t = {
   aut : ('s, 'a) Time_automaton.t;
   params : params;
   nodes : 's Tstate.t Hstore.t;
-  edges : (int * ('a * Rational.t) * int) list;
+  out : ('a * Rational.t * int) list array;
   truncated : bool;
 }
 
@@ -75,30 +75,23 @@ let moves params (aut : ('s, 'a) Time_automaton.t) s =
         List.map (fun t -> (act, t)) (grid_times params lo hi_capped))
     (Time_automaton.enabled_moves aut s)
 
-let build ?params (aut : ('s, 'a) Time_automaton.t) =
-  let params =
-    match params with Some p -> p | None -> default_params aut
-  in
-  let normalize s = Tstate.normalize ~clamp:params.clamp s in
-  let store =
-    Hstore.create
-      ~equal:(Time_automaton.equal_state aut)
-      ~hash:(Time_automaton.hash_state aut)
-      1024
-  in
+let search params (aut : ('s, 'a) Time_automaton.t) store ~state ~normalize
+    ~start ~step =
   let queue = Queue.create () in
-  let edges = ref [] in
-  let truncated = ref false in
-  List.iter
-    (fun s ->
-      match Hstore.add store (normalize s) with
-      | `Added id -> Queue.add id queue
-      | `Present _ -> ())
-    aut.Time_automaton.start;
+  let add k =
+    match Hstore.add store (normalize k) with
+    | `Added id ->
+        Queue.add id queue;
+        id
+    | `Present id -> id
+  in
+  List.iter (fun s -> ignore (add (start s))) aut.Time_automaton.start;
   let deadline = Option.map (fun d -> Tracing.now_s () +. d) params.deadline_s in
   let expired () =
     match deadline with None -> false | Some t -> Tracing.now_s () > t
   in
+  let truncated = ref false in
+  let outs = ref [] in
   while not (Queue.is_empty queue) do
     if expired () then begin
       truncated := true;
@@ -106,30 +99,42 @@ let build ?params (aut : ('s, 'a) Time_automaton.t) =
     end
     else begin
       let id = Queue.pop queue in
-      let s = Hstore.key_of_id store id in
+      let k = Hstore.key_of_id store id in
+      let s = state k in
+      let out = ref [] in
       List.iter
         (fun (act, t) ->
           List.iter
             (fun s' ->
+              let k' = step k (act, t) s' in
               if Hstore.length store >= params.limit then truncated := true
-              else
-                let s'n = normalize s' in
-                match Hstore.add store s'n with
-                | `Added id' ->
-                    edges := (id, (act, t), id') :: !edges;
-                    Queue.add id' queue
-                | `Present id' -> edges := (id, (act, t), id') :: !edges)
+              else out := (act, t, add k') :: !out)
             (Time_automaton.fire aut s act t))
-        (moves params aut s)
+        (moves params aut s);
+      outs := (id, !out) :: !outs
     end
   done;
-  {
-    aut;
-    params;
-    nodes = store;
-    edges = List.rev !edges;
-    truncated = !truncated;
-  }
+  let out = Array.make (Hstore.length store) [] in
+  List.iter (fun (id, es) -> out.(id) <- es) !outs;
+  (out, !truncated)
+
+let build ?params (aut : ('s, 'a) Time_automaton.t) =
+  let params =
+    match params with Some p -> p | None -> default_params aut
+  in
+  let nodes =
+    Hstore.create
+      ~equal:(Time_automaton.equal_state aut)
+      ~hash:(Time_automaton.hash_state aut)
+      1024
+  in
+  let out, truncated =
+    search params aut nodes ~state:Fun.id
+      ~normalize:(Tstate.normalize ~clamp:params.clamp)
+      ~start:Fun.id
+      ~step:(fun _ _ s' -> s')
+  in
+  { aut; params; nodes; out; truncated }
 
 let node_count g = Hstore.length g.nodes
-let edge_count g = List.length g.edges
+let edge_count g = Array.fold_left (fun n es -> n + List.length es) 0 g.out

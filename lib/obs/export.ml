@@ -94,35 +94,6 @@ let to_prometheus snap =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* NDJSON: one metric entry per line, same encoding as Metrics JSON *)
-
-let to_ndjson snap =
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun e ->
-      Buffer.add_string b (Json.to_string (Metrics.entry_to_json e));
-      Buffer.add_char b '\n')
-    snap;
-  Buffer.contents b
-
-let of_ndjson text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | l :: rest -> (
-        match Json.of_string l with
-        | Error m -> Error (Printf.sprintf "bad NDJSON line: %s" m)
-        | Ok j -> (
-            match Metrics.entry_of_json j with
-            | Error m -> Error m
-            | Ok e -> go (e :: acc) rest))
-  in
-  go [] lines
-
-(* ------------------------------------------------------------------ *)
 (* snapshot diff — the bench-diff engine *)
 
 type drift = {

@@ -4,12 +4,9 @@
     (counters, gauges, and histograms with cumulative [_bucket] /
     [_sum] / [_count] samples; metric names have non-alphanumerics
     mapped to underscores, label values are escaped).  Exact rational
-    sums are rendered as floats — Prometheus has no rationals — but
-    the NDJSON exporter keeps them exact.
-
-    [to_ndjson] / [of_ndjson] stream one metric entry per line using
-    the same JSON encoding as {!Metrics.to_json}, and round-trip
-    exactly.
+    sums are rendered as floats — Prometheus has no rationals — while
+    {!Metrics.to_json} / {!Metrics.of_json} keep them exact and
+    round-trip a snapshot exactly.
 
     [diff] is the engine behind [timedmap bench-diff]: a structural
     comparison of two snapshots where every value must match exactly
@@ -21,8 +18,6 @@
     zero. *)
 
 val to_prometheus : Metrics.snapshot -> string
-val to_ndjson : Metrics.snapshot -> string
-val of_ndjson : string -> (Metrics.snapshot, string) result
 
 type drift = {
   dname : string;

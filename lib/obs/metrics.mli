@@ -152,7 +152,3 @@ val pp : Format.formatter -> snapshot -> unit
 val to_json : snapshot -> Json.t
 val of_json : Json.t -> (snapshot, string) result
 
-val entry_to_json : entry -> Json.t
-val entry_of_json : Json.t -> (entry, string) result
-(** Single-entry codec used by the NDJSON exporter ({!Export}): the
-    same encoding [to_json] wraps in its ["metrics"] array. *)

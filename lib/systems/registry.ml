@@ -1,7 +1,6 @@
 module Interval = Tm_base.Interval
 module Condition = Tm_timed.Condition
 module Mapping = Tm_core.Mapping
-module Hierarchy = Tm_core.Hierarchy
 module RM = Resource_manager
 module IM = Interrupt_manager
 module SR = Signal_relay
@@ -102,12 +101,12 @@ let no_mapping variant () = "no paper mapping for this " ^ variant
 (* The report of a mapping hierarchy check: [ok] leads the success
    line, [failed] the failure line. *)
 let hierarchy ~ok ~failed ~source levels =
-  match Hierarchy.check_exhaustive ~source ~levels () with
+  match Mapping.check_exhaustive ~source ~levels () with
   | Ok st ->
       Printf.sprintf "%s: OK (%d product states)" ok st.Mapping.product_states
   | Error e ->
       Printf.sprintf "%s FAILED at level %d (%s)" failed
-        e.Hierarchy.level_index e.Hierarchy.level_name
+        e.Mapping.level_index e.Mapping.level_name
 
 (* ------------------------------------------------------------------ *)
 (* the two managers: Section 4 and its interrupt-driven variant *)
@@ -142,8 +141,9 @@ let rm get =
     map =
       (fun () ->
         match
-          Mapping.check_exhaustive ~source:impl ~target:(RM.spec p)
-            (RM.mapping p) ()
+          Mapping.check_exhaustive ~source:impl
+            ~levels:[ { Mapping.target = RM.spec p; map = RM.mapping p } ]
+            ()
         with
         | Ok st ->
             Printf.sprintf
@@ -151,7 +151,7 @@ let rm get =
               st.Mapping.product_states st.Mapping.product_edges
         | Error e ->
             Format.asprintf "Lemma 4.3 mapping: FAILED@\n  %a"
-              (Mapping.pp_failure impl) e);
+              (Mapping.pp_failure impl) e.Mapping.failure);
   }
 
 let im get =

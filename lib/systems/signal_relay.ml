@@ -10,7 +10,6 @@ module Time_automaton = Tm_core.Time_automaton
 module Tstate = Tm_core.Tstate
 module Mapping = Tm_core.Mapping
 module Dummify = Tm_core.Dummify
-module Hierarchy = Tm_core.Hierarchy
 
 type act = Signal of int
 
@@ -191,13 +190,13 @@ let trivial_bottom _p =
   { Mapping.mname = "forget: B_0 -> B"; contains }
 
 let chain p =
-  let top = { Hierarchy.target = b_k p ~k:(p.n - 1); map = trivial_top p } in
+  let top = { Mapping.target = b_k p ~k:(p.n - 1); map = trivial_top p } in
   let middles =
     List.init (p.n - 1) (fun i ->
         let k = p.n - 1 - i in
-        { Hierarchy.target = b_k p ~k:(k - 1); map = f_k p ~k })
+        { Mapping.target = b_k p ~k:(k - 1); map = f_k p ~k })
   in
-  let bottom = { Hierarchy.target = spec p; map = trivial_bottom p } in
+  let bottom = { Mapping.target = spec p; map = trivial_bottom p } in
   (top :: middles) @ [ bottom ]
 
 let lemma_6_1 flags =

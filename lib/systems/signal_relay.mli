@@ -82,7 +82,7 @@ val trivial_top : params -> state Tm_core.Mapping.t
 val trivial_bottom : params -> state Tm_core.Mapping.t
 (** [B_0 → B]: forgets the boundmap components. *)
 
-val chain : params -> (state, dact) Tm_core.Hierarchy.level list
+val chain : params -> (state, dact) Tm_core.Mapping.level list
 (** The full hierarchy [time(Ã,b̃) → B_{n−1} → … → B_0 → B]. *)
 
 val delay_interval : params -> Tm_base.Interval.t

@@ -8,7 +8,6 @@ module Semantics = Tm_timed.Semantics
 module Time_automaton = Tm_core.Time_automaton
 module Tstate = Tm_core.Tstate
 module Mapping = Tm_core.Mapping
-module Hierarchy = Tm_core.Hierarchy
 
 type act = Pass of int
 
@@ -159,13 +158,13 @@ let trivial_top p =
   { Mapping.mname = "ring rename: time(A,b) -> B_{n-1}"; contains }
 
 let chain p =
-  let top = { Hierarchy.target = b_k p ~k:(p.n - 1); map = trivial_top p } in
+  let top = { Mapping.target = b_k p ~k:(p.n - 1); map = trivial_top p } in
   let middles =
     List.init
       (max 0 (p.n - 2))
       (fun i ->
         let k = p.n - 1 - i in
-        { Hierarchy.target = b_k p ~k:(k - 1); map = f_k p ~k })
+        { Mapping.target = b_k p ~k:(k - 1); map = f_k p ~k })
   in
-  let close = { Hierarchy.target = spec p; map = f_close p } in
+  let close = { Mapping.target = spec p; map = f_close p } in
   (top :: middles) @ [ close ]

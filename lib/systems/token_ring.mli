@@ -63,4 +63,4 @@ val f_close : params -> state Tm_core.Mapping.t
 val trivial_top : params -> state Tm_core.Mapping.t
 (** [time(A,b) -> B_{n-1}]. *)
 
-val chain : params -> (state, act) Tm_core.Hierarchy.level list
+val chain : params -> (state, act) Tm_core.Mapping.level list

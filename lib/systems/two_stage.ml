@@ -8,7 +8,6 @@ module Semantics = Tm_timed.Semantics
 module Time_automaton = Tm_core.Time_automaton
 module Tstate = Tm_core.Tstate
 module Mapping = Tm_core.Mapping
-module Hierarchy = Tm_core.Hierarchy
 
 type act = Start | Mid | Done
 
@@ -162,6 +161,6 @@ let stage_mapping p =
 
 let chain p =
   [
-    { Hierarchy.target = intermediate p; map = top_mapping p };
-    { Hierarchy.target = spec p; map = stage_mapping p };
+    { Mapping.target = intermediate p; map = top_mapping p };
+    { Mapping.target = spec p; map = stage_mapping p };
   ]

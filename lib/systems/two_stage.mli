@@ -68,7 +68,7 @@ val top_mapping : params -> state Tm_core.Mapping.t
     components into [u_mid_done] (the relay's [trivial_top]
     analogue). *)
 
-val chain : params -> (state, act) Tm_core.Hierarchy.level list
+val chain : params -> (state, act) Tm_core.Mapping.level list
 (** [impl -> intermediate -> spec]. *)
 
 val end_to_end_interval : params -> Tm_base.Interval.t

@@ -229,9 +229,13 @@ let col_mask = (1 lsl col_bits) - 1
    entries listed in [w].  Floyd–Warshall that relaxes only the listed
    entries: an entry outside the list is a shortest path already, so it
    neither changes nor needs to, and the relaxation order keeps
-   Floyd–Warshall's invariant for the listed ones.  O(n * |w|). *)
+   Floyd–Warshall's invariant for the listed ones.  Pivot 0 is skipped:
+   LU widening loosens (i, 0) whenever it loosens (i, j) to [Inf], and
+   (0, j) whenever it loosens (i, j) to [Lt (-U_j)], so the path through
+   clock 0 is never shorter than a listed entry (test_dbm_diff's
+   "settle: pivot 0 never tightens a widened entry").  O(n * |w|). *)
 let close_listed n m w nw =
-  for k = 0 to n - 1 do
+  for k = 1 to n - 1 do
     let rowk = k * n in
     for e = 0 to nw - 1 do
       let x = Array.unsafe_get w e in

@@ -53,9 +53,13 @@ let test_exact_interrupt_variant () =
 
 let test_thm_7_1_manager () =
   let f = Completeness.mapping analysis ~spec:(RM.spec p) in
-  match Mapping.check_exhaustive ~source:impl ~target:(RM.spec p) f () with
+  match
+    Mapping.check_exhaustive ~source:impl
+      ~levels:[ { Mapping.target = RM.spec p; map = f } ]
+      ()
+  with
   | Ok st -> Alcotest.(check bool) "nonempty" true (st.Mapping.product_states > 0)
-  | Error e -> Alcotest.failf "%a" (Mapping.pp_failure impl) e
+  | Error e -> Alcotest.failf "%a" (Mapping.pp_failure impl) e.Mapping.failure
 
 let test_thm_7_1_relay () =
   let rp = SR.params_of_ints ~n:2 ~d1:1 ~d2:2 in
@@ -64,9 +68,13 @@ let test_thm_7_1_relay () =
     Completeness.analyze ~source:rimpl ~conds:[| SR.u_cond rp ~k:0 |] ()
   in
   let f = Completeness.mapping a ~spec:(SR.spec rp) in
-  match Mapping.check_exhaustive ~source:rimpl ~target:(SR.spec rp) f () with
+  match
+    Mapping.check_exhaustive ~source:rimpl
+      ~levels:[ { Mapping.target = SR.spec rp; map = f } ]
+      ()
+  with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "%a" (Mapping.pp_failure rimpl) e
+  | Error e -> Alcotest.failf "%a" (Mapping.pp_failure rimpl) e.Mapping.failure
 
 let test_relay_exact_delay () =
   let rp = SR.params_of_ints ~n:4 ~d1:1 ~d2:3 in
@@ -151,7 +159,11 @@ let test_completeness_needs_truth () =
   let a = Completeness.analyze ~source:impl ~conds:[| tight |] () in
   let spec = TA.make (RM.system p) [ tight ] in
   let f = Completeness.mapping a ~spec in
-  match Mapping.check_exhaustive ~source:impl ~target:spec f () with
+  match
+    Mapping.check_exhaustive ~source:impl
+      ~levels:[ { Mapping.target = spec; map = f } ]
+      ()
+  with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "false spec must not admit a mapping"
 

@@ -4,7 +4,6 @@ module Interval = Tm_base.Interval
 module Prng = Tm_base.Prng
 module Tstate = Tm_core.Tstate
 module Mapping = Tm_core.Mapping
-module Hierarchy = Tm_core.Hierarchy
 module Condition = Tm_timed.Condition
 module Reach = Tm_zones.Reach
 module SR = Tm_systems.Signal_relay
@@ -31,33 +30,33 @@ let test_chain_structure () =
 let test_check_exec () =
   for seed = 0 to 20 do
     match
-      Hierarchy.check_exec ~source:impl ~levels:(SR.chain rp)
+      Mapping.check_exec ~source:impl ~levels:(SR.chain rp)
         (random_exec seed 50)
     with
     | Ok () -> ()
     | Error e ->
         Alcotest.failf "seed %d failed at level %d (%s)" seed
-          e.Hierarchy.level_index e.Hierarchy.level_name
+          e.Mapping.level_index e.Mapping.level_name
   done
 
 let test_check_exhaustive () =
-  match Hierarchy.check_exhaustive ~source:impl ~levels:(SR.chain rp) () with
+  match Mapping.check_exhaustive ~source:impl ~levels:(SR.chain rp) () with
   | Ok st ->
       Alcotest.(check bool) "nonempty" true (st.Mapping.product_states > 0);
       Alcotest.(check bool) "not truncated" false st.Mapping.truncated
   | Error e ->
-      Alcotest.failf "failed at level %d (%s)" e.Hierarchy.level_index
-        e.Hierarchy.level_name
+      Alcotest.failf "failed at level %d (%s)" e.Mapping.level_index
+        e.Mapping.level_name
 
 let test_n1_chain () =
   (* n = 1 degenerates to impl -> B0 -> B with no f_k levels *)
   let rp1 = SR.params_of_ints ~n:1 ~d1:1 ~d2:2 in
   Alcotest.(check int) "two levels" 2 (List.length (SR.chain rp1));
   match
-    Hierarchy.check_exhaustive ~source:(SR.impl rp1) ~levels:(SR.chain rp1) ()
+    Mapping.check_exhaustive ~source:(SR.impl rp1) ~levels:(SR.chain rp1) ()
   with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "n=1 chain failed (%s)" e.Hierarchy.level_name
+  | Error e -> Alcotest.failf "n=1 chain failed (%s)" e.Mapping.level_name
 
 let test_larger_n_exec () =
   let rp6 = SR.params_of_ints ~n:6 ~d1:1 ~d2:3 in
@@ -69,9 +68,9 @@ let test_larger_n_exec () =
        impl6)
       .Simulator.exec
   in
-  match Hierarchy.check_exec ~source:impl6 ~levels:(SR.chain rp6) e with
+  match Mapping.check_exec ~source:impl6 ~levels:(SR.chain rp6) e with
   | Ok () -> ()
-  | Error err -> Alcotest.failf "n=6 failed (%s)" err.Hierarchy.level_name
+  | Error err -> Alcotest.failf "n=6 failed (%s)" err.Mapping.level_name
 
 (* Failure injection: break one middle mapping (wrong hop count) and
    check the failure is localized to that level. *)
@@ -95,11 +94,11 @@ let test_broken_level_detected () =
   let levels =
     List.mapi
       (fun i lv ->
-        if i = 2 then { lv with Hierarchy.map = broken_f1 } else lv)
+        if i = 2 then { lv with Mapping.map = broken_f1 } else lv)
       (SR.chain rp)
   in
-  match Hierarchy.check_exhaustive ~source:impl ~levels () with
-  | Error e -> Alcotest.(check int) "failure at level 2" 2 e.Hierarchy.level_index
+  match Mapping.check_exhaustive ~source:impl ~levels () with
+  | Error e -> Alcotest.(check int) "failure at level 2" 2 e.Mapping.level_index
   | Ok _ -> Alcotest.fail "broken level must be detected"
 
 (* The mapping chain proves the end-to-end bound abstractly; the
@@ -165,7 +164,7 @@ let prop_chain_on_random_traces =
     QCheck2.Gen.(int_range 0 150)
     (fun seed ->
       match
-        Hierarchy.check_exec ~source:impl ~levels:(SR.chain rp)
+        Mapping.check_exec ~source:impl ~levels:(SR.chain rp)
           (random_exec seed 40)
       with
       | Ok () -> true

@@ -14,6 +14,9 @@ let impl = RM.impl p
 let spec = RM.spec p
 let f = RM.mapping p
 
+(* one mapping is a one-level chain *)
+let one target map = [ { Mapping.target; map } ]
+
 let random_exec seed steps =
   let prng = Prng.create seed in
   (Simulator.simulate ~steps
@@ -29,28 +32,32 @@ let test_start_witness () =
 
 let test_check_exec_ok () =
   for seed = 0 to 20 do
-    match Mapping.check_exec ~source:impl ~target:spec f (random_exec seed 60) with
+    match
+      Mapping.check_exec ~source:impl ~levels:(one spec f) (random_exec seed 60)
+    with
     | Ok () -> ()
     | Error e ->
-        Alcotest.failf "seed %d: %a" seed (Mapping.pp_failure impl) e
+        Alcotest.failf "seed %d: %a" seed (Mapping.pp_failure impl)
+          e.Mapping.failure
   done
 
 let test_check_exec_lazy_and_eager () =
   List.iter
     (fun strategy ->
       let e = (Simulator.simulate ~steps:100 ~strategy impl).Simulator.exec in
-      match Mapping.check_exec ~source:impl ~target:spec f e with
+      match Mapping.check_exec ~source:impl ~levels:(one spec f) e with
       | Ok () -> ()
-      | Error e -> Alcotest.failf "%a" (Mapping.pp_failure impl) e)
+      | Error e ->
+          Alcotest.failf "%a" (Mapping.pp_failure impl) e.Mapping.failure)
     [ Strategy.eager; Strategy.lazy_ ~cap:Rational.one () ]
 
 let test_check_exhaustive_ok () =
-  match Mapping.check_exhaustive ~source:impl ~target:spec f () with
+  match Mapping.check_exhaustive ~source:impl ~levels:(one spec f) () with
   | Ok st ->
       Alcotest.(check bool) "nonempty product" true
         (st.Mapping.product_states > 0);
       Alcotest.(check bool) "not truncated" false st.Mapping.truncated
-  | Error e -> Alcotest.failf "%a" (Mapping.pp_failure impl) e
+  | Error e -> Alcotest.failf "%a" (Mapping.pp_failure impl) e.Mapping.failure
 
 (* Failure injection: a mapping that claims tighter deadlines than the
    spec can honour must be rejected. *)
@@ -65,8 +72,8 @@ let test_broken_mapping_rejected () =
           Time.(u.Tstate.lt.(0) <= Time.add_q (Time.Fin u.Tstate.now) (q 1)));
     }
   in
-  match Mapping.check_exhaustive ~source:impl ~target:spec broken () with
-  | Error (Mapping.No_start_image _) -> ()
+  match Mapping.check_exhaustive ~source:impl ~levels:(one spec broken) () with
+  | Error { Mapping.failure = Mapping.No_start_image _; _ } -> ()
   | Error _ -> Alcotest.fail "expected a start-image failure"
   | Ok _ -> Alcotest.fail "broken mapping must fail"
 
@@ -88,9 +95,11 @@ let test_unpreserved_mapping_rejected () =
                     p.RM.l)));
     }
   in
-  match Mapping.check_exhaustive ~source:impl ~target:spec shallow () with
-  | Error (Mapping.Image_lost _) -> ()
-  | Error e -> Alcotest.failf "expected Image_lost, got %a" (Mapping.pp_failure impl) e
+  match Mapping.check_exhaustive ~source:impl ~levels:(one spec shallow) () with
+  | Error { Mapping.failure = Mapping.Image_lost _; _ } -> ()
+  | Error e ->
+      Alcotest.failf "expected Image_lost, got %a" (Mapping.pp_failure impl)
+        e.Mapping.failure
   | Ok _ -> Alcotest.fail "unpreserved mapping must fail"
 
 (* Against a spec with a too-tight upper bound, the paper mapping must
@@ -111,7 +120,7 @@ let test_tight_spec_rejected () =
         RM.g2 p;
       ]
   in
-  match Mapping.check_exhaustive ~source:impl ~target:tight f () with
+  match Mapping.check_exhaustive ~source:impl ~levels:(one tight f) () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "tight spec must be refuted"
 
@@ -134,15 +143,98 @@ let test_check_exec_detects_on_trace () =
        impl)
       .Simulator.exec
   in
-  match Mapping.check_exec ~source:impl ~target:tight f e with
+  match Mapping.check_exec ~source:impl ~levels:(one tight f) e with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "lazy trace should refute the tight spec"
+
+(* A two-level chain whose level-0 target (G1's upper bound shaved
+   from 10 to 8) cannot follow the manager: level 0 fails with a move
+   the target cannot fire, and the failure names the source's
+   pre-state of that move (the state the target witness stands
+   beside), not its post-state. *)
+let full = { Mapping.mname = "full relation"; contains = (fun _ _ -> true) }
+
+let tight_chain =
+  let tight =
+    TA.make (RM.system p)
+      [
+        Tm_timed.Condition.make ~name:"G1"
+          ~t_start:(fun _ -> true)
+          ~bounds:(Tm_base.Interval.of_ints 6 8)
+          ~in_pi:(fun a -> a = RM.Grant)
+          ();
+        RM.g2 p;
+      ]
+  in
+  [
+    { Mapping.target = tight; map = full }; { Mapping.target = spec; map = full };
+  ]
+
+let level0_not_enabled = function
+  | Error
+      {
+        Mapping.level_index = 0;
+        failure =
+          Mapping.Move_not_enabled { source_pre; target_pre; action; time };
+        _;
+      } ->
+      (source_pre, target_pre, action, time)
+  | Error e ->
+      Alcotest.failf "expected Move_not_enabled at level 0, got level %d: %a"
+        e.Mapping.level_index (Mapping.pp_failure impl) e.Mapping.failure
+  | Ok _ -> Alcotest.fail "the tight level must fail"
+
+(* the source pre-state and the target witness are the same moment of
+   the same run, and the move is one the source can take from it *)
+let check_pre_state (source_pre, target_pre, action, time) =
+  Alcotest.(check rational_t) "same now" target_pre.Tstate.now
+    source_pre.Tstate.now;
+  Alcotest.(check bool) "same base" true
+    (impl.TA.base.Tm_ioa.Ioa.equal_state target_pre.Tstate.base
+       source_pre.Tstate.base);
+  Alcotest.(check bool) "a source move from it" true
+    (TA.fire impl source_pre action time <> [])
+
+let test_chain_exec_reports_pre_state () =
+  (* the lazy adversary's first grant comes at 9 *)
+  let e =
+    (Simulator.simulate ~steps:60
+       ~strategy:(Strategy.lazy_ ~cap:Rational.one ())
+       impl)
+      .Simulator.exec
+  in
+  let ((source_pre, _, _, _) as failed) =
+    level0_not_enabled (Mapping.check_exec ~source:impl ~levels:tight_chain e)
+  in
+  check_pre_state failed;
+  (* the failing step is the last one of the shortest failing prefix *)
+  let rec first_failing i =
+    match
+      Mapping.check_exec ~source:impl ~levels:tight_chain
+        (Tm_ioa.Execution.prefix i e)
+    with
+    | Ok () -> first_failing (i + 1)
+    | Error _ -> i
+  in
+  let pre, _, _ =
+    List.nth (Tm_ioa.Execution.steps e) (first_failing 0 - 1)
+  in
+  Alcotest.(check bool) "the failing step's pre-state" true
+    (TA.equal_state impl pre source_pre)
+
+let test_chain_exhaustive_reports_pre_state () =
+  check_pre_state
+    (level0_not_enabled
+       (Mapping.check_exhaustive ~source:impl ~levels:tight_chain ()))
 
 let prop_random_exec_mapped =
   check_holds "mapping holds along random executions"
     QCheck2.Gen.(int_range 0 200)
     (fun seed ->
-      match Mapping.check_exec ~source:impl ~target:spec f (random_exec seed 40) with
+      match
+        Mapping.check_exec ~source:impl ~levels:(one spec f)
+          (random_exec seed 40)
+      with
       | Ok () -> true
       | Error _ -> false)
 
@@ -161,5 +253,9 @@ let suite =
       test_tight_spec_rejected;
     Alcotest.test_case "tight spec refuted on a lazy trace" `Quick
       test_check_exec_detects_on_trace;
+    Alcotest.test_case "chain failure names the pre-state (trace)" `Quick
+      test_chain_exec_reports_pre_state;
+    Alcotest.test_case "chain failure names the pre-state (exhaustive)" `Quick
+      test_chain_exhaustive_reports_pre_state;
     prop_random_exec_mapped;
   ]

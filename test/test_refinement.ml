@@ -49,8 +49,9 @@ let test_refinement_agrees_with_mapping () =
      the mapping-free refinement succeed, exploring comparable spaces *)
   match
     ( Refinement.check ~source:(RM.impl p) ~target:(RM.spec p) (),
-      Mapping.check_exhaustive ~source:(RM.impl p) ~target:(RM.spec p)
-        (RM.mapping p) () )
+      Mapping.check_exhaustive ~source:(RM.impl p)
+        ~levels:[ { Mapping.target = RM.spec p; map = RM.mapping p } ]
+        () )
   with
   | Ok r, Ok m ->
       Alcotest.(check int) "same product states" m.Mapping.product_states

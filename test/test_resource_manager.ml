@@ -129,13 +129,14 @@ let test_mapping_parameter_sweep () =
       let p = RM.params_of_ints ~k ~c1 ~c2 ~l in
       match
         Tm_core.Mapping.check_exhaustive ~source:(RM.impl p)
-          ~target:(RM.spec p) (RM.mapping p) ()
+          ~levels:[ { Tm_core.Mapping.target = RM.spec p; map = RM.mapping p } ]
+          ()
       with
       | Ok _ -> ()
       | Error e ->
           Alcotest.failf "k=%d c1=%d c2=%d l=%d: %a" k c1 c2 l
             (Tm_core.Mapping.pp_failure (RM.impl p))
-            e)
+            e.Tm_core.Mapping.failure)
     [ (1, 2, 2, 1); (2, 2, 3, 1); (3, 3, 5, 2); (5, 2, 3, 1); (4, 4, 4, 3) ]
 
 let test_structure () =

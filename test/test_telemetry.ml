@@ -1,7 +1,7 @@
 (* Tests for the live-telemetry layer: the monotonic process clock,
    the golden NDJSON event stream, reach-driven event smoke (with the
    determinism contract: stats identical with the sink on or off, at
-   any domain count), the Prometheus / NDJSON exporters under
+   any domain count), the Prometheus exporter under
    Gen.metric_updates scripts, the bench-diff drift engine, the
    stderr-only progress line, the phase profiler, and report
    provenance. *)
@@ -221,16 +221,6 @@ let apply_updates prefix updates =
             Metrics.set_max (Metrics.gauge (gname i)) v
       | Observe (i, s) -> Metrics.observe (Metrics.histogram (hname i)) s)
     updates
-
-let prop_ndjson_roundtrip =
-  check_holds ~count:60 "exporter: NDJSON round-trip is exact"
-    metric_updates (fun updates ->
-      let prefix = fresh "nd" in
-      apply_updates prefix updates;
-      let snap = snapshot_with_prefix prefix in
-      match Export.of_ndjson (Export.to_ndjson snap) with
-      | Error _ -> false
-      | Ok snap' -> Metrics.equal_snapshot snap snap')
 
 (* A sample line is NAME{labels} VALUE where NAME is [a-zA-Z0-9_:]+ and
    VALUE parses as a float; comment lines start with '#'. *)
@@ -503,7 +493,6 @@ let suite =
       test_attach_resets_sequence;
     Alcotest.test_case "events: reach stream well-formed, stats unchanged"
       `Quick test_reach_event_stream;
-    prop_ndjson_roundtrip;
     prop_prometheus_well_formed;
     Alcotest.test_case "exporter: Prometheus histogram shape" `Quick
       test_prometheus_histogram_shape;

@@ -3,7 +3,6 @@ module Time = Tm_base.Time
 module Prng = Tm_base.Prng
 module Semantics = Tm_timed.Semantics
 module Mapping = Tm_core.Mapping
-module Hierarchy = Tm_core.Hierarchy
 module Completeness = Tm_core.Completeness
 module Reach = Tm_zones.Reach
 module TR = Tm_systems.Token_ring
@@ -53,12 +52,12 @@ let test_chain_exhaustive () =
     (fun n ->
       let p = TR.params_of_ints ~n ~d1:1 ~d2:2 in
       match
-        Hierarchy.check_exhaustive ~source:(TR.impl p) ~levels:(TR.chain p) ()
+        Mapping.check_exhaustive ~source:(TR.impl p) ~levels:(TR.chain p) ()
       with
       | Ok _ -> ()
       | Error e ->
           Alcotest.failf "n=%d failed at level %d (%s)" n
-            e.Hierarchy.level_index e.Hierarchy.level_name)
+            e.Mapping.level_index e.Mapping.level_name)
     [ 2; 3; 4; 5 ]
 
 let test_exact_rotation () =
@@ -102,11 +101,11 @@ let test_broken_close_mapping () =
     List.mapi
       (fun i lv ->
         if i = List.length (TR.chain p) - 1 then
-          { lv with Hierarchy.map = broken }
+          { lv with Mapping.map = broken }
         else lv)
       (TR.chain p)
   in
-  match Hierarchy.check_exhaustive ~source:impl ~levels () with
+  match Mapping.check_exhaustive ~source:impl ~levels () with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "broken close mapping must be rejected"
 

@@ -3,7 +3,6 @@ module Time = Tm_base.Time
 module Prng = Tm_base.Prng
 module Semantics = Tm_timed.Semantics
 module Mapping = Tm_core.Mapping
-module Hierarchy = Tm_core.Hierarchy
 module Completeness = Tm_core.Completeness
 module Reach = Tm_zones.Reach
 module TS = Tm_systems.Two_stage
@@ -56,12 +55,12 @@ let test_zone_verdicts () =
   | _ -> Alcotest.fail "lower 4 > 3 must be refuted"
 
 let test_chain_exhaustive () =
-  match Hierarchy.check_exhaustive ~source:impl ~levels:(TS.chain p) () with
+  match Mapping.check_exhaustive ~source:impl ~levels:(TS.chain p) () with
   | Ok st ->
       Alcotest.(check bool) "nonempty" true (st.Mapping.product_states > 0)
   | Error e ->
-      Alcotest.failf "chain failed at level %d (%s)" e.Hierarchy.level_index
-        e.Hierarchy.level_name
+      Alcotest.failf "chain failed at level %d (%s)" e.Mapping.level_index
+        e.Mapping.level_name
 
 let test_exact_window () =
   let a =
@@ -96,12 +95,12 @@ let test_broken_stage_mapping () =
   in
   let levels =
     [
-      { Hierarchy.target = TS.intermediate p; map = TS.top_mapping p };
-      { Hierarchy.target = TS.spec p; map = broken };
+      { Mapping.target = TS.intermediate p; map = TS.top_mapping p };
+      { Mapping.target = TS.spec p; map = broken };
     ]
   in
-  match Hierarchy.check_exhaustive ~source:impl ~levels () with
-  | Error e -> Alcotest.(check int) "fails at stage level" 1 e.Hierarchy.level_index
+  match Mapping.check_exhaustive ~source:impl ~levels () with
+  | Error e -> Alcotest.(check int) "fails at stage level" 1 e.Mapping.level_index
   | Ok _ -> Alcotest.fail "broken stage mapping must be rejected"
 
 let prop_traces_satisfy =
