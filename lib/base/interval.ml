@@ -31,6 +31,21 @@ let scale n iv =
   if n < 1 then invalid_arg "Interval.scale: multiplier < 1";
   make (Rational.mul_int n iv.lo) (Time.mul_int n iv.hi)
 
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+let lcm_den k iv =
+  let lcm k q =
+    let d = q.Rational.den in
+    let m = k / gcd k d in
+    if m > max_int / d then
+      invalid_arg
+        (Printf.sprintf "time scale %d * %d overflows (constant %s)" m d
+           (Rational.to_string q));
+    m * d
+  in
+  let k = lcm k iv.lo in
+  match iv.hi with Time.Fin q -> lcm k q | Time.Inf -> k
+
 let width iv = Time.sub_q iv.hi iv.lo
 
 let equal a b = Rational.equal a.lo b.lo && Time.equal a.hi b.hi

@@ -41,6 +41,14 @@ val shift : Rational.t -> t -> t
 val scale : int -> t -> t
 (** [scale n iv] is [[n*lo, n*hi]] for [n >= 1]. *)
 
+val lcm_den : int -> t -> int
+(** [lcm_den k iv] for [k >= 1]: the least common multiple of [k] and
+    the denominators of [iv]'s finite endpoints — the least multiple of
+    [k] that scales [iv] to integers.  Fold it over a job's intervals
+    for the job's time scale.
+    @raise Invalid_argument ["time scale m * d overflows (constant q)"]
+    when that multiple exceeds [max_int]. *)
+
 val width : t -> Time.t
 val equal : t -> t -> bool
 val subset : t -> t -> bool

@@ -13,17 +13,11 @@ type params = {
   deadline_s : float option;
 }
 
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-let lcm a b = a / gcd a b * b
-
 let default_params (aut : ('s, 'a) Time_automaton.t) =
   let denominator =
     Array.fold_left
-      (fun acc (c : ('s, 'a) Condition.t) ->
-        let acc = lcm acc (Interval.lo c.Condition.bounds).Rational.den in
-        match Interval.hi c.Condition.bounds with
-        | Time.Fin q -> lcm acc q.Rational.den
-        | Time.Inf -> acc)
+      (fun k (c : ('s, 'a) Condition.t) ->
+        Interval.lcm_den k c.Condition.bounds)
       1 aut.Time_automaton.conds
   in
   let m = Time_automaton.max_constant aut in

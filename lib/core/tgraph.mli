@@ -24,7 +24,9 @@ type params = {
 
 val default_params : ('s, 'a) Time_automaton.t -> params
 (** Grid from the denominators of all bound constants; [cap] and
-    [clamp] from the largest constant. *)
+    [clamp] from the largest constant.
+    @raise Invalid_argument when the grid's denominator exceeds
+    [max_int] ({!Tm_base.Interval.lcm_den}). *)
 
 type ('s, 'a) t = {
   aut : ('s, 'a) Time_automaton.t;

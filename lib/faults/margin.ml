@@ -204,18 +204,18 @@ let report ?(eps_max = 8) ?(stable = 12) ?(max_probes = 96) ?(domains = 1)
 
 let probe_engine ~name:_ (e : (module Reach.S)) = e
 
-let condition_status (module E : Reach.S) ?limit ?deadline_s a c bm =
-  match E.check_condition ?limit ?deadline_s a bm c with
-  | Reach.Verified _ -> Sat
-  | Reach.Lower_violation _ | Reach.Upper_violation _ -> Unsat
-  | Reach.Unknown e -> Unknown e.Reach.reason
-  | Reach.Unsupported m -> Unknown ("unsupported: " ^ m)
+let status (module E : Reach.S) ?limit ?deadline_s a prop bm =
+  match E.check ?limit ?deadline_s a bm prop with
+  | Ok (Reach.Verified _) -> Sat
+  | Ok (Reach.Lower_violation _ | Reach.Upper_violation _) | Error _ -> Unsat
+  | Ok (Reach.Unknown e) -> Unknown e.Reach.reason
+  | Ok (Reach.Unsupported m) -> Unknown ("unsupported: " ^ m)
 
-let invariant_status (module E : Reach.S) ?limit ?deadline_s a pred bm =
-  match E.check_state_invariant ?limit ?deadline_s a bm pred with
-  | Ok _ -> Sat
-  | Error _ -> Unsat
-  | exception Reach.Out_of_budget e -> Unknown e.Reach.reason
+let condition_status e ?limit ?deadline_s a c =
+  status e ?limit ?deadline_s a (Reach.Condition c)
+
+let invariant_status e ?limit ?deadline_s a pred =
+  status e ?limit ?deadline_s a (Reach.Invariant pred)
 
 let pp_verdict fmt v =
   if v.refuted_at = None then

@@ -95,11 +95,24 @@ val probe_engine :
     engine needs replacing.  Kept only because the perfbench probe
     (perfbench/probe/probe.ml) still calls it. *)
 
-(** {1 Property checks}
+(** {1 Property checks} *)
 
-    Adapters from the zone engine to [check] functions; pick the engine
-    as a first-class module so margins can be cross-checked between
-    kernels. *)
+val status :
+  (module Tm_zones.Reach.S) ->
+  ?limit:int ->
+  ?deadline_s:float ->
+  ('s, 'a) Tm_ioa.Ioa.t ->
+  ('s, 'a) Tm_zones.Reach.property ->
+  Tm_timed.Boundmap.t ->
+  status
+(** [status (module E) a prop] is a [check] for {!report}: [E.check] of
+    [prop] under a boundmap — [Sat] if verified, [Unsat] if refuted,
+    [Unknown] with the reason on an exhausted budget or an unsupported
+    condition shape.  The engine is a first-class module so margins can
+    be cross-checked between kernels. *)
+
+(** {!status} of a condition and of an invariant, kept for the
+    perfbench probe. *)
 
 val condition_status :
   (module Tm_zones.Reach.S) ->

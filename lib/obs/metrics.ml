@@ -260,10 +260,8 @@ let observe_seconds h s =
   let us = int_of_float (Float.round (s *. 1e6)) in
   observe h (Rational.make us 1_000_000)
 
-(* Nearest-rank quantile — kept in lockstep with Measure.quantile so
-   the two agree exactly on the same sample list. *)
-let quantile_of_samples samples p =
-  if p < 0.0 || p > 1.0 then invalid_arg "Metrics.quantile";
+let quantile_of_samples ~who samples p =
+  if p < 0.0 || p > 1.0 then invalid_arg who;
   match List.sort Rational.compare samples with
   | [] -> None
   | sorted ->
@@ -281,7 +279,8 @@ let all_samples h =
       match k with None -> acc | Some k -> List.rev_append k.ksamples acc)
     h.samples h.hslots
 
-let quantile h p = quantile_of_samples (all_samples h) p
+let quantile h p =
+  quantile_of_samples ~who:"Metrics.quantile" (all_samples h) p
 
 (* ------------------------------------------------------------------ *)
 (* snapshots *)
@@ -332,7 +331,7 @@ let hist_snapshot h =
       let samples = all_samples h in
       List.filter_map
         (fun (lbl, p) ->
-          match quantile_of_samples samples p with
+          match quantile_of_samples ~who:"Metrics.quantile" samples p with
           | Some q -> Some (lbl, q)
           | None -> None)
         [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ]

@@ -98,9 +98,16 @@ val observe_seconds : histogram -> float -> unit
 (** Observe a float duration in seconds, rounded to microseconds and
     recorded as the exact rational [us/1_000_000]. *)
 
+val quantile_of_samples :
+  who:string -> Rational.t list -> float -> Rational.t option
+(** [quantile_of_samples ~who samples p] for [0 <= p <= 1]: the
+    nearest-rank quantile of [samples] (exact, no interpolation), [None]
+    on an empty list — the one definition behind {!quantile} and
+    [Tm_sim.Measure.quantile].
+    @raise Invalid_argument [who] unless [0 <= p <= 1]. *)
+
 val quantile : histogram -> float -> Rational.t option
-(** Nearest-rank quantile over the retained samples — the same
-    definition as {!Tm_sim.Measure.quantile}.  At most
+(** {!quantile_of_samples} over the retained samples.  At most
     {!sample_cap} samples are retained (further observations still
     count in the buckets); [None] on an empty histogram.
     @raise Invalid_argument unless [0 <= p <= 1]. *)

@@ -66,32 +66,28 @@ type outcome =
 let check_job (type s a) (module E : Reach.S) ~label
     (v : (s, a) Registry.verified) (check : (s, a) Registry.check) =
   let sys = v.Registry.system and bm = v.Registry.boundmap in
-  let condition c ~limit ~deadline_s ~domains:_ ~checkpoint ~resume =
-    match E.check_condition ?limit ?deadline_s ?checkpoint ?resume sys bm c with
-    | Reach.Verified stats ->
-        Ok (Verified { bounds = c.Condition.bounds; stats })
-    | Reach.Lower_violation st -> Ok (Lower_violation st)
-    | Reach.Upper_violation st -> Ok (Upper_violation st)
-    | Reach.Unsupported m -> Ok (Unsupported m)
-    | Reach.Unknown e -> Error e
+  let prop, fingerprint =
+    match check with
+    | Registry.Cond c ->
+        (Reach.Condition c, E.fingerprint sys bm (Reach.Condition c))
+    | Registry.Inv { pred; _ } ->
+        (Reach.Invariant pred, E.fingerprint sys bm (Reach.Invariant pred))
+    | Registry.Note { label; cond; _ } ->
+        (Reach.Condition cond, "informational:" ^ label)
   in
-  let invariant pred ~limit ~deadline_s ~domains:_ ~checkpoint ~resume =
-    match
-      E.check_state_invariant ?limit ?deadline_s ?checkpoint ?resume sys bm
-        pred
-    with
-    | Ok st -> Ok (Invariant_ok st)
+  let exec ~limit ~deadline_s ~domains:_ ~checkpoint ~resume =
+    match E.check ?limit ?deadline_s ?checkpoint ?resume sys bm prop with
+    | Ok (Reach.Verified stats) -> (
+        match prop with
+        | Reach.Condition c ->
+            Ok (Verified { bounds = c.Condition.bounds; stats })
+        | Reach.Invariant _ -> Ok (Invariant_ok stats))
+    | Ok (Reach.Lower_violation st) -> Ok (Lower_violation st)
+    | Ok (Reach.Upper_violation st) -> Ok (Upper_violation st)
+    | Ok (Reach.Unsupported m) -> Ok (Unsupported m)
+    | Ok (Reach.Unknown e) -> Error e
     | Error s ->
         Ok (Invariant_violated (Format.asprintf "%a" sys.Ioa.pp_state s))
-    | exception Reach.Out_of_budget e -> Error e
-  in
-  let fingerprint, exec =
-    match check with
-    | Registry.Cond c -> (E.fingerprint_condition sys bm c, condition c)
-    | Registry.Inv { pred; _ } ->
-        (E.fingerprint_invariant sys bm, invariant pred)
-    | Registry.Note { label; cond; _ } ->
-        ("informational:" ^ label, condition cond)
   in
   {
     label = Registry.check_label label check;
@@ -143,25 +139,22 @@ let margin_reports (module E : Reach.S) ?limit ?deadline_s ~domains
   | Registry.Verified v ->
       List.filter_map
         (fun check ->
-          let prop subject status =
-            Some (Margin.report ~domains ~subject ~check:status v.boundmap)
+          let report subject prop =
+            let check =
+              Margin.status (module E) ?limit ?deadline_s v.system prop
+            in
+            Some (Margin.report ~domains ~subject ~check v.boundmap)
           in
           match check with
           | Registry.Cond c ->
-              prop
+              report
                 (Printf.sprintf "%s %s %s" model.label c.Condition.cname
                    (Interval.to_string c.Condition.bounds))
-                (fun bm' ->
-                  Margin.condition_status
-                    (module E)
-                    ?limit ?deadline_s v.system c bm')
+                (Reach.Condition c)
           | Registry.Inv { label; pred; _ } ->
-              prop
+              report
                 (Printf.sprintf "%s %s (invariant)" model.label label)
-                (fun bm' ->
-                  Margin.invariant_status
-                    (module E)
-                    ?limit ?deadline_s v.system pred bm')
+                (Reach.Invariant pred)
           | Registry.Note _ -> None)
         v.checks
 
@@ -177,7 +170,8 @@ let margin_fingerprint (module E : Reach.S) (v : _ Registry.verified) ~limit
     | Registry.Inv { label; _ } -> Some (label ^ ":invariant")
     | Registry.Note _ -> None
   in
-  E.fingerprint_invariant v.Registry.system v.Registry.boundmap
+  E.fingerprint v.Registry.system v.Registry.boundmap
+    (Reach.Invariant (fun _ -> true))
   ^ "|serve=margin|props="
   ^ String.concat "," (List.filter_map prop_name v.Registry.checks)
   ^ budget_suffix ~limit ~deadline_s

@@ -55,16 +55,7 @@ let pp_envelope fmt e =
     e.min Rational.pp e.max e.mean
 
 let quantile samples p =
-  if p < 0.0 || p > 1.0 then invalid_arg "Measure.quantile";
-  match List.sort Rational.compare samples with
-  | [] -> None
-  | sorted ->
-      let n = List.length sorted in
-      let rank =
-        Stdlib.min (n - 1)
-          (Stdlib.max 0 (int_of_float (ceil (p *. float_of_int n)) - 1))
-      in
-      Some (List.nth sorted rank)
+  Tm_obs.Metrics.quantile_of_samples ~who:"Measure.quantile" samples p
 
 let summary samples =
   match envelope samples with

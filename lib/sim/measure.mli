@@ -40,7 +40,8 @@ val pp_envelope : Format.formatter -> envelope -> unit
 
 val quantile : Tm_base.Rational.t list -> float -> Tm_base.Rational.t option
 (** [quantile samples p] for [0 <= p <= 1]: the nearest-rank quantile of
-    the sample (exact, no interpolation). [None] on an empty sample. *)
+    the sample (exact, no interpolation), [None] on an empty sample —
+    {!Tm_obs.Metrics.quantile_of_samples}. *)
 
 val summary : Tm_base.Rational.t list -> string
 (** One-line human summary: count, min, p50, p90, max. *)

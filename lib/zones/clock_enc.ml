@@ -133,15 +133,7 @@ let lu_bounds enc ~observer =
     observer;
   (lower, upper)
 
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-let lcm a b = a / gcd a b * b
-
 let scale enc =
   Array.fold_left
-    (fun acc c ->
-      let iv = Boundmap.find enc.bm c in
-      let acc = lcm acc (Interval.lo iv).Rational.den in
-      match Interval.hi iv with
-      | Time.Fin q -> lcm acc q.Rational.den
-      | Time.Inf -> acc)
+    (fun k c -> Interval.lcm_den k (Boundmap.find enc.bm c))
     1 enc.classes

@@ -70,4 +70,6 @@ val lu_bounds :
 
 val scale : ('s, 'a) t -> int
 (** The lcm of the denominators of all bound constants: multiplying
-    constants by [scale] makes them integers (used by {!Region}). *)
+    constants by [scale] makes them integers (used by {!Region}).
+    @raise Invalid_argument when it exceeds [max_int]
+    ({!Tm_base.Interval.lcm_den}). *)

@@ -55,7 +55,7 @@ type phase = Idle | Armed
    or an armed zone that may pass its deadline. *)
 exception Refuted of [ `Lower | `Upper ]
 
-(* The no-op observer of the observer-free checks ([explore_states]):
+(* The no-op observer of an invariant's search:
    phases never change and the observer clock is untouched.  The result
    values are preallocated — this runs once per explored edge. *)
 let keep_idle = Ok (Idle, `Keep)
@@ -74,24 +74,12 @@ let keep_phase p _ _ _ ~sat:_ =
    passes through untouched.  Scaling uses checked arithmetic and fails
    with [Invalid_argument] — there is no fallback kernel. *)
 let time_scale bm cond_bounds =
-  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
-  let lcm k q =
-    let d = q.Rational.den in
-    let m = k / gcd k d in
-    if m > max_int / d then
-      invalid_arg
-        (Printf.sprintf "Reach: time scale %d * %d overflows (constant %s)" m
-           d (Rational.to_string q));
-    m * d
+  let lcm k iv =
+    try Interval.lcm_den k iv
+    with Invalid_argument m -> invalid_arg ("Reach: " ^ m)
   in
-  let of_interval k iv =
-    let k = lcm k (Interval.lo iv) in
-    match Interval.hi iv with Time.Fin q -> lcm k q | Time.Inf -> k
-  in
-  let k =
-    List.fold_left (fun k (_, iv) -> of_interval k iv) 1 (Boundmap.to_list bm)
-  in
-  match cond_bounds with None -> k | Some iv -> of_interval k iv
+  let k = List.fold_left (fun k (_, iv) -> lcm k iv) 1 (Boundmap.to_list bm) in
+  match cond_bounds with None -> k | Some iv -> lcm k iv
 
 let scale_interval k iv =
   if k = 1 then iv
@@ -105,7 +93,16 @@ let scale_interval k iv =
 let scale_boundmap k bm =
   if k = 1 then bm else Boundmap.map (fun _ iv -> scale_interval k iv) bm
 
+type ('s, 'a) property = ('s, 'a) Certificate.property =
+  | Invariant of ('s -> bool)
+  | Condition of ('s, 'a) Condition.t
+
 module type S = sig
+  val check :
+    ?limit:int -> ?deadline_s:float -> ?checkpoint:string * int ->
+    ?resume:string ->
+    ('s, 'a) Ioa.t -> Boundmap.t -> ('s, 'a) property -> (outcome, 's) result
+
   val reachable :
     ?limit:int -> ?deadline_s:float -> ?domains:int ->
     ?checkpoint:string * int -> ?resume:string ->
@@ -121,12 +118,24 @@ module type S = sig
     ?checkpoint:string * int -> ?resume:string ->
     ('s, 'a) Ioa.t -> Boundmap.t -> ('s, 'a) Condition.t -> outcome
 
+  val fingerprint : ('s, 'a) Ioa.t -> Boundmap.t -> ('s, 'a) property -> string
   val fingerprint_reachable : ('s, 'a) Ioa.t -> Boundmap.t -> string
+end
 
-  val fingerprint_invariant : ('s, 'a) Ioa.t -> Boundmap.t -> string
+(* An engine's core: one search for any property.  [certificate] sees
+   a positive verdict's certificate and [reached] the states with a
+   stored zone; [reached] also makes an invariant's search a
+   reachability run, with its own span and fingerprint kind.  {!Engine}
+   derives everything in [S] from it. *)
+module type CORE = sig
+  val check :
+    ?limit:int -> ?deadline_s:float -> ?checkpoint:string * int ->
+    ?resume:string -> ?certificate:('s Certificate.t -> unit) ->
+    ?reached:('s list -> unit) ->
+    ('s, 'a) Ioa.t -> Boundmap.t -> ('s, 'a) property -> (outcome, 's) result
 
-  val fingerprint_condition :
-    ('s, 'a) Ioa.t -> Boundmap.t -> ('s, 'a) Condition.t -> string
+  val fingerprint : ('s, 'a) Ioa.t -> Boundmap.t -> ('s, 'a) property -> string
+  val fingerprint_reachable : ('s, 'a) Ioa.t -> Boundmap.t -> string
 end
 
 (* The exploration discipline — waiting-list policy, subsumption,
@@ -135,7 +144,7 @@ end
    differs.  That makes [zones.stored] identical across kernels by
    construction, which the CI determinism guard and the differential
    harness both rely on. *)
-module Make (K : Dbm_sig.S) = struct
+module Core (K : Dbm_sig.S) : CORE = struct
   (* The zone engine's view of the encoding: the shared class clocks of
      {!Clock_enc} (logical clocks 1..n, 0 is the reference), plus an
      optional observer clock n+1.  A zone's own indices are those of
@@ -230,21 +239,29 @@ module Make (K : Dbm_sig.S) = struct
          (fun f (c, iv) -> Format.fprintf f "%s:%a" c Interval.pp iv))
       (Boundmap.to_list bm)
 
-  let cond_kind (c : _ Condition.t) =
-    Format.asprintf "condition:%s:%a" c.Condition.cname Interval.pp
-      c.Condition.bounds
+  let cond_bounds = function
+    | Invariant _ -> None
+    | Condition c -> Some c.Condition.bounds
+
+  (* A search's span, its arguments and its fingerprint kind;
+     [reached] marks a reachability run. *)
+  let job ~reached = function
+    | Invariant _ when reached -> ("zones.reachable", [], "reachable")
+    | Invariant _ -> ("zones.check_state_invariant", [], "invariant")
+    | Condition c ->
+        ( "zones.check_condition",
+          [ ("cond", c.Condition.cname) ],
+          Format.asprintf "condition:%s:%a" c.Condition.cname Interval.pp
+            c.Condition.bounds )
+
+  let fingerprint_job ~reached a bm prop =
+    let _, _, kind = job ~reached prop in
+    fingerprint_of ~kind bm (make_enc a bm ~cond_bounds:(cond_bounds prop))
+
+  let fingerprint a bm prop = fingerprint_job ~reached:false a bm prop
 
   let fingerprint_reachable a bm =
-    fingerprint_of ~kind:"reachable" bm
-      (make_enc a bm ~cond_bounds:None)
-
-  let fingerprint_invariant a bm =
-    fingerprint_of ~kind:"invariant" bm
-      (make_enc a bm ~cond_bounds:None)
-
-  let fingerprint_condition a bm c =
-    fingerprint_of ~kind:(cond_kind c) bm
-      (make_enc a bm ~cond_bounds:(Some c.Condition.bounds))
+    fingerprint_job ~reached:true a bm (Invariant (fun _ -> true))
 
   (* A record of the hash-consing store: a distinct stored matrix [z]
      and its minimal-constraint form [zmin], reduced once, when [z]'s
@@ -1175,56 +1192,9 @@ module Make (K : Dbm_sig.S) = struct
     in
     result
 
-  (* The driver shared by the two observer-free checks: no observer
-     clock, every phase [Idle], [visit] sees each stored state. *)
-  let explore_states ~span ~kind ?limit ?deadline_s ?checkpoint ?resume
-      ?certificate (a : ('s, 'a) Ioa.t) bm (visit : 's -> unit) =
-    Tracing.with_span span @@ fun () ->
-    let enc = make_enc a bm ~cond_bounds:None in
-    let fingerprint = lazy (fingerprint_of ~kind bm enc) in
-    match
-      explore ?limit ?deadline_s ?checkpoint ?resume ~fingerprint enc
-        ~initial_phase:(fun _ -> Idle)
-        ~observe:keep_phase
-        ~inspect:(fun _ s _ _ -> visit s)
-    with
-    | Ok (stats, stored_states, cert) ->
-        Option.iter (fun f -> f (cert ())) certificate;
-        (stats, stored_states)
-    | Error (`Unsupported m) -> raise (Open_system m)
-    | Error (`Budget e) -> raise (Out_of_budget e)
-    | Error (`Refuted _) ->
-        (* [keep_phase] never probes and [visit] raises its own *)
-        assert false
-
-  let reachable ?limit ?deadline_s ?checkpoint ?resume ?certificate a bm =
-    let stats, stored_states =
-      explore_states ~span:"zones.reachable" ~kind:"reachable" ?limit
-        ?deadline_s ?checkpoint ?resume ?certificate a bm ignore
-    in
-    (stats, stored_states ())
-
-  let check_state_invariant (type s) ?limit ?deadline_s ?checkpoint ?resume
-      ?certificate (a : (s, _) Ioa.t) bm pred =
-    let exception Found of s in
-    match
-      explore_states ~span:"zones.check_state_invariant" ~kind:"invariant"
-        ?limit ?deadline_s ?checkpoint ?resume ?certificate a bm
-        (fun s ->
-          if not (pred s) then raise (Found s))
-    with
-    | stats, _ -> Ok stats
-    | exception Found s -> Error s
-
-  let check_condition ?limit ?deadline_s ?checkpoint ?resume ?certificate
-      (a : ('s, 'a) Ioa.t) bm (c : ('s, 'a) Condition.t) =
-    Tracing.with_span "zones.check_condition"
-      ~args:[ ("cond", c.Condition.cname) ]
-    @@ fun () ->
-    let enc =
-      make_enc a bm ~cond_bounds:(Some c.Condition.bounds)
-    in
-    let fingerprint = lazy (fingerprint_of ~kind:(cond_kind c) bm enc) in
+  (* A condition's observer (see reach.mli): [initial_phase], [observe]
+     and [inspect] for {!explore}. *)
+  let condition_observer enc (c : _ Condition.t) =
     let y = match enc.y with Some y -> y | None -> assert false in
     let bounds = scale_interval enc.scale c.Condition.bounds in
     let bl = Interval.lo bounds in
@@ -1260,82 +1230,123 @@ module Make (K : Dbm_sig.S) = struct
           if K.sat z 0 pos.(y) probe then raise (Refuted `Upper)
       | Armed, None | Idle, _ -> ()
     in
+    let initial_phase s0 = if c.Condition.t_start s0 then Armed else Idle in
+    (initial_phase, observe, inspect)
+
+  let check (type s a) ?limit ?deadline_s ?checkpoint ?resume ?certificate
+      ?reached (a : (s, a) Ioa.t) bm (prop : (s, a) property) :
+      (outcome, s) result =
+    let span, args, kind = job ~reached:(reached <> None) prop in
+    Tracing.with_span span ~args @@ fun () ->
+    let enc = make_enc a bm ~cond_bounds:(cond_bounds prop) in
+    let fingerprint = lazy (fingerprint_of ~kind bm enc) in
+    let exception Found of s in
+    let initial_phase, observe, inspect =
+      match prop with
+      | Invariant pred ->
+          ( (fun _ -> Idle),
+            keep_phase,
+            fun _ s _ _ -> if not (pred s) then raise (Found s) )
+      | Condition c -> condition_observer enc c
+    in
     match
       explore ?limit ?deadline_s ?checkpoint ?resume ~fingerprint enc
-        ~initial_phase:(fun s0 ->
-          if c.Condition.t_start s0 then Armed else Idle)
-        ~observe ~inspect
+        ~initial_phase ~observe ~inspect
     with
-    | Ok (stats, _, cert) ->
+    | Ok (stats, stored_states, cert) ->
         Option.iter (fun f -> f (cert ())) certificate;
-        Verified stats
-    | Error (`Unsupported m) -> Unsupported m
-    | Error (`Budget e) -> Unknown e
-    | Error (`Refuted (`Lower, st)) -> Lower_violation st
-    | Error (`Refuted (`Upper, st)) -> Upper_violation st
+        Option.iter (fun f -> f (stored_states ())) reached;
+        Ok (Verified stats)
+    | Error (`Unsupported m) -> Ok (Unsupported m)
+    | Error (`Budget e) -> Ok (Unknown e)
+    | Error (`Refuted (`Lower, st)) -> Ok (Lower_violation st)
+    | Error (`Refuted (`Upper, st)) -> Ok (Upper_violation st)
+    | exception Found s -> Error s
+end
 
-  (* The entry points above also hand a positive verdict's certificate
-     to [?certificate]; [S] (and so every engine outside this file)
-     sees them without it, and with the ignored [?domains]. *)
-  module Certifying = struct
-    let reachable = reachable
-    let check_state_invariant = check_state_invariant
-    let check_condition = check_condition
-  end
+(* Every engine's [S], derived once from its core.  The trio is [check]
+   under the conventions its pinned callers expect, and the only place
+   an exhausted search raises [Out_of_budget] (and an invariant's
+   unsupported search [Open_system]). *)
+module Engine (C : CORE) : S = struct
+  include C
+
+  let check ?limit ?deadline_s ?checkpoint ?resume a bm prop =
+    C.check ?limit ?deadline_s ?checkpoint ?resume a bm prop
+
+  let invariant ?limit ?deadline_s ?checkpoint ?resume ?reached a bm pred =
+    match
+      C.check ?limit ?deadline_s ?checkpoint ?resume ?reached a bm
+        (Invariant pred)
+    with
+    | Ok (Verified stats) -> Ok stats
+    | Error s -> Error s
+    | Ok (Unknown e) -> raise (Out_of_budget e)
+    | Ok (Unsupported m) -> raise (Open_system m)
+    | Ok (Lower_violation _ | Upper_violation _) ->
+        assert false (* an invariant's search has no observer *)
 
   let reachable ?limit ?deadline_s ?domains:_ ?checkpoint ?resume a bm =
-    reachable ?limit ?deadline_s ?checkpoint ?resume a bm
+    let states = ref [] in
+    match
+      invariant ?limit ?deadline_s ?checkpoint ?resume
+        ~reached:(( := ) states) a bm (fun _ -> true)
+    with
+    | Ok stats -> (stats, !states)
+    | Error _ -> assert false
 
   let check_state_invariant ?limit ?deadline_s ?domains:_ ?checkpoint ?resume
       a bm pred =
-    check_state_invariant ?limit ?deadline_s ?checkpoint ?resume a bm pred
+    invariant ?limit ?deadline_s ?checkpoint ?resume a bm pred
 
   let check_condition ?limit ?deadline_s ?domains:_ ?checkpoint ?resume a bm c
       =
-    check_condition ?limit ?deadline_s ?checkpoint ?resume a bm c
+    match check ?limit ?deadline_s ?checkpoint ?resume a bm (Condition c) with
+    | Ok o -> o
+    | Error _ -> assert false (* only an invariant has a violating state *)
 end
+
+module Make (K : Dbm_sig.S) = Engine (Core (K))
 
 (* The production engine: the packed-int kernel, every job scaled to
    integers by [make_enc].  [Ref] runs the same exploration unscaled on
    exact rationals, so every int-vs-ref differential also checks the
    scaling. *)
-module Auto = Make (Dbm_int)
-module Ref = Make (Dbm_ref)
+module Auto_core = Core (Dbm_int)
+module Ref_core = Core (Dbm_ref)
+module Auto = Engine (Auto_core)
+module Ref = Engine (Ref_core)
 
 (* Test hooks; see reach.mli. *)
 module For_testing = struct
   let corrupt_certificate = ref false
   let reset () = corrupt_certificate := false
 
-  let certificate (type s a) kernel (a : (s, a) Ioa.t) bm
-      (prop : (s, a) Certificate.property) =
+  let certificate kernel a bm prop =
     let cert = ref None in
-    let certificate c = cert := Some c in
-    let inv, cond =
-      match kernel with
-      | `Int -> Auto.Certifying.(check_state_invariant, check_condition)
-      | `Ref -> Ref.Certifying.(check_state_invariant, check_condition)
+    let check =
+      match kernel with `Int -> Auto_core.check | `Ref -> Ref_core.check
     in
-    (match prop with
-    | Certificate.Invariant p -> ignore (inv ~certificate a bm p)
-    | Certificate.Condition c -> ignore (cond ~certificate a bm c));
+    ignore (check ~certificate:(fun c -> cert := Some c) a bm prop);
     !cert
 end
 
 (* Paranoid engine: the production exploration with its verdict
    checked after the fact; see reach.mli.  The kernel is {!Dbm_int}
    under its own name, so fingerprints keep paranoid checkpoints and
-   cached daemon verdicts apart from [auto] ones.  A {!Ref} rerun
-   starts fresh — a snapshot of the (suspect) int run must not seed it,
-   so a [limit] given with [resume] bounds it from zero — within what is
+   cached daemon verdicts apart from [auto] ones.  A {!Ref} run starts
+   fresh — a snapshot of the (suspect) int run must not seed it, so a
+   [limit] given with [resume] bounds it from zero — within what is
    left of the deadline, and writes no checkpoint: its snapshots would
    carry {!Ref}'s fingerprint, which a retry of this engine refuses. *)
-module Paranoid : S = struct
-  module P = Make (struct
+module Paranoid = Engine (struct
+  module P = Core (struct
     include Dbm_int
 
     let name = "int+cert"
   end)
+
+  include P
 
   let c_checked = Metrics.counter "recover.selfcheck_total"
   let c_mismatch = Metrics.counter "recover.selfcheck_mismatch"
@@ -1347,32 +1358,42 @@ module Paranoid : S = struct
       (Option.value deadline_s ~default:0. *. 1000.)
       stage
 
-  (* One checked call.  [run_int sink] is the int engine's run, [sink]
-     seeing a positive verdict's certificate; [run_ref d] the {!Ref} run
-     with deadline [d], an exhausted one raising [Out_of_budget].
-     [claim] reads what the int outcome claims: [`Proof stats] — the
-     certificate must pass; [`Refutation same] — the {!Ref} run's
-     outcome must satisfy [same]; [`Nothing] — nothing.  A failed check
-     answers with the {!Ref} run's outcome.  A check or confirming run
-     the deadline cuts short confirms nothing and raises
-     [Out_of_budget]. *)
-  let checked what a bm prop ~deadline_s ~claim run_int run_ref =
+  (* The int engine's verdict decides what to check: a proof, its
+     certificate; a refutation, that a {!Ref} run returns the same
+     violating state (an invariant) or the same outcome (a condition).
+     A failed check answers with the {!Ref} run's verdict.  A check or
+     confirming run the deadline cuts short confirms nothing and ends
+     [Unknown]. *)
+  let check ?limit ?deadline_s ?checkpoint ?resume ?certificate ?reached
+      (a : (_, _) Ioa.t) bm prop =
     let t0 = Tracing.now_s () and cert = ref [||] in
-    let r = run_int (( := ) cert) in
+    let r =
+      P.check ?limit ?deadline_s ?checkpoint ?resume ~certificate:(( := ) cert)
+        ?reached a bm prop
+    in
     let run_ref () =
       let spent = Tracing.now_s () -. t0 in
-      run_ref (Option.map (fun d -> Float.max 0. (d -. spent)) deadline_s)
+      let deadline_s =
+        Option.map (fun d -> Float.max 0. (d -. spent)) deadline_s
+      in
+      Ref_core.check ?limit ?deadline_s ?certificate ?reached a bm prop
     in
     let degrade why =
+      let what =
+        match (reached, prop) with
+        | Some _, _ -> "reachable"
+        | None, Invariant _ -> "invariant"
+        | None, Condition _ -> "condition"
+      in
       Metrics.incr c_mismatch;
       Metrics.incr c_degraded;
       Events.emit "recover.degraded"
         [ ("what", Json.String what); ("mismatch", Json.String why) ];
       Log.warn "paranoid %s: %s — degrading to the reference kernel" what why
     in
-    match claim r with
-    | `Nothing -> r
-    | `Proof partial -> (
+    match r with
+    | Ok (Unknown _ | Unsupported _) -> r
+    | Ok (Verified partial) -> (
         let cert : _ Certificate.t = !cert in
         (* the test hook drops the zone the first start state seeded *)
         if !For_testing.corrupt_certificate then
@@ -1385,71 +1406,33 @@ module Paranoid : S = struct
         with
         | Ok n ->
             Metrics.add c_checked n;
+            Option.iter (fun f -> f cert) certificate;
             r
         | Error why ->
             degrade ("certificate rejected: " ^ why);
             run_ref ()
         | exception Certificate.Out_of_time ->
             let reason = late deadline_s "checking the certificate" in
-            raise (Out_of_budget { reason; partial; checkpoint = None }))
-    | `Refutation same -> (
+            Ok (Unknown { reason; partial; checkpoint = None }))
+    | Ok (Lower_violation _ | Upper_violation _) | Error _ -> (
+        let same r' =
+          match (r, r') with
+          | Error s, Error s' -> a.Ioa.equal_state s s'
+          | Ok o, Ok o' -> o = o'
+          | _ -> false
+        in
         match run_ref () with
+        | Ok (Unknown e) as r' ->
+            if String.starts_with ~prefix:"deadline" e.reason then
+              let reason = late deadline_s "confirming the refutation" in
+              Ok (Unknown { e with reason })
+            else r'
         | r' when same r' ->
             Metrics.incr c_checked;
             r
         | r' ->
             degrade "the reference kernel does not reproduce the refutation";
-            r'
-        | exception Out_of_budget e
-          when String.starts_with ~prefix:"deadline" e.reason ->
-            let reason = late deadline_s "confirming the refutation" in
-            raise (Out_of_budget { e with reason }))
-
-  let reachable ?limit ?deadline_s ?domains:_ ?checkpoint ?resume a bm =
-    checked "reachable" a bm (Certificate.Invariant (fun _ -> true))
-      ~deadline_s
-      ~claim:(fun (stats, _) -> `Proof stats)
-      (fun certificate ->
-        P.Certifying.reachable ?limit ?deadline_s ?checkpoint ?resume
-          ~certificate a bm)
-      (fun deadline_s -> Ref.reachable ?limit ?deadline_s a bm)
-
-  let check_state_invariant ?limit ?deadline_s ?domains:_ ?checkpoint ?resume
-      (a : (_, _) Ioa.t) bm pred =
-    checked "invariant" a bm (Certificate.Invariant pred) ~deadline_s
-      ~claim:(function
-        | Ok stats -> `Proof stats
-        | Error s ->
-            `Refutation
-              (function Error s' -> a.Ioa.equal_state s s' | Ok _ -> false))
-      (fun certificate ->
-        P.Certifying.check_state_invariant ?limit ?deadline_s ?checkpoint
-          ?resume ~certificate a bm pred)
-      (fun deadline_s -> Ref.check_state_invariant ?limit ?deadline_s a bm pred)
-
-  (* Inside [checked] an exhausted condition check is [Out_of_budget],
-     as for the other two entry points. *)
-  let check_condition ?limit ?deadline_s ?domains:_ ?checkpoint ?resume a bm
-      c =
-    try
-      checked "condition" a bm (Certificate.Condition c) ~deadline_s
-        ~claim:(function
-          | Verified stats -> `Proof stats
-          | (Lower_violation _ | Upper_violation _) as o ->
-              `Refutation (( = ) o)
-          | Unknown _ | Unsupported _ -> `Nothing)
-        (fun certificate ->
-          P.Certifying.check_condition ?limit ?deadline_s ?checkpoint ?resume
-            ~certificate a bm c)
-        (fun deadline_s ->
-          match Ref.check_condition ?limit ?deadline_s a bm c with
-          | Unknown e -> raise (Out_of_budget e)
-          | o -> o)
-    with Out_of_budget e -> Unknown e
-
-  let fingerprint_reachable = P.fingerprint_reachable
-  let fingerprint_invariant = P.fingerprint_invariant
-  let fingerprint_condition = P.fingerprint_condition
-end
+            r')
+end)
 
 include Auto

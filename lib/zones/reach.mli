@@ -155,10 +155,14 @@ exception Open_system of string
     closed system) or a locally controlled action without bounds. *)
 
 exception Out_of_budget of exhausted
-(** Raised by {!S.reachable} and {!S.check_state_invariant} when the
-    zone or wall-clock budget is exhausted before the fixpoint (the
-    condition checker returns {!outcome.Unknown} instead, since it
-    already returns a sum). *)
+(** Raised by the adapters {!S.reachable} and {!S.check_state_invariant}
+    alone, when a budget is exhausted before the fixpoint. *)
+
+(** A state invariant (Lemma 4.1) or a timing condition (Def 3.1): both
+    are proved by one inductive invariant, the stored zones. *)
+type ('s, 'a) property = ('s, 'a) Certificate.property =
+  | Invariant of ('s -> bool)
+  | Condition of ('s, 'a) Tm_timed.Condition.t
 
 (** What a zone engine offers, whatever its kernel.  The CLI selects an
     engine as a first-class module of this type.
@@ -166,8 +170,9 @@ exception Out_of_budget of exhausted
     Every entry point takes a graceful-degradation budget: [limit]
     bounds stored zones (default [1_000_000]) and [deadline_s] bounds
     wall-clock seconds.  Running out of either yields an {!exhausted}
-    carrying partial {!stats} — via {!Out_of_budget} or
-    {!outcome.Unknown} — rather than a truncated (unsound) verdict.
+    carrying partial {!stats} — [Unknown] from [check], {!Out_of_budget}
+    from two of its adapters — rather than a truncated (unsound)
+    verdict.
     The zone budget acts at batch boundaries (so a run can finish at
     most one location batch beyond [limit], and a completed fixpoint is
     reported [Verified] only when it stayed within [limit]); it is
@@ -179,11 +184,6 @@ exception Out_of_budget of exhausted
     so one expensive pipeline cannot overshoot it by more than a single
     zone expansion — but which zone it stops at, necessarily, is not
     deterministic.
-
-    Zone exploration is sequential.  Every entry point still takes
-    [?domains] and ignores it: the perfbench probe
-    (perfbench/probe/probe.ml) passes [~domains:1], and the parameter
-    goes once it no longer does.
 
     [?checkpoint:(path, every)] snapshots the frontier to [path] after
     every [every] newly stored zones ([every <= 0]: only final
@@ -197,56 +197,54 @@ exception Out_of_budget of exhausted
     wrong-version or wrong-job file — a bad snapshot can never produce
     a wrong verdict. *)
 module type S = sig
+  val check :
+    ?limit:int -> ?deadline_s:float -> ?checkpoint:string * int ->
+    ?resume:string -> ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t ->
+    ('s, 'a) property -> (outcome, 's) result
+  (** Exact verification that every timed execution of [(A, b)] has the
+      property, under one verdict convention: [Ok (Verified _)] proves
+      it; [Error s] is a state reachable under timing that violates the
+      invariant; [Ok (Lower_violation _ | Upper_violation _)] refutes
+      the condition; [Ok (Unknown _)] is an exhausted budget or an
+      interrupt; [Ok (Unsupported _)] a condition shape the observer
+      does not handle.  A budget raises nothing. *)
+
+  (** The adapters below are [check] under the conventions of callers
+      that predate it (the perfbench probe, bench/, tests).  Each
+      ignores [?domains]: zone search is sequential. *)
+
   val reachable :
     ?limit:int -> ?deadline_s:float -> ?domains:int ->
     ?checkpoint:string * int -> ?resume:string ->
     ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t -> stats * 's list
-  (** Timed reachability: explored stats and the base states reachable
-      under the timing assumptions (a subset of the untimed reachable
-      set), in the order each first stored a zone — after a resume too,
-      since a snapshot keeps the location numbering.
-      @raise Out_of_budget when a budget is exhausted. *)
+  (** [check] of the trivial invariant under its own span and
+      fingerprint kind: the stats and the base states reachable under
+      timing, in the order each first stored a zone (after a resume
+      too).  @raise Out_of_budget when a budget is exhausted. *)
 
   val check_state_invariant :
-    ?limit:int ->
-    ?deadline_s:float ->
-    ?domains:int ->
-    ?checkpoint:string * int ->
-    ?resume:string ->
-    ('s, 'a) Tm_ioa.Ioa.t ->
-    Tm_timed.Boundmap.t ->
-    ('s -> bool) ->
+    ?limit:int -> ?deadline_s:float -> ?domains:int ->
+    ?checkpoint:string * int -> ?resume:string ->
+    ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t -> ('s -> bool) ->
     (stats, 's) result
-  (** [Error s] returns a reachable (under timing) state violating the
-      predicate.
+  (** [check] of an [Invariant].
       @raise Out_of_budget when a budget is exhausted. *)
 
   val check_condition :
-    ?limit:int ->
-    ?deadline_s:float ->
-    ?domains:int ->
-    ?checkpoint:string * int ->
-    ?resume:string ->
-    ('s, 'a) Tm_ioa.Ioa.t ->
-    Tm_timed.Boundmap.t ->
-    ('s, 'a) Tm_timed.Condition.t ->
-    outcome
-  (** Exact verification that every timed execution of [(A, b)]
-      satisfies the condition; [Unknown] when a budget is exhausted. *)
+    ?limit:int -> ?deadline_s:float -> ?domains:int ->
+    ?checkpoint:string * int -> ?resume:string ->
+    ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t ->
+    ('s, 'a) Tm_timed.Condition.t -> outcome
+  (** [check] of a [Condition], [Unknown] included. *)
+
+  val fingerprint :
+    ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t -> ('s, 'a) property -> string
+  (** The job fingerprint [check] embeds in its checkpoints; the CLI
+      routes a [--resume] file and the daemon keys its cache by it. *)
 
   val fingerprint_reachable :
     ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t -> string
-  (** The job fingerprint {!reachable} embeds in its checkpoints — the
-      CLI uses these to route a [--resume] file to the right job. *)
-
-  val fingerprint_invariant :
-    ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t -> string
-
-  val fingerprint_condition :
-    ('s, 'a) Tm_ioa.Ioa.t ->
-    Tm_timed.Boundmap.t ->
-    ('s, 'a) Tm_timed.Condition.t ->
-    string
+  (** The same for {!reachable}. *)
 end
 
 module Make (K : Dbm_sig.S) : S
@@ -267,21 +265,22 @@ module Ref : S
     cross-checking a suspicious verdict. *)
 
 module Paranoid : S
-(** {!Auto}'s exploration, its verdict checked after the fact.  A
-    positive one is checked by {!Certificate.check} on its certificate:
-    the stored zones, an inductive invariant — each location in id
-    order, each zone lifted to the logical clocks live there, unscaled,
-    in minimal constraints — read off the location table after the
-    search, which it does not change ([recover.selfcheck_total] counts
-    the zones).  A refutation is checked by a fresh {!Ref} run that must
-    return the same outcome (counted once).  A failed check counts
+(** {!Auto}'s exploration, its verdict checked after the fact.  It
+    implements [check] alone, and the int verdict decides the check.  A
+    proof is checked by {!Certificate.check} on its certificate: the
+    stored zones, an inductive invariant — each location in id order,
+    each zone lifted to the logical clocks live there, unscaled, in
+    minimal constraints — read off the location table after the search
+    ([recover.selfcheck_total] counts the zones).  A refutation is
+    confirmed by a fresh {!Ref} run: an [equal_state] violating state
+    for an invariant, the same outcome for a condition (counted once).
+    [Unknown] and [Unsupported] claim nothing.  A failed check counts
     [recover.selfcheck_mismatch] and [recover.degraded], logs why, and
-    answers with {!Ref}'s outcome.  [Unknown] and [Unsupported] claim
-    nothing and pass unchecked.  [?deadline_s] bounds the whole call:
-    the check and any {!Ref} run get what the exploration left of it, a
-    {!Ref} run writes no checkpoint, and a check or confirming run the
-    budget cuts short is exhausted ([Unknown] / [Out_of_budget]), not a
-    mismatch.  Fingerprints read [kernel=int+cert]. *)
+    answers with {!Ref}'s verdict.  [?deadline_s] bounds the whole
+    call: the check and any {!Ref} run get what the exploration left of
+    it, a {!Ref} run writes no checkpoint, and a check or confirming
+    run the budget cuts short ends [Unknown], not a mismatch.
+    Fingerprints read [kernel=int+cert]. *)
 
 (** Test hooks, in the style of [Tm_recover.Snapshot.For_testing]. *)
 module For_testing : sig
@@ -292,14 +291,11 @@ module For_testing : sig
   val reset : unit -> unit
 
   val certificate :
-    [ `Int | `Ref ] ->
-    ('s, 'a) Tm_ioa.Ioa.t ->
-    Tm_timed.Boundmap.t ->
-    ('s, 'a) Certificate.property ->
-    's Certificate.t option
+    [ `Int | `Ref ] -> ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t ->
+    ('s, 'a) property -> 's Certificate.t option
   (** The certificate {!Auto} ([`Int]) or {!Ref} reads off its fixpoint
-      after checking the invariant or condition; [None] unless the
-      verdict is positive. *)
+      after checking the property; [None] unless the verdict is
+      positive. *)
 end
 
 include S

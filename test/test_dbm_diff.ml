@@ -854,8 +854,9 @@ let unit_scaled_jobs () =
     (Reach.Auto.fingerprint_reachable sys bm
     = Reach.Auto.fingerprint_reachable sys (double bm));
   Alcotest.(check bool) "invariant fingerprints differ" false
-    (Reach.Auto.fingerprint_invariant sys bm
-    = Reach.Auto.fingerprint_invariant sys (double bm))
+    (Reach.Auto.fingerprint sys bm (Reach.Invariant F.mutual_exclusion)
+    = Reach.Auto.fingerprint sys (double bm)
+        (Reach.Invariant F.mutual_exclusion))
 
 (* Integral jobs keep their fingerprints byte for byte, so existing
    serve caches and int checkpoints stay valid. *)
@@ -874,9 +875,9 @@ let unit_integral_fingerprints_stable () =
   Alcotest.(check string) "reachable" (fp "reachable" 16)
     (Reach.Auto.fingerprint_reachable sys bm);
   Alcotest.(check string) "invariant" (fp "invariant" 16)
-    (Reach.Auto.fingerprint_invariant sys bm);
+    (Reach.Auto.fingerprint sys bm (Reach.Invariant F.mutual_exclusion));
   Alcotest.(check string) "condition" (fp "condition:U_enter:[2, 3]" 17)
-    (Reach.Auto.fingerprint_condition sys bm (F.u_enter p))
+    (Reach.Auto.fingerprint sys bm (Reach.Condition (F.u_enter p)))
 
 (* Scaling never wraps around: an LCM, a scaled constant or a scaled
    max constant beyond the packed range is refused with
@@ -921,6 +922,47 @@ let unit_overflow_guard () =
   raises "headroom"
     (with_bounds [ ("CRIT_1", upto (Rational.of_int (max_int / 8))) ])
     ~naming:(string_of_int (max_int / 8))
+
+(* The int engine's time scale, the region construction's
+   ([Clock_enc.scale]) and the discretized graph's grid
+   ([Tgraph.default_params]) are one checked LCM of denominators: four
+   coprime denominators near 10^9 overflow it, and each refuses rather
+   than returning a wrapped-around scale. *)
+let unit_lcm_checked_everywhere () =
+  let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
+  let sys = F.system p in
+  let dens =
+    [
+      ("CRIT_1", 1_000_000_007);
+      ("CRIT_2", 998_244_353);
+      ("RETRY_1", 1_000_000_009);
+      ("RETRY_2", 999_999_937);
+    ]
+  in
+  let bm =
+    Boundmap.map
+      (fun c iv ->
+        match List.assoc_opt c dens with
+        | Some d ->
+            Interval.make Rational.zero (Tm_base.Time.Fin (Rational.make 1 d))
+        | None -> iv)
+      (F.boundmap p)
+  in
+  let refused name scale =
+    match scale () with
+    | k -> Alcotest.failf "%s: returned %d" name k
+    | exception Invalid_argument m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names the scale" name m)
+          true (contains m "time scale")
+  in
+  refused "Clock_enc.scale" (fun () ->
+      Tm_zones.Clock_enc.(scale (make sys bm)));
+  refused "Tgraph.default_params" (fun () ->
+      (Tm_core.Tgraph.default_params
+         (Tm_core.Time_automaton.of_boundmap sys bm))
+        .Tm_core.Tgraph.denominator);
+  refused "Reach" (fun () -> (fst (Reach.reachable sys bm)).Reach.zones)
 
 (* A couple of deterministic regressions pinning kernel corner cases
    the random scripts found valuable to keep explicit. *)
@@ -1015,4 +1057,6 @@ let suite =
       unit_settle_allocates_nothing;
     settle_closes_widened;
     pivot0_never_tightens;
+    Alcotest.test_case "scaling: every denominator LCM is checked" `Quick
+      unit_lcm_checked_everywhere;
   ]

@@ -307,6 +307,78 @@ let clock_enc_generated =
       let aut, bm = build_boundmap_automaton r in
       enc_matches_filter_definition aut bm)
 
+(* Fingerprints key the daemon's verdict cache and every checkpoint,
+   so they are pinned byte for byte on each engine: the registry
+   defaults of fischer (both checks), rm (G1, G2) and rg (U_response),
+   plus each system's reachability job. *)
+let test_fingerprints_pinned () =
+  let fischer =
+    "CHECK_1:[2, 3],CHECK_2:[2, 3],CHECK_3:[2, 3],CHECK_4:[2, 3],\
+     CRIT_1:[0, 2],CRIT_2:[0, 2],CRIT_3:[0, 2],CRIT_4:[0, 2],\
+     RETRY_1:[0, 2],RETRY_2:[0, 2],RETRY_3:[0, 2],RETRY_4:[0, 2],\
+     SET_1:[0, 1],SET_2:[0, 1],SET_3:[0, 1],SET_4:[0, 1],\
+     TEST_1:[0, 1],TEST_2:[0, 1],TEST_3:[0, 1],TEST_4:[0, 1]"
+  and rm = "LOCAL:[0, 1],TICK:[2, 3]"
+  and rg = "REQ:[2, 5],RESP:[1, 3]" in
+  let expected =
+    [
+      ( "fischer",
+        [
+          ("invariant", "nclocks=21|maxc=3|alpha=28|" ^ fischer);
+          ( "condition:U_enter:[2, 3]",
+            "nclocks=22|maxc=3|alpha=28|" ^ fischer );
+          ("reachable", "nclocks=21|maxc=3|alpha=28|" ^ fischer);
+        ] );
+      ( "rm",
+        [
+          ("condition:G1:[6, 10]", "nclocks=4|maxc=10|alpha=3|" ^ rm);
+          ("condition:G2:[5, 10]", "nclocks=4|maxc=10|alpha=3|" ^ rm);
+          ("reachable", "nclocks=3|maxc=3|alpha=3|" ^ rm);
+        ] );
+      ( "rg",
+        [
+          ("condition:U_response:[1, 3]", "nclocks=4|maxc=5|alpha=2|" ^ rg);
+          ("reachable", "nclocks=3|maxc=5|alpha=2|" ^ rg);
+        ] );
+    ]
+  in
+  let engines =
+    [
+      ("int", (module Reach.Auto : Reach.S));
+      ("ref", (module Reach.Ref));
+      ("int+cert", (module Reach.Paranoid));
+    ]
+  in
+  List.iter
+    (fun (name, jobs) ->
+      let entry = Result.get_ok (Registry.find name) in
+      let model = Result.get_ok (Registry.instantiate entry []) in
+      let (Registry.Verified v) = model.Registry.verified in
+      let sys = v.Registry.system and bm = v.Registry.boundmap in
+      List.iter
+        (fun (kernel, (module E : Reach.S)) ->
+          let got =
+            List.filter_map
+              (function
+                | Registry.Cond c ->
+                    Some (E.fingerprint sys bm (Reach.Condition c))
+                | Registry.Inv { pred; _ } ->
+                    Some (E.fingerprint sys bm (Reach.Invariant pred))
+                | Registry.Note _ -> None)
+              v.Registry.checks
+            @ [ E.fingerprint_reachable sys bm ]
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s on %s" name kernel)
+            (List.map
+               (fun (kind, rest) ->
+                 Printf.sprintf "tmjob1|kernel=%s|widen=lu|kind=%s|%s" kernel
+                   kind rest)
+               jobs)
+            got)
+        engines)
+    expected
+
 let suite =
   [
     Alcotest.test_case "manager bounds verified" `Quick
@@ -337,4 +409,6 @@ let suite =
     Alcotest.test_case "clock_enc: tables equal the per-class filter" `Quick
       test_clock_enc_registry;
     clock_enc_generated;
+    Alcotest.test_case "fingerprints pinned across engines" `Quick
+      test_fingerprints_pinned;
   ]

@@ -1018,7 +1018,7 @@ let paranoid_unconfirmed_refutation () =
   if Sys.file_exists ck then
     Alcotest.(check string)
       "only the paranoid job's own snapshot"
-      (Reach.Paranoid.fingerprint_invariant sys bm)
+      (Reach.Paranoid.fingerprint sys bm (Reach.Invariant pred))
       (fst (Snapshot.inspect ck))
 
 let paranoid_detects_corruption () =
