@@ -61,15 +61,18 @@ let version = "1.1.0"
    are flushed. *)
 type budget = { limit : int option; deadline_s : float option }
 
-let report_unknown what (e : Reach.exhausted) =
-  Format.printf
-    "%s: UNKNOWN — %s (partial: %d locations, %d zones, %d edges)%s@." what
-    e.Reach.reason e.Reach.partial.Reach.locations e.Reach.partial.Reach.zones
-    e.Reach.partial.Reach.edges
-    (match e.Reach.checkpoint with
-    | None -> ""
-    | Some p ->
-        Printf.sprintf "\n  checkpoint saved — resume with: timedmap run --resume %s" p)
+let report_unknown whats (e : Reach.exhausted) =
+  List.iter
+    (fun what ->
+      Format.printf
+        "%s: UNKNOWN — %s (partial: %d locations, %d zones, %d edges)@." what
+        e.Reach.reason e.Reach.partial.Reach.locations
+        e.Reach.partial.Reach.zones e.Reach.partial.Reach.edges)
+    whats;
+  Option.iter
+    (Format.printf
+       "  checkpoint saved — resume with: timedmap run --resume %s@.")
+    e.Reach.checkpoint
 
 let print_trace (type s a) (aut : (s, a) TA.t) (seq : (s, a) Tseq.t)
     violations =
@@ -146,35 +149,77 @@ let outcome_line label check (o : Catalog.outcome) =
       in
       Printf.sprintf "%s: %s at %s" item phrase s
 
-(* Run the model's checks in order, print each verdict and return
+(* The model's checks as [verify] searches them: every invariant rides
+   on the search of the first condition, at the place of the first of
+   them; every other check is searched alone.  Each registry entry with
+   an invariant lists it just before its condition, so the verdict
+   lines keep the checks' order. *)
+let groups checks =
+  match
+    List.find_opt (function Registry.Cond _ -> true | _ -> false) checks
+  with
+  | None -> List.map (fun c -> [ c ]) checks
+  | Some cond ->
+      let joins c =
+        c == cond || match c with Registry.Inv _ -> true | _ -> false
+      in
+      let group = List.filter joins checks in
+      List.filter_map
+        (fun c ->
+          if not (joins c) then Some [ c ]
+          else if c == List.hd group then Some group
+          else None)
+        checks
+
+(* Run the model's checks, print each verdict in order and return
    whether any came out UNKNOWN; [verify] is this loop with one attempt
-   and no resume.  Every check but a note runs through
-   {!Catalog.supervise} under the CLI policy with the [budget]; a note
-   is informational: unbudgeted, never UNKNOWN.  [resume] routes a
-   snapshot to the item whose fingerprint it carries.  The items before
+   and no resume.  Each group of {!groups} is one search
+   ({!Catalog.check_job}); an item it leaves unanswered runs its own
+   search ({!Catalog.own_job}) — an invariant whose shared search the
+   condition or an invariant stopped, or a condition an invariant
+   stopped.  Every search runs through {!Catalog.supervise} under the
+   CLI policy with the [budget]; a note is informational: unbudgeted,
+   never UNKNOWN.  An exhausted shared search prints UNKNOWN for every
+   item it covers.  [resume] routes a snapshot to the search whose
+   fingerprint it carries, a shared or an own one.  The searches before
    it replay for their output only, with no checkpoint path, so they
-   cannot overwrite or delete the snapshot.  An item that gives up with
-   a checkpoint stops the loop: the file is its own. *)
+   cannot overwrite or delete the snapshot.  A search that gives up
+   with a checkpoint stops the loop: the file is its own. *)
 let verify_model engine budget ~domains ~checkpoint ~attempts ~backoff_s
     ~resume (model : Registry.model) =
   let (Registry.Verified v) = model.Registry.verified in
   let label = model.Registry.label in
-  let items =
-    List.map (fun c -> (c, Catalog.check_job engine ~label v c)) v.checks
+  let units =
+    List.map
+      (fun checks ->
+        ( checks,
+          Catalog.check_job engine ~label v checks,
+          List.map (Catalog.own_job engine ~label v) checks ))
+      (groups v.checks)
+  in
+  (* every search by its position in run order: a group's shared
+     search (-1), then each item's own; a one-item group's own search
+     is its shared one *)
+  let searches =
+    List.concat
+      (List.mapi
+         (fun u (_, (shared : _ Catalog.job), own) ->
+           ((u, -1), shared.label, shared.fingerprint)
+           :: List.mapi
+                (fun k (j : _ Catalog.job) -> ((u, k), j.label, j.fingerprint))
+                own)
+         units)
   in
   let routed =
     Option.map
       (fun path ->
         let fp, info = Snapshot.inspect path in
         match
-          List.find_index
-            (fun (_, (j : _ Catalog.job)) -> String.equal j.fingerprint fp)
-            items
+          List.find_opt (fun (_, _, f) -> String.equal f fp) searches
         with
-        | Some i ->
-            Log.info "resuming %s from %s (%s)" (snd (List.nth items i)).label
-              path info;
-            (i, path)
+        | Some (pos, what, _) ->
+            Log.info "resuming %s from %s (%s)" what path info;
+            (pos, path)
         | None ->
             Format.eprintf
               "run: snapshot %s does not belong to any verification item of \
@@ -187,43 +232,69 @@ let verify_model engine budget ~domains ~checkpoint ~attempts ~backoff_s
     Format.eprintf "run: %s: attempt %d gave up (%s); retrying in %.1fs@."
       what attempt reason delay_s
   in
+  (* The previous search's zones are garbage by now.  Collect them
+     before the next search builds its own: the major GC is paced by
+     allocation, so it would otherwise still be freeing them while this
+     heap grows, and peak RSS would hold both. *)
+  let searched = ref false in
+  let fresh () = if !searched then Gc.full_major () else searched := true in
+  let run pos (job : _ Catalog.job) =
+    fresh ();
+    let checkpoint, resume =
+      match routed with
+      | Some (r, _) when compare pos r < 0 -> (None, None)
+      | Some (r, path) when pos = r -> (checkpoint, Some path)
+      | _ -> (checkpoint, None)
+    in
+    Catalog.supervise Catalog.cli_policy ~attempts ~backoff_s
+      ~on_retry:(on_retry job.label) ?limit:budget.limit
+      ?deadline_s:budget.deadline_s ~domains ?checkpoint ?resume job
+  in
   let stop = ref false and unknown = ref false in
+  let running () = not (!stop || Supervisor.interrupt_requested ()) in
+  let print check o = Format.printf "%s@." (outcome_line label check o) in
+  let gave_up checks (e : Reach.exhausted) =
+    report_unknown (List.map (Registry.check_label label) checks) e;
+    unknown := true;
+    if e.Reach.checkpoint <> None then stop := true
+  in
   List.iteri
-    (fun i (check, (job : _ Catalog.job)) ->
-      if not (!stop || Supervisor.interrupt_requested ()) then
-        (* The previous check's zones are garbage by now.  Collect them
-           before this check builds its own: the major GC is paced by
-           allocation, so it would otherwise still be freeing them
-           while this heap grows, and peak RSS would hold both. *)
-        let () = if i > 0 then Gc.full_major () in
-        let print o = Format.printf "%s@." (outcome_line label check o) in
-        match check with
-        | Registry.Note n -> (
+    (fun u (checks, shared, own) ->
+      if running () then
+        match (checks, own) with
+        | [ (Registry.Note n as check) ], [ (job : _ Catalog.job) ] -> (
+            fresh ();
             match
               job.exec ~limit:None ~deadline_s:None ~domains
                 ~checkpoint:None ~resume:None
             with
-            | Ok o -> print o
+            | Ok o -> print check o
             | Error _ -> Format.printf "%s: other@." n.label)
         | _ -> (
-            let checkpoint, resume =
-              match routed with
-              | Some (r, _) when i < r -> (None, None)
-              | Some (r, path) when i = r -> (checkpoint, Some path)
-              | _ -> (checkpoint, None)
-            in
-            match
-              Catalog.supervise Catalog.cli_policy ~attempts ~backoff_s
-                ~on_retry:(on_retry job.label) ?limit:budget.limit
-                ?deadline_s:budget.deadline_s ~domains ?checkpoint ?resume job
-            with
-            | Ok o -> print o
-            | Error (`Exhausted e) ->
-                report_unknown job.label e;
-                unknown := true;
-                if e.Reach.checkpoint <> None then stop := true
-            | Error (`Crashed m) -> failwith m (* not under the CLI policy *)))
-    items;
+            match run (u, -1) shared with
+            | Error (`Exhausted e) -> gave_up checks e
+            | Error (`Crashed m) -> failwith m (* not under the CLI policy *)
+            | Ok answers ->
+                List.iteri
+                  (fun k (check, answer) ->
+                    if running () then
+                      match answer with
+                      | Some o ->
+                          (match routed with
+                          | Some (r, path) when r = (u, k) ->
+                              Log.warn
+                                "%s: answered by the shared search; snapshot \
+                                 %s left unused"
+                                (Registry.check_label label check) path
+                          | _ -> ());
+                          print check o
+                      | None -> (
+                          match run (u, k) (List.nth own k) with
+                          | Ok o -> print check o
+                          | Error (`Exhausted e) -> gave_up [ check ] e
+                          | Error (`Crashed m) -> failwith m))
+                  (List.combine checks answers)))
+    units;
   !unknown
 
 (* ------------------------------------------------------------------ *)

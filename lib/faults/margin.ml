@@ -205,7 +205,7 @@ let report ?(eps_max = 8) ?(stable = 12) ?(max_probes = 96) ?(domains = 1)
 let probe_engine ~name:_ (e : (module Reach.S)) = e
 
 let status (module E : Reach.S) ?limit ?deadline_s a prop bm =
-  match E.check ?limit ?deadline_s a bm prop with
+  match E.check ?limit ?deadline_s a bm [ prop ] with
   | Ok (Reach.Verified _) -> Sat
   | Ok (Reach.Lower_violation _ | Reach.Upper_violation _) | Error _ -> Unsat
   | Ok (Reach.Unknown e) -> Unknown e.Reach.reason

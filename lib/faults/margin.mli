@@ -106,7 +106,7 @@ val status :
   Tm_timed.Boundmap.t ->
   status
 (** [status (module E) a prop] is a [check] for {!report}: [E.check] of
-    [prop] under a boundmap — [Sat] if verified, [Unsat] if refuted,
+    [[prop]] under a boundmap — [Sat] if verified, [Unsat] if refuted,
     [Unknown] with the reason on an exhausted budget or an unsupported
     condition shape.  The engine is a first-class module so margins can
     be cross-checked between kernels. *)

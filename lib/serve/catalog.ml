@@ -63,40 +63,62 @@ type outcome =
   | Invariant_ok of Reach.stats
   | Invariant_violated of string
 
+(* One search answers a list of checks (see catalog.mli): at its
+   fixpoint every item; stopped by the condition, the condition alone;
+   stopped by an invariant, only the invariant of a one-item list. *)
 let check_job (type s a) (module E : Reach.S) ~label
-    (v : (s, a) Registry.verified) (check : (s, a) Registry.check) =
+    (v : (s, a) Registry.verified) (checks : (s, a) Registry.check list) =
   let sys = v.Registry.system and bm = v.Registry.boundmap in
-  let prop, fingerprint =
-    match check with
-    | Registry.Cond c ->
-        (Reach.Condition c, E.fingerprint sys bm (Reach.Condition c))
-    | Registry.Inv { pred; _ } ->
-        (Reach.Invariant pred, E.fingerprint sys bm (Reach.Invariant pred))
-    | Registry.Note { label; cond; _ } ->
-        (Reach.Condition cond, "informational:" ^ label)
+  let props =
+    List.map
+      (function
+        | Registry.Cond c | Registry.Note { cond = c; _ } -> Reach.Condition c
+        | Registry.Inv { pred; _ } -> Reach.Invariant pred)
+      checks
+  in
+  let fingerprint =
+    match checks with
+    | [ Registry.Note { label; _ } ] -> "informational:" ^ label
+    | _ -> E.fingerprint sys bm props
+  in
+  let answer r check =
+    match (check, r) with
+    | Registry.Inv _, Ok (Reach.Verified stats) -> Some (Invariant_ok stats)
+    | Registry.Inv _, Error s when List.compare_length_with checks 1 = 0 ->
+        Some (Invariant_violated (Format.asprintf "%a" sys.Ioa.pp_state s))
+    | Registry.Inv _, _ -> None
+    | (Registry.Cond c | Registry.Note { cond = c; _ }), r -> (
+        match r with
+        | Ok (Reach.Verified stats) ->
+            Some (Verified { bounds = c.Condition.bounds; stats })
+        | Ok (Reach.Lower_violation st) -> Some (Lower_violation st)
+        | Ok (Reach.Upper_violation st) -> Some (Upper_violation st)
+        | Ok (Reach.Unsupported m) -> Some (Unsupported m)
+        | Ok (Reach.Unknown _) | Error _ -> None)
   in
   let exec ~limit ~deadline_s ~domains:_ ~checkpoint ~resume =
-    match E.check ?limit ?deadline_s ?checkpoint ?resume sys bm prop with
-    | Ok (Reach.Verified stats) -> (
-        match prop with
-        | Reach.Condition c ->
-            Ok (Verified { bounds = c.Condition.bounds; stats })
-        | Reach.Invariant _ -> Ok (Invariant_ok stats))
-    | Ok (Reach.Lower_violation st) -> Ok (Lower_violation st)
-    | Ok (Reach.Upper_violation st) -> Ok (Upper_violation st)
-    | Ok (Reach.Unsupported m) -> Ok (Unsupported m)
+    match E.check ?limit ?deadline_s ?checkpoint ?resume sys bm props with
     | Ok (Reach.Unknown e) -> Error e
-    | Error s ->
-        Ok (Invariant_violated (Format.asprintf "%a" sys.Ioa.pp_state s))
+    | r -> Ok (List.map (answer r) checks)
   in
   {
-    label = Registry.check_label label check;
+    label = String.concat " + " (List.map (Registry.check_label label) checks);
     op = "verify";
     fingerprint;
     req_limit = None;
     req_deadline_s = None;
     exec;
   }
+
+let own_job engine ~label v check =
+  let j = check_job engine ~label v [ check ] in
+  let exec ~limit ~deadline_s ~domains ~checkpoint ~resume =
+    match j.exec ~limit ~deadline_s ~domains ~checkpoint ~resume with
+    | Ok [ Some o ] -> Ok o
+    | Ok _ -> assert false (* a check's own search answers it *)
+    | Error e -> Error e
+  in
+  { j with exec }
 
 (* Verdict documents.  Field order is fixed, so re-rendering the same
    outcome yields byte-identical JSON — the cache equality the tests
@@ -171,7 +193,7 @@ let margin_fingerprint (module E : Reach.S) (v : _ Registry.verified) ~limit
     | Registry.Note _ -> None
   in
   E.fingerprint v.Registry.system v.Registry.boundmap
-    (Reach.Invariant (fun _ -> true))
+    [ Reach.Invariant (fun _ -> true) ]
   ^ "|serve=margin|props="
   ^ String.concat "," (List.filter_map prop_name v.Registry.checks)
   ^ budget_suffix ~limit ~deadline_s
@@ -281,7 +303,7 @@ let of_request ?(default_engine = "auto") req =
                 (Printf.sprintf "item %d out of range (%s has %d items)" idx
                    system (List.length checks))
           | Some check ->
-              let j = check_job engine ~label:model.label v check in
+              let j = own_job engine ~label:model.label v check in
               job j.label ~fingerprint:j.fingerprint
                 (fun ~limit ~deadline_s ~domains ~checkpoint ~resume ->
                   Result.map (outcome_json ~item:j.label)

@@ -87,12 +87,38 @@ val check_job :
   (module Reach.S) ->
   label:string ->
   ('s, 'a) Registry.verified ->
+  ('s, 'a) Registry.check list ->
+  outcome option list job
+(** Verification items of the model labelled [label] (its existentially
+    typed [verified] part is passed apart), answered by one zone search
+    ({!Reach.S.check} of their properties; at most one condition) and
+    fingerprinted as its checkpoints are.  A [Note] runs as the
+    condition it carries; a job of one note gets a fingerprint no
+    snapshot carries.  The job's label joins the items' with [" + "].
+
+    The answer of each item is the one its own search would give, or
+    [None] when the shared search cannot tell:
+    - at the fixpoint every item is answered; an invariant's stats are
+      the shared search's;
+    - a refuted or [Unsupported] condition answers the condition, and
+      leaves every invariant [None];
+    - an invariant violation answers a one-item job only: with
+      several items, all are [None] (the witness of the shared search
+      need not be the invariant's own);
+    - an exhausted budget is the job's [Error], for every item.
+
+    A one-item job always answers its item, with exactly the
+    fingerprint and the verdict of that check's own search. *)
+
+val own_job :
+  (module Reach.S) ->
+  label:string ->
+  ('s, 'a) Registry.verified ->
   ('s, 'a) Registry.check ->
   outcome job
-(** One verification item: a check of the model labelled [label] (its
-    existentially typed [verified] part is passed apart), fingerprinted
-    as its checkpoints are.  A [Note] runs as the condition it carries
-    and gets a fingerprint no snapshot carries. *)
+(** The one-item {!check_job} of a check, answering its outcome: what the
+    daemon runs for a request's item, and [verify]'s search for an item
+    the shared search leaves [None]. *)
 
 val margin_reports :
   (module Reach.S) ->

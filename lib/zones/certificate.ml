@@ -43,7 +43,7 @@ type 's srec = {
 let phase armed = if armed then 1 else 0
 
 let check (type s a) ?deadline (a : (s, a) Ioa.t) bm
-    (prop : (s, a) property) (cert : s t) =
+    (props : (s, a) property list) (cert : s t) =
   let on_time =
     match deadline with
     | None -> ignore
@@ -52,7 +52,17 @@ let check (type s a) ?deadline (a : (s, a) Ioa.t) bm
   let enc = Clock_enc.make a bm in
   let n = enc.Clock_enc.nclasses in
   let y = n + 1 in
-  let cond = match prop with Condition c -> Some c | Invariant _ -> None in
+  let conds, preds =
+    List.partition_map
+      (function Condition c -> Left c | Invariant p -> Right p)
+      props
+  in
+  let cond =
+    match conds with
+    | [] -> None
+    | [ c ] -> Some c
+    | _ :: _ :: _ -> invalid_arg "Certificate.check: more than one condition"
+  in
   let lower, upper =
     Clock_enc.lu_bounds enc
       ~observer:(Option.map (fun c -> c.Condition.bounds) cond)
@@ -209,10 +219,10 @@ let check (type s a) ?deadline (a : (s, a) Ioa.t) bm
       a.Ioa.start;
     Array.iter
       (fun (li, l, r, zs) ->
-        (match (prop, cond) with
-        | Invariant pred, _ when not (pred l.state) ->
-            reject "location %d: invariant violated" li
-        | _, Some c when l.armed -> (
+        if not (List.for_all (fun pred -> pred l.state) preds) then
+          reject "location %d: invariant violated" li;
+        (match cond with
+        | Some c when l.armed -> (
             let yi = r.lays.(1).pos.(y) in
             match Interval.hi c.Condition.bounds with
             | Time.Fin q ->
@@ -221,7 +231,7 @@ let check (type s a) ?deadline (a : (s, a) Ioa.t) bm
                   reject "location %d: an armed zone admits y > %s" li
                     (Rational.to_string q)
             | Time.Inf -> ())
-        | _ -> ());
+        | Some _ | None -> ());
         List.iter (step ~li l.state r l.armed) zs)
       locs;
     Ok (Array.fold_left (fun k (_, _, _, zs) -> k + List.length zs) 0 locs)

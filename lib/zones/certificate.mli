@@ -22,7 +22,8 @@ type 's location = { state : 's; armed : bool; zones : zone list }
 type 's t = 's location array
 
 (** What a certificate proves beyond being an inductive invariant;
-    [Invariant (fun _ -> true)] is nothing more. *)
+    [Invariant (fun _ -> true)] is nothing more.  {!check} takes a list:
+    one zone set proves every property of one search. *)
 type ('s, 'a) property =
   | Invariant of ('s -> bool)  (** holds on every certificate state *)
   | Condition of ('s, 'a) Tm_timed.Condition.t
@@ -36,7 +37,7 @@ val check :
   ?deadline:float ->
   ('s, 'a) Tm_ioa.Ioa.t ->
   Tm_timed.Boundmap.t ->
-  ('s, 'a) property ->
+  ('s, 'a) property list ->
   's t ->
   (int, string) result
 (** [Ok n], [n] the number of zones, when the certificate proves the
@@ -47,7 +48,10 @@ val check :
     the firing and newly enabled classes' clocks, drop of disabled ones,
     the observer's move, time passing under the invariants
     [x_C <= b_u(C)], LU widening — is empty or lies in one zone at its
-    target; and the property holds.  Otherwise [Error] names the
-    failing location.  @raise Out_of_time once the clock of
-    [Tm_obs.Tracing.now_s] passes [deadline].
-    @raise Clock_enc.Open_system like {!Reach}. *)
+    target; and every property of the list holds: each invariant at
+    every location's state, the condition (at most one; it sets the
+    observer clock) at every armed zone and [Π]-step.  Otherwise [Error]
+    names the first failing location.  @raise Out_of_time once the
+    clock of [Tm_obs.Tracing.now_s] passes [deadline].
+    @raise Clock_enc.Open_system like {!Reach}.
+    @raise Invalid_argument when the list names two conditions. *)

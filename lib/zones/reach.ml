@@ -51,9 +51,10 @@ exception Out_of_budget of exhausted
 
 type phase = Idle | Armed
 
-(* A condition observer's witness: a [Π]-step that may come too early,
-   or an armed zone that may pass its deadline. *)
-exception Refuted of [ `Lower | `Upper ]
+(* A search's witness: a [Π]-step that may come too early, an armed
+   zone that may pass its deadline, or a stored state that breaks an
+   invariant (the caller keeps the state). *)
+exception Refuted of [ `Lower | `Upper | `Invariant ]
 
 (* The no-op observer of an invariant's search:
    phases never change and the observer clock is untouched.  The result
@@ -101,7 +102,8 @@ module type S = sig
   val check :
     ?limit:int -> ?deadline_s:float -> ?checkpoint:string * int ->
     ?resume:string ->
-    ('s, 'a) Ioa.t -> Boundmap.t -> ('s, 'a) property -> (outcome, 's) result
+    ('s, 'a) Ioa.t -> Boundmap.t -> ('s, 'a) property list ->
+    (outcome, 's) result
 
   val reachable :
     ?limit:int -> ?deadline_s:float -> ?domains:int ->
@@ -118,23 +120,28 @@ module type S = sig
     ?checkpoint:string * int -> ?resume:string ->
     ('s, 'a) Ioa.t -> Boundmap.t -> ('s, 'a) Condition.t -> outcome
 
-  val fingerprint : ('s, 'a) Ioa.t -> Boundmap.t -> ('s, 'a) property -> string
+  val fingerprint :
+    ('s, 'a) Ioa.t -> Boundmap.t -> ('s, 'a) property list -> string
+
   val fingerprint_reachable : ('s, 'a) Ioa.t -> Boundmap.t -> string
 end
 
-(* An engine's core: one search for any property.  [certificate] sees
-   a positive verdict's certificate and [reached] the states with a
-   stored zone; [reached] also makes an invariant's search a
-   reachability run, with its own span and fingerprint kind.  {!Engine}
-   derives everything in [S] from it. *)
+(* An engine's core: one search for any list of properties (at most one
+   condition).  [certificate] sees a positive verdict's certificate and
+   [reached] the states with a stored zone; [reached] also makes an
+   invariant's search a reachability run, with its own span and
+   fingerprint kind.  {!Engine} derives everything in [S] from it. *)
 module type CORE = sig
   val check :
     ?limit:int -> ?deadline_s:float -> ?checkpoint:string * int ->
     ?resume:string -> ?certificate:('s Certificate.t -> unit) ->
     ?reached:('s list -> unit) ->
-    ('s, 'a) Ioa.t -> Boundmap.t -> ('s, 'a) property -> (outcome, 's) result
+    ('s, 'a) Ioa.t -> Boundmap.t -> ('s, 'a) property list ->
+    (outcome, 's) result
 
-  val fingerprint : ('s, 'a) Ioa.t -> Boundmap.t -> ('s, 'a) property -> string
+  val fingerprint :
+    ('s, 'a) Ioa.t -> Boundmap.t -> ('s, 'a) property list -> string
+
   val fingerprint_reachable : ('s, 'a) Ioa.t -> Boundmap.t -> string
 end
 
@@ -239,29 +246,49 @@ module Core (K : Dbm_sig.S) : CORE = struct
          (fun f (c, iv) -> Format.fprintf f "%s:%a" c Interval.pp iv))
       (Boundmap.to_list bm)
 
-  let cond_bounds = function
-    | Invariant _ -> None
-    | Condition c -> Some c.Condition.bounds
+  (* A search's condition, which sets its observer, and its state
+     invariants, each an extra [inspect] predicate: a list names at least
+     one property and at most one condition. *)
+  let split props =
+    let conds, preds =
+      List.partition_map
+        (function Condition c -> Left c | Invariant p -> Right p)
+        props
+    in
+    match (props, conds) with
+    | [], _ -> invalid_arg "Reach.check: no property"
+    | _, [] -> (None, preds)
+    | _, [ c ] -> (Some c, preds)
+    | _, _ :: _ :: _ -> invalid_arg "Reach.check: more than one condition"
 
-  (* A search's span, its arguments and its fingerprint kind;
-     [reached] marks a reachability run. *)
-  let job ~reached = function
-    | Invariant _ when reached -> ("zones.reachable", [], "reachable")
-    | Invariant _ -> ("zones.check_state_invariant", [], "invariant")
-    | Condition c ->
-        ( "zones.check_condition",
-          [ ("cond", c.Condition.cname) ],
+  let cond_bounds props =
+    Option.map (fun c -> c.Condition.bounds) (fst (split props))
+
+  (* A search's span, its arguments and its fingerprint kind, which
+     names every property in list order; [reached] marks a reachability
+     run. *)
+  let job ~reached props =
+    let kind = function
+      | Invariant _ when reached -> "reachable"
+      | Invariant _ -> "invariant"
+      | Condition c ->
           Format.asprintf "condition:%s:%a" c.Condition.cname Interval.pp
-            c.Condition.bounds )
+            c.Condition.bounds
+    in
+    let kind = String.concat "+" (List.map kind props) in
+    match fst (split props) with
+    | Some c -> ("zones.check_condition", [ ("cond", c.Condition.cname) ], kind)
+    | None when reached -> ("zones.reachable", [], kind)
+    | None -> ("zones.check_state_invariant", [], kind)
 
-  let fingerprint_job ~reached a bm prop =
-    let _, _, kind = job ~reached prop in
-    fingerprint_of ~kind bm (make_enc a bm ~cond_bounds:(cond_bounds prop))
+  let fingerprint_job ~reached a bm props =
+    let _, _, kind = job ~reached props in
+    fingerprint_of ~kind bm (make_enc a bm ~cond_bounds:(cond_bounds props))
 
-  let fingerprint a bm prop = fingerprint_job ~reached:false a bm prop
+  let fingerprint a bm props = fingerprint_job ~reached:false a bm props
 
   let fingerprint_reachable a bm =
-    fingerprint_job ~reached:true a bm (Invariant (fun _ -> true))
+    fingerprint_job ~reached:true a bm [ Invariant (fun _ -> true) ]
 
   (* A record of the hash-consing store: a distinct stored matrix [z]
      and its minimal-constraint form [zmin], reduced once, when [z]'s
@@ -997,6 +1024,21 @@ module Core (K : Dbm_sig.S) : CORE = struct
           let zones = List.rev_map lift lc.cell in
           { Certificate.state = lc.sr.st; armed; zones })
     in
+    (* The search has its answer (a fixpoint, a witness, an unsupported
+       shape): a leftover snapshot — periodic from this run, or the one
+       this run resumed from when it doubles as the checkpoint path —
+       would only invite resuming a finished job, so drop it.  A file at
+       the checkpoint path this run neither wrote nor consumed is someone
+       else's and stays. *)
+    let finished () =
+      match checkpoint with
+      | Some (path, _)
+        when !wrote_snapshot
+             || match resume with Some r -> String.equal r path | None -> false
+        -> (
+          try Sys.remove path with Sys_error _ -> ())
+      | _ -> ()
+    in
     (* Batch-boundary discipline: deterministic budget, cooperative
        interrupt, periodic snapshot — in that order, so an exhausted
        run never first spends time snapshotting. *)
@@ -1134,27 +1176,17 @@ module Core (K : Dbm_sig.S) : CORE = struct
               pop_batch_left ())
             batch
         done;
-        (* The fixpoint was reached: a leftover snapshot — periodic from
-           this run, or the one this run resumed from when it doubles as
-           the checkpoint path — would only invite resuming a finished
-           job, so drop it.  A file at the checkpoint path this run
-           neither wrote nor consumed is someone else's and stays. *)
-        (match checkpoint with
-        | Some (path, _)
-          when !wrote_snapshot
-               || (match resume with
-                  | Some r -> String.equal r path
-                  | None -> false) -> (
-            try Sys.remove path with Sys_error _ -> ())
-        | _ -> ());
+        finished ();
         emit_telemetry ~force:true ~ev:"zones.done" ();
         Events.progress_clear ();
         Ok (stats_now (), stored_states, certificate)
       with
-      | Unsupported_shape m -> Error (`Unsupported m)
+      | Unsupported_shape m ->
+          finished ();
+          Error (`Unsupported m)
       | Refuted side ->
-          (* The observer's witness: the stats so far are
-             deterministic. *)
+          (* The witness: the stats so far are deterministic. *)
+          finished ();
           Events.progress_clear ();
           Error (`Refuted (side, stats_now ()))
       | Budget kind ->
@@ -1233,21 +1265,47 @@ module Core (K : Dbm_sig.S) : CORE = struct
     let initial_phase s0 = if c.Condition.t_start s0 then Armed else Idle in
     (initial_phase, observe, inspect)
 
+  (* One search checks every property of [props]: the condition's
+     observer never blocks a step, so its search stores a zone at every
+     state the invariants' own search would reach (Lemmas 3.2/3.3), and
+     each invariant is tested there. *)
   let check (type s a) ?limit ?deadline_s ?checkpoint ?resume ?certificate
-      ?reached (a : (s, a) Ioa.t) bm (prop : (s, a) property) :
+      ?reached (a : (s, a) Ioa.t) bm (props : (s, a) property list) :
       (outcome, s) result =
-    let span, args, kind = job ~reached:(reached <> None) prop in
+    let span, args, kind = job ~reached:(reached <> None) props in
     Tracing.with_span span ~args @@ fun () ->
-    let enc = make_enc a bm ~cond_bounds:(cond_bounds prop) in
+    let enc = make_enc a bm ~cond_bounds:(cond_bounds props) in
     let fingerprint = lazy (fingerprint_of ~kind bm enc) in
-    let exception Found of s in
+    let found = ref None in
+    let cond, preds = split props in
+    (* runs once per stored zone, so it allocates nothing *)
+    let holds =
+      match preds with
+      | [ pred ] -> pred
+      | _ ->
+          let rec all s = function [] -> true | p :: ps -> p s && all s ps in
+          fun s -> all s preds
+    in
+    let violated s =
+      found := Some s;
+      raise (Refuted `Invariant)
+    in
     let initial_phase, observe, inspect =
-      match prop with
-      | Invariant pred ->
+      match cond with
+      | None ->
           ( (fun _ -> Idle),
             keep_phase,
-            fun _ s _ _ -> if not (pred s) then raise (Found s) )
-      | Condition c -> condition_observer enc c
+            fun _ s _ _ -> if not (holds s) then violated s )
+      | Some c -> (
+          let initial_phase, observe, inspect = condition_observer enc c in
+          match preds with
+          | [] -> (initial_phase, observe, inspect)
+          | _ :: _ ->
+              ( initial_phase,
+                observe,
+                fun p s z pos ->
+                  if not (holds s) then violated s;
+                  inspect p s z pos ))
     in
     match
       explore ?limit ?deadline_s ?checkpoint ?resume ~fingerprint enc
@@ -1261,7 +1319,7 @@ module Core (K : Dbm_sig.S) : CORE = struct
     | Error (`Budget e) -> Ok (Unknown e)
     | Error (`Refuted (`Lower, st)) -> Ok (Lower_violation st)
     | Error (`Refuted (`Upper, st)) -> Ok (Upper_violation st)
-    | exception Found s -> Error s
+    | Error (`Refuted (`Invariant, _)) -> Error (Option.get !found)
 end
 
 (* Every engine's [S], derived once from its core.  The trio is [check]
@@ -1271,13 +1329,13 @@ end
 module Engine (C : CORE) : S = struct
   include C
 
-  let check ?limit ?deadline_s ?checkpoint ?resume a bm prop =
-    C.check ?limit ?deadline_s ?checkpoint ?resume a bm prop
+  let check ?limit ?deadline_s ?checkpoint ?resume a bm props =
+    C.check ?limit ?deadline_s ?checkpoint ?resume a bm props
 
   let invariant ?limit ?deadline_s ?checkpoint ?resume ?reached a bm pred =
     match
       C.check ?limit ?deadline_s ?checkpoint ?resume ?reached a bm
-        (Invariant pred)
+        [ Invariant pred ]
     with
     | Ok (Verified stats) -> Ok stats
     | Error s -> Error s
@@ -1301,7 +1359,7 @@ module Engine (C : CORE) : S = struct
 
   let check_condition ?limit ?deadline_s ?domains:_ ?checkpoint ?resume a bm c
       =
-    match check ?limit ?deadline_s ?checkpoint ?resume a bm (Condition c) with
+    match check ?limit ?deadline_s ?checkpoint ?resume a bm [ Condition c ] with
     | Ok o -> o
     | Error _ -> assert false (* only an invariant has a violating state *)
 end
@@ -1322,12 +1380,12 @@ module For_testing = struct
   let corrupt_certificate = ref false
   let reset () = corrupt_certificate := false
 
-  let certificate kernel a bm prop =
+  let certificate kernel a bm props =
     let cert = ref None in
     let check =
       match kernel with `Int -> Auto_core.check | `Ref -> Ref_core.check
     in
-    ignore (check ~certificate:(fun c -> cert := Some c) a bm prop);
+    ignore (check ~certificate:(fun c -> cert := Some c) a bm props);
     !cert
 end
 
@@ -1359,31 +1417,36 @@ module Paranoid = Engine (struct
       stage
 
   (* The int engine's verdict decides what to check: a proof, its
-     certificate; a refutation, that a {!Ref} run returns the same
-     violating state (an invariant) or the same outcome (a condition).
+     certificate, of every property of the list; a refutation, that a
+     {!Ref} run returns the same violating state (an invariant) or the
+     same outcome (a condition).
      A failed check answers with the {!Ref} run's verdict.  A check or
      confirming run the deadline cuts short confirms nothing and ends
      [Unknown]. *)
   let check ?limit ?deadline_s ?checkpoint ?resume ?certificate ?reached
-      (a : (_, _) Ioa.t) bm prop =
+      (a : (_, _) Ioa.t) bm props =
     let t0 = Tracing.now_s () and cert = ref [||] in
     let r =
       P.check ?limit ?deadline_s ?checkpoint ?resume ~certificate:(( := ) cert)
-        ?reached a bm prop
+        ?reached a bm props
     in
     let run_ref () =
       let spent = Tracing.now_s () -. t0 in
       let deadline_s =
         Option.map (fun d -> Float.max 0. (d -. spent)) deadline_s
       in
-      Ref_core.check ?limit ?deadline_s ?certificate ?reached a bm prop
+      Ref_core.check ?limit ?deadline_s ?certificate ?reached a bm props
     in
     let degrade why =
       let what =
-        match (reached, prop) with
-        | Some _, _ -> "reachable"
-        | None, Invariant _ -> "invariant"
-        | None, Condition _ -> "condition"
+        match reached with
+        | Some _ -> "reachable"
+        | None ->
+            String.concat "+"
+              (List.map
+                 (function
+                   | Invariant _ -> "invariant" | Condition _ -> "condition")
+                 props)
       in
       Metrics.incr c_mismatch;
       Metrics.incr c_degraded;
@@ -1402,7 +1465,7 @@ module Paranoid = Engine (struct
         let deadline = Option.map (( +. ) t0) deadline_s in
         match
           Tracing.with_span "zones.certify" (fun () ->
-              Certificate.check ?deadline a bm prop cert)
+              Certificate.check ?deadline a bm props cert)
         with
         | Ok n ->
             Metrics.add c_checked n;

@@ -190,7 +190,9 @@ type ('s, 'a) property = ('s, 'a) Certificate.property =
     snapshots), and always on budget exhaustion or a cooperative
     interrupt ([Tm_recover.Supervisor]) — the resulting
     {!exhausted.checkpoint} tells the caller where.  A checkpoint left
-    behind by a run that then completes is removed.  [?resume:path]
+    behind by a run that then answers — a fixpoint, a refutation, a
+    violated invariant or an unsupported shape — is removed.
+    [?resume:path]
     restores a snapshot instead of seeding from the initial states and
     continues the fixpoint exactly; it raises
     [Tm_recover.Snapshot.Bad_snapshot] on a corrupt, truncated,
@@ -200,14 +202,28 @@ module type S = sig
   val check :
     ?limit:int -> ?deadline_s:float -> ?checkpoint:string * int ->
     ?resume:string -> ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t ->
-    ('s, 'a) property -> (outcome, 's) result
-  (** Exact verification that every timed execution of [(A, b)] has the
-      property, under one verdict convention: [Ok (Verified _)] proves
-      it; [Error s] is a state reachable under timing that violates the
-      invariant; [Ok (Lower_violation _ | Upper_violation _)] refutes
-      the condition; [Ok (Unknown _)] is an exhausted budget or an
+    ('s, 'a) property list -> (outcome, 's) result
+  (** Exact verification that every timed execution of [(A, b)] has
+      every property of the list, in one search, under one verdict
+      convention: [Ok (Verified _)] proves them all; [Error s] is a
+      state reachable under timing that violates one of the invariants;
+      [Ok (Lower_violation _ | Upper_violation _)] refutes the
+      condition; [Ok (Unknown _)] is an exhausted budget or an
       interrupt; [Ok (Unsupported _)] a condition shape the observer
-      does not handle.  A budget raises nothing. *)
+      does not handle.  A budget raises nothing.
+
+      {b Shared search.}  The list names at most one condition, whose
+      observer the search runs; each invariant is an extra test on
+      every stored (state, zone).  The observer never blocks a step, so
+      the condition's search stores a zone at every state an
+      invariant's own search reaches (every execution of [time(A, U)]
+      projects onto one of [A], Lemmas 3.2/3.3): at the fixpoint the
+      invariants hold everywhere, and [Verified]'s stats are the
+      condition's own.  A search the condition stops (a refutation,
+      [Unsupported]) says nothing of the invariants, and one an
+      invariant stops says nothing of the condition.  A one-element
+      list is exactly that property's own search, fingerprint included.
+      @raise Invalid_argument on an empty list or two conditions. *)
 
   (** The adapters below are [check] under the conventions of callers
       that predate it (the perfbench probe, bench/, tests).  Each
@@ -238,9 +254,13 @@ module type S = sig
   (** [check] of a [Condition], [Unknown] included. *)
 
   val fingerprint :
-    ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t -> ('s, 'a) property -> string
+    ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t -> ('s, 'a) property list ->
+    string
   (** The job fingerprint [check] embeds in its checkpoints; the CLI
-      routes a [--resume] file and the daemon keys its cache by it. *)
+      routes a [--resume] file and the daemon keys its cache by it.  Its
+      [kind] names every property in list order, joined by ["+"]
+      (["invariant+condition:U_enter:[2, 3]"]), so a shared search's
+      snapshot is never resumed as one of its properties' own. *)
 
   val fingerprint_reachable :
     ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t -> string
@@ -267,7 +287,8 @@ module Ref : S
 module Paranoid : S
 (** {!Auto}'s exploration, its verdict checked after the fact.  It
     implements [check] alone, and the int verdict decides the check.  A
-    proof is checked by {!Certificate.check} on its certificate: the
+    proof of every property of the list is checked by one
+    {!Certificate.check} on its certificate: the
     stored zones, an inductive invariant — each location in id order,
     each zone lifted to the logical clocks live there, unscaled, in
     minimal constraints — read off the location table after the search
@@ -292,10 +313,10 @@ module For_testing : sig
 
   val certificate :
     [ `Int | `Ref ] -> ('s, 'a) Tm_ioa.Ioa.t -> Tm_timed.Boundmap.t ->
-    ('s, 'a) property -> 's Certificate.t option
+    ('s, 'a) property list -> 's Certificate.t option
   (** The certificate {!Auto} ([`Int]) or {!Ref} reads off its fixpoint
-      after checking the property; [None] unless the verdict is
-      positive. *)
+      after checking the properties in one search; [None] unless the
+      verdict is positive. *)
 end
 
 include S

@@ -507,3 +507,9 @@ let print_frame_item = function
 
 let print_frame_script items =
   String.concat "; " (List.map print_frame_item items)
+
+(* [sub] occurs in [s]. *)
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0

@@ -428,7 +428,7 @@ let test_refutation_stats () =
   in
   let case name c side =
     let job =
-      Catalog.check_job (module Reach.Auto) ~label:name v (Registry.Cond c)
+      Catalog.own_job (module Reach.Auto) ~label:name v (Registry.Cond c)
     in
     let st =
       match
@@ -458,6 +458,104 @@ let test_refutation_stats () =
   case "relay [5,9]" (u 5 9) `Upper;
   case "relay [6,10]" (u 6 10) `Lower
 
+(* The grouped job of every registry entry with an invariant — its
+   invariants riding on its first condition's search, as [verify] runs
+   them — answers each item as the item's own job does: the same
+   verdict, stats included, except an invariant's stats at the shared
+   fixpoint.  An item left unanswered is one the answer rule leaves to
+   its own search: an invariant whose shared search the condition
+   stopped, or every item when an invariant stopped it.  Default
+   parameters of each such entry, and fischer n=3/4 over a in 1..3,
+   b in 1..4. *)
+let grouped_differential engine () =
+  let module Registry = Tm_systems.Registry in
+  let (module E : Reach.S) = Result.get_ok (Catalog.engine_of engine) in
+  let instantiate name params =
+    Result.get_ok
+      (Registry.instantiate (Result.get_ok (Registry.find name)) params)
+  in
+  let is_inv = function Registry.Inv _ -> true | _ -> false in
+  let has_inv (e : Registry.entry) =
+    let (Registry.Verified v) = (instantiate e.name []).verified in
+    List.exists is_inv v.checks
+  in
+  let fischer n a b = ("fischer", [ ("n", n); ("a", a); ("b", b) ]) in
+  let cases =
+    List.map
+      (fun (e : Registry.entry) -> (e.name, []))
+      (List.filter has_inv Registry.entries)
+    @ List.concat_map
+        (fun n ->
+          List.concat_map
+            (fun a -> List.map (fischer n a) [ 1; 2; 3; 4 ])
+            [ 1; 2; 3 ])
+        [ 3; 4 ]
+  in
+  let seen = ref [] in
+  List.iter
+    (fun (name, params) ->
+      let model = instantiate name params in
+      let (Registry.Verified v) = model.Registry.verified in
+      let label = model.Registry.label in
+      let what =
+        String.concat " "
+          ((name :: List.map (fun (k, x) -> Printf.sprintf "%s=%d" k x) params)
+          @ [ engine ])
+      in
+      let cond =
+        List.find (function Registry.Cond _ -> true | _ -> false) v.checks
+      in
+      let group = List.filter (fun c -> c == cond || is_inv c) v.checks in
+      let exec (j : _ Catalog.job) =
+        match
+          j.exec ~limit:None ~deadline_s:None ~domains:1 ~checkpoint:None
+            ~resume:None
+        with
+        | Ok r -> r
+        | Error (e : Reach.exhausted) -> Alcotest.failf "%s: %s" what e.reason
+      in
+      let job = Catalog.check_job (module E) ~label v group in
+      Alcotest.(check bool)
+        (what ^ ": the fingerprint kind names every property")
+        true
+        (Gen.contains job.fingerprint "|kind=invariant+condition:");
+      let shared = exec job in
+      let own =
+        List.map (fun c -> exec (Catalog.own_job (module E) ~label v c)) group
+      in
+      let path =
+        if List.for_all Option.is_some shared then `Fixpoint
+        else if List.for_all Option.is_none shared then `Invariant_violated
+        else `Condition_stopped
+      in
+      if not (List.mem path !seen) then seen := path :: !seen;
+      List.iter2
+        (fun (check, answer) o ->
+          let item = what ^ ": " ^ Registry.check_label label check in
+          match (answer, path) with
+          | Some (Catalog.Invariant_ok _), `Fixpoint ->
+              Alcotest.(check bool) (item ^ ": own verdict") true
+                (match o with Catalog.Invariant_ok _ -> true | _ -> false)
+          | Some a, _ ->
+              Alcotest.(check bool) (item ^ ": own verdict") true (a = o)
+          | None, `Condition_stopped when is_inv check -> ()
+          | None, `Invariant_violated ->
+              Alcotest.(check bool)
+                (item ^ ": an invariant's own search refutes it")
+                true
+                (List.exists
+                   (function Catalog.Invariant_violated _ -> true | _ -> false)
+                   own)
+          | None, _ -> Alcotest.failf "%s: left unanswered" item)
+        (List.combine group shared) own)
+    cases;
+  Alcotest.(check bool) "a shared search reached its fixpoint" true
+    (List.mem `Fixpoint !seen);
+  Alcotest.(check bool) "a condition stopped a shared search" true
+    (List.mem `Condition_stopped !seen);
+  Alcotest.(check bool) "an invariant stopped a shared search" true
+    (List.mem `Invariant_violated !seen)
+
 let suite =
   [
     Alcotest.test_case "fingerprints pinned (every system, op, item)" `Quick
@@ -473,4 +571,10 @@ let suite =
       test_interrupt_before_attempt;
     Alcotest.test_case "refutations report their stats in the verdict"
       `Quick test_refutation_stats;
+    Alcotest.test_case "grouped auto: items as own jobs" `Quick
+      (grouped_differential "auto");
+    Alcotest.test_case "grouped ref: items as own jobs" `Slow
+      (grouped_differential "ref");
+    Alcotest.test_case "grouped paranoid: items as own jobs"
+      `Quick (grouped_differential "paranoid");
   ]

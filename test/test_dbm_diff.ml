@@ -770,11 +770,6 @@ let fixpoint_diff =
       reach_outcome (module Reach.Auto) aut bm
       = reach_outcome (module Reach.Ref) aut bm)
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 (* Both kernels run the one shared exploration, so running out of the
    zone budget must be deterministic: same reason, same partial stats,
    zone for zone.  A tiny limit makes most random automata exhaust. *)
@@ -849,14 +844,14 @@ let unit_scaled_jobs () =
   Alcotest.(check bool) "2·bm explores the same graph" true
     (reach_outcome (module Reach.Auto) sys (double bm) = base);
   Alcotest.(check bool) "kernel=int on a fractional job" true
-    (contains (Reach.Auto.fingerprint_reachable sys bm) "|kernel=int|");
+    (Gen.contains (Reach.Auto.fingerprint_reachable sys bm) "|kernel=int|");
   Alcotest.(check bool) "reachable fingerprints differ" false
     (Reach.Auto.fingerprint_reachable sys bm
     = Reach.Auto.fingerprint_reachable sys (double bm));
   Alcotest.(check bool) "invariant fingerprints differ" false
-    (Reach.Auto.fingerprint sys bm (Reach.Invariant F.mutual_exclusion)
+    (Reach.Auto.fingerprint sys bm [ Reach.Invariant F.mutual_exclusion ]
     = Reach.Auto.fingerprint sys (double bm)
-        (Reach.Invariant F.mutual_exclusion))
+        [ Reach.Invariant F.mutual_exclusion ])
 
 (* Integral jobs keep their fingerprints byte for byte, so existing
    serve caches and int checkpoints stay valid. *)
@@ -875,9 +870,9 @@ let unit_integral_fingerprints_stable () =
   Alcotest.(check string) "reachable" (fp "reachable" 16)
     (Reach.Auto.fingerprint_reachable sys bm);
   Alcotest.(check string) "invariant" (fp "invariant" 16)
-    (Reach.Auto.fingerprint sys bm (Reach.Invariant F.mutual_exclusion));
+    (Reach.Auto.fingerprint sys bm [ Reach.Invariant F.mutual_exclusion ]);
   Alcotest.(check string) "condition" (fp "condition:U_enter:[2, 3]" 17)
-    (Reach.Auto.fingerprint sys bm (Reach.Condition (F.u_enter p)))
+    (Reach.Auto.fingerprint sys bm [ Reach.Condition (F.u_enter p) ])
 
 (* Scaling never wraps around: an LCM, a scaled constant or a scaled
    max constant beyond the packed range is refused with
@@ -901,7 +896,7 @@ let unit_overflow_guard () =
               (Printf.sprintf "%s [%s]: %S names the scale and %s" name ename
                  m naming)
               true
-              (contains m "time scale" && contains m naming))
+              (Gen.contains m "time scale" && Gen.contains m naming))
       [ ("auto", (module Reach.Auto)); ("paranoid", (module Reach.Paranoid)) ]
   in
   raises "denominator LCM"
@@ -954,7 +949,7 @@ let unit_lcm_checked_everywhere () =
     | exception Invalid_argument m ->
         Alcotest.(check bool)
           (Printf.sprintf "%s: %S names the scale" name m)
-          true (contains m "time scale")
+          true (Gen.contains m "time scale")
   in
   refused "Clock_enc.scale" (fun () ->
       Tm_zones.Clock_enc.(scale (make sys bm)));

@@ -361,9 +361,9 @@ let test_fingerprints_pinned () =
             List.filter_map
               (function
                 | Registry.Cond c ->
-                    Some (E.fingerprint sys bm (Reach.Condition c))
+                    Some (E.fingerprint sys bm [ Reach.Condition c ])
                 | Registry.Inv { pred; _ } ->
-                    Some (E.fingerprint sys bm (Reach.Invariant pred))
+                    Some (E.fingerprint sys bm [ Reach.Invariant pred ])
                 | Registry.Note _ -> None)
               v.Registry.checks
             @ [ E.fingerprint_reachable sys bm ]

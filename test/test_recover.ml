@@ -511,6 +511,37 @@ let completed_run_removes_checkpoint () =
   Alcotest.(check bool)
     "checkpoint removed on completion" false (Sys.file_exists ck)
 
+(* A search that ends in an answer other than a fixpoint has finished
+   too: resumed from its checkpoint path, it removes the snapshot,
+   whether U_enter's shape is unsupported (fischer n=3, a=b=3) or
+   mutual exclusion is violated (a=2, b=1) — alone or sharing one
+   search. *)
+let answered_run_removes_checkpoint () =
+  let ck = tmp_ck () in
+  Fun.protect ~finally:(fun () -> rm_f ck) @@ fun () ->
+  let case what ~a ~b props answered =
+    let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a ~b ~b2:(b + 1) ~e:2 in
+    let sys = F.system p and bm = F.boundmap p in
+    let props = props p in
+    rm_f ck;
+    (match Reach.Auto.check ~limit:10 ~checkpoint:(ck, 0) sys bm props with
+    | Ok (Reach.Unknown { checkpoint = Some _; _ }) -> ()
+    | _ -> Alcotest.failf "%s: the budgeted run should leave a snapshot" what);
+    let r = Reach.Auto.check ~checkpoint:(ck, 0) ~resume:ck sys bm props in
+    Alcotest.(check bool) (what ^ ": answered") true (answered r);
+    Alcotest.(check bool) (what ^ ": snapshot removed") false
+      (Sys.file_exists ck)
+  in
+  let unsupported = function Ok (Reach.Unsupported _) -> true | _ -> false in
+  let violated = function Error _ -> true | Ok _ -> false in
+  let u_enter p = Reach.Condition (F.u_enter p) in
+  let mutex = Reach.Invariant F.mutual_exclusion in
+  case "unsupported U_enter" ~a:3 ~b:3 (fun p -> [ u_enter p ]) unsupported;
+  case "violated mutual exclusion" ~a:2 ~b:1 (fun _ -> [ mutex ]) violated;
+  case "shared search, violated" ~a:2 ~b:1
+    (fun p -> [ mutex; u_enter p ])
+    violated
+
 (* A fractional job runs scaled on the int kernel, but its checkpoint
    is keyed by the caller's unscaled job: the embedded fingerprint is
    the public one, the same job in another time unit is refused, and
@@ -701,12 +732,12 @@ let zone_count (cert : _ Certificate.t) =
 (* The certificate a positive verdict of the int or reference engine
    hands out. *)
 let cert_of kernel sys bm prop =
-  match Reach.For_testing.certificate kernel sys bm prop with
+  match Reach.For_testing.certificate kernel sys bm [ prop ] with
   | Some cert -> cert
   | None -> Alcotest.fail "expected a positive verdict"
 
 let accepts what sys bm prop cert =
-  match Certificate.check sys bm prop cert with
+  match Certificate.check sys bm [ prop ] cert with
   | Ok n ->
       Alcotest.(check int) (what ^ ": every zone checked") (zone_count cert) n
   | Error m -> Alcotest.failf "%s: certificate rejected: %s" what m
@@ -732,7 +763,7 @@ let certificate_registry_accepted () =
                 Certificate.Condition c
             | Registry.Inv { pred; _ } -> Certificate.Invariant pred
           in
-          match Reach.For_testing.certificate `Int sys bm prop with
+          match Reach.For_testing.certificate `Int sys bm [ prop ] with
           | None -> ()
           | Some c ->
               incr checked;
@@ -772,7 +803,7 @@ let certificate_mutations_rejected () =
       cert
   in
   let rejected what cert =
-    match Certificate.check sys bm prop cert with
+    match Certificate.check sys bm [ prop ] cert with
     | Ok _ -> Alcotest.failf "%s: accepted" what
     | Error _ -> ()
   in
@@ -868,13 +899,13 @@ let certificate_property_rejected () =
   (match
      Certificate.check
        ~deadline:(Tm_obs.Tracing.now_s () -. 1.)
-       sys bm (within (q 0) (q 2)) cert
+       sys bm [ within (q 0) (q 2) ] cert
    with
   | exception Certificate.Out_of_time -> ()
   | _ -> Alcotest.fail "a past deadline must cut the check short");
   List.iter
     (fun (what, prop, cert) ->
-      match Certificate.check sys bm prop cert with
+      match Certificate.check sys bm [ prop ] cert with
       | Ok _ -> Alcotest.failf "%s: accepted" what
       | Error _ -> ())
     [
@@ -883,6 +914,42 @@ let certificate_property_rejected () =
       ("false invariant", Certificate.Invariant (fun _ -> false), inv);
       ("no zones", Certificate.Invariant (fun _ -> true), [||]);
     ]
+
+(* One certificate proves every property of a shared search: fischer
+   n=3's mutual exclusion rides on U_enter's search.  The checker tests
+   each invariant of the list, not only the condition that set the
+   observer: an invariant false at one stored state rejects the
+   certificate, naming the first location with that state. *)
+let certificate_shared_invariant () =
+  let p = F.params_of_ints ~n:3 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
+  let sys = F.system p and bm = F.boundmap p in
+  let cond = Certificate.Condition (F.u_enter p) in
+  let props = [ Certificate.Invariant F.mutual_exclusion; cond ] in
+  let cert =
+    match Reach.For_testing.certificate `Int sys bm props with
+    | Some cert -> cert
+    | None -> Alcotest.fail "expected a positive verdict"
+  in
+  (match Certificate.check sys bm props cert with
+  | Ok n ->
+      Alcotest.(check int) "shared: every zone checked" (zone_count cert) n
+  | Error m -> Alcotest.failf "shared certificate rejected: %s" m);
+  let equal = sys.Tm_ioa.Ioa.equal_state in
+  let target = cert.(Array.length cert / 2).Certificate.state in
+  let first =
+    Option.get
+      (Array.find_index
+         (fun (l : _ Certificate.location) -> equal l.Certificate.state target)
+         cert)
+  in
+  let not_target = Certificate.Invariant (fun s -> not (equal s target)) in
+  match Certificate.check sys bm [ not_target; cond ] cert with
+  | Ok _ -> Alcotest.fail "an invariant false at a stored state: accepted"
+  | Error m ->
+      Alcotest.(check string)
+        "rejected at the state's first location"
+        (Printf.sprintf "location %d: invariant violated" first)
+        m
 
 let paranoid_clean_agrees () =
   let p = F.params_of_ints ~n:2 ~r:2 ~t:1 ~a:1 ~b:2 ~b2:3 ~e:2 in
@@ -989,7 +1056,7 @@ let paranoid_unconfirmed_refutation () =
   let t_ref = time Reach.Ref.check_state_invariant in
   let deadline_s = sqrt (t_int *. t_ref) in
   let job =
-    Tm_serve.Catalog.check_job (module Reach.Paranoid) ~label:"fischer" v
+    Tm_serve.Catalog.own_job (module Reach.Paranoid) ~label:"fischer" v
       check
   in
   let ck = tmp_ck () in
@@ -1018,7 +1085,7 @@ let paranoid_unconfirmed_refutation () =
   if Sys.file_exists ck then
     Alcotest.(check string)
       "only the paranoid job's own snapshot"
-      (Reach.Paranoid.fingerprint sys bm (Reach.Invariant pred))
+      (Reach.Paranoid.fingerprint sys bm [ Reach.Invariant pred ])
       (fst (Snapshot.inspect ck))
 
 let paranoid_detects_corruption () =
@@ -1176,4 +1243,8 @@ let suite =
       `Quick resume_restores_store_keys;
     Alcotest.test_case "checkpoint: payload layout pinned to format 3" `Quick
       checkpoint_layout_pinned;
+    Alcotest.test_case "certificate: a shared search proves every property"
+      `Quick certificate_shared_invariant;
+    Alcotest.test_case "checkpoint: removed when a resumed search answers"
+      `Quick answered_run_removes_checkpoint;
   ]
