@@ -840,8 +840,22 @@ let e12 () =
     | Ok v -> Format.asprintf "%a" Margin.pp_verdict v
     | Error m -> m
   in
+  (* A verdict's probes count the walk's steps; the zone checks a report
+     actually ran (fewer: a shared e = 0 check, one check per leap over
+     a run) are the [faults.margin_probes] delta. *)
+  let c_checks = Tm_obs.Metrics.counter "faults.margin_probes" in
   let sweep subject bm check =
+    let before = Tm_obs.Metrics.value c_checks in
     let r = Margin.report ~domains:bench_domains ~subject ~check bm in
+    let checks = Tm_obs.Metrics.value c_checks - before in
+    let printed =
+      List.fold_left
+        (fun n -> function Ok v -> n + v.Margin.probes | Error _ -> n)
+        0
+        (r.Margin.overall
+        :: List.map (fun (rw : Margin.row) -> rw.Margin.verdict)
+             r.Margin.per_class)
+    in
     row "%-46s %s\n" subject (vstr r.Margin.overall);
     List.iter
       (fun (rw : Margin.row) ->
@@ -850,7 +864,8 @@ let e12 () =
           (vstr rw.Margin.verdict))
       r.Margin.per_class;
     row "  %-44s %s\n" "critical class"
-      (Option.value r.Margin.critical ~default:"none (censored)")
+      (Option.value r.Margin.critical ~default:"none (censored)");
+    row "  %-44s %d of %d printed probes\n" "zone checks run" checks printed
   in
   row "%-46s %s\n" "subject (margin e* over bound widening)" "verdict";
   (* single-miss failure detector: the accuracy margin is the paper's

@@ -29,11 +29,15 @@ let ( let* ) = Result.bind
 
 (* Mediant of two reduced fractions.  On a unimodular bracket this is
    the Stern–Brocot descent: the mediant is already reduced and the
-   bracket stays unimodular, so every rational inside is reachable. *)
-let mediant lo hi =
+   bracket stays unimodular, so every rational inside is reachable.
+   With a weight [k] on one endpoint it is where [k] one-sided moves
+   toward that endpoint end: [mediant ~whi:k lo hi] after [k] moves of
+   [lo] (each mediant with [hi]), [mediant ~wlo:k lo hi] after [k]
+   moves of [hi]. *)
+let mediant ?(wlo = 1) ?(whi = 1) lo hi =
   Rational.make
-    (lo.Rational.num + hi.Rational.num)
-    (lo.Rational.den + hi.Rational.den)
+    ((wlo * lo.Rational.num) + (whi * hi.Rational.num))
+    ((wlo * lo.Rational.den) + (whi * hi.Rational.den))
 
 (* One check actually run: one [faults.margin_probes] increment and
    one [faults.probe] event, whichever search (or the shared base of a
@@ -105,10 +109,26 @@ let descend ~eps_max ~stable ~max_probes ?base ~family ~check bm =
           if sat then int_bracket mid ihi else int_bracket ilo mid
       in
       let* ilo, ihi = int_bracket 0 eps_max in
+      (* A check of the mediant a run would end at, outside the step
+         count: [None] when [family] rejects it or the check is
+         inconclusive, so the walk steps instead. *)
+      let leap_to e =
+        match Perturb.apply (family e) bm with
+        | Error _ -> None
+        | Ok bm' -> Result.to_option (run_check ~check e bm')
+      in
       (* Mediant walk: [lo] always verified, [hi] always refuted.  The
          walk reaches e* exactly; from then on only one endpoint ever
-         moves, and which one it is tells whether e* is attained. *)
-      let rec walk lo hi sat_run unsat_run =
+         moves, and which one it is tells whether e* is attained.
+         Inside a run it first checks the mediant [k] moves on, where
+         the run would stop (at [stable] moves or at [max_probes]; at
+         [k = 1] that is just the next step): verdicts are downward
+         closed in [e], so agreement there gives every mediant before
+         it the same verdict, and the walk takes all [k] moves as [k]
+         steps for one check.  Otherwise it clears [leap] and steps one
+         mediant at a time; the move that breaks the run sets it
+         again. *)
+      let rec walk lo hi sat_run unsat_run leap =
         if unsat_run >= stable then
           Ok
             {
@@ -137,12 +157,23 @@ let descend ~eps_max ~stable ~max_probes ?base ~family ~check bm =
               probes = !probes;
             }
         else
-          let m = mediant lo hi in
-          let* sat = probe m in
-          if sat then walk m hi (sat_run + 1) 0
-          else walk lo m 0 (unsat_run + 1)
+          let k = min (stable - sat_run - unsat_run) (max_probes - !probes) in
+          if leap && sat_run + unsat_run > 0 && k >= 2 then
+            let up = sat_run > 0 in
+            let e = if up then mediant ~whi:k lo hi else mediant ~wlo:k lo hi in
+            match leap_to e with
+            | Some sat when sat = up ->
+                probes := !probes + k;
+                if up then walk e hi (sat_run + k) 0 true
+                else walk lo e 0 (unsat_run + k) true
+            | Some _ | None -> walk lo hi sat_run unsat_run false
+          else
+            let m = mediant lo hi in
+            let* sat = probe m in
+            if sat then walk m hi (sat_run + 1) 0 (leap || sat_run = 0)
+            else walk lo m 0 (unsat_run + 1) (leap || unsat_run = 0)
       in
-      walk (Rational.of_int ilo) (Rational.of_int ihi) 0 0
+      walk (Rational.of_int ilo) (Rational.of_int ihi) 0 0 true
 
 let search ?(eps_max = 8) ?(stable = 12) ?(max_probes = 96) ~family ~check
     bm =

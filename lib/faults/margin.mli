@@ -22,7 +22,28 @@
     one-sided run can also come from a continued-fraction coefficient
     [>= stable] in [e*]; for the small-denominator thresholds of timing
     systems this does not occur, and a run capped by [max_probes] is
-    reported with [exact = false] rather than trusted. *)
+    reported with [exact = false] rather than trusted.
+
+    Inside a run (one move or more in the same direction) the walk
+    first checks the mediant the run would end at: [k] moves on, where
+    the run reaches [stable] moves or the search [max_probes] steps.
+    If that check goes the run's way, downward closure gives every
+    mediant before it the same verdict, and the walk takes the [k]
+    moves as [k] steps for one check.  If it does not — or the check is
+    [Unknown], or the family rejects that magnitude — the walk moves one
+    mediant at a time until the run breaks, with no second leap in that
+    run.  Verdicts and step counts are those of the one-mediant-a-step
+    walk, with fewer checks: fischer n=3's margins print 224 probes
+    and run 91 checks.  A failed leap costs one check, so a threshold whose walk breaks many
+    runs (a continued fraction of many small coefficients) can cost
+    more checks than stepping ([144/233] at [stable = 12]: 26 against
+    25).
+
+    Against the one-mediant-a-step walk, outcomes differ only under a
+    budget.  The walk never
+    checks a mediant a leap skips, so where a step would have given up
+    there ("inconclusive at e = m"), it answers; it never gives up or
+    answers differently where stepping would have answered. *)
 
 type status = Sat | Unsat | Unknown of string
 
@@ -37,7 +58,9 @@ type verdict = {
   exact : bool;
   probes : int;
       (** steps of the search, its [e = 0] step included — also when
-          {!report} answered that step from its shared base check *)
+          {!report} answered that step from its shared base check — and
+          each of a leap's [k] mediants one step: the checks of a walk
+          that checks every mediant, not the checks run *)
 }
 
 type row = { cls : string; verdict : (verdict, string) result }
@@ -60,7 +83,8 @@ val search :
   Tm_timed.Boundmap.t ->
   (verdict, string) result
 (** [Error] when the unperturbed property already refutes, a probe
-    returns [Unknown] (budget exhausted), or the family is invalid.
+    returns [Unknown] (budget exhausted; a leap's check that does is
+    not an error, the walk steps instead), or the family is invalid.
     Censored at [eps_max] (default [8]; [exact = false],
     [refuted_at = None]) when even the largest probe verifies.
     [stable] defaults to [12], [max_probes] to [96]. *)
@@ -82,7 +106,8 @@ val report :
     exactly once per report.  The verdicts — their [probes] counts
     included — and the [Error] texts are those of separate {!search}
     calls.  [faults.margin_probes] and the [faults.probe] events count
-    checks actually run, the shared base once.  With [domains > 1] the
+    checks actually run: the shared base once, a leap's check once for
+    its [k] steps, a failed leap's check too.  With [domains > 1] the
     independent searches (overall + one per class) fan out over a
     [Tm_par.Pool]; the report and the [faults.margin_probes] total are
     identical at any domain count.  [check] then runs on worker domains

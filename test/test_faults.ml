@@ -135,6 +135,302 @@ let report_equals_separate_searches =
              (Boundmap.classes bm))
 
 (* ------------------------------------------------------------------ *)
+(* The mediant walk against its one-at-a-time oracle.                  *)
+
+(* The search whose mediant walk checks every mediant it steps to, one
+   check a step: the oracle [Margin.search] is held to, kept only here.
+   Besides the verdict it returns its step count (every step ran a
+   check) and the walk's moves in order ([true]: the mediant verified),
+   from which [leaping_checks] predicts the checks the search runs. *)
+let reference_search ~eps_max ~stable ~max_probes ~family ~check bm =
+  let ( let* ) = Result.bind in
+  let probes = ref 0 and moves = ref [] in
+  let probe e =
+    match Perturb.apply (family e) bm with
+    | Error m -> Error m
+    | Ok bm' -> (
+        incr probes;
+        match check bm' with
+        | Margin.Sat -> Ok true
+        | Margin.Unsat -> Ok false
+        | Margin.Unknown m ->
+            Error
+              (Printf.sprintf "inconclusive at e = %s: %s"
+                 (Rational.to_string e) m))
+  in
+  let verdict threshold attained refuted_at exact =
+    { Margin.threshold; attained; refuted_at; exact; probes = !probes }
+  in
+  let result =
+    let* sat0 = probe Rational.zero in
+    if not sat0 then Error "refuted with no perturbation (e = 0)"
+    else
+      let* sat_top = probe (q eps_max) in
+      if sat_top then Ok (verdict (q eps_max) true None false)
+      else
+        let rec int_bracket ilo ihi =
+          if ihi - ilo <= 1 then Ok (ilo, ihi)
+          else
+            let mid = ilo + ((ihi - ilo) / 2) in
+            let* sat = probe (q mid) in
+            if sat then int_bracket mid ihi else int_bracket ilo mid
+        in
+        let* ilo, ihi = int_bracket 0 eps_max in
+        let rec walk lo hi sat_run unsat_run =
+          if unsat_run >= stable then Ok (verdict lo true (Some hi) true)
+          else if sat_run >= stable then Ok (verdict hi false (Some hi) true)
+          else if !probes >= max_probes then
+            Ok (verdict lo true (Some hi) false)
+          else
+            let m =
+              Rational.make
+                (lo.Rational.num + hi.Rational.num)
+                (lo.Rational.den + hi.Rational.den)
+            in
+            let* sat = probe m in
+            moves := sat :: !moves;
+            if sat then walk m hi (sat_run + 1) 0
+            else walk lo m 0 (unsat_run + 1)
+        in
+        walk (q ilo) (q ihi) 0 0
+  in
+  (result, !probes, List.rev !moves)
+
+(* The checks [Margin.search] runs for a search the reference ended with
+   a verdict, given the reference's step count and walk moves: the
+   bracket's checks, then per walk step one check, except inside a run
+   (with [leap] still set), where one check [k] moves on either takes
+   all [k] moves, when all [k] go the run's way, or clears [leap] until
+   the run breaks. *)
+let leaping_checks ~stable ~max_probes ~probes moves =
+  let moves = Array.of_list moves in
+  let n = Array.length moves in
+  let bracket = probes - n in
+  let rec go i run leap checks =
+    if i >= n then checks
+    else
+      let k = min (stable - run) (max_probes - bracket - i) in
+      if leap && run > 0 && k >= 2 then
+        let along j = j < n && moves.(j) = moves.(i - 1) in
+        if List.for_all along (List.init k (( + ) i)) then
+          go (i + k) (run + k) true (checks + 1)
+        else go i run false (checks + 1)
+      else if i > 0 && moves.(i) = moves.(i - 1) then
+        go (i + 1) (run + 1) leap (checks + 1)
+      else go (i + 1) 1 true (checks + 1)
+  in
+  bracket + go 0 0 true 0
+
+(* One class, [0, 1]: widening it by [e] reads back as [e] from the
+   upper bound, so a check can verify exactly below a chosen threshold
+   [t] (at [t] too when [attained]) and answer [Unknown] at chosen
+   magnitudes — a monotone check with any rational threshold. *)
+let bm1 =
+  Boundmap.of_list [ ("k", Interval.make Rational.zero (Time.Fin (q 1))) ]
+
+let threshold_check ?(unknown_at = []) t attained bm' =
+  match Interval.hi (Boundmap.find bm' "k") with
+  | Time.Inf -> assert false
+  | Time.Fin h ->
+      let e = Rational.(h - one) in
+      let c = Rational.compare e t in
+      if List.exists (Rational.equal e) unknown_at then Margin.Unknown "fault"
+      else if c < 0 || (c = 0 && attained) then Margin.Sat
+      else Margin.Unsat
+
+(* [search] over a counting [check]: the verdict and the checks run. *)
+let counted_search ~eps_max ~stable ~max_probes ~family ~check bm =
+  let checks = ref 0 in
+  let check bm' =
+    incr checks;
+    check bm'
+  in
+  let v = Margin.search ~eps_max ~stable ~max_probes ~family ~check bm in
+  (v, !checks)
+
+(* A threshold from its continued fraction [a0; a1, ..., an].  Mostly
+   small coefficients, so the walk's runs break often; now and then one
+   at or above [stable], a run the walk takes for the end of the
+   search. *)
+let cf_threshold =
+  QCheck2.Gen.(
+    let coeff =
+      frequency [ (4, return 1); (3, int_range 2 4); (1, int_range 5 16) ]
+    in
+    map2
+      (fun a0 rest ->
+        match List.rev rest with
+        | [] -> q a0
+        | last :: inner ->
+            let frac =
+              List.fold_left
+                (fun x a -> Rational.(q a + inv x))
+                (q last) inner
+            in
+            Rational.(q a0 + inv frac))
+      (int_range 0 8) (list_size (int_range 0 7) coeff))
+
+let walk_params =
+  QCheck2.Gen.(triple (int_range 1 8) (int_range 2 14) (int_range 2 80))
+
+let leaping_walk_matches_reference =
+  Gen.check_holds
+    "margin: leaping walk gives the one-at-a-time verdict, its checks as \
+     predicted"
+    ~count:600
+    ~print:(fun ((t, attained), (eps_max, stable, max_probes)) ->
+      Printf.sprintf "t=%s attained=%b eps_max=%d stable=%d max_probes=%d"
+        (Rational.to_string t) attained eps_max stable max_probes)
+    QCheck2.Gen.(pair (pair cf_threshold bool) walk_params)
+    (fun ((t, attained), (eps_max, stable, max_probes)) ->
+      let family = Perturb.widen and check = threshold_check t attained in
+      let expected, probes, moves =
+        reference_search ~eps_max ~stable ~max_probes ~family ~check bm1
+      in
+      let got, checks =
+        counted_search ~eps_max ~stable ~max_probes ~family ~check bm1
+      in
+      got = expected
+      &&
+      match expected with
+      | Ok _ -> checks = leaping_checks ~stable ~max_probes ~probes moves
+      | Error _ -> true)
+
+(* The same over zone-engine checks of random automata, per family of a
+   report.  Where a reference step ran out of budget the leaping walk
+   may have skipped that mediant: it answers, or gives up at a mediant
+   of its own; any other outcome must be the reference's. *)
+let leaping_walk_matches_reference_on_engines =
+  Gen.check_holds "margin: leaping walk = one-at-a-time walk on zone checks"
+    ~count:40
+    ~print:(fun (r, (stable, max_probes)) ->
+      Printf.sprintf "%s stable=%d max_probes=%d" (Gen.print_raut r) stable
+        max_probes)
+    QCheck2.Gen.(
+      pair Gen.boundmap_automaton (pair (int_range 2 8) (int_range 4 40)))
+    (fun (r, (stable, max_probes)) ->
+      let aut, bm = Gen.build_boundmap_automaton r in
+      let check bm' =
+        Margin.condition_status (module Reach.Auto) ~limit:2000 aut cond0
+          bm'
+      in
+      let inconclusive m =
+        String.starts_with ~prefix:"inconclusive at e = " m
+      in
+      List.for_all
+        (fun family ->
+          let expected, probes, moves =
+            reference_search ~eps_max:2 ~stable ~max_probes ~family ~check bm
+          in
+          let got, checks =
+            counted_search ~eps_max:2 ~stable ~max_probes ~family ~check bm
+          in
+          match (expected, got) with
+          | Ok _, _ ->
+              got = expected
+              && checks = leaping_checks ~stable ~max_probes ~probes moves
+          | Error m, (Ok _ | Error _) when inconclusive m -> (
+              match got with Ok _ -> true | Error m' -> inconclusive m')
+          | Error _, _ -> got = expected)
+        (Perturb.widen
+        :: List.map Perturb.widen_class (Boundmap.classes bm)))
+
+(* Threshold 1/2, attained, at the defaults: the bracket is [0, 1]
+   after five checks (e = 0, 8, 4, 2, 1).  The walk verifies 1/2, leaps
+   to 12/13 (eleven moves on toward 1; refuted, so it steps), refutes
+   2/3, leaps to 13/25 (eleven moves on toward 1/2; refuted, so all
+   eleven moves are taken): nine checks for eighteen steps. *)
+let half_verdict =
+  {
+    Margin.threshold = qq 1 2;
+    attained = true;
+    refuted_at = Some (qq 13 25);
+    exact = true;
+    probes = 18;
+  }
+
+let half_search ?unknown_at () =
+  let family = Perturb.widen
+  and check = threshold_check ?unknown_at (qq 1 2) true in
+  let reference, _, _ =
+    reference_search ~eps_max:8 ~stable:12 ~max_probes:96 ~family ~check bm1
+  in
+  let got, checks =
+    counted_search ~eps_max:8 ~stable:12 ~max_probes:96 ~family ~check bm1
+  in
+  (reference, got, checks)
+
+let verdict_t =
+  Alcotest.testable
+    (fun fmt -> function
+      | Ok v -> Margin.pp_verdict fmt v
+      | Error m -> Format.pp_print_string fmt m)
+    ( = )
+
+let leap_counts_checks () =
+  let reference, got, checks = half_search () in
+  Alcotest.check verdict_t "reference verdict" (Ok half_verdict) reference;
+  Alcotest.check verdict_t "leaping verdict" (Ok half_verdict) got;
+  Alcotest.(check int) "checks run" 9 checks
+
+(* [Unknown] at a leap's target: the walk steps instead, and ends where
+   the reference does — with its verdict when the reference never
+   reaches the target (12/13, past where the run breaks), with its
+   error when it does (13/25, the end of the last run). *)
+let leap_target_unknown_steps () =
+  let reference, got, checks = half_search ~unknown_at:[ qq 12 13 ] () in
+  Alcotest.check verdict_t "12/13: reference verdict" (Ok half_verdict)
+    reference;
+  Alcotest.check verdict_t "12/13: leaping = reference" reference got;
+  Alcotest.(check int) "12/13: checks run" 9 checks;
+  let reference, got, _ = half_search ~unknown_at:[ qq 13 25 ] () in
+  Alcotest.check verdict_t "13/25: reference gives up"
+    (Error "inconclusive at e = 13/25: fault")
+    reference;
+  Alcotest.check verdict_t "13/25: leaping = reference" reference got
+
+(* [Unknown] only at a mediant the leap skips (3/5, the second of the
+   last run's eleven): the reference gives up there, the leaping walk
+   never checks it and answers.  The one way the two walks differ. *)
+let skipped_unknown_answers () =
+  let reference, got, _ = half_search ~unknown_at:[ qq 3 5 ] () in
+  Alcotest.check verdict_t "reference gives up"
+    (Error "inconclusive at e = 3/5: fault")
+    reference;
+  Alcotest.check verdict_t "leaping walk answers" (Ok half_verdict) got
+
+(* [margin -S fischer -n 3], the benchmark's margin workload: the
+   checks it runs are pinned (200 when every step ran one), and the
+   probes its reports print are those of the one-at-a-time walk. *)
+let fischer3_margin_checks () =
+  let module Registry = Tm_systems.Registry in
+  let model =
+    Result.get_ok
+      (Registry.instantiate ~margin:true
+         (Result.get_ok (Registry.find "fischer"))
+         [ ("n", 3) ])
+  in
+  let c = Tm_obs.Metrics.counter "faults.margin_probes" in
+  let before = Tm_obs.Metrics.value c in
+  let reports =
+    Tm_serve.Catalog.margin_reports (module Reach.Auto) ~domains:1 model
+  in
+  let printed =
+    List.fold_left
+      (fun acc (r : Margin.report) ->
+        List.fold_left
+          (fun acc v ->
+            match v with Ok v -> acc + v.Margin.probes | Error _ -> acc)
+          acc
+          (r.Margin.overall
+          :: List.map (fun (row : Margin.row) -> row.Margin.verdict)
+               r.Margin.per_class))
+      0 reports
+  in
+  Alcotest.(check int) "checks run" 91 (Tm_obs.Metrics.value c - before);
+  Alcotest.(check int) "printed probes" 224 printed
+
+(* ------------------------------------------------------------------ *)
 (* Exhaustion is never Verified (the budget discipline).               *)
 
 let budget_never_verified =
@@ -228,6 +524,16 @@ let suite =
     widen_grows_pointwise;
     widen_monotone;
     report_equals_separate_searches;
+    leaping_walk_matches_reference;
+    leaping_walk_matches_reference_on_engines;
+    Alcotest.test_case "margin: a leap counts k steps for one check" `Quick
+      leap_counts_checks;
+    Alcotest.test_case "margin: Unknown at a leap target steps instead"
+      `Quick leap_target_unknown_steps;
+    Alcotest.test_case "margin: Unknown at a skipped mediant is not seen"
+      `Quick skipped_unknown_answers;
+    Alcotest.test_case "margin: fischer n=3 runs 91 checks, prints 224 probes"
+      `Quick fischer3_margin_checks;
     budget_never_verified;
     Alcotest.test_case "fd: accuracy margin is exactly g1 - h2" `Quick
       fd_margin_is_g1_minus_h2;
